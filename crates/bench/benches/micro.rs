@@ -37,6 +37,46 @@ fn bench_sched(c: &mut Criterion) {
         );
     }
     group.finish();
+    // The same churn with the engine's real shape (DESIGN.md §10): an
+    // 80-byte payload the size of the engine's event, and successors at
+    // the distances `sim_be_scatter` schedules them — 27 % the same ns
+    // (into the sorted cursor bucket), 7 % within 64 ns, 34 % at 64–511
+    // ns, 29 % at 512–1023 ns, the rest at 2–4 µs. The uniform 1–50 µs
+    // churn above has neither the size nor the locality, so only this
+    // one sees a working-set regression.
+    let mut group = c.benchmark_group("sched/engine_shape");
+    for population in [512usize, 4096] {
+        group.bench_with_input(
+            BenchmarkId::from_parameter(population),
+            &population,
+            |bench, &population| {
+                let mut q: CalendarQueue<[u64; 10]> = CalendarQueue::new();
+                for i in 0..population as u64 {
+                    q.push(i * 97 % 4_000, [i; 10]);
+                }
+                let mut x = 0x9E37_79B9_7F4A_7C15u64;
+                bench.iter(|| {
+                    let (t, _, item) = q.pop().unwrap();
+                    // xorshift64: one draw picks the band, its high bits
+                    // the offset inside it.
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let within = x >> 32;
+                    let delay = match x % 100 {
+                        0..=26 => 0,
+                        27..=33 => 1 + within % 63,
+                        34..=67 => 64 + within % 448,
+                        68..=96 => 512 + within % 512,
+                        _ => 2_048 + within % 2_048,
+                    };
+                    q.push(t + delay, item);
+                    black_box(t)
+                })
+            },
+        );
+    }
+    group.finish();
     // Far-future pushes exercise the sorted overflow tier and the bulk
     // migration back into the wheel.
     c.bench_function("sched/overflow_cycle_64", |bench| {

@@ -114,9 +114,9 @@ fn run_point(sweep: &'static str, mut cfg: LogConfig, smoke: bool) -> Point {
         acked: svc.acked_appends,
         sub_records: svc.sub_records,
         appends_per_sim_sec: svc.acked_appends as f64 / (stop_at as f64 / 1e9),
-        append_p50_us: lat.percentile(50.0) / 1_000.0,
-        append_p99_us: lat.percentile(99.0) / 1_000.0,
-        sub_e2e_p99_us: svc.sub_e2e_ns.percentile(99.0) / 1_000.0,
+        append_p50_us: lat.percentile(0.50) / 1_000.0,
+        append_p99_us: lat.percentile(0.99) / 1_000.0,
+        sub_e2e_p99_us: svc.sub_e2e_ns.percentile(0.99) / 1_000.0,
         stalls: totals.stalls,
         wall_s,
     }

@@ -4,13 +4,16 @@
 //! this one measures the *simulator itself*: how many discrete events and
 //! application deliveries per wall-clock second the engine sustains on
 //! two fixed-seed workloads, and the peak receive-side reorder-buffer
-//! footprint. It writes `BENCH_sim.json` at the repo root so successive
-//! PRs have a trajectory to regress against:
+//! footprint. It writes `BENCH_sim.json` (`--smoke`:
+//! `BENCH_sim_smoke.json`) at the repo root so successive PRs have a
+//! trajectory to regress against, and with `--check` it first compares
+//! the run's determinism canaries with that committed file:
 //!
 //! ```bash
 //! cargo run --release -p onepipe-bench --bin perfbench            # full
-//! cargo run --release -p onepipe-bench --bin perfbench -- --smoke # CI
+//! cargo run --release -p onepipe-bench --bin perfbench -- --smoke # short
 //! cargo run --release -p onepipe-bench --bin perfbench -- --threads 4
+//! cargo run --release -p onepipe-bench --bin perfbench -- --smoke --threads 2 --check # CI
 //! ```
 //!
 //! Workloads (both deterministic, fixed seeds):
@@ -26,9 +29,13 @@
 //! N defaults to the machine's available parallelism). The sharded runs
 //! must be bit-identical to each other — perfbench asserts it.
 //!
-//! Wall-clock rates vary with the machine; the JSON is *report-only*
+//! Wall-clock rates vary with the machine; they are *report-only*
 //! (trend data), not a gating threshold. Compare ratios between commits
 //! measured on the same machine, not absolute numbers across machines.
+//! `events`, `deliveries` and `sim_ns` are exact on every machine:
+//! `--check` exits non-zero, before writing anything, if any workload's
+//! differ from the committed baseline of the same mode (a multi-lane run
+//! is checked against the baseline's `_t1` entry, which it must equal).
 
 use onepipe_bench::run_onepipe_broadcast;
 use onepipe_core::harness::{Cluster, ClusterConfig};
@@ -238,8 +245,47 @@ fn assert_deterministic(base: &WorkloadReport, other: &WorkloadReport) {
     );
 }
 
+/// `(events, deliveries, sim_ns)` of workload `name` in a committed
+/// `BENCH_sim*.json` body (the format [`WorkloadReport::json`] writes).
+fn baseline_canaries(body: &str, name: &str) -> Option<(u64, u64, u64)> {
+    let start = body.find(&format!("\"{name}\": {{"))?;
+    let entry = &body[start..start + body[start..].find('}')?];
+    let field = |key: &str| -> Option<u64> {
+        let key = format!("\"{key}\": ");
+        let digits = &entry[entry.find(&key)? + key.len()..];
+        digits[..digits.find(|c: char| !c.is_ascii_digit())?].parse().ok()
+    };
+    Some((field("events")?, field("deliveries")?, field("sim_ns")?))
+}
+
+/// Compare every report's determinism canaries with the committed
+/// baseline; returns one line per difference.
+fn check_against_baseline(reports: &[WorkloadReport], baseline: &str) -> Vec<String> {
+    let mut diffs = Vec::new();
+    for r in reports {
+        // Lane counts above 1 follow the machine that wrote the baseline
+        // (its available parallelism; CI uses 2), and such a run must
+        // equal the single-lane sharded entry anyway.
+        let name = match r.name.rsplit_once("_t") {
+            Some((base, _)) if r.threads > 1 => format!("{base}_t1"),
+            _ => r.name.clone(),
+        };
+        let got = (r.events, r.deliveries, r.sim_ns);
+        match baseline_canaries(baseline, &name) {
+            Some(want) if want == got => {}
+            Some(want) => diffs.push(format!(
+                "{}: (events, deliveries, sim_ns) = {got:?}, baseline {name} has {want:?}",
+                r.name
+            )),
+            None => diffs.push(format!("{}: no baseline entry {name}", r.name)),
+        }
+    }
+    diffs
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
+    let check = std::env::args().any(|a| a == "--check");
     let mode = if smoke { "smoke" } else { "full" };
     let threads = {
         let t = onepipe_bench::parse_threads();
@@ -280,7 +326,20 @@ fn main() {
 
     // The bench crate lives at <root>/crates/bench.
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let path = root.join("BENCH_sim.json");
+    let path = root.join(if smoke { "BENCH_sim_smoke.json" } else { "BENCH_sim.json" });
+    if check {
+        let baseline = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("perfbench --check: cannot read {}: {e}", path.display()));
+        let diffs = check_against_baseline(&reports, &baseline);
+        if !diffs.is_empty() {
+            eprintln!("perfbench --check: simulation behavior differs from {}:", path.display());
+            for d in &diffs {
+                eprintln!("  {d}");
+            }
+            std::process::exit(1);
+        }
+        println!("check: events, deliveries and sim_ns match {}", path.display());
+    }
     match std::fs::write(&path, &body) {
         Ok(()) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("perfbench: could not write {}: {e}", path.display()),

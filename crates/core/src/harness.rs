@@ -215,8 +215,8 @@ pub struct Cluster {
     sink_marks: [usize; 4],
     replicas: Vec<CtrlReplica>,
     /// Next time the controller replicas run their periodic tick (Raft
-    /// timeouts + Determine-window expiry). Lets the per-event fast path
-    /// skip the control plane entirely between ticks.
+    /// timeouts + Determine-window expiry): the deadline that ends an
+    /// event batch in [`Cluster::run_until`].
     next_ctrl_tick: u64,
     ctrl_tick_interval: u64,
     /// Backoff policy for [`MgmtMsg::ToCtrl`] re-delivery.
@@ -237,6 +237,10 @@ pub struct Cluster {
     chaos_event_cursor: usize,
     chaos_sample_stride: u64,
     chaos_next_sample: u64,
+    /// `(sim time, epoch, action)` of every controller action applied
+    /// past the epoch fence — what the pump-timing golden pins.
+    #[cfg(test)]
+    applied_actions: Vec<(u64, u64, CtrlAction)>,
     /// The cluster configuration it was built with.
     pub config: ClusterConfig,
 }
@@ -354,6 +358,8 @@ impl Cluster {
             chaos_event_cursor: 0,
             chaos_sample_stride: DEFAULT_CHAOS_SAMPLE_STRIDE,
             chaos_next_sample: 0,
+            #[cfg(test)]
+            applied_actions: Vec::new(),
             config: cfg,
         }
     }
@@ -439,41 +445,59 @@ impl Cluster {
 
     /// Run until simulation time `t_end`, pumping the control plane.
     ///
-    /// On the legacy engine the control plane is pumped after every
-    /// simulator event; on the sharded engine
-    /// ([`ClusterConfig::threads`] ≥ 1) it is pumped at every window
-    /// barrier — windows are bounded by the lookahead horizon and never
-    /// cross a pending management delivery, and all barrier times are
-    /// deterministic, so runs remain bit-identical for any lane count.
+    /// The legacy engine runs simulator events in batches
+    /// ([`Sim::run_batch`]) and the control plane is pumped between them.
+    /// A batch ends after the first event at or past the next controller
+    /// tick, after an event during which a switch or host queued a
+    /// control request (it raises the simulator's attention flag), or
+    /// when the next event is not strictly before the next management
+    /// delivery or is past `t_end` — exactly the events after which a
+    /// pump after *every* event would have found work, so results do not
+    /// depend on the batching. With a chaos hook attached every batch is
+    /// one event long: the oracle sees each event's deliveries and user
+    /// events before the next event runs. On the sharded engine
+    /// ([`ClusterConfig::threads`] ≥ 1) the control plane is pumped at
+    /// every window barrier — windows are bounded by the lookahead
+    /// horizon and never cross a pending management delivery, and all
+    /// barrier times are deterministic, so runs remain bit-identical for
+    /// any lane count.
     pub fn run_until(&mut self, t_end: u64) {
         let sharded = self.sim.is_sharded();
         loop {
             self.sort_sink_tails();
             self.pump_control();
             self.pump_chaos();
-            let sim_next = self.sim.peek_time();
             let mgmt_next = self.mgmt.peek().map(|Reverse(e)| e.at);
-            let next = match (sim_next, mgmt_next) {
-                (None, None) => break,
-                (Some(s), None) => s,
-                (None, Some(m)) => m,
-                (Some(s), Some(m)) => s.min(m),
-            };
-            if next > t_end {
-                break;
-            }
-            if mgmt_next.map(|m| m <= next).unwrap_or(false) {
-                let Reverse(entry) = self.mgmt.pop().unwrap();
-                self.sim.run_until(entry.at);
-                self.sort_sink_tails();
-                self.apply_mgmt(entry.msg);
-            } else if sharded {
+            // Simulator events strictly before the next management
+            // delivery (which wins ties) and no later than `t_end`.
+            let ran = if sharded {
                 // One lookahead window, fenced at the next management
                 // delivery so control actions land between windows.
-                let cap = mgmt_next.map_or(t_end, |m| m.min(t_end));
-                self.sim.run_window(cap);
+                let due = |s: u64| s <= t_end && mgmt_next.is_none_or(|m| s < m);
+                self.sim.peek_time().is_some_and(due)
+                    && self.sim.run_window(mgmt_next.map_or(t_end, |m| m.min(t_end)))
             } else {
-                self.sim.step();
+                // The chaos oracle must see each event's deliveries and
+                // user events before the next event runs.
+                let deadline = if self.chaos.is_some() { 0 } else { self.next_ctrl_tick };
+                let through = match mgmt_next {
+                    // `None`: a delivery at time 0 precedes every event.
+                    Some(m) => m.checked_sub(1).map(|before| before.min(t_end)),
+                    None => Some(t_end),
+                };
+                through.is_some_and(|through| self.sim.run_batch(through, deadline))
+            };
+            if ran {
+                continue;
+            }
+            match mgmt_next {
+                Some(m) if m <= t_end => {
+                    let Reverse(entry) = self.mgmt.pop().expect("peeked entry");
+                    self.sim.run_until(entry.at);
+                    self.sort_sink_tails();
+                    self.apply_mgmt(entry.msg);
+                }
+                _ => break,
             }
         }
         self.sim.run_until(t_end);
@@ -751,16 +775,13 @@ impl Cluster {
     }
 
     fn pump_control(&mut self) {
-        // Fast path: the harness pumps once per simulated event, so the
-        // common case (no detect reports, no endpoint requests, and the
-        // next replica tick still in the future) must not pay for drains
-        // or controller work. Raft traffic itself rides the management
-        // heap and is handled in `apply_mgmt`, not here.
+        // Fast path: nothing to drain (every push into `switch_events`
+        // or `ctrl_outbox` raises the simulator's attention flag) and the
+        // next replica tick still in the future. Raft traffic itself
+        // rides the management heap and is handled in `apply_mgmt`, not
+        // here.
         let now = self.sim.now();
-        if now < self.next_ctrl_tick
-            && self.switch_events.lock().unwrap().is_empty()
-            && self.ctrl_outbox.lock().unwrap().is_empty()
-        {
+        if !self.sim.take_attention() && now < self.next_ctrl_tick {
             return;
         }
         // Switch detect reports: one management hop to the controller
@@ -957,6 +978,8 @@ impl Cluster {
         if fenced {
             return;
         }
+        #[cfg(test)]
+        self.applied_actions.push((now, epoch, action.clone()));
         if let Some(hook) = self.chaos.clone() {
             hook.borrow_mut().on_ctrl_action(now, epoch, &action);
         }
@@ -1202,6 +1225,93 @@ mod tests {
         c.send(ProcessId(0), vec![Message::new(ProcessId(1), "post")], true).unwrap();
         c.run_for(300 * MICROS);
         assert!(c.take_deliveries().iter().any(|r| r.msg.payload == Bytes::from_static(b"post")));
+    }
+
+    /// FNV-1a over a stream of words (the golden fingerprints below).
+    fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for w in words {
+            for b in w.to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Pump-timing golden for the path the benchmark runs (no chaos hook):
+    /// a host crash, then a controller-leader crash mid-recovery, under
+    /// 1e-4 link loss. Every value was recorded on the per-event pump loop
+    /// (pump after every simulator event), so it holds only if the batch
+    /// loop still pumps the control plane after exactly the same events.
+    #[test]
+    fn control_plane_pumps_after_the_same_events_as_the_per_event_loop() {
+        let mut c = Cluster::new(ClusterConfig::testbed(32));
+        c.sim.set_global_loss_rate(1e-4);
+        c.run_for(100 * MICROS);
+        let old_leader = c.controller_leader().expect("initial election completed");
+        let t0 = c.sim.now();
+        c.crash_host(t0 + 20 * MICROS + 1, HostId(7));
+        c.crash_controller(t0 + 130 * MICROS, old_leader);
+        for round in 0..170u32 {
+            for k in 0..4u32 {
+                let from = (round * 5 + k * 9) % 32;
+                let to = (from + 1 + round % 7) % 32;
+                let msgs =
+                    vec![Message::new(ProcessId(to), "m"), Message::new(ProcessId(from ^ 1), "m")];
+                // Sends from or to the crashed host may be refused.
+                let _ = c.send(ProcessId(from), msgs, k % 2 == 0);
+            }
+            c.run_for(7 * MICROS);
+        }
+        c.run_for(200 * MICROS);
+
+        assert_ne!(c.controller_leader(), Some(old_leader));
+        assert_eq!(c.failed_processes().first().map(|f| f.0), Some(ProcessId(7)));
+        assert!(c.controller_pending().is_empty(), "recovery completed across failover");
+
+        let d = c.take_deliveries();
+        let delivery_fp = fnv(d.iter().flat_map(|r| {
+            let m = &r.msg;
+            [r.at, r.receiver.0 as u64, m.ts.raw(), m.src.0 as u64, m.seq, r.reliable as u64]
+        }));
+        assert_eq!((d.len(), delivery_fp), (1267, 0x2950_aa55_a5c2_e08d));
+        let events_fp =
+            fnv(c.user_events.lock().unwrap().iter().flat_map(|(at, p, _)| [*at, p.0 as u64]));
+        assert_eq!(events_fp, 0x28e3_42f5_7a16_758b);
+        let s = &c.sim.stats;
+        assert_eq!(
+            (s.events, s.packets_sent, s.drops_inflight, s.ctrl_elections, s.ctrl_retries),
+            (140_806, 89_690, 6, 2, 82)
+        );
+
+        // The sim time of every applied controller action: the first
+        // leader announces to every survivor (one serialization slot
+        // each), the second re-drives the announcements whose callbacks
+        // had not committed and resumes the ToR that reported the link.
+        let applied: Vec<String> = c
+            .applied_actions
+            .iter()
+            .map(|(at, epoch, a)| match a {
+                CtrlAction::Announce { id, to, .. } => {
+                    format!("{at} e{epoch} announce#{id}->{}", to.0)
+                }
+                CtrlAction::Resume { at: sw, input } => {
+                    format!("{at} e{epoch} resume {}<-{}", sw.0, input.0)
+                }
+                CtrlAction::RecoveryInfo { to, .. } => format!("{at} e{epoch} recovery->{}", to.0),
+            })
+            .collect();
+        let mut want = Vec::new();
+        for (slot, p) in (0..32u64).filter(|&p| p != 7).enumerate() {
+            want.push(format!("{} e1 announce#1->{p}", 180_535 + 3_000 * slot as u64));
+        }
+        for (slot, p) in (14..32u64).enumerate() {
+            if p == 30 {
+                want.push("389065 e2 resume 32<-7".to_string());
+            }
+            want.push(format!("{} e2 announce#1->{p}", 342_065 + 3_000 * slot as u64));
+        }
+        assert_eq!(applied, want);
     }
 
     #[test]

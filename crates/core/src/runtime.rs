@@ -72,6 +72,11 @@ pub trait Wire {
     /// Pump boundary: the runtime has no more datagrams to emit for this
     /// burst; batching transports may transmit the accumulated frame now.
     fn flush(&mut self) {}
+    /// The runtime just queued a controller request in its `ctrl_outbox`.
+    /// Drivers that only drain the outbox when told to (the simulator
+    /// harness, between event batches) take the hint here; drivers that
+    /// drain it every iteration keep the default no-op.
+    fn raise_attention(&mut self) {}
 }
 
 /// One delivered message, recorded with the true (transport) time.
@@ -458,6 +463,7 @@ impl HostRuntime {
                 while let Some(req) = self.endpoints[i].poll_ctrl() {
                     any = true;
                     self.ctrl_outbox.lock().unwrap().push((now, receiver, req));
+                    wire.raise_attention();
                 }
             }
             // Application-queued sends.

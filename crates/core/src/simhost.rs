@@ -39,6 +39,10 @@ impl Wire for SimWire<'_, '_> {
     fn emit(&mut self, d: Datagram) {
         self.ctx.send(self.tor, SimPacket::new(d));
     }
+
+    fn raise_attention(&mut self) {
+        self.ctx.raise_attention();
+    }
 }
 
 /// The node logic of one simulated server: a [`HostRuntime`] plus the

@@ -23,6 +23,8 @@ use onepipe_types::time::Duration;
 use onepipe_types::wire::{Datagram, Flags, HEADER_LEN};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// Fixed per-packet overhead on the wire beyond the 1Pipe datagram:
 /// Ethernet + IP + UDP headers (≈ RoCE UD framing in the testbed).
@@ -172,6 +174,8 @@ pub struct Ctx<'a> {
     pub(crate) in_neighbors: &'a [Vec<NodeId>],
     pub(crate) rng: &'a mut StdRng,
     pub(crate) stats: &'a mut Stats,
+    /// The simulation's attention flag, see [`Ctx::raise_attention`].
+    pub(crate) attention: &'a AtomicBool,
     /// Sharded-mode extras; `None` under the single-queue engine.
     pub(crate) shard: Option<ShardCtx<'a>>,
 }
@@ -212,6 +216,17 @@ impl<'a> Ctx<'a> {
     /// Simulation-wide statistics.
     pub fn stats(&mut self) -> &mut Stats {
         self.stats
+    }
+
+    /// Tell whoever drives the simulation that this callback left work
+    /// for it outside the event queue (a failure report, a controller
+    /// request): [`Sim::run_batch`] returns after the current event and
+    /// the flag stays up until [`Sim::take_attention`] lowers it. A
+    /// relaxed store: the flag publishes no data of its own — the driver
+    /// reads the node's outbox on the thread that ran the callback, or
+    /// after a window barrier has synchronized with it.
+    pub fn raise_attention(&self) {
+        self.attention.store(true, Ordering::Relaxed);
     }
 
     /// Transmit `pkt` on the directed link `self.node → to`.
@@ -308,6 +323,8 @@ pub struct Sim {
     pub(crate) rng: StdRng,
     pub(crate) seed: u64,
     pub(crate) tracer: Option<TracerHandle>,
+    /// Raised by [`Ctx::raise_attention`]; shared with every shard.
+    pub(crate) attention: Arc<AtomicBool>,
     /// Sharded execution state; `None` under the single-queue engine.
     pub(crate) sharded: Option<Box<Sharded>>,
     /// Simulation-wide statistics.
@@ -328,6 +345,7 @@ impl Sim {
             rng: StdRng::seed_from_u64(seed),
             seed,
             tracer: None,
+            attention: Arc::new(AtomicBool::new(false)),
             sharded: None,
             stats: Stats::default(),
         }
@@ -545,6 +563,16 @@ impl Sim {
             let Sim { sharded, stats, now, .. } = self;
             return sharded.as_deref_mut().unwrap().with_node(*now, node, stats, f);
         }
+        self.with_ctx(node, f)
+    }
+
+    /// Run a node callback with a single-queue [`Ctx`]; `None` if the
+    /// node has no logic attached.
+    fn with_ctx<R>(
+        &mut self,
+        node: NodeId,
+        f: impl FnOnce(&mut dyn NodeLogic, &mut Ctx<'_>) -> R,
+    ) -> Option<R> {
         let mut logic = self.nodes[node.0 as usize].take()?;
         let mut ctx = Ctx {
             now: self.now,
@@ -555,6 +583,7 @@ impl Sim {
             in_neighbors: &self.in_neighbors,
             rng: &mut self.rng,
             stats: &mut self.stats,
+            attention: &self.attention,
             shard: None,
         };
         let r = f(logic.as_mut(), &mut ctx);
@@ -562,14 +591,8 @@ impl Sim {
         Some(r)
     }
 
-    /// Process a single event. Returns `false` when the queue is empty.
-    /// Unsupported in sharded mode — use [`Sim::run_window`] or
-    /// [`Sim::run_until`] instead.
-    pub fn step(&mut self) -> bool {
-        assert!(self.sharded.is_none(), "step() is unsupported in sharded mode");
-        let Some((time, _seq, kind)) = self.queue.pop() else {
-            return false;
-        };
+    /// Execute one popped event of the single-queue engine.
+    fn dispatch(&mut self, time: u64, kind: EventKind) {
         debug_assert!(time >= self.now, "time went backwards");
         self.now = time;
         self.stats.events += 1;
@@ -583,7 +606,7 @@ impl Sim {
             }
             EventKind::Timer { node, token } => {
                 if !self.crashed[node.0 as usize] {
-                    self.dispatch_timer(node, token);
+                    let _ = self.with_ctx(node, |l, ctx| l.on_timer(ctx, token));
                 }
             }
             EventKind::LinkAdmin { link, up } => {
@@ -622,11 +645,43 @@ impl Sim {
             }
             EventKind::Start { node } => {
                 if !self.crashed[node.0 as usize] {
-                    self.dispatch_start(node);
+                    let _ = self.with_ctx(node, |l, ctx| l.on_start(ctx));
                 }
             }
         }
-        true
+    }
+
+    /// Run queued events in `(time, seq)` order while their time is ≤
+    /// `through`, returning early after the first event at or past
+    /// `deadline`, or after an event during which a node raised attention
+    /// ([`Ctx::raise_attention`]; it stays raised, so a batch runs one
+    /// event at a time until [`Sim::take_attention`]). Returns whether
+    /// any event ran. This is the single-queue engine's only event loop;
+    /// sharded mode runs [`Sim::run_window`] instead.
+    pub fn run_batch(&mut self, through: u64, deadline: u64) -> bool {
+        assert!(self.sharded.is_none(), "run_batch() is unsupported in sharded mode");
+        let mut ran = false;
+        while self.queue.peek_time().is_some_and(|head| head <= through) {
+            let (time, _seq, kind) = self.queue.pop().expect("peeked non-empty queue");
+            self.dispatch(time, kind);
+            ran = true;
+            if time >= deadline || self.attention.load(Ordering::Relaxed) {
+                break;
+            }
+        }
+        ran
+    }
+
+    /// Lower the attention flag, returning whether it was raised. A load
+    /// and a conditional store rather than a swap (a locked instruction
+    /// on every idle pump): nodes only raise the flag while the driver
+    /// is inside a run call, never concurrently with this one.
+    pub fn take_attention(&mut self) -> bool {
+        let raised = self.attention.load(Ordering::Relaxed);
+        if raised {
+            self.attention.store(false, Ordering::Relaxed);
+        }
+        raised
     }
 
     /// Run until the event queue is exhausted or `t_end` (ns) is reached.
@@ -637,12 +692,7 @@ impl Sim {
             self.now = self.now.max(t_end);
             return;
         }
-        while let Some(head_time) = self.queue.peek_time() {
-            if head_time > t_end {
-                break;
-            }
-            self.step();
-        }
+        while self.run_batch(t_end, u64::MAX) {}
         self.now = self.now.max(t_end);
     }
 
@@ -663,7 +713,7 @@ impl Sim {
             while self.run_window(u64::MAX) {}
             return;
         }
-        while self.step() {}
+        while self.run_batch(u64::MAX, u64::MAX) {}
     }
 
     fn dispatch_packet(&mut self, to: NodeId, from: NodeId, pkt: SimPacket) {
@@ -681,61 +731,9 @@ impl Sim {
                 wire_bytes: pkt.wire_bytes,
             });
         }
-        let Some(mut logic) = self.nodes[to.0 as usize].take() else {
+        if self.with_ctx(to, |l, ctx| l.on_packet(ctx, from, pkt)).is_none() {
             self.stats.drops_no_logic += 1;
-            return;
-        };
-        let mut ctx = Ctx {
-            now: self.now,
-            node: to,
-            queue: &mut self.queue,
-            links: &mut self.links,
-            out_neighbors: &self.out_neighbors,
-            in_neighbors: &self.in_neighbors,
-            rng: &mut self.rng,
-            stats: &mut self.stats,
-            shard: None,
-        };
-        logic.on_packet(&mut ctx, from, pkt);
-        self.nodes[to.0 as usize] = Some(logic);
-    }
-
-    fn dispatch_timer(&mut self, node: NodeId, token: u64) {
-        let Some(mut logic) = self.nodes[node.0 as usize].take() else {
-            return;
-        };
-        let mut ctx = Ctx {
-            now: self.now,
-            node,
-            queue: &mut self.queue,
-            links: &mut self.links,
-            out_neighbors: &self.out_neighbors,
-            in_neighbors: &self.in_neighbors,
-            rng: &mut self.rng,
-            stats: &mut self.stats,
-            shard: None,
-        };
-        logic.on_timer(&mut ctx, token);
-        self.nodes[node.0 as usize] = Some(logic);
-    }
-
-    fn dispatch_start(&mut self, node: NodeId) {
-        let Some(mut logic) = self.nodes[node.0 as usize].take() else {
-            return;
-        };
-        let mut ctx = Ctx {
-            now: self.now,
-            node,
-            queue: &mut self.queue,
-            links: &mut self.links,
-            out_neighbors: &self.out_neighbors,
-            in_neighbors: &self.in_neighbors,
-            rng: &mut self.rng,
-            stats: &mut self.stats,
-            shard: None,
-        };
-        logic.on_start(&mut ctx);
-        self.nodes[node.0 as usize] = Some(logic);
+        }
     }
 }
 

@@ -8,14 +8,16 @@
 //! events into fixed-width time slots:
 //!
 //! - a **wheel** of [`NUM_SLOTS`] buckets, each [`SLOT_NS`] wide, covers
-//!   the near future (`now .. now + NUM_SLOTS·SLOT_NS`, ≈ 0.5 ms of
-//!   simulated time). Pushes append to the target bucket unsorted; the
-//!   bucket holding the cursor is sorted lazily, once, when the cursor
-//!   reaches it — `O(k log k)` for `k` events that all have to pop anyway.
+//!   the near future (`now .. now + NUM_SLOTS·SLOT_NS`, ≈ 33 µs of
+//!   simulated time; the link/beacon model schedules every data-plane
+//!   event less than 8.2 µs ahead — histogram in DESIGN.md §10). Pushes
+//!   append to the target bucket unsorted; the bucket holding the cursor
+//!   is sorted lazily, once, when the cursor reaches it — `O(k log k)`
+//!   for `k` events that all have to pop anyway.
 //! - a **sorted overflow tier** (`BTreeMap`) holds far-future events
 //!   (fault schedules, long timeouts). As the wheel turns, events whose
 //!   slot becomes addressable migrate into the wheel in bulk.
-//! - an **occupancy bitmap** (one bit per slot, 1 KiB — L1-resident)
+//! - an **occupancy bitmap** (one bit per slot, 64 B — one cache line)
 //!   finds the next non-empty slot with word-wide scans, so sparse
 //!   stretches of simulated time cost ~ns, not a per-slot walk.
 //!
@@ -35,8 +37,12 @@ const SLOT_BITS: u32 = 6;
 /// Width of one wheel slot, ns. Chosen near the median inter-event gap of
 /// the testbed workloads so buckets stay small (tens of events).
 pub const SLOT_NS: u64 = 1 << SLOT_BITS;
-/// Number of wheel slots (power of two). Horizon = `NUM_SLOTS * SLOT_NS`.
-pub const NUM_SLOTS: usize = 8192;
+/// Number of wheel slots (power of two). Horizon = `NUM_SLOTS * SLOT_NS`,
+/// four times the longest data-plane lookahead measured (DESIGN.md §10):
+/// only fault schedules and long timers take the overflow tier, and the
+/// buckets — entries are stored inline — are revisited every 33 µs of
+/// simulated time, while they are still in cache.
+pub const NUM_SLOTS: usize = 512;
 
 const SLOT_MASK: u64 = NUM_SLOTS as u64 - 1;
 const WORDS: usize = NUM_SLOTS / 64;
@@ -62,7 +68,7 @@ pub struct CalendarQueue<T> {
     /// [`NONE_SLOT`].
     sorted_slot: u64,
     /// Cached absolute slot of the first occupied wheel bucket, or
-    /// [`NONE_SLOT`] when unknown. The harness peeks before every pop;
+    /// [`NONE_SLOT`] when unknown. The engine peeks before every pop;
     /// the cache lets that pair (and often the next peek) share one
     /// bitmap scan.
     head_slot: u64,
@@ -358,8 +364,9 @@ mod tests {
         let mut now = 0u64;
         let mut pending = 0usize;
         for i in 0..1_000u64 {
-            // Long strides force repeated wrap-around of the slot ring.
-            now += 997 * SLOT_NS;
+            // Long strides (just inside the horizon, co-prime with the
+            // ring size) force repeated wrap-around of the slot ring.
+            now += (NUM_SLOTS as u64 - 27) * SLOT_NS;
             q.push(now + 10, i);
             q.push(now + 10, i + 1_000_000);
             pending += 2;

@@ -170,6 +170,8 @@ pub(crate) struct Shard {
     out_neighbors: Arc<Vec<Vec<NodeId>>>,
     in_neighbors: Arc<Vec<Vec<NodeId>>>,
     up_map: Arc<UpMap>,
+    /// The simulation's attention flag ([`Ctx::raise_attention`]).
+    attention: Arc<AtomicBool>,
 }
 
 impl Shard {
@@ -191,6 +193,7 @@ impl Shard {
             in_neighbors: &self.in_neighbors,
             rng: &mut self.rng,
             stats: &mut self.scratch,
+            attention: &self.attention,
             shard: Some(ShardCtx {
                 id: self.id,
                 shard_of: &self.shard_of,
@@ -624,6 +627,7 @@ impl Sim {
                 out_neighbors: out_neighbors.clone(),
                 in_neighbors: in_neighbors.clone(),
                 up_map: up_map.clone(),
+                attention: self.attention.clone(),
             })
             .collect();
         for (i, slot) in self.nodes.iter_mut().enumerate() {

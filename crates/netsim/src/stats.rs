@@ -141,6 +141,7 @@ impl Samples {
 
     /// The `q`-quantile (0 ≤ q ≤ 1) by nearest-rank; 0 for an empty set.
     pub fn percentile(&self, q: f64) -> f64 {
+        debug_assert!((0.0..=1.0).contains(&q), "quantile {q} outside [0, 1] (a percent?)");
         if self.values.is_empty() {
             return 0.0;
         }
@@ -191,6 +192,18 @@ mod tests {
         assert_eq!(s.percentile(0.95), 96.0);
         assert_eq!(s.percentile(1.0), 100.0);
         assert_eq!(s.max(), 100.0);
+    }
+
+    /// `percentile` takes a quantile, not a percent: a percent used to
+    /// clamp to the last rank silently, which made `log_sweep` report the
+    /// maximum as both its p50 and its p99.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "outside [0, 1]")]
+    fn percentile_rejects_a_percent() {
+        let mut s = Samples::new();
+        s.push(1.0);
+        s.percentile(50.0);
     }
 
     #[test]

@@ -79,3 +79,76 @@ proptest! {
         prop_assert!(cal.is_empty());
     }
 }
+
+proptest! {
+    /// The engine's real shape (DESIGN.md §10): every pop schedules
+    /// successors relative to the popped time, 20–28 % of them into the
+    /// slot being drained (the sorted cursor bucket, delay 0 included),
+    /// ≈ 60 % 0.5–1 µs ahead, the rest below 8 µs, and a far-future
+    /// minority (timers, fault schedules) past the wheel horizon that
+    /// must migrate back from the overflow tier in order. A small
+    /// population turns the wheel many times over; a large one keeps
+    /// buckets dense.
+    #[test]
+    fn engine_shaped_churn_matches_reference_heap(seed in any::<u64>(), dense in any::<bool>()) {
+        let horizon = NUM_SLOTS as u64 * SLOT_NS;
+        let population = if dense { 4096 } else { 48 };
+        let mut rng = seed | 1;
+        let mut next = move || {
+            // xorshift64
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let mut cal: CalendarQueue<u64> = CalendarQueue::new();
+        let mut reference = RefHeap::new();
+        let mut now = 0u64;
+        let mut last_far = 0u64;
+        for _ in 0..population {
+            let t = next() % 8_000;
+            cal.push(t, reference.seq + 1);
+            reference.push(t);
+        }
+        for _ in 0..20_000 {
+            // Peek only sometimes: it sorts the head bucket early, and
+            // pop must not depend on that having happened.
+            if next() % 4 == 0 {
+                prop_assert_eq!(cal.peek_time(), reference.peek_time());
+            }
+            let got = cal.pop();
+            prop_assert_eq!(got, reference.pop().map(|(t, s)| (t, s, s)));
+            now = got.expect("population is kept up").0;
+            // Successors: usually one, sometimes none or two, steering
+            // the population back to its target.
+            let successors = match cal.len().cmp(&population) {
+                std::cmp::Ordering::Less => 1 + next() % 2,
+                std::cmp::Ordering::Equal => 1,
+                std::cmp::Ordering::Greater => next() % 2,
+            };
+            for _ in 0..successors {
+                let delay = match next() % 100 {
+                    0..=3 => 0,
+                    4..=24 => next() % (SLOT_NS - now % SLOT_NS),
+                    25..=84 => 500 + next() % 500,
+                    85..=97 => next() % 8_000,
+                    _ => {
+                        last_far = now + horizon + next() % (3 * horizon);
+                        last_far - now
+                    }
+                };
+                cal.push(now + delay, reference.seq + 1);
+                reference.push(now + delay);
+            }
+        }
+        // The run turned the wheel (sparse) or filled buckets (dense),
+        // and far-future events came back through the overflow tier.
+        prop_assert!(dense || now > 8 * horizon, "only {} wheel turns", now / horizon);
+        prop_assert!(last_far > horizon);
+        prop_assert_eq!(cal.len(), reference.heap.len());
+        while let Some((t, s)) = reference.pop() {
+            prop_assert_eq!(cal.pop(), Some((t, s, s)));
+        }
+        prop_assert!(cal.is_empty());
+    }
+}

@@ -109,7 +109,8 @@ pub struct SwitchShared {
     pub topo: Arc<Topology>,
     /// Process → host placement (routing key).
     pub procs: Arc<ProcessMap>,
-    /// Outbox of failure events, drained by the harness.
+    /// Outbox of failure events, drained by the harness; every push is
+    /// followed by [`Ctx::raise_attention`].
     pub events: Arc<Mutex<Vec<SwitchEvent>>>,
 }
 
@@ -435,6 +436,7 @@ impl NodeLogic for SwitchLogic {
                         last_commit,
                         at: now,
                     });
+                    ctx.raise_attention();
                 }
                 let be = self.agg.out_be(ctx.now());
                 let commit = self.agg.out_commit(ctx.now());

@@ -644,6 +644,7 @@ fn run_soft_switch(
     let mut pool = RecvPool::new();
     let mut tx = PacketTx::new(coalesce, max_frame, stats.clone());
     let mut next_beacon = 0u64;
+    let debug = std::env::var("ONEPIPE_UDP_DEBUG").is_ok();
     let mut last_dbg = 0u64;
     while !stop.load(Ordering::SeqCst) {
         // Drain the receive queue before the next beacon emission, bounded
@@ -755,7 +756,7 @@ fn run_soft_switch(
             }
             let be = agg.out_be(now);
             let commit = agg.out_commit(now);
-            if std::env::var("ONEPIPE_UDP_DEBUG").is_ok() && now > last_dbg + 500_000_000 {
+            if debug && now > last_dbg + 500_000_000 {
                 last_dbg = now;
                 let regs: Vec<_> =
                     (0..proc_addrs.len() as u32).map(|i| agg.register_be(NodeId(i))).collect();
