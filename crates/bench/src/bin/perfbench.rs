@@ -3,7 +3,7 @@
 //! Unlike the `fig*` binaries (which reproduce the paper's *results*),
 //! this one measures the *simulator itself*: how many discrete events and
 //! application deliveries per wall-clock second the engine sustains on
-//! two fixed-seed workloads, and the peak receive-side reorder-buffer
+//! fixed-seed workloads, and the peak receive-side reorder-buffer
 //! footprint. It writes `BENCH_sim.json` (`--smoke`:
 //! `BENCH_sim_smoke.json`) at the repo root so successive PRs have a
 //! trajectory to regress against, and with `--check` it first compares
@@ -16,18 +16,22 @@
 //! cargo run --release -p onepipe-bench --bin perfbench -- --smoke --threads 2 --check # CI
 //! ```
 //!
-//! Workloads (both deterministic, fixed seeds):
+//! Workloads (all deterministic, fixed seeds):
 //! - `fig8_broadcast`: the Figure-8 all-to-all scattering workload on the
 //!   32-server testbed fat-tree — barrier-heavy, fan-out-heavy.
 //! - `incast`: every process unicasts to process 0 — stresses one
 //!   reorder buffer and the ECMP down-path.
+//! - `fig8_512` (full mode only): Figure 8's largest point — 512
+//!   processes, 16 per host, 2 000 best-effort broadcasts/s each for
+//!   800 µs — the workload ROADMAP item 2's lane criterion names.
 //!
-//! Each workload is measured three ways: on the legacy single-queue
-//! engine (`threads = 0`, entry name unchanged for trend continuity), on
-//! the rack-sharded engine with one compute lane (`_t1` suffix — the
-//! deterministic baseline), and with `--threads N` lanes (`_tN` suffix;
-//! N defaults to the machine's available parallelism). The sharded runs
-//! must be bit-identical to each other — perfbench asserts it.
+//! There is one engine; each workload is measured on three partitions
+//! of it: the whole network in one shard (`threads = 0`, entry name
+//! unchanged for trend continuity), the rack partition on one compute
+//! lane (`_t1` suffix) and on `--threads N` lanes (`_tN` suffix; N
+//! defaults to the machine's available parallelism, which every report
+//! records). The rack-partition runs must be bit-identical to each other
+//! — perfbench asserts it.
 //!
 //! Wall-clock rates vary with the machine; they are *report-only*
 //! (trend data), not a gating threshold. Compare ratios between commits
@@ -47,7 +51,8 @@ use std::time::Instant;
 /// Result of one measured workload.
 struct WorkloadReport {
     name: String,
-    /// Engine selection: 0 = legacy single-queue, N ≥ 1 = sharded lanes.
+    /// Partition: 0 = whole network in one shard, N ≥ 1 = rack partition
+    /// on N lanes.
     threads: usize,
     /// Engine events processed.
     events: u64,
@@ -59,17 +64,36 @@ struct WorkloadReport {
     wall_s: f64,
     /// Peak total receive-side reorder-buffer bytes across all hosts.
     peak_reorder_bytes: usize,
-    /// Sharded engine only: number of rack shards in the partition.
+    /// Shards in the partition.
     shards: usize,
-    /// Sharded engine only: packets that crossed a shard boundary.
+    /// Packets that crossed a shard boundary.
     cross_shard_msgs: u64,
-    /// Sharded engine only: per-shard windows with work, summed.
+    /// Per-shard windows with work, summed.
     windows: u64,
-    /// Sharded engine only: per-shard windows stalled on lookahead.
+    /// Per-shard windows stalled on lookahead, summed.
     stalled_windows: u64,
 }
 
 impl WorkloadReport {
+    /// Read the counters of a finished run off its cluster.
+    fn of(base: &str, cluster: &mut Cluster, deliveries: u64, wall_s: f64) -> WorkloadReport {
+        let threads = cluster.config.threads;
+        let stats = cluster.sim.shard_stats();
+        WorkloadReport {
+            name: if threads == 0 { base.to_string() } else { format!("{base}_t{threads}") },
+            threads,
+            events: cluster.sim.stats.events,
+            deliveries,
+            sim_ns: cluster.sim.now(),
+            wall_s,
+            peak_reorder_bytes: peak_reorder_bytes(cluster),
+            shards: stats.len(),
+            cross_shard_msgs: stats.iter().map(|s| s.cross_shard_msgs).sum(),
+            windows: stats.iter().map(|s| s.windows).sum(),
+            stalled_windows: stats.iter().map(|s| s.stalled_windows).sum(),
+        }
+    }
+
     fn events_per_sec(&self) -> f64 {
         self.events as f64 / self.wall_s
     }
@@ -89,22 +113,20 @@ impl WorkloadReport {
             self.peak_reorder_bytes,
             self.sim_ns,
         );
-        if self.threads > 0 {
-            println!(
-                "{:>20}  {} lanes over {} shards, {} cross-shard msgs, {} windows ({} stalled)",
-                "",
-                self.threads,
-                self.shards,
-                self.cross_shard_msgs,
-                self.windows,
-                self.stalled_windows,
-            );
-        }
+        println!(
+            "{:>20}  {} lane(s) over {} shard(s), {} cross-shard msgs, {} windows ({} stalled)",
+            "",
+            self.threads.max(1),
+            self.shards,
+            self.cross_shard_msgs,
+            self.windows,
+            self.stalled_windows,
+        );
     }
 
     fn json(&self) -> String {
-        let mut s = format!(
-            "    \"{}\": {{\n      \"threads\": {},\n      \"events\": {},\n      \"deliveries\": {},\n      \"sim_ns\": {},\n      \"wall_s\": {:.6},\n      \"events_per_sec\": {:.1},\n      \"deliveries_per_sec\": {:.1},\n      \"peak_reorder_bytes\": {}",
+        format!(
+            "    \"{}\": {{\n      \"threads\": {},\n      \"events\": {},\n      \"deliveries\": {},\n      \"sim_ns\": {},\n      \"wall_s\": {:.6},\n      \"events_per_sec\": {:.1},\n      \"deliveries_per_sec\": {:.1},\n      \"peak_reorder_bytes\": {},\n      \"shards\": {},\n      \"cross_shard_msgs\": {},\n      \"windows\": {},\n      \"stalled_windows\": {}\n    }}",
             self.name,
             self.threads,
             self.events,
@@ -114,16 +136,11 @@ impl WorkloadReport {
             self.events_per_sec(),
             self.deliveries_per_sec(),
             self.peak_reorder_bytes,
-        );
-        if self.threads > 0 {
-            let _ = write!(
-                s,
-                ",\n      \"shards\": {},\n      \"cross_shard_msgs\": {},\n      \"windows\": {},\n      \"stalled_windows\": {}",
-                self.shards, self.cross_shard_msgs, self.windows, self.stalled_windows,
-            );
-        }
-        s.push_str("\n    }");
-        s
+            self.shards,
+            self.cross_shard_msgs,
+            self.windows,
+            self.stalled_windows,
+        )
     }
 }
 
@@ -140,54 +157,25 @@ fn peak_reorder_bytes(cluster: &mut Cluster) -> usize {
     total
 }
 
-/// Fold the sharded engine's per-shard counters into one report tail.
-fn fill_shard_fields(report: &mut WorkloadReport, cluster: &Cluster) {
-    let stats = cluster.sim.shard_stats();
-    report.shards = stats.len();
-    for s in &stats {
-        report.cross_shard_msgs += s.cross_shard_msgs;
-        report.windows += s.windows;
-        report.stalled_windows += s.stalled_windows;
-    }
-}
-
-fn report_name(base: &str, threads: usize) -> String {
-    if threads == 0 {
-        base.to_string()
-    } else {
-        format!("{base}_t{threads}")
-    }
-}
-
-/// Figure-8-style all-to-all broadcast on the 32-server testbed.
-fn bench_fig8_broadcast(smoke: bool, threads: usize) -> WorkloadReport {
-    let n = 32;
+/// Figure-8-style all-to-all best-effort broadcast among `n` processes
+/// on the 32-server testbed: `rate` broadcasts/s per process for
+/// `dur_ns`.
+fn bench_fig8(
+    base: &str,
+    n: usize,
+    seed: u64,
+    rate: f64,
+    dur_ns: u64,
+    threads: usize,
+) -> WorkloadReport {
     let mut cfg = ClusterConfig::testbed(n);
-    cfg.seed = 42;
+    cfg.seed = seed;
     cfg.threads = threads;
     let mut cluster = Cluster::new(cfg);
-    let dur_ns: u64 = if smoke { 400_000 } else { 2_000_000 };
-    let rate = 40_000.0; // broadcasts/s per process
     let wall = Instant::now();
     let m = run_onepipe_broadcast(&mut cluster, n, rate, dur_ns, false);
     let wall_s = wall.elapsed().as_secs_f64();
-    let mut report = WorkloadReport {
-        name: report_name("fig8_broadcast", threads),
-        threads,
-        events: cluster.sim.stats.events,
-        deliveries: m.delivered,
-        sim_ns: cluster.sim.now(),
-        wall_s,
-        peak_reorder_bytes: peak_reorder_bytes(&mut cluster),
-        shards: 0,
-        cross_shard_msgs: 0,
-        windows: 0,
-        stalled_windows: 0,
-    };
-    if threads > 0 {
-        fill_shard_fields(&mut report, &cluster);
-    }
-    report
+    WorkloadReport::of(base, &mut cluster, m.delivered, wall_s)
 }
 
 /// Incast: every process unicasts 256-byte messages to process 0.
@@ -214,32 +202,16 @@ fn bench_incast(smoke: bool, threads: usize) -> WorkloadReport {
     cluster.run_for(2_000_000); // drain
     let wall_s = wall.elapsed().as_secs_f64();
     let deliveries = cluster.take_deliveries().len() as u64;
-    let mut report = WorkloadReport {
-        name: report_name("incast", threads),
-        threads,
-        events: cluster.sim.stats.events,
-        deliveries,
-        sim_ns: cluster.sim.now(),
-        wall_s,
-        peak_reorder_bytes: peak_reorder_bytes(&mut cluster),
-        shards: 0,
-        cross_shard_msgs: 0,
-        windows: 0,
-        stalled_windows: 0,
-    };
-    if threads > 0 {
-        fill_shard_fields(&mut report, &cluster);
-    }
-    report
+    WorkloadReport::of("incast", &mut cluster, deliveries, wall_s)
 }
 
-/// The sharded engine promises bit-identical results for every lane
-/// count ≥ 1; regress it on every perfbench run.
+/// A partition promises bit-identical results for every lane count;
+/// regress it on every perfbench run.
 fn assert_deterministic(base: &WorkloadReport, other: &WorkloadReport) {
     assert_eq!(
         (base.events, base.deliveries, base.sim_ns),
         (other.events, other.deliveries, other.sim_ns),
-        "sharded engine diverged between {} and {} — determinism broke",
+        "rack partition diverged between {} and {} — determinism broke",
         base.name,
         other.name,
     );
@@ -265,7 +237,7 @@ fn check_against_baseline(reports: &[WorkloadReport], baseline: &str) -> Vec<Str
     for r in reports {
         // Lane counts above 1 follow the machine that wrote the baseline
         // (its available parallelism; CI uses 2), and such a run must
-        // equal the single-lane sharded entry anyway.
+        // equal the single-lane entry anyway.
         let name = match r.name.rsplit_once("_t") {
             Some((base, _)) if r.threads > 1 => format!("{base}_t1"),
             _ => r.name.clone(),
@@ -287,29 +259,33 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let check = std::env::args().any(|a| a == "--check");
     let mode = if smoke { "smoke" } else { "full" };
-    let threads = {
-        let t = onepipe_bench::parse_threads();
-        if t > 0 {
-            t
-        } else {
-            std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
-        }
+    let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
+    let threads = match onepipe_bench::parse_threads() {
+        0 => cores,
+        t => t,
     };
-    println!("perfbench ({mode} mode, --threads {threads})");
+    println!("perfbench ({mode} mode, --threads {threads}, available parallelism {cores})");
 
-    let mut reports = vec![
-        bench_fig8_broadcast(smoke, 0),
-        bench_fig8_broadcast(smoke, 1),
-        bench_incast(smoke, 0),
-        bench_incast(smoke, 1),
+    // 40 000 broadcasts/s per process among 32.
+    let fig8_dur = if smoke { 400_000 } else { 2_000_000 };
+    type Bench<'a> = Box<dyn Fn(usize) -> WorkloadReport + 'a>;
+    let mut workloads: Vec<Bench> = vec![
+        Box::new(|t| bench_fig8("fig8_broadcast", 32, 42, 40_000.0, fig8_dur, t)),
+        Box::new(|t| bench_incast(smoke, t)),
     ];
-    if threads > 1 {
-        let fig8_tn = bench_fig8_broadcast(smoke, threads);
-        assert_deterministic(&reports[1], &fig8_tn);
-        reports.insert(2, fig8_tn);
-        let incast_tn = bench_incast(smoke, threads);
-        assert_deterministic(&reports[reports.len() - 1], &incast_tn);
-        reports.push(incast_tn);
+    if !smoke {
+        // Seed, rate and window of `fig8_scalability`'s 512-process row.
+        workloads.push(Box::new(|t| bench_fig8("fig8_512", 512, 7, 2_000.0, 800_000, t)));
+    }
+    let mut reports = Vec::new();
+    for bench in &workloads {
+        reports.push(bench(0));
+        reports.push(bench(1));
+        if threads > 1 {
+            let n_lanes = bench(threads);
+            assert_deterministic(&reports[reports.len() - 1], &n_lanes);
+            reports.push(n_lanes);
+        }
     }
     for r in &reports {
         r.print();
@@ -319,6 +295,7 @@ fn main() {
     body.push_str("{\n");
     let _ = writeln!(body, "  \"generated_by\": \"perfbench\",");
     let _ = writeln!(body, "  \"mode\": \"{mode}\",");
+    let _ = writeln!(body, "  \"available_parallelism\": {cores},");
     body.push_str("  \"workloads\": {\n");
     let entries: Vec<String> = reports.iter().map(|r| r.json()).collect();
     body.push_str(&entries.join(",\n"));

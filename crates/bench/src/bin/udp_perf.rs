@@ -18,6 +18,7 @@
 //! `--smoke` shrinks iteration counts for CI.
 
 use onepipe_core::config::EndpointConfig;
+use onepipe_netsim::stats::Samples;
 use onepipe_types::ids::ProcessId;
 use onepipe_types::message::Message;
 use onepipe_udp::batch::{UdpStatsSnapshot, BATCH_HIST_BUCKETS};
@@ -74,17 +75,9 @@ impl PathReport {
     }
 }
 
-fn percentile(sorted_us: &[f64], p: f64) -> f64 {
-    if sorted_us.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_us.len() as f64 - 1.0) * p).round() as usize;
-    sorted_us[idx.min(sorted_us.len() - 1)]
-}
-
 /// Closed-loop reliable appends p0 -> p1; one outstanding at a time.
-fn latency_phase(cluster: &UdpCluster, iters: usize) -> Vec<f64> {
-    let mut samples_us = Vec::with_capacity(iters);
+fn latency_phase(cluster: &UdpCluster, iters: usize) -> Samples {
+    let mut samples_us = Samples::new();
     for i in 0..iters {
         let t0 = Instant::now();
         cluster.process(0).send_reliable(vec![Message::new(ProcessId(1), format!("lat{i}"))]);
@@ -92,7 +85,6 @@ fn latency_phase(cluster: &UdpCluster, iters: usize) -> Vec<f64> {
             samples_us.push(t0.elapsed().as_secs_f64() * 1e6);
         }
     }
-    samples_us.sort_by(|a, b| a.partial_cmp(b).unwrap());
     samples_us
 }
 
@@ -156,8 +148,8 @@ fn run_path(name: &'static str, coalesce: bool, smoke: bool) -> PathReport {
     cluster.shutdown();
     PathReport {
         name,
-        latency_p50_us: percentile(&samples, 0.50),
-        latency_p99_us: percentile(&samples, 0.99),
+        latency_p50_us: samples.percentile(0.50),
+        latency_p99_us: samples.percentile(0.99),
         latency_samples: samples.len(),
         throughput_msgs_per_s: msgs_per_s,
         throughput_sent: sent,

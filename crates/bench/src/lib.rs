@@ -158,10 +158,10 @@ pub fn full_mode() -> bool {
     std::env::args().any(|a| a == "--full")
 }
 
-/// Parse a `--threads N` flag from argv: the number of compute lanes for
-/// the rack-sharded engine. 0 (the default) keeps the legacy
-/// single-queue engine; any N ≥ 1 selects the sharded engine, whose
-/// results are bit-identical for every N ≥ 1 (see DESIGN.md §10).
+/// Parse a `--threads N` flag from argv ([`ClusterConfig::threads`]): 0
+/// (the default) keeps the whole network in one shard; any N ≥ 1 splits
+/// it by rack and runs the shards on N compute lanes, with results
+/// bit-identical for every N ≥ 1 (see DESIGN.md §10.1).
 pub fn parse_threads() -> usize {
     let mut args = std::env::args();
     while let Some(a) = args.next() {
@@ -187,9 +187,9 @@ pub fn cluster_for(n: usize, seed: u64) -> Cluster {
     cluster_for_threads(n, seed, 0)
 }
 
-/// [`cluster_for`] with an explicit engine selection: `threads` = 0 runs
-/// the legacy single-queue engine, N ≥ 1 the rack-sharded engine with N
-/// compute lanes (deterministic — identical output for every N ≥ 1).
+/// [`cluster_for`] with an explicit partition: `threads` = 0 keeps the
+/// network in one shard, N ≥ 1 runs the rack partition on N compute
+/// lanes (deterministic — identical output for every N ≥ 1).
 pub fn cluster_for_threads(n: usize, seed: u64, threads: usize) -> Cluster {
     let mut cfg = if n <= 8 {
         ClusterConfig::single_rack(n.max(2) as u32, n)

@@ -1,8 +1,8 @@
-//! Determinism regression for the rack-sharded parallel engine: for a
-//! fixed seed, the sharded engine must produce **bit-identical** results
-//! for every compute-lane count ≥ 1, on the same workloads perfbench and
-//! the figure sweeps measure (DESIGN.md §10 states the contract; this
-//! file pins it).
+//! Determinism regression for the engine's rack partition: for a fixed
+//! seed, a partitioned run must produce **bit-identical** results for
+//! every compute-lane count ≥ 1, on the same workloads perfbench and the
+//! figure sweeps measure (DESIGN.md §10.1 states the contract; this file
+//! pins it).
 //!
 //! The fingerprint compares full delivery records — timestamp order,
 //! wall-clock delivery time, receiver, source, sequence number, payload

@@ -42,8 +42,8 @@ pub fn sweep_main(args: impl Iterator<Item = String>) -> i32 {
 
     let mut cfg =
         if single_rack { CampaignConfig::single_rack(8, 8) } else { CampaignConfig::testbed() };
-    // 0 = legacy single-queue engine; N ≥ 1 = rack-sharded engine with N
-    // compute lanes, deterministic across lane counts (DESIGN.md §10).
+    // 0 = the whole network in one shard; N ≥ 1 = the rack partition on
+    // N compute lanes, deterministic across lane counts (DESIGN.md §10.1).
     cfg.cluster.threads = threads;
     if controller_faults {
         cfg.budget = cfg.budget.with_controller_faults();
@@ -59,11 +59,7 @@ pub fn sweep_main(args: impl Iterator<Item = String>) -> i32 {
         cfg.cluster.topo.total_hosts(),
         cfg.cluster.processes,
         if controller_faults { ", controller faults on" } else { "" },
-        if threads > 0 {
-            format!(", sharded engine with {threads} lane(s)")
-        } else {
-            String::new()
-        },
+        if threads > 0 { format!(", rack partition on {threads} lane(s)") } else { String::new() },
     );
     let report = run_campaign(&cfg, seeds, Some(&out_dir));
     print!("{}", report.render());

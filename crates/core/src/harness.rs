@@ -75,10 +75,11 @@ pub struct ClusterConfig {
     /// Number of controller replicas (§5.2: "replicated using Paxos or
     /// Raft"). With 3 replicas the service survives one crash.
     pub ctrl_replicas: usize,
-    /// Simulation compute lanes. `0` runs the legacy single-queue engine;
-    /// `n ≥ 1` runs the rack-sharded engine with `n` lanes (`1` = sharded
-    /// but fully inline — the deterministic parallel reference; results
-    /// are bit-identical for every `n ≥ 1`).
+    /// How the simulator's one engine is partitioned. `0` keeps the
+    /// whole network in one shard — one event queue, one RNG stream;
+    /// `n ≥ 1` splits it by rack (`Topology::partition`) and runs the
+    /// shards on `n` compute lanes (`1` = every shard inline on the
+    /// calling thread; results are bit-identical for every `n ≥ 1`).
     pub threads: usize,
 }
 
@@ -210,8 +211,8 @@ pub struct Cluster {
     pub user_events: Arc<Mutex<Vec<(u64, ProcessId, crate::events::UserEvent)>>>,
     switch_events: Arc<Mutex<Vec<SwitchEvent>>>,
     ctrl_outbox: Arc<Mutex<Vec<(u64, ProcessId, CtrlRequest)>>>,
-    /// Sorted-prefix watermarks for the shared sinks (sharded mode): the
-    /// tail past each mark is canonicalized by `sort_sink_tails`.
+    /// Sorted-prefix watermarks for the shared sinks (rack partition):
+    /// the tail past each mark is canonicalized by `sort_sink_tails`.
     sink_marks: [usize; 4],
     replicas: Vec<CtrlReplica>,
     /// Next time the controller replicas run their periodic tick (Raft
@@ -327,8 +328,6 @@ impl Cluster {
             RetryPolicy { base: 2 * mgmt_delay, cap: 20 * mgmt_delay, max_attempts: 10 };
 
         if cfg.threads > 0 {
-            // Rack-sharded parallel engine: one shard per rack subtree
-            // (see `Topology::partition`), `threads` compute lanes.
             sim.set_partition(topo.partition(), cfg.threads);
         }
 
@@ -445,54 +444,43 @@ impl Cluster {
 
     /// Run until simulation time `t_end`, pumping the control plane.
     ///
-    /// The legacy engine runs simulator events in batches
-    /// ([`Sim::run_batch`]) and the control plane is pumped between them.
-    /// A batch ends after the first event at or past the next controller
-    /// tick, after an event during which a switch or host queued a
-    /// control request (it raises the simulator's attention flag), or
-    /// when the next event is not strictly before the next management
-    /// delivery or is past `t_end` — exactly the events after which a
-    /// pump after *every* event would have found work, so results do not
-    /// depend on the batching. With a chaos hook attached every batch is
-    /// one event long: the oracle sees each event's deliveries and user
-    /// events before the next event runs. On the sharded engine
-    /// ([`ClusterConfig::threads`] ≥ 1) the control plane is pumped at
-    /// every window barrier — windows are bounded by the lookahead
-    /// horizon and never cross a pending management delivery, and all
-    /// barrier times are deterministic, so runs remain bit-identical for
-    /// any lane count.
+    /// Simulator events run a window at a time ([`Sim::run`]) and the
+    /// control plane is pumped between windows. A window never reaches
+    /// the next management delivery: it covers events strictly before
+    /// it and no later than `t_end`. On an unsplit network
+    /// ([`ClusterConfig::threads`] = 0) it also ends after the first
+    /// event at or past the next controller tick and after an event
+    /// during which a switch or host queued a control request (it raises
+    /// the simulator's attention flag) — exactly the events after which
+    /// a pump after *every* event would have found work, so results do
+    /// not depend on the batching. With a chaos hook attached such a
+    /// window is one event long: the oracle sees each event's deliveries
+    /// and user events before the next event runs. On a rack partition a
+    /// window is bounded by the lookahead horizon instead and runs to
+    /// its end; all barrier times are deterministic, so runs remain
+    /// bit-identical for any lane count.
     pub fn run_until(&mut self, t_end: u64) {
-        let sharded = self.sim.is_sharded();
         loop {
             self.sort_sink_tails();
             self.pump_control();
             self.pump_chaos();
             let mgmt_next = self.mgmt.peek().map(|Reverse(e)| e.at);
-            // Simulator events strictly before the next management
-            // delivery (which wins ties) and no later than `t_end`.
-            let ran = if sharded {
-                // One lookahead window, fenced at the next management
-                // delivery so control actions land between windows.
-                let due = |s: u64| s <= t_end && mgmt_next.is_none_or(|m| s < m);
-                self.sim.peek_time().is_some_and(due)
-                    && self.sim.run_window(mgmt_next.map_or(t_end, |m| m.min(t_end)))
-            } else {
-                // The chaos oracle must see each event's deliveries and
-                // user events before the next event runs.
-                let deadline = if self.chaos.is_some() { 0 } else { self.next_ctrl_tick };
-                let through = match mgmt_next {
-                    // `None`: a delivery at time 0 precedes every event.
-                    Some(m) => m.checked_sub(1).map(|before| before.min(t_end)),
-                    None => Some(t_end),
-                };
-                through.is_some_and(|through| self.sim.run_batch(through, deadline))
+            // The chaos oracle must see each event's deliveries and user
+            // events before the next event runs.
+            let deadline = if self.chaos.is_some() { 0 } else { self.next_ctrl_tick };
+            let through = match mgmt_next {
+                // `None`: a delivery at time 0 precedes every event.
+                Some(m) => m.checked_sub(1).map(|before| before.min(t_end)),
+                None => Some(t_end),
             };
-            if ran {
+            if through.is_some_and(|through| self.sim.run(through, deadline)) {
                 continue;
             }
             match mgmt_next {
                 Some(m) if m <= t_end => {
                     let Reverse(entry) = self.mgmt.pop().expect("peeked entry");
+                    // Events at the delivery's own time run first, with
+                    // no pump in between.
                     self.sim.run_until(entry.at);
                     self.sort_sink_tails();
                     self.apply_mgmt(entry.msg);
@@ -507,15 +495,15 @@ impl Cluster {
     }
 
     /// Canonicalize the unsorted tail of each shared sink by
-    /// `(time, owner)`. In sharded mode worker lanes push into the sinks
-    /// concurrently, so arrival order is nondeterministic *across*
+    /// `(time, owner)`. On a rack partition worker lanes push into the
+    /// sinks concurrently, so arrival order is nondeterministic *across*
     /// owners; entries with equal keys always come from one host — one
     /// shard, executed serially — and the stable sort keeps their
     /// relative order, so the result is a pure function of the
-    /// simulation. No-op on the legacy engine (its order is already
-    /// deterministic and pinned by existing goldens).
+    /// simulation. An unsplit network pushes in event order, which is
+    /// what its goldens pin, and is left alone.
     fn sort_sink_tails(&mut self) {
-        if !self.sim.is_sharded() {
+        if self.config.threads == 0 {
             return;
         }
         {
@@ -1314,17 +1302,57 @@ mod tests {
         assert_eq!(applied, want);
     }
 
+    /// A management delivery and a simulator event in the same
+    /// nanosecond: the event runs first (inside the `run_until` that
+    /// precedes `apply_mgmt`), on the whole-network shard — recorded on
+    /// the single-queue engine — and on the rack partition alike.
+    #[test]
+    fn events_at_a_management_delivery_time_run_before_it() {
+        use onepipe_netsim::engine::{Ctx, NodeLogic, SimPacket};
+        /// Stands in for a core switch: logs its timer, and logs the
+        /// `Resume` action's downcast probe — the only call a
+        /// management delivery makes into a node without `HostLogic`.
+        struct Probe(Arc<Mutex<Vec<&'static str>>>);
+        impl NodeLogic for Probe {
+            fn on_packet(&mut self, _: &mut Ctx<'_>, _: NodeId, _: SimPacket) {}
+            fn on_timer(&mut self, _: &mut Ctx<'_>, _: u64) {
+                self.0.lock().unwrap().push("event");
+            }
+            fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
+                self.0.lock().unwrap().push("mgmt");
+                None
+            }
+        }
+        for threads in [0, 2] {
+            let mut cfg = ClusterConfig::testbed(32);
+            cfg.threads = threads;
+            let mut c = Cluster::new(cfg);
+            let core = *c.topo.switch_nodes.last().expect("testbed has switches");
+            let log = Arc::new(Mutex::new(Vec::new()));
+            c.sim.set_logic(core, Box::new(Probe(log.clone())));
+            let tie = 10 * MICROS;
+            // The delivery is queued first; push order does not decide.
+            let action = CtrlAction::Resume { at: core, input: NodeId(0) };
+            c.push_mgmt(tie, MgmtMsg::Action { epoch: 0, action });
+            c.sim.schedule_timer(tie, core, 0);
+            c.run_until(tie - 1);
+            assert!(log.lock().unwrap().is_empty(), "threads={threads}");
+            c.run_until(tie);
+            assert_eq!(*log.lock().unwrap(), ["event", "mgmt"], "threads={threads}");
+        }
+    }
+
     #[test]
     fn sharded_cluster_bit_identical_across_lane_counts() {
         // The full cluster — switches, hosts, controller, a host crash
         // and its recovery — must produce byte-identical delivery and
-        // event streams for every lane count of the sharded engine
+        // event streams for every lane count of the rack partition
         // (threads = 1 is the deterministic reference).
         let run = |threads: usize| {
             let mut cfg = ClusterConfig::single_rack(4, 4);
             cfg.threads = threads;
             let mut c = Cluster::new(cfg);
-            assert!(c.sim.is_sharded());
+            assert!(c.sim.shard_stats().len() > 1, "the rack partition splits the network");
             c.run_for(50 * MICROS);
             for p in 0..4u32 {
                 c.send(ProcessId(p), vec![Message::new(ProcessId((p + 1) % 4), "x")], true)

@@ -1,28 +1,25 @@
-//! The discrete-event engine: event queue, node dispatch, link transit.
+//! The discrete-event engine: event model, node callbacks and the
+//! simulator that coordinates them.
 //!
-//! The engine has two execution modes sharing one event model:
-//!
-//! * **Single-queue** (default): one calendar queue, one RNG, events pop
-//!   in global `(time, seq)` order — the reference semantics every golden
-//!   and seeded experiment was recorded against.
-//! * **Sharded** (after [`Sim::set_partition`]): the node set is split
-//!   into shards (one per rack subtree, see
-//!   [`Topology::partition`](crate::topology::Topology::partition)), each
-//!   with its own calendar queue, link table and RNG, executed in
-//!   conservative-lookahead windows — on worker threads when more than
-//!   one lane is requested. See [`crate::shard`] for the synchronization
-//!   contract.
+//! There is one engine. [`Sim`] is a coordinator over *shards*
+//! ([`crate::shard`]): each shard owns a disjoint set of nodes, the links
+//! that leave them, a calendar queue, an RNG stream and the one event
+//! loop. A new simulator holds the whole network in a single shard —
+//! one queue, one RNG, events in global `(time, seq)` order;
+//! [`Sim::set_partition`] splits that shard along the topology so that
+//! lookahead windows can run side by side on worker lanes. The partition
+//! decides how much runs concurrently, never which code runs.
 
 use crate::link::{Enqueue, Link, LinkParams};
-use crate::sched::CalendarQueue;
-use crate::shard::{OutMsg, ShardCtx, Sharded};
+use crate::shard::{OutMsg, Pool, Shard, Shared};
 use crate::stats::{ShardStat, Stats};
 use crate::trace::{TraceRecord, TracerHandle};
 use onepipe_types::ids::{LinkId, NodeId};
 use onepipe_types::time::Duration;
 use onepipe_types::wire::{Datagram, Flags, HEADER_LEN};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -51,8 +48,8 @@ impl SimPacket {
 /// traffic generator, ...).
 ///
 /// `Send` is required so whole shards (including their attached logic)
-/// can migrate to worker threads in sharded mode; a shard is only ever
-/// executed by one thread at a time.
+/// can migrate to worker lanes; a shard is only ever executed by one
+/// thread at a time.
 pub trait NodeLogic: Send {
     /// Called once when the simulation starts, to arm initial timers.
     fn on_start(&mut self, _ctx: &mut Ctx<'_>) {}
@@ -70,25 +67,30 @@ pub trait NodeLogic: Send {
     }
 }
 
-/// Sentinel slot meaning "no such link" in [`LinkTable`].
+/// Sentinel slot meaning "no such link" in [`LinkMap`].
 const NO_LINK: u32 = u32::MAX;
 
-/// Dense directed-link storage. `slot[from][to]` indexes into `links`,
-/// so the per-hop lookups on the forwarding path (`Ctx::send`, the
-/// viability oracle behind ECMP failover) are two array reads instead of
-/// a hash. Rows grow on demand; node-id space is small and dense.
-pub(crate) struct LinkTable {
+/// Dense per-directed-link storage. `slot[from][to]` indexes into
+/// `items`, so the per-hop lookups on the forwarding path (`Ctx::send`,
+/// the viability oracle behind ECMP failover) are two array reads instead
+/// of a hash. Rows grow on demand; node-id space is small and dense.
+pub(crate) struct LinkMap<T> {
     slot: Vec<Vec<u32>>,
-    links: Vec<Link>,
+    items: Vec<T>,
 }
 
-impl LinkTable {
-    pub(crate) fn new() -> Self {
-        LinkTable { slot: Vec::new(), links: Vec::new() }
-    }
+/// The links a shard owns.
+pub(crate) type LinkTable = LinkMap<Link>;
 
-    /// Insert a link; returns `false` if it already exists.
-    pub(crate) fn insert(&mut self, id: LinkId, link: Link) -> bool {
+impl<T> Default for LinkMap<T> {
+    fn default() -> Self {
+        LinkMap { slot: Vec::new(), items: Vec::new() }
+    }
+}
+
+impl<T> LinkMap<T> {
+    /// Insert an entry; returns `false` if the link already has one.
+    pub(crate) fn insert(&mut self, id: LinkId, item: T) -> bool {
         let (f, t) = (id.from.0 as usize, id.to.0 as usize);
         if self.slot.len() <= f {
             self.slot.resize_with(f + 1, Vec::new);
@@ -100,8 +102,8 @@ impl LinkTable {
         if row[t] != NO_LINK {
             return false;
         }
-        row[t] = self.links.len() as u32;
-        self.links.push(link);
+        row[t] = self.items.len() as u32;
+        self.items.push(item);
         true
     }
 
@@ -116,33 +118,33 @@ impl LinkTable {
     }
 
     #[inline]
-    pub(crate) fn get(&self, id: LinkId) -> Option<&Link> {
-        self.index(id).map(|i| &self.links[i])
+    pub(crate) fn get(&self, id: LinkId) -> Option<&T> {
+        self.index(id).map(|i| &self.items[i])
     }
 
     #[inline]
-    pub(crate) fn get_mut(&mut self, id: LinkId) -> Option<&mut Link> {
+    pub(crate) fn get_mut(&mut self, id: LinkId) -> Option<&mut T> {
         match self.index(id) {
-            Some(i) => Some(&mut self.links[i]),
+            Some(i) => Some(&mut self.items[i]),
             None => None,
         }
     }
 
-    pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut Link> {
-        self.links.iter_mut()
+    pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.items.iter_mut()
     }
 
-    /// Consume the table into `(id, link)` pairs, in `(from, to)` id
+    /// Consume the map into `(id, item)` pairs, in `(from, to)` id
     /// order — used by [`Sim::set_partition`] to split links by owner.
-    pub(crate) fn into_entries(self) -> Vec<(LinkId, Link)> {
-        let LinkTable { slot, links } = self;
-        let mut links: Vec<Option<Link>> = links.into_iter().map(Some).collect();
-        let mut out = Vec::with_capacity(links.len());
+    pub(crate) fn into_entries(self) -> Vec<(LinkId, T)> {
+        let LinkMap { slot, items } = self;
+        let mut items: Vec<Option<T>> = items.into_iter().map(Some).collect();
+        let mut out = Vec::with_capacity(items.len());
         for (f, row) in slot.iter().enumerate() {
             for (t, &s) in row.iter().enumerate() {
                 if s != NO_LINK {
                     let id = LinkId::new(NodeId(f as u32), NodeId(t as u32));
-                    out.push((id, links[s as usize].take().expect("link indexed twice")));
+                    out.push((id, items[s as usize].take().expect("link indexed twice")));
                 }
             }
         }
@@ -150,14 +152,36 @@ impl LinkTable {
     }
 }
 
+/// What a shard's calendar queue holds.
 pub(crate) enum EventKind {
-    Arrive { to: NodeId, from: NodeId, pkt: SimPacket },
-    Timer { node: NodeId, token: u64 },
+    Arrive {
+        to: NodeId,
+        from: NodeId,
+        pkt: SimPacket,
+    },
+    Timer {
+        node: NodeId,
+        token: u64,
+    },
+    Start {
+        node: NodeId,
+    },
+    /// Place-holder for the coordinator's next scheduled [`Fault`]. One
+    /// is pushed into *every* shard's queue when the fault is scheduled,
+    /// so it takes the `(time, push order)` position the fault has among
+    /// that shard's events; a shard that pops it stops and the
+    /// coordinator applies the fault.
+    Fence,
+}
+
+/// A scheduled change to the network itself. Faults touch links and
+/// crash flags of any shard, so only the coordinator applies them
+/// (`Sim::apply_next_fault`), between windows.
+enum Fault {
     LinkAdmin { link: LinkId, up: bool },
     LinkLoss { link: LinkId, rate: f64 },
     GlobalLoss { rate: f64 },
     Crash { node: NodeId },
-    Start { node: NodeId },
 }
 
 /// The execution context handed to [`NodeLogic`] callbacks.
@@ -168,16 +192,9 @@ pub(crate) enum EventKind {
 pub struct Ctx<'a> {
     pub(crate) now: u64,
     pub(crate) node: NodeId,
-    pub(crate) queue: &'a mut CalendarQueue<EventKind>,
-    pub(crate) links: &'a mut LinkTable,
-    pub(crate) out_neighbors: &'a [Vec<NodeId>],
-    pub(crate) in_neighbors: &'a [Vec<NodeId>],
-    pub(crate) rng: &'a mut StdRng,
-    pub(crate) stats: &'a mut Stats,
-    /// The simulation's attention flag, see [`Ctx::raise_attention`].
-    pub(crate) attention: &'a AtomicBool,
-    /// Sharded-mode extras; `None` under the single-queue engine.
-    pub(crate) shard: Option<ShardCtx<'a>>,
+    /// The shard that owns `node` (its logic taken out for the call).
+    pub(crate) shard: &'a mut Shard,
+    pub(crate) net: &'a Shared,
 }
 
 impl<'a> Ctx<'a> {
@@ -197,36 +214,37 @@ impl<'a> Ctx<'a> {
     /// `'a`), not this `Ctx` — callers can iterate it while calling
     /// `&mut self` methods like [`Ctx::send`], with no defensive clone.
     pub fn out_neighbors(&self) -> &'a [NodeId] {
-        let all: &'a [Vec<NodeId>] = self.out_neighbors;
-        &all[self.node.0 as usize]
+        let net: &'a Shared = self.net;
+        &net.out_neighbors[self.node.0 as usize]
     }
 
     /// Incoming neighbors of this node (lifetime `'a`, like
     /// [`Ctx::out_neighbors`]).
     pub fn in_neighbors(&self) -> &'a [NodeId] {
-        let all: &'a [Vec<NodeId>] = self.in_neighbors;
-        &all[self.node.0 as usize]
+        let net: &'a Shared = self.net;
+        &net.in_neighbors[self.node.0 as usize]
     }
 
     /// Deterministic RNG (seeded at simulation construction).
     pub fn rng(&mut self) -> &mut StdRng {
-        self.rng
+        &mut self.shard.rng
     }
 
     /// Simulation-wide statistics.
     pub fn stats(&mut self) -> &mut Stats {
-        self.stats
+        &mut self.shard.scratch
     }
 
     /// Tell whoever drives the simulation that this callback left work
     /// for it outside the event queue (a failure report, a controller
-    /// request): [`Sim::run_batch`] returns after the current event and
+    /// request): a whole-network shard returns from [`Sim::run`] after
+    /// the current event, a split network at the end of the window, and
     /// the flag stays up until [`Sim::take_attention`] lowers it. A
     /// relaxed store: the flag publishes no data of its own — the driver
     /// reads the node's outbox on the thread that ran the callback, or
     /// after a window barrier has synchronized with it.
     pub fn raise_attention(&self) {
-        self.attention.store(true, Ordering::Relaxed);
+        self.net.attention.store(true, Ordering::Relaxed);
     }
 
     /// Transmit `pkt` on the directed link `self.node → to`.
@@ -235,47 +253,42 @@ impl<'a> Ctx<'a> {
     /// in-flight loss. Returns `true` if the packet was accepted by the
     /// transmitter (it may still be lost in flight).
     pub fn send(&mut self, to: NodeId, mut pkt: SimPacket) -> bool {
-        let link_id = LinkId::new(self.node, to);
-        let Some(link) = self.links.get_mut(link_id) else {
-            self.stats.drops_no_link += 1;
+        let shard = &mut *self.shard;
+        let Some(link) = shard.links.get_mut(LinkId::new(self.node, to)) else {
+            shard.scratch.drops_no_link += 1;
             return false;
         };
         match link.enqueue(self.now, pkt.wire_bytes) {
             Enqueue::Accepted { arrive_ns, ecn } => {
                 if ecn {
                     pkt.dgram.header.flags.insert(Flags::ECN);
-                    self.stats.ecn_marks += 1;
+                    shard.scratch.ecn_marks += 1;
                 }
                 let lost = link.params.loss_rate > 0.0
-                    && self.rng.random_range(0.0..1.0) < link.params.loss_rate;
+                    && shard.rng.random_range(0.0..1.0) < link.params.loss_rate;
                 if lost {
-                    self.stats.drops_inflight += 1;
-                } else {
+                    shard.scratch.drops_inflight += 1;
+                } else if self.net.shard_of[to.0 as usize] == shard.id {
                     let from = self.node;
-                    match &mut self.shard {
-                        // Cross-shard arrival: buffered in the shard's
-                        // outbox and merged into the destination shard's
-                        // queue at the next window barrier. Safe because
-                        // arrive_ns ≥ now + 1 + prop ≥ window end (the
-                        // lookahead is min cross-shard prop + 1).
-                        Some(s) if s.shard_of[to.0 as usize] != s.id => {
-                            *s.cross_msgs += 1;
-                            s.outbox.push(OutMsg { at: arrive_ns, to, from, pkt });
-                        }
-                        _ => {
-                            self.queue.push(arrive_ns, EventKind::Arrive { to, from, pkt });
-                        }
-                    }
+                    shard.queue.push(arrive_ns, EventKind::Arrive { to, from, pkt });
+                } else {
+                    // Cross-shard arrival: buffered in the shard's outbox
+                    // and merged into the destination shard's queue at
+                    // the next window barrier. Safe because arrive_ns ≥
+                    // now + 1 + prop > window end (the lookahead is min
+                    // cross-shard prop + 1).
+                    shard.stat.cross_shard_msgs += 1;
+                    shard.outbox.push(OutMsg { at: arrive_ns, to, from: self.node, pkt });
                 }
-                self.stats.packets_sent += 1;
+                shard.scratch.packets_sent += 1;
                 true
             }
             Enqueue::BufferOverflow => {
-                self.stats.drops_overflow += 1;
+                shard.scratch.drops_overflow += 1;
                 false
             }
             Enqueue::LinkDown => {
-                self.stats.drops_link_down += 1;
+                shard.scratch.drops_link_down += 1;
                 false
             }
         }
@@ -283,89 +296,92 @@ impl<'a> Ctx<'a> {
 
     /// Arm a timer that fires `delay` ns from now with the given token.
     pub fn set_timer(&mut self, delay: Duration, token: u64) {
-        self.queue.push(self.now + delay, EventKind::Timer { node: self.node, token });
+        self.shard.queue.push(self.now + delay, EventKind::Timer { node: self.node, token });
     }
 
     /// Inspect the queue occupancy of an outgoing link, in bytes.
     pub fn link_queue_bytes(&self, to: NodeId) -> Option<u64> {
-        self.links.get(LinkId::new(self.node, to)).map(|l| l.queue_bytes(self.now))
+        self.shard.links.get(LinkId::new(self.node, to)).map(|l| l.queue_bytes(self.now))
     }
 
     /// Whether the outgoing link to `to` is up.
     pub fn link_is_up(&self, to: NodeId) -> bool {
-        self.links.get(LinkId::new(self.node, to)).map(|l| l.is_up()).unwrap_or(false)
+        self.shard.links.get(LinkId::new(self.node, to)).map(|l| l.is_up()).unwrap_or(false)
     }
 
     /// Whether an arbitrary directed link `from → to` is up. Switch logic
     /// uses this as the global link-state database a converged routing
     /// protocol would provide: forwarding avoids next hops whose entire
     /// downstream path is dead, not just hops behind a locally-down port.
+    ///
+    /// The link may belong to another shard, so this reads the shared
+    /// mirror of every link's administrative state. It is written only
+    /// by the coordinator between windows — a relaxed load suffices, the
+    /// lane hand-off orders every write before the next window's reads.
     pub fn global_link_is_up(&self, from: NodeId, to: NodeId) -> bool {
-        // In sharded mode the local link table only holds links whose
-        // tail is in this shard; the shared up-map mirrors every link's
-        // administrative state (writes happen only at window barriers).
-        if let Some(s) = &self.shard {
-            return s.up_map.is_up(from, to);
-        }
-        self.links.get(LinkId::new(from, to)).map(|l| l.is_up()).unwrap_or(false)
+        self.net.up.get(LinkId::new(from, to)).is_some_and(|up| up.load(Ordering::Relaxed))
     }
 }
 
-/// The simulator: nodes, links and the event queue.
+/// The simulator: a coordinator over the shards that hold the nodes,
+/// links and event queues.
 pub struct Sim {
-    pub(crate) now: u64,
-    pub(crate) queue: CalendarQueue<EventKind>,
-    pub(crate) nodes: Vec<Option<Box<dyn NodeLogic>>>,
-    pub(crate) crashed: Vec<bool>,
-    pub(crate) links: LinkTable,
-    pub(crate) out_neighbors: Vec<Vec<NodeId>>,
-    pub(crate) in_neighbors: Vec<Vec<NodeId>>,
-    pub(crate) rng: StdRng,
+    now: u64,
+    /// `Some` except while a worker lane runs the shard.
+    pub(crate) shards: Vec<Option<Shard>>,
+    /// Topology and flags every shard reads.
+    pub(crate) net: Arc<Shared>,
     pub(crate) seed: u64,
-    pub(crate) tracer: Option<TracerHandle>,
-    /// Raised by [`Ctx::raise_attention`]; shared with every shard.
-    pub(crate) attention: Arc<AtomicBool>,
-    /// Sharded execution state; `None` under the single-queue engine.
-    pub(crate) sharded: Option<Box<Sharded>>,
+    /// Window length: min cross-shard propagation delay + 1 (`u64::MAX`
+    /// when no link crosses a shard boundary).
+    pub(crate) lookahead: u64,
+    /// Compute lanes; shard `i` runs on lane `i % lanes`, lane 0 is the
+    /// calling thread.
+    pub(crate) lanes: usize,
+    pub(crate) pool: Option<Pool>,
+    /// The fault schedule, keyed `(time, schedule order)`; every entry
+    /// has an [`EventKind::Fence`] in every shard's queue.
+    faults: BTreeMap<(u64, u64), Fault>,
+    fault_seq: u64,
+    tracer: Option<TracerHandle>,
     /// Simulation-wide statistics.
     pub stats: Stats,
 }
 
+pub(crate) const PARKED: &str = "shards are home between windows";
+
 impl Sim {
-    /// Create an empty simulator with a deterministic seed.
+    /// Create an empty simulator with a deterministic seed: one shard
+    /// that will own every node and link added.
     pub fn new(seed: u64) -> Self {
         Sim {
             now: 0,
-            queue: CalendarQueue::new(),
-            nodes: Vec::new(),
-            crashed: Vec::new(),
-            links: LinkTable::new(),
-            out_neighbors: Vec::new(),
-            in_neighbors: Vec::new(),
-            rng: StdRng::seed_from_u64(seed),
+            shards: vec![Some(Shard::new(0, seed, 0, false))],
+            net: Arc::new(Shared::default()),
             seed,
+            lookahead: u64::MAX,
+            lanes: 1,
+            pool: None,
+            faults: BTreeMap::new(),
+            fault_seq: 0,
             tracer: None,
-            attention: Arc::new(AtomicBool::new(false)),
-            sharded: None,
             stats: Stats::default(),
         }
     }
 
-    /// Attach a packet tracer; every delivered packet is recorded.
-    /// Incompatible with sharded execution ([`Sim::set_partition`]).
+    /// Attach a packet tracer; every delivered packet is recorded. Each
+    /// shard buffers its own records; they reach the tracer at the next
+    /// barrier, ordered by `(time, shard, position)`.
     pub fn set_tracer(&mut self, tracer: TracerHandle) {
-        assert!(self.sharded.is_none(), "tracing is not supported in sharded mode");
+        for shard in self.shards_mut() {
+            shard.trace = Some(Vec::new());
+        }
         self.tracer = Some(tracer);
     }
 
-    /// Whether the simulator runs in sharded mode.
-    pub fn is_sharded(&self) -> bool {
-        self.sharded.is_some()
-    }
-
-    /// Per-shard execution counters (empty in single-queue mode).
+    /// Per-shard execution counters (one entry for an unsplit network).
     pub fn shard_stats(&self) -> Vec<ShardStat> {
-        self.sharded.as_deref().map(Sharded::shard_stats).unwrap_or_default()
+        self.shards.iter().map(|s| s.as_ref().expect(PARKED).stat.clone()).collect()
     }
 
     /// Current simulation time (ns).
@@ -373,35 +389,57 @@ impl Sim {
         self.now
     }
 
+    fn shards_mut(&mut self) -> impl Iterator<Item = &mut Shard> {
+        self.shards.iter_mut().map(|s| s.as_mut().expect(PARKED))
+    }
+
+    /// The shard that owns `node`.
+    fn owner(&self, node: NodeId) -> &Shard {
+        self.shards[self.net.shard_of[node.0 as usize] as usize].as_ref().expect(PARKED)
+    }
+
+    fn owner_mut(&mut self, node: NodeId) -> &mut Shard {
+        self.shards[self.net.shard_of[node.0 as usize] as usize].as_mut().expect(PARKED)
+    }
+
+    /// The topology tables, writable while the network is still one
+    /// shard (no worker lane holds them yet).
+    fn net_mut(&mut self) -> &mut Shared {
+        assert!(self.shards.len() == 1, "cannot grow the network after set_partition");
+        Arc::get_mut(&mut self.net).expect("an unsplit network has no worker lanes")
+    }
+
     /// Add a node without logic (logic can be attached later); returns its id.
     pub fn add_node(&mut self) -> NodeId {
-        assert!(self.sharded.is_none(), "cannot add nodes after set_partition");
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(None);
-        self.crashed.push(false);
-        self.out_neighbors.push(Vec::new());
-        self.in_neighbors.push(Vec::new());
+        let net = self.net_mut();
+        let id = NodeId(net.shard_of.len() as u32);
+        net.shard_of.push(0);
+        net.out_neighbors.push(Vec::new());
+        net.in_neighbors.push(Vec::new());
+        let shard = self.owner_mut(id);
+        shard.nodes.push(None);
+        shard.crashed.push(false);
         id
     }
 
     /// Attach (or replace) the logic of a node. An `on_start` event is
     /// scheduled at the current time.
     pub fn set_logic(&mut self, node: NodeId, logic: Box<dyn NodeLogic>) {
-        if let Some(sh) = self.sharded.as_deref_mut() {
-            sh.set_logic(self.now, node, logic);
-            return;
-        }
-        self.nodes[node.0 as usize] = Some(logic);
-        self.queue.push(self.now, EventKind::Start { node });
+        let now = self.now;
+        let shard = self.owner_mut(node);
+        shard.nodes[node.0 as usize] = Some(logic);
+        shard.queue.push(now, EventKind::Start { node });
     }
 
     /// Add a directed link with the given parameters.
     pub fn add_link(&mut self, from: NodeId, to: NodeId, params: LinkParams) {
-        assert!(self.sharded.is_none(), "cannot add links after set_partition");
         let id = LinkId::new(from, to);
-        assert!(self.links.insert(id, Link::new(params)), "duplicate link {id:?}");
-        self.out_neighbors[from.0 as usize].push(to);
-        self.in_neighbors[to.0 as usize].push(from);
+        let link = Link::new(params);
+        let net = self.net_mut();
+        assert!(net.up.insert(id, AtomicBool::new(link.is_up())), "duplicate link {id:?}");
+        net.out_neighbors[from.0 as usize].push(to);
+        net.in_neighbors[to.0 as usize].push(from);
+        self.owner_mut(from).links.insert(id, link);
     }
 
     /// Add a bidirectional link (two directed links with equal parameters).
@@ -410,44 +448,50 @@ impl Sim {
         self.add_link(b, a, params);
     }
 
-    /// Mutable access to a link (loss-rate adjustment, inspection).
-    pub fn link_mut(&mut self, id: LinkId) -> Option<&mut Link> {
-        if let Some(sh) = self.sharded.as_deref_mut() {
-            // The caller may flip the link's up state; remember the id so
-            // the shared up-map is re-synced before the next window.
-            sh.note_dirty(id);
-            return sh.link_mut(id);
-        }
-        self.links.get_mut(id)
-    }
-
     /// Shared access to a link.
     pub fn link(&self, id: LinkId) -> Option<&Link> {
-        if let Some(sh) = self.sharded.as_deref() {
-            return sh.link(id);
+        let owner = *self.net.shard_of.get(id.from.0 as usize)?;
+        self.shards[owner as usize].as_ref().expect(PARKED).links.get(id)
+    }
+
+    fn link_mut(&mut self, id: LinkId) -> Option<&mut Link> {
+        let owner = *self.net.shard_of.get(id.from.0 as usize)?;
+        self.shards[owner as usize].as_mut().expect(PARKED).links.get_mut(id)
+    }
+
+    /// Set a link's administrative state and its mirror in
+    /// [`Shared::up`]; `false` if there is no such link.
+    fn set_link_up(&mut self, id: LinkId, up: bool) -> bool {
+        let Some(link) = self.link_mut(id) else { return false };
+        link.set_up(up);
+        if let Some(mirror) = self.net.up.get(id) {
+            mirror.store(up, Ordering::Relaxed);
         }
-        self.links.get(id)
+        true
     }
 
     /// Set the loss rate of every link in the network.
     pub fn set_global_loss_rate(&mut self, rate: f64) {
-        if let Some(sh) = self.sharded.as_deref_mut() {
-            sh.set_global_loss_rate(rate);
-            return;
+        for shard in self.shards_mut() {
+            for link in shard.links.values_mut() {
+                link.params.loss_rate = rate;
+            }
         }
-        for link in self.links.values_mut() {
-            link.params.loss_rate = rate;
+    }
+
+    /// Put `fault` on the schedule and a fence for it in every queue.
+    fn schedule_fault(&mut self, at: u64, fault: Fault) {
+        assert!(at >= self.now);
+        self.fault_seq += 1;
+        self.faults.insert((at, self.fault_seq), fault);
+        for shard in self.shards_mut() {
+            shard.queue.push(at, EventKind::Fence);
         }
     }
 
     /// Schedule an administrative link up/down change at `at` (absolute ns).
     pub fn schedule_link_admin(&mut self, at: u64, link: LinkId, up: bool) {
-        assert!(at >= self.now);
-        if let Some(sh) = self.sharded.as_deref_mut() {
-            sh.schedule_admin(at, EventKind::LinkAdmin { link, up });
-            return;
-        }
-        self.queue.push(at, EventKind::LinkAdmin { link, up });
+        self.schedule_fault(at, Fault::LinkAdmin { link, up });
     }
 
     /// Schedule the directed link to go administratively down at `at`.
@@ -463,87 +507,52 @@ impl Sim {
     /// Schedule a per-link loss-rate change at `at` (absolute ns). Pairs of
     /// these model a loss burst without the harness mutating links mid-loop.
     pub fn schedule_link_loss(&mut self, at: u64, link: LinkId, rate: f64) {
-        assert!(at >= self.now);
         assert!((0.0..=1.0).contains(&rate), "loss rate must be in [0, 1]");
-        if let Some(sh) = self.sharded.as_deref_mut() {
-            sh.schedule_admin(at, EventKind::LinkLoss { link, rate });
-            return;
-        }
-        self.queue.push(at, EventKind::LinkLoss { link, rate });
+        self.schedule_fault(at, Fault::LinkLoss { link, rate });
     }
 
     /// Schedule a network-wide loss-rate change at `at` (absolute ns).
     pub fn schedule_global_loss(&mut self, at: u64, rate: f64) {
-        assert!(at >= self.now);
         assert!((0.0..=1.0).contains(&rate), "loss rate must be in [0, 1]");
-        if let Some(sh) = self.sharded.as_deref_mut() {
-            sh.schedule_admin(at, EventKind::GlobalLoss { rate });
-            return;
-        }
-        self.queue.push(at, EventKind::GlobalLoss { rate });
+        self.schedule_fault(at, Fault::GlobalLoss { rate });
     }
 
     /// Schedule a node crash at `at` (absolute ns): the node stops
     /// processing all events from that time on.
     pub fn schedule_crash(&mut self, at: u64, node: NodeId) {
-        assert!(at >= self.now);
-        if let Some(sh) = self.sharded.as_deref_mut() {
-            sh.schedule_admin(at, EventKind::Crash { node });
-            return;
-        }
-        self.queue.push(at, EventKind::Crash { node });
+        self.schedule_fault(at, Fault::Crash { node });
     }
 
     /// Schedule a timer on a node from outside (harness hook).
     pub fn schedule_timer(&mut self, at: u64, node: NodeId, token: u64) {
         assert!(at >= self.now);
-        if let Some(sh) = self.sharded.as_deref_mut() {
-            sh.schedule_timer(at, node, token);
-            return;
-        }
-        self.queue.push(at, EventKind::Timer { node, token });
+        self.owner_mut(node).queue.push(at, EventKind::Timer { node, token });
     }
 
     /// Whether a node has been crashed.
     pub fn is_crashed(&self, node: NodeId) -> bool {
-        self.crashed[node.0 as usize]
-    }
-
-    /// Time of the next queued event, if any (harness interleaving).
-    /// Amortized O(1); `&mut` because the calendar queue may lazily sort
-    /// its head bucket (work the following `step` reuses).
-    pub fn peek_time(&mut self) -> Option<u64> {
-        if let Some(sh) = self.sharded.as_deref_mut() {
-            return sh.peek_time();
-        }
-        self.queue.peek_time()
+        self.owner(node).crashed[node.0 as usize]
     }
 
     /// Outgoing neighbors of a node.
     pub fn out_neighbors(&self, node: NodeId) -> &[NodeId] {
-        &self.out_neighbors[node.0 as usize]
+        &self.net.out_neighbors[node.0 as usize]
     }
 
     /// Incoming neighbors of a node.
     pub fn in_neighbors(&self, node: NodeId) -> &[NodeId] {
-        &self.in_neighbors[node.0 as usize]
+        &self.net.in_neighbors[node.0 as usize]
     }
 
     /// Immutable access to a node's logic, downcast by the caller.
     pub fn logic(&self, node: NodeId) -> Option<&dyn NodeLogic> {
-        if let Some(sh) = self.sharded.as_deref() {
-            return sh.logic(node);
-        }
-        self.nodes[node.0 as usize].as_deref()
+        self.owner(node).nodes[node.0 as usize].as_deref()
     }
 
     /// Mutable access to a node's logic (the harness uses this to inject
     /// application work between events).
     pub fn logic_mut(&mut self, node: NodeId) -> Option<&mut (dyn NodeLogic + 'static)> {
-        if let Some(sh) = self.sharded.as_deref_mut() {
-            return sh.logic_mut(node);
-        }
-        match self.nodes[node.0 as usize] {
+        match self.owner_mut(node).nodes[node.0 as usize] {
             Some(ref mut b) => Some(b.as_mut()),
             None => None,
         }
@@ -556,120 +565,161 @@ impl Sim {
         node: NodeId,
         f: impl FnOnce(&mut dyn NodeLogic, &mut Ctx<'_>) -> R,
     ) -> Option<R> {
-        if self.crashed[node.0 as usize] {
+        let owner = self.net.shard_of[node.0 as usize] as usize;
+        let shard = self.shards[owner].as_mut().expect(PARKED);
+        if shard.crashed[node.0 as usize] {
             return None;
         }
-        if self.sharded.is_some() {
-            let Sim { sharded, stats, now, .. } = self;
-            return sharded.as_deref_mut().unwrap().with_node(*now, node, stats, f);
-        }
-        self.with_ctx(node, f)
+        let r = shard.with_ctx(&self.net, self.now, node, f);
+        // The callback may have sent packets: count them and hand any
+        // cross-shard arrivals over before the next run.
+        self.barrier();
+        r
     }
 
-    /// Run a node callback with a single-queue [`Ctx`]; `None` if the
-    /// node has no logic attached.
-    fn with_ctx<R>(
-        &mut self,
-        node: NodeId,
-        f: impl FnOnce(&mut dyn NodeLogic, &mut Ctx<'_>) -> R,
-    ) -> Option<R> {
-        let mut logic = self.nodes[node.0 as usize].take()?;
-        let mut ctx = Ctx {
-            now: self.now,
-            node,
-            queue: &mut self.queue,
-            links: &mut self.links,
-            out_neighbors: &self.out_neighbors,
-            in_neighbors: &self.in_neighbors,
-            rng: &mut self.rng,
-            stats: &mut self.stats,
-            attention: &self.attention,
-            shard: None,
+    /// Earliest pending event (or fence) over all shards.
+    fn min_head(&mut self) -> Option<u64> {
+        self.shards_mut().filter_map(|s| s.queue.peek_time()).min()
+    }
+
+    /// Run queued events in `(time, seq)` order while their time is ≤
+    /// `through`; returns `false` if there were none. One call is one
+    /// *window* — every shard with work in it runs its event loop
+    /// (`Shard::run`), then the barrier merges what they produced —
+    /// or one scheduled fault.
+    ///
+    /// An unsplit network has no one to wait for, so its window reaches
+    /// to `through`, and it may end early: after the first event at or
+    /// past `deadline`, or after an event during which a node raised
+    /// attention ([`Ctx::raise_attention`]; it stays raised, so a window
+    /// is one event long until [`Sim::take_attention`]). A split network
+    /// runs windows of the lookahead length ([`crate::shard`]) to their
+    /// end, and neither `deadline` nor the flag is consulted inside one.
+    pub fn run(&mut self, through: u64, deadline: u64) -> bool {
+        let Some(head) = self.min_head().filter(|&h| h <= through) else { return false };
+        let (end, early) = if self.shards.len() == 1 {
+            (through, Some(deadline))
+        } else {
+            // Events before the next fault; once those are done, the
+            // events at its time up to each shard's fence. (The fences
+            // keep `head` from passing the fault.)
+            let fault = self.faults.keys().next().map_or(u64::MAX, |&(at, _)| at);
+            let before_fault = if head < fault { fault - 1 } else { fault };
+            (head.saturating_add(self.lookahead - 1).min(before_fault).min(through), None)
         };
-        let r = f(logic.as_mut(), &mut ctx);
-        self.nodes[node.0 as usize] = Some(logic);
-        Some(r)
+
+        let lanes = self.lanes;
+        let mut jobs: Vec<Vec<(usize, Shard)>> = (1..lanes).map(|_| Vec::new()).collect();
+        for (i, slot) in self.shards.iter_mut().enumerate() {
+            let shard = slot.as_mut().expect(PARKED);
+            match shard.queue.peek_time() {
+                // Pending work beyond the horizon: the shard idles this
+                // window, held back by the conservative lookahead.
+                Some(h) if h > end => shard.stat.stalled_windows += 1,
+                // Only a shard handed to a worker lane moves; lane 0's
+                // run in place below.
+                Some(_) if i % lanes != 0 => {
+                    jobs[i % lanes - 1].push((i, slot.take().expect(PARKED)));
+                }
+                _ => {}
+            }
+        }
+        let busy = self.pool.as_ref().map_or(0, |pool| pool.dispatch(jobs, end));
+        // Every shard holds a fence for every fault, so lane 0's shards
+        // (shard 0 always among them) tell whether this window ended at
+        // one.
+        let mut fenced = false;
+        for slot in self.shards.iter_mut().step_by(lanes) {
+            fenced |= slot.as_mut().expect(PARKED).run(&self.net, end, early);
+        }
+        for _ in 0..busy {
+            for (i, shard) in self.pool.as_ref().expect("lanes are busy").collect() {
+                self.shards[i] = Some(shard);
+            }
+        }
+        self.barrier();
+        if early.is_none() {
+            // Shards that share a window have all run to its end. (A lone
+            // shard stands at its last event: its window may have ended
+            // early, and the driver reads the clock when it pumps.)
+            self.now = self.now.max(end);
+        }
+        if fenced {
+            self.apply_next_fault();
+        }
+        true
     }
 
-    /// Execute one popped event of the single-queue engine.
-    fn dispatch(&mut self, time: u64, kind: EventKind) {
-        debug_assert!(time >= self.now, "time went backwards");
-        self.now = time;
+    /// The window barrier, with every shard home: fold the shards'
+    /// counters into [`Sim::stats`] (in shard order), advance the clock
+    /// to the latest event run, merge cross-shard arrivals into their
+    /// destination queues and trace records into the tracer — both in
+    /// `(time, source shard, position)` order, which no lane count can
+    /// change.
+    fn barrier(&mut self) {
+        let mut mail: Vec<OutMsg> = Vec::new();
+        let mut traced: Vec<TraceRecord> = Vec::new();
+        for slot in self.shards.iter_mut() {
+            let shard = slot.as_mut().expect(PARKED);
+            shard.stat.events += shard.scratch.events;
+            self.stats.merge(&shard.scratch);
+            shard.scratch = Stats::default();
+            self.now = self.now.max(shard.now);
+            mail.append(&mut shard.outbox);
+            if let Some(buf) = &mut shard.trace {
+                traced.append(buf);
+            }
+        }
+        // Stable sorts of a concatenation in shard order.
+        mail.sort_by_key(|m| m.at);
+        for OutMsg { at, to, from, pkt } in mail {
+            self.owner_mut(to).queue.push(at, EventKind::Arrive { to, from, pkt });
+        }
+        if let Some(tracer) = &self.tracer {
+            traced.sort_by_key(|r| r.at);
+            let mut tracer = tracer.borrow_mut();
+            for rec in traced {
+                tracer.record(rec);
+            }
+        }
+    }
+
+    /// Apply the earliest scheduled fault; its fences have just been
+    /// popped. The one place that executes `LinkAdmin`, `LinkLoss`,
+    /// `GlobalLoss` and `Crash`.
+    fn apply_next_fault(&mut self) {
+        let ((at, _), fault) = self.faults.pop_first().expect("a fence stands for a fault");
+        debug_assert_eq!(at, self.now, "fences and faults are scheduled together");
         self.stats.events += 1;
-        match kind {
-            EventKind::Arrive { to, from, pkt } => {
-                if !self.crashed[to.0 as usize] {
-                    // Packets arriving over a link that went down mid-flight
-                    // are still delivered: they were already serialized.
-                    self.dispatch_packet(to, from, pkt);
-                }
-            }
-            EventKind::Timer { node, token } => {
-                if !self.crashed[node.0 as usize] {
-                    let _ = self.with_ctx(node, |l, ctx| l.on_timer(ctx, token));
-                }
-            }
-            EventKind::LinkAdmin { link, up } => {
-                if let Some(l) = self.links.get_mut(link) {
-                    l.set_up(up);
+        match fault {
+            Fault::LinkAdmin { link, up } => {
+                if self.set_link_up(link, up) {
                     self.stats.faults_link_flaps += 1;
                 }
             }
-            EventKind::LinkLoss { link, rate } => {
-                if let Some(l) = self.links.get_mut(link) {
+            Fault::LinkLoss { link, rate } => {
+                if let Some(l) = self.link_mut(link) {
                     l.params.loss_rate = rate;
                     self.stats.faults_loss_bursts += 1;
                 }
             }
-            EventKind::GlobalLoss { rate } => {
-                for l in self.links.values_mut() {
-                    l.params.loss_rate = rate;
-                }
+            Fault::GlobalLoss { rate } => {
+                self.set_global_loss_rate(rate);
                 self.stats.faults_loss_bursts += 1;
             }
-            EventKind::Crash { node } => {
-                self.crashed[node.0 as usize] = true;
+            Fault::Crash { node } => {
+                self.owner_mut(node).crashed[node.0 as usize] = true;
                 self.stats.faults_crashes += 1;
                 // Take both directions of every attached link down.
-                // (Disjoint field borrows: neighbor lists shared, links mut.)
-                for &peer in &self.out_neighbors[node.0 as usize] {
-                    if let Some(l) = self.links.get_mut(LinkId::new(node, peer)) {
-                        l.set_up(false);
-                    }
+                let net = self.net.clone();
+                for &peer in &net.out_neighbors[node.0 as usize] {
+                    self.set_link_up(LinkId::new(node, peer), false);
                 }
-                for &peer in &self.in_neighbors[node.0 as usize] {
-                    if let Some(l) = self.links.get_mut(LinkId::new(peer, node)) {
-                        l.set_up(false);
-                    }
-                }
-            }
-            EventKind::Start { node } => {
-                if !self.crashed[node.0 as usize] {
-                    let _ = self.with_ctx(node, |l, ctx| l.on_start(ctx));
+                for &peer in &net.in_neighbors[node.0 as usize] {
+                    self.set_link_up(LinkId::new(peer, node), false);
                 }
             }
         }
-    }
-
-    /// Run queued events in `(time, seq)` order while their time is ≤
-    /// `through`, returning early after the first event at or past
-    /// `deadline`, or after an event during which a node raised attention
-    /// ([`Ctx::raise_attention`]; it stays raised, so a batch runs one
-    /// event at a time until [`Sim::take_attention`]). Returns whether
-    /// any event ran. This is the single-queue engine's only event loop;
-    /// sharded mode runs [`Sim::run_window`] instead.
-    pub fn run_batch(&mut self, through: u64, deadline: u64) -> bool {
-        assert!(self.sharded.is_none(), "run_batch() is unsupported in sharded mode");
-        let mut ran = false;
-        while self.queue.peek_time().is_some_and(|head| head <= through) {
-            let (time, _seq, kind) = self.queue.pop().expect("peeked non-empty queue");
-            self.dispatch(time, kind);
-            ran = true;
-            if time >= deadline || self.attention.load(Ordering::Relaxed) {
-                break;
-            }
-        }
-        ran
     }
 
     /// Lower the attention flag, returning whether it was raised. A load
@@ -677,9 +727,9 @@ impl Sim {
     /// on every idle pump): nodes only raise the flag while the driver
     /// is inside a run call, never concurrently with this one.
     pub fn take_attention(&mut self) -> bool {
-        let raised = self.attention.load(Ordering::Relaxed);
+        let raised = self.net.attention.load(Ordering::Relaxed);
         if raised {
-            self.attention.store(false, Ordering::Relaxed);
+            self.net.attention.store(false, Ordering::Relaxed);
         }
         raised
     }
@@ -687,53 +737,13 @@ impl Sim {
     /// Run until the event queue is exhausted or `t_end` (ns) is reached.
     /// Events at exactly `t_end` are processed.
     pub fn run_until(&mut self, t_end: u64) {
-        if self.sharded.is_some() {
-            while self.run_window(t_end) {}
-            self.now = self.now.max(t_end);
-            return;
-        }
-        while self.run_batch(t_end, u64::MAX) {}
+        while self.run(t_end, u64::MAX) {}
         self.now = self.now.max(t_end);
-    }
-
-    /// Sharded mode: execute one conservative-lookahead window (or one
-    /// batch of scheduled faults) with every event time ≤ `cap`, then
-    /// merge cross-shard traffic at the barrier. Returns `false` when
-    /// nothing at or before `cap` remains. Harness loops interleave this
-    /// with control-plane pumping at window granularity.
-    pub fn run_window(&mut self, cap: u64) -> bool {
-        let Sim { sharded, stats, now, crashed, .. } = self;
-        let sh = sharded.as_deref_mut().expect("run_window requires set_partition");
-        sh.run_window(now, stats, crashed, cap)
     }
 
     /// Run until the queue drains completely.
     pub fn run_to_completion(&mut self) {
-        if self.sharded.is_some() {
-            while self.run_window(u64::MAX) {}
-            return;
-        }
-        while self.run_batch(u64::MAX, u64::MAX) {}
-    }
-
-    fn dispatch_packet(&mut self, to: NodeId, from: NodeId, pkt: SimPacket) {
-        if let Some(tracer) = &self.tracer {
-            let h = pkt.dgram.header;
-            tracer.borrow_mut().record(TraceRecord {
-                at: self.now,
-                from,
-                to,
-                opcode: h.opcode,
-                psn: h.psn,
-                msg_ts: h.msg_ts,
-                barrier: h.barrier,
-                commit_barrier: h.commit_barrier,
-                wire_bytes: pkt.wire_bytes,
-            });
-        }
-        if self.with_ctx(to, |l, ctx| l.on_packet(ctx, from, pkt)).is_none() {
-            self.stats.drops_no_logic += 1;
-        }
+        while self.run(u64::MAX, u64::MAX) {}
     }
 }
 

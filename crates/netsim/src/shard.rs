@@ -1,19 +1,20 @@
-//! Rack-sharded parallel execution of the discrete-event engine.
+//! Shards, the event loop, and how a split network stays deterministic.
 //!
 //! # Model
 //!
-//! [`Sim::set_partition`] splits the simulation into *shards*: each shard
-//! owns a disjoint set of nodes, every directed link whose tail node it
-//! owns, a private calendar queue, a private RNG and private statistics.
-//! The partition follows the topology (one shard per rack subtree, one
-//! per pod spine group, one per core switch — see
-//! [`Topology::partition`](crate::topology::Topology::partition)), so the
-//! dense intra-rack traffic never crosses a shard boundary.
+//! A *shard* owns a disjoint set of nodes, every directed link whose tail
+//! node it owns, a private calendar queue, a private RNG and private
+//! statistics, and runs the engine's one event loop (`Shard::run`) over
+//! them. [`Sim::new`] puts the whole network in one shard;
+//! [`Sim::set_partition`] splits it along the topology (one shard per
+//! rack subtree, one per pod spine group, one per core switch — see
+//! [`Topology::partition`](crate::topology::Topology::partition)), so
+//! the dense intra-rack traffic never crosses a shard boundary.
 //!
 //! # Conservative lookahead
 //!
-//! Execution proceeds in *windows*. A window starts at `W`, the minimum
-//! pending event time across shards, and extends to
+//! Execution proceeds in *windows* ([`Sim::run`]). A window starts at
+//! `W`, the minimum pending event time across shards, and extends to
 //! `W_end = W + L` where the lookahead `L` is the minimum propagation
 //! delay over all **cross-shard** links plus one. Inside a window every
 //! shard drains its own queue independently (in parallel when the
@@ -24,6 +25,8 @@
 //! least `L - 1`. Cross-shard packets are therefore buffered in per-shard
 //! outboxes and merged at the window barrier, before any shard has
 //! advanced past `W_end` — no shard ever receives an event in its past.
+//! With a single shard no link crosses, `L` is unbounded, and a window is
+//! whatever stretch of time the caller asks for.
 //!
 //! # Deterministic merge contract
 //!
@@ -33,44 +36,46 @@
 //! destination queue's own monotone sequence number, so pop order —
 //! `(time, seq)` — is a pure function of the partition and the seed,
 //! independent of how many worker threads executed the window. Shard
-//! RNGs are seeded `seed + shard_id · STRIDE`, so draws do not depend on
-//! thread interleaving either. The result: a sharded simulation is
-//! bit-identical across lane counts (`threads = 1` is the reference), and
-//! a single-shard partition reproduces the single-queue engine exactly
-//! (shard 0's RNG seed equals the legacy seed).
+//! RNGs are seeded `seed + shard_id · STRIDE` (shard 0 keeps the seed
+//! itself), so draws do not depend on thread interleaving either. The
+//! result: a simulation is bit-identical across lane counts. Packet
+//! trace records take the same route — a per-shard buffer, merged in the
+//! same order at the barrier.
+//!
+//! # Faults
 //!
 //! Scheduled faults (`LinkAdmin`, `LinkLoss`, `GlobalLoss`, `Crash`) and
-//! harness mutations (`link_mut`, `with_node`) are *coordinator-fenced*:
-//! they execute only between windows, when all worker lanes are parked,
-//! and windows never extend past the next scheduled fault time. Sim
-//! events at exactly the fault time execute before the fault applies.
-//! The shared link up/down mirror ([`UpMap`]) that backs the global
-//! routing oracle is likewise only written at barriers.
+//! harness calls (`with_node`) run on the coordinator, between windows,
+//! when every shard is home. A fault takes effect in `(time, push order)`
+//! like any event: events at its nanosecond that were queued before it
+//! was scheduled run first, those queued later run after. Each shard
+//! knows where that line is in its own queue by the fence pushed when the
+//! fault was scheduled; windows of a split network end just before the
+//! fault's time, then every shard runs up to its fence, then the
+//! coordinator applies the fault. The shared link up/down mirror
+//! (`Shared::up`) behind the global routing oracle is likewise only
+//! written between windows.
 
-use crate::engine::{Ctx, EventKind, LinkTable, NodeLogic, Sim, SimPacket};
-use crate::link::Link;
+use crate::engine::{Ctx, EventKind, LinkMap, LinkTable, NodeLogic, Sim, SimPacket, PARKED};
 use crate::sched::CalendarQueue;
 use crate::stats::{ShardStat, Stats};
-use onepipe_types::ids::{LinkId, NodeId};
+use crate::trace::TraceRecord;
+use onepipe_types::ids::NodeId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Seed stride between shard RNGs (golden-ratio constant). Shard 0 keeps
-/// the simulation seed itself, so a single-shard partition draws exactly
-/// the sequence the single-queue engine would.
+/// the simulation seed itself, so splitting a network leaves the draws of
+/// a one-shard partition unchanged.
 pub const SHARD_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// Sentinel slot meaning "no such link" in [`UpMap`].
-const NO_LINK: u32 = u32::MAX;
 
 /// A cross-shard packet arrival, buffered until the window barrier.
 pub(crate) struct OutMsg {
-    /// Absolute arrival time (≥ the window end, by the lookahead bound).
+    /// Absolute arrival time (past the window end, by the lookahead bound).
     pub(crate) at: u64,
     /// Destination node (owned by another shard).
     pub(crate) to: NodeId,
@@ -80,168 +85,132 @@ pub(crate) struct OutMsg {
     pub(crate) pkt: SimPacket,
 }
 
-/// Sharded-mode fields threaded into [`Ctx`] for callbacks running
-/// inside a shard.
-pub(crate) struct ShardCtx<'a> {
-    /// Owning shard id.
-    pub(crate) id: u32,
-    /// Node → shard map.
-    pub(crate) shard_of: &'a [u32],
-    /// Cross-shard arrival buffer.
-    pub(crate) outbox: &'a mut Vec<OutMsg>,
-    /// Shared directed-link up/down mirror.
-    pub(crate) up_map: &'a UpMap,
-    /// Cross-shard packet counter (per-shard statistic).
-    pub(crate) cross_msgs: &'a mut u64,
-}
-
-/// Shared mirror of every directed link's administrative up/down state.
-///
-/// `Ctx::global_link_is_up` (the converged routing oracle behind ECMP
-/// failover) must see links owned by *other* shards. Up/down state only
-/// changes at window barriers — scheduled faults and harness mutations
-/// are coordinator-fenced — so relaxed atomic loads are sufficient: the
-/// barrier's channel synchronization orders every write before the next
-/// window's reads.
-pub(crate) struct UpMap {
-    slot: Vec<Vec<u32>>,
-    up: Vec<AtomicBool>,
-}
-
-impl UpMap {
-    fn build(entries: &[(LinkId, Link)]) -> UpMap {
-        let mut slot: Vec<Vec<u32>> = Vec::new();
-        let mut up = Vec::with_capacity(entries.len());
-        for (id, link) in entries {
-            let (f, t) = (id.from.0 as usize, id.to.0 as usize);
-            if slot.len() <= f {
-                slot.resize_with(f + 1, Vec::new);
-            }
-            let row = &mut slot[f];
-            if row.len() <= t {
-                row.resize(t + 1, NO_LINK);
-            }
-            row[t] = up.len() as u32;
-            up.push(AtomicBool::new(link.is_up()));
-        }
-        UpMap { slot, up }
-    }
-
-    #[inline]
-    fn index(&self, from: NodeId, to: NodeId) -> Option<usize> {
-        let s = *self.slot.get(from.0 as usize)?.get(to.0 as usize)?;
-        if s == NO_LINK {
-            None
-        } else {
-            Some(s as usize)
-        }
-    }
-
-    /// Whether the directed link `from → to` is administratively up.
-    pub(crate) fn is_up(&self, from: NodeId, to: NodeId) -> bool {
-        self.index(from, to).map(|i| self.up[i].load(Ordering::Relaxed)).unwrap_or(false)
-    }
-
-    fn set(&self, from: NodeId, to: NodeId, v: bool) {
-        if let Some(i) = self.index(from, to) {
-            self.up[i].store(v, Ordering::Relaxed);
-        }
-    }
+/// What every shard reads and none writes while a window runs.
+#[derive(Default)]
+pub(crate) struct Shared {
+    /// Node → owning shard.
+    pub(crate) shard_of: Vec<u32>,
+    pub(crate) out_neighbors: Vec<Vec<NodeId>>,
+    pub(crate) in_neighbors: Vec<Vec<NodeId>>,
+    /// Mirror of every directed link's administrative up/down state, for
+    /// [`Ctx::global_link_is_up`], which must see links owned by other
+    /// shards.
+    pub(crate) up: LinkMap<AtomicBool>,
+    /// Raised by [`Ctx::raise_attention`].
+    pub(crate) attention: AtomicBool,
 }
 
 /// One shard: a self-contained slice of the simulation, executable on
 /// any thread (one thread at a time).
 pub(crate) struct Shard {
-    id: u32,
-    queue: CalendarQueue<EventKind>,
+    pub(crate) id: u32,
+    pub(crate) queue: CalendarQueue<EventKind>,
     /// Full-length node table; `None` for nodes owned by other shards.
-    nodes: Vec<Option<Box<dyn NodeLogic>>>,
+    pub(crate) nodes: Vec<Option<Box<dyn NodeLogic>>>,
     /// Links whose tail node this shard owns.
-    links: LinkTable,
-    /// Full-length crash flags, re-synced by the coordinator at barriers.
-    crashed: Vec<bool>,
-    rng: StdRng,
-    /// Window-scratch statistics, folded into the global [`Stats`] at
-    /// each barrier (in shard order, for determinism).
-    scratch: Stats,
-    outbox: Vec<OutMsg>,
-    stat: ShardStat,
-    shard_of: Arc<Vec<u32>>,
-    out_neighbors: Arc<Vec<Vec<NodeId>>>,
-    in_neighbors: Arc<Vec<Vec<NodeId>>>,
-    up_map: Arc<UpMap>,
-    /// The simulation's attention flag ([`Ctx::raise_attention`]).
-    attention: Arc<AtomicBool>,
+    pub(crate) links: LinkTable,
+    /// Full-length crash flags; only the owner's entry is ever set.
+    pub(crate) crashed: Vec<bool>,
+    pub(crate) rng: StdRng,
+    /// Time of the last event this shard ran.
+    pub(crate) now: u64,
+    /// Counters since the last barrier, folded into [`Sim::stats`] there.
+    pub(crate) scratch: Stats,
+    pub(crate) outbox: Vec<OutMsg>,
+    /// Packet arrivals since the last barrier, when a tracer is attached.
+    pub(crate) trace: Option<Vec<TraceRecord>>,
+    pub(crate) stat: ShardStat,
 }
 
 impl Shard {
-    /// Run a node callback with a sharded [`Ctx`]; `None` if the node has
-    /// no logic attached (or belongs to another shard).
-    fn with_ctx<R>(
+    pub(crate) fn new(id: u32, seed: u64, nodes: usize, tracing: bool) -> Shard {
+        Shard {
+            id,
+            queue: CalendarQueue::new(),
+            nodes: (0..nodes).map(|_| None).collect(),
+            links: LinkTable::default(),
+            crashed: vec![false; nodes],
+            rng: StdRng::seed_from_u64(
+                seed.wrapping_add((id as u64).wrapping_mul(SHARD_SEED_STRIDE)),
+            ),
+            now: 0,
+            scratch: Stats::default(),
+            outbox: Vec::new(),
+            trace: tracing.then(Vec::new),
+            stat: ShardStat { shard: id, ..ShardStat::default() },
+        }
+    }
+
+    /// Run a node callback with a [`Ctx`]; `None` if the node has no
+    /// logic attached (or belongs to another shard).
+    pub(crate) fn with_ctx<R>(
         &mut self,
+        net: &Shared,
         now: u64,
         node: NodeId,
         f: impl FnOnce(&mut dyn NodeLogic, &mut Ctx<'_>) -> R,
     ) -> Option<R> {
         let mut logic = self.nodes[node.0 as usize].take()?;
-        let mut ctx = Ctx {
-            now,
-            node,
-            queue: &mut self.queue,
-            links: &mut self.links,
-            out_neighbors: &self.out_neighbors,
-            in_neighbors: &self.in_neighbors,
-            rng: &mut self.rng,
-            stats: &mut self.scratch,
-            attention: &self.attention,
-            shard: Some(ShardCtx {
-                id: self.id,
-                shard_of: &self.shard_of,
-                outbox: &mut self.outbox,
-                up_map: &self.up_map,
-                cross_msgs: &mut self.stat.cross_shard_msgs,
-            }),
-        };
-        let r = f(logic.as_mut(), &mut ctx);
+        let r = f(logic.as_mut(), &mut Ctx { now, node, shard: self, net });
         self.nodes[node.0 as usize] = Some(logic);
         Some(r)
     }
 
-    /// Drain every event with `time < w_end` from this shard's queue.
-    fn run_window(&mut self, w_end: u64) {
-        let mut ran = false;
-        while let Some(t) = self.queue.peek_time() {
-            if t >= w_end {
-                break;
-            }
-            ran = true;
+    /// The event loop: pop and execute this shard's events in
+    /// `(time, seq)` order while their time is ≤ `through`. Stops at a
+    /// fence and returns `true` — the coordinator has a fault to apply.
+    /// With `early = Some(deadline)` it also stops after the first event
+    /// at or past `deadline` and after an event that raised attention;
+    /// a window that other shards share passes `None` and runs to its
+    /// end without reading the flag.
+    pub(crate) fn run(&mut self, net: &Shared, through: u64, early: Option<u64>) -> bool {
+        let before = self.scratch.events;
+        let mut fenced = false;
+        while self.queue.peek_time().is_some_and(|head| head <= through) {
             let (time, _seq, kind) = self.queue.pop().expect("peeked non-empty queue");
-            self.scratch.events += 1;
-            self.stat.events += 1;
+            debug_assert!(time >= self.now, "time went backwards");
+            self.now = time;
             match kind {
                 EventKind::Arrive { to, from, pkt } => {
-                    if !self.crashed[to.0 as usize]
-                        && self.with_ctx(time, to, |l, ctx| l.on_packet(ctx, from, pkt)).is_none()
-                    {
-                        self.scratch.drops_no_logic += 1;
+                    // Packets arriving over a link that went down
+                    // mid-flight are still delivered: they were already
+                    // serialized.
+                    if !self.crashed[to.0 as usize] {
+                        if let Some(trace) = &mut self.trace {
+                            trace.push(TraceRecord::arrival(time, from, to, &pkt));
+                        }
+                        if self
+                            .with_ctx(net, time, to, |l, ctx| l.on_packet(ctx, from, pkt))
+                            .is_none()
+                        {
+                            self.scratch.drops_no_logic += 1;
+                        }
                     }
                 }
                 EventKind::Timer { node, token } => {
                     if !self.crashed[node.0 as usize] {
-                        let _ = self.with_ctx(time, node, |l, ctx| l.on_timer(ctx, token));
+                        let _ = self.with_ctx(net, time, node, |l, ctx| l.on_timer(ctx, token));
                     }
                 }
                 EventKind::Start { node } => {
                     if !self.crashed[node.0 as usize] {
-                        let _ = self.with_ctx(time, node, |l, ctx| l.on_start(ctx));
+                        let _ = self.with_ctx(net, time, node, |l, ctx| l.on_start(ctx));
                     }
                 }
-                _ => unreachable!("fault events are coordinator-fenced, never in shard queues"),
+                EventKind::Fence => {
+                    fenced = true;
+                    break;
+                }
+            }
+            self.scratch.events += 1;
+            if early.is_some_and(|d| time >= d || net.attention.load(Ordering::Relaxed)) {
+                break;
             }
         }
-        if ran {
+        if self.scratch.events > before {
             self.stat.windows += 1;
         }
+        fenced
     }
 }
 
@@ -250,25 +219,61 @@ impl Shard {
 /// need no locks while executing.
 struct Job {
     batch: Vec<(usize, Shard)>,
-    w_end: u64,
+    through: u64,
 }
 
-fn worker_loop(rx: Receiver<Job>, res: Sender<Vec<(usize, Shard)>>) {
-    while let Ok(mut job) = rx.recv() {
-        for (_, shard) in job.batch.iter_mut() {
-            shard.run_window(job.w_end);
-        }
-        if res.send(job.batch).is_err() {
-            return;
-        }
-    }
-}
-
-/// Persistent worker lanes (coordinator executes lane 0 inline).
-struct Pool {
+/// Persistent worker lanes 1.. (the coordinator is lane 0).
+pub(crate) struct Pool {
     txs: Vec<Sender<Job>>,
     rx: Receiver<Vec<(usize, Shard)>>,
     handles: Vec<JoinHandle<()>>,
+}
+
+impl Pool {
+    fn spawn(workers: usize, net: &Arc<Shared>) -> Pool {
+        let (res_tx, rx) = channel();
+        let mut txs = Vec::new();
+        let mut handles = Vec::new();
+        for lane in 1..=workers {
+            let (tx, jobs) = channel::<Job>();
+            let (res, net) = (res_tx.clone(), net.clone());
+            handles.push(
+                std::thread::Builder::new()
+                    .name(format!("netsim-lane-{lane}"))
+                    .spawn(move || {
+                        while let Ok(mut job) = jobs.recv() {
+                            for (_, shard) in job.batch.iter_mut() {
+                                shard.run(&net, job.through, None);
+                            }
+                            if res.send(job.batch).is_err() {
+                                return;
+                            }
+                        }
+                    })
+                    .expect("spawn worker lane"),
+            );
+            txs.push(tx);
+        }
+        Pool { txs, rx, handles }
+    }
+
+    /// Send each non-empty batch to its lane (`jobs[k]` → lane `k + 1`);
+    /// returns how many lanes are now busy.
+    pub(crate) fn dispatch(&self, jobs: Vec<Vec<(usize, Shard)>>, through: u64) -> usize {
+        let mut busy = 0;
+        for (tx, batch) in self.txs.iter().zip(jobs) {
+            if !batch.is_empty() {
+                tx.send(Job { batch, through }).expect("worker lane died");
+                busy += 1;
+            }
+        }
+        busy
+    }
+
+    /// Wait for one busy lane to finish its window.
+    pub(crate) fn collect(&self) -> Vec<(usize, Shard)> {
+        self.rx.recv().expect("worker lane died")
+    }
 }
 
 impl Drop for Pool {
@@ -280,416 +285,67 @@ impl Drop for Pool {
     }
 }
 
-/// Sharded execution state, attached to [`Sim`] by [`Sim::set_partition`].
-pub(crate) struct Sharded {
-    /// `Some` between windows; taken while a lane executes the shard.
-    shards: Vec<Option<Shard>>,
-    shard_of: Arc<Vec<u32>>,
-    out_neighbors: Arc<Vec<Vec<NodeId>>>,
-    in_neighbors: Arc<Vec<Vec<NodeId>>>,
-    up_map: Arc<UpMap>,
-    /// Window length: min cross-shard propagation delay + 1 (`u64::MAX`
-    /// when no link crosses a shard boundary).
-    lookahead: u64,
-    /// Total compute lanes (1 = fully inline, deterministic reference).
-    threads: usize,
-    /// Coordinator-fenced fault schedule, keyed `(time, seq)`.
-    admin: BTreeMap<(u64, u64), EventKind>,
-    admin_seq: u64,
-    /// Links handed out via `link_mut` since the last window; their
-    /// up-state is re-mirrored into `up_map` before the next window.
-    dirty: Vec<LinkId>,
-    pool: Option<Pool>,
-}
-
-impl Sharded {
-    pub(crate) fn set_logic(&mut self, now: u64, node: NodeId, logic: Box<dyn NodeLogic>) {
-        let shard = self.shard_mut(node);
-        shard.nodes[node.0 as usize] = Some(logic);
-        shard.queue.push(now, EventKind::Start { node });
-    }
-
-    pub(crate) fn schedule_admin(&mut self, at: u64, kind: EventKind) {
-        self.admin_seq += 1;
-        self.admin.insert((at, self.admin_seq), kind);
-    }
-
-    pub(crate) fn schedule_timer(&mut self, at: u64, node: NodeId, token: u64) {
-        self.shard_mut(node).queue.push(at, EventKind::Timer { node, token });
-    }
-
-    pub(crate) fn note_dirty(&mut self, id: LinkId) {
-        self.dirty.push(id);
-    }
-
-    pub(crate) fn link(&self, id: LinkId) -> Option<&Link> {
-        let sid = *self.shard_of.get(id.from.0 as usize)? as usize;
-        self.shards[sid].as_ref().expect("shard parked").links.get(id)
-    }
-
-    pub(crate) fn link_mut(&mut self, id: LinkId) -> Option<&mut Link> {
-        let sid = *self.shard_of.get(id.from.0 as usize)? as usize;
-        self.shards[sid].as_mut().expect("shard parked").links.get_mut(id)
-    }
-
-    pub(crate) fn set_global_loss_rate(&mut self, rate: f64) {
-        for s in self.shards.iter_mut() {
-            for link in s.as_mut().expect("shard parked").links.values_mut() {
-                link.params.loss_rate = rate;
-            }
-        }
-    }
-
-    pub(crate) fn logic(&self, node: NodeId) -> Option<&dyn NodeLogic> {
-        self.shard_ref(node).nodes[node.0 as usize].as_deref()
-    }
-
-    pub(crate) fn logic_mut(&mut self, node: NodeId) -> Option<&mut (dyn NodeLogic + 'static)> {
-        match self.shard_mut(node).nodes[node.0 as usize] {
-            Some(ref mut b) => Some(b.as_mut()),
-            None => None,
-        }
-    }
-
-    pub(crate) fn with_node<R>(
-        &mut self,
-        now: u64,
-        node: NodeId,
-        stats: &mut Stats,
-        f: impl FnOnce(&mut dyn NodeLogic, &mut Ctx<'_>) -> R,
-    ) -> Option<R> {
-        let r = self.shard_mut(node).with_ctx(now, node, f);
-        // The callback may have sent packets: fold its statistics and
-        // merge any cross-shard arrivals before the next peek/window.
-        self.fold_stats(stats);
-        self.flush_outboxes();
-        r
-    }
-
-    /// Earliest pending work: min over shard queues and the fault schedule.
-    pub(crate) fn peek_time(&mut self) -> Option<u64> {
-        let admin = self.admin.keys().next().map(|&(t, _)| t);
-        match (self.min_head(), admin) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    pub(crate) fn shard_stats(&self) -> Vec<ShardStat> {
-        self.shards.iter().map(|s| s.as_ref().expect("shard parked").stat.clone()).collect()
-    }
-
-    fn shard_ref(&self, node: NodeId) -> &Shard {
-        self.shards[self.shard_of[node.0 as usize] as usize].as_ref().expect("shard parked")
-    }
-
-    fn shard_mut(&mut self, node: NodeId) -> &mut Shard {
-        self.shards[self.shard_of[node.0 as usize] as usize].as_mut().expect("shard parked")
-    }
-
-    fn min_head(&mut self) -> Option<u64> {
-        let mut min: Option<u64> = None;
-        for s in self.shards.iter_mut() {
-            if let Some(h) = s.as_mut().expect("shard parked").queue.peek_time() {
-                min = Some(min.map_or(h, |m| m.min(h)));
-            }
-        }
-        min
-    }
-
-    /// Re-mirror the up-state of links mutated through `link_mut`.
-    fn sync_dirty(&mut self) {
-        while let Some(id) = self.dirty.pop() {
-            let Some(&sid) = self.shard_of.get(id.from.0 as usize) else { continue };
-            if let Some(l) = self.shards[sid as usize].as_ref().expect("shard parked").links.get(id)
-            {
-                self.up_map.set(id.from, id.to, l.is_up());
-            }
-        }
-    }
-
-    /// Fold per-shard scratch statistics into the global counters, in
-    /// shard order (deterministic regardless of lane count).
-    fn fold_stats(&mut self, stats: &mut Stats) {
-        for s in self.shards.iter_mut() {
-            let scratch = &mut s.as_mut().expect("shard parked").scratch;
-            stats.merge(scratch);
-            *scratch = Stats::default();
-        }
-    }
-
-    /// Merge buffered cross-shard arrivals into their destination queues,
-    /// sorted by `(time, source_shard, source_position)`.
-    fn flush_outboxes(&mut self) {
-        let mut pending: Vec<(u64, u32, u32, OutMsg)> = Vec::new();
-        for s in self.shards.iter_mut() {
-            let shard = s.as_mut().expect("shard parked");
-            let sid = shard.id;
-            for (pos, msg) in shard.outbox.drain(..).enumerate() {
-                pending.push((msg.at, sid, pos as u32, msg));
-            }
-        }
-        if pending.is_empty() {
-            return;
-        }
-        pending.sort_unstable_by_key(|&(t, sid, pos, _)| (t, sid, pos));
-        for (_, _, _, msg) in pending {
-            let dest = self.shard_of[msg.to.0 as usize] as usize;
-            self.shards[dest]
-                .as_mut()
-                .expect("shard parked")
-                .queue
-                .push(msg.at, EventKind::Arrive { to: msg.to, from: msg.from, pkt: msg.pkt });
-        }
-    }
-
-    /// Apply every scheduled fault at exactly time `at`, in schedule order.
-    fn apply_admins_at(&mut self, at: u64, stats: &mut Stats, crashed: &mut [bool]) {
-        while let Some((&(t, seq), _)) = self.admin.first_key_value() {
-            if t != at {
-                break;
-            }
-            let kind = self.admin.remove(&(t, seq)).expect("keyed entry");
-            stats.events += 1;
-            match kind {
-                EventKind::LinkAdmin { link, up } => {
-                    if let Some(l) = self.link_mut(link) {
-                        l.set_up(up);
-                        stats.faults_link_flaps += 1;
-                        self.up_map.set(link.from, link.to, up);
-                    }
-                }
-                EventKind::LinkLoss { link, rate } => {
-                    if let Some(l) = self.link_mut(link) {
-                        l.params.loss_rate = rate;
-                        stats.faults_loss_bursts += 1;
-                    }
-                }
-                EventKind::GlobalLoss { rate } => {
-                    self.set_global_loss_rate(rate);
-                    stats.faults_loss_bursts += 1;
-                }
-                EventKind::Crash { node } => {
-                    crashed[node.0 as usize] = true;
-                    for s in self.shards.iter_mut() {
-                        s.as_mut().expect("shard parked").crashed[node.0 as usize] = true;
-                    }
-                    stats.faults_crashes += 1;
-                    // Take both directions of every attached link down.
-                    let (out_n, in_n) = (self.out_neighbors.clone(), self.in_neighbors.clone());
-                    for &peer in &out_n[node.0 as usize] {
-                        if let Some(l) = self.link_mut(LinkId::new(node, peer)) {
-                            l.set_up(false);
-                            self.up_map.set(node, peer, false);
-                        }
-                    }
-                    for &peer in &in_n[node.0 as usize] {
-                        if let Some(l) = self.link_mut(LinkId::new(peer, node)) {
-                            l.set_up(false);
-                            self.up_map.set(peer, node, false);
-                        }
-                    }
-                }
-                _ => unreachable!("only fault events enter the admin schedule"),
-            }
-        }
-    }
-
-    /// Execute one lookahead window (or one fault batch) with every event
-    /// time ≤ `cap`. Returns `false` when nothing at or before `cap`
-    /// remains.
-    pub(crate) fn run_window(
-        &mut self,
-        now: &mut u64,
-        stats: &mut Stats,
-        crashed: &mut [bool],
-        cap: u64,
-    ) -> bool {
-        self.sync_dirty();
-        let admin_next = self.admin.keys().next().map(|&(t, _)| t);
-        let sim_next = self.min_head();
-        // A scheduled fault applies once every sim event at or before its
-        // time has executed (windows below never cross `admin + 1`).
-        if let Some(a) = admin_next {
-            if a <= cap && sim_next.is_none_or(|s| s > a) {
-                self.apply_admins_at(a, stats, crashed);
-                *now = (*now).max(a);
-                return true;
-            }
-        }
-        let Some(w) = sim_next else { return false };
-        if w > cap {
-            return false;
-        }
-        let mut w_end = w.saturating_add(self.lookahead);
-        if let Some(a) = admin_next {
-            w_end = w_end.min(a.saturating_add(1));
-        }
-        w_end = w_end.min(cap.saturating_add(1));
-
-        let threads = self.threads;
-        let mut lane0: Vec<(usize, Shard)> = Vec::new();
-        let mut lanes: Vec<Vec<(usize, Shard)>> = (1..threads).map(|_| Vec::new()).collect();
-        for i in 0..self.shards.len() {
-            let shard = self.shards[i].as_mut().expect("shard parked");
-            match shard.queue.peek_time() {
-                Some(h) if h < w_end => {
-                    let s = self.shards[i].take().expect("shard parked");
-                    let lane = i % threads;
-                    if lane == 0 {
-                        lane0.push((i, s));
-                    } else {
-                        lanes[lane - 1].push((i, s));
-                    }
-                }
-                // Pending work beyond the horizon: the shard idles this
-                // window, held back by the conservative lookahead.
-                Some(_) => shard.stat.stalled_windows += 1,
-                None => {}
-            }
-        }
-        let mut active = 0;
-        if let Some(pool) = &self.pool {
-            for (lane, batch) in lanes.into_iter().enumerate() {
-                if batch.is_empty() {
-                    continue;
-                }
-                pool.txs[lane].send(Job { batch, w_end }).expect("worker lane died");
-                active += 1;
-            }
-        }
-        for (_, s) in lane0.iter_mut() {
-            s.run_window(w_end);
-        }
-        for _ in 0..active {
-            let batch = self.pool.as_ref().expect("pool").rx.recv().expect("worker lane died");
-            for (i, s) in batch {
-                self.shards[i] = Some(s);
-            }
-        }
-        for (i, s) in lane0 {
-            self.shards[i] = Some(s);
-        }
-        self.fold_stats(stats);
-        self.flush_outboxes();
-        *now = (*now).max(w_end - 1);
-        true
-    }
-}
-
 impl Sim {
-    /// Convert the simulator to sharded execution.
+    /// Split the network into shards.
     ///
     /// `shard_of[node]` assigns every node to a shard; `threads` is the
     /// total number of compute lanes (1 = run every shard inline on the
-    /// calling thread — the deterministic reference; `N > 1` spawns
-    /// `N - 1` worker threads, with shard `i` pinned to lane
-    /// `i mod threads`). Results are bit-identical across lane counts.
+    /// calling thread; `N > 1` spawns worker threads, with shard `i`
+    /// pinned to lane `i mod N`). Results are bit-identical across lane
+    /// counts.
     ///
     /// Must be called after topology construction and before the first
-    /// run; incompatible with tracing. Pending events (e.g. `on_start`)
-    /// migrate to their owning shards; pending scheduled faults move to
-    /// the coordinator-fenced fault schedule.
+    /// run. Pending events (e.g. `on_start`) migrate to their owning
+    /// shards, fences to every shard.
     pub fn set_partition(&mut self, shard_of: Vec<u32>, threads: usize) {
-        assert!(self.sharded.is_none(), "partition already set");
-        assert!(self.tracer.is_none(), "tracing is not supported in sharded mode");
         assert!(threads >= 1, "need at least one compute lane");
-        assert_eq!(shard_of.len(), self.nodes.len(), "shard_of must cover every node");
+        let net = Arc::get_mut(&mut self.net).filter(|_| self.shards.len() == 1);
+        let net = net.expect("the network is already split");
+        assert_eq!(shard_of.len(), net.shard_of.len(), "shard_of must cover every node");
         let num_shards = shard_of.iter().map(|&s| s as usize + 1).max().unwrap_or(1);
-
-        let entries = std::mem::replace(&mut self.links, LinkTable::new()).into_entries();
-        let mut min_cross = u64::MAX;
-        for (id, link) in &entries {
-            if shard_of[id.from.0 as usize] != shard_of[id.to.0 as usize] {
-                min_cross = min_cross.min(link.params.prop_delay_ns);
-            }
-        }
-        let lookahead = min_cross.saturating_add(1);
-        let up_map = Arc::new(UpMap::build(&entries));
-        let shard_of = Arc::new(shard_of);
-        let out_neighbors = Arc::new(self.out_neighbors.clone());
-        let in_neighbors = Arc::new(self.in_neighbors.clone());
+        let mut whole = self.shards.pop().flatten().expect(PARKED);
 
         let mut shards: Vec<Shard> = (0..num_shards)
-            .map(|i| Shard {
-                id: i as u32,
-                queue: CalendarQueue::new(),
-                nodes: (0..self.nodes.len()).map(|_| None).collect(),
-                links: LinkTable::new(),
-                crashed: self.crashed.clone(),
-                rng: StdRng::seed_from_u64(
-                    self.seed.wrapping_add((i as u64).wrapping_mul(SHARD_SEED_STRIDE)),
-                ),
-                scratch: Stats::default(),
-                outbox: Vec::new(),
-                stat: ShardStat { shard: i as u32, ..ShardStat::default() },
-                shard_of: shard_of.clone(),
-                out_neighbors: out_neighbors.clone(),
-                in_neighbors: in_neighbors.clone(),
-                up_map: up_map.clone(),
-                attention: self.attention.clone(),
-            })
+            .map(|i| Shard::new(i as u32, self.seed, shard_of.len(), whole.trace.is_some()))
             .collect();
-        for (i, slot) in self.nodes.iter_mut().enumerate() {
-            if let Some(logic) = slot.take() {
-                shards[shard_of[i] as usize].nodes[i] = Some(logic);
+        let owner = |node: NodeId| shard_of[node.0 as usize] as usize;
+        for (i, logic) in whole.nodes.into_iter().enumerate() {
+            shards[owner(NodeId(i as u32))].nodes[i] = logic;
+        }
+        for (i, crashed) in whole.crashed.into_iter().enumerate() {
+            shards[owner(NodeId(i as u32))].crashed[i] = crashed;
+        }
+        let mut min_cross = u64::MAX;
+        for (id, link) in whole.links.into_entries() {
+            if owner(id.from) != owner(id.to) {
+                min_cross = min_cross.min(link.params.prop_delay_ns);
             }
+            shards[owner(id.from)].links.insert(id, link);
         }
-        for (id, link) in entries {
-            let sid = shard_of[id.from.0 as usize] as usize;
-            assert!(shards[sid].links.insert(id, link), "duplicate link {id:?}");
-        }
-
-        let mut sharded = Sharded {
-            shards: shards.into_iter().map(Some).collect(),
-            shard_of,
-            out_neighbors,
-            in_neighbors,
-            up_map,
-            lookahead,
-            threads,
-            admin: BTreeMap::new(),
-            admin_seq: 0,
-            dirty: Vec::new(),
-            pool: None,
-        };
-
-        // Migrate pre-partition events (start hooks, scheduled faults) in
-        // their global (time, seq) order, preserving relative order
-        // within each shard.
-        while let Some((time, _seq, kind)) = self.queue.pop() {
+        // Pending events move in their global (time, seq) order, which
+        // preserves their relative order within each shard.
+        while let Some((time, _seq, kind)) = whole.queue.pop() {
             match kind {
-                EventKind::Arrive { to, from, pkt } => {
-                    sharded.shard_mut(to).queue.push(time, EventKind::Arrive { to, from, pkt })
+                EventKind::Arrive { to, .. } => shards[owner(to)].queue.push(time, kind),
+                EventKind::Timer { node, .. } | EventKind::Start { node } => {
+                    shards[owner(node)].queue.push(time, kind)
                 }
-                EventKind::Timer { node, token } => {
-                    sharded.shard_mut(node).queue.push(time, EventKind::Timer { node, token })
+                EventKind::Fence => {
+                    for shard in shards.iter_mut() {
+                        shard.queue.push(time, EventKind::Fence);
+                    }
                 }
-                EventKind::Start { node } => {
-                    sharded.shard_mut(node).queue.push(time, EventKind::Start { node })
-                }
-                fault => sharded.schedule_admin(time, fault),
             }
         }
 
-        if threads > 1 {
-            let (res_tx, res_rx) = channel();
-            let mut txs = Vec::new();
-            let mut handles = Vec::new();
-            for lane in 1..threads {
-                let (tx, rx) = channel::<Job>();
-                let res = res_tx.clone();
-                handles.push(
-                    std::thread::Builder::new()
-                        .name(format!("netsim-lane-{lane}"))
-                        .spawn(move || worker_loop(rx, res))
-                        .expect("spawn worker lane"),
-                );
-                txs.push(tx);
-            }
-            sharded.pool = Some(Pool { txs, rx: res_rx, handles });
+        net.shard_of = shard_of;
+        self.shards = shards.into_iter().map(Some).collect();
+        self.lookahead = min_cross.saturating_add(1);
+        // More lanes than shards would idle.
+        self.lanes = threads.min(num_shards);
+        if self.lanes > 1 {
+            self.pool = Some(Pool::spawn(self.lanes - 1, &self.net));
         }
-        self.sharded = Some(Box::new(sharded));
     }
 }
 
@@ -698,7 +354,8 @@ mod tests {
     use super::*;
     use crate::link::LinkParams;
     use crate::topology::{FatTreeParams, NodeRole, Topology};
-    use onepipe_types::ids::ProcessId;
+    use crate::trace::Tracer;
+    use onepipe_types::ids::{HostId, LinkId, ProcessId};
     use onepipe_types::time::Timestamp;
     use onepipe_types::wire::{Datagram, Flags, Opcode, PacketHeader};
     use std::sync::Mutex;
@@ -728,6 +385,17 @@ mod tests {
         }
     }
 
+    /// Like [`Recorder`], and answers every packet on the reverse link.
+    struct Echo {
+        log: Log,
+    }
+    impl NodeLogic for Echo {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, pkt: SimPacket) {
+            self.log.lock().unwrap().push((ctx.now(), pkt.dgram.header.psn));
+            ctx.send(from, pkt);
+        }
+    }
+
     struct Blaster {
         peer: NodeId,
         n: u32,
@@ -753,36 +421,52 @@ mod tests {
         (sim, a, b, log)
     }
 
-    /// A single-shard partition reproduces the single-queue engine
-    /// bit-identically, including RNG-driven loss (shard 0 keeps the
-    /// simulation seed).
-    #[test]
-    fn single_shard_partition_matches_legacy_with_loss() {
-        let params = LinkParams { loss_rate: 0.5, ..LinkParams::default() };
-        let (mut legacy, a, _b, log_l) = two_node(params, 1);
-        legacy.set_logic(a, Box::new(Blaster { peer: NodeId(1), n: 1000 }));
-        legacy.run_to_completion();
-
-        let (mut sharded, a2, _b2, log_s) = two_node(params, 1);
-        sharded.set_partition(vec![0, 0], 1);
-        sharded.set_logic(a2, Box::new(Blaster { peer: NodeId(1), n: 1000 }));
-        sharded.run_to_completion();
-
-        assert!(sharded.is_sharded() && !legacy.is_sharded());
-        assert_eq!(*log_l.lock().unwrap(), *log_s.lock().unwrap());
-        assert_eq!(legacy.stats.events, sharded.stats.events);
-        assert_eq!(legacy.stats.packets_sent, sharded.stats.packets_sent);
-        assert_eq!(legacy.stats.drops_inflight, sharded.stats.drops_inflight);
+    /// FNV-1a over an arrival log.
+    fn fnv(log: &[(u64, u32)]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for &(at, psn) in log {
+            for b in at.to_le_bytes().into_iter().chain(psn.to_le_bytes()) {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
     }
 
-    /// Cross-shard delivery matches the legacy engine exactly and is
+    /// The whole-network shard draws loss from the unsalted seed in
+    /// `(time, seq)` order: arrivals and counters equal the values the
+    /// single-queue engine produced (recorded on the commit before the
+    /// engines were unified). Naming the one shard explicitly changes
+    /// nothing.
+    #[test]
+    fn one_shard_matches_the_recorded_single_queue_run_with_loss() {
+        let params = LinkParams { loss_rate: 0.5, ..LinkParams::default() };
+        for explicit in [false, true] {
+            let (mut sim, a, _b, log) = two_node(params, 1);
+            if explicit {
+                sim.set_partition(vec![0, 0], 1);
+            }
+            sim.set_logic(a, Box::new(Blaster { peer: NodeId(1), n: 1000 }));
+            sim.run_to_completion();
+            let log = log.lock().unwrap();
+            assert_eq!((log.len(), fnv(&log)), (ONE_SHARD_LOSS.0, ONE_SHARD_LOSS.1));
+            assert_eq!(
+                (sim.stats.events, sim.stats.packets_sent, sim.stats.drops_inflight),
+                (ONE_SHARD_LOSS.2, 1000, 1000 - ONE_SHARD_LOSS.0 as u64)
+            );
+            assert_eq!(sim.shard_stats().len(), 1);
+        }
+    }
+    /// `(arrivals, fnv(arrival log), events)` of the run above.
+    const ONE_SHARD_LOSS: (usize, u64, u64) = (463, 0x9a8c_df39_cf8b_294c, 465);
+
+    /// Cross-shard delivery matches the one-shard run exactly and is
     /// invariant to the number of worker lanes.
     #[test]
-    fn cross_shard_matches_legacy_and_lane_count() {
-        let (mut legacy, a, _b, log_l) = two_node(LinkParams::default(), 7);
-        legacy.set_logic(a, Box::new(Blaster { peer: NodeId(1), n: 200 }));
-        legacy.run_to_completion();
-        let reference = log_l.lock().unwrap().clone();
+    fn cross_shard_matches_one_shard_and_lane_count() {
+        let (mut whole, a, _b, log_w) = two_node(LinkParams::default(), 7);
+        whole.set_logic(a, Box::new(Blaster { peer: NodeId(1), n: 200 }));
+        whole.run_to_completion();
+        let reference = log_w.lock().unwrap().clone();
         assert_eq!(reference.len(), 200);
 
         for threads in [1, 2, 4] {
@@ -794,15 +478,16 @@ mod tests {
             let stats = sim.shard_stats();
             assert_eq!(stats[0].cross_shard_msgs, 200, "threads={threads}");
             assert_eq!(stats.iter().map(|s| s.events).sum::<u64>(), sim.stats.events);
+            assert_eq!(sim.stats.events, whole.stats.events);
             assert!(stats[0].windows > 0);
         }
     }
 
-    /// Scheduled faults (coordinator-fenced in sharded mode) behave like
-    /// the legacy engine: link flaps block and restore delivery, crashes
-    /// silence a node, and the fault counters match.
+    /// Scheduled faults behave on a split network as on a whole one:
+    /// link flaps block and restore delivery, crashes silence a node,
+    /// and the fault counters match.
     #[test]
-    fn sharded_faults_match_legacy_semantics() {
+    fn faults_on_a_split_network() {
         let (mut sim, a, b, log) = two_node(LinkParams::default(), 3);
         sim.set_partition(vec![0, 1], 2);
         let fwd = LinkId::new(a, b);
@@ -833,6 +518,59 @@ mod tests {
         assert_eq!(sim.stats.faults_crashes, 1);
     }
 
+    /// A fault and an event in the same nanosecond run in push order,
+    /// whatever the partition — the single-queue engine's rule. `a`
+    /// sends one packet to `b`, which echoes it; the fault lands on the
+    /// packet's arrival time, scheduled either before the packet was
+    /// sent or while it was in flight.
+    #[test]
+    fn fault_ties_break_in_push_order_on_every_partition() {
+        /// Returns `(arrivals at b, packets dropped at a down link)`.
+        fn run(
+            split: bool,
+            fault_first: bool,
+            fault: impl Fn(&mut Sim, u64, NodeId, NodeId),
+        ) -> (usize, u64) {
+            let arrival = {
+                let (mut probe, a, _b, log) = two_node(LinkParams::default(), 5);
+                probe.set_logic(a, Box::new(Blaster { peer: NodeId(1), n: 1 }));
+                probe.run_to_completion();
+                let at = log.lock().unwrap()[0].0;
+                at
+            };
+            let (mut sim, a, b, log) = two_node(LinkParams::default(), 5);
+            sim.set_logic(b, Box::new(Echo { log: log.clone() }));
+            if split {
+                sim.set_partition(vec![0, 1], 2);
+            }
+            if fault_first {
+                fault(&mut sim, arrival, a, b);
+            }
+            sim.set_logic(a, Box::new(Blaster { peer: NodeId(1), n: 1 }));
+            sim.run_until(0); // the packet is in flight
+            if !fault_first {
+                fault(&mut sim, arrival, a, b);
+            }
+            sim.run_to_completion();
+            let arrivals = log.lock().unwrap().len();
+            (arrivals, sim.stats.drops_link_down)
+        }
+        let crash = |sim: &mut Sim, at: u64, _a: NodeId, b: NodeId| sim.schedule_crash(at, b);
+        let cut_reply = |sim: &mut Sim, at: u64, a: NodeId, b: NodeId| {
+            sim.schedule_link_down(at, LinkId::new(b, a))
+        };
+        for split in [false, true] {
+            // Scheduled up front, the fault precedes the arrival: the
+            // crashed node never sees the packet; the echo finds its
+            // link down.
+            assert_eq!(run(split, true, crash), (0, 0), "split={split}");
+            assert_eq!(run(split, true, cut_reply), (1, 1), "split={split}");
+            // Scheduled behind the in-flight packet, it follows it.
+            assert_eq!(run(split, false, crash), (1, 0), "split={split}");
+            assert_eq!(run(split, false, cut_reply), (1, 0), "split={split}");
+        }
+    }
+
     /// `with_node` injection works across shard boundaries at the
     /// current simulation time.
     #[test]
@@ -859,6 +597,7 @@ mod tests {
     fn testbed_partition_shape_and_lookahead() {
         let mut sim = Sim::new(0);
         let topo = Topology::build(&mut sim, FatTreeParams::testbed());
+        assert_eq!(sim.lookahead, u64::MAX, "nothing crosses a lone shard");
         let part = topo.partition();
         assert_eq!(part.len(), 50); // 32 hosts + 16 switch halves + 2 cores
         assert_eq!(part.iter().max(), Some(&7)); // 4 racks + 2 pods + 2 cores
@@ -876,61 +615,53 @@ mod tests {
             }
         }
         sim.set_partition(part, 2);
-        assert_eq!(sim.sharded.as_ref().unwrap().lookahead, 501);
+        assert_eq!(sim.lookahead, 501);
     }
 
-    /// Full fat-tree broadcast-style traffic is bit-identical between
-    /// the legacy engine and the sharded engine at 1 and 3 lanes.
+    /// Traffic into host 31 of the testbed fat-tree, injected at its
+    /// ToR: the whole-network shard reproduces the single-queue engine's
+    /// recorded arrivals and event count, and the rack partition
+    /// reproduces the whole-network shard at 1 and 3 lanes — with a
+    /// tracer attached before or after the split, and an identical
+    /// trace.
     #[test]
-    fn fat_tree_traffic_identical_across_engines() {
-        fn run(threads: Option<usize>) -> (Vec<(u64, u32)>, u64) {
+    fn fat_tree_traffic_identical_across_partitions() {
+        fn run(threads: Option<usize>, trace_first: bool) -> (Vec<(u64, u32)>, u64, String) {
             let mut sim = Sim::new(9);
             let topo = Topology::build(&mut sim, FatTreeParams::testbed());
+            let tracer = Tracer::shared(1 << 16);
+            if trace_first {
+                sim.set_tracer(tracer.clone());
+            }
             if let Some(t) = threads {
                 sim.set_partition(topo.partition(), t);
             }
-            let log: Log = Arc::new(Mutex::new(Vec::new()));
-            // Host 31 records; hosts 0, 9 and 17 blast at it through the
-            // fabric (cross-rack, cross-pod and intra-pod paths).
-            sim.set_logic(
-                topo.host_node(onepipe_types::ids::HostId(31)),
-                Box::new(Recorder { log: log.clone() }),
-            );
-            for src in [0u32, 9, 17] {
-                let peer = topo.host_node(onepipe_types::ids::HostId(31));
-                // Relay through the fabric: hosts forward directly along
-                // ECMP routes is the endpoint crates' job; here nodes are
-                // wired point-to-point, so attach the blaster to the
-                // recorder's ToR-down neighbor instead of routing.
-                let src_node = topo.host_node(onepipe_types::ids::HostId(src));
-                let _ = (peer, src_node);
+            if !trace_first {
+                sim.set_tracer(tracer.clone());
             }
-            // Blast over the host's direct uplink path via with_node
-            // injection at the ToR-down switch serving host 31.
-            let tor_down = {
-                let tor_up = topo.tor_up_of(onepipe_types::ids::HostId(31));
-                NodeId(tor_up.0 + 1)
-            };
+            let log: Log = Arc::new(Mutex::new(Vec::new()));
+            let sink = topo.host_node(HostId(31));
+            sim.set_logic(sink, Box::new(Recorder { log: log.clone() }));
+            let tor_down = NodeId(topo.tor_up_of(HostId(31)).0 + 1);
             sim.set_logic(tor_down, Box::new(Blaster { peer: NodeId(0), n: 0 }));
             sim.run_until(100);
             for i in 0..50u32 {
                 sim.with_node(tor_down, |_, ctx| {
-                    ctx.send(
-                        topo.host_node(onepipe_types::ids::HostId(31)),
-                        SimPacket::new(dgram(i)),
-                    );
+                    ctx.send(sink, SimPacket::new(dgram(i)));
                 });
             }
             sim.run_to_completion();
             let l = log.lock().unwrap().clone();
-            (l, sim.stats.events)
+            let dump = tracer.borrow().dump();
+            (l, sim.stats.events, dump)
         }
-        let (ref_log, ref_events) = run(None);
-        assert_eq!(ref_log.len(), 50);
-        for threads in [1, 3] {
-            let (l, e) = run(Some(threads));
-            assert_eq!(l, ref_log, "threads={threads}");
-            assert_eq!(e, ref_events, "threads={threads}");
+        let whole = run(None, true);
+        assert_eq!((whole.0.len(), fnv(&whole.0), whole.1), FAT_TREE_WHOLE);
+        assert_eq!(whole.2.lines().count(), 50, "every arrival is traced");
+        for (threads, trace_first) in [(1, true), (1, false), (3, true), (3, false)] {
+            assert_eq!(run(Some(threads), trace_first), whole, "threads={threads}");
         }
     }
+    /// `(arrivals, fnv(arrival log), events)` of the whole-network run.
+    const FAT_TREE_WHOLE: (usize, u64, u64) = (50, 0xae37_e8e2_29d0_7416, 52);
 }

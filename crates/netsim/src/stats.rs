@@ -51,9 +51,9 @@ impl Stats {
             + self.faults_ctrl_partitions
     }
 
-    /// Add every counter from `other` into `self` — used by the sharded
-    /// engine to fold per-shard scratch counters into the global totals
-    /// at each window barrier.
+    /// Add every counter from `other` into `self` — the engine folds
+    /// per-shard scratch counters into the global totals this way at
+    /// each window barrier.
     pub fn merge(&mut self, other: &Stats) {
         self.events += other.events;
         self.packets_sent += other.packets_sent;
@@ -74,8 +74,8 @@ impl Stats {
     }
 }
 
-/// Per-shard counters maintained by the sharded engine (see
-/// [`crate::shard`]); retrieved via `Sim::shard_stats`.
+/// Per-shard counters (see [`crate::shard`]); retrieved via
+/// `Sim::shard_stats`.
 #[derive(Clone, Debug, Default)]
 pub struct ShardStat {
     /// Shard id (index into the partition).

@@ -389,7 +389,7 @@ impl Topology {
         self.next_hops(hop, dst).iter().any(|&n| self.hop_viable(hop, n, dst, up))
     }
 
-    /// Shard assignment for the sharded engine ([`Sim::set_partition`]):
+    /// The rack partition, for [`Sim::set_partition`]:
     /// one shard per rack subtree (the rack's hosts plus both halves of
     /// its ToR and every intra-rack link), one shard per pod's spine
     /// group, and one per core switch. Every link that crosses a shard

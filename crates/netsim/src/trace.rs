@@ -6,8 +6,15 @@
 //! recorded (after loss/drop filtering, i.e. what the receiving node
 //! actually saw). The buffer is a ring: the newest `capacity` records win.
 //!
+//! Whichever thread runs a shard, it only appends to that shard's own
+//! buffer; the simulator hands the buffers to the tracer at each window
+//! barrier, ordered by `(time, shard, position)` — the order cross-shard
+//! packets are merged in — so a trace is the same for every lane count,
+//! and the filters below apply at that hand-over.
+//!
 //! [`Sim::set_tracer`]: crate::engine::Sim::set_tracer
 
+use crate::engine::SimPacket;
 use onepipe_types::ids::NodeId;
 use onepipe_types::time::Timestamp;
 use onepipe_types::wire::Opcode;
@@ -36,6 +43,24 @@ pub struct TraceRecord {
     pub commit_barrier: Timestamp,
     /// Bytes on the wire.
     pub wire_bytes: u64,
+}
+
+impl TraceRecord {
+    /// The record of `pkt` arriving over `from → to` at time `at`.
+    pub(crate) fn arrival(at: u64, from: NodeId, to: NodeId, pkt: &SimPacket) -> TraceRecord {
+        let h = &pkt.dgram.header;
+        TraceRecord {
+            at,
+            from,
+            to,
+            opcode: h.opcode,
+            psn: h.psn,
+            msg_ts: h.msg_ts,
+            barrier: h.barrier,
+            commit_barrier: h.commit_barrier,
+            wire_bytes: pkt.wire_bytes,
+        }
+    }
 }
 
 /// A bounded ring buffer of [`TraceRecord`]s, shareable with the harness.

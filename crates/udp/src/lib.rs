@@ -12,10 +12,11 @@
 //!   same [`BarrierAggregator`] the simulated switches use, beacons every
 //!   interval, and re-reports input links that fall silent until the
 //!   controller resumes them;
-//! * a **replicated controller**: [`UdpCluster::with_full_options`]
-//!   spawns N controller replica processes, each a socket + thread
-//!   running a [`ReplicatedController`] — Raft traffic travels as
-//!   [`MgmtFrame::Raft`] datagrams between replicas, and only the elected
+//! * a **replicated controller**: [`UdpClusterBuilder::controllers`]
+//!   sets how many controller replica processes are spawned, each a
+//!   socket + thread running a [`ReplicatedController`] — Raft traffic
+//!   travels as [`MgmtFrame::Raft`] datagrams between replicas, and only
+//!   the elected
 //!   leader emits Announce/Resume decisions (epoch-tagged so hosts and
 //!   the switch fence off deposed leaders). Replicas can be killed at
 //!   runtime ([`UdpCluster::kill_controller`]); the survivors elect a new
@@ -206,8 +207,7 @@ struct NetOpts {
     max_frame: usize,
 }
 
-/// Configures and spawns a [`UdpCluster`]. The `with_*` constructors on
-/// [`UdpCluster`] are thin wrappers over this.
+/// Configures and spawns a [`UdpCluster`] — the one way to build one.
 pub struct UdpClusterBuilder {
     n: usize,
     n_ctrl: usize,
@@ -457,55 +457,6 @@ pub struct UdpCluster {
 }
 
 impl UdpCluster {
-    /// Spin up `n` processes plus the soft switch and a 3-replica
-    /// controller on 127.0.0.1.
-    pub fn new(n: usize, cfg: EndpointConfig) -> std::io::Result<UdpCluster> {
-        UdpClusterBuilder::new(n).config(cfg).build()
-    }
-
-    /// Like [`new`](Self::new) with a custom beacon interval.
-    pub fn with_beacon_interval(
-        n: usize,
-        cfg: EndpointConfig,
-        beacon_interval: NsDuration,
-    ) -> std::io::Result<UdpCluster> {
-        UdpClusterBuilder::new(n).config(cfg).beacon_interval(beacon_interval).build()
-    }
-
-    /// Like [`with_full_options`](Self::with_full_options) with 3
-    /// controller replicas started immediately.
-    pub fn with_options(
-        n: usize,
-        cfg: EndpointConfig,
-        beacon_interval: NsDuration,
-        dead_timeout: NsDuration,
-    ) -> std::io::Result<UdpCluster> {
-        UdpClusterBuilder::new(n)
-            .config(cfg)
-            .beacon_interval(beacon_interval)
-            .dead_timeout(dead_timeout)
-            .build()
-    }
-
-    /// Full-control constructor kept for existing callers; new code
-    /// should prefer [`UdpClusterBuilder`].
-    pub fn with_full_options(
-        n: usize,
-        n_ctrl: usize,
-        cfg: EndpointConfig,
-        beacon_interval: NsDuration,
-        dead_timeout: NsDuration,
-        ctrl_start_delay: Duration,
-    ) -> std::io::Result<UdpCluster> {
-        UdpClusterBuilder::new(n)
-            .controllers(n_ctrl)
-            .config(cfg)
-            .beacon_interval(beacon_interval)
-            .dead_timeout(dead_timeout)
-            .ctrl_start_delay(ctrl_start_delay)
-            .build()
-    }
-
     /// Cluster-wide transport I/O counters (all hosts + switch +
     /// controllers): frames vs datagrams, bytes, decode errors, and the
     /// TX batch-size histogram.
@@ -1346,7 +1297,7 @@ mod tests {
     #[test]
     fn udp_best_effort_total_order() {
         let _guard = TEST_LOCK.lock();
-        let cluster = UdpCluster::new(3, EndpointConfig::default()).unwrap();
+        let cluster = UdpClusterBuilder::new(3).build().unwrap();
         std::thread::sleep(Duration::from_millis(50)); // barriers start
                                                        // Processes 0 and 1 both scatter to receiver 2.
         for round in 0..10 {
@@ -1383,7 +1334,7 @@ mod tests {
     #[test]
     fn udp_reliable_delivery() {
         let _guard = TEST_LOCK.lock();
-        let cluster = UdpCluster::new(2, EndpointConfig::default()).unwrap();
+        let cluster = UdpClusterBuilder::new(2).build().unwrap();
         std::thread::sleep(Duration::from_millis(50));
         cluster.process(0).send_reliable(vec![Message::new(ProcessId(1), "guaranteed")]);
         let got =
@@ -1396,7 +1347,7 @@ mod tests {
     #[test]
     fn udp_raw_messages() {
         let _guard = TEST_LOCK.lock();
-        let cluster = UdpCluster::new(2, EndpointConfig::default()).unwrap();
+        let cluster = UdpClusterBuilder::new(2).build().unwrap();
         std::thread::sleep(Duration::from_millis(20));
         cluster.process(0).send_raw(ProcessId(1), "rpc");
         let deadline = Instant::now() + Duration::from_secs(5);
@@ -1414,7 +1365,7 @@ mod tests {
     #[test]
     fn udp_send_traced_reports_ts_and_seq() {
         let _guard = TEST_LOCK.lock();
-        let cluster = UdpCluster::new(2, EndpointConfig::default()).unwrap();
+        let cluster = UdpClusterBuilder::new(2).build().unwrap();
         std::thread::sleep(Duration::from_millis(50));
         let (ts1, seq1) = cluster
             .process(0)
@@ -1432,7 +1383,7 @@ mod tests {
     #[test]
     fn udp_stats_count_frames_datagrams_and_decode_errors() {
         let _guard = TEST_LOCK.lock();
-        let cluster = UdpCluster::new(2, EndpointConfig::default()).unwrap();
+        let cluster = UdpClusterBuilder::new(2).build().unwrap();
         std::thread::sleep(Duration::from_millis(50));
         cluster.process(0).send_reliable(vec![Message::new(ProcessId(1), "counted")]);
         cluster.process(1).recv_timeout(Duration::from_secs(5)).expect("delivery");
@@ -1521,7 +1472,7 @@ mod tests {
     #[test]
     fn udp_elects_exactly_one_controller_leader() {
         let _guard = TEST_LOCK.lock();
-        let cluster = UdpCluster::new(2, EndpointConfig::default()).unwrap();
+        let cluster = UdpClusterBuilder::new(2).build().unwrap();
         assert_eq!(cluster.controller_count(), 3);
         let deadline = Instant::now() + Duration::from_secs(10);
         let mut leader = None;

@@ -7,14 +7,13 @@
 //!
 //! Run with: `cargo run --example udp_live`
 
-use onepipe::service::config::EndpointConfig;
 use onepipe::types::ids::ProcessId;
 use onepipe::types::message::Message;
-use onepipe::udp::UdpCluster;
+use onepipe::udp::UdpClusterBuilder;
 use std::time::{Duration, Instant};
 
 fn main() {
-    let cluster = UdpCluster::new(4, EndpointConfig::default()).expect("bind sockets");
+    let cluster = UdpClusterBuilder::new(4).build().expect("bind sockets");
     println!("4 processes + soft switch live on 127.0.0.1");
     std::thread::sleep(Duration::from_millis(50)); // barriers warm up
 

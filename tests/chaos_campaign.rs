@@ -63,12 +63,12 @@ fn chaos_replay_matches_recorded_delivery_log() {
     );
 }
 
-/// Sharded-engine determinism regression: the same chaos seed replayed
-/// on the rack-sharded engine must produce a byte-identical delivery log
-/// for every compute-lane count ≥ 1, and match the recorded golden.
-/// (The sharded golden differs from `replay_seed3.log`: the sharded
-/// harness pumps the control plane at window barriers rather than after
-/// every event, which shifts recovery timing — deterministically.)
+/// Partition determinism regression: the same chaos seed replayed on the
+/// rack partition must produce a byte-identical delivery log for every
+/// compute-lane count ≥ 1, and match the recorded golden. (This golden
+/// differs from `replay_seed3.log`: a split network draws loss from
+/// per-shard streams and pumps the control plane at window barriers,
+/// which shifts recovery timing — deterministically.)
 /// Regenerate deliberately with `BLESS_CHAOS_REPLAY=1 cargo test`.
 #[test]
 fn sharded_chaos_replay_matches_golden_across_lane_counts() {

@@ -20,7 +20,7 @@ use onepipe::service::harness::{Cluster, ClusterConfig};
 use onepipe::types::ids::ProcessId;
 use onepipe::types::message::Message;
 use onepipe::types::time::MICROS;
-use onepipe::udp::{UdpCluster, UdpClusterBuilder};
+use onepipe::udp::UdpClusterBuilder;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::{Arc, Mutex};
@@ -187,7 +187,7 @@ fn run_sim() -> ShardState {
 /// standing in for the shard server's apply loop.
 fn run_udp() -> ShardState {
     let n = (N_CLIENTS + 1) as usize;
-    let cluster = UdpCluster::new(n, EndpointConfig::default()).unwrap();
+    let cluster = UdpClusterBuilder::new(n).build().unwrap();
     std::thread::sleep(Duration::from_millis(50)); // barriers start
 
     let mut shard = ShardState::new();

@@ -203,27 +203,65 @@ fn causality_delivered_ts_below_receiver_clock() {
 fn tracer_sees_barrier_flow() {
     use onepipe::sim::Tracer;
     use onepipe::types::wire::Opcode;
-    let mut c = Cluster::new(ClusterConfig::single_rack(4, 4));
-    let tracer = Tracer::shared(4096);
-    tracer.borrow_mut().opcode_filter = Some(Opcode::Beacon);
-    c.sim.set_tracer(tracer.clone());
-    c.run_for(100 * MICROS);
-    c.send(ProcessId(0), vec![Message::new(ProcessId(1), "traced")], false).unwrap();
-    c.run_for(100 * MICROS);
-    let t = tracer.borrow();
-    assert!(t.captured > 50, "beacons must flow continuously: {}", t.captured);
-    // Barrier values on any single link are non-decreasing (FIFO +
-    // monotone registers) — check the busiest traced link.
-    use std::collections::HashMap;
-    let mut per_link: HashMap<_, Vec<u64>> = HashMap::new();
-    for r in t.records() {
-        per_link.entry((r.from, r.to)).or_default().push(r.barrier.raw());
+    // On a whole-network shard and on a rack partition.
+    let mut split = ClusterConfig::testbed(16);
+    split.threads = 2;
+    for cfg in [ClusterConfig::single_rack(4, 4), split] {
+        let threads = cfg.threads;
+        let mut c = Cluster::new(cfg);
+        let tracer = Tracer::shared(1 << 16);
+        tracer.borrow_mut().opcode_filter = Some(Opcode::Beacon);
+        c.sim.set_tracer(tracer.clone());
+        c.run_for(100 * MICROS);
+        c.send(ProcessId(0), vec![Message::new(ProcessId(1), "traced")], false).unwrap();
+        c.run_for(100 * MICROS);
+        let t = tracer.borrow();
+        assert!(t.captured > 50, "beacons must flow continuously: {}", t.captured);
+        // Barrier values on any single link are non-decreasing (FIFO +
+        // monotone registers) — check the busiest traced link.
+        use std::collections::HashMap;
+        let mut per_link: HashMap<_, Vec<u64>> = HashMap::new();
+        for r in t.records() {
+            per_link.entry((r.from, r.to)).or_default().push(r.barrier.raw());
+        }
+        let (link, vals) = per_link.iter().max_by_key(|(_, v)| v.len()).unwrap();
+        assert!(vals.len() > 5);
+        for w in vals.windows(2) {
+            assert!(w[0] <= w[1], "barrier regressed on {link:?}, threads={threads}");
+        }
     }
-    let (link, vals) = per_link.iter().max_by_key(|(_, v)| v.len()).unwrap();
-    assert!(vals.len() > 5);
-    for w in vals.windows(2) {
-        assert!(w[0] <= w[1], "barrier regressed on {link:?}");
-    }
+}
+
+/// A packet trace is part of the deterministic output: on a rack
+/// partition it is the same for every lane count, and the
+/// whole-network shard's is the single-queue engine's (count and FNV-1a
+/// of the dump recorded on the commit before the engines were unified).
+#[test]
+fn packet_trace_is_lane_invariant_and_pinned_on_one_shard() {
+    use onepipe::sim::Tracer;
+    let run = |threads: usize| {
+        let mut cfg = ClusterConfig::testbed(32);
+        cfg.seed = 7;
+        cfg.threads = threads;
+        let mut c = Cluster::new(cfg);
+        let tracer = Tracer::shared(1 << 20);
+        c.sim.set_tracer(tracer.clone());
+        c.run_for(60 * MICROS);
+        for p in 0..32u32 {
+            let to = ProcessId((p * 7 + 3) % 32);
+            c.send(ProcessId(p), vec![Message::new(to, "t")], p % 2 == 0).unwrap();
+        }
+        c.run_for(150 * MICROS);
+        let t = tracer.borrow();
+        let fnv = t.dump().bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        (t.captured, fnv)
+    };
+    assert_eq!(run(0), (11_308, 0x37ad_8f89_a0ec_e842));
+    let one_lane = run(1);
+    assert!(one_lane.0 > 10_000, "the partitioned run is traced: {}", one_lane.0);
+    assert_eq!(run(2), one_lane);
 }
 
 #[test]

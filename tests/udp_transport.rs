@@ -13,7 +13,7 @@ use onepipe::service::harness::{Cluster, ClusterConfig};
 use onepipe::types::ids::ProcessId;
 use onepipe::types::message::Message;
 use onepipe::types::time::{MICROS, MILLIS};
-use onepipe::udp::{UdpCluster, UdpClusterBuilder};
+use onepipe::udp::UdpClusterBuilder;
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
@@ -74,7 +74,7 @@ fn conformance_sim_reliable_scatter() {
 #[test]
 fn conformance_udp_reliable_scatter() {
     let _guard = TEST_LOCK.lock();
-    let cluster = UdpCluster::new(N, EndpointConfig::default()).unwrap();
+    let cluster = UdpClusterBuilder::new(N).build().unwrap();
     std::thread::sleep(Duration::from_millis(50)); // barriers start
     let mut oracle = Oracle::new();
     for (round, (sender, receivers)) in workload().into_iter().enumerate() {
@@ -176,8 +176,7 @@ fn udp_kill_one_process_recovers() {
     let _guard = TEST_LOCK.lock();
     // Shorter dead-link timeout than the default so the Detect step fires
     // quickly; still far above the 100 µs beacon cadence.
-    let mut cluster =
-        UdpCluster::with_options(3, EndpointConfig::default(), 100 * MICROS, 500 * MILLIS).unwrap();
+    let mut cluster = UdpClusterBuilder::new(3).dead_timeout(500 * MILLIS).build().unwrap();
     std::thread::sleep(Duration::from_millis(100));
     // Baseline: reliable delivery works before the failure.
     cluster.process(0).send_reliable(vec![Message::new(ProcessId(1), "before")]);
@@ -234,8 +233,7 @@ fn udp_kill_one_process_recovers() {
 #[test]
 fn udp_controller_failover_mid_recovery() {
     let _guard = TEST_LOCK.lock();
-    let mut cluster =
-        UdpCluster::with_options(3, EndpointConfig::default(), 100 * MICROS, 600 * MILLIS).unwrap();
+    let mut cluster = UdpClusterBuilder::new(3).dead_timeout(600 * MILLIS).build().unwrap();
     // Wait for the initial election, then for barriers to flow.
     let deadline = Instant::now() + Duration::from_secs(10);
     let mut leader = None;
@@ -317,15 +315,11 @@ fn udp_controller_failover_mid_recovery() {
 #[test]
 fn udp_ctrl_backoff_retries_until_leader() {
     let _guard = TEST_LOCK.lock();
-    let mut cluster = UdpCluster::with_full_options(
-        3,
-        3,
-        EndpointConfig::default(),
-        100 * MICROS,
-        300 * MILLIS,
-        Duration::from_millis(1200),
-    )
-    .unwrap();
+    let mut cluster = UdpClusterBuilder::new(3)
+        .dead_timeout(300 * MILLIS)
+        .ctrl_start_delay(Duration::from_millis(1200))
+        .build()
+        .unwrap();
     // Processes and the switch run immediately; only the controllers
     // sleep. Failure-free traffic needs no controller.
     std::thread::sleep(Duration::from_millis(100));
