@@ -1,8 +1,10 @@
 //! Criterion micro-benchmarks of 1Pipe's hot paths: the calendar-queue
-//! event scheduler, live routing, timestamp ordering, wire codec, barrier
-//! aggregation (eq. 4.1), the receive-side reorder buffer, and the
-//! zipfian workload generator — plus the reorder-buffer data-structure
-//! ablation (BTreeMap vs sorted Vec) from DESIGN.md §5.
+//! event scheduler, live routing and the switch's cached lookup, timestamp
+//! ordering, wire codec, the empty payload every control packet carries,
+//! barrier aggregation (eq. 4.1), the receive-side reorder buffer, the
+//! endpoint's idle tick and reliable round trip, and the zipfian workload
+//! generator — plus the reorder-buffer data-structure ablation (BTreeMap
+//! vs sorted Vec) from DESIGN.md §5.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use onepipe_core::frag::START_OF_MESSAGE;
@@ -124,6 +126,61 @@ fn bench_route_live(c: &mut Criterion) {
     });
 }
 
+/// The switch's per-packet routing lookup on the testbed, from a ToR
+/// uplink: with every link up (the flow's hashed spine is viable), and
+/// with one of the pod's two spines crashed (half the inter-rack flows
+/// fail over to the survivor).
+fn bench_switch_next_hop(c: &mut Criterion) {
+    use onepipe_netsim::engine::{Sim, SimPacket};
+    use onepipe_netsim::topology::{FatTreeParams, NodeRole, Topology};
+    use onepipe_switchlogic::{SwitchConfig, SwitchLogic, SwitchShared};
+    use onepipe_types::ids::HostId;
+    use onepipe_types::process_map::ProcessMap;
+    use std::sync::{Arc, Mutex};
+    for (name, spine_down) in
+        [("switch/next_hop/all_up", false), ("switch/next_hop/one_spine_down", true)]
+    {
+        let mut sim = Sim::new(1);
+        let topo = Arc::new(Topology::build(&mut sim, FatTreeParams::testbed()));
+        let n = topo.num_hosts() as u32;
+        let shared = SwitchShared {
+            topo: topo.clone(),
+            procs: Arc::new(ProcessMap::place_round_robin(n as usize, n as usize)),
+            events: Arc::new(Mutex::new(Vec::new())),
+        };
+        for &s in &topo.switch_nodes {
+            sim.set_logic(s, Box::new(SwitchLogic::new(shared.clone(), SwitchConfig::default())));
+        }
+        if spine_down {
+            let is_spine = |s: &NodeId| topo.role(*s) == NodeRole::SpineUp { pod: 0, idx: 0 };
+            let spine = topo.switch_nodes.iter().copied().find(is_spine);
+            sim.schedule_crash(0, spine.expect("the testbed has spines"));
+        }
+        sim.run_until(1);
+        let pkts: Vec<SimPacket> = (0..n)
+            .map(|i| {
+                SimPacket::new(Datagram {
+                    src: ProcessId(i % 8),
+                    dst: ProcessId((i * 7 + 9) % n),
+                    header: PacketHeader::data(Timestamp::from_nanos(42), i, Flags::END_OF_MESSAGE),
+                    payload: bytes::Bytes::new(),
+                })
+            })
+            .collect();
+        sim.with_node(topo.tor_up_of(HostId(0)), |logic, ctx| {
+            let sw = logic.as_any_mut().and_then(|l| l.downcast_mut::<SwitchLogic>());
+            let sw = sw.expect("a switch runs SwitchLogic");
+            let mut i = 0usize;
+            c.bench_function(name, |bench| {
+                bench.iter(|| {
+                    i = if i + 1 == pkts.len() { 0 } else { i + 1 };
+                    black_box(sw.next_hop(ctx, &pkts[i]))
+                })
+            });
+        });
+    }
+}
+
 fn bench_timestamp(c: &mut Criterion) {
     let a = Timestamp::from_nanos(123_456_789);
     let b = Timestamp::from_nanos(123_456_790);
@@ -146,6 +203,18 @@ fn bench_wire(c: &mut Criterion) {
     let encoded = d.encode();
     c.bench_function("wire/decode_64B", |bench| {
         bench.iter(|| black_box(Datagram::decode(encoded.clone()).unwrap()))
+    });
+}
+
+/// What every beacon, ACK, NAK and Commit does with its payload.
+fn bench_empty_bytes(c: &mut Criterion) {
+    c.bench_function("bytes/empty_new_clone_drop", |bench| {
+        bench.iter(|| {
+            let payload = black_box(bytes::Bytes::new());
+            let copy = black_box(payload.clone());
+            drop(payload);
+            copy.len()
+        })
     });
 }
 
@@ -220,6 +289,77 @@ fn bench_reorder_ablation_sorted_vec(c: &mut Criterion) {
     group.finish();
 }
 
+/// The host tick (one per beacon interval per endpoint) on an endpoint
+/// with channels open toward 31 peers and nothing outstanding, and one
+/// 64 B reliable message from submit to delivery between two hand-pumped
+/// endpoints (Prepare, ACK, Commit, barrier).
+fn bench_endpoint(c: &mut Criterion) {
+    use onepipe_core::endpoint::HOP_LOCAL;
+    use onepipe_core::{Endpoint, EndpointConfig};
+    use onepipe_types::message::Message;
+    let ts = Timestamp::from_nanos;
+    let cfg = EndpointConfig::default().beacon_only_barriers();
+    // Move everything `from` queued to `to`; the Commit stays behind.
+    fn pump(from: &mut Endpoint, to: &mut Endpoint, now: Timestamp) -> Option<Datagram> {
+        let mut commit = None;
+        while let Some(d) = from.poll_transmit() {
+            if d.dst == HOP_LOCAL {
+                commit = Some(d);
+            } else {
+                to.handle_datagram(now, d);
+            }
+        }
+        commit
+    }
+
+    let mut a = Endpoint::new(ProcessId(0), cfg);
+    let mut peers: Vec<Endpoint> = (1..32).map(|p| Endpoint::new(ProcessId(p), cfg)).collect();
+    for reliable in [false, true] {
+        let msgs = (1..32).map(|p| Message::new(ProcessId(p), vec![0u8; 64])).collect();
+        let sent = if reliable {
+            a.send_reliable(ts(1_000), msgs)
+        } else {
+            a.send_unreliable(ts(1_000), msgs)
+        };
+        sent.expect("send buffer has room");
+        while let Some(d) = a.poll_transmit() {
+            if d.dst != HOP_LOCAL {
+                let peer = &mut peers[d.dst.0 as usize - 1];
+                peer.handle_datagram(ts(1_001), d);
+                pump(peer, &mut a, ts(1_002));
+            }
+        }
+    }
+    while a.poll_transmit().is_some() || a.poll_event().is_some() {}
+    assert_eq!(a.buffered_bytes(), 0, "everything was acknowledged");
+    let mut now = 3_000u64;
+    c.bench_function("endpoint/tick_idle_31_peers", |bench| {
+        bench.iter(|| {
+            now += 3_000;
+            a.poll(ts(now));
+            black_box(a.poll_transmit())
+        })
+    });
+
+    let (mut a, mut b) = (Endpoint::new(ProcessId(0), cfg), Endpoint::new(ProcessId(1), cfg));
+    let payload = bytes::Bytes::from(vec![0u8; 64]);
+    let mut now = 1_000u64;
+    c.bench_function("endpoint/rel_roundtrip_64B", |bench| {
+        bench.iter(|| {
+            now += 1_000;
+            let msg = Message { dst: ProcessId(1), payload: payload.clone() };
+            a.send_reliable(ts(now), vec![msg]).expect("send buffer has room");
+            pump(&mut a, &mut b, ts(now + 1)); // prepare
+            pump(&mut b, &mut a, ts(now + 2)); // ack
+            a.poll(ts(now + 3));
+            let commit = pump(&mut a, &mut b, ts(now + 3)).expect("commit after the full ack");
+            b.on_barrier(Timestamp::ZERO, commit.header.commit_barrier);
+            while a.poll_event().is_some() {}
+            black_box(b.recv_reliable().expect("delivered once committed"))
+        })
+    });
+}
+
 fn bench_zipf(c: &mut Criterion) {
     use onepipe_apps::workload::KeyDist;
     use rand::SeedableRng;
@@ -234,11 +374,14 @@ criterion_group!(
     benches,
     bench_sched,
     bench_route_live,
+    bench_switch_next_hop,
     bench_timestamp,
     bench_wire,
+    bench_empty_bytes,
     bench_barrier_aggregation,
     bench_reorder_buffer,
     bench_reorder_ablation_sorted_vec,
+    bench_endpoint,
     bench_zipf
 );
 criterion_main!(benches);

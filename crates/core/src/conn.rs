@@ -119,7 +119,10 @@ impl TxChannel {
         }
     }
 
-    /// Packets whose (re)transmission timer expired at local time `now`.
+    /// Packets whose (re)transmission timer expired at local time `now`:
+    /// the brute-force reference [`TxTable::scan_expired`] is tested
+    /// against.
+    #[cfg(test)]
     pub fn expired(&self, now: Timestamp, timeout: u64) -> Vec<u32> {
         self.outstanding
             .iter()
@@ -131,6 +134,93 @@ impl TxChannel {
     /// Total buffered bytes (send-buffer memory accounting).
     pub fn buffered_bytes(&self) -> usize {
         self.outstanding.values().map(|p| p.dgram.payload.len()).sum()
+    }
+}
+
+/// One service's channels toward every peer contacted so far, dense and
+/// sorted by peer id: the timeout scan walks them in `ProcessId` order
+/// (emission order must not vary from run to run, or deterministic replay
+/// breaks) and a lookup is a binary search over one contiguous array.
+#[derive(Debug, Default)]
+pub struct TxTable {
+    channels: Vec<TxChannel>,
+    /// No timed packet on any channel was (re)sent before this; `None`
+    /// only while none is outstanding. Conservative: an ACK removes a
+    /// packet without raising it, the next scan does.
+    oldest_sent: Option<Timestamp>,
+}
+
+impl TxTable {
+    fn position(&self, peer: ProcessId) -> Result<usize, usize> {
+        self.channels.binary_search_by_key(&peer, |ch| ch.peer)
+    }
+
+    /// The channel toward `peer`, if one was ever opened.
+    pub fn get(&self, peer: ProcessId) -> Option<&TxChannel> {
+        self.position(peer).ok().map(|i| &self.channels[i])
+    }
+
+    /// Mutable access to the channel toward `peer`.
+    pub fn get_mut(&mut self, peer: ProcessId) -> Option<&mut TxChannel> {
+        self.position(peer).ok().map(|i| &mut self.channels[i])
+    }
+
+    /// The channel toward `peer`, opened on first use.
+    pub fn get_or_open(&mut self, peer: ProcessId, initial_cwnd: u32, gain: f64) -> &mut TxChannel {
+        let i = self.position(peer).unwrap_or_else(|i| {
+            self.channels.insert(i, TxChannel::new(peer, initial_cwnd, gain));
+            i
+        });
+        &mut self.channels[i]
+    }
+
+    /// Every open channel, in peer order.
+    pub fn iter(&self) -> impl Iterator<Item = &TxChannel> {
+        self.channels.iter()
+    }
+
+    /// Every open channel, mutably, in peer order.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut TxChannel> {
+        self.channels.iter_mut()
+    }
+
+    /// A packet was tracked on some channel with `sent_at = now`. Local
+    /// time never runs backwards, so only the first one since the table
+    /// was last found empty can lower the bound.
+    pub fn note_sent(&mut self, now: Timestamp) {
+        self.oldest_sent.get_or_insert(now);
+    }
+
+    /// Visit every packet whose timer expired at local time `now`, in
+    /// `(peer, psn)` order; `visit` may restart the timer (`sent_at`) and
+    /// returns whether the packet stays outstanding. Packets handed to the
+    /// controller (`forwarding`) are no longer timed. One comparison when
+    /// nothing can be due; otherwise a walk over every outstanding packet,
+    /// which also refreshes the bound.
+    pub fn scan_expired(
+        &mut self,
+        now: Timestamp,
+        timeout: u64,
+        mut visit: impl FnMut(ProcessId, &mut OutPacket) -> bool,
+    ) {
+        if self.oldest_sent.is_none_or(|oldest| now.since(oldest) < timeout) {
+            return;
+        }
+        let mut oldest: Option<Timestamp> = None;
+        for ch in &mut self.channels {
+            let peer = ch.peer;
+            ch.outstanding.retain(|_, pkt| {
+                if pkt.forwarding {
+                    return true;
+                }
+                let keep = now.since(pkt.sent_at) < timeout || visit(peer, pkt);
+                if keep {
+                    oldest = Some(oldest.map_or(pkt.sent_at, |o| o.min(pkt.sent_at)));
+                }
+                keep
+            });
+        }
+        self.oldest_sent = oldest;
     }
 }
 

@@ -20,9 +20,9 @@
 //! callback, and reports completion.
 
 use crate::config::{DeliveryMode, EndpointConfig};
-use crate::conn::{OutPacket, TxChannel};
+use crate::conn::{OutPacket, TxChannel, TxTable};
 use crate::events::{CtrlRequest, UserEvent};
-use crate::frag::{fragment_count, fragment_message, parse_fragment, REL_CHANNEL};
+use crate::frag::{fragment_count, fragments, parse_fragment, REL_CHANNEL};
 use crate::reorder::{Insert, ReorderBuffer};
 use bytes::{BufMut, Bytes, BytesMut};
 use onepipe_types::ids::{ProcessId, ScatteringId};
@@ -31,7 +31,7 @@ use onepipe_types::time::Timestamp;
 use onepipe_types::wire::{Datagram, Flags, Opcode, PacketHeader};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Sentinel destination for hop-by-hop packets (Commit messages die at the
 /// first-hop switch).
@@ -48,10 +48,19 @@ struct PendingScattering {
     ts: Timestamp,
     reliable: bool,
     msgs: Vec<Message>,
-    /// Packets needed per destination.
-    needs: Vec<(ProcessId, u32)>,
-    /// Credits already reserved per destination (head of queue only).
-    reserved: BTreeMap<ProcessId, u32>,
+    /// Window credits per destination, in `ProcessId` order (the
+    /// reservation order must not vary from run to run).
+    needs: Vec<Need>,
+}
+
+/// The window credits one scattering needs toward one destination.
+#[derive(Debug)]
+struct Need {
+    dst: ProcessId,
+    /// Packets the scattering sends to `dst`.
+    packets: u32,
+    /// Credits already reserved (head of queue only).
+    reserved: u32,
 }
 
 /// Commit-tracking state of an in-flight reliable scattering.
@@ -162,11 +171,11 @@ pub struct Endpoint {
     next_seq: u64,
     last_ts_assigned: Timestamp,
     pending: VecDeque<PendingScattering>,
-    // Ordered maps throughout: the timeout pumps iterate these to emit
-    // retransmits/recalls, and emission order must not vary run-to-run
-    // or deterministic replay breaks.
-    be_tx: BTreeMap<ProcessId, TxChannel>,
-    rel_tx: BTreeMap<ProcessId, TxChannel>,
+    // Ordered containers throughout: the timeout pumps iterate these to
+    // emit retransmits/recalls, and emission order must not vary
+    // run-to-run or deterministic replay breaks.
+    be_tx: TxTable,
+    rel_tx: TxTable,
     out: VecDeque<Datagram>,
     ctrl_out: VecDeque<CtrlRequest>,
     outstanding_rel: BTreeMap<(Timestamp, u64), RelScat>,
@@ -209,8 +218,8 @@ impl Endpoint {
             next_seq: 0,
             last_ts_assigned: Timestamp::ZERO,
             pending: VecDeque::new(),
-            be_tx: BTreeMap::new(),
-            rel_tx: BTreeMap::new(),
+            be_tx: TxTable::default(),
+            rel_tx: TxTable::default(),
             out: VecDeque::new(),
             ctrl_out: VecDeque::new(),
             outstanding_rel: BTreeMap::new(),
@@ -303,21 +312,24 @@ impl Endpoint {
         let ts =
             self.now_local.max(self.last_ts_assigned).max(self.last_commit_sent.wrapping_add(1));
         self.last_ts_assigned = ts;
-        let mut needs: HashMap<ProcessId, u32> = HashMap::new();
-        for m in &msgs {
-            *needs.entry(m.dst).or_insert(0) +=
-                fragment_count(m.payload.len(), self.cfg.mtu_payload);
-        }
-        let mut needs: Vec<(ProcessId, u32)> = needs.into_iter().collect();
-        needs.sort(); // deterministic reservation order
-        self.pending.push_back(PendingScattering {
-            seq,
-            ts,
-            reliable,
-            msgs,
-            needs,
-            reserved: BTreeMap::new(),
+        let mut needs: Vec<Need> = msgs
+            .iter()
+            .map(|m| Need {
+                dst: m.dst,
+                packets: fragment_count(m.payload.len(), self.cfg.mtu_payload),
+                reserved: 0,
+            })
+            .collect();
+        // One entry per destination: sort, then fold runs into their head.
+        needs.sort_unstable_by_key(|n| n.dst);
+        needs.dedup_by(|next, head| {
+            let same = next.dst == head.dst;
+            if same {
+                head.packets += next.packets;
+            }
+            same
         });
+        self.pending.push_back(PendingScattering { seq, ts, reliable, msgs, needs });
         self.stats.scatterings_sent += 1;
         self.poll(now);
         Ok(ScatteringId { sender: self.id, seq })
@@ -463,7 +475,7 @@ impl Endpoint {
     /// Figure 11 memory accounting.
     pub fn buffered_bytes(&self) -> usize {
         let tx: usize =
-            self.be_tx.values().chain(self.rel_tx.values()).map(|c| c.buffered_bytes()).sum();
+            self.be_tx.iter().chain(self.rel_tx.iter()).map(|c| c.buffered_bytes()).sum();
         tx + self.be_rx.buffered_bytes() + self.rel_rx.buffered_bytes()
     }
 
@@ -497,33 +509,34 @@ impl Endpoint {
             self.stats.rx_dropped += 1;
             return;
         }
-        let reliable = d.header.opcode == Opcode::DataReliable;
+        let Datagram { src, header, payload, .. } = d;
+        let reliable = header.opcode == Opcode::DataReliable;
         if self.cfg.trust_data_barriers {
-            self.be_barrier = merge_barrier(self.be_barrier, d.header.barrier);
-            self.commit_barrier = merge_barrier(self.commit_barrier, d.header.commit_barrier);
+            self.be_barrier = merge_barrier(self.be_barrier, header.barrier);
+            self.commit_barrier = merge_barrier(self.commit_barrier, header.commit_barrier);
         }
-        let Ok((seq, midx, data)) = parse_fragment(d.payload.clone()) else {
+        let Ok((seq, midx, data)) = parse_fragment(payload) else {
             return;
         };
-        let key = OrderKey { ts: d.header.msg_ts, sender: d.src, seq };
+        let key = OrderKey { ts: header.msg_ts, sender: src, seq };
         // Discard step, applied retroactively to late arrivals from a
         // process already announced as failed.
         if reliable {
-            if let Some(&fail_ts) = self.failed.get(&d.src) {
+            if let Some(&fail_ts) = self.failed.get(&src) {
                 if key.ts > fail_ts {
                     return;
                 }
             }
         }
         let rb = if reliable { &mut self.rel_rx } else { &mut self.be_rx };
-        let outcome = rb.insert_fragment(key, midx, d.header.psn, d.header.flags, data);
+        let outcome = rb.insert_fragment(key, midx, header.psn, header.flags, data);
         match outcome {
             Insert::Buffered => {
-                self.send_ack(&d, reliable);
+                self.send_ack(src, &header, reliable);
             }
             Insert::Ready(msg) => {
                 // Unordered baseline mode.
-                self.send_ack(&d, reliable);
+                self.send_ack(src, &header, reliable);
                 self.observe_delivered_ts(msg.ts);
                 if reliable {
                     self.stats.delivered_rel += 1;
@@ -538,31 +551,32 @@ impl Endpoint {
                 if reliable {
                     // Retransmission of an already-delivered packet: the
                     // ACK was lost. Re-ACK so the sender stops retrying.
-                    self.send_ack(&d, true);
+                    self.send_ack(src, &header, true);
                 } else {
-                    self.send_nak(&d);
+                    self.send_nak(src, header.msg_ts, header.psn);
                 }
             }
         }
         self.advance_buffers();
     }
 
-    fn send_ack(&mut self, d: &Datagram, reliable: bool) {
+    /// Acknowledge the data packet `header` arrived on, to its sender.
+    fn send_ack(&mut self, to: ProcessId, header: &PacketHeader, reliable: bool) {
         let mut flags = Flags::empty();
         if reliable {
             flags.insert(REL_CHANNEL);
         }
-        if d.header.flags.contains(Flags::ECN) {
+        if header.flags.contains(Flags::ECN) {
             flags.insert(Flags::ECN);
         }
         self.out.push_back(Datagram {
             src: self.id,
-            dst: d.src,
+            dst: to,
             header: PacketHeader {
-                msg_ts: d.header.msg_ts,
+                msg_ts: header.msg_ts,
                 barrier: Timestamp::ZERO,
                 commit_barrier: Timestamp::ZERO,
-                psn: d.header.psn,
+                psn: header.psn,
                 opcode: Opcode::Ack,
                 flags,
             },
@@ -570,15 +584,16 @@ impl Endpoint {
         });
     }
 
-    fn send_nak(&mut self, d: &Datagram) {
+    /// Tell `to` that its best-effort message `msg_ts` lost packet `psn`.
+    fn send_nak(&mut self, to: ProcessId, msg_ts: Timestamp, psn: u32) {
         self.out.push_back(Datagram {
             src: self.id,
-            dst: d.src,
+            dst: to,
             header: PacketHeader {
-                msg_ts: d.header.msg_ts,
+                msg_ts,
                 barrier: Timestamp::ZERO,
                 commit_barrier: Timestamp::ZERO,
-                psn: d.header.psn,
+                psn,
                 opcode: Opcode::Nak,
                 flags: Flags::empty(),
             },
@@ -589,7 +604,7 @@ impl Endpoint {
     fn on_ack(&mut self, d: Datagram) {
         let reliable = d.header.flags.contains(REL_CHANNEL);
         let ecn = d.header.flags.contains(Flags::ECN);
-        let ch = if reliable { self.rel_tx.get_mut(&d.src) } else { self.be_tx.get_mut(&d.src) };
+        let ch = if reliable { self.rel_tx.get_mut(d.src) } else { self.be_tx.get_mut(d.src) };
         let Some(ch) = ch else { return };
         let Some(pkt) = ch.ack(d.header.psn, ecn) else { return };
         if reliable {
@@ -616,7 +631,7 @@ impl Endpoint {
         // The NAK names the scattering by timestamp; some of its fragments
         // may already have been ACKed (partial loss), so fail every
         // remaining outstanding packet of that scattering.
-        let Some(ch) = self.be_tx.get_mut(&d.src) else { return };
+        let Some(ch) = self.be_tx.get_mut(d.src) else { return };
         let mut failed: Vec<(Timestamp, u64)> = Vec::new();
         if let Some(pkt) = ch.ack(d.header.psn, false) {
             failed.push(pkt.scat);
@@ -716,20 +731,15 @@ impl Endpoint {
             // scattering overshoot; the paper sizes receive windows to the
             // largest scattering instead).
             let mut forceable = true;
-            for &(dst, need) in &head.needs {
-                let have = head.reserved.get(&dst).copied().unwrap_or(0);
-                if have < need {
-                    let ch = channel(
-                        if reliable { &mut self.rel_tx } else { &mut self.be_tx },
-                        dst,
-                        &self.cfg,
-                    );
-                    let take = (need - have).min(ch.available(self.cfg.recv_window));
-                    if take > 0 {
-                        ch.reserved += take;
-                        *head.reserved.entry(dst).or_insert(0) += take;
-                    }
-                    if have + take < need {
+            let table = if reliable { &mut self.rel_tx } else { &mut self.be_tx };
+            for need in &mut head.needs {
+                if need.reserved < need.packets {
+                    let ch = channel(table, need.dst, &self.cfg);
+                    let take =
+                        (need.packets - need.reserved).min(ch.available(self.cfg.recv_window));
+                    ch.reserved += take;
+                    need.reserved += take;
+                    if need.reserved < need.packets {
                         all = false;
                         if ch.available(self.cfg.recv_window) > 0 || !ch.outstanding.is_empty() {
                             forceable = false;
@@ -743,13 +753,9 @@ impl Endpoint {
             let head = self.pending.pop_front().unwrap();
             // Return any held credits before transmitting (transmission
             // tracks real in-flight packets instead).
-            for (&dst, &have) in &head.reserved {
-                let ch = channel(
-                    if reliable { &mut self.rel_tx } else { &mut self.be_tx },
-                    dst,
-                    &self.cfg,
-                );
-                ch.reserved = ch.reserved.saturating_sub(have);
+            for need in head.needs.iter().filter(|n| n.reserved > 0) {
+                let ch = channel(table, need.dst, &self.cfg);
+                ch.reserved = ch.reserved.saturating_sub(need.reserved);
             }
             self.transmit_scattering(now, head);
         }
@@ -764,17 +770,14 @@ impl Endpoint {
         let scattering_flag = scat.msgs.len() > 1;
         let mut total_packets = 0u32;
         let mut dsts: Vec<ProcessId> = Vec::new();
+        let table = if reliable { &mut self.rel_tx } else { &mut self.be_tx };
+        table.note_sent(now);
         for (midx, msg) in scat.msgs.iter().enumerate() {
             if !dsts.contains(&msg.dst) {
                 dsts.push(msg.dst);
             }
-            let frags = fragment_message(scat.seq, midx as u16, &msg.payload, self.cfg.mtu_payload);
-            let ch = channel(
-                if reliable { &mut self.rel_tx } else { &mut self.be_tx },
-                msg.dst,
-                &self.cfg,
-            );
-            for frag in frags {
+            let ch = channel(table, msg.dst, &self.cfg);
+            for frag in fragments(scat.seq, midx as u16, &msg.payload, self.cfg.mtu_payload) {
                 let psn = ch.alloc_psn();
                 let mut flags = frag.flags;
                 if scattering_flag {
@@ -815,47 +818,31 @@ impl Endpoint {
     }
 
     fn check_reliable_timeouts(&mut self, now: Timestamp) {
-        let rto = self.cfg.rto;
         let forward_after = self.cfg.forward_after_retries;
-        let mut forwards = Vec::new();
-        for ch in self.rel_tx.values_mut() {
-            for psn in ch.expired(now, rto) {
-                let pkt = ch.outstanding.get_mut(&psn).unwrap();
-                if pkt.forwarding {
-                    continue;
-                }
-                pkt.retries += 1;
-                pkt.sent_at = now;
-                if pkt.retries > forward_after {
-                    pkt.forwarding = true;
-                    forwards.push(pkt.dgram.clone());
-                } else {
-                    let mut d = pkt.dgram.clone();
-                    d.header.flags.insert(Flags::RETRANSMIT);
-                    self.out.push_back(d);
-                    self.stats.retransmits += 1;
-                }
+        let Endpoint { rel_tx, out, ctrl_out, stats, .. } = self;
+        rel_tx.scan_expired(now, self.cfg.rto, |_, pkt| {
+            pkt.retries += 1;
+            pkt.sent_at = now;
+            if pkt.retries > forward_after {
+                pkt.forwarding = true;
+                ctrl_out.push_back(CtrlRequest::Forward { dgram: pkt.dgram.clone() });
+            } else {
+                let mut d = pkt.dgram.clone();
+                d.header.flags.insert(Flags::RETRANSMIT);
+                out.push_back(d);
+                stats.retransmits += 1;
             }
-        }
-        for dgram in forwards {
-            self.ctrl_out.push_back(CtrlRequest::Forward { dgram });
-        }
+            true
+        });
     }
 
     fn check_be_timeouts(&mut self, now: Timestamp) {
-        let timeout = self.cfg.be_ack_timeout;
-        let mut failures = Vec::new();
-        for ch in self.be_tx.values_mut() {
-            for psn in ch.expired(now, timeout) {
-                if let Some(pkt) = ch.outstanding.remove(&psn) {
-                    failures.push((pkt.scat.0, pkt.scat.1, ch.peer));
-                }
-            }
-        }
-        for (ts, seq, dst) in failures {
-            self.stats.send_failures += 1;
-            self.events.push_back(UserEvent::SendFailed { ts, seq, dst });
-        }
+        let Endpoint { be_tx, events, stats, .. } = self;
+        be_tx.scan_expired(now, self.cfg.be_ack_timeout, |dst, pkt| {
+            stats.send_failures += 1;
+            events.push_back(UserEvent::SendFailed { ts: pkt.scat.0, seq: pkt.scat.1, dst });
+            false
+        });
     }
 
     fn check_recall_timeouts(&mut self, now: Timestamp) {
@@ -961,37 +948,46 @@ impl Endpoint {
             let raw = self.be_barrier.raw().saturating_sub(self.cfg.artificial_delay);
             Timestamp::from_raw(raw)
         };
-        let (delivered, failed) = self.be_rx.advance(be_edge);
-        for msg in delivered {
-            self.observe_delivered_ts(msg.ts);
-            self.stats.delivered_be += 1;
-            self.delivered_be.push_back(msg);
-        }
-        for f in failed {
+        // The buffers release in total order, so the newest message in a
+        // delivery queue carries the highest timestamp released so far:
+        // observing that one covers the batch (and changes nothing when
+        // the batch was empty).
+        let queued = self.delivered_be.len();
+        let Endpoint { be_rx, delivered_be, out, id, .. } = self;
+        be_rx.advance_into(be_edge, |outcome| match outcome {
+            Ok(msg) => delivered_be.push_back(msg),
             // Lost fragments: tell the sender (send-failure callback there).
-            self.out.push_back(Datagram {
-                src: self.id,
-                dst: f.key.key.sender,
+            Err(lost) => out.push_back(Datagram {
+                src: *id,
+                dst: lost.key.key.sender,
                 header: PacketHeader {
-                    msg_ts: f.key.key.ts,
+                    msg_ts: lost.key.key.ts,
                     barrier: Timestamp::ZERO,
                     commit_barrier: Timestamp::ZERO,
-                    psn: f.psn,
+                    psn: lost.psn,
                     opcode: Opcode::Nak,
                     flags: Flags::empty(),
                 },
                 payload: Bytes::new(),
-            });
+            }),
+        });
+        if let Some(newest) = self.delivered_be.back().map(|m| m.ts) {
+            self.stats.delivered_be += (self.delivered_be.len() - queued) as u64;
+            self.observe_delivered_ts(newest);
         }
-        let (delivered, failed) = self.rel_rx.advance(self.commit_barrier);
-        for msg in delivered {
-            self.observe_delivered_ts(msg.ts);
-            self.stats.delivered_rel += 1;
-            self.delivered_rel.push_back(msg);
+        let queued = self.delivered_rel.len();
+        let Endpoint { rel_rx, delivered_rel, stats, .. } = self;
+        rel_rx.advance_into(self.commit_barrier, |outcome| match outcome {
+            Ok(msg) => delivered_rel.push_back(msg),
+            // A committed-but-incomplete reliable message violates
+            // atomicity; count it (must never happen while sender and
+            // receiver live).
+            Err(_) => stats.commit_anomalies += 1,
+        });
+        if let Some(newest) = self.delivered_rel.back().map(|m| m.ts) {
+            self.stats.delivered_rel += (self.delivered_rel.len() - queued) as u64;
+            self.observe_delivered_ts(newest);
         }
-        // A committed-but-incomplete reliable message violates atomicity;
-        // count it (must never happen while sender and receiver live).
-        self.stats.commit_anomalies += failed.len() as u64;
     }
 
     // ------------------------------------------------------------------
@@ -1083,7 +1079,7 @@ impl Endpoint {
         let mut aborted_seqs = Vec::new();
         // Find scatterings with outstanding packets to the failed process.
         let mut doomed: Vec<(Timestamp, u64)> = Vec::new();
-        if let Some(ch) = self.rel_tx.get_mut(&proc) {
+        if let Some(ch) = self.rel_tx.get_mut(proc) {
             let psns: Vec<u32> = ch.outstanding.keys().copied().collect();
             for psn in psns {
                 let pkt = ch.outstanding.remove(&psn).unwrap();
@@ -1108,7 +1104,7 @@ impl Endpoint {
                 .collect();
             // Stop retransmitting the scattering's packets to the others —
             // they will be recalled instead.
-            for ch in self.rel_tx.values_mut() {
+            for ch in self.rel_tx.iter_mut() {
                 let stale: Vec<u32> = ch
                     .outstanding
                     .iter()
@@ -1210,12 +1206,8 @@ impl Endpoint {
     }
 }
 
-fn channel<'a>(
-    map: &'a mut BTreeMap<ProcessId, TxChannel>,
-    dst: ProcessId,
-    cfg: &EndpointConfig,
-) -> &'a mut TxChannel {
-    map.entry(dst).or_insert_with(|| TxChannel::new(dst, cfg.initial_cwnd, cfg.dctcp_gain))
+fn channel<'a>(table: &'a mut TxTable, dst: ProcessId, cfg: &EndpointConfig) -> &'a mut TxChannel {
+    table.get_or_open(dst, cfg.initial_cwnd, cfg.dctcp_gain)
 }
 
 /// Merge a barrier observation into state where [`Timestamp::ZERO`] is the
@@ -1285,7 +1277,7 @@ mod tests {
         assert_eq!(got.ts, ts(100));
         // The ACK flows back.
         pump(&mut b, &mut a, ts(201));
-        assert!(a.be_tx.get(&ProcessId(1)).map(|c| c.outstanding.is_empty()).unwrap_or(true));
+        assert!(a.be_tx.get(ProcessId(1)).map(|c| c.outstanding.is_empty()).unwrap_or(true));
     }
 
     #[test]
@@ -1736,7 +1728,7 @@ mod tests {
         for _ in 0..64 {
             a.send_reliable(ts(100), vec![Message::new(ProcessId(1), "x")]).unwrap();
         }
-        let before = a.rel_tx.get(&ProcessId(1)).unwrap().cwnd();
+        let before = a.rel_tx.get(ProcessId(1)).unwrap().cwnd();
         while let Some(mut d) = a.poll_transmit() {
             if d.dst == ProcessId(1) {
                 d.header.flags.insert(Flags::ECN);
@@ -1744,7 +1736,7 @@ mod tests {
             }
         }
         pump(&mut b, &mut a, ts(102)); // ECN-echoing ACKs
-        let after = a.rel_tx.get(&ProcessId(1)).unwrap().cwnd();
+        let after = a.rel_tx.get(ProcessId(1)).unwrap().cwnd();
         assert!(after < before, "cwnd must shrink on ECN echo: {before} -> {after}");
     }
 
@@ -1798,5 +1790,108 @@ mod tests {
         b.on_barrier(Timestamp::ZERO, ts(200));
         assert_eq!(b.buffered_bytes(), 0, "delivered messages freed");
         assert!(b.max_rx_buffered() >= 2048);
+    }
+    /// The timeout scans, gated by the table's earliest-`sent_at` bound,
+    /// act on exactly the packets a brute-force scan of every channel
+    /// ([`TxChannel::expired`]) finds at every tick: same retransmissions,
+    /// forward requests and send failures, in the same order, whatever
+    /// pattern of lost ACKs keeps the bound stale.
+    mod timeout_bound {
+        use super::*;
+        use proptest::prelude::*;
+
+        const PEERS: u32 = 6;
+
+        proptest! {
+            #[test]
+            fn acts_on_exactly_what_a_full_scan_finds(seed in any::<u64>(), ack_loss_pct in 0u64..70) {
+                let cfg = EndpointConfig { rx_drop_rate: 0.0, ..EndpointConfig::default() };
+                let mut a = Endpoint::new(ProcessId(0), cfg);
+                let mut peers: Vec<Endpoint> =
+                    (1..=PEERS).map(|p| Endpoint::new(ProcessId(p), cfg)).collect();
+                let mut rng = seed | 1;
+                let mut draw = move |n: u64| {
+                    rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    (rng >> 33) % n
+                };
+                // Peer 1 never answers: its packets run through every
+                // retry and end up forwarded.
+                let (mut retransmits, mut forwards, mut failures) = (0, 0, 0);
+                for tick in 1..=1_200u64 {
+                    let now = ts(tick * 3_000);
+                    // The reference: every channel, every outstanding packet.
+                    let mut due_rel = Vec::new();
+                    for ch in a.rel_tx.iter() {
+                        for psn in ch.expired(now, cfg.rto) {
+                            if !ch.outstanding[&psn].forwarding {
+                                due_rel.push((ch.peer, psn));
+                            }
+                        }
+                    }
+                    let mut due_be = Vec::new();
+                    for ch in a.be_tx.iter() {
+                        for psn in ch.expired(now, cfg.be_ack_timeout) {
+                            let scat = ch.outstanding[&psn].scat;
+                            due_be.push((scat.0, scat.1, ch.peer));
+                        }
+                    }
+                    // A send polls too; either way the tick's first poll
+                    // has to act on the reference.
+                    if draw(4) == 0 {
+                        let dst = ProcessId(1 + draw(PEERS as u64) as u32);
+                        let msgs = vec![Message::new(dst, vec![7u8; 1 + draw(3_000) as usize])];
+                        let _ = if draw(2) == 0 {
+                            a.send_reliable(now, msgs)
+                        } else {
+                            a.send_unreliable(now, msgs)
+                        };
+                    }
+                    a.poll(now);
+                    let mut acted_rel = Vec::new();
+                    while let Some(req) = a.poll_ctrl() {
+                        if let CtrlRequest::Forward { dgram } = req {
+                            acted_rel.push((dgram.dst, dgram.header.psn));
+                            forwards += 1;
+                        }
+                    }
+                    let mut on_wire = Vec::new();
+                    while let Some(d) = a.poll_transmit() {
+                        if d.header.flags.contains(Flags::RETRANSMIT) {
+                            acted_rel.push((d.dst, d.header.psn));
+                            retransmits += 1;
+                        }
+                        on_wire.push(d);
+                    }
+                    // One tick forwards or retransmits a given packet,
+                    // never both, so sorting merges the two streams back
+                    // into scan order.
+                    acted_rel.sort();
+                    prop_assert_eq!(acted_rel, due_rel, "tick {}", tick);
+                    let mut acted_be = Vec::new();
+                    while let Some(ev) = a.poll_event() {
+                        if let UserEvent::SendFailed { ts, seq, dst } = ev {
+                            acted_be.push((ts, seq, dst));
+                            failures += 1;
+                        }
+                    }
+                    prop_assert_eq!(acted_be, due_be, "tick {}", tick);
+                    // The network: peer 1 is a black hole, the others
+                    // answer, and some of their ACKs are lost.
+                    for d in on_wire {
+                        if d.dst == HOP_LOCAL || d.dst == ProcessId(1) {
+                            continue;
+                        }
+                        let peer = &mut peers[d.dst.0 as usize - 1];
+                        peer.handle_datagram(now, d);
+                        while let Some(ack) = peer.poll_transmit() {
+                            if draw(100) >= ack_loss_pct {
+                                a.handle_datagram(now, ack);
+                            }
+                        }
+                    }
+                }
+                prop_assert!(retransmits > 0 && forwards > 0 && failures > 0);
+            }
+        }
     }
 }

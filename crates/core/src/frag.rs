@@ -37,13 +37,18 @@ pub struct Fragment {
 }
 
 /// Split an application payload into fragments of at most `mtu_payload`
-/// application bytes each. Always yields at least one fragment (empty
-/// messages are legal and useful as pure synchronization points).
-pub fn fragment_message(seq: u64, midx: u16, data: &Bytes, mtu_payload: usize) -> Vec<Fragment> {
+/// application bytes each, lazily — the send path consumes them one by
+/// one. Always yields at least one fragment (empty messages are legal and
+/// useful as pure synchronization points).
+pub fn fragments(
+    seq: u64,
+    midx: u16,
+    data: &Bytes,
+    mtu_payload: usize,
+) -> impl Iterator<Item = Fragment> + '_ {
     assert!(mtu_payload > 0, "mtu must be positive");
-    let n_frags = data.len().div_ceil(mtu_payload).max(1);
-    let mut out = Vec::with_capacity(n_frags);
-    for i in 0..n_frags {
+    let n_frags = fragment_count(data.len(), mtu_payload) as usize;
+    (0..n_frags).map(move |i| {
         let lo = i * mtu_payload;
         let hi = ((i + 1) * mtu_payload).min(data.len());
         let mut buf = BytesMut::with_capacity(FRAG_PREFIX + (hi - lo));
@@ -57,9 +62,13 @@ pub fn fragment_message(seq: u64, midx: u16, data: &Bytes, mtu_payload: usize) -
         if i == n_frags - 1 {
             flags.insert(Flags::END_OF_MESSAGE);
         }
-        out.push(Fragment { flags, payload: buf.freeze() });
-    }
-    out
+        Fragment { flags, payload: buf.freeze() }
+    })
+}
+
+/// [`fragments`], collected.
+pub fn fragment_message(seq: u64, midx: u16, data: &Bytes, mtu_payload: usize) -> Vec<Fragment> {
+    fragments(seq, midx, data, mtu_payload).collect()
 }
 
 /// Parse a fragment payload back into `(seq, midx, application bytes)`.

@@ -31,18 +31,26 @@ pub struct MsgKey {
     pub midx: u16,
 }
 
+/// The fragments of one message received so far.
+#[derive(Debug, Default)]
+enum Frags {
+    #[default]
+    None,
+    /// One fragment — every message that fits the MTU stays here, so it
+    /// costs no slot vector and is delivered without a reassembly copy.
+    One(Bytes),
+    /// Fragments of one message carry consecutive PSNs, so they live in a
+    /// contiguous slot vector anchored at `base_psn` (`None` marks a gap)
+    /// rather than a per-fragment tree.
+    Many(Vec<Option<Bytes>>),
+}
+
 /// A partially assembled message.
-///
-/// Fragments of one message carry consecutive PSNs, so they live in a
-/// contiguous slot vector anchored at `base_psn` (`None` marks a gap)
-/// rather than a per-fragment tree: insertion on the receive hot path is
-/// an index store, not a `BTreeMap` node allocation.
 #[derive(Debug, Default)]
 struct PendingMsg {
-    /// Fragment slots for PSNs `base_psn..` (application bytes, prefix
-    /// already stripped).
-    frags: Vec<Option<Bytes>>,
-    /// PSN of `frags[0]`. Meaningless while `frags` is empty.
+    /// Application bytes of the fragments, prefix already stripped.
+    frags: Frags,
+    /// PSN of the first stored slot. Meaningless while `frags` is `None`.
     base_psn: u32,
     /// Number of distinct fragments received.
     received: usize,
@@ -54,35 +62,45 @@ struct PendingMsg {
 impl PendingMsg {
     /// Store one fragment; returns `false` on a duplicate PSN.
     fn insert(&mut self, psn: u32, data: Bytes) -> bool {
-        if self.frags.is_empty() {
-            self.base_psn = psn;
-            self.frags.push(Some(data));
-            self.received = 1;
-            return true;
+        match std::mem::take(&mut self.frags) {
+            Frags::None => {
+                self.frags = Frags::One(data);
+                self.base_psn = psn;
+                self.received = 1;
+                return true;
+            }
+            Frags::One(first) if psn == self.base_psn => {
+                self.frags = Frags::One(first);
+                return false;
+            }
+            // A second fragment: from here on the message has slots.
+            Frags::One(first) => self.frags = Frags::Many(vec![Some(first)]),
+            many => self.frags = many,
         }
+        let Frags::Many(slots) = &mut self.frags else { unreachable!("promoted above") };
         let off = psn.wrapping_sub(self.base_psn);
         if off >= 1 << 31 {
             // PSN precedes the anchor (fragments arrived out of order):
             // rebase by prepending gap slots. Rare — bounded by one
             // message's fragment count.
             let shift = self.base_psn.wrapping_sub(psn) as usize;
-            let mut v = Vec::with_capacity(self.frags.len() + shift);
+            let mut v = Vec::with_capacity(slots.len() + shift);
             v.push(Some(data));
             v.extend(std::iter::repeat_with(|| None).take(shift - 1));
-            v.append(&mut self.frags);
-            self.frags = v;
+            v.append(slots);
+            *slots = v;
             self.base_psn = psn;
             self.received += 1;
             return true;
         }
         let off = off as usize;
-        if off >= self.frags.len() {
-            self.frags.resize_with(off + 1, || None);
+        if off >= slots.len() {
+            slots.resize_with(off + 1, || None);
         }
-        if self.frags[off].is_some() {
+        if slots[off].is_some() {
             return false;
         }
-        self.frags[off] = Some(data);
+        slots[off] = Some(data);
         self.received += 1;
         true
     }
@@ -95,17 +113,27 @@ impl PendingMsg {
     }
 
     fn assemble(self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.bytes);
-        for frag in self.frags.into_iter().flatten() {
-            buf.extend_from_slice(&frag);
+        match self.frags {
+            Frags::None => Bytes::new(),
+            Frags::One(only) => only,
+            Frags::Many(slots) => {
+                let mut buf = BytesMut::with_capacity(self.bytes);
+                for frag in slots.into_iter().flatten() {
+                    buf.extend_from_slice(&frag);
+                }
+                buf.freeze()
+            }
         }
-        buf.freeze()
     }
 
     fn any_psn(&self) -> u32 {
-        match self.frags.iter().position(|f| f.is_some()) {
-            Some(i) => self.base_psn.wrapping_add(i as u32),
-            None => 0,
+        match &self.frags {
+            Frags::None => 0,
+            Frags::One(_) => self.base_psn,
+            Frags::Many(slots) => {
+                let first = slots.iter().position(|f| f.is_some()).unwrap_or(0);
+                self.base_psn.wrapping_add(first as u32)
+            }
         }
     }
 }
@@ -234,36 +262,51 @@ impl ReorderBuffer {
         Insert::Buffered
     }
 
-    /// Advance the barrier: release every complete message the barrier
-    /// passed (in total order) and report incomplete ones as failed.
-    pub fn advance(&mut self, barrier: Timestamp) -> (Vec<Delivered>, Vec<FailedMsg>) {
-        let mut delivered = Vec::new();
-        let mut failed = Vec::new();
+    /// Advance the barrier: hand every complete message the barrier passed
+    /// to `sink` as `Ok`, in total order, and every incomplete one as
+    /// `Err` (fragments were lost).
+    pub fn advance_into(
+        &mut self,
+        barrier: Timestamp,
+        mut sink: impl FnMut(Result<Delivered, FailedMsg>),
+    ) {
         if self.unordered {
-            return (delivered, failed);
+            return;
         }
         if barrier == Timestamp::ZERO || (self.edge != Timestamp::ZERO && barrier <= self.edge) {
-            return (delivered, failed);
+            return;
         }
-        while let Some((&mk, _)) = self.pending.first_key_value() {
+        while let Some(entry) = self.pending.first_entry() {
+            let mk = *entry.key();
             let passes = if self.inclusive { mk.key.ts <= barrier } else { mk.key.ts < barrier };
             if !passes {
                 break;
             }
-            let msg = self.pending.remove(&mk).unwrap();
+            let msg = entry.remove();
             self.bytes -= msg.bytes;
-            if msg.is_complete() {
-                delivered.push(Delivered {
+            sink(if msg.is_complete() {
+                Ok(Delivered {
                     ts: mk.key.ts,
                     src: mk.key.sender,
                     seq: mk.key.seq,
                     payload: msg.assemble(),
-                });
+                })
             } else {
-                failed.push(FailedMsg { key: mk, psn: msg.any_psn() });
-            }
+                Err(FailedMsg { key: mk, psn: msg.any_psn() })
+            });
         }
         self.edge = barrier;
+    }
+
+    /// [`advance_into`](Self::advance_into), collected: `(delivered,
+    /// failed)`.
+    pub fn advance(&mut self, barrier: Timestamp) -> (Vec<Delivered>, Vec<FailedMsg>) {
+        let mut delivered = Vec::new();
+        let mut failed = Vec::new();
+        self.advance_into(barrier, |outcome| match outcome {
+            Ok(msg) => delivered.push(msg),
+            Err(lost) => failed.push(lost),
+        });
         (delivered, failed)
     }
 

@@ -33,7 +33,7 @@ use onepipe_types::ids::{HostId, ProcessId};
 use onepipe_types::message::{Delivered, Message};
 use onepipe_types::time::{Duration, Timestamp};
 use onepipe_types::wire::{Datagram, Flags, Opcode, PacketHeader};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// What the runtime needs from a transport: a datagram sink toward the
 /// first-hop switch and a reading of true (transport) time.
@@ -234,6 +234,13 @@ impl HostRuntime {
         self.clock.now(now)
     }
 
+    /// True time and the host clock's reading of it. Every entry point
+    /// reads them once and pumps with that reading.
+    fn read_clock(&mut self, wire: &impl Wire) -> (u64, Timestamp) {
+        let now = wire.now();
+        (now, self.clock.now(now))
+    }
+
     /// The endpoint of process `p`, if it lives here.
     pub fn endpoint_mut(&mut self, p: ProcessId) -> Option<&mut Endpoint> {
         self.endpoints.iter_mut().find(|e| e.id() == p)
@@ -255,7 +262,7 @@ impl HostRuntime {
         msgs: Vec<Message>,
         reliable: bool,
     ) -> onepipe_types::Result<(Timestamp, u64)> {
-        let local = self.clock.now(wire.now());
+        let (now, local) = self.read_clock(wire);
         let ep = self.endpoint_mut(from).ok_or(onepipe_types::Error::UnknownProcess(from))?;
         let sid = if reliable {
             ep.send_reliable(local, msgs)?
@@ -266,7 +273,7 @@ impl HostRuntime {
         // endpoint clamps the raw clock reading (monotonicity, commit
         // barrier, observed deliveries), so `local` may be too low.
         let ts = ep.last_assigned_ts();
-        self.flush(wire);
+        self.drain(wire, now, local);
         wire.flush();
         Ok((ts, sid.seq))
     }
@@ -294,28 +301,29 @@ impl HostRuntime {
         announce_id: u64,
         failures: &[(ProcessId, Timestamp)],
     ) {
-        let local = self.clock.now(wire.now());
+        let (now, local) = self.read_clock(wire);
         if let Some(ep) = self.endpoint_mut(to) {
             ep.on_failure_announcement(local, announce_id, failures);
         }
-        self.flush(wire);
+        self.drain(wire, now, local);
         wire.flush();
     }
 
     /// Deliver a controller-forwarded datagram to a local process.
     pub fn deliver_forwarded(&mut self, wire: &mut impl Wire, d: Datagram) {
-        let local = self.clock.now(wire.now());
+        let (now, local) = self.read_clock(wire);
         if let Some(ep) = self.endpoint_mut(d.dst) {
             ep.handle_datagram(local, d);
         }
-        self.flush(wire);
+        self.drain(wire, now, local);
         wire.flush();
     }
 
     /// Process one datagram arriving from the wire, then flush.
     pub fn on_datagram(&mut self, wire: &mut impl Wire, d: Datagram) {
-        self.ingest(wire, d);
-        self.flush(wire);
+        let (now, local) = self.read_clock(wire);
+        self.ingest(now, local, d);
+        self.drain(wire, now, local);
         wire.flush();
     }
 
@@ -331,17 +339,17 @@ impl HostRuntime {
         burst: impl IntoIterator<Item = Datagram>,
     ) {
         for d in burst {
-            self.ingest(wire, d);
-            self.flush(wire);
+            let (now, local) = self.read_clock(wire);
+            self.ingest(now, local, d);
+            self.drain(wire, now, local);
         }
         wire.flush();
     }
 
-    /// Dispatch one received datagram to the endpoints / app hook,
-    /// without draining outputs (callers flush).
-    fn ingest(&mut self, wire: &mut impl Wire, d: Datagram) {
-        let now = wire.now();
-        let local = self.clock.now(now);
+    /// Dispatch one datagram received at true time `now` (clock reading
+    /// `local`) to the endpoints / app hook, without draining outputs
+    /// (callers drain).
+    fn ingest(&mut self, now: u64, local: Timestamp, d: Datagram) {
         match d.header.opcode {
             Opcode::Beacon => {
                 for ep in &mut self.endpoints {
@@ -350,13 +358,13 @@ impl HostRuntime {
             }
             Opcode::Control => {
                 // Raw application RPC, or background traffic (no app).
-                if let Some(app) = self.app.clone() {
-                    if self.endpoints.iter().any(|e| e.id() == d.dst) {
-                        let mut queue = SendQueue::default();
+                let mut queue = SendQueue::default();
+                if let Some(app) = &self.app {
+                    if self.proc_ids.contains(&d.dst) {
                         app.lock().unwrap().on_raw(now, d.dst, d.src, &d.payload, &mut queue);
-                        self.apply_queue(local, queue);
                     }
                 }
+                self.apply_queue(local, queue);
             }
             _ => {
                 let dst = d.dst;
@@ -371,19 +379,18 @@ impl HostRuntime {
     /// time-driven hook, flush, then beacon. Drivers call this at the
     /// times [`next_tick_at`](Self::next_tick_at) reports.
     pub fn on_tick(&mut self, wire: &mut impl Wire) {
-        let now = wire.now();
-        let local = self.clock.now(now);
+        let (now, local) = self.read_clock(wire);
         for ep in &mut self.endpoints {
             ep.poll(local);
         }
         // App time-driven workload.
-        if let Some(app) = self.app.clone() {
-            let mut queue = SendQueue::default();
+        let mut queue = SendQueue::default();
+        if let Some(app) = &self.app {
             app.lock().unwrap().on_tick(now, self.host, &self.proc_ids, &mut queue);
-            self.apply_queue(local, queue);
         }
-        self.flush(wire);
-        self.emit_beacon(wire);
+        self.apply_queue(local, queue);
+        self.drain(wire, now, local);
+        self.emit_beacon(wire, local);
         // The beacon rides the same flushed frame as any data ahead of it:
         // intra-frame order preserves the flush-before-beacon invariant.
         wire.flush();
@@ -407,46 +414,40 @@ impl HostRuntime {
     /// Drain endpoint outputs: transmissions, deliveries, events, control
     /// requests — then run application reactions.
     pub fn flush(&mut self, wire: &mut impl Wire) {
-        // Loop because application reactions can produce more output.
+        let (now, local) = self.read_clock(wire);
+        self.drain(wire, now, local);
+    }
+
+    /// [`flush`](Self::flush) with the clock already read.
+    fn drain(&mut self, wire: &mut impl Wire, now: u64, local: Timestamp) {
+        // Application reactions can produce more output; nothing else can,
+        // so a pass that queued none leaves every endpoint drained.
         for _round in 0..8 {
             let mut queue = SendQueue::default();
-            let mut any = false;
-            let now = wire.now();
-            for i in 0..self.endpoints.len() {
+            // Taken on the pass's first delivery, held to its end.
+            let mut sink: Option<MutexGuard<'_, Vec<DeliveryRecord>>> = None;
+            for ep in &mut self.endpoints {
                 // Transmissions.
-                while let Some(d) = self.endpoints[i].poll_transmit() {
-                    any = true;
+                while let Some(d) = ep.poll_transmit() {
                     wire.emit(d);
                 }
-                // Deliveries.
-                let receiver = self.endpoints[i].id();
-                while let Some(msg) = self.endpoints[i].recv_unreliable() {
-                    any = true;
-                    self.deliveries.lock().unwrap().push(DeliveryRecord {
-                        at: now,
-                        receiver,
-                        msg: msg.clone(),
-                        reliable: false,
-                    });
-                    if let Some(app) = &self.app {
-                        app.lock().unwrap().on_delivery(now, receiver, &msg, false, &mut queue);
-                    }
-                }
-                while let Some(msg) = self.endpoints[i].recv_reliable() {
-                    any = true;
-                    self.deliveries.lock().unwrap().push(DeliveryRecord {
-                        at: now,
-                        receiver,
-                        msg: msg.clone(),
-                        reliable: true,
-                    });
-                    if let Some(app) = &self.app {
-                        app.lock().unwrap().on_delivery(now, receiver, &msg, true, &mut queue);
+                // Deliveries: the hook sees the message, the record keeps it.
+                let receiver = ep.id();
+                for reliable in [false, true] {
+                    while let Some(msg) =
+                        if reliable { ep.recv_reliable() } else { ep.recv_unreliable() }
+                    {
+                        if let Some(app) = &self.app {
+                            app.lock()
+                                .unwrap()
+                                .on_delivery(now, receiver, &msg, reliable, &mut queue);
+                        }
+                        sink.get_or_insert_with(|| self.deliveries.lock().unwrap())
+                            .push(DeliveryRecord { at: now, receiver, msg, reliable });
                     }
                 }
                 // User events.
-                while let Some(ev) = self.endpoints[i].poll_event() {
-                    any = true;
+                while let Some(ev) = ep.poll_event() {
                     let mut complete = true;
                     if let Some(app) = &self.app {
                         complete =
@@ -454,22 +455,20 @@ impl HostRuntime {
                     }
                     if complete {
                         if let UserEvent::ProcessFailed { announce_id, .. } = &ev {
-                            self.endpoints[i].complete_failure_callback(*announce_id);
+                            ep.complete_failure_callback(*announce_id);
                         }
                     }
                     self.user_events.lock().unwrap().push((now, receiver, ev));
                 }
                 // Controller requests.
-                while let Some(req) = self.endpoints[i].poll_ctrl() {
-                    any = true;
+                while let Some(req) = ep.poll_ctrl() {
                     self.ctrl_outbox.lock().unwrap().push((now, receiver, req));
                     wire.raise_attention();
                 }
             }
+            drop(sink);
             // Application-queued sends.
-            let local = self.clock.now(now);
-            any |= self.apply_queue(local, queue);
-            if !any {
+            if !self.apply_queue(local, queue) {
                 break;
             }
         }
@@ -509,8 +508,7 @@ impl HostRuntime {
     /// strictly above it — delivery of that very message still needs a
     /// later barrier from this host. The bandwidth cost is the 0.3 % of
     /// Figure 13b.
-    fn emit_beacon(&mut self, wire: &mut impl Wire) {
-        let local = self.clock.now(wire.now());
+    fn emit_beacon(&mut self, wire: &mut impl Wire, local: Timestamp) {
         // The host's contribution: its (shared) clock for the best-effort
         // barrier, and the min over local processes for the commit barrier.
         // (A u64::MAX-style sentinel would be wrong here: 48-bit ring

@@ -321,6 +321,14 @@ impl<'a> Ctx<'a> {
     pub fn global_link_is_up(&self, from: NodeId, to: NodeId) -> bool {
         self.net.up.get(LinkId::new(from, to)).is_some_and(|up| up.load(Ordering::Relaxed))
     }
+
+    /// A counter that moves whenever any link's administrative state
+    /// does: an answer derived from [`Ctx::global_link_is_up`] holds for
+    /// as long as this reads the same. Written, like the link states, by
+    /// the coordinator between windows only.
+    pub fn link_epoch(&self) -> u64 {
+        self.net.link_epoch.load(Ordering::Relaxed)
+    }
 }
 
 /// The simulator: a coordinator over the shards that hold the nodes,
@@ -460,13 +468,15 @@ impl Sim {
     }
 
     /// Set a link's administrative state and its mirror in
-    /// [`Shared::up`]; `false` if there is no such link.
+    /// [`Shared::up`], and advance the link-state epoch; `false` if there
+    /// is no such link.
     fn set_link_up(&mut self, id: LinkId, up: bool) -> bool {
         let Some(link) = self.link_mut(id) else { return false };
         link.set_up(up);
         if let Some(mirror) = self.net.up.get(id) {
             mirror.store(up, Ordering::Relaxed);
         }
+        self.net.link_epoch.fetch_add(1, Ordering::Relaxed);
         true
     }
 

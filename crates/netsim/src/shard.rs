@@ -63,7 +63,7 @@ use crate::trace::TraceRecord;
 use onepipe_types::ids::NodeId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -96,6 +96,10 @@ pub(crate) struct Shared {
     /// [`Ctx::global_link_is_up`], which must see links owned by other
     /// shards.
     pub(crate) up: LinkMap<AtomicBool>,
+    /// Bumped whenever an entry of `up` is written; whatever a node
+    /// derived from `up` under an older value is stale
+    /// ([`Ctx::link_epoch`]).
+    pub(crate) link_epoch: AtomicU64,
     /// Raised by [`Ctx::raise_attention`].
     pub(crate) attention: AtomicBool,
 }

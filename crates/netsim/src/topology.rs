@@ -124,6 +124,43 @@ impl FatTreeParams {
     }
 }
 
+/// The ECMP choice among `hops` for the flow `src → dst`: the flow's
+/// hash-chosen hop while `viable` holds for it, else the hash rehashed
+/// over the viable survivors (none: unroutable).
+fn select_hop(
+    hops: &[NodeId],
+    src: HostId,
+    dst: HostId,
+    viable: impl Fn(usize) -> bool,
+) -> Option<NodeId> {
+    if hops.is_empty() {
+        return None;
+    }
+    // Fibonacci-style mixing of the flow identifier.
+    let h = (src.0 as u64)
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(dst.0 as u64)
+        .wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let first = bucket(h, hops.len());
+    if viable(first) {
+        return Some(hops[first]);
+    }
+    // Failover (rare): count the survivors, then select the k-th in a
+    // second pass, so neither path allocates.
+    let live = (0..hops.len()).filter(|&i| viable(i)).count();
+    if live == 0 {
+        return None;
+    }
+    (0..hops.len()).filter(|&i| viable(i)).nth(bucket(h, live)).map(|i| hops[i])
+}
+
+/// `h % n`. ECMP fan-outs are mostly one or a power of two, where the
+/// 64-bit division this runs per forwarded packet is a mask.
+fn bucket(h: u64, n: usize) -> usize {
+    let n = n as u64;
+    (if n.is_power_of_two() { h & (n - 1) } else { h % n }) as usize
+}
+
 /// A built topology: node ids, roles, and routing tables.
 pub struct Topology {
     /// The parameters it was built from.
@@ -344,28 +381,33 @@ impl Topology {
         up: impl Fn(NodeId, NodeId) -> bool,
     ) -> Option<NodeId> {
         let hops = self.next_hops(at, dst);
-        if hops.is_empty() {
-            return None;
-        }
-        // Fibonacci-style mixing of the flow identifier.
-        let h = (src.0 as u64)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(dst.0 as u64)
-            .wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        let first = hops[(h % hops.len() as u64) as usize];
-        if self.hop_viable(at, first, dst, &up) {
-            return Some(first);
-        }
-        // Failover (rare): rehash over the viable survivors without
-        // materializing them — count first, then select the k-th viable
-        // hop in a second pass. This keeps the per-packet fast path and
-        // the failover path allocation-free.
-        let live = hops.iter().filter(|&&n| self.hop_viable(at, n, dst, &up)).count();
-        if live == 0 {
-            return None;
-        }
-        let k = (h % live as u64) as usize;
-        hops.iter().copied().filter(|&n| self.hop_viable(at, n, dst, &up)).nth(k)
+        select_hop(hops, src, dst, |i| self.hop_viable(at, hops[i], dst, &up))
+    }
+
+    /// Which of `next_hops(at, dst)` are viable under `up`, as a bit mask
+    /// over their positions: what [`route_live`](Self::route_live) finds
+    /// out hop by hop, computed once so a switch can keep it for as long
+    /// as no link changes state.
+    pub fn viable_hops(&self, at: NodeId, dst: HostId, up: impl Fn(NodeId, NodeId) -> bool) -> u64 {
+        let hops = self.next_hops(at, dst);
+        assert!(hops.len() <= 64, "ECMP fan-out exceeds the viability mask");
+        hops.iter()
+            .enumerate()
+            .filter(|&(_, &hop)| self.hop_viable(at, hop, dst, &up))
+            .fold(0, |mask, (i, _)| mask | 1 << i)
+    }
+
+    /// [`route_live`](Self::route_live) with the link-state oracle
+    /// replaced by a [`viable_hops`](Self::viable_hops) mask taken under
+    /// it: the same choice, without walking the tree.
+    pub fn route_masked(
+        &self,
+        at: NodeId,
+        src: HostId,
+        dst: HostId,
+        viable: u64,
+    ) -> Option<NodeId> {
+        select_hop(self.next_hops(at, dst), src, dst, |i| viable >> i & 1 == 1)
     }
 
     /// Whether forwarding `at → hop` can still deliver to `dst`: the

@@ -6,14 +6,24 @@
 //! big-endian [`Buf`]/[`BufMut`] cursor traits. Semantics match the real
 //! crate for every method provided here.
 //!
+//! As in the real crate, an empty [`Bytes`] owns nothing: `new`, `default`,
+//! empty conversions, empty slices and the freeze of a builder that never
+//! allocated hold no buffer, so building, cloning and dropping one touches
+//! neither the heap nor a reference count. Every beacon, ACK, NAK and
+//! Commit carries such a payload.
+//!
 //! [`bytes`]: https://docs.rs/bytes
 
 use std::sync::Arc;
 
 /// A cheaply clonable, immutable view into a shared byte buffer.
+///
+/// Three words: the scheduler carries one in every packet event.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<Vec<u8>>,
+    /// The shared buffer; `None` only for an empty view that owns nothing
+    /// (then `start == end == 0`).
+    data: Option<Arc<Vec<u8>>>,
     start: usize,
     end: usize,
 }
@@ -47,12 +57,19 @@ impl Bytes {
 
     /// The viewed bytes.
     pub fn as_slice(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        match &self.data {
+            Some(data) => &data[self.start..self.end],
+            None => &[],
+        }
     }
 
     /// A sub-view of `range` (relative to this view), sharing storage.
+    /// An empty sub-view shares nothing, so it never pins the buffer.
     pub fn slice(&self, range: std::ops::Range<usize>) -> Bytes {
         assert!(range.start <= range.end && range.end <= self.len());
+        if range.is_empty() {
+            return Bytes::new();
+        }
         Bytes {
             data: self.data.clone(),
             start: self.start + range.start,
@@ -61,9 +78,14 @@ impl Bytes {
     }
 
     /// Split off and return the first `at` bytes, advancing `self`.
+    /// Splitting everything off moves the storage out and leaves `self`
+    /// owning nothing.
     pub fn split_to(&mut self, at: usize) -> Bytes {
         assert!(at <= self.len());
-        let front = Bytes { data: self.data.clone(), start: self.start, end: self.start + at };
+        if at == self.len() {
+            return std::mem::take(self);
+        }
+        let front = self.slice(0..at);
         self.start += at;
         front
     }
@@ -75,6 +97,7 @@ impl Bytes {
     /// view did (capacity beyond the view is retained for reuse).
     pub fn try_into_mut(self) -> Result<BytesMut, Bytes> {
         let Bytes { data, start, end } = self;
+        let Some(data) = data else { return Ok(BytesMut::new()) };
         match Arc::try_unwrap(data) {
             Ok(mut v) => {
                 v.truncate(end);
@@ -83,7 +106,7 @@ impl Bytes {
                 }
                 Ok(BytesMut { vec: v, read: 0 })
             }
-            Err(data) => Err(Bytes { data, start, end }),
+            Err(data) => Err(Bytes { data: Some(data), start, end }),
         }
     }
 }
@@ -175,8 +198,11 @@ impl PartialEq<Bytes> for &[u8] {
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
+        if v.capacity() == 0 {
+            return Bytes::new();
+        }
         let end = v.len();
-        Bytes { data: Arc::new(v), start: 0, end }
+        Bytes { data: Some(Arc::new(v)), start: 0, end }
     }
 }
 impl From<String> for Bytes {

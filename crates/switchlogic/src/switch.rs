@@ -148,6 +148,17 @@ struct OutPort {
     advertised: (Timestamp, Timestamp),
 }
 
+/// The viable next hops toward one destination host, as of a link-state
+/// epoch.
+#[derive(Clone, Copy, Debug)]
+struct CachedRoute {
+    /// [`Ctx::link_epoch`] when `viable` was computed; the entry is stale
+    /// under any other.
+    epoch: u64,
+    /// [`Topology::viable_hops`] from this switch.
+    viable: u64,
+}
+
 /// Node logic of one logical switch (an up- or down-half).
 pub struct SwitchLogic {
     shared: SwitchShared,
@@ -155,6 +166,9 @@ pub struct SwitchLogic {
     agg: BarrierAggregator,
     /// Output-port state, parallel to the node's out-neighbor list.
     ports: Vec<OutPort>,
+    /// Per destination host. Viability is a walk down the tree per hop;
+    /// it only changes when a link does, which is rare next to packets.
+    routes: Vec<CachedRoute>,
     /// Beacon values awaiting delayed emission (CPU/delegate modes).
     pending_emissions: VecDeque<(Timestamp, Timestamp)>,
     /// CPU/delegate: an emission is already scheduled.
@@ -169,7 +183,10 @@ pub struct SwitchLogic {
 impl SwitchLogic {
     /// Create the logic for one switch node.
     pub fn new(shared: SwitchShared, cfg: SwitchConfig) -> Self {
+        // No epoch has this value, so every entry starts stale.
+        let stale = CachedRoute { epoch: u64::MAX, viable: 0 };
         SwitchLogic {
+            routes: vec![stale; shared.topo.num_hosts()],
             shared,
             cfg,
             agg: BarrierAggregator::new(Vec::new()),
@@ -232,18 +249,24 @@ impl SwitchLogic {
 
     /// Resolve the live ECMP next hop for `pkt`'s destination, counting
     /// unroutable packets. The single routing lookup shared by the plain
-    /// and barrier-rewriting forwarding paths.
-    fn next_hop(&mut self, ctx: &Ctx<'_>, pkt: &SimPacket) -> Option<NodeId> {
+    /// and barrier-rewriting forwarding paths: the flow hash selects among
+    /// the destination's cached viable hops, recomputed
+    /// ([`Topology::viable_hops`]) after any link changed state.
+    pub fn next_hop(&mut self, ctx: &Ctx<'_>, pkt: &SimPacket) -> Option<NodeId> {
         let Some(dst_host) = self.shared.procs.host_of(pkt.dgram.dst) else {
             self.counters.unroutable += 1;
             return None;
         };
         let src_host =
             self.shared.procs.host_of(pkt.dgram.src).unwrap_or(onepipe_types::ids::HostId(0));
-        let next = self
-            .shared
-            .topo
-            .route_live(ctx.node(), src_host, dst_host, |a, b| ctx.global_link_is_up(a, b));
+        let topo = &self.shared.topo;
+        let epoch = ctx.link_epoch();
+        let route = &mut self.routes[dst_host.0 as usize];
+        if route.epoch != epoch {
+            let viable = topo.viable_hops(ctx.node(), dst_host, |a, b| ctx.global_link_is_up(a, b));
+            *route = CachedRoute { epoch, viable };
+        }
+        let next = topo.route_masked(ctx.node(), src_host, dst_host, route.viable);
         if next.is_none() {
             self.counters.unroutable += 1;
         }
@@ -486,7 +509,7 @@ mod tests {
     use super::*;
     use onepipe_netsim::engine::Sim;
     use onepipe_netsim::topology::FatTreeParams;
-    use onepipe_types::ids::HostId;
+    use onepipe_types::ids::{HostId, LinkId};
 
     /// A trivial host that records barriers seen in beacons, and can send
     /// one pre-armed data packet.
@@ -720,5 +743,90 @@ mod tests {
             })
             .unwrap();
         assert!(removed);
+    }
+    /// Every switch's cached next hop equals [`Topology::route_live`]
+    /// under the current link states, for every flow, after every step of
+    /// a random sequence of link cuts, repairs and switch crashes — and
+    /// the faults did change routes, so stale entries were there to catch.
+    #[test]
+    fn cached_next_hop_matches_route_live_through_random_faults() {
+        let wide = FatTreeParams {
+            pods: 3,
+            tors_per_pod: 2,
+            spines_per_pod: 3,
+            cores: 6,
+            hosts_per_tor: 2,
+            ..FatTreeParams::testbed()
+        };
+        for (params, seed) in [(FatTreeParams::testbed(), 11u64), (wide, 12)] {
+            let mut sim = Sim::new(seed);
+            let topo = Arc::new(Topology::build(&mut sim, params));
+            let hosts = topo.num_hosts();
+            let shared = SwitchShared {
+                topo: topo.clone(),
+                procs: Arc::new(ProcessMap::place_round_robin(hosts, hosts)),
+                events: Arc::new(Mutex::new(Vec::new())),
+            };
+            for &s in &topo.switch_nodes {
+                sim.set_logic(
+                    s,
+                    Box::new(SwitchLogic::new(shared.clone(), SwitchConfig::default())),
+                );
+            }
+            let links: Vec<LinkId> = topo
+                .switch_nodes
+                .iter()
+                .flat_map(|&s| sim.out_neighbors(s).iter().map(move |&to| LinkId::new(s, to)))
+                .collect();
+            let mut rng = seed;
+            let mut draw = move |n: usize| {
+                rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (rng >> 33) as usize % n
+            };
+            // All flows at every live switch: (agreed lookups, routes
+            // that differ from the previous step's).
+            let mut previous: Vec<Option<NodeId>> = Vec::new();
+            let mut audit = |sim: &mut Sim| -> (usize, usize) {
+                let mut now = Vec::new();
+                for &s in &topo.switch_nodes {
+                    for src in 0..hosts as u32 {
+                        for dst in 0..hosts as u32 {
+                            let pkt = SimPacket::new(data_dgram(src, dst, 1));
+                            let hop = sim.with_node(s, |logic, ctx| {
+                                let sw = logic.as_any_mut().unwrap().downcast_mut::<SwitchLogic>();
+                                let cached = sw.unwrap().next_hop(ctx, &pkt);
+                                let live = topo.route_live(s, HostId(src), HostId(dst), |a, b| {
+                                    ctx.global_link_is_up(a, b)
+                                });
+                                assert_eq!(cached, live, "at {s:?}, {src} → {dst}");
+                                cached
+                            });
+                            now.push(hop.flatten());
+                        }
+                    }
+                }
+                let moved = now.iter().zip(&previous).filter(|(a, b)| a != b).count();
+                previous = now;
+                (previous.len(), moved)
+            };
+            audit(&mut sim);
+            let (mut checked, mut moved) = (0, 0);
+            let mut t = 0;
+            for step in 0..60 {
+                t += 1_000;
+                match draw(10) {
+                    0 if step > 20 => {
+                        sim.schedule_crash(t, topo.switch_nodes[draw(topo.switch_nodes.len())])
+                    }
+                    1..=6 => sim.schedule_link_down(t, links[draw(links.len())]),
+                    _ => sim.schedule_link_up(t, links[draw(links.len())]),
+                }
+                sim.run_until(t);
+                let (c, m) = audit(&mut sim);
+                checked += c;
+                moved += m;
+            }
+            assert!(checked > 10_000 && moved > 100, "checked {checked}, moved {moved}");
+        }
     }
 }
