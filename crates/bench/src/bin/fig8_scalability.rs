@@ -16,8 +16,7 @@ use onepipe_baselines::measure::{BroadcastMetrics, BroadcastProbe};
 use onepipe_baselines::plain::PlainSwitch;
 use onepipe_baselines::sequencer::{SeqHost, SeqKind};
 use onepipe_baselines::token::TokenHost;
-use onepipe_bench::{full_mode, row, run_onepipe_broadcast, us};
-use onepipe_core::harness::{Cluster, ClusterConfig};
+use onepipe_bench::{cluster_for, full_mode, row, run_onepipe_broadcast, us};
 use onepipe_netsim::engine::Sim;
 use onepipe_netsim::topology::{FatTreeParams, Topology};
 use onepipe_types::ids::{HostId, ProcessId};
@@ -125,15 +124,8 @@ fn run_lamport(n: usize, rate: f64, dur: u64, exchange: u64) -> BroadcastMetrics
     m
 }
 
-fn run_onepipe(n: usize, rate: f64, dur: u64, reliable: bool, threads: usize) -> (f64, f64) {
-    let mut cfg = if n <= 8 {
-        ClusterConfig::single_rack(n.max(2) as u32, n)
-    } else {
-        ClusterConfig::testbed(n)
-    };
-    cfg.seed = 7;
-    cfg.threads = threads;
-    let mut cluster = Cluster::new(cfg);
+fn run_onepipe(n: usize, rate: f64, dur: u64, reliable: bool) -> (f64, f64) {
+    let mut cluster = cluster_for(n, 7);
     let m = run_onepipe_broadcast(&mut cluster, n, rate, dur, reliable);
     (m.tput_per_proc / 1e6, us(m.latency.mean()))
 }
@@ -152,7 +144,6 @@ fn main() {
     } else {
         vec![2, 4, 8, 16, 32, 512]
     };
-    let threads = onepipe_bench::parse_threads();
     println!("# Figure 8: total order broadcast scalability");
     println!("# tput: delivered broadcasts per second per process (M/s)");
     println!("# lat:  mean delivery latency (us)");
@@ -180,8 +171,8 @@ fn main() {
             256 => (10_000.0, 1_500_000),
             _ => (2_000.0, 800_000),
         };
-        let (t_be, l_be) = run_onepipe(n, rate, dur, false, threads);
-        let (t_r, l_r) = run_onepipe(n, rate, dur, true, threads);
+        let (t_be, l_be) = run_onepipe(n, rate, dur, false);
+        let (t_r, l_r) = run_onepipe(n, rate, dur, true);
         if n > 64 {
             // 1Pipe-only extension rows (see the sweep note above).
             let dash = || "-".to_string();

@@ -8,7 +8,7 @@
 //!     the paper's loss simulation ("we simulate random message drop in
 //!     lib1pipe receiver").
 
-use onepipe_bench::{full_mode, parse_threads, row, run_onepipe_unicast, us};
+use onepipe_bench::{full_mode, row, run_onepipe_unicast, us};
 use onepipe_core::config::EndpointConfig;
 use onepipe_core::harness::{Cluster, ClusterConfig};
 use onepipe_switchlogic::switch::Incarnation;
@@ -27,7 +27,6 @@ fn cluster(n: usize, incarnation: Incarnation, unordered: bool, drop: f64) -> Cl
     e.rx_drop_rate = drop;
     cfg.endpoint = e;
     cfg.seed = 42;
-    cfg.threads = parse_threads();
     Cluster::new(cfg)
 }
 

@@ -12,8 +12,7 @@
 //! ```bash
 //! cargo run --release -p onepipe-bench --bin perfbench            # full
 //! cargo run --release -p onepipe-bench --bin perfbench -- --smoke # short
-//! cargo run --release -p onepipe-bench --bin perfbench -- --threads 4
-//! cargo run --release -p onepipe-bench --bin perfbench -- --smoke --threads 2 --check # CI
+//! cargo run --release -p onepipe-bench --bin perfbench -- --smoke --check # CI
 //! ```
 //!
 //! Workloads (all deterministic, fixed seeds):
@@ -21,28 +20,26 @@
 //!   32-server testbed fat-tree — barrier-heavy, fan-out-heavy.
 //! - `incast`: every process unicasts to process 0 — stresses one
 //!   reorder buffer and the ECMP down-path.
-//! - `fig8_512` (full mode only): Figure 8's largest point — 512
-//!   processes, 16 per host, 2 000 best-effort broadcasts/s each for
-//!   800 µs — the workload ROADMAP item 2's lane criterion names.
+//! - `fig8_128`, `fig8_512` (full mode only): Figure 8's larger points —
+//!   128 and 512 processes (4 and 16 per host), at `fig8_scalability`'s
+//!   seed, rate and window for those rows.
 //!
-//! There is one engine; each workload is measured on three partitions
-//! of it: the whole network in one shard (`threads = 0`, entry name
-//! unchanged for trend continuity), the rack partition on one compute
-//! lane (`_t1` suffix) and on `--threads N` lanes (`_tN` suffix; N
-//! defaults to the machine's available parallelism, which every report
-//! records). The rack-partition runs must be bit-identical to each other
-//! — perfbench asserts it.
+//! There is one engine, single-threaded; each workload is measured on
+//! both layouts of it: the whole network in one shard (entry name
+//! unchanged for trend continuity) and the rack partition (`_racks`
+//! suffix). The three fig8 sizes bracket the process count at which
+//! `ClusterConfig::testbed` switches from the first to the second
+//! (`onepipe_core::harness::RACKS_FROM_PROCESSES`).
 //!
 //! Wall-clock rates vary with the machine; they are *report-only*
 //! (trend data), not a gating threshold. Compare ratios between commits
 //! measured on the same machine, not absolute numbers across machines.
 //! `events`, `deliveries` and `sim_ns` are exact on every machine:
 //! `--check` exits non-zero, before writing anything, if any workload's
-//! differ from the committed baseline of the same mode (a multi-lane run
-//! is checked against the baseline's `_t1` entry, which it must equal).
+//! differ from the committed baseline of the same mode.
 
 use onepipe_bench::run_onepipe_broadcast;
-use onepipe_core::harness::{Cluster, ClusterConfig};
+use onepipe_core::harness::{Cluster, ClusterConfig, Partition};
 use onepipe_types::ids::{HostId, ProcessId};
 use onepipe_types::message::Message;
 use std::fmt::Write as _;
@@ -51,9 +48,6 @@ use std::time::Instant;
 /// Result of one measured workload.
 struct WorkloadReport {
     name: String,
-    /// Partition: 0 = whole network in one shard, N ≥ 1 = rack partition
-    /// on N lanes.
-    threads: usize,
     /// Engine events processed.
     events: u64,
     /// Application-level deliveries observed.
@@ -77,11 +71,12 @@ struct WorkloadReport {
 impl WorkloadReport {
     /// Read the counters of a finished run off its cluster.
     fn of(base: &str, cluster: &mut Cluster, deliveries: u64, wall_s: f64) -> WorkloadReport {
-        let threads = cluster.config.threads;
         let stats = cluster.sim.shard_stats();
         WorkloadReport {
-            name: if threads == 0 { base.to_string() } else { format!("{base}_t{threads}") },
-            threads,
+            name: match cluster.config.partition {
+                Partition::Whole => base.to_string(),
+                Partition::Racks => format!("{base}_racks"),
+            },
             events: cluster.sim.stats.events,
             deliveries,
             sim_ns: cluster.sim.now(),
@@ -114,21 +109,15 @@ impl WorkloadReport {
             self.sim_ns,
         );
         println!(
-            "{:>20}  {} lane(s) over {} shard(s), {} cross-shard msgs, {} windows ({} stalled)",
-            "",
-            self.threads.max(1),
-            self.shards,
-            self.cross_shard_msgs,
-            self.windows,
-            self.stalled_windows,
+            "{:>20}  {} shard(s), {} cross-shard msgs, {} windows ({} stalled)",
+            "", self.shards, self.cross_shard_msgs, self.windows, self.stalled_windows,
         );
     }
 
     fn json(&self) -> String {
         format!(
-            "    \"{}\": {{\n      \"threads\": {},\n      \"events\": {},\n      \"deliveries\": {},\n      \"sim_ns\": {},\n      \"wall_s\": {:.6},\n      \"events_per_sec\": {:.1},\n      \"deliveries_per_sec\": {:.1},\n      \"peak_reorder_bytes\": {},\n      \"shards\": {},\n      \"cross_shard_msgs\": {},\n      \"windows\": {},\n      \"stalled_windows\": {}\n    }}",
+            "    \"{}\": {{\n      \"events\": {},\n      \"deliveries\": {},\n      \"sim_ns\": {},\n      \"wall_s\": {:.6},\n      \"events_per_sec\": {:.1},\n      \"deliveries_per_sec\": {:.1},\n      \"peak_reorder_bytes\": {},\n      \"shards\": {},\n      \"cross_shard_msgs\": {},\n      \"windows\": {},\n      \"stalled_windows\": {}\n    }}",
             self.name,
-            self.threads,
             self.events,
             self.deliveries,
             self.sim_ns,
@@ -166,11 +155,11 @@ fn bench_fig8(
     seed: u64,
     rate: f64,
     dur_ns: u64,
-    threads: usize,
+    partition: Partition,
 ) -> WorkloadReport {
     let mut cfg = ClusterConfig::testbed(n);
     cfg.seed = seed;
-    cfg.threads = threads;
+    cfg.partition = partition;
     let mut cluster = Cluster::new(cfg);
     let wall = Instant::now();
     let m = run_onepipe_broadcast(&mut cluster, n, rate, dur_ns, false);
@@ -179,11 +168,11 @@ fn bench_fig8(
 }
 
 /// Incast: every process unicasts 256-byte messages to process 0.
-fn bench_incast(smoke: bool, threads: usize) -> WorkloadReport {
+fn bench_incast(smoke: bool, partition: Partition) -> WorkloadReport {
     let n = 32;
     let mut cfg = ClusterConfig::testbed(n);
     cfg.seed = 43;
-    cfg.threads = threads;
+    cfg.partition = partition;
     let mut cluster = Cluster::new(cfg);
     let dur_ns: u64 = if smoke { 400_000 } else { 2_000_000 };
     let interval = 5_000u64; // each process sends every 5 µs
@@ -205,18 +194,6 @@ fn bench_incast(smoke: bool, threads: usize) -> WorkloadReport {
     WorkloadReport::of("incast", &mut cluster, deliveries, wall_s)
 }
 
-/// A partition promises bit-identical results for every lane count;
-/// regress it on every perfbench run.
-fn assert_deterministic(base: &WorkloadReport, other: &WorkloadReport) {
-    assert_eq!(
-        (base.events, base.deliveries, base.sim_ns),
-        (other.events, other.deliveries, other.sim_ns),
-        "rack partition diverged between {} and {} — determinism broke",
-        base.name,
-        other.name,
-    );
-}
-
 /// `(events, deliveries, sim_ns)` of workload `name` in a committed
 /// `BENCH_sim*.json` body (the format [`WorkloadReport::json`] writes).
 fn baseline_canaries(body: &str, name: &str) -> Option<(u64, u64, u64)> {
@@ -235,21 +212,14 @@ fn baseline_canaries(body: &str, name: &str) -> Option<(u64, u64, u64)> {
 fn check_against_baseline(reports: &[WorkloadReport], baseline: &str) -> Vec<String> {
     let mut diffs = Vec::new();
     for r in reports {
-        // Lane counts above 1 follow the machine that wrote the baseline
-        // (its available parallelism; CI uses 2), and such a run must
-        // equal the single-lane entry anyway.
-        let name = match r.name.rsplit_once("_t") {
-            Some((base, _)) if r.threads > 1 => format!("{base}_t1"),
-            _ => r.name.clone(),
-        };
         let got = (r.events, r.deliveries, r.sim_ns);
-        match baseline_canaries(baseline, &name) {
+        match baseline_canaries(baseline, &r.name) {
             Some(want) if want == got => {}
             Some(want) => diffs.push(format!(
-                "{}: (events, deliveries, sim_ns) = {got:?}, baseline {name} has {want:?}",
+                "{}: (events, deliveries, sim_ns) = {got:?}, baseline has {want:?}",
                 r.name
             )),
-            None => diffs.push(format!("{}: no baseline entry {name}", r.name)),
+            None => diffs.push(format!("{}: no baseline entry", r.name)),
         }
     }
     diffs
@@ -259,33 +229,25 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let check = std::env::args().any(|a| a == "--check");
     let mode = if smoke { "smoke" } else { "full" };
-    let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-    let threads = match onepipe_bench::parse_threads() {
-        0 => cores,
-        t => t,
-    };
-    println!("perfbench ({mode} mode, --threads {threads}, available parallelism {cores})");
+    println!("perfbench ({mode} mode)");
 
     // 40 000 broadcasts/s per process among 32.
     let fig8_dur = if smoke { 400_000 } else { 2_000_000 };
-    type Bench<'a> = Box<dyn Fn(usize) -> WorkloadReport + 'a>;
+    type Bench<'a> = Box<dyn Fn(Partition) -> WorkloadReport + 'a>;
     let mut workloads: Vec<Bench> = vec![
-        Box::new(|t| bench_fig8("fig8_broadcast", 32, 42, 40_000.0, fig8_dur, t)),
-        Box::new(|t| bench_incast(smoke, t)),
+        Box::new(|p| bench_fig8("fig8_broadcast", 32, 42, 40_000.0, fig8_dur, p)),
+        Box::new(|p| bench_incast(smoke, p)),
     ];
     if !smoke {
-        // Seed, rate and window of `fig8_scalability`'s 512-process row.
-        workloads.push(Box::new(|t| bench_fig8("fig8_512", 512, 7, 2_000.0, 800_000, t)));
+        // Seed, rate and window of `fig8_scalability`'s 128- and
+        // 512-process rows.
+        workloads.push(Box::new(|p| bench_fig8("fig8_128", 128, 7, 20_000.0, 1_500_000, p)));
+        workloads.push(Box::new(|p| bench_fig8("fig8_512", 512, 7, 2_000.0, 800_000, p)));
     }
     let mut reports = Vec::new();
     for bench in &workloads {
-        reports.push(bench(0));
-        reports.push(bench(1));
-        if threads > 1 {
-            let n_lanes = bench(threads);
-            assert_deterministic(&reports[reports.len() - 1], &n_lanes);
-            reports.push(n_lanes);
-        }
+        reports.push(bench(Partition::Whole));
+        reports.push(bench(Partition::Racks));
     }
     for r in &reports {
         r.print();
@@ -295,7 +257,6 @@ fn main() {
     body.push_str("{\n");
     let _ = writeln!(body, "  \"generated_by\": \"perfbench\",");
     let _ = writeln!(body, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(body, "  \"available_parallelism\": {cores},");
     body.push_str("  \"workloads\": {\n");
     let entries: Vec<String> = reports.iter().map(|r| r.json()).collect();
     body.push_str(&entries.join(",\n"));

@@ -158,23 +158,6 @@ pub fn full_mode() -> bool {
     std::env::args().any(|a| a == "--full")
 }
 
-/// Parse a `--threads N` flag from argv ([`ClusterConfig::threads`]): 0
-/// (the default) keeps the whole network in one shard; any N ≥ 1 splits
-/// it by rack and runs the shards on N compute lanes, with results
-/// bit-identical for every N ≥ 1 (see DESIGN.md §10.1).
-pub fn parse_threads() -> usize {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--threads" {
-            return args
-                .next()
-                .and_then(|v| v.parse().ok())
-                .expect("--threads takes a non-negative integer");
-        }
-    }
-    0
-}
-
 /// Pretty table-row printer: pads cells to 12 chars.
 pub fn row(cells: &[String]) {
     let line: Vec<String> = cells.iter().map(|c| format!("{c:>12}")).collect();
@@ -182,22 +165,16 @@ pub fn row(cells: &[String]) {
 }
 
 /// Standard cluster for a given process count: single rack below 9
-/// processes (matching the paper's placement), the 32-host testbed above.
+/// processes (matching the paper's placement), the 32-host testbed above;
+/// the simulator's partition follows from the process count
+/// ([`onepipe_core::harness::RACKS_FROM_PROCESSES`]).
 pub fn cluster_for(n: usize, seed: u64) -> Cluster {
-    cluster_for_threads(n, seed, 0)
-}
-
-/// [`cluster_for`] with an explicit partition: `threads` = 0 keeps the
-/// network in one shard, N ≥ 1 runs the rack partition on N compute
-/// lanes (deterministic — identical output for every N ≥ 1).
-pub fn cluster_for_threads(n: usize, seed: u64, threads: usize) -> Cluster {
     let mut cfg = if n <= 8 {
         ClusterConfig::single_rack(n.max(2) as u32, n)
     } else {
         ClusterConfig::testbed(n)
     };
     cfg.seed = seed;
-    cfg.threads = threads;
     Cluster::new(cfg)
 }
 

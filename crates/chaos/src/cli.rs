@@ -2,6 +2,7 @@
 //! package's `src/bin/chaos_sweep.rs`.
 
 use crate::runner::{run_campaign, CampaignConfig};
+use onepipe_core::harness::Partition;
 use onepipe_types::time::MICROS;
 use std::path::PathBuf;
 
@@ -11,7 +12,7 @@ pub fn sweep_main(args: impl Iterator<Item = String>) -> i32 {
     let mut seeds = 50u64;
     let mut single_rack = false;
     let mut controller_faults = false;
-    let mut threads = 0usize;
+    let mut rack_partition = false;
     let mut out_dir = PathBuf::from("results/chaos");
     let mut args = args.peekable();
     while let Some(a) = args.next() {
@@ -24,12 +25,7 @@ pub fn sweep_main(args: impl Iterator<Item = String>) -> i32 {
             }
             "--single-rack" => single_rack = true,
             "--controller-faults" => controller_faults = true,
-            "--threads" => {
-                threads = match args.next().and_then(|v| v.parse().ok()) {
-                    Some(n) => n,
-                    None => return usage("--threads takes a number"),
-                };
-            }
+            "--rack-partition" => rack_partition = true,
             "--out" => {
                 out_dir = match args.next() {
                     Some(p) => PathBuf::from(p),
@@ -42,9 +38,13 @@ pub fn sweep_main(args: impl Iterator<Item = String>) -> i32 {
 
     let mut cfg =
         if single_rack { CampaignConfig::single_rack(8, 8) } else { CampaignConfig::testbed() };
-    // 0 = the whole network in one shard; N ≥ 1 = the rack partition on
-    // N compute lanes, deterministic across lane counts (DESIGN.md §10.1).
-    cfg.cluster.threads = threads;
+    // The campaign's clusters are small enough to default to one shard;
+    // the flag runs the same schedules on the rack partition, whose
+    // window barriers and per-shard loss streams are a second,
+    // independently deterministic event order (DESIGN.md §10.1).
+    if rack_partition {
+        cfg.cluster.partition = Partition::Racks;
+    }
     if controller_faults {
         cfg.budget = cfg.budget.with_controller_faults();
         // Controller failover adds an election (~10 management RTTs) plus
@@ -59,7 +59,7 @@ pub fn sweep_main(args: impl Iterator<Item = String>) -> i32 {
         cfg.cluster.topo.total_hosts(),
         cfg.cluster.processes,
         if controller_faults { ", controller faults on" } else { "" },
-        if threads > 0 { format!(", rack partition on {threads} lane(s)") } else { String::new() },
+        if rack_partition { ", rack partition" } else { "" },
     );
     let report = run_campaign(&cfg, seeds, Some(&out_dir));
     print!("{}", report.render());
@@ -81,7 +81,7 @@ pub fn sweep_main(args: impl Iterator<Item = String>) -> i32 {
 fn usage(err: &str) -> i32 {
     eprintln!("{err}");
     eprintln!(
-        "usage: chaos_sweep [--seeds N] [--single-rack] [--controller-faults] [--threads N] [--out DIR]"
+        "usage: chaos_sweep [--seeds N] [--single-rack] [--controller-faults] [--rack-partition] [--out DIR]"
     );
     2
 }

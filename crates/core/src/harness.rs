@@ -75,13 +75,34 @@ pub struct ClusterConfig {
     /// Number of controller replicas (§5.2: "replicated using Paxos or
     /// Raft"). With 3 replicas the service survives one crash.
     pub ctrl_replicas: usize,
-    /// How the simulator's one engine is partitioned. `0` keeps the
-    /// whole network in one shard — one event queue, one RNG stream;
-    /// `n ≥ 1` splits it by rack (`Topology::partition`) and runs the
-    /// shards on `n` compute lanes (`1` = every shard inline on the
-    /// calling thread; results are bit-identical for every `n ≥ 1`).
-    pub threads: usize,
+    /// How the simulator lays the network out. [`ClusterConfig::testbed`]
+    /// and [`ClusterConfig::single_rack`] choose it from `processes`
+    /// ([`RACKS_FROM_PROCESSES`]); only measurements of the partition
+    /// itself and tests that pin its goldens override it.
+    pub partition: Partition,
 }
+
+/// The simulator's layout of the network: the same engine and the same
+/// code either way, a different (each deterministic) event order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Partition {
+    /// The whole network in one shard: one event queue, one RNG stream.
+    Whole,
+    /// One shard per rack subtree, pod spine group and core switch
+    /// (`Topology::partition`), run window by window under a conservative
+    /// lookahead. Each shard's working set is a fraction of the
+    /// network's, which pays once the whole no longer fits the cache.
+    Racks,
+}
+
+/// Process count from which [`ClusterConfig::testbed`] splits the network
+/// by rack. Placed by the perfbench sweep of fig8 all-to-all on the
+/// testbed, wall time of `<name>` against `<name>_racks` (`BENCH_sim.json`
+/// commits the 32, 128 and 512 rows, DESIGN.md §10.1 tabulates 32 to
+/// 512): one shard is 1.1× faster at 32 processes, the two are within
+/// 3 % of each other at 64 and 128, and the rack partition is ahead from
+/// 256 up (1.03×; 1.05–1.1× at 512).
+pub const RACKS_FROM_PROCESSES: usize = 256;
 
 impl ClusterConfig {
     /// The paper's 32-server testbed with `processes` processes.
@@ -97,7 +118,11 @@ impl ClusterConfig {
             mgmt_delay: 5_000,
             mgmt_serialize: 3_000,
             ctrl_replicas: 3,
-            threads: 0,
+            partition: if processes >= RACKS_FROM_PROCESSES {
+                Partition::Racks
+            } else {
+                Partition::Whole
+            },
         }
     }
 
@@ -327,8 +352,8 @@ impl Cluster {
         let ctrl_retry =
             RetryPolicy { base: 2 * mgmt_delay, cap: 20 * mgmt_delay, max_attempts: 10 };
 
-        if cfg.threads > 0 {
-            sim.set_partition(topo.partition(), cfg.threads);
+        if cfg.partition == Partition::Racks {
+            sim.set_partition(topo.partition());
         }
 
         Cluster {
@@ -448,7 +473,7 @@ impl Cluster {
     /// control plane is pumped between windows. A window never reaches
     /// the next management delivery: it covers events strictly before
     /// it and no later than `t_end`. On an unsplit network
-    /// ([`ClusterConfig::threads`] = 0) it also ends after the first
+    /// ([`Partition::Whole`]) it also ends after the first
     /// event at or past the next controller tick and after an event
     /// during which a switch or host queued a control request (it raises
     /// the simulator's attention flag) — exactly the events after which
@@ -457,8 +482,8 @@ impl Cluster {
     /// window is one event long: the oracle sees each event's deliveries
     /// and user events before the next event runs. On a rack partition a
     /// window is bounded by the lookahead horizon instead and runs to
-    /// its end; all barrier times are deterministic, so runs remain
-    /// bit-identical for any lane count.
+    /// its end; where windows end is a function of the event times alone,
+    /// so runs repeat bit for bit.
     pub fn run_until(&mut self, t_end: u64) {
         loop {
             self.sort_sink_tails();
@@ -495,15 +520,15 @@ impl Cluster {
     }
 
     /// Canonicalize the unsorted tail of each shared sink by
-    /// `(time, owner)`. On a rack partition worker lanes push into the
-    /// sinks concurrently, so arrival order is nondeterministic *across*
-    /// owners; entries with equal keys always come from one host — one
-    /// shard, executed serially — and the stable sort keeps their
-    /// relative order, so the result is a pure function of the
-    /// simulation. An unsplit network pushes in event order, which is
-    /// what its goldens pin, and is left alone.
+    /// `(time, owner)`. On a rack partition a window runs shard after
+    /// shard, so the sinks fill in shard order rather than time order;
+    /// entries with equal keys always come from one host — one shard —
+    /// and the stable sort keeps their relative order. (It is the order
+    /// the partition goldens were recorded under.) An unsplit network
+    /// pushes in event order, which is what its goldens pin, and is left
+    /// alone.
     fn sort_sink_tails(&mut self) {
-        if self.config.threads == 0 {
+        if self.config.partition == Partition::Whole {
             return;
         }
         {
@@ -1323,9 +1348,9 @@ mod tests {
                 None
             }
         }
-        for threads in [0, 2] {
+        for partition in [Partition::Whole, Partition::Racks] {
             let mut cfg = ClusterConfig::testbed(32);
-            cfg.threads = threads;
+            cfg.partition = partition;
             let mut c = Cluster::new(cfg);
             let core = *c.topo.switch_nodes.last().expect("testbed has switches");
             let log = Arc::new(Mutex::new(Vec::new()));
@@ -1336,21 +1361,30 @@ mod tests {
             c.push_mgmt(tie, MgmtMsg::Action { epoch: 0, action });
             c.sim.schedule_timer(tie, core, 0);
             c.run_until(tie - 1);
-            assert!(log.lock().unwrap().is_empty(), "threads={threads}");
+            assert!(log.lock().unwrap().is_empty(), "{partition:?}");
             c.run_until(tie);
-            assert_eq!(*log.lock().unwrap(), ["event", "mgmt"], "threads={threads}");
+            assert_eq!(*log.lock().unwrap(), ["event", "mgmt"], "{partition:?}");
         }
     }
 
+    /// The partition follows the size of the run, and nothing else.
     #[test]
-    fn sharded_cluster_bit_identical_across_lane_counts() {
+    fn partition_is_chosen_from_the_process_count() {
+        assert_eq!(ClusterConfig::testbed(32).partition, Partition::Whole);
+        assert_eq!(ClusterConfig::single_rack(8, 8).partition, Partition::Whole);
+        assert_eq!(Cluster::new(ClusterConfig::testbed(32)).sim.shard_stats().len(), 1);
+        assert_eq!(ClusterConfig::testbed(RACKS_FROM_PROCESSES).partition, Partition::Racks);
+        assert!(Cluster::new(ClusterConfig::testbed(512)).sim.shard_stats().len() > 1);
+    }
+
+    #[test]
+    fn sharded_cluster_repeats_bit_for_bit() {
         // The full cluster — switches, hosts, controller, a host crash
-        // and its recovery — must produce byte-identical delivery and
-        // event streams for every lane count of the rack partition
-        // (threads = 1 is the deterministic reference).
-        let run = |threads: usize| {
+        // and its recovery — on the rack partition: two runs produce
+        // byte-identical delivery and event streams.
+        let run = || {
             let mut cfg = ClusterConfig::single_rack(4, 4);
-            cfg.threads = threads;
+            cfg.partition = Partition::Racks;
             let mut c = Cluster::new(cfg);
             assert!(c.sim.shard_stats().len() > 1, "the rack partition splits the network");
             c.run_for(50 * MICROS);
@@ -1369,17 +1403,16 @@ mod tests {
             let ev: Vec<_> = c.user_events.lock().unwrap().clone();
             (d, format!("{ev:?}"), c.sim.stats.events, c.failed_processes())
         };
-        let one = run(1);
+        let one = run();
         assert!(!one.0.is_empty(), "reference run delivered nothing");
         assert_eq!(one.3.first().map(|f| f.0), Some(ProcessId(3)));
-        assert_eq!(run(2), one, "threads=2 diverged from threads=1");
-        assert_eq!(run(3), one, "threads=3 diverged from threads=1");
+        assert_eq!(run(), one, "a second run diverged from the first");
     }
 
     #[test]
     fn sharded_testbed_preserves_total_order() {
         let mut cfg = ClusterConfig::testbed(32);
-        cfg.threads = 2;
+        cfg.partition = Partition::Racks;
         let mut c = Cluster::new(cfg);
         c.run_for(50 * MICROS);
         for round in 0..3 {

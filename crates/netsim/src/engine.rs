@@ -7,11 +7,13 @@
 //! loop. A new simulator holds the whole network in a single shard —
 //! one queue, one RNG, events in global `(time, seq)` order;
 //! [`Sim::set_partition`] splits that shard along the topology so that
-//! lookahead windows can run side by side on worker lanes. The partition
-//! decides how much runs concurrently, never which code runs.
+//! each shard's queue, links and node state stay small enough to be
+//! cache-resident in a large run. Everything runs on the calling thread:
+//! the partition decides how state is laid out and in which
+//! (deterministic) order events run, never which code runs.
 
 use crate::link::{Enqueue, Link, LinkParams};
-use crate::shard::{OutMsg, Pool, Shard, Shared};
+use crate::shard::{OutMsg, Shard, Shared};
 use crate::stats::{ShardStat, Stats};
 use crate::trace::{TraceRecord, TracerHandle};
 use onepipe_types::ids::{LinkId, NodeId};
@@ -20,8 +22,6 @@ use onepipe_types::wire::{Datagram, Flags, HEADER_LEN};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 /// Fixed per-packet overhead on the wire beyond the 1Pipe datagram:
 /// Ethernet + IP + UDP headers (≈ RoCE UD framing in the testbed).
@@ -46,11 +46,7 @@ impl SimPacket {
 
 /// Behaviour attached to a simulated node (switch logic, host endpoint,
 /// traffic generator, ...).
-///
-/// `Send` is required so whole shards (including their attached logic)
-/// can migrate to worker lanes; a shard is only ever executed by one
-/// thread at a time.
-pub trait NodeLogic: Send {
+pub trait NodeLogic {
     /// Called once when the simulation starts, to arm initial timers.
     fn on_start(&mut self, _ctx: &mut Ctx<'_>) {}
 
@@ -239,12 +235,9 @@ impl<'a> Ctx<'a> {
     /// for it outside the event queue (a failure report, a controller
     /// request): a whole-network shard returns from [`Sim::run`] after
     /// the current event, a split network at the end of the window, and
-    /// the flag stays up until [`Sim::take_attention`] lowers it. A
-    /// relaxed store: the flag publishes no data of its own — the driver
-    /// reads the node's outbox on the thread that ran the callback, or
-    /// after a window barrier has synchronized with it.
+    /// the flag stays up until [`Sim::take_attention`] lowers it.
     pub fn raise_attention(&self) {
-        self.net.attention.store(true, Ordering::Relaxed);
+        self.net.attention.set(true);
     }
 
     /// Transmit `pkt` on the directed link `self.node → to`.
@@ -314,12 +307,11 @@ impl<'a> Ctx<'a> {
     /// protocol would provide: forwarding avoids next hops whose entire
     /// downstream path is dead, not just hops behind a locally-down port.
     ///
-    /// The link may belong to another shard, so this reads the shared
-    /// mirror of every link's administrative state. It is written only
-    /// by the coordinator between windows — a relaxed load suffices, the
-    /// lane hand-off orders every write before the next window's reads.
+    /// The link may belong to another shard, so this reads the
+    /// coordinator's mirror of every link's administrative state, which
+    /// changes only between windows (`Sim::apply_next_fault`).
     pub fn global_link_is_up(&self, from: NodeId, to: NodeId) -> bool {
-        self.net.up.get(LinkId::new(from, to)).is_some_and(|up| up.load(Ordering::Relaxed))
+        self.net.up.get(LinkId::new(from, to)).is_some_and(|&up| up)
     }
 
     /// A counter that moves whenever any link's administrative state
@@ -327,7 +319,7 @@ impl<'a> Ctx<'a> {
     /// as long as this reads the same. Written, like the link states, by
     /// the coordinator between windows only.
     pub fn link_epoch(&self) -> u64 {
-        self.net.link_epoch.load(Ordering::Relaxed)
+        self.net.link_epoch
     }
 }
 
@@ -335,18 +327,13 @@ impl<'a> Ctx<'a> {
 /// links and event queues.
 pub struct Sim {
     now: u64,
-    /// `Some` except while a worker lane runs the shard.
-    pub(crate) shards: Vec<Option<Shard>>,
+    pub(crate) shards: Vec<Shard>,
     /// Topology and flags every shard reads.
-    pub(crate) net: Arc<Shared>,
+    pub(crate) net: Shared,
     pub(crate) seed: u64,
     /// Window length: min cross-shard propagation delay + 1 (`u64::MAX`
     /// when no link crosses a shard boundary).
     pub(crate) lookahead: u64,
-    /// Compute lanes; shard `i` runs on lane `i % lanes`, lane 0 is the
-    /// calling thread.
-    pub(crate) lanes: usize,
-    pub(crate) pool: Option<Pool>,
     /// The fault schedule, keyed `(time, schedule order)`; every entry
     /// has an [`EventKind::Fence`] in every shard's queue.
     faults: BTreeMap<(u64, u64), Fault>,
@@ -356,20 +343,16 @@ pub struct Sim {
     pub stats: Stats,
 }
 
-pub(crate) const PARKED: &str = "shards are home between windows";
-
 impl Sim {
     /// Create an empty simulator with a deterministic seed: one shard
     /// that will own every node and link added.
     pub fn new(seed: u64) -> Self {
         Sim {
             now: 0,
-            shards: vec![Some(Shard::new(0, seed, 0, false))],
-            net: Arc::new(Shared::default()),
+            shards: vec![Shard::new(0, seed, 0, false)],
+            net: Shared::default(),
             seed,
             lookahead: u64::MAX,
-            lanes: 1,
-            pool: None,
             faults: BTreeMap::new(),
             fault_seq: 0,
             tracer: None,
@@ -381,7 +364,7 @@ impl Sim {
     /// shard buffers its own records; they reach the tracer at the next
     /// barrier, ordered by `(time, shard, position)`.
     pub fn set_tracer(&mut self, tracer: TracerHandle) {
-        for shard in self.shards_mut() {
+        for shard in &mut self.shards {
             shard.trace = Some(Vec::new());
         }
         self.tracer = Some(tracer);
@@ -389,7 +372,7 @@ impl Sim {
 
     /// Per-shard execution counters (one entry for an unsplit network).
     pub fn shard_stats(&self) -> Vec<ShardStat> {
-        self.shards.iter().map(|s| s.as_ref().expect(PARKED).stat.clone()).collect()
+        self.shards.iter().map(|s| s.stat.clone()).collect()
     }
 
     /// Current simulation time (ns).
@@ -397,24 +380,20 @@ impl Sim {
         self.now
     }
 
-    fn shards_mut(&mut self) -> impl Iterator<Item = &mut Shard> {
-        self.shards.iter_mut().map(|s| s.as_mut().expect(PARKED))
-    }
-
     /// The shard that owns `node`.
     fn owner(&self, node: NodeId) -> &Shard {
-        self.shards[self.net.shard_of[node.0 as usize] as usize].as_ref().expect(PARKED)
+        &self.shards[self.net.shard_of[node.0 as usize] as usize]
     }
 
     fn owner_mut(&mut self, node: NodeId) -> &mut Shard {
-        self.shards[self.net.shard_of[node.0 as usize] as usize].as_mut().expect(PARKED)
+        &mut self.shards[self.net.shard_of[node.0 as usize] as usize]
     }
 
     /// The topology tables, writable while the network is still one
-    /// shard (no worker lane holds them yet).
+    /// shard (a split fixes the length of every shard's node tables).
     fn net_mut(&mut self) -> &mut Shared {
         assert!(self.shards.len() == 1, "cannot grow the network after set_partition");
-        Arc::get_mut(&mut self.net).expect("an unsplit network has no worker lanes")
+        &mut self.net
     }
 
     /// Add a node without logic (logic can be attached later); returns its id.
@@ -444,7 +423,7 @@ impl Sim {
         let id = LinkId::new(from, to);
         let link = Link::new(params);
         let net = self.net_mut();
-        assert!(net.up.insert(id, AtomicBool::new(link.is_up())), "duplicate link {id:?}");
+        assert!(net.up.insert(id, link.is_up()), "duplicate link {id:?}");
         net.out_neighbors[from.0 as usize].push(to);
         net.in_neighbors[to.0 as usize].push(from);
         self.owner_mut(from).links.insert(id, link);
@@ -459,12 +438,12 @@ impl Sim {
     /// Shared access to a link.
     pub fn link(&self, id: LinkId) -> Option<&Link> {
         let owner = *self.net.shard_of.get(id.from.0 as usize)?;
-        self.shards[owner as usize].as_ref().expect(PARKED).links.get(id)
+        self.shards[owner as usize].links.get(id)
     }
 
     fn link_mut(&mut self, id: LinkId) -> Option<&mut Link> {
         let owner = *self.net.shard_of.get(id.from.0 as usize)?;
-        self.shards[owner as usize].as_mut().expect(PARKED).links.get_mut(id)
+        self.shards[owner as usize].links.get_mut(id)
     }
 
     /// Set a link's administrative state and its mirror in
@@ -473,16 +452,16 @@ impl Sim {
     fn set_link_up(&mut self, id: LinkId, up: bool) -> bool {
         let Some(link) = self.link_mut(id) else { return false };
         link.set_up(up);
-        if let Some(mirror) = self.net.up.get(id) {
-            mirror.store(up, Ordering::Relaxed);
+        if let Some(mirror) = self.net.up.get_mut(id) {
+            *mirror = up;
         }
-        self.net.link_epoch.fetch_add(1, Ordering::Relaxed);
+        self.net.link_epoch += 1;
         true
     }
 
     /// Set the loss rate of every link in the network.
     pub fn set_global_loss_rate(&mut self, rate: f64) {
-        for shard in self.shards_mut() {
+        for shard in &mut self.shards {
             for link in shard.links.values_mut() {
                 link.params.loss_rate = rate;
             }
@@ -494,7 +473,7 @@ impl Sim {
         assert!(at >= self.now);
         self.fault_seq += 1;
         self.faults.insert((at, self.fault_seq), fault);
-        for shard in self.shards_mut() {
+        for shard in &mut self.shards {
             shard.queue.push(at, EventKind::Fence);
         }
     }
@@ -575,8 +554,7 @@ impl Sim {
         node: NodeId,
         f: impl FnOnce(&mut dyn NodeLogic, &mut Ctx<'_>) -> R,
     ) -> Option<R> {
-        let owner = self.net.shard_of[node.0 as usize] as usize;
-        let shard = self.shards[owner].as_mut().expect(PARKED);
+        let shard = &mut self.shards[self.net.shard_of[node.0 as usize] as usize];
         if shard.crashed[node.0 as usize] {
             return None;
         }
@@ -589,7 +567,7 @@ impl Sim {
 
     /// Earliest pending event (or fence) over all shards.
     fn min_head(&mut self) -> Option<u64> {
-        self.shards_mut().filter_map(|s| s.queue.peek_time()).min()
+        self.shards.iter_mut().filter_map(|s| s.queue.peek_time()).min()
     }
 
     /// Run queued events in `(time, seq)` order while their time is ≤
@@ -618,33 +596,16 @@ impl Sim {
             (head.saturating_add(self.lookahead - 1).min(before_fault).min(through), None)
         };
 
-        let lanes = self.lanes;
-        let mut jobs: Vec<Vec<(usize, Shard)>> = (1..lanes).map(|_| Vec::new()).collect();
-        for (i, slot) in self.shards.iter_mut().enumerate() {
-            let shard = slot.as_mut().expect(PARKED);
+        // Every shard holds a fence for every fault, so all of them tell
+        // whether this window ended at one.
+        let mut fenced = false;
+        for shard in &mut self.shards {
             match shard.queue.peek_time() {
                 // Pending work beyond the horizon: the shard idles this
                 // window, held back by the conservative lookahead.
                 Some(h) if h > end => shard.stat.stalled_windows += 1,
-                // Only a shard handed to a worker lane moves; lane 0's
-                // run in place below.
-                Some(_) if i % lanes != 0 => {
-                    jobs[i % lanes - 1].push((i, slot.take().expect(PARKED)));
-                }
-                _ => {}
-            }
-        }
-        let busy = self.pool.as_ref().map_or(0, |pool| pool.dispatch(jobs, end));
-        // Every shard holds a fence for every fault, so lane 0's shards
-        // (shard 0 always among them) tell whether this window ended at
-        // one.
-        let mut fenced = false;
-        for slot in self.shards.iter_mut().step_by(lanes) {
-            fenced |= slot.as_mut().expect(PARKED).run(&self.net, end, early);
-        }
-        for _ in 0..busy {
-            for (i, shard) in self.pool.as_ref().expect("lanes are busy").collect() {
-                self.shards[i] = Some(shard);
+                Some(_) => fenced |= shard.run(&self.net, end, early),
+                None => {}
             }
         }
         self.barrier();
@@ -660,17 +621,15 @@ impl Sim {
         true
     }
 
-    /// The window barrier, with every shard home: fold the shards'
-    /// counters into [`Sim::stats`] (in shard order), advance the clock
-    /// to the latest event run, merge cross-shard arrivals into their
-    /// destination queues and trace records into the tracer — both in
-    /// `(time, source shard, position)` order, which no lane count can
-    /// change.
+    /// The window barrier: fold the shards' counters into [`Sim::stats`]
+    /// (in shard order), advance the clock to the latest event run, merge
+    /// cross-shard arrivals into their destination queues and trace
+    /// records into the tracer — both in `(time, source shard, position)`
+    /// order.
     fn barrier(&mut self) {
         let mut mail: Vec<OutMsg> = Vec::new();
         let mut traced: Vec<TraceRecord> = Vec::new();
-        for slot in self.shards.iter_mut() {
-            let shard = slot.as_mut().expect(PARKED);
+        for shard in &mut self.shards {
             shard.stat.events += shard.scratch.events;
             self.stats.merge(&shard.scratch);
             shard.scratch = Stats::default();
@@ -721,27 +680,22 @@ impl Sim {
                 self.owner_mut(node).crashed[node.0 as usize] = true;
                 self.stats.faults_crashes += 1;
                 // Take both directions of every attached link down.
-                let net = self.net.clone();
-                for &peer in &net.out_neighbors[node.0 as usize] {
-                    self.set_link_up(LinkId::new(node, peer), false);
-                }
-                for &peer in &net.in_neighbors[node.0 as usize] {
-                    self.set_link_up(LinkId::new(peer, node), false);
+                let outs = self.net.out_neighbors[node.0 as usize].iter();
+                let ins = self.net.in_neighbors[node.0 as usize].iter();
+                let attached: Vec<LinkId> = outs
+                    .map(|&peer| LinkId::new(node, peer))
+                    .chain(ins.map(|&peer| LinkId::new(peer, node)))
+                    .collect();
+                for link in attached {
+                    self.set_link_up(link, false);
                 }
             }
         }
     }
 
-    /// Lower the attention flag, returning whether it was raised. A load
-    /// and a conditional store rather than a swap (a locked instruction
-    /// on every idle pump): nodes only raise the flag while the driver
-    /// is inside a run call, never concurrently with this one.
+    /// Lower the attention flag, returning whether it was raised.
     pub fn take_attention(&mut self) -> bool {
-        let raised = self.net.attention.load(Ordering::Relaxed);
-        if raised {
-            self.net.attention.store(false, Ordering::Relaxed);
-        }
-        raised
+        self.net.attention.replace(false)
     }
 
     /// Run until the event queue is exhausted or `t_end` (ns) is reached.
@@ -932,10 +886,14 @@ mod tests {
         assert_eq!(sim.stats.faults_crashes, 1);
     }
 
+    /// The log is an `Rc`: node logic need not be `Send`, nothing in the
+    /// simulator leaves the calling thread.
     #[test]
     fn timers_fire_in_order() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
         struct Timers {
-            log: Arc<Mutex<Vec<u64>>>,
+            log: Rc<RefCell<Vec<u64>>>,
         }
         impl NodeLogic for Timers {
             fn on_start(&mut self, ctx: &mut Ctx<'_>) {
@@ -946,15 +904,15 @@ mod tests {
             fn on_packet(&mut self, _: &mut Ctx<'_>, _: NodeId, _: SimPacket) {}
             fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
                 assert_eq!(ctx.now(), token * 100);
-                self.log.lock().unwrap().push(token);
+                self.log.borrow_mut().push(token);
             }
         }
         let mut sim = Sim::new(0);
         let n = sim.add_node();
-        let log = Arc::new(Mutex::new(Vec::new()));
+        let log = Rc::new(RefCell::new(Vec::new()));
         sim.set_logic(n, Box::new(Timers { log: log.clone() }));
         sim.run_to_completion();
-        assert_eq!(*log.lock().unwrap(), vec![1, 2, 3]);
+        assert_eq!(*log.borrow(), vec![1, 2, 3]);
     }
 
     #[test]

@@ -9,7 +9,11 @@
 //! [`Sim::set_partition`] splits it along the topology (one shard per
 //! rack subtree, one per pod spine group, one per core switch — see
 //! [`Topology::partition`](crate::topology::Topology::partition)), so
-//! the dense intra-rack traffic never crosses a shard boundary.
+//! the dense intra-rack traffic never crosses a shard boundary. The
+//! shards of a split network run one after another on the calling
+//! thread: the split is a locality structure — each shard's queue, links
+//! and node state fit the cache where the whole network's do not — not a
+//! unit of parallelism.
 //!
 //! # Conservative lookahead
 //!
@@ -17,9 +21,8 @@
 //! `W`, the minimum pending event time across shards, and extends to
 //! `W_end = W + L` where the lookahead `L` is the minimum propagation
 //! delay over all **cross-shard** links plus one. Inside a window every
-//! shard drains its own queue independently (in parallel when the
-//! partition was created with more than one lane): an event at `t < W_end`
-//! can only produce a cross-shard arrival at
+//! shard drains its own queue without looking at any other: an event at
+//! `t < W_end` can only produce a cross-shard arrival at
 //! `t + tx + prop ≥ W + 1 + L - 1 = W_end`, because serialization takes
 //! at least 1 ns and the propagation delay of any cross-shard link is at
 //! least `L - 1`. Cross-shard packets are therefore buffered in per-shard
@@ -34,39 +37,33 @@
 //! `(arrival_time, source_shard, source_outbox_position)` and pushed into
 //! the destination shards' queues in that order; each push receives the
 //! destination queue's own monotone sequence number, so pop order —
-//! `(time, seq)` — is a pure function of the partition and the seed,
-//! independent of how many worker threads executed the window. Shard
-//! RNGs are seeded `seed + shard_id · STRIDE` (shard 0 keeps the seed
-//! itself), so draws do not depend on thread interleaving either. The
-//! result: a simulation is bit-identical across lane counts. Packet
-//! trace records take the same route — a per-shard buffer, merged in the
-//! same order at the barrier.
+//! `(time, seq)` — is a pure function of the partition and the seed.
+//! Shard RNGs are seeded `seed + shard_id · STRIDE` (shard 0 keeps the
+//! seed itself). Packet trace records take the same route — a per-shard
+//! buffer, merged in the same order at the barrier.
 //!
 //! # Faults
 //!
 //! Scheduled faults (`LinkAdmin`, `LinkLoss`, `GlobalLoss`, `Crash`) and
-//! harness calls (`with_node`) run on the coordinator, between windows,
-//! when every shard is home. A fault takes effect in `(time, push order)`
-//! like any event: events at its nanosecond that were queued before it
-//! was scheduled run first, those queued later run after. Each shard
-//! knows where that line is in its own queue by the fence pushed when the
-//! fault was scheduled; windows of a split network end just before the
-//! fault's time, then every shard runs up to its fence, then the
-//! coordinator applies the fault. The shared link up/down mirror
-//! (`Shared::up`) behind the global routing oracle is likewise only
-//! written between windows.
+//! harness calls (`with_node`) run on the coordinator, between windows.
+//! A fault takes effect in `(time, push order)` like any event: events at
+//! its nanosecond that were queued before it was scheduled run first,
+//! those queued later run after. Each shard knows where that line is in
+//! its own queue by the fence pushed when the fault was scheduled;
+//! windows of a split network end just before the fault's time, then
+//! every shard runs up to its fence, then the coordinator applies the
+//! fault. The link up/down mirror (`Shared::up`) behind the global
+//! routing oracle is likewise only written between windows, so what a
+//! node reads from it does not depend on the order shards run in.
 
-use crate::engine::{Ctx, EventKind, LinkMap, LinkTable, NodeLogic, Sim, SimPacket, PARKED};
+use crate::engine::{Ctx, EventKind, LinkMap, LinkTable, NodeLogic, Sim, SimPacket};
 use crate::sched::CalendarQueue;
 use crate::stats::{ShardStat, Stats};
 use crate::trace::TraceRecord;
 use onepipe_types::ids::NodeId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::cell::Cell;
 
 /// Seed stride between shard RNGs (golden-ratio constant). Shard 0 keeps
 /// the simulation seed itself, so splitting a network leaves the draws of
@@ -85,7 +82,8 @@ pub(crate) struct OutMsg {
     pub(crate) pkt: SimPacket,
 }
 
-/// What every shard reads and none writes while a window runs.
+/// What every shard reads and none writes while a window runs (but for
+/// raising `attention`).
 #[derive(Default)]
 pub(crate) struct Shared {
     /// Node → owning shard.
@@ -95,17 +93,17 @@ pub(crate) struct Shared {
     /// Mirror of every directed link's administrative up/down state, for
     /// [`Ctx::global_link_is_up`], which must see links owned by other
     /// shards.
-    pub(crate) up: LinkMap<AtomicBool>,
+    pub(crate) up: LinkMap<bool>,
     /// Bumped whenever an entry of `up` is written; whatever a node
     /// derived from `up` under an older value is stale
     /// ([`Ctx::link_epoch`]).
-    pub(crate) link_epoch: AtomicU64,
-    /// Raised by [`Ctx::raise_attention`].
-    pub(crate) attention: AtomicBool,
+    pub(crate) link_epoch: u64,
+    /// Raised by [`Ctx::raise_attention`], through the shared reference
+    /// a node callback holds.
+    pub(crate) attention: Cell<bool>,
 }
 
-/// One shard: a self-contained slice of the simulation, executable on
-/// any thread (one thread at a time).
+/// One shard: a self-contained slice of the simulation.
 pub(crate) struct Shard {
     pub(crate) id: u32,
     pub(crate) queue: CalendarQueue<EventKind>,
@@ -207,7 +205,7 @@ impl Shard {
                 }
             }
             self.scratch.events += 1;
-            if early.is_some_and(|d| time >= d || net.attention.load(Ordering::Relaxed)) {
+            if early.is_some_and(|d| time >= d || net.attention.get()) {
                 break;
             }
         }
@@ -218,96 +216,18 @@ impl Shard {
     }
 }
 
-/// A window job shipped to a worker lane: the lane's shards plus the
-/// window bound. Shards move wholesale (ownership transfer), so workers
-/// need no locks while executing.
-struct Job {
-    batch: Vec<(usize, Shard)>,
-    through: u64,
-}
-
-/// Persistent worker lanes 1.. (the coordinator is lane 0).
-pub(crate) struct Pool {
-    txs: Vec<Sender<Job>>,
-    rx: Receiver<Vec<(usize, Shard)>>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl Pool {
-    fn spawn(workers: usize, net: &Arc<Shared>) -> Pool {
-        let (res_tx, rx) = channel();
-        let mut txs = Vec::new();
-        let mut handles = Vec::new();
-        for lane in 1..=workers {
-            let (tx, jobs) = channel::<Job>();
-            let (res, net) = (res_tx.clone(), net.clone());
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("netsim-lane-{lane}"))
-                    .spawn(move || {
-                        while let Ok(mut job) = jobs.recv() {
-                            for (_, shard) in job.batch.iter_mut() {
-                                shard.run(&net, job.through, None);
-                            }
-                            if res.send(job.batch).is_err() {
-                                return;
-                            }
-                        }
-                    })
-                    .expect("spawn worker lane"),
-            );
-            txs.push(tx);
-        }
-        Pool { txs, rx, handles }
-    }
-
-    /// Send each non-empty batch to its lane (`jobs[k]` → lane `k + 1`);
-    /// returns how many lanes are now busy.
-    pub(crate) fn dispatch(&self, jobs: Vec<Vec<(usize, Shard)>>, through: u64) -> usize {
-        let mut busy = 0;
-        for (tx, batch) in self.txs.iter().zip(jobs) {
-            if !batch.is_empty() {
-                tx.send(Job { batch, through }).expect("worker lane died");
-                busy += 1;
-            }
-        }
-        busy
-    }
-
-    /// Wait for one busy lane to finish its window.
-    pub(crate) fn collect(&self) -> Vec<(usize, Shard)> {
-        self.rx.recv().expect("worker lane died")
-    }
-}
-
-impl Drop for Pool {
-    fn drop(&mut self) {
-        self.txs.clear(); // disconnects workers
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
 impl Sim {
-    /// Split the network into shards.
-    ///
-    /// `shard_of[node]` assigns every node to a shard; `threads` is the
-    /// total number of compute lanes (1 = run every shard inline on the
-    /// calling thread; `N > 1` spawns worker threads, with shard `i`
-    /// pinned to lane `i mod N`). Results are bit-identical across lane
-    /// counts.
+    /// Split the network into shards: `shard_of[node]` assigns every
+    /// node to one.
     ///
     /// Must be called after topology construction and before the first
     /// run. Pending events (e.g. `on_start`) migrate to their owning
     /// shards, fences to every shard.
-    pub fn set_partition(&mut self, shard_of: Vec<u32>, threads: usize) {
-        assert!(threads >= 1, "need at least one compute lane");
-        let net = Arc::get_mut(&mut self.net).filter(|_| self.shards.len() == 1);
-        let net = net.expect("the network is already split");
-        assert_eq!(shard_of.len(), net.shard_of.len(), "shard_of must cover every node");
+    pub fn set_partition(&mut self, shard_of: Vec<u32>) {
+        assert!(self.shards.len() == 1, "the network is already split");
+        assert_eq!(shard_of.len(), self.net.shard_of.len(), "shard_of must cover every node");
         let num_shards = shard_of.iter().map(|&s| s as usize + 1).max().unwrap_or(1);
-        let mut whole = self.shards.pop().flatten().expect(PARKED);
+        let mut whole = self.shards.pop().expect("checked: one shard");
 
         let mut shards: Vec<Shard> = (0..num_shards)
             .map(|i| Shard::new(i as u32, self.seed, shard_of.len(), whole.trace.is_some()))
@@ -342,14 +262,9 @@ impl Sim {
             }
         }
 
-        net.shard_of = shard_of;
-        self.shards = shards.into_iter().map(Some).collect();
+        self.net.shard_of = shard_of;
+        self.shards = shards;
         self.lookahead = min_cross.saturating_add(1);
-        // More lanes than shards would idle.
-        self.lanes = threads.min(num_shards);
-        if self.lanes > 1 {
-            self.pool = Some(Pool::spawn(self.lanes - 1, &self.net));
-        }
     }
 }
 
@@ -362,7 +277,7 @@ mod tests {
     use onepipe_types::ids::{HostId, LinkId, ProcessId};
     use onepipe_types::time::Timestamp;
     use onepipe_types::wire::{Datagram, Flags, Opcode, PacketHeader};
-    use std::sync::Mutex;
+    use std::sync::{Arc, Mutex};
 
     fn dgram(psn: u32) -> Datagram {
         Datagram {
@@ -447,7 +362,7 @@ mod tests {
         for explicit in [false, true] {
             let (mut sim, a, _b, log) = two_node(params, 1);
             if explicit {
-                sim.set_partition(vec![0, 0], 1);
+                sim.set_partition(vec![0, 0]);
             }
             sim.set_logic(a, Box::new(Blaster { peer: NodeId(1), n: 1000 }));
             sim.run_to_completion();
@@ -463,28 +378,25 @@ mod tests {
     /// `(arrivals, fnv(arrival log), events)` of the run above.
     const ONE_SHARD_LOSS: (usize, u64, u64) = (463, 0x9a8c_df39_cf8b_294c, 465);
 
-    /// Cross-shard delivery matches the one-shard run exactly and is
-    /// invariant to the number of worker lanes.
+    /// Cross-shard delivery matches the one-shard run exactly.
     #[test]
-    fn cross_shard_matches_one_shard_and_lane_count() {
+    fn cross_shard_matches_one_shard() {
         let (mut whole, a, _b, log_w) = two_node(LinkParams::default(), 7);
         whole.set_logic(a, Box::new(Blaster { peer: NodeId(1), n: 200 }));
         whole.run_to_completion();
         let reference = log_w.lock().unwrap().clone();
         assert_eq!(reference.len(), 200);
 
-        for threads in [1, 2, 4] {
-            let (mut sim, a2, _b2, log) = two_node(LinkParams::default(), 7);
-            sim.set_partition(vec![0, 1], threads);
-            sim.set_logic(a2, Box::new(Blaster { peer: NodeId(1), n: 200 }));
-            sim.run_to_completion();
-            assert_eq!(*log.lock().unwrap(), reference, "threads={threads}");
-            let stats = sim.shard_stats();
-            assert_eq!(stats[0].cross_shard_msgs, 200, "threads={threads}");
-            assert_eq!(stats.iter().map(|s| s.events).sum::<u64>(), sim.stats.events);
-            assert_eq!(sim.stats.events, whole.stats.events);
-            assert!(stats[0].windows > 0);
-        }
+        let (mut sim, a2, _b2, log) = two_node(LinkParams::default(), 7);
+        sim.set_partition(vec![0, 1]);
+        sim.set_logic(a2, Box::new(Blaster { peer: NodeId(1), n: 200 }));
+        sim.run_to_completion();
+        assert_eq!(*log.lock().unwrap(), reference);
+        let stats = sim.shard_stats();
+        assert_eq!(stats[0].cross_shard_msgs, 200);
+        assert_eq!(stats.iter().map(|s| s.events).sum::<u64>(), sim.stats.events);
+        assert_eq!(sim.stats.events, whole.stats.events);
+        assert!(stats[0].windows > 0);
     }
 
     /// Scheduled faults behave on a split network as on a whole one:
@@ -493,7 +405,7 @@ mod tests {
     #[test]
     fn faults_on_a_split_network() {
         let (mut sim, a, b, log) = two_node(LinkParams::default(), 3);
-        sim.set_partition(vec![0, 1], 2);
+        sim.set_partition(vec![0, 1]);
         let fwd = LinkId::new(a, b);
         sim.schedule_link_admin(0, fwd, false);
         sim.schedule_link_admin(10_000, fwd, true);
@@ -513,7 +425,7 @@ mod tests {
 
         // Crash: node stops receiving, fault counter increments.
         let (mut sim, a, b, log) = two_node(LinkParams::default(), 3);
-        sim.set_partition(vec![0, 1], 1);
+        sim.set_partition(vec![0, 1]);
         sim.set_logic(a, Box::new(Blaster { peer: NodeId(1), n: 10 }));
         sim.schedule_crash(0, b);
         sim.run_to_completion();
@@ -545,7 +457,7 @@ mod tests {
             let (mut sim, a, b, log) = two_node(LinkParams::default(), 5);
             sim.set_logic(b, Box::new(Echo { log: log.clone() }));
             if split {
-                sim.set_partition(vec![0, 1], 2);
+                sim.set_partition(vec![0, 1]);
             }
             if fault_first {
                 fault(&mut sim, arrival, a, b);
@@ -580,7 +492,7 @@ mod tests {
     #[test]
     fn with_node_injects_cross_shard() {
         let (mut sim, a, _b, log) = two_node(LinkParams::default(), 0);
-        sim.set_partition(vec![0, 1], 2);
+        sim.set_partition(vec![0, 1]);
         sim.set_logic(a, Box::new(Blaster { peer: NodeId(1), n: 0 }));
         sim.run_until(5_000);
         sim.with_node(a, |_, ctx| {
@@ -618,27 +530,26 @@ mod tests {
                 NodeRole::Core { idx } => assert_eq!(s, 6 + idx),
             }
         }
-        sim.set_partition(part, 2);
+        sim.set_partition(part);
         assert_eq!(sim.lookahead, 501);
     }
 
     /// Traffic into host 31 of the testbed fat-tree, injected at its
     /// ToR: the whole-network shard reproduces the single-queue engine's
     /// recorded arrivals and event count, and the rack partition
-    /// reproduces the whole-network shard at 1 and 3 lanes — with a
-    /// tracer attached before or after the split, and an identical
-    /// trace.
+    /// reproduces the whole-network shard — with a tracer attached
+    /// before or after the split, and an identical trace.
     #[test]
     fn fat_tree_traffic_identical_across_partitions() {
-        fn run(threads: Option<usize>, trace_first: bool) -> (Vec<(u64, u32)>, u64, String) {
+        fn run(split: bool, trace_first: bool) -> (Vec<(u64, u32)>, u64, String) {
             let mut sim = Sim::new(9);
             let topo = Topology::build(&mut sim, FatTreeParams::testbed());
             let tracer = Tracer::shared(1 << 16);
             if trace_first {
                 sim.set_tracer(tracer.clone());
             }
-            if let Some(t) = threads {
-                sim.set_partition(topo.partition(), t);
+            if split {
+                sim.set_partition(topo.partition());
             }
             if !trace_first {
                 sim.set_tracer(tracer.clone());
@@ -659,11 +570,11 @@ mod tests {
             let dump = tracer.borrow().dump();
             (l, sim.stats.events, dump)
         }
-        let whole = run(None, true);
+        let whole = run(false, true);
         assert_eq!((whole.0.len(), fnv(&whole.0), whole.1), FAT_TREE_WHOLE);
         assert_eq!(whole.2.lines().count(), 50, "every arrival is traced");
-        for (threads, trace_first) in [(1, true), (1, false), (3, true), (3, false)] {
-            assert_eq!(run(Some(threads), trace_first), whole, "threads={threads}");
+        for trace_first in [true, false] {
+            assert_eq!(run(true, trace_first), whole, "trace_first={trace_first}");
         }
     }
     /// `(arrivals, fnv(arrival log), events)` of the whole-network run.

@@ -139,7 +139,8 @@ impl Samples {
         var.sqrt()
     }
 
-    /// The `q`-quantile (0 ≤ q ≤ 1) by nearest-rank; 0 for an empty set.
+    /// The `q`-quantile (0 ≤ q ≤ 1) by nearest-rank — the smallest sample
+    /// with at least `q · n` samples at or below it; 0 for an empty set.
     pub fn percentile(&self, q: f64) -> f64 {
         debug_assert!((0.0..=1.0).contains(&q), "quantile {q} outside [0, 1] (a percent?)");
         if self.values.is_empty() {
@@ -147,8 +148,8 @@ impl Samples {
         }
         let mut sorted = self.values.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let idx = ((sorted.len() as f64 * q) as usize).min(sorted.len() - 1);
-        sorted[idx]
+        let rank = ((sorted.len() as f64 * q).ceil() as usize).clamp(1, sorted.len());
+        sorted[rank - 1]
     }
 
     /// Minimum (0 for empty).
@@ -188,10 +189,22 @@ mod tests {
         assert_eq!(s.len(), 100);
         assert!((s.mean() - 50.5).abs() < 1e-9);
         assert_eq!(s.percentile(0.0), 1.0);
-        assert_eq!(s.percentile(0.5), 51.0);
-        assert_eq!(s.percentile(0.95), 96.0);
+        assert_eq!(s.percentile(0.5), 50.0);
+        assert_eq!(s.percentile(0.95), 95.0);
+        assert_eq!(s.percentile(0.99), 99.0);
         assert_eq!(s.percentile(1.0), 100.0);
         assert_eq!(s.max(), 100.0);
+        // Even count: the lower middle sample, not the upper.
+        let mut four = Samples::new();
+        for v in [10.0, 20.0, 30.0, 40.0] {
+            four.push(v);
+        }
+        assert_eq!(four.percentile(0.5), 20.0);
+        let mut one = Samples::new();
+        one.push(7.0);
+        for q in [0.0, 0.5, 0.99, 1.0] {
+            assert_eq!(one.percentile(q), 7.0);
+        }
     }
 
     /// `percentile` takes a quantile, not a percent: a percent used to

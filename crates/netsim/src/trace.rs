@@ -6,11 +6,11 @@
 //! recorded (after loss/drop filtering, i.e. what the receiving node
 //! actually saw). The buffer is a ring: the newest `capacity` records win.
 //!
-//! Whichever thread runs a shard, it only appends to that shard's own
-//! buffer; the simulator hands the buffers to the tracer at each window
-//! barrier, ordered by `(time, shard, position)` — the order cross-shard
-//! packets are merged in — so a trace is the same for every lane count,
-//! and the filters below apply at that hand-over.
+//! A running shard only appends to its own buffer; the simulator hands
+//! the buffers to the tracer at each window barrier, ordered by
+//! `(time, shard, position)` — the order cross-shard packets are merged
+//! in — so a trace is in time order on any partition, and the filters
+//! below apply at that hand-over.
 //!
 //! [`Sim::set_tracer`]: crate::engine::Sim::set_tracer
 

@@ -3,7 +3,7 @@
 //! causality, FIFO, and behaviour under loss.
 
 use bytes::Bytes;
-use onepipe::service::harness::{Cluster, ClusterConfig};
+use onepipe::service::harness::{Cluster, ClusterConfig, Partition};
 use onepipe::switchlogic::switch::Incarnation;
 use onepipe::types::ids::ProcessId;
 use onepipe::types::message::{Message, OrderKey};
@@ -205,9 +205,9 @@ fn tracer_sees_barrier_flow() {
     use onepipe::types::wire::Opcode;
     // On a whole-network shard and on a rack partition.
     let mut split = ClusterConfig::testbed(16);
-    split.threads = 2;
+    split.partition = Partition::Racks;
     for cfg in [ClusterConfig::single_rack(4, 4), split] {
-        let threads = cfg.threads;
+        let partition = cfg.partition;
         let mut c = Cluster::new(cfg);
         let tracer = Tracer::shared(1 << 16);
         tracer.borrow_mut().opcode_filter = Some(Opcode::Beacon);
@@ -227,22 +227,22 @@ fn tracer_sees_barrier_flow() {
         let (link, vals) = per_link.iter().max_by_key(|(_, v)| v.len()).unwrap();
         assert!(vals.len() > 5);
         for w in vals.windows(2) {
-            assert!(w[0] <= w[1], "barrier regressed on {link:?}, threads={threads}");
+            assert!(w[0] <= w[1], "barrier regressed on {link:?}, {partition:?}");
         }
     }
 }
 
 /// A packet trace is part of the deterministic output: on a rack
-/// partition it is the same for every lane count, and the
-/// whole-network shard's is the single-queue engine's (count and FNV-1a
-/// of the dump recorded on the commit before the engines were unified).
+/// partition it repeats exactly, and the whole-network shard's is the
+/// single-queue engine's (count and FNV-1a of the dump recorded on the
+/// commit before the engines were unified).
 #[test]
-fn packet_trace_is_lane_invariant_and_pinned_on_one_shard() {
+fn packet_trace_repeats_and_is_pinned_on_one_shard() {
     use onepipe::sim::Tracer;
-    let run = |threads: usize| {
+    let run = |partition: Partition| {
         let mut cfg = ClusterConfig::testbed(32);
         cfg.seed = 7;
-        cfg.threads = threads;
+        cfg.partition = partition;
         let mut c = Cluster::new(cfg);
         let tracer = Tracer::shared(1 << 20);
         c.sim.set_tracer(tracer.clone());
@@ -258,10 +258,10 @@ fn packet_trace_is_lane_invariant_and_pinned_on_one_shard() {
         });
         (t.captured, fnv)
     };
-    assert_eq!(run(0), (11_308, 0x37ad_8f89_a0ec_e842));
-    let one_lane = run(1);
-    assert!(one_lane.0 > 10_000, "the partitioned run is traced: {}", one_lane.0);
-    assert_eq!(run(2), one_lane);
+    assert_eq!(run(Partition::Whole), (11_308, 0x37ad_8f89_a0ec_e842));
+    let racks = run(Partition::Racks);
+    assert!(racks.0 > 10_000, "the partitioned run is traced: {}", racks.0);
+    assert_eq!(run(Partition::Racks), racks);
 }
 
 #[test]
