@@ -1,5 +1,6 @@
 //! User-visible events (the callback side of the paper's Table 1 API).
 
+use onepipe_controller::CtrlEvent;
 use onepipe_types::ids::ProcessId;
 use onepipe_types::time::Timestamp;
 use onepipe_types::wire::Datagram;
@@ -73,4 +74,21 @@ pub enum CtrlRequest {
         /// Scattering sequence number.
         seq: u64,
     },
+}
+
+impl CtrlRequest {
+    /// What process `from`'s request becomes on the management network:
+    /// the event the controller cluster must log, or — for `Forward`,
+    /// which is relayed and never logged — the datagram to relay.
+    pub fn into_event(self, from: ProcessId) -> Result<CtrlEvent, Datagram> {
+        match self {
+            CtrlRequest::CallbackComplete { announce_id } => {
+                Ok(CtrlEvent::CallbackComplete { announce_id, from })
+            }
+            CtrlRequest::UndeliverableRecall { to, ts, seq } => {
+                Ok(CtrlEvent::UndeliverableRecall { to, ts, seq, sender: from })
+            }
+            CtrlRequest::Forward { dgram } => Err(dgram),
+        }
+    }
 }

@@ -816,21 +816,12 @@ impl Cluster {
             self.ctrl_outbox.lock().unwrap().drain(..).collect();
         self.sink_marks[3] = 0;
         for (_raised_at, from, req) in reqs {
-            let ev = match req {
-                CtrlRequest::CallbackComplete { announce_id } => {
-                    CtrlEvent::CallbackComplete { announce_id, from }
-                }
-                CtrlRequest::UndeliverableRecall { to, ts, seq } => {
-                    CtrlEvent::UndeliverableRecall { to, ts, seq, sender: from }
-                }
-                CtrlRequest::Forward { dgram } => {
-                    // Controller relays after two management hops. Best
-                    // effort: the relay does not touch the replicated log.
-                    self.push_mgmt(now + 2 * self.mgmt_delay, MgmtMsg::Forward { dgram });
-                    continue;
-                }
-            };
-            self.push_mgmt(now + self.mgmt_delay, MgmtMsg::ToCtrl { ev, attempt: 0 });
+            match req.into_event(from) {
+                Ok(ev) => self.push_mgmt(now + self.mgmt_delay, MgmtMsg::ToCtrl { ev, attempt: 0 }),
+                // Controller relays after two management hops. Best
+                // effort: the relay does not touch the replicated log.
+                Err(dgram) => self.push_mgmt(now + 2 * self.mgmt_delay, MgmtMsg::Forward { dgram }),
+            }
         }
         // Periodic replica tick: Raft timeouts/heartbeats and Determine-
         // window expiry. Partitioned replicas keep ticking (their local

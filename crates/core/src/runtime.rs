@@ -14,14 +14,10 @@
 //! Transports adapt it through the tiny [`Wire`] trait: the deterministic
 //! simulator ([`simhost::HostLogic`]) implements it over simulator packet
 //! sends, the UDP transport (`onepipe-udp`) over a real socket. Both
-//! drivers reduce to glue — receive a datagram → [`HostRuntime::on_datagram`]
-//! (or a whole RX burst → [`HostRuntime::on_datagram_burst`]), timer/poll
-//! tick → [`HostRuntime::on_tick`] — so the pump semantics (drain order,
-//! callback completion, the beacon invariant) exist exactly once.
-//!
-//! [`Wire::emit`] queues; the runtime signals [`Wire::flush`] at pump
-//! boundaries so batching transports know when a coherent burst is
-//! complete (see the trait docs for the exact contract).
+//! drivers reduce to glue — receive a datagram → [`HostRuntime::on_datagram`],
+//! timer/poll tick → [`HostRuntime::on_tick`] — so the pump semantics
+//! (drain order, callback completion, the beacon invariant) exist exactly
+//! once.
 //!
 //! [`simhost::HostLogic`]: crate::simhost::HostLogic
 
@@ -43,35 +39,15 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// links by packet source (the UDP soft switch) rewrite that sentinel to
 /// the local process id on the way out.
 ///
-/// # Batched contract
-///
-/// `emit` is a *queue*, not necessarily a transmit: a transport may
-/// accumulate emitted datagrams into a TX batch. The runtime calls
-/// [`flush`](Wire::flush) at every pump boundary — the end of each public
-/// entry point, and after the beacon in [`HostRuntime::on_tick`] — which
-/// is the transport's signal that a coherent burst is complete and may be
-/// coalesced onto the wire. Two rules bound the transport's freedom:
-///
-/// 1. **FIFO**: datagrams toward one destination leave in `emit` order
-///    (the beacon invariant depends on it — a beacon emitted after data
-///    must not overtake it, §4.1).
-/// 2. **Bounded deferral**: everything emitted must be on the wire by the
-///    time the driver's own outer pump iteration ends; a transport may
-///    defer across `flush` calls within one driver iteration (the UDP
-///    driver does, to coalesce an RX burst's reactions into one frame),
-///    never across iterations.
-///
-/// The simulator keeps the default no-op `flush` and transmits in `emit`,
-/// which trivially satisfies both rules and preserves event-for-event
-/// behavior.
+/// `emit` may queue rather than transmit (the UDP driver coalesces an
+/// iteration's emissions into batch frames and sends them when the
+/// iteration ends), as long as datagrams toward one destination leave in
+/// `emit` order: a beacon emitted after data must not overtake it (§4.1).
 pub trait Wire {
     /// True time now, in nanoseconds of the transport's epoch.
     fn now(&self) -> u64;
     /// Queue a datagram toward the first-hop switch.
     fn emit(&mut self, d: Datagram);
-    /// Pump boundary: the runtime has no more datagrams to emit for this
-    /// burst; batching transports may transmit the accumulated frame now.
-    fn flush(&mut self) {}
     /// The runtime just queued a controller request in its `ctrl_outbox`.
     /// Drivers that only drain the outbox when told to (the simulator
     /// harness, between event batches) take the hint here; drivers that
@@ -274,7 +250,6 @@ impl HostRuntime {
         // barrier, observed deliveries), so `local` may be too low.
         let ts = ep.last_assigned_ts();
         self.drain(wire, now, local);
-        wire.flush();
         Ok((ts, sid.seq))
     }
 
@@ -290,7 +265,6 @@ impl HostRuntime {
             ep.send_raw(to, payload);
         }
         self.flush(wire);
-        wire.flush();
     }
 
     /// Deliver a controller failure announcement to a local process.
@@ -306,7 +280,6 @@ impl HostRuntime {
             ep.on_failure_announcement(local, announce_id, failures);
         }
         self.drain(wire, now, local);
-        wire.flush();
     }
 
     /// Deliver a controller-forwarded datagram to a local process.
@@ -316,34 +289,13 @@ impl HostRuntime {
             ep.handle_datagram(local, d);
         }
         self.drain(wire, now, local);
-        wire.flush();
     }
 
-    /// Process one datagram arriving from the wire, then flush.
+    /// Process one datagram arriving from the wire.
     pub fn on_datagram(&mut self, wire: &mut impl Wire, d: Datagram) {
         let (now, local) = self.read_clock(wire);
         self.ingest(now, local, d);
         self.drain(wire, now, local);
-        wire.flush();
-    }
-
-    /// Process a burst of received datagrams as one pump: endpoint output
-    /// is drained after each datagram (reactions stay prompt and ordered
-    /// exactly as N [`on_datagram`](Self::on_datagram) calls would leave
-    /// them), but the transport sees a single [`Wire::flush`] at the end,
-    /// so everything the burst provoked — ACKs, commits, retransmissions,
-    /// app reactions — can coalesce into one wire frame.
-    pub fn on_datagram_burst(
-        &mut self,
-        wire: &mut impl Wire,
-        burst: impl IntoIterator<Item = Datagram>,
-    ) {
-        for d in burst {
-            let (now, local) = self.read_clock(wire);
-            self.ingest(now, local, d);
-            self.drain(wire, now, local);
-        }
-        wire.flush();
     }
 
     /// Dispatch one datagram received at true time `now` (clock reading
@@ -391,9 +343,6 @@ impl HostRuntime {
         self.apply_queue(local, queue);
         self.drain(wire, now, local);
         self.emit_beacon(wire, local);
-        // The beacon rides the same flushed frame as any data ahead of it:
-        // intra-frame order preserves the flush-before-beacon invariant.
-        wire.flush();
     }
 
     /// True time of the next poll/beacon tick after `now`: the next

@@ -12,15 +12,13 @@
 //!   same [`BarrierAggregator`] the simulated switches use, beacons every
 //!   interval, and re-reports input links that fall silent until the
 //!   controller resumes them;
-//! * a **replicated controller**: [`UdpClusterBuilder::controllers`]
-//!   sets how many controller replica processes are spawned, each a
-//!   socket + thread running a [`ReplicatedController`] — Raft traffic
-//!   travels as [`MgmtFrame::Raft`] datagrams between replicas, and only
-//!   the elected
-//!   leader emits Announce/Resume decisions (epoch-tagged so hosts and
-//!   the switch fence off deposed leaders). Replicas can be killed at
-//!   runtime ([`UdpCluster::kill_controller`]); the survivors elect a new
-//!   leader that re-drives in-flight recoveries.
+//! * a **replicated controller**: three controller replica processes,
+//!   each a socket + thread running a [`ReplicatedController`] — Raft
+//!   traffic travels as [`MgmtFrame::Raft`] datagrams between replicas,
+//!   and only the elected leader emits Announce/Resume decisions
+//!   (epoch-tagged so hosts and the switch fence off deposed leaders).
+//!   Replicas can be killed at runtime ([`UdpCluster::kill_controller`]);
+//!   the survivors elect a new leader that re-drives in-flight recoveries.
 //!
 //! Host control requests are **not** fire-and-forget: each request is a
 //! [`MgmtFrame::Req`] retried with capped exponential backoff
@@ -36,19 +34,19 @@
 //! into its log.
 //!
 //! **Batched, zero-copy data plane.** All I/O goes through the batching
-//! layer in `batch.rs`: receives drain multiple frames per pump into
-//! pooled buffers (`RecvPool`) and decode payloads as zero-copy slices
-//! of the shared receive buffer; transmits accumulate in a `PacketTx`
+//! layer in `batch.rs`: every thread receives through one routine
+//! (`PacketRx`) that drains multiple frames per pump into pooled buffers,
+//! decodes payloads as zero-copy slices of the shared receive buffer and
+//! counts what it could not decode; transmits accumulate in a `PacketTx`
 //! and coalesce per destination into multi-datagram batch frames
 //! (`onepipe_types::wire::BATCH_MAGIC`), so one syscall carries data +
-//! ACKs + commits + the beacon of a pump. [`UdpClusterBuilder::coalesce`]
-//! turns batching off for baseline comparisons (`udp_perf` does), and
-//! [`UdpCluster::stats`] surfaces frame/datagram/decode-error counters —
-//! undecodable input is counted, never silently dropped.
+//! ACKs + commits + the beacon of a pump. [`UdpCluster::stats`] surfaces
+//! the frame/datagram/decode-error counters — undecodable input is
+//! counted, never silently dropped.
 //!
 //! **Pluggable application.** By default each process forwards
-//! deliveries/events onto its [`UdpProcess`] channels. A
-//! [`UdpClusterBuilder::app_factory`] installs any [`AppHook`] instead
+//! deliveries/events onto its [`UdpProcess`] channels.
+//! [`UdpClusterBuilder::app_hook`] installs any [`AppHook`] as well
 //! (tee'd with the channels), which is how `onepipe-log` runs over this
 //! transport end-to-end.
 //!
@@ -71,9 +69,8 @@
 pub mod batch;
 
 use crate::batch::{
-    PacketTx, RecvPool, UdpStats, UdpStatsSnapshot, DEFAULT_MAX_FRAME, RX_BURST_MAX,
+    PacketRx, PacketTx, UdpStats, UdpStatsSnapshot, RX_BURST_MAX, RX_CTRL_IDLE, RX_IDLE,
 };
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use onepipe_clock::MonotonicClock;
 use onepipe_controller::protocol::ActionDest;
 use onepipe_controller::raft::RaftConfig;
@@ -82,16 +79,17 @@ use onepipe_controller::{
 };
 use onepipe_core::config::EndpointConfig;
 use onepipe_core::endpoint::{Endpoint, HOP_LOCAL};
-use onepipe_core::events::{CtrlRequest, UserEvent};
+use onepipe_core::events::UserEvent;
 use onepipe_core::runtime::{AppHook, HostRuntime, SendQueue, Wire};
 use onepipe_switchlogic::barrier::BarrierAggregator;
 use onepipe_types::ids::{HostId, NodeId, ProcessId};
 use onepipe_types::message::{Delivered, Message};
 use onepipe_types::time::{Duration as NsDuration, Timestamp, MICROS, MILLIS};
-use onepipe_types::wire::{decode_frame, Datagram, Flags, Opcode, PacketHeader};
+use onepipe_types::wire::{Datagram, Flags, Opcode, PacketHeader};
 use std::collections::HashMap;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -99,6 +97,15 @@ use std::time::{Duration, Instant};
 /// How often the soft switch re-reports a still-unresumed dead link to
 /// the controller cluster (at-least-once Detect under controller outage).
 const DETECT_REREPORT_INTERVAL: u64 = 100 * MILLIS;
+
+/// Controller replicas per cluster: the smallest Raft group that survives
+/// the loss of one.
+const CONTROLLERS: usize = 3;
+
+/// Beacon interval of the hosts and the soft switch. Loopback scheduling
+/// granularity is coarser than a real NIC, hence 100 µs rather than the
+/// testbed's 3 µs.
+const BEACON_INTERVAL: NsDuration = 100 * MICROS;
 
 /// Commands from the application to a process driver thread.
 enum Cmd {
@@ -149,7 +156,7 @@ impl UdpProcess {
         reliable: bool,
         timeout: Duration,
     ) -> Option<(Timestamp, u64)> {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let _ = self.cmd_tx.send(Cmd::Send { msgs, reliable, reply: Some(tx) });
         rx.recv_timeout(timeout).ok().and_then(|r| r.ok())
     }
@@ -188,74 +195,40 @@ struct ControllerHandle {
     thread: Option<JoinHandle<()>>,
 }
 
-/// Factory producing the per-process [`AppHook`]. Called once per
-/// process at cluster startup; returning one shared `Arc<Mutex<..>>` for
-/// every process (the `onepipe-log` shape) is fine — hooks run strictly
-/// per-process reactions, so sharing is safe.
-pub type AppFactory = Arc<dyn Fn(ProcessId) -> Arc<Mutex<dyn AppHook>> + Send + Sync>;
-
-/// Per-thread wiring every driver needs: addresses, the shared epoch,
-/// endpoint/beacon configuration, and the batching knobs.
+/// What every driver thread knows about its cluster: everyone's address,
+/// the shared clock epoch, the shared counters and the stop flag.
 #[derive(Clone)]
-struct NetOpts {
+struct Net {
     switch_addr: SocketAddr,
     ctrl_addrs: Vec<SocketAddr>,
+    proc_addrs: Vec<SocketAddr>,
     epoch: Instant,
-    beacon_interval: NsDuration,
-    cfg: EndpointConfig,
-    coalesce: bool,
-    max_frame: usize,
+    stats: Arc<UdpStats>,
+    ctrl_retries: Arc<AtomicU64>,
+    ctrl_drops: Arc<AtomicU64>,
+    stop: Arc<AtomicBool>,
 }
 
 /// Configures and spawns a [`UdpCluster`] — the one way to build one.
 pub struct UdpClusterBuilder {
     n: usize,
-    n_ctrl: usize,
-    cfg: EndpointConfig,
-    beacon_interval: NsDuration,
     dead_timeout: NsDuration,
     ctrl_start_delay: Duration,
-    coalesce: bool,
-    max_frame: usize,
-    app: Option<AppFactory>,
+    app: Option<Arc<Mutex<dyn AppHook>>>,
 }
 
 impl UdpClusterBuilder {
-    /// A cluster of `n` processes with the loopback defaults: 3
-    /// controller replicas, 100 µs beacons, 1 s dead-link timeout,
-    /// batching on.
+    /// A cluster of `n` processes: 3 controller replicas, 100 µs beacons,
+    /// 1 s dead-link timeout, `EndpointConfig::default()` under the
+    /// loopback floors (data barriers untrusted, RTO 20 ms, best-effort
+    /// ack timeout 100 ms).
     pub fn new(n: usize) -> Self {
         UdpClusterBuilder {
             n,
-            n_ctrl: 3,
-            cfg: EndpointConfig::default(),
-            beacon_interval: 100 * MICROS,
             dead_timeout: 1000 * MILLIS,
             ctrl_start_delay: Duration::ZERO,
-            coalesce: true,
-            max_frame: DEFAULT_MAX_FRAME,
             app: None,
         }
-    }
-
-    /// Endpoint configuration (loopback floors are still applied: data
-    /// barriers untrusted, RTO ≥ 20 ms, best-effort ack timeout ≥ 100 ms).
-    pub fn config(mut self, cfg: EndpointConfig) -> Self {
-        self.cfg = cfg;
-        self
-    }
-
-    /// Number of controller replicas (≥ 1).
-    pub fn controllers(mut self, n_ctrl: usize) -> Self {
-        self.n_ctrl = n_ctrl;
-        self
-    }
-
-    /// Beacon interval (loopback scheduling granularity is coarser than a
-    /// real NIC, so the default is 100 µs rather than the testbed's 3 µs).
-    pub fn beacon_interval(mut self, interval: NsDuration) -> Self {
-        self.beacon_interval = interval;
-        self
     }
 
     /// How long an input link may stay silent before the soft switch
@@ -273,127 +246,61 @@ impl UdpClusterBuilder {
         self
     }
 
-    /// Toggle TX batch coalescing. Off = one syscall and a legacy bare
-    /// encoding per datagram — the baseline `udp_perf` measures against.
-    /// The RX path accepts both framings regardless.
-    pub fn coalesce(mut self, on: bool) -> Self {
-        self.coalesce = on;
+    /// Install one application hook shared by every process (the
+    /// `onepipe-log` shape; hooks run strictly per-process reactions, so
+    /// sharing is safe). It is tee'd with the default channel forwarding,
+    /// so [`UdpProcess`] receive methods keep working alongside it.
+    pub fn app_hook(mut self, hook: Arc<Mutex<dyn AppHook>>) -> Self {
+        self.app = Some(hook);
         self
-    }
-
-    /// Cap on one coalesced TX frame, in bytes.
-    pub fn max_frame(mut self, bytes: usize) -> Self {
-        self.max_frame = bytes;
-        self
-    }
-
-    /// Install an application-hook factory; each process's hook is tee'd
-    /// with the default channel forwarding, so [`UdpProcess`] receive
-    /// methods keep working alongside the custom hook.
-    pub fn app_factory(mut self, f: AppFactory) -> Self {
-        self.app = Some(f);
-        self
-    }
-
-    /// Convenience: install one shared hook for every process.
-    pub fn app_hook(self, hook: Arc<Mutex<dyn AppHook>>) -> Self {
-        self.app_factory(Arc::new(move |_| hook.clone()))
     }
 
     /// Bind the sockets and spawn the switch / controller / process
     /// threads.
     pub fn build(self) -> std::io::Result<UdpCluster> {
-        let UdpClusterBuilder {
-            n,
-            n_ctrl,
-            mut cfg,
-            beacon_interval,
-            dead_timeout,
-            ctrl_start_delay,
-            coalesce,
-            max_frame,
-            app,
-        } = self;
-        assert!(n_ctrl >= 1, "at least one controller replica");
-        // Only beacons carry trustworthy barriers over this transport
-        // (host-delegation mode).
-        cfg.trust_data_barriers = false;
-        // Loopback thread scheduling is millisecond-scale; the simulator
-        // defaults (hundreds of µs) would misfire constantly.
-        cfg.rto = cfg.rto.max(20_000_000);
-        cfg.be_ack_timeout = cfg.be_ack_timeout.max(100_000_000);
-        let epoch = Instant::now();
-        let stop = Arc::new(AtomicBool::new(false));
-        let ctrl_retries = Arc::new(AtomicU64::new(0));
-        let ctrl_drops = Arc::new(AtomicU64::new(0));
-        let stats = Arc::new(UdpStats::default());
-        let mut threads = Vec::new();
-
+        let UdpClusterBuilder { n, dead_timeout, ctrl_start_delay, app } = self;
         // Bind sockets first so everyone knows everyone's address.
+        let bind = |count: usize| -> std::io::Result<(Vec<UdpSocket>, Vec<SocketAddr>)> {
+            let socks = (0..count)
+                .map(|_| UdpSocket::bind("127.0.0.1:0"))
+                .collect::<Result<Vec<_>, _>>()?;
+            let addrs = socks.iter().map(UdpSocket::local_addr).collect::<Result<_, _>>()?;
+            Ok((socks, addrs))
+        };
         let switch_sock = UdpSocket::bind("127.0.0.1:0")?;
-        let switch_addr = switch_sock.local_addr()?;
-        let mut ctrl_socks = Vec::new();
-        let mut ctrl_addrs = Vec::new();
-        for _ in 0..n_ctrl {
-            let s = UdpSocket::bind("127.0.0.1:0")?;
-            ctrl_addrs.push(s.local_addr()?);
-            ctrl_socks.push(s);
-        }
-        let mut proc_socks = Vec::new();
-        let mut proc_addrs = Vec::new();
-        for _ in 0..n {
-            let s = UdpSocket::bind("127.0.0.1:0")?;
-            proc_addrs.push(s.local_addr()?);
-            proc_socks.push(s);
-        }
-
-        let opts = NetOpts {
-            switch_addr,
-            ctrl_addrs: ctrl_addrs.clone(),
-            epoch,
-            beacon_interval,
-            cfg,
-            coalesce,
-            max_frame,
+        let (ctrl_socks, ctrl_addrs) = bind(CONTROLLERS)?;
+        let (proc_socks, proc_addrs) = bind(n)?;
+        let net = Net {
+            switch_addr: switch_sock.local_addr()?,
+            ctrl_addrs,
+            proc_addrs,
+            epoch: Instant::now(),
+            stats: Arc::new(UdpStats::default()),
+            ctrl_retries: Arc::new(AtomicU64::new(0)),
+            ctrl_drops: Arc::new(AtomicU64::new(0)),
+            stop: Arc::new(AtomicBool::new(false)),
         };
 
         // The soft switch thread.
-        {
-            let stop = stop.clone();
-            let addrs = proc_addrs.clone();
-            let retries = ctrl_retries.clone();
-            let opts = opts.clone();
-            let stats = stats.clone();
-            threads.push(std::thread::spawn(move || {
-                run_soft_switch(switch_sock, addrs, opts, dead_timeout, retries, stats, stop);
-            }));
-        }
+        let switch_net = net.clone();
+        let threads = vec![std::thread::spawn(move || {
+            run_soft_switch(switch_sock, switch_net, dead_timeout)
+        })];
 
         // The controller replicas.
         let mut controllers = Vec::new();
         for (i, sock) in ctrl_socks.into_iter().enumerate() {
-            let stop = stop.clone();
             let kill = Arc::new(AtomicBool::new(false));
             let is_leader = Arc::new(AtomicBool::new(false));
-            let kill_t = kill.clone();
-            let leader_t = is_leader.clone();
-            let addrs = proc_addrs.clone();
-            let opts = opts.clone();
-            let stats = stats.clone();
-            let thread = std::thread::spawn(move || {
-                run_controller_replica(
-                    i as u32,
-                    sock,
-                    addrs,
-                    opts,
-                    n,
-                    ctrl_start_delay,
-                    leader_t,
-                    stats,
-                    stop,
-                    kill_t,
-                );
-            });
+            let ctx = ReplicaCtx {
+                id: i as u32,
+                sock,
+                net: net.clone(),
+                start_delay: ctrl_start_delay,
+                is_leader: is_leader.clone(),
+                kill: kill.clone(),
+            };
+            let thread = std::thread::spawn(move || run_controller_replica(ctx));
             controllers.push(ControllerHandle { kill, is_leader, thread: Some(thread) });
         }
 
@@ -401,45 +308,33 @@ impl UdpClusterBuilder {
         let mut processes = Vec::new();
         for (i, sock) in proc_socks.into_iter().enumerate() {
             let id = ProcessId(i as u32);
-            let (cmd_tx, cmd_rx) = unbounded();
-            let (del_tx, del_rx) = unbounded();
-            let (ev_tx, ev_rx) = unbounded();
-            let (raw_tx, raw_rx) = unbounded();
-            let stop = stop.clone();
+            let (cmd_tx, cmd_rx) = channel();
+            let (del_tx, delivered_rx) = channel();
+            let (ev_tx, events_rx) = channel();
+            let (raw_tx, raw_rx) = channel();
             let kill = Arc::new(AtomicBool::new(false));
-            let kill_t = kill.clone();
-            let retries = ctrl_retries.clone();
-            let drops = ctrl_drops.clone();
-            let opts = opts.clone();
-            let stats = stats.clone();
-            let hook = app.as_ref().map(|f| f(id));
-            let thread = std::thread::spawn(move || {
-                run_process(
-                    id, sock, opts, hook, cmd_rx, del_tx, ev_tx, raw_tx, retries, drops, stats,
-                    stop, kill_t,
-                );
-            });
+            let ctx = ProcessCtx {
+                id,
+                sock,
+                net: net.clone(),
+                user_app: app.clone(),
+                cmd_rx,
+                chan: ChannelApp { del_tx, ev_tx, raw_tx },
+                kill: kill.clone(),
+            };
+            let thread = std::thread::spawn(move || run_process(ctx));
             processes.push(UdpProcess {
                 id,
                 cmd_tx,
-                delivered_rx: del_rx,
-                events_rx: ev_rx,
+                delivered_rx,
+                events_rx,
                 raw_rx,
                 kill,
                 thread: Some(thread),
             });
         }
 
-        Ok(UdpCluster {
-            processes,
-            controllers,
-            stop,
-            threads,
-            ctrl_retries,
-            ctrl_drops,
-            stats,
-            switch_addr,
-        })
+        Ok(UdpCluster { processes, controllers, threads, net })
     }
 }
 
@@ -447,13 +342,9 @@ impl UdpClusterBuilder {
 pub struct UdpCluster {
     processes: Vec<UdpProcess>,
     controllers: Vec<ControllerHandle>,
-    stop: Arc<AtomicBool>,
     /// Infrastructure threads other than controllers: the soft switch.
     threads: Vec<JoinHandle<()>>,
-    ctrl_retries: Arc<AtomicU64>,
-    ctrl_drops: Arc<AtomicU64>,
-    stats: Arc<UdpStats>,
-    switch_addr: SocketAddr,
+    net: Net,
 }
 
 impl UdpCluster {
@@ -461,14 +352,14 @@ impl UdpCluster {
     /// controllers): frames vs datagrams, bytes, decode errors, and the
     /// TX batch-size histogram.
     pub fn stats(&self) -> UdpStatsSnapshot {
-        self.stats.snapshot()
+        self.net.stats.snapshot()
     }
 
     /// Address of the soft switch — every data-plane packet in the
     /// cluster transits it. Exposed so tests and external tools can
     /// inject raw frames.
     pub fn switch_addr(&self) -> SocketAddr {
-        self.switch_addr
+        self.net.switch_addr
     }
 
     /// Handle to process `i`.
@@ -503,13 +394,13 @@ impl UdpCluster {
     /// dead-link re-reports by the soft switch — nonzero whenever the
     /// retry machinery actually ran.
     pub fn ctrl_retries(&self) -> u64 {
-        self.ctrl_retries.load(Ordering::SeqCst)
+        self.net.ctrl_retries.load(Ordering::SeqCst)
     }
 
     /// Host control requests abandoned after exhausting their retry
     /// budget.
     pub fn ctrl_drops(&self) -> u64 {
-        self.ctrl_drops.load(Ordering::SeqCst)
+        self.net.ctrl_drops.load(Ordering::SeqCst)
     }
 
     /// Fail-stop process `i`: its driver thread exits (beacons cease, its
@@ -538,7 +429,7 @@ impl UdpCluster {
     pub fn shutdown(self) {}
 
     fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.net.stop.store(true, Ordering::SeqCst);
         for p in &mut self.processes {
             if let Some(t) = p.thread.take() {
                 let _ = t.join();
@@ -569,17 +460,8 @@ fn now_ns(epoch: Instant) -> u64 {
 /// dead input links to the controller cluster — re-reporting every
 /// [`DETECT_REREPORT_INTERVAL`] until the link is resumed, so a Detect
 /// outlives any controller outage or failover.
-fn run_soft_switch(
-    sock: UdpSocket,
-    proc_addrs: Vec<SocketAddr>,
-    opts: NetOpts,
-    dead_timeout: NsDuration,
-    retries: Arc<AtomicU64>,
-    stats: Arc<UdpStats>,
-    stop: Arc<AtomicBool>,
-) {
-    let NetOpts { ctrl_addrs, epoch, beacon_interval, coalesce, max_frame, .. } = opts;
-    sock.set_read_timeout(Some(Duration::from_micros(50))).ok();
+fn run_soft_switch(sock: UdpSocket, net: Net, dead_timeout: NsDuration) {
+    let Net { ctrl_addrs, proc_addrs, epoch, stats, ctrl_retries: retries, stop, .. } = net;
     // One "input link" per process: NodeId(i) == ProcessId(i)'s link.
     let inputs: Vec<NodeId> = (0..proc_addrs.len() as u32).map(NodeId).collect();
     // The switch reports dead links under its own id, distinct from any
@@ -592,11 +474,9 @@ fn run_soft_switch(
     // Highest controller epoch seen; actions from lower epochs (a deposed
     // leader) are fenced off.
     let mut max_epoch = 0u64;
-    let mut pool = RecvPool::new();
-    let mut tx = PacketTx::new(coalesce, max_frame, stats.clone());
+    let mut rx = PacketRx::new(&sock, RX_IDLE, stats.clone());
+    let mut tx = PacketTx::new(stats);
     let mut next_beacon = 0u64;
-    let debug = std::env::var("ONEPIPE_UDP_DEBUG").is_ok();
-    let mut last_dbg = 0u64;
     while !stop.load(Ordering::SeqCst) {
         // Drain the receive queue before the next beacon emission, bounded
         // by the beacon deadline: on a loaded single-core machine packets
@@ -605,34 +485,10 @@ fn run_soft_switch(
         // registers reflect only *processed* packets, and any queued data
         // from a host was stamped before the host's last processed beacon
         // was sent (per-link FIFO, §4.1).
-        let mut first = true;
+        let mut burst = rx.burst();
+        let mut now = now_ns(epoch);
         loop {
-            let now = now_ns(epoch);
-            if !first && now >= next_beacon {
-                break;
-            }
-            let r = if first {
-                pool.recv(&sock)
-            } else {
-                sock.set_read_timeout(Some(Duration::from_micros(1))).ok();
-                let r = pool.recv(&sock);
-                sock.set_read_timeout(Some(Duration::from_micros(50))).ok();
-                r
-            };
-            first = false;
-            let Ok((full, len, _from)) = r else {
-                // Receive queue empty: put queued forwards on the wire
-                // rather than sitting on them until the beacon.
-                tx.flush(&sock);
-                break;
-            };
-            stats.note_rx_frame(len);
-            for decoded in decode_frame(full.slice(0..len)) {
-                let Ok(d) = decoded else {
-                    stats.note_decode_error();
-                    continue;
-                };
-                stats.note_rx_datagram();
+            let spent = burst.recv(|d, _from| {
                 let link = NodeId(d.src.0);
                 match d.header.opcode {
                     Opcode::Beacon => {
@@ -648,7 +504,7 @@ fn run_soft_switch(
                             MgmtFrame::decode(d.payload)
                         {
                             if ep < max_epoch {
-                                continue; // stale leader
+                                return; // stale leader
                             }
                             max_epoch = ep;
                             if let CtrlAction::Resume { input, .. } = action {
@@ -669,12 +525,22 @@ fn run_soft_switch(
                         }
                     }
                 }
+            });
+            let Some(spent) = spent else {
+                // Receive queue empty: put queued forwards on the wire
+                // rather than sitting on them until the beacon.
+                tx.flush(&sock);
+                break;
+            };
+            burst.recycle(spent);
+            now = now_ns(epoch);
+            if now >= next_beacon {
+                break;
             }
-            pool.recycle(full);
         }
         let now = now_ns(epoch);
         if now >= next_beacon {
-            next_beacon = now + beacon_interval;
+            next_beacon = now + BEACON_INTERVAL;
             // Detect (§5.2): links silent past the timeout leave the
             // best-effort minimum immediately (quarantined by fiat) and
             // are reported; only the controller's Resume releases the
@@ -707,12 +573,6 @@ fn run_soft_switch(
             }
             let be = agg.out_be(now);
             let commit = agg.out_commit(now);
-            if debug && now > last_dbg + 500_000_000 {
-                last_dbg = now;
-                let regs: Vec<_> =
-                    (0..proc_addrs.len() as u32).map(|i| agg.register_be(NodeId(i))).collect();
-                eprintln!("SWITCH t={}ms out_be={:?} regs={:?}", now / 1_000_000, be, regs);
-            }
             let beacon = Datagram {
                 src: HOP_LOCAL,
                 dst: HOP_LOCAL,
@@ -737,23 +597,24 @@ fn run_soft_switch(
     }
 }
 
+/// What one controller replica thread is started with.
+struct ReplicaCtx {
+    id: u32,
+    sock: UdpSocket,
+    net: Net,
+    /// [`UdpClusterBuilder::ctrl_start_delay`].
+    start_delay: Duration,
+    is_leader: Arc<AtomicBool>,
+    kill: Arc<AtomicBool>,
+}
+
 /// One controller replica: a [`ReplicatedController`] over UDP. Raft
 /// traffic flows between replicas; client requests are acknowledged when
 /// their log entry commits; the leader's actions go out epoch-tagged.
-#[allow(clippy::too_many_arguments)]
-fn run_controller_replica(
-    id: u32,
-    sock: UdpSocket,
-    proc_addrs: Vec<SocketAddr>,
-    opts: NetOpts,
-    n: usize,
-    start_delay: Duration,
-    is_leader: Arc<AtomicBool>,
-    stats: Arc<UdpStats>,
-    stop: Arc<AtomicBool>,
-    kill: Arc<AtomicBool>,
-) {
-    let NetOpts { switch_addr, ctrl_addrs, epoch, max_frame, .. } = opts;
+fn run_controller_replica(ctx: ReplicaCtx) {
+    let ReplicaCtx { id, sock, net, start_delay, is_leader, kill } = ctx;
+    let Net { switch_addr, ctrl_addrs, proc_addrs, epoch, stats, stop, .. } = net;
+    let n = proc_addrs.len();
     // Startup delay (test knob): the replica exists — its socket buffers
     // incoming frames — but does not participate yet.
     let wake = Instant::now() + start_delay;
@@ -763,7 +624,6 @@ fn run_controller_replica(
         }
         std::thread::sleep(Duration::from_millis(2));
     }
-    sock.set_read_timeout(Some(Duration::from_millis(1))).ok();
     // Failure domains of the loopback rack: component i = host i, whose
     // loss kills exactly process i (its input link is NodeId(i)).
     let mut domains = FailureDomains::default();
@@ -779,61 +639,53 @@ fn run_controller_replica(
     // must reach, client address).
     let mut pending_acks: Vec<(u64, u64, SocketAddr)> = Vec::new();
     let mut was_leader = false;
-    let mut pool = RecvPool::new();
-    // The management plane is latency-sensitive and low-rate: frames go
-    // out immediately (send_now path), so coalescing stays off here.
-    let mut tx = PacketTx::new(false, max_frame, stats.clone());
+    let mut rx = PacketRx::new(&sock, RX_CTRL_IDLE, stats.clone());
+    // The management plane is latency-sensitive and low-rate: every frame
+    // goes out immediately (the `send_now` path), nothing is queued.
+    let mut tx = PacketTx::new(stats);
     while !stop.load(Ordering::SeqCst) && !kill.load(Ordering::SeqCst) {
         let mut raft_out = Vec::new();
         let mut actions = Vec::new();
-        if let Ok((full, len, from_addr)) = pool.recv(&sock) {
-            stats.note_rx_frame(len);
-            for decoded in decode_frame(full.slice(0..len)) {
-                let Ok(d) = decoded else {
-                    stats.note_decode_error();
-                    continue;
-                };
-                stats.note_rx_datagram();
-                if d.header.opcode == Opcode::Mgmt {
-                    match MgmtFrame::decode(d.payload) {
-                        Ok(MgmtFrame::Event(ev)) => {
-                            // Fire-and-forget report (the switch re-sends
-                            // until resumed); only a leader can log it.
-                            let _ = ctrl.submit(ev);
+        // A burst of one frame: the replica ticks after every frame.
+        let mut burst = rx.burst();
+        let spent = burst.recv(|d, from_addr| {
+            if d.header.opcode != Opcode::Mgmt {
+                return;
+            }
+            match MgmtFrame::decode(d.payload) {
+                Ok(MgmtFrame::Event(ev)) => {
+                    // Fire-and-forget report (the switch re-sends until
+                    // resumed); only a leader can log it.
+                    let _ = ctrl.submit(ev);
+                }
+                Ok(MgmtFrame::Req { seq, ev }) => {
+                    if ctrl.is_leader() {
+                        if ctrl.submit(ev) {
+                            pending_acks.push((seq, ctrl.last_log_index(), from_addr));
                         }
-                        Ok(MgmtFrame::Req { seq, ev }) => {
-                            if ctrl.is_leader() {
-                                if ctrl.submit(ev) {
-                                    pending_acks.push((seq, ctrl.last_log_index(), from_addr));
-                                }
-                            } else if let Some(leader) = ctrl.leader_hint() {
-                                if leader != id {
-                                    tx.send_mgmt(
-                                        &sock,
-                                        from_addr,
-                                        &MgmtFrame::Redirect { seq, leader },
-                                    );
-                                }
-                            }
+                    } else if let Some(leader) = ctrl.leader_hint() {
+                        if leader != id {
+                            tx.send_mgmt(&sock, from_addr, &MgmtFrame::Redirect { seq, leader });
                         }
-                        Ok(MgmtFrame::Raft { from, msg }) => {
-                            let (m, a) = ctrl.on_raft_msg(from, msg, now_ns(epoch));
-                            raft_out.extend(m);
-                            actions.extend(a);
-                        }
-                        Ok(MgmtFrame::Forward(fwd)) => {
-                            // Forwarding fallback (§5.2): relay around the
-                            // broken direct path. Stateless — any replica
-                            // serves it.
-                            if let Some(addr) = proc_addrs.get(fwd.dst.0 as usize) {
-                                tx.send_now(&sock, *addr, &fwd);
-                            }
-                        }
-                        _ => {}
                     }
                 }
+                Ok(MgmtFrame::Raft { from, msg }) => {
+                    let (m, a) = ctrl.on_raft_msg(from, msg, now_ns(epoch));
+                    raft_out.extend(m);
+                    actions.extend(a);
+                }
+                Ok(MgmtFrame::Forward(fwd)) => {
+                    // Forwarding fallback (§5.2): relay around the broken
+                    // direct path. Stateless — any replica serves it.
+                    if let Some(addr) = proc_addrs.get(fwd.dst.0 as usize) {
+                        tx.send_now(&sock, *addr, &fwd);
+                    }
+                }
+                _ => {}
             }
-            pool.recycle(full);
+        });
+        if let Some(spent) = spent {
+            burst.recycle(spent);
         }
         // Raft timeouts/heartbeats + Determine-window expiry.
         let (m, a) = ctrl.tick(now_ns(epoch));
@@ -991,25 +843,17 @@ impl CtrlClient {
 /// with the runtime's `HOP_LOCAL` source sentinel rewritten to the local
 /// process id so the switch can attribute the input link.
 ///
-/// Emissions queue in the [`PacketTx`]; the runtime's [`Wire::flush`]
-/// pump-boundary signal is deferred to the driver loop — one iteration
-/// processes commands, an RX burst, and the tick, then transmits
-/// everything as coalesced frames (the "bounded deferral" the `Wire`
-/// contract permits). Per-destination FIFO in the queue preserves the
-/// beacon invariant.
+/// Emissions queue in the [`PacketTx`]; the driver loop — the only place
+/// that knows an iteration ended — flushes it once it has processed
+/// commands, an RX burst and the tick, so everything the iteration emitted
+/// leaves as coalesced frames. Per-destination FIFO in the queue preserves
+/// the beacon invariant.
 struct UdpWire<'a> {
     sock: &'a UdpSocket,
     switch_addr: SocketAddr,
     epoch: Instant,
     id: ProcessId,
     tx: PacketTx,
-}
-
-impl UdpWire<'_> {
-    /// Driver-loop pump boundary: put every queued emission on the wire.
-    fn pump_flush(&mut self) {
-        self.tx.flush(self.sock);
-    }
 }
 
 impl Wire for UdpWire<'_> {
@@ -1022,11 +866,6 @@ impl Wire for UdpWire<'_> {
             d.src = self.id;
         }
         self.tx.push(self.sock, self.switch_addr, d);
-    }
-
-    fn flush(&mut self) {
-        // Deferred to pump_flush() at the end of the driver iteration;
-        // the PacketTx still transmits early if a frame fills up.
     }
 }
 
@@ -1072,7 +911,7 @@ impl AppHook for ChannelApp {
     }
 }
 
-/// Chains a user-supplied hook (from [`UdpClusterBuilder::app_factory`])
+/// Chains a user-supplied hook (from [`UdpClusterBuilder::app_hook`])
 /// with the default [`ChannelApp`], so custom applications and the
 /// [`UdpProcess`] channel API observe the same callbacks. The user hook
 /// runs first (it may queue reactions); a `ProcessFailed` callback
@@ -1125,6 +964,18 @@ impl AppHook for TeeApp {
     }
 }
 
+/// What one process driver thread is started with.
+struct ProcessCtx {
+    id: ProcessId,
+    sock: UdpSocket,
+    net: Net,
+    /// [`UdpClusterBuilder::app_hook`].
+    user_app: Option<Arc<Mutex<dyn AppHook>>>,
+    cmd_rx: Receiver<Cmd>,
+    chan: ChannelApp,
+    kill: Arc<AtomicBool>,
+}
+
 /// One process: adapts the [`HostRuntime`] to a socket.
 ///
 /// Each loop iteration is one pump: drain application commands, drain an
@@ -1132,55 +983,43 @@ impl AppHook for TeeApp {
 /// datagrams), tick if due, route controller requests — then put every
 /// queued emission on the wire as coalesced frames and recycle the
 /// receive buffers whose payloads were fully consumed.
-#[allow(clippy::too_many_arguments)]
-fn run_process(
-    id: ProcessId,
-    sock: UdpSocket,
-    opts: NetOpts,
-    user_app: Option<Arc<Mutex<dyn AppHook>>>,
-    cmd_rx: Receiver<Cmd>,
-    del_tx: Sender<(Delivered, bool)>,
-    ev_tx: Sender<UserEvent>,
-    raw_tx: Sender<(ProcessId, bytes::Bytes)>,
-    retries: Arc<AtomicU64>,
-    drops: Arc<AtomicU64>,
-    stats: Arc<UdpStats>,
-    stop: Arc<AtomicBool>,
-    kill: Arc<AtomicBool>,
-) {
-    let NetOpts { switch_addr, ctrl_addrs, epoch, beacon_interval, cfg, coalesce, max_frame } =
-        opts;
-    sock.set_read_timeout(Some(Duration::from_micros(50))).ok();
+fn run_process(ctx: ProcessCtx) {
+    let ProcessCtx { id, sock, net, user_app, cmd_rx, chan, kill } = ctx;
+    let Net { switch_addr, ctrl_addrs, epoch, stats, ctrl_retries, ctrl_drops, stop, .. } = net;
+    let cfg = EndpointConfig {
+        // Only beacons carry trustworthy barriers over this transport
+        // (host-delegation mode).
+        trust_data_barriers: false,
+        // Loopback thread scheduling is millisecond-scale; the simulator
+        // defaults (hundreds of µs) would misfire constantly.
+        rto: 20 * MILLIS,
+        be_ack_timeout: 100 * MILLIS,
+        ..EndpointConfig::default()
+    };
     let mut rt = HostRuntime::new(
         HostId(id.0),
         MonotonicClock::perfect(),
         vec![Endpoint::new(id, cfg)],
-        beacon_interval,
+        BEACON_INTERVAL,
         Arc::new(Mutex::new(Vec::new())),
         Arc::new(Mutex::new(Vec::new())),
         Arc::new(Mutex::new(Vec::new())),
     );
-    let chan = ChannelApp { del_tx, ev_tx, raw_tx };
     rt.set_app(match user_app {
         Some(user) => Arc::new(Mutex::new(TeeApp { user, chan })),
         None => Arc::new(Mutex::new(chan)),
     });
-    let mut wire = UdpWire {
-        sock: &sock,
-        switch_addr,
-        epoch,
-        id,
-        tx: PacketTx::new(coalesce, max_frame, stats.clone()),
-    };
+    let mut wire =
+        UdpWire { sock: &sock, switch_addr, epoch, id, tx: PacketTx::new(stats.clone()) };
     // Initial leader guesses are spread over the replicas so follower
     // contact (and the Redirect path) gets exercised, not just the lucky
     // processes whose guess is right.
-    let mut client = CtrlClient::new(ctrl_addrs, id.0 as usize, retries, drops);
+    let mut client = CtrlClient::new(ctrl_addrs, id.0 as usize, ctrl_retries, ctrl_drops);
     // Stale-leader fence: highest controller epoch seen.
     let mut max_epoch = 0u64;
-    let mut pool = RecvPool::new();
-    // Data-plane datagrams of one RX burst, handed to the runtime as a
-    // unit; receive buffers awaiting recycling after the burst.
+    let mut rx = PacketRx::new(&sock, RX_IDLE, stats);
+    // Data-plane datagrams of one RX burst; receive buffers awaiting
+    // recycling after the burst is processed.
     let mut burst: Vec<Datagram> = Vec::with_capacity(RX_BURST_MAX);
     let mut spent_bufs: Vec<bytes::Bytes> = Vec::new();
     let mut next_tick = 0u64;
@@ -1197,51 +1036,34 @@ fn run_process(
                 Cmd::SendRaw { to, payload } => rt.submit_raw(&mut wire, id, to, payload),
             }
         }
-        // RX burst: drain the socket up to RX_BURST_MAX datagrams. The
-        // first recv blocks up to the 50 µs timeout; once traffic is
-        // flowing, subsequent recvs use a 1 µs timeout so the drain stops
-        // as soon as the queue is empty.
-        let mut first = true;
+        // RX burst: drain the socket up to RX_BURST_MAX datagrams.
+        let mut rx_burst = rx.burst();
         while burst.len() < RX_BURST_MAX {
-            let r = if first {
-                pool.recv(&sock)
-            } else {
-                sock.set_read_timeout(Some(Duration::from_micros(1))).ok();
-                let r = pool.recv(&sock);
-                sock.set_read_timeout(Some(Duration::from_micros(50))).ok();
-                r
-            };
-            first = false;
-            let Ok((full, len, _)) = r else { break };
-            stats.note_rx_frame(len);
-            for decoded in decode_frame(full.slice(0..len)) {
-                let Ok(d) = decoded else {
-                    stats.note_decode_error();
-                    continue;
-                };
-                stats.note_rx_datagram();
-                if d.header.opcode == Opcode::Mgmt {
-                    match MgmtFrame::decode(d.payload) {
-                        Ok(MgmtFrame::Action { epoch: ep, action }) if ep >= max_epoch => {
-                            max_epoch = ep;
-                            if let CtrlAction::Announce { id: announce_id, failures, .. } = action {
-                                rt.deliver_announcement(&mut wire, id, announce_id, &failures);
-                            }
-                        }
-                        Ok(MgmtFrame::Ack { seq }) => client.on_ack(seq),
-                        Ok(MgmtFrame::Redirect { seq, leader }) => client.on_redirect(seq, leader),
-                        _ => {}
-                    }
-                } else {
+            let spent = rx_burst.recv(|d, _from| {
+                if d.header.opcode != Opcode::Mgmt {
                     burst.push(d);
+                    return;
                 }
-            }
-            spent_bufs.push(full);
+                match MgmtFrame::decode(d.payload) {
+                    Ok(MgmtFrame::Action { epoch: ep, action }) if ep >= max_epoch => {
+                        max_epoch = ep;
+                        if let CtrlAction::Announce { id: announce_id, failures, .. } = action {
+                            rt.deliver_announcement(&mut wire, id, announce_id, &failures);
+                        }
+                    }
+                    Ok(MgmtFrame::Ack { seq }) => client.on_ack(seq),
+                    Ok(MgmtFrame::Redirect { seq, leader }) => client.on_redirect(seq, leader),
+                    _ => {}
+                }
+            });
+            let Some(spent) = spent else { break };
+            spent_bufs.push(spent);
         }
-        // Process the burst as one pump: ACKs, commits and app reactions
-        // to all of it coalesce into the same flush.
-        if !burst.is_empty() {
-            rt.on_datagram_burst(&mut wire, burst.drain(..));
+        // Process the burst only now that the socket is drained: ACKs,
+        // commits and app reactions to all of it coalesce into the same
+        // flush.
+        for d in burst.drain(..) {
+            rt.on_datagram(&mut wire, d);
         }
         // Poll tick (endpoint timers + host beacon) when due.
         let now = now_ns(epoch);
@@ -1252,18 +1074,11 @@ fn run_process(
         // Route controller requests over the management plane: requests
         // that must reach the log go through the retrying client;
         // forwarding stays best-effort (data-path fallback, not state).
-        let reqs: Vec<(u64, ProcessId, CtrlRequest)> =
-            rt.ctrl_outbox.lock().unwrap().drain(..).collect();
+        let reqs: Vec<_> = rt.ctrl_outbox.lock().unwrap().drain(..).collect();
         for (_raised_at, from, req) in reqs {
-            match req {
-                CtrlRequest::CallbackComplete { announce_id } => {
-                    client.submit(CtrlEvent::CallbackComplete { announce_id, from }, now);
-                }
-                CtrlRequest::UndeliverableRecall { to, ts, seq } => {
-                    client
-                        .submit(CtrlEvent::UndeliverableRecall { to, ts, seq, sender: from }, now);
-                }
-                CtrlRequest::Forward { dgram } => {
+            match req.into_event(from) {
+                Ok(ev) => client.submit(ev, now),
+                Err(dgram) => {
                     let to = client.guess_addr();
                     wire.tx.send_mgmt(&sock, to, &MgmtFrame::Forward(dgram));
                 }
@@ -1272,12 +1087,12 @@ fn run_process(
         client.pump(now_ns(epoch), &sock, &mut wire.tx);
         // Pump boundary: everything this iteration emitted goes out as
         // coalesced frames (data first, then the beacon — FIFO per dest).
-        wire.pump_flush();
+        wire.tx.flush(&sock);
         // Receive buffers whose payload slices were all consumed go back
         // to the pool; any still pinned by the reorder store are freed by
         // the last slice instead.
-        for full in spent_bufs.drain(..) {
-            pool.recycle(full);
+        for spent in spent_bufs.drain(..) {
+            rx_burst.recycle(spent);
         }
         // The app hook already forwarded these to the channels; the sinks
         // exist for harness-style inspection, which nothing does here.
@@ -1292,7 +1107,16 @@ mod tests {
 
     /// Each test spawns several busy threads; running clusters
     /// concurrently starves them on small CI machines. Serialize.
-    static TEST_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+    static TEST_LOCK: TestLock = TestLock(Mutex::new(()));
+
+    struct TestLock(Mutex<()>);
+
+    impl TestLock {
+        /// A failed test must not poison the lock for the rest.
+        fn lock(&self) -> std::sync::MutexGuard<'_, ()> {
+            self.0.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        }
+    }
 
     #[test]
     fn udp_best_effort_total_order() {
@@ -1412,27 +1236,6 @@ mod tests {
     }
 
     #[test]
-    fn udp_uncoalesced_cluster_still_delivers() {
-        let _guard = TEST_LOCK.lock();
-        // coalesce(false) is the per-datagram baseline path used by
-        // udp_perf: every frame carries exactly one legacy-encoded
-        // datagram.
-        let cluster = UdpClusterBuilder::new(2)
-            .config(EndpointConfig::default())
-            .coalesce(false)
-            .build()
-            .unwrap();
-        std::thread::sleep(Duration::from_millis(50));
-        cluster.process(0).send_reliable(vec![Message::new(ProcessId(1), "bare")]);
-        let got = cluster.process(1).recv_timeout(Duration::from_secs(5)).expect("delivery");
-        assert_eq!(got.0.payload, bytes::Bytes::from_static(b"bare"));
-        let s = cluster.stats();
-        assert_eq!(s.rx_frames, s.rx_datagrams, "baseline: one datagram per frame");
-        assert_eq!(s.tx_frames, s.tx_datagrams, "baseline: one datagram per frame");
-        cluster.shutdown();
-    }
-
-    #[test]
     fn udp_pluggable_app_hook_sees_deliveries() {
         let _guard = TEST_LOCK.lock();
         struct CountingApp {
@@ -1453,11 +1256,7 @@ mod tests {
         let deliveries = Arc::new(AtomicU64::new(0));
         let counted = deliveries.clone();
         let cluster = UdpClusterBuilder::new(2)
-            .config(EndpointConfig::default())
-            .app_factory(Arc::new(move |_id| {
-                Arc::new(Mutex::new(CountingApp { deliveries: counted.clone() }))
-                    as Arc<Mutex<dyn AppHook>>
-            }))
+            .app_hook(Arc::new(Mutex::new(CountingApp { deliveries: counted })))
             .build()
             .unwrap();
         std::thread::sleep(Duration::from_millis(50));

@@ -15,7 +15,6 @@ use bytes::{Buf, Bytes};
 use onepipe::log::proto::{self, tag};
 use onepipe::log::service::{LogConfig, LogService};
 use onepipe::log::shard::ShardState;
-use onepipe::service::config::EndpointConfig;
 use onepipe::service::harness::{Cluster, ClusterConfig};
 use onepipe::types::ids::ProcessId;
 use onepipe::types::message::Message;
@@ -23,13 +22,22 @@ use onepipe::types::time::MICROS;
 use onepipe::udp::UdpClusterBuilder;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// UDP clusters spawn several busy threads each; serialize with the
 /// other transport tests (same global lock discipline as
 /// `udp_transport.rs`, one lock per test binary is enough).
-static TEST_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+static TEST_LOCK: TestLock = TestLock(Mutex::new(()));
+
+struct TestLock(Mutex<()>);
+
+impl TestLock {
+    /// A failed test must not poison the lock for the rest.
+    fn lock(&self) -> MutexGuard<'_, ()> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
 
 const SEED: u64 = 2026;
 const N_CLIENTS: u32 = 3;
@@ -328,11 +336,7 @@ fn run_svc_sim(cfg: &LogConfig) -> Vec<(u64, Vec<RecordFp>)> {
 fn run_svc_udp(cfg: &LogConfig) -> Vec<(u64, Vec<RecordFp>)> {
     let app: Arc<Mutex<LogService>> = Arc::new(Mutex::new(LogService::new(cfg.clone())));
     let hook = app.clone() as Arc<Mutex<dyn onepipe::service::runtime::AppHook>>;
-    let cluster = UdpClusterBuilder::new(cfg.n_processes())
-        .config(EndpointConfig::default())
-        .app_hook(hook)
-        .build()
-        .unwrap();
+    let cluster = UdpClusterBuilder::new(cfg.n_processes()).app_hook(hook).build().unwrap();
     std::thread::sleep(Duration::from_millis(100)); // barriers start
 
     for (i, (client, stream, payload)) in svc_workload(cfg).into_iter().enumerate() {
