@@ -1,10 +1,11 @@
 //! Criterion micro-benchmarks of 1Pipe's hot paths: the calendar-queue
-//! event scheduler, live routing and the switch's cached lookup, timestamp
-//! ordering, wire codec, the empty payload every control packet carries,
-//! barrier aggregation (eq. 4.1), the receive-side reorder buffer, the
-//! endpoint's idle tick and reliable round trip, and the zipfian workload
-//! generator — plus the reorder-buffer data-structure ablation (BTreeMap
-//! vs sorted Vec) from DESIGN.md §5.
+//! event scheduler, a beacon's hop through the simulation engine, live
+//! routing and the switch's cached lookup, timestamp ordering, wire
+//! codec, the empty payload every control packet carries, barrier
+//! aggregation (eq. 4.1), the receive-side reorder buffer, the endpoint's
+//! idle tick and reliable round trip, and the zipfian workload generator
+//! — plus the reorder-buffer data-structure ablation (BTreeMap vs sorted
+//! Vec) from DESIGN.md §5.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use onepipe_core::frag::START_OF_MESSAGE;
@@ -39,22 +40,23 @@ fn bench_sched(c: &mut Criterion) {
         );
     }
     group.finish();
-    // The same churn with the engine's real shape (DESIGN.md §10): an
-    // 80-byte payload the size of the engine's event, and successors at
-    // the distances `sim_be_scatter` schedules them — 27 % the same ns
-    // (into the sorted cursor bucket), 7 % within 64 ns, 34 % at 64–511
-    // ns, 29 % at 512–1023 ns, the rest at 2–4 µs. The uniform 1–50 µs
-    // churn above has neither the size nor the locality, so only this
-    // one sees a working-set regression.
+    // The same churn with the engine's real shape (DESIGN.md §10): a
+    // 32-byte payload the size of the engine's event (80 bytes until
+    // packets moved to a pool), and successors at the distances
+    // `sim_be_scatter` schedules them — 27 % the same ns (the
+    // same-instant lane), 7 % within 64 ns (the sorted cursor bucket),
+    // 34 % at 64–511 ns, 29 % at 512–1023 ns, the rest at 2–4 µs. The
+    // uniform 1–50 µs churn above has neither the size nor the locality,
+    // so only this one sees a working-set regression.
     let mut group = c.benchmark_group("sched/engine_shape");
     for population in [512usize, 4096] {
         group.bench_with_input(
             BenchmarkId::from_parameter(population),
             &population,
             |bench, &population| {
-                let mut q: CalendarQueue<[u64; 10]> = CalendarQueue::new();
+                let mut q: CalendarQueue<[u64; 4]> = CalendarQueue::new();
                 for i in 0..population as u64 {
-                    q.push(i * 97 % 4_000, [i; 10]);
+                    q.push(i * 97 % 4_000, [i; 4]);
                 }
                 let mut x = 0x9E37_79B9_7F4A_7C15u64;
                 bench.iter(|| {
@@ -79,6 +81,22 @@ fn bench_sched(c: &mut Criterion) {
         );
     }
     group.finish();
+    // A zero-delay timer: pushed at the time of the last pop while the
+    // cursor bucket holds 32 later events of the same 64 ns slot, popped
+    // next. On the same-instant lane it is a `VecDeque` append and
+    // removal; in the sorted cursor bucket it was a binary search over
+    // those 32 and an insert.
+    c.bench_function("sched/same_instant", |bench| {
+        let mut q: CalendarQueue<[u64; 4]> = CalendarQueue::new();
+        for i in 0..33 {
+            q.push(1_024 + i, [i; 4]);
+        }
+        let (now, _, item) = q.pop().unwrap();
+        bench.iter(|| {
+            q.push(now, black_box(item));
+            black_box(q.pop())
+        })
+    });
     // Far-future pushes exercise the sorted overflow tier and the bulk
     // migration back into the wheel.
     c.bench_function("sched/overflow_cycle_64", |bench| {
@@ -96,6 +114,36 @@ fn bench_sched(c: &mut Criterion) {
                 black_box(q.pop());
             }
             black_box(t)
+        })
+    });
+}
+
+/// The barrier background's unit of work: a beacon crossing one link —
+/// `Ctx::send_beacon`, the link model, the calendar queue, `Shard::run`,
+/// `NodeLogic::on_beacon`. Two nodes bounce one beacon between them; an
+/// iteration is 64 hops (507 ns each: 7 ns on the wire, 500 in flight).
+fn bench_engine(c: &mut Criterion) {
+    use onepipe_netsim::engine::{Ctx, NodeLogic, Sim, SimPacket};
+    use onepipe_netsim::link::LinkParams;
+    struct Bounce;
+    impl NodeLogic for Bounce {
+        fn on_packet(&mut self, _: &mut Ctx<'_>, _: NodeId, _: SimPacket) {}
+        fn on_beacon(&mut self, ctx: &mut Ctx<'_>, from: NodeId, be: Timestamp, commit: Timestamp) {
+            ctx.send_beacon(from, commit, be);
+        }
+    }
+    let mut sim = Sim::new(1);
+    let (a, b) = (sim.add_node(), sim.add_node());
+    sim.add_duplex_link(a, b, LinkParams::default());
+    sim.set_logic(a, Box::new(Bounce));
+    sim.set_logic(b, Box::new(Bounce));
+    sim.run_until(0);
+    sim.with_node(a, |_, ctx| ctx.send_beacon(b, Timestamp::from_nanos(1), Timestamp::ZERO));
+    c.bench_function("engine/beacon_hop_x64", |bench| {
+        bench.iter(|| {
+            let events = sim.stats.events;
+            sim.run_until(sim.now() + 64 * 507);
+            assert_eq!(sim.stats.events, events + 64);
         })
     });
 }
@@ -373,6 +421,7 @@ fn bench_zipf(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_sched,
+    bench_engine,
     bench_route_live,
     bench_switch_next_hop,
     bench_timestamp,

@@ -20,6 +20,10 @@
 //!   32-server testbed fat-tree — barrier-heavy, fan-out-heavy.
 //! - `incast`: every process unicasts to process 0 — stresses one
 //!   reorder buffer and the ECMP down-path.
+//! - `idle_32`: the 32-process testbed with no traffic at all — what the
+//!   barrier background alone costs (a beacon per link per 3 µs, the
+//!   hosts' ticks, the switches' relay timers; DESIGN.md §10). Its
+//!   ns/event is the floor under every other workload's.
 //! - `fig8_128`, `fig8_512` (full mode only): Figure 8's larger points —
 //!   128 and 512 processes (4 and 16 per host), at `fig8_scalability`'s
 //!   seed, rate and window for those rows.
@@ -97,13 +101,18 @@ impl WorkloadReport {
         self.deliveries as f64 / self.wall_s
     }
 
+    fn ns_per_event(&self) -> f64 {
+        self.wall_s * 1e9 / self.events as f64
+    }
+
     fn print(&self) {
         println!(
-            "{:>20}: {:>10} events in {:>6.3} s  ({:>12.0} events/s, {:>10.0} deliveries/s, peak reorder {} B, sim {} ns)",
+            "{:>20}: {:>10} events in {:>6.3} s  ({:>12.0} events/s, {:>5.1} ns/event, {:>10.0} deliveries/s, peak reorder {} B, sim {} ns)",
             self.name,
             self.events,
             self.wall_s,
             self.events_per_sec(),
+            self.ns_per_event(),
             self.deliveries_per_sec(),
             self.peak_reorder_bytes,
             self.sim_ns,
@@ -116,13 +125,14 @@ impl WorkloadReport {
 
     fn json(&self) -> String {
         format!(
-            "    \"{}\": {{\n      \"events\": {},\n      \"deliveries\": {},\n      \"sim_ns\": {},\n      \"wall_s\": {:.6},\n      \"events_per_sec\": {:.1},\n      \"deliveries_per_sec\": {:.1},\n      \"peak_reorder_bytes\": {},\n      \"shards\": {},\n      \"cross_shard_msgs\": {},\n      \"windows\": {},\n      \"stalled_windows\": {}\n    }}",
+            "    \"{}\": {{\n      \"events\": {},\n      \"deliveries\": {},\n      \"sim_ns\": {},\n      \"wall_s\": {:.6},\n      \"events_per_sec\": {:.1},\n      \"ns_per_event\": {:.1},\n      \"deliveries_per_sec\": {:.1},\n      \"peak_reorder_bytes\": {},\n      \"shards\": {},\n      \"cross_shard_msgs\": {},\n      \"windows\": {},\n      \"stalled_windows\": {}\n    }}",
             self.name,
             self.events,
             self.deliveries,
             self.sim_ns,
             self.wall_s,
             self.events_per_sec(),
+            self.ns_per_event(),
             self.deliveries_per_sec(),
             self.peak_reorder_bytes,
             self.shards,
@@ -194,6 +204,33 @@ fn bench_incast(smoke: bool, partition: Partition) -> WorkloadReport {
     WorkloadReport::of("incast", &mut cluster, deliveries, wall_s)
 }
 
+/// The barrier background alone: 32 processes, nobody sends. The run is
+/// short (tens of milliseconds) and exactly repeatable, so it is made
+/// five times and the fastest is reported: one descheduling would
+/// otherwise double the figure.
+fn bench_idle(smoke: bool, partition: Partition) -> WorkloadReport {
+    let run = || {
+        let mut cfg = ClusterConfig::testbed(32);
+        cfg.seed = 44;
+        cfg.partition = partition;
+        let mut cluster = Cluster::new(cfg);
+        let wall = Instant::now();
+        cluster.run_for(if smoke { 2_000_000 } else { 10_000_000 });
+        let wall_s = wall.elapsed().as_secs_f64();
+        let deliveries = cluster.take_deliveries().len() as u64;
+        WorkloadReport::of("idle_32", &mut cluster, deliveries, wall_s)
+    };
+    let mut best = run();
+    for _ in 1..5 {
+        let again = run();
+        assert_eq!(again.events, best.events, "an idle run repeats exactly");
+        if again.wall_s < best.wall_s {
+            best = again;
+        }
+    }
+    best
+}
+
 /// `(events, deliveries, sim_ns)` of workload `name` in a committed
 /// `BENCH_sim*.json` body (the format [`WorkloadReport::json`] writes).
 fn baseline_canaries(body: &str, name: &str) -> Option<(u64, u64, u64)> {
@@ -237,6 +274,7 @@ fn main() {
     let mut workloads: Vec<Bench> = vec![
         Box::new(|p| bench_fig8("fig8_broadcast", 32, 42, 40_000.0, fig8_dur, p)),
         Box::new(|p| bench_incast(smoke, p)),
+        Box::new(|p| bench_idle(smoke, p)),
     ];
     if !smoke {
         // Seed, rate and window of `fig8_scalability`'s 128- and

@@ -33,9 +33,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-/// Sentinel destination for hop-by-hop packets (Commit messages die at the
-/// first-hop switch).
-pub const HOP_LOCAL: ProcessId = ProcessId(u32::MAX);
+pub use onepipe_types::ids::HOP_LOCAL;
 
 /// A scattering waiting in the send buffer for window credits.
 #[derive(Debug)]

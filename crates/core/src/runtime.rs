@@ -21,14 +21,14 @@
 //!
 //! [`simhost::HostLogic`]: crate::simhost::HostLogic
 
-use crate::endpoint::{Endpoint, HOP_LOCAL};
+use crate::endpoint::Endpoint;
 use crate::events::{CtrlRequest, UserEvent};
 use bytes::Bytes;
 use onepipe_clock::MonotonicClock;
 use onepipe_types::ids::{HostId, ProcessId};
 use onepipe_types::message::{Delivered, Message};
 use onepipe_types::time::{Duration, Timestamp};
-use onepipe_types::wire::{Datagram, Flags, Opcode, PacketHeader};
+use onepipe_types::wire::{Datagram, Opcode};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// What the runtime needs from a transport: a datagram sink toward the
@@ -98,6 +98,11 @@ impl SendQueue {
     /// path applications use for responses.
     pub fn push_raw(&mut self, from: ProcessId, to: ProcessId, payload: impl Into<Bytes>) {
         self.raw.push((from, to, payload.into()));
+    }
+
+    /// Whether nothing has been queued.
+    pub fn is_empty(&self) -> bool {
+        self.sends.is_empty() && self.raw.is_empty()
     }
 }
 
@@ -298,16 +303,28 @@ impl HostRuntime {
         self.drain(wire, now, local);
     }
 
+    /// [`on_datagram`](Self::on_datagram) of a beacon carrying barriers
+    /// `be` and `commit`, for a transport that has them without the
+    /// datagram around them.
+    pub fn on_beacon(&mut self, wire: &mut impl Wire, be: Timestamp, commit: Timestamp) {
+        let (now, local) = self.read_clock(wire);
+        self.on_barrier(be, commit);
+        self.drain(wire, now, local);
+    }
+
+    /// Barriers received from the first-hop switch reach every endpoint.
+    fn on_barrier(&mut self, be: Timestamp, commit: Timestamp) {
+        for ep in &mut self.endpoints {
+            ep.on_barrier(be, commit);
+        }
+    }
+
     /// Dispatch one datagram received at true time `now` (clock reading
     /// `local`) to the endpoints / app hook, without draining outputs
     /// (callers drain).
     fn ingest(&mut self, now: u64, local: Timestamp, d: Datagram) {
         match d.header.opcode {
-            Opcode::Beacon => {
-                for ep in &mut self.endpoints {
-                    ep.on_barrier(d.header.barrier, d.header.commit_barrier);
-                }
-            }
+            Opcode::Beacon => self.on_barrier(d.header.barrier, d.header.commit_barrier),
             Opcode::Control => {
                 // Raw application RPC, or background traffic (no app).
                 let mut queue = SendQueue::default();
@@ -336,11 +353,11 @@ impl HostRuntime {
             ep.poll(local);
         }
         // App time-driven workload.
-        let mut queue = SendQueue::default();
         if let Some(app) = &self.app {
+            let mut queue = SendQueue::default();
             app.lock().unwrap().on_tick(now, self.host, &self.proc_ids, &mut queue);
+            self.apply_queue(local, queue);
         }
-        self.apply_queue(local, queue);
         self.drain(wire, now, local);
         self.emit_beacon(wire, local);
     }
@@ -417,7 +434,7 @@ impl HostRuntime {
             }
             drop(sink);
             // Application-queued sends.
-            if !self.apply_queue(local, queue) {
+            if queue.is_empty() || !self.apply_queue(local, queue) {
                 break;
             }
         }
@@ -468,18 +485,6 @@ impl HostRuntime {
             be = be.min(ep.be_contribution(local));
             commit = commit.min(ep.commit_contribution(local));
         }
-        wire.emit(Datagram {
-            src: HOP_LOCAL,
-            dst: HOP_LOCAL,
-            header: PacketHeader {
-                msg_ts: Timestamp::ZERO,
-                barrier: be,
-                commit_barrier: commit,
-                psn: 0,
-                opcode: Opcode::Beacon,
-                flags: Flags::empty(),
-            },
-            payload: Bytes::new(),
-        });
+        wire.emit(Datagram::beacon(be, commit));
     }
 }

@@ -173,6 +173,11 @@ impl NodeLogic for HostLogic {
         self.rt.on_datagram(&mut wire, pkt.dgram);
     }
 
+    fn on_beacon(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, be: Timestamp, commit: Timestamp) {
+        let mut wire = SimWire { ctx, tor: self.tor };
+        self.rt.on_beacon(&mut wire, be, commit);
+    }
+
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         if BackgroundTraffic::owns_token(token) {
             if let Some(traffic) = &mut self.traffic {

@@ -4,9 +4,10 @@
 //! every idle link every few microseconds, and every data packet costs an
 //! ACK and, sooner or later, a Commit. None of them may touch the heap —
 //! not to be built, cloned, forwarded or dropped, not to be received by an
-//! idle host, not on the tick that emits them. A counting global
-//! allocator pins that at exactly zero, and pins the cost of one small
-//! reliable message end to end at a written-down number.
+//! idle host, not on the tick that emits them, not to cross a simulated
+//! link. A counting global allocator pins that at exactly zero, and pins
+//! the cost of one small reliable message end to end at a written-down
+//! number.
 
 use bytes::Bytes;
 use onepipe_clock::MonotonicClock;
@@ -14,8 +15,9 @@ use onepipe_core::endpoint::{Endpoint, HOP_LOCAL};
 use onepipe_core::frag::REL_CHANNEL;
 use onepipe_core::runtime::{HostRuntime, Wire};
 use onepipe_core::EndpointConfig;
-use onepipe_netsim::engine::SimPacket;
-use onepipe_types::ids::{HostId, ProcessId};
+use onepipe_netsim::engine::{Ctx, NodeLogic, Sim, SimPacket};
+use onepipe_netsim::link::LinkParams;
+use onepipe_types::ids::{HostId, NodeId, ProcessId};
 use onepipe_types::message::Message;
 use onepipe_types::time::{Timestamp, MICROS};
 use onepipe_types::wire::{Datagram, Flags, Opcode, PacketHeader};
@@ -103,6 +105,54 @@ fn control_datagrams_never_touch_the_heap() {
         }
     });
     assert_eq!(n, 0);
+}
+
+/// A node that lets what arrives go.
+struct Sink;
+
+impl NodeLogic for Sink {
+    fn on_packet(&mut self, _: &mut Ctx<'_>, _: NodeId, pkt: SimPacket) {
+        drop(black_box(pkt));
+    }
+}
+
+/// One hop through the engine — `Ctx::send`, the link, the calendar
+/// queue, `Shard::run`, the handler — for a beacon (queued as its two
+/// barriers) and for a 64 B data packet (queued as a slot of the shard's
+/// packet pool, reused last-freed-first). A hop starts every 64 ns, so
+/// the warm-up takes the clock twice round the wheel and leaves every
+/// bucket, the pool and its free list at their working size.
+#[test]
+fn a_hop_through_the_engine_does_not_allocate() {
+    let mut sim = Sim::new(1);
+    let (a, b) = (sim.add_node(), sim.add_node());
+    sim.add_link(a, b, LinkParams::default());
+    sim.set_logic(a, Box::new(Sink));
+    sim.set_logic(b, Box::new(Sink));
+    let data = SimPacket::new(Datagram {
+        payload: Bytes::from(vec![0xAB; 64]),
+        ..control(Opcode::Data, ProcessId(0), ProcessId(1), Flags::END_OF_MESSAGE)
+    });
+    let hops = |sim: &mut Sim, rounds: u64| {
+        allocations(|| {
+            for _ in 0..rounds {
+                sim.run_until(sim.now() + 64);
+                sim.with_node(a, |_, ctx| {
+                    ctx.send_beacon(b, ts(ctx.now()), ts(ctx.now() - 1));
+                    ctx.send(b, SimPacket::beacon(ts(ctx.now()), ts(ctx.now() - 1)));
+                    ctx.send(b, data.clone());
+                });
+            }
+        })
+    };
+    hops(&mut sim, 1_200);
+    let sent = sim.stats.packets_sent;
+    // As long again: a pool that grew instead of reusing slots would
+    // have to reallocate.
+    assert_eq!(hops(&mut sim, 1_200), 0);
+    assert_eq!(sim.stats.packets_sent, sent + 3_600);
+    sim.run_to_completion();
+    assert_eq!(sim.stats.events, 2 + sim.stats.packets_sent, "two starts; every packet arrived");
 }
 
 /// A wire into the void: the runtime under test is all that can allocate.

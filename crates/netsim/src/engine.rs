@@ -16,9 +16,9 @@ use crate::link::{Enqueue, Link, LinkParams};
 use crate::shard::{OutMsg, Shard, Shared};
 use crate::stats::{ShardStat, Stats};
 use crate::trace::{TraceRecord, TracerHandle};
-use onepipe_types::ids::{LinkId, NodeId};
-use onepipe_types::time::Duration;
-use onepipe_types::wire::{Datagram, Flags, HEADER_LEN};
+use onepipe_types::ids::{LinkId, NodeId, HOP_LOCAL};
+use onepipe_types::time::{Duration, Timestamp};
+use onepipe_types::wire::{Datagram, Flags, Opcode, HEADER_LEN};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::BTreeMap;
@@ -36,12 +36,48 @@ pub struct SimPacket {
     pub wire_bytes: u64,
 }
 
+/// Wire size of a packet without payload.
+const BARE_WIRE_BYTES: u64 = WIRE_OVERHEAD + HEADER_LEN as u64;
+
 impl SimPacket {
     /// Wrap a datagram, computing its wire size.
     pub fn new(dgram: Datagram) -> Self {
-        let wire_bytes = WIRE_OVERHEAD + HEADER_LEN as u64 + dgram.payload.len() as u64;
+        let wire_bytes = BARE_WIRE_BYTES + dgram.payload.len() as u64;
         SimPacket { dgram, wire_bytes }
     }
+
+    /// The *canonical beacon* carrying barriers `be` and `commit`: a
+    /// hop-by-hop [`Opcode::Beacon`] with nothing else in it. The engine
+    /// queues one as its two timestamps ([`Ctx::send_beacon`],
+    /// [`NodeLogic::on_beacon`]); this is the packet they stand for.
+    pub fn beacon(be: Timestamp, commit: Timestamp) -> Self {
+        SimPacket::new(Datagram::beacon(be, commit))
+    }
+
+    /// The barriers of a canonical beacon; `None` for any other packet —
+    /// a beacon with a flag set (ECN-marked, say), a payload, a process
+    /// address or a made-up wire size included: those keep every field.
+    /// (Field by field on purpose: comparing with `beacon(..)` built from
+    /// the two barriers cost the idle testbed 15 ns per *event*.)
+    fn as_beacon(&self) -> Option<(Timestamp, Timestamp)> {
+        let Datagram { src, dst, header: h, payload } = &self.dgram;
+        let canonical = h.opcode == Opcode::Beacon
+            && *src == HOP_LOCAL
+            && *dst == HOP_LOCAL
+            && h.msg_ts == Timestamp::ZERO
+            && h.psn == 0
+            && h.flags == Flags::empty()
+            && payload.is_empty()
+            && self.wire_bytes == BARE_WIRE_BYTES;
+        canonical.then_some((h.barrier, h.commit_barrier))
+    }
+}
+
+/// What travels over a link: a canonical beacon as its two barriers, any
+/// other packet whole.
+pub(crate) enum InFlight {
+    Beacon { be: Timestamp, commit: Timestamp },
+    Packet(SimPacket),
 }
 
 /// Behaviour attached to a simulated node (switch logic, host endpoint,
@@ -52,6 +88,14 @@ pub trait NodeLogic {
 
     /// A packet arrived on the link `from → ctx.node()`.
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, pkt: SimPacket);
+
+    /// A canonical beacon ([`SimPacket::beacon`]) arrived on the link
+    /// `from → ctx.node()`. Nodes for which beacons are most of what
+    /// arrives take the two barriers here and have `on_packet` call this
+    /// for a beacon that comes packet-shaped; the rest see the packet.
+    fn on_beacon(&mut self, ctx: &mut Ctx<'_>, from: NodeId, be: Timestamp, commit: Timestamp) {
+        self.on_packet(ctx, from, SimPacket::beacon(be, commit));
+    }
 
     /// A timer armed with [`Ctx::set_timer`] fired.
     fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _token: u64) {}
@@ -148,12 +192,22 @@ impl<T> LinkMap<T> {
     }
 }
 
-/// What a shard's calendar queue holds.
+/// What a shard's calendar queue holds: 32 bytes, 48 with the queue's
+/// `(time, seq)` — the queue sorts and shifts whole entries.
 pub(crate) enum EventKind {
+    /// A packet arrives; `pkt` is its slot in the shard's packet pool
+    /// (`Shard::packets`).
     Arrive {
         to: NodeId,
         from: NodeId,
-        pkt: SimPacket,
+        pkt: u32,
+    },
+    /// A canonical beacon arrives — most of what any run queues.
+    Beacon {
+        to: NodeId,
+        from: NodeId,
+        be: Timestamp,
+        commit: Timestamp,
     },
     Timer {
         node: NodeId,
@@ -178,6 +232,16 @@ enum Fault {
     LinkLoss { link: LinkId, rate: f64 },
     GlobalLoss { rate: f64 },
     Crash { node: NodeId },
+}
+
+/// What became of a packet offered to a link.
+enum Offer {
+    /// Not accepted: no such link, link down, or buffer full.
+    Refused,
+    /// Accepted, and lost in flight.
+    Lost,
+    /// Accepted; reaches the far end at `at`, ECN-marked if `ecn`.
+    Arrives { at: u64, ecn: bool },
 }
 
 /// The execution context handed to [`NodeLogic`] callbacks.
@@ -246,44 +310,90 @@ impl<'a> Ctx<'a> {
     /// in-flight loss. Returns `true` if the packet was accepted by the
     /// transmitter (it may still be lost in flight).
     pub fn send(&mut self, to: NodeId, mut pkt: SimPacket) -> bool {
+        match self.offer(to, pkt.wire_bytes) {
+            Offer::Refused => false,
+            Offer::Lost => true,
+            Offer::Arrives { at, ecn } => {
+                if ecn {
+                    pkt.dgram.header.flags.insert(Flags::ECN);
+                }
+                match pkt.as_beacon() {
+                    Some((be, commit)) => self.arrives(at, to, InFlight::Beacon { be, commit }),
+                    None => self.arrives(at, to, InFlight::Packet(pkt)),
+                }
+                true
+            }
+        }
+    }
+
+    /// [`send`](Self::send) of [`SimPacket::beacon`]`(be, commit)`,
+    /// without building the packet.
+    pub fn send_beacon(&mut self, to: NodeId, be: Timestamp, commit: Timestamp) -> bool {
+        match self.offer(to, BARE_WIRE_BYTES) {
+            Offer::Refused => false,
+            Offer::Lost => true,
+            Offer::Arrives { at, ecn } => {
+                if ecn {
+                    let mut pkt = SimPacket::beacon(be, commit);
+                    pkt.dgram.header.flags.insert(Flags::ECN);
+                    self.arrives(at, to, InFlight::Packet(pkt));
+                } else {
+                    self.arrives(at, to, InFlight::Beacon { be, commit });
+                }
+                true
+            }
+        }
+    }
+
+    /// Offer `wire_bytes` to the link `self.node → to`: the link model,
+    /// the loss draw and the counters of a transmission.
+    #[inline]
+    fn offer(&mut self, to: NodeId, wire_bytes: u64) -> Offer {
         let shard = &mut *self.shard;
         let Some(link) = shard.links.get_mut(LinkId::new(self.node, to)) else {
             shard.scratch.drops_no_link += 1;
-            return false;
+            return Offer::Refused;
         };
-        match link.enqueue(self.now, pkt.wire_bytes) {
+        match link.enqueue(self.now, wire_bytes) {
             Enqueue::Accepted { arrive_ns, ecn } => {
                 if ecn {
-                    pkt.dgram.header.flags.insert(Flags::ECN);
                     shard.scratch.ecn_marks += 1;
                 }
+                shard.scratch.packets_sent += 1;
                 let lost = link.params.loss_rate > 0.0
                     && shard.rng.random_range(0.0..1.0) < link.params.loss_rate;
                 if lost {
                     shard.scratch.drops_inflight += 1;
-                } else if self.net.shard_of[to.0 as usize] == shard.id {
-                    let from = self.node;
-                    shard.queue.push(arrive_ns, EventKind::Arrive { to, from, pkt });
+                    Offer::Lost
                 } else {
-                    // Cross-shard arrival: buffered in the shard's outbox
-                    // and merged into the destination shard's queue at
-                    // the next window barrier. Safe because arrive_ns ≥
-                    // now + 1 + prop > window end (the lookahead is min
-                    // cross-shard prop + 1).
-                    shard.stat.cross_shard_msgs += 1;
-                    shard.outbox.push(OutMsg { at: arrive_ns, to, from: self.node, pkt });
+                    Offer::Arrives { at: arrive_ns, ecn }
                 }
-                shard.scratch.packets_sent += 1;
-                true
             }
             Enqueue::BufferOverflow => {
                 shard.scratch.drops_overflow += 1;
-                false
+                Offer::Refused
             }
             Enqueue::LinkDown => {
                 shard.scratch.drops_link_down += 1;
-                false
+                Offer::Refused
             }
+        }
+    }
+
+    /// Schedule the arrival of `body` at `to`, in this shard's queue or,
+    /// for a node of another shard, through the outbox.
+    #[inline(always)]
+    fn arrives(&mut self, at: u64, to: NodeId, body: InFlight) {
+        let shard = &mut *self.shard;
+        if self.net.shard_of[to.0 as usize] == shard.id {
+            shard.schedule_arrival(at, to, self.node, body);
+        } else {
+            // Cross-shard arrival: buffered in the shard's outbox and
+            // merged into the destination shard's queue at the next
+            // window barrier. Safe because at ≥ now + 1 + prop > window
+            // end (the lookahead is min cross-shard prop + 1).
+            shard.stat.cross_shard_msgs += 1;
+            shard.outbox.push(OutMsg { at, to, from: self.node, body });
         }
     }
 
@@ -641,8 +751,8 @@ impl Sim {
         }
         // Stable sorts of a concatenation in shard order.
         mail.sort_by_key(|m| m.at);
-        for OutMsg { at, to, from, pkt } in mail {
-            self.owner_mut(to).queue.push(at, EventKind::Arrive { to, from, pkt });
+        for OutMsg { at, to, from, body } in mail {
+            self.owner_mut(to).schedule_arrival(at, to, from, body);
         }
         if let Some(tracer) = &self.tracer {
             traced.sort_by_key(|r| r.at);
@@ -716,8 +826,9 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use onepipe_types::ids::ProcessId;
-    use onepipe_types::time::Timestamp;
-    use onepipe_types::wire::{Opcode, PacketHeader};
+    use onepipe_types::wire::PacketHeader;
+    use std::cell::RefCell;
+    use std::rc::Rc;
     use std::sync::{Arc, Mutex};
 
     fn dgram(psn: u32) -> Datagram {
@@ -890,8 +1001,6 @@ mod tests {
     /// simulator leaves the calling thread.
     #[test]
     fn timers_fire_in_order() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
         struct Timers {
             log: Rc<RefCell<Vec<u64>>>,
         }
@@ -913,6 +1022,148 @@ mod tests {
         sim.set_logic(n, Box::new(Timers { log: log.clone() }));
         sim.run_to_completion();
         assert_eq!(*log.borrow(), vec![1, 2, 3]);
+    }
+
+    /// What reached a node, and through which entry.
+    #[derive(Debug, PartialEq)]
+    enum Seen {
+        Packet(Datagram, u64),
+        Beacon(Timestamp, Timestamp),
+    }
+    type SeenLog = Rc<RefCell<Vec<Seen>>>;
+
+    /// Records the packets it gets; `on_beacon` is the trait's default,
+    /// as in every node written before there was one.
+    struct PacketProbe(SeenLog);
+    impl NodeLogic for PacketProbe {
+        fn on_packet(&mut self, _: &mut Ctx<'_>, _: NodeId, pkt: SimPacket) {
+            self.0.borrow_mut().push(Seen::Packet(pkt.dgram, pkt.wire_bytes));
+        }
+    }
+
+    /// Like [`PacketProbe`], with a beacon entry of its own.
+    struct BeaconProbe(PacketProbe);
+    impl NodeLogic for BeaconProbe {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, pkt: SimPacket) {
+            self.0.on_packet(ctx, from, pkt);
+        }
+        fn on_beacon(&mut self, _: &mut Ctx<'_>, _: NodeId, be: Timestamp, commit: Timestamp) {
+            self.0 .0.borrow_mut().push(Seen::Beacon(be, commit));
+        }
+    }
+
+    /// Run `send` on node 0 with a probe one link away at node 1 — a
+    /// [`BeaconProbe`] if `direct` — and return what the probe saw and
+    /// the ECN marks counted.
+    fn probe(
+        direct: bool,
+        link: LinkParams,
+        send: impl FnOnce(&mut Ctx<'_>, NodeId),
+    ) -> (Vec<Seen>, u64) {
+        let (mut sim, a, b, _) = two_node_sim(link);
+        let log: SeenLog = Rc::default();
+        let packets = PacketProbe(log.clone());
+        sim.set_logic(b, if direct { Box::new(BeaconProbe(packets)) } else { Box::new(packets) });
+        sim.set_logic(a, Box::new(Blaster { peer: b, n: 0 }));
+        sim.run_until(0);
+        sim.with_node(a, |_, ctx| send(ctx, b));
+        sim.run_to_completion();
+        (log.take(), sim.stats.ecn_marks)
+    }
+
+    fn send_all<'p>(pkts: &'p [SimPacket]) -> impl FnOnce(&mut Ctx<'_>, NodeId) + 'p {
+        move |ctx, to| pkts.iter().for_each(|pkt| assert!(ctx.send(to, pkt.clone())))
+    }
+
+    fn as_sent(pkts: &[SimPacket]) -> Vec<Seen> {
+        pkts.iter().map(|p| Seen::Packet(p.dgram.clone(), p.wire_bytes)).collect()
+    }
+
+    /// What the queue sorts and shifts: 32 bytes, 48 with `(time, seq)`.
+    #[test]
+    fn an_event_is_half_a_cache_line() {
+        assert!(std::mem::size_of::<EventKind>() <= 32);
+    }
+
+    #[test]
+    fn canonical_beacons_travel_compact_and_arrive_as_sent() {
+        let (be, commit) = (Timestamp::from_nanos(4_000), Timestamp::from_nanos(3_000));
+        let beacons = [SimPacket::beacon(be, commit), SimPacket::beacon(commit, Timestamp::ZERO)];
+        let link = LinkParams::default();
+        // A node with a beacon entry gets the two barriers; they were all
+        // the queue held.
+        assert_eq!(
+            probe(true, link, send_all(&beacons)).0,
+            [Seen::Beacon(be, commit), Seen::Beacon(commit, Timestamp::ZERO)]
+        );
+        // A node without one gets the packet that was sent,
+        assert_eq!(probe(false, link, send_all(&beacons)).0, as_sent(&beacons));
+        // and `send_beacon` is `send` of that packet.
+        let direct = probe(false, link, |ctx, to| {
+            assert!(ctx.send_beacon(to, be, commit));
+            assert!(ctx.send_beacon(to, commit, Timestamp::ZERO));
+        });
+        assert_eq!(direct.0, as_sent(&beacons));
+    }
+
+    /// Anything that is not exactly the canonical beacon keeps every
+    /// field: it arrives through `on_packet`, equal to what was sent.
+    #[test]
+    fn beacons_that_carry_anything_else_stay_packets() {
+        let (be, commit) = (Timestamp::from_nanos(9), Timestamp::from_nanos(8));
+        let canonical = SimPacket::beacon(be, commit);
+        let vary = |f: fn(&mut SimPacket)| {
+            let mut pkt = canonical.clone();
+            f(&mut pkt);
+            pkt
+        };
+        let odd = [
+            vary(|p| p.dgram.header.flags.insert(Flags::RETRANSMIT)),
+            vary(|p| p.dgram.payload = Bytes::from_static(b"x")),
+            vary(|p| p.dgram.src = ProcessId(3)),
+            vary(|p| p.dgram.dst = ProcessId(3)),
+            vary(|p| p.dgram.header.psn = 1),
+            vary(|p| p.dgram.header.msg_ts = Timestamp::from_nanos(1)),
+            vary(|p| p.wire_bytes += 1),
+        ];
+        assert_eq!(probe(true, LinkParams::default(), send_all(&odd)).0, as_sent(&odd));
+
+        // ECN-marked by the link: the first beacon finds the queue empty
+        // and travels compact; the second is marked, whichever way it
+        // was sent, and arrives as a packet that says so.
+        let congested = LinkParams { ecn_threshold_bytes: 1, ..LinkParams::default() };
+        let marked = vary(|p| p.dgram.header.flags.insert(Flags::ECN));
+        let want =
+            (vec![Seen::Beacon(be, commit), Seen::Packet(marked.dgram, marked.wire_bytes)], 1);
+        assert_eq!(probe(true, congested, send_all(&[canonical.clone(), canonical.clone()])), want);
+        let direct = probe(true, congested, |ctx, to| {
+            ctx.send_beacon(to, be, commit);
+            ctx.send_beacon(to, be, commit);
+        });
+        assert_eq!(direct, want);
+    }
+
+    /// `Link::params` is public: the serialization-time memo must not
+    /// outlive the bandwidth it was computed under.
+    #[test]
+    fn a_bandwidth_change_mid_run_applies_to_the_next_packet() {
+        let slow = LinkParams { bandwidth_bps: 8_000_000_000, ..LinkParams::default() }; // 1 B/ns
+        let (mut sim, a, b, log) = two_node_sim(slow);
+        sim.set_logic(a, Box::new(Blaster { peer: b, n: 0 }));
+        let wire = SimPacket::new(dgram(0)).wire_bytes;
+        for (at, psn) in [(0, 0), (10_000, 1), (20_000, 2)] {
+            sim.run_until(at);
+            if psn == 2 {
+                sim.link_mut(LinkId::new(a, b)).unwrap().params.bandwidth_bps /= 2;
+            }
+            sim.with_node(a, |_, ctx| ctx.send(b, SimPacket::new(dgram(psn))));
+        }
+        sim.run_to_completion();
+        let prop = slow.prop_delay_ns;
+        assert_eq!(
+            *log.lock().unwrap(),
+            [(wire + prop, 0), (10_000 + wire + prop, 1), (20_000 + 2 * wire + prop, 2)]
+        );
     }
 
     #[test]

@@ -67,6 +67,11 @@ pub struct Link {
     pub params: LinkParams,
     /// Time until which the transmitter is busy serializing earlier packets.
     busy_until: u64,
+    /// The last serialization time computed: `((bytes, bandwidth_bps),
+    /// tx_time_ns)`. A link carries runs of equal-sized packets (every
+    /// beacon, every full fragment), so most packets skip the 64-bit
+    /// division; `params` is `pub`, hence the bandwidth in the key.
+    tx_memo: ((u64, u64), Duration),
     /// Whether the link is up.
     up: bool,
     /// Total packets accepted.
@@ -85,6 +90,8 @@ impl Link {
         Link {
             params,
             busy_until: 0,
+            // No packet has this size, so the first one computes.
+            tx_memo: ((u64::MAX, 0), 0),
             up: true,
             tx_packets: 0,
             tx_bytes: 0,
@@ -106,7 +113,20 @@ impl Link {
     /// Current queue occupancy in bytes, given the current time.
     pub fn queue_bytes(&self, now: u64) -> u64 {
         let backlog_ns = self.busy_until.saturating_sub(now);
+        if backlog_ns == 0 {
+            return 0;
+        }
         backlog_ns * self.params.bandwidth_bps / 8 / 1_000_000_000
+    }
+
+    /// [`LinkParams::tx_time_ns`] at the current bandwidth, through the
+    /// one-entry memo.
+    fn tx_time_ns(&mut self, bytes: u64) -> Duration {
+        let key = (bytes, self.params.bandwidth_bps);
+        if self.tx_memo.0 != key {
+            self.tx_memo = (key, self.params.tx_time_ns(bytes));
+        }
+        self.tx_memo.1
     }
 
     /// Attempt to enqueue a `bytes`-sized packet at time `now`.
@@ -126,7 +146,7 @@ impl Link {
         }
         let ecn = queued >= self.params.ecn_threshold_bytes;
         let start = self.busy_until.max(now);
-        let depart = start + self.params.tx_time_ns(bytes);
+        let depart = start + self.tx_time_ns(bytes);
         self.busy_until = depart;
         self.tx_packets += 1;
         self.tx_bytes += bytes;

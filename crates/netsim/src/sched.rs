@@ -20,6 +20,15 @@
 //! - an **occupancy bitmap** (one bit per slot, 64 B — one cache line)
 //!   finds the next non-empty slot with word-wide scans, so sparse
 //!   stretches of simulated time cost ~ns, not a per-slot walk.
+//! - a **same-instant lane** (`VecDeque`) takes every push at the time
+//!   of the last pop — the zero-delay timers a node arms for "after
+//!   everything else that happens now" (7–27 % of all pushes, DESIGN.md
+//!   §10). They would land in the cursor bucket, which is sorted: a
+//!   binary search and a `memmove` each. They need neither. An event
+//!   pushed at time `t` while the clock stands at `t` has a larger `seq`
+//!   than every event pushed at `t` while the clock was still short of
+//!   it, and those are exactly the wheel's events at `t`; so the wheel's
+//!   events at `t` pop first, then the lane in push order.
 //!
 //! **Determinism contract:** `pop` returns events in exactly ascending
 //! `(time, seq)` order, where `seq` is the queue's internal monotone
@@ -30,7 +39,7 @@
 //!
 //! [Brown 1988]: https://dl.acm.org/doi/10.1145/63039.63045
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// log2 of the slot width in nanoseconds.
 const SLOT_BITS: u32 = 6;
@@ -81,6 +90,11 @@ pub struct CalendarQueue<T> {
     /// Monotone push counter (the deterministic tie-break).
     seq: u64,
     len: usize,
+    /// Time of the last popped event (0 before the first pop); no push
+    /// is earlier.
+    now: u64,
+    /// The events pushed at `now`, as `(seq, item)` in push order.
+    lane: VecDeque<(u64, T)>,
 }
 
 impl<T> Default for CalendarQueue<T> {
@@ -103,6 +117,8 @@ impl<T> CalendarQueue<T> {
             next_overflow_slot: NONE_SLOT,
             seq: 0,
             len: 0,
+            now: 0,
+            lane: VecDeque::new(),
         }
     }
 
@@ -128,26 +144,67 @@ impl<T> CalendarQueue<T> {
 
     /// Schedule `item` at absolute `time` (must be ≥ the last popped
     /// event's time — the engine never schedules into the past).
+    ///
+    /// Inlined into the caller as far as the common case goes — a later
+    /// time, in an unsorted wheel bucket with spare capacity — so that
+    /// the entry is built where it is stored, from the caller's
+    /// registers. Out of line, the item reaches this function through a
+    /// reference to the caller's stack and is copied out of it by wide
+    /// loads over fields the caller has just stored one by one: a
+    /// store-forwarding stall per push, the hottest instruction of the
+    /// engine's profile (DESIGN.md §10).
+    #[inline(always)]
     pub fn push(&mut self, time: u64, item: T) {
+        // Handing `item` straight to `push_rest` below would pin it to
+        // the stack for the common case too (a call takes its address);
+        // moved out of a closure, only that branch's copy lives there.
+        let item = move || item;
         self.seq += 1;
         let seq = self.seq;
         self.len += 1;
         let slot = time >> SLOT_BITS;
-        debug_assert!(slot >= self.base_slot, "event scheduled into the past");
+        debug_assert!(time >= self.now, "event scheduled into the past");
+        if time != self.now && slot != self.sorted_slot && slot < self.base_slot + NUM_SLOTS as u64
+        {
+            let bucket = &mut self.buckets[(slot & SLOT_MASK) as usize];
+            if bucket.len() < bucket.capacity() {
+                bucket.push(Entry { time, seq, item: item() });
+                self.note_wheel_push(slot);
+                return;
+            }
+        }
+        self.push_rest(time, seq, item());
+    }
+
+    /// What [`push`](Self::push) does not inline: the same-instant lane,
+    /// the overflow tier, the sorted cursor bucket, a bucket that grows.
+    #[inline(never)]
+    fn push_rest(&mut self, time: u64, seq: u64, item: T) {
+        if time == self.now {
+            self.lane.push_back((seq, item));
+            return;
+        }
+        let slot = time >> SLOT_BITS;
         if slot >= self.base_slot + NUM_SLOTS as u64 {
             self.overflow.insert((time, seq), item);
             self.next_overflow_slot = self.next_overflow_slot.min(slot);
             return;
         }
-        let b = (slot & SLOT_MASK) as usize;
+        let bucket = &mut self.buckets[(slot & SLOT_MASK) as usize];
         if slot == self.sorted_slot {
             // Keep the cursor bucket's descending (time, seq) order.
-            let pos = self.buckets[b].partition_point(|e| (e.time, e.seq) > (time, seq));
-            self.buckets[b].insert(pos, Entry { time, seq, item });
+            let pos = bucket.partition_point(|e| (e.time, e.seq) > (time, seq));
+            bucket.insert(pos, Entry { time, seq, item });
         } else {
-            self.buckets[b].push(Entry { time, seq, item });
+            bucket.push(Entry { time, seq, item });
         }
-        self.set_occ(b);
+        self.note_wheel_push(slot);
+    }
+
+    /// Book an entry just stored in the wheel bucket of `slot`.
+    #[inline]
+    fn note_wheel_push(&mut self, slot: u64) {
+        self.set_occ((slot & SLOT_MASK) as usize);
         self.wheel_len += 1;
         if self.head_slot != NONE_SLOT && slot < self.head_slot {
             self.head_slot = slot;
@@ -168,7 +225,9 @@ impl<T> CalendarQueue<T> {
         // Scan ring indices [start, NUM_SLOTS) then [0, start).
         let mut word = start / 64;
         let mut mask = !0u64 << (start % 64);
-        for step in 0..=WORDS {
+        // WORDS + 1 word visits cover the whole ring: the first word
+        // twice, once per half.
+        for _ in 0..=WORDS {
             let bits = self.occ[word] & mask;
             if bits != 0 {
                 let bit = bits.trailing_zeros() as usize;
@@ -182,9 +241,6 @@ impl<T> CalendarQueue<T> {
             if word == WORDS {
                 word = 0;
             }
-            // After WORDS+1 word visits we have covered the whole ring
-            // (the first word twice, once per half).
-            let _ = step;
         }
         None
     }
@@ -214,14 +270,9 @@ impl<T> CalendarQueue<T> {
                 self.next_overflow_slot = slot;
                 return;
             }
-            let b = (slot & SLOT_MASK) as usize;
             debug_assert_ne!(slot, self.sorted_slot, "overflow refill into the cursor bucket");
-            self.buckets[b].push(Entry { time, seq, item });
-            self.set_occ(b);
-            self.wheel_len += 1;
-            if self.head_slot != NONE_SLOT && slot < self.head_slot {
-                self.head_slot = slot;
-            }
+            self.buckets[(slot & SLOT_MASK) as usize].push(Entry { time, seq, item });
+            self.note_wheel_push(slot);
             self.next_overflow_slot =
                 self.overflow.first_key_value().map_or(NONE_SLOT, |((t, _), _)| t >> SLOT_BITS);
         }
@@ -230,6 +281,9 @@ impl<T> CalendarQueue<T> {
     /// Time of the earliest pending event. Amortized O(1); takes `&mut`
     /// because it may sort the head bucket (work `pop` then reuses).
     pub fn peek_time(&mut self) -> Option<u64> {
+        if !self.lane.is_empty() {
+            return Some(self.now);
+        }
         if self.len == 0 {
             return None;
         }
@@ -244,8 +298,24 @@ impl<T> CalendarQueue<T> {
         }
     }
 
+    /// Whether the wheel's earliest event is at `now`: it was pushed
+    /// before the clock got there, so before every event in the lane.
+    fn wheel_head_is_now(&mut self) -> bool {
+        let slot = self.now >> SLOT_BITS;
+        if self.first_occupied_slot() != Some(slot) {
+            return false;
+        }
+        self.ensure_sorted(slot);
+        self.buckets[(slot & SLOT_MASK) as usize].last().is_some_and(|e| e.time == self.now)
+    }
+
     /// Remove and return the earliest event as `(time, seq, item)`.
     pub fn pop(&mut self) -> Option<(u64, u64, T)> {
+        if !self.lane.is_empty() && !self.wheel_head_is_now() {
+            let (seq, item) = self.lane.pop_front()?;
+            self.len -= 1;
+            return Some((self.now, seq, item));
+        }
         if self.len == 0 {
             return None;
         }
@@ -274,6 +344,7 @@ impl<T> CalendarQueue<T> {
             self.base_slot = slot;
             self.refill_from_overflow();
         }
+        self.now = e.time;
         Some((e.time, e.seq, e.item))
     }
 }

@@ -56,7 +56,7 @@
 //! routing oracle is likewise only written between windows, so what a
 //! node reads from it does not depend on the order shards run in.
 
-use crate::engine::{Ctx, EventKind, LinkMap, LinkTable, NodeLogic, Sim, SimPacket};
+use crate::engine::{Ctx, EventKind, InFlight, LinkMap, LinkTable, NodeLogic, Sim, SimPacket};
 use crate::sched::CalendarQueue;
 use crate::stats::{ShardStat, Stats};
 use crate::trace::TraceRecord;
@@ -78,8 +78,9 @@ pub(crate) struct OutMsg {
     pub(crate) to: NodeId,
     /// Sending node (owned by this shard).
     pub(crate) from: NodeId,
-    /// The packet.
-    pub(crate) pkt: SimPacket,
+    /// What arrives, by value: it joins the destination shard's queue
+    /// (and packet pool) at the barrier.
+    pub(crate) body: InFlight,
 }
 
 /// What every shard reads and none writes while a window runs (but for
@@ -107,6 +108,13 @@ pub(crate) struct Shared {
 pub(crate) struct Shard {
     pub(crate) id: u32,
     pub(crate) queue: CalendarQueue<EventKind>,
+    /// The packets of the queue's [`EventKind::Arrive`] events, which hold
+    /// a slot index: sorting and shifting queue entries moves 48 bytes,
+    /// not a packet. A slot is `None` while it is on `free_packets`.
+    packets: Vec<Option<SimPacket>>,
+    /// Vacant slots of `packets`, reused last-freed-first (the warmest);
+    /// in steady state no arrival allocates.
+    free_packets: Vec<u32>,
     /// Full-length node table; `None` for nodes owned by other shards.
     pub(crate) nodes: Vec<Option<Box<dyn NodeLogic>>>,
     /// Links whose tail node this shard owns.
@@ -129,6 +137,8 @@ impl Shard {
         Shard {
             id,
             queue: CalendarQueue::new(),
+            packets: Vec::new(),
+            free_packets: Vec::new(),
             nodes: (0..nodes).map(|_| None).collect(),
             links: LinkTable::default(),
             crashed: vec![false; nodes],
@@ -141,6 +151,42 @@ impl Shard {
             trace: tracing.then(Vec::new),
             stat: ShardStat { shard: id, ..ShardStat::default() },
         }
+    }
+
+    /// Queue the arrival of `body` at `to`, a node of this shard. Inlined
+    /// where the caller knows which kind of `body` it has, so that the
+    /// queue entry is built from registers ([`CalendarQueue::push`]).
+    #[inline(always)]
+    pub(crate) fn schedule_arrival(&mut self, at: u64, to: NodeId, from: NodeId, body: InFlight) {
+        match body {
+            InFlight::Beacon { be, commit } => {
+                self.queue.push(at, EventKind::Beacon { to, from, be, commit })
+            }
+            InFlight::Packet(pkt) => {
+                let pkt = self.pool_packet(pkt);
+                self.queue.push(at, EventKind::Arrive { to, from, pkt })
+            }
+        }
+    }
+
+    /// Put `pkt` in the packet pool; returns its slot.
+    fn pool_packet(&mut self, pkt: SimPacket) -> u32 {
+        match self.free_packets.pop() {
+            Some(slot) => {
+                self.packets[slot as usize] = Some(pkt);
+                slot
+            }
+            None => {
+                self.packets.push(Some(pkt));
+                (self.packets.len() - 1) as u32
+            }
+        }
+    }
+
+    /// Take the packet of a popped [`EventKind::Arrive`] out of the pool.
+    fn take_packet(&mut self, slot: u32) -> SimPacket {
+        self.free_packets.push(slot);
+        self.packets[slot as usize].take().expect("an Arrive event owns its pool slot")
     }
 
     /// Run a node callback with a [`Ctx`]; `None` if the node has no
@@ -173,18 +219,30 @@ impl Shard {
             debug_assert!(time >= self.now, "time went backwards");
             self.now = time;
             match kind {
+                // Packets arriving over a link that went down mid-flight
+                // are still delivered: they were already serialized.
                 EventKind::Arrive { to, from, pkt } => {
-                    // Packets arriving over a link that went down
-                    // mid-flight are still delivered: they were already
-                    // serialized.
+                    let pkt = self.take_packet(pkt);
                     if !self.crashed[to.0 as usize] {
                         if let Some(trace) = &mut self.trace {
                             trace.push(TraceRecord::arrival(time, from, to, &pkt));
                         }
-                        if self
-                            .with_ctx(net, time, to, |l, ctx| l.on_packet(ctx, from, pkt))
-                            .is_none()
-                        {
+                        let ran =
+                            self.with_ctx(net, time, to, |l, ctx| l.on_packet(ctx, from, pkt));
+                        if ran.is_none() {
+                            self.scratch.drops_no_logic += 1;
+                        }
+                    }
+                }
+                EventKind::Beacon { to, from, be, commit } => {
+                    if !self.crashed[to.0 as usize] {
+                        if let Some(trace) = &mut self.trace {
+                            let pkt = SimPacket::beacon(be, commit);
+                            trace.push(TraceRecord::arrival(time, from, to, &pkt));
+                        }
+                        let ran = self
+                            .with_ctx(net, time, to, |l, ctx| l.on_beacon(ctx, from, be, commit));
+                        if ran.is_none() {
                             self.scratch.drops_no_logic += 1;
                         }
                     }
@@ -250,7 +308,11 @@ impl Sim {
         // preserves their relative order within each shard.
         while let Some((time, _seq, kind)) = whole.queue.pop() {
             match kind {
-                EventKind::Arrive { to, .. } => shards[owner(to)].queue.push(time, kind),
+                EventKind::Arrive { to, from, pkt } => {
+                    let pkt = whole.packets[pkt as usize].take().expect("one event per slot");
+                    shards[owner(to)].schedule_arrival(time, to, from, InFlight::Packet(pkt));
+                }
+                EventKind::Beacon { to, .. } => shards[owner(to)].queue.push(time, kind),
                 EventKind::Timer { node, .. } | EventKind::Start { node } => {
                     shards[owner(node)].queue.push(time, kind)
                 }
@@ -397,6 +459,34 @@ mod tests {
         assert_eq!(stats.iter().map(|s| s.events).sum::<u64>(), sim.stats.events);
         assert_eq!(sim.stats.events, whole.stats.events);
         assert!(stats[0].windows > 0);
+    }
+
+    /// Splitting a network with packets in flight moves them, pool slot
+    /// and all, with their events: every one is delivered, when it would
+    /// have been — data packets and beacons alike.
+    #[test]
+    fn set_partition_carries_pooled_packets_along() {
+        fn run(split: bool) -> (Vec<(u64, u32)>, u64) {
+            let (mut sim, a, b, log) = two_node(LinkParams::default(), 7);
+            sim.set_logic(a, Box::new(Blaster { peer: b, n: 200 }));
+            sim.run_until(0);
+            sim.with_node(a, |_, ctx| {
+                ctx.send_beacon(b, Timestamp::from_nanos(2), Timestamp::from_nanos(1));
+                ctx.send(b, SimPacket::new(dgram(200)));
+            });
+            assert!(log.lock().unwrap().is_empty(), "all 202 are in flight");
+            if split {
+                sim.set_partition(vec![1, 0]);
+            }
+            sim.run_to_completion();
+            let log = log.lock().unwrap().clone();
+            (log, sim.stats.events)
+        }
+        let whole = run(false);
+        // The beacon reaches the recorder as a packet with PSN 0.
+        assert_eq!(whole.0.len(), 202);
+        assert_eq!((whole.0[200].1, whole.0[201].1), (0, 200));
+        assert_eq!(run(true), whole);
     }
 
     /// Scheduled faults behave on a split network as on a whole one:

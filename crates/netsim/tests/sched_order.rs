@@ -152,3 +152,94 @@ proptest! {
         prop_assert!(cal.is_empty());
     }
 }
+
+proptest! {
+    /// The same-instant lane against the reference heap. Every round
+    /// pops once and then pushes at the popped time — zero-delay pushes
+    /// between pops — while other events of that very nanosecond, pushed
+    /// before the clock got there, are still in the wheel: they must pop
+    /// before the lane's, the lane's in push order, and `peek_time` (which
+    /// answers from the lane without consuming it) must agree throughout.
+    /// The run starts with pushes at time 0 before any pop, and
+    /// `wrap_burst` makes one instant's burst cross the wheel horizon, so
+    /// that the lane drains while the overflow tier refills the ring.
+    #[test]
+    fn same_instant_pushes_match_reference_heap(
+        ops in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u64>()), 1..300),
+        wrap_burst in any::<bool>(),
+    ) {
+        let horizon = NUM_SLOTS as u64 * SLOT_NS;
+        let mut cal: CalendarQueue<u64> = CalendarQueue::new();
+        let mut reference = RefHeap::new();
+        let push = |cal: &mut CalendarQueue<u64>, reference: &mut RefHeap, time: u64| {
+            cal.push(time, reference.seq + 1);
+            reference.push(time);
+        };
+        // Before the first pop the clock stands at 0: these are lane
+        // pushes, interleaved with wheel pushes.
+        for i in 0..4 {
+            push(&mut cal, &mut reference, 0);
+            push(&mut cal, &mut reference, 100 + i);
+        }
+        for (zero_delay, clones, raw) in ops {
+            prop_assert_eq!(cal.peek_time(), reference.peek_time());
+            let got = cal.pop();
+            prop_assert_eq!(got, reference.pop().map(|(t, s)| (t, s, s)));
+            let Some((now, _, _)) = got else { break };
+            // Later events, a few of them sharing one future nanosecond:
+            // when the clock gets there they are the wheel's events "at
+            // now" that the lane's must follow.
+            let ahead = now + 1 + raw % (2 * SLOT_NS);
+            for _ in 0..1 + clones % 3 {
+                push(&mut cal, &mut reference, ahead);
+            }
+            // Fewer than one per pop on average, or the clock never
+            // leaves the instant.
+            let zero_delays = match zero_delay % 8 {
+                0..=4 => 0,
+                5 | 6 => 1,
+                _ => 3,
+            };
+            for _ in 0..zero_delays {
+                push(&mut cal, &mut reference, now);
+            }
+            if raw % 5 == 0 {
+                // A peek between lane pushes must not disturb them.
+                prop_assert_eq!(cal.peek_time(), reference.peek_time());
+                push(&mut cal, &mut reference, now);
+            }
+            if wrap_burst && raw % 7 == 0 {
+                for i in 0..NUM_SLOTS as u64 + 8 {
+                    push(&mut cal, &mut reference, now + i * SLOT_NS);
+                }
+                push(&mut cal, &mut reference, now + 3 * horizon);
+            }
+        }
+        prop_assert_eq!(cal.len(), reference.heap.len());
+        while let Some((t, s)) = reference.pop() {
+            prop_assert_eq!(cal.peek_time(), Some(t));
+            prop_assert_eq!(cal.pop(), Some((t, s, s)));
+        }
+        prop_assert!(cal.is_empty());
+    }
+}
+
+/// An event pushed at `now` pops after an event of the same nanosecond
+/// that was already queued — whichever structure either sits in.
+#[test]
+fn a_push_at_now_pops_after_the_same_instant_event_queued_before_it() {
+    let mut q: CalendarQueue<&str> = CalendarQueue::new();
+    q.push(500, "first");
+    q.push(500, "queued before");
+    q.push(501, "later");
+    assert_eq!(q.pop(), Some((500, 1, "first")));
+    q.push(500, "pushed at now");
+    assert_eq!(q.len(), 3);
+    assert_eq!(q.peek_time(), Some(500));
+    assert_eq!(q.pop(), Some((500, 2, "queued before")));
+    q.push(500, "pushed at now, second");
+    assert_eq!(q.pop(), Some((500, 4, "pushed at now")));
+    assert_eq!(q.pop(), Some((500, 5, "pushed at now, second")));
+    assert_eq!(q.pop(), Some((501, 3, "later")));
+    assert_eq!(q.pop(), None);
+}

@@ -1,19 +1,14 @@
 //! The switch node logic: forwarding + barrier aggregation + beacons.
 
 use crate::barrier::BarrierAggregator;
-use bytes::Bytes;
 use onepipe_netsim::engine::{Ctx, NodeLogic, SimPacket};
 use onepipe_netsim::topology::Topology;
-use onepipe_types::ids::{NodeId, ProcessId};
+use onepipe_types::ids::NodeId;
+pub use onepipe_types::ids::HOP_LOCAL;
 use onepipe_types::process_map::ProcessMap;
 use onepipe_types::time::{Duration, Timestamp, MICROS};
-use onepipe_types::wire::{Datagram, Flags, Opcode, PacketHeader};
-use std::collections::VecDeque;
+use onepipe_types::wire::Opcode;
 use std::sync::{Arc, Mutex};
-
-/// Sentinel process id used on hop-by-hop packets (beacons) that have no
-/// process-level source or destination.
-pub const HOP_LOCAL: ProcessId = ProcessId(u32::MAX);
 
 /// Timer token: periodic beacon / dead-link scan.
 const TOKEN_BEACON: u64 = 1;
@@ -169,8 +164,6 @@ pub struct SwitchLogic {
     /// Per destination host. Viability is a walk down the tree per hop;
     /// it only changes when a link does, which is rare next to packets.
     routes: Vec<CachedRoute>,
-    /// Beacon values awaiting delayed emission (CPU/delegate modes).
-    pending_emissions: VecDeque<(Timestamp, Timestamp)>,
     /// CPU/delegate: an emission is already scheduled.
     emission_pending: bool,
     /// Chip: a coalesced relay is already scheduled.
@@ -191,7 +184,6 @@ impl SwitchLogic {
             cfg,
             agg: BarrierAggregator::new(Vec::new()),
             ports: Vec::new(),
-            pending_emissions: VecDeque::new(),
             emission_pending: false,
             relay_pending: false,
             counters: SwitchCounters::default(),
@@ -217,22 +209,6 @@ impl SwitchLogic {
     /// Mutable access to the aggregator.
     pub fn aggregator_mut(&mut self) -> &mut BarrierAggregator {
         &mut self.agg
-    }
-
-    fn beacon_dgram(be: Timestamp, commit: Timestamp) -> Datagram {
-        Datagram {
-            src: HOP_LOCAL,
-            dst: HOP_LOCAL,
-            header: PacketHeader {
-                msg_ts: Timestamp::ZERO,
-                barrier: be,
-                commit_barrier: commit,
-                psn: 0,
-                opcode: Opcode::Beacon,
-                flags: Flags::empty(),
-            },
-            payload: Bytes::new(),
-        }
     }
 
     fn arm_beacon_timer(&self, ctx: &mut Ctx<'_>) {
@@ -305,7 +281,7 @@ impl SwitchLogic {
     fn emit_beacons(&mut self, ctx: &mut Ctx<'_>, be: Timestamp, commit: Timestamp) {
         for &out in ctx.out_neighbors() {
             self.counters.beacons_tx += 1;
-            ctx.send(out, SimPacket::new(Self::beacon_dgram(be, commit)));
+            ctx.send_beacon(out, be, commit);
         }
     }
 
@@ -338,7 +314,7 @@ impl SwitchLogic {
             p.last_beacon_tx = now;
             let to = p.to;
             self.counters.beacons_tx += 1;
-            ctx.send(to, SimPacket::new(Self::beacon_dgram(be, commit)));
+            ctx.send_beacon(to, be, commit);
         }
     }
 
@@ -387,18 +363,7 @@ impl NodeLogic for SwitchLogic {
         let now = ctx.now();
         let h = pkt.dgram.header;
         match h.opcode {
-            Opcode::Beacon => {
-                self.counters.beacons_rx += 1;
-                self.agg.observe_be(from, h.barrier, now);
-                self.agg.observe_commit(from, h.commit_barrier, now);
-                // Hop-by-hop: absorbed here; relayed promptly if the
-                // aggregate advanced.
-                if self.is_chip() {
-                    self.schedule_relay(ctx);
-                } else {
-                    self.schedule_emission(ctx);
-                }
-            }
+            Opcode::Beacon => self.on_beacon(ctx, from, h.barrier, h.commit_barrier),
             Opcode::Commit => {
                 self.counters.commits_rx += 1;
                 self.agg.observe_commit(from, h.commit_barrier, now);
@@ -447,6 +412,20 @@ impl NodeLogic for SwitchLogic {
         }
     }
 
+    fn on_beacon(&mut self, ctx: &mut Ctx<'_>, from: NodeId, be: Timestamp, commit: Timestamp) {
+        let now = ctx.now();
+        self.counters.beacons_rx += 1;
+        self.agg.observe_be(from, be, now);
+        self.agg.observe_commit(from, commit, now);
+        // Hop-by-hop: absorbed here; relayed promptly if the aggregate
+        // advanced.
+        if self.is_chip() {
+            self.schedule_relay(ctx);
+        } else {
+            self.schedule_emission(ctx);
+        }
+    }
+
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         match token {
             TOKEN_BEACON => {
@@ -470,7 +449,7 @@ impl NodeLogic for SwitchLogic {
                             let p = self.ports[i];
                             if now.saturating_sub(p.last_tx) >= self.cfg.beacon_interval {
                                 self.counters.beacons_tx += 1;
-                                ctx.send(p.to, SimPacket::new(Self::beacon_dgram(be, commit)));
+                                ctx.send_beacon(p.to, be, commit);
                             }
                         }
                     }
@@ -490,7 +469,6 @@ impl NodeLogic for SwitchLogic {
                 // CPU/delegate: the processing delay has elapsed; compute
                 // the minima and broadcast on every output link.
                 self.emission_pending = false;
-                self.pending_emissions.clear();
                 let be = self.agg.out_be(ctx.now());
                 let commit = self.agg.out_commit(ctx.now());
                 self.emit_beacons(ctx, be, commit);
@@ -507,9 +485,11 @@ impl NodeLogic for SwitchLogic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use onepipe_netsim::engine::Sim;
     use onepipe_netsim::topology::FatTreeParams;
-    use onepipe_types::ids::{HostId, LinkId};
+    use onepipe_types::ids::{HostId, LinkId, ProcessId};
+    use onepipe_types::wire::{Datagram, Flags, PacketHeader};
 
     /// A trivial host that records barriers seen in beacons, and can send
     /// one pre-armed data packet.

@@ -24,6 +24,11 @@ impl std::fmt::Debug for ProcessId {
     }
 }
 
+/// Sentinel process id of hop-by-hop packets, which have no process-level
+/// source or destination: both ends of a beacon, the destination of a
+/// Commit message (it dies at the first-hop switch).
+pub const HOP_LOCAL: ProcessId = ProcessId(u32::MAX);
+
 /// A node in the routing graph: a host NIC or a (logical) switch.
 ///
 /// Following the paper's Figure 3, each physical switch is split into an

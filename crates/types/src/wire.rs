@@ -9,7 +9,7 @@
 //! with endpoint addressing (source/destination process) for transports
 //! that need self-contained packets (the UDP transport, pcap-style traces).
 
-use crate::ids::ProcessId;
+use crate::ids::{ProcessId, HOP_LOCAL};
 use crate::time::Timestamp;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -212,6 +212,25 @@ pub struct Datagram {
 }
 
 impl Datagram {
+    /// The hop-by-hop beacon carrying barriers `be` and `commit` (§4.2)
+    /// and nothing else: no process address, timestamp, PSN, flag or
+    /// payload.
+    pub fn beacon(be: Timestamp, commit: Timestamp) -> Self {
+        Datagram {
+            src: HOP_LOCAL,
+            dst: HOP_LOCAL,
+            header: PacketHeader {
+                msg_ts: Timestamp::ZERO,
+                barrier: be,
+                commit_barrier: commit,
+                psn: 0,
+                opcode: Opcode::Beacon,
+                flags: Flags::empty(),
+            },
+            payload: Bytes::new(),
+        }
+    }
+
     /// Total encoded length in bytes.
     pub fn encoded_len(&self) -> usize {
         ADDR_LEN + HEADER_LEN + self.payload.len()

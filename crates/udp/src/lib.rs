@@ -85,7 +85,7 @@ use onepipe_switchlogic::barrier::BarrierAggregator;
 use onepipe_types::ids::{HostId, NodeId, ProcessId};
 use onepipe_types::message::{Delivered, Message};
 use onepipe_types::time::{Duration as NsDuration, Timestamp, MICROS, MILLIS};
-use onepipe_types::wire::{Datagram, Flags, Opcode, PacketHeader};
+use onepipe_types::wire::{Datagram, Opcode};
 use std::collections::HashMap;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -573,19 +573,7 @@ fn run_soft_switch(sock: UdpSocket, net: Net, dead_timeout: NsDuration) {
             }
             let be = agg.out_be(now);
             let commit = agg.out_commit(now);
-            let beacon = Datagram {
-                src: HOP_LOCAL,
-                dst: HOP_LOCAL,
-                header: PacketHeader {
-                    msg_ts: Timestamp::ZERO,
-                    barrier: be,
-                    commit_barrier: commit,
-                    psn: 0,
-                    opcode: Opcode::Beacon,
-                    flags: Flags::empty(),
-                },
-                payload: bytes::Bytes::new(),
-            };
+            let beacon = Datagram::beacon(be, commit);
             // The beacon rides behind any still-queued forwards to the
             // same process (per-destination FIFO = the §4.1 invariant),
             // then everything flushes together.
