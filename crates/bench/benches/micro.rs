@@ -184,7 +184,7 @@ fn bench_switch_next_hop(c: &mut Criterion) {
     use onepipe_switchlogic::{SwitchConfig, SwitchLogic, SwitchShared};
     use onepipe_types::ids::HostId;
     use onepipe_types::process_map::ProcessMap;
-    use std::sync::{Arc, Mutex};
+    use std::sync::Arc;
     for (name, spine_down) in
         [("switch/next_hop/all_up", false), ("switch/next_hop/one_spine_down", true)]
     {
@@ -194,7 +194,7 @@ fn bench_switch_next_hop(c: &mut Criterion) {
         let shared = SwitchShared {
             topo: topo.clone(),
             procs: Arc::new(ProcessMap::place_round_robin(n as usize, n as usize)),
-            events: Arc::new(Mutex::new(Vec::new())),
+            events: Default::default(),
         };
         for &s in &topo.switch_nodes {
             sim.set_logic(s, Box::new(SwitchLogic::new(shared.clone(), SwitchConfig::default())));

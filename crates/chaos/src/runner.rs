@@ -214,8 +214,10 @@ pub fn run_with_schedule(cfg: &CampaignConfig, seed: u64, schedule: &FaultSchedu
             failed.push(p);
         }
     }
-    let deliveries = c.deliveries.lock().unwrap().len();
-    let delivery_log = render_delivery_log(&c.deliveries.lock().unwrap());
+    // The only take of the run: the replay log is every delivery.
+    let records = c.take_deliveries();
+    let deliveries = records.len();
+    let delivery_log = render_delivery_log(&records);
     let faults_injected = c.sim.stats.faults_injected();
     let ctrl_elections = c.sim.stats.ctrl_elections;
     let mut o = oracle.borrow_mut();

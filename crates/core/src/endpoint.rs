@@ -119,6 +119,35 @@ pub struct EndpointStats {
     pub commit_anomalies: u64,
 }
 
+impl std::ops::AddAssign for EndpointStats {
+    /// Field by field. `rhs` is taken apart by name and without `..`, so a
+    /// counter added to the struct does not compile until it is summed.
+    fn add_assign(&mut self, rhs: Self) {
+        let EndpointStats {
+            scatterings_sent,
+            packets_sent,
+            retransmits,
+            delivered_be,
+            delivered_rel,
+            send_failures,
+            commits_sent,
+            rx_dropped,
+            late_drops,
+            commit_anomalies,
+        } = rhs;
+        self.scatterings_sent += scatterings_sent;
+        self.packets_sent += packets_sent;
+        self.retransmits += retransmits;
+        self.delivered_be += delivered_be;
+        self.delivered_rel += delivered_rel;
+        self.send_failures += send_failures;
+        self.commits_sent += commits_sent;
+        self.rx_dropped += rx_dropped;
+        self.late_drops += late_drops;
+        self.commit_anomalies += commit_anomalies;
+    }
+}
+
 /// `((ts, seq), destinations, unacked packets, aborted)` — the shape of
 /// [`Endpoint::oldest_outstanding`].
 pub type OutstandingInfo = ((Timestamp, u64), Vec<ProcessId>, u32, bool);

@@ -6,7 +6,8 @@
 //!
 //! * the fat-tree topology and switch barrier logic (data plane),
 //! * one [`HostLogic`] per server with its endpoints and synchronized
-//!   clock,
+//!   clock, all writing what they deliver, report and request into the
+//!   one [`Sinks`] the cluster owns,
 //! * a **replicated controller** (§5.2): [`ClusterConfig::ctrl_replicas`]
 //!   [`ReplicatedController`] replicas exchanging Raft traffic over the
 //!   modelled management network, of which the elected leader drives
@@ -21,9 +22,10 @@
 //! off deposed leaders.
 
 use crate::config::EndpointConfig;
-use crate::endpoint::Endpoint;
-use crate::events::CtrlRequest;
-use crate::simhost::{AppHook, DeliveryRecord, HostLogic};
+use crate::endpoint::{Endpoint, EndpointStats};
+use crate::events::UserEvent;
+use crate::runtime::HostRuntime;
+use crate::simhost::{AppHook, DeliveryRecord, HostLogic, Sinks};
 use onepipe_clock::{ClockFleet, SyncDiscipline};
 use onepipe_controller::protocol::{
     ActionDest, ControllerCore, CtrlAction, CtrlEvent, FailureDomains,
@@ -42,7 +44,7 @@ use onepipe_types::message::Message;
 use onepipe_types::process_map::ProcessMap;
 use onepipe_types::time::Timestamp;
 use onepipe_types::wire::Datagram;
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::rc::Rc;
@@ -142,7 +144,7 @@ pub trait ChaosHook {
 
     /// A user event (send failure, recall, commit, failure callback) was
     /// surfaced on `proc`.
-    fn on_user_event(&mut self, _at: u64, _proc: ProcessId, _ev: &crate::events::UserEvent) {}
+    fn on_user_event(&mut self, _at: u64, _proc: ProcessId, _ev: &UserEvent) {}
 
     /// Periodic snapshot of one endpoint's `(best-effort, commit)` barrier
     /// pair, taken every [`Cluster::set_chaos_sample_stride`] nanoseconds.
@@ -230,13 +232,13 @@ pub struct Cluster {
     pub topo: Arc<Topology>,
     /// Process placement.
     pub procs: Arc<ProcessMap>,
-    /// All deliveries across the cluster, in delivery order.
-    pub deliveries: Arc<Mutex<Vec<DeliveryRecord>>>,
-    /// All user events raised across the cluster.
-    pub user_events: Arc<Mutex<Vec<(u64, ProcessId, crate::events::UserEvent)>>>,
-    switch_events: Arc<Mutex<Vec<SwitchEvent>>>,
-    ctrl_outbox: Arc<Mutex<Vec<(u64, ProcessId, CtrlRequest)>>>,
-    /// Sorted-prefix watermarks for the shared sinks (rack partition):
+    /// What the hosts produced: deliveries since the last
+    /// [`take_deliveries`](Self::take_deliveries), every user event of the
+    /// run, controller requests until the next pump.
+    sinks: Rc<RefCell<Sinks>>,
+    switch_events: Rc<RefCell<Vec<SwitchEvent>>>,
+    /// Sorted-prefix watermarks for the sinks (rack partition), in the
+    /// order deliveries, user events, switch events, controller requests:
     /// the tail past each mark is canonicalized by `sort_sink_tails`.
     sink_marks: [usize; 4],
     replicas: Vec<CtrlReplica>,
@@ -257,7 +259,6 @@ pub struct Cluster {
     mgmt_seq: u64,
     mgmt_delay: u64,
     mgmt_serialize: u64,
-    delivery_cursor: usize,
     chaos: Option<Rc<RefCell<dyn ChaosHook>>>,
     chaos_delivery_cursor: usize,
     chaos_event_cursor: usize,
@@ -282,11 +283,11 @@ impl Cluster {
         let n_hosts = topo.num_hosts();
         let procs = Arc::new(ProcessMap::place_round_robin(n_hosts, cfg.processes));
 
-        let switch_events = Arc::new(Mutex::new(Vec::new()));
+        let switch_events = Rc::default();
         let shared = SwitchShared {
             topo: topo.clone(),
             procs: procs.clone(),
-            events: switch_events.clone(),
+            events: Rc::clone(&switch_events),
         };
         for &s in &topo.switch_nodes {
             sim.set_logic(s, Box::new(SwitchLogic::new(shared.clone(), cfg.switch)));
@@ -298,9 +299,7 @@ impl Cluster {
             ClockFleet::new(n_hosts, cfg.sync, cfg.seed ^ 0xC10C)
         };
 
-        let deliveries = Arc::new(Mutex::new(Vec::new()));
-        let ctrl_outbox = Arc::new(Mutex::new(Vec::new()));
-        let user_events = Arc::new(Mutex::new(Vec::new()));
+        let sinks = Rc::default();
         for h in 0..n_hosts {
             let host = HostId(h as u32);
             let endpoints: Vec<Endpoint> = procs
@@ -312,17 +311,10 @@ impl Cluster {
                     Endpoint::new(p, ecfg)
                 })
                 .collect();
-            let mut logic = HostLogic::new(
-                host,
-                topo.tor_up_of(host),
-                clocks.clock_mut(h).clone(),
-                endpoints,
-                cfg.switch.beacon_interval,
-                deliveries.clone(),
-                ctrl_outbox.clone(),
-                user_events.clone(),
-            );
-            logic.synchronized_beacons = cfg.switch.synchronized_beacons;
+            let clock = clocks.clock_mut(h).clone();
+            let mut rt = HostRuntime::new(host, clock, endpoints, cfg.switch.beacon_interval);
+            rt.synchronized_beacons = cfg.switch.synchronized_beacons;
+            let logic = HostLogic::new(rt, topo.tor_up_of(host), Rc::clone(&sinks));
             sim.set_logic(topo.host_node(host), Box::new(logic));
         }
 
@@ -360,10 +352,8 @@ impl Cluster {
             sim,
             topo,
             procs,
-            deliveries,
-            user_events,
+            sinks,
             switch_events,
-            ctrl_outbox,
             replicas,
             next_ctrl_tick: 0,
             ctrl_tick_interval: mgmt_delay,
@@ -375,7 +365,6 @@ impl Cluster {
             mgmt_seq: 0,
             mgmt_delay: cfg.mgmt_delay,
             mgmt_serialize: cfg.mgmt_serialize,
-            delivery_cursor: 0,
             sink_marks: [0; 4],
             chaos: None,
             chaos_delivery_cursor: 0,
@@ -391,8 +380,10 @@ impl Cluster {
     /// Attach a chaos observer; it starts seeing deliveries, user events
     /// and barrier snapshots from the current time on.
     pub fn set_chaos(&mut self, hook: Rc<RefCell<dyn ChaosHook>>) {
-        self.chaos_delivery_cursor = self.deliveries.lock().unwrap().len();
-        self.chaos_event_cursor = self.user_events.lock().unwrap().len();
+        let sinks = self.sinks.borrow();
+        self.chaos_delivery_cursor = sinks.deliveries.len();
+        self.chaos_event_cursor = sinks.user_events.len();
+        drop(sinks);
         self.chaos_next_sample = self.sim.now();
         self.chaos = Some(hook);
     }
@@ -406,20 +397,13 @@ impl Cluster {
     /// Attach a shared application hook to every host.
     pub fn set_app(&mut self, app: Arc<Mutex<dyn AppHook>>) {
         for h in 0..self.topo.num_hosts() {
-            let node = self.topo.host_node(HostId(h as u32));
-            let app = app.clone();
-            self.sim.with_node(node, move |logic, _| {
-                logic.as_any_mut().unwrap().downcast_mut::<HostLogic>().unwrap().set_app(app);
-            });
+            self.with_host(HostId(h as u32), |hl, _| hl.set_app(app.clone()));
         }
     }
 
     /// Attach background traffic to a host (Figure 12 experiments).
     pub fn set_traffic(&mut self, host: HostId, traffic: BackgroundTraffic) {
-        let node = self.topo.host_node(host);
-        self.sim.with_node(node, move |logic, _| {
-            logic.as_any_mut().unwrap().downcast_mut::<HostLogic>().unwrap().set_traffic(traffic);
-        });
+        self.with_host(host, |hl, _| hl.set_traffic(traffic));
     }
 
     /// Send a scattering from `from` at the current simulation time.
@@ -430,18 +414,7 @@ impl Cluster {
         msgs: Vec<Message>,
         reliable: bool,
     ) -> onepipe_types::Result<Timestamp> {
-        let host = self.procs.host_of(from).ok_or(onepipe_types::Error::UnknownProcess(from))?;
-        let node = self.topo.host_node(host);
-        self.sim
-            .with_node(node, |logic, ctx| {
-                logic
-                    .as_any_mut()
-                    .unwrap()
-                    .downcast_mut::<HostLogic>()
-                    .unwrap()
-                    .send_from(ctx, from, msgs, reliable)
-            })
-            .unwrap_or(Err(onepipe_types::Error::ProcessFailed(from)))
+        self.send_traced(from, msgs, reliable).map(|(ts, _)| ts)
     }
 
     /// Like [`send`](Self::send), additionally returning the scattering
@@ -454,17 +427,10 @@ impl Cluster {
         reliable: bool,
     ) -> onepipe_types::Result<(Timestamp, u64)> {
         let host = self.procs.host_of(from).ok_or(onepipe_types::Error::UnknownProcess(from))?;
-        let node = self.topo.host_node(host);
-        self.sim
-            .with_node(node, |logic, ctx| {
-                logic
-                    .as_any_mut()
-                    .unwrap()
-                    .downcast_mut::<HostLogic>()
-                    .unwrap()
-                    .send_from_traced(ctx, from, msgs, reliable)
-            })
-            .unwrap_or(Err(onepipe_types::Error::ProcessFailed(from)))
+        self.with_host(host, |hl, ctx| {
+            hl.drive(ctx, |rt, wire| rt.submit_send(wire, from, msgs, reliable))
+        })
+        .unwrap_or(Err(onepipe_types::Error::ProcessFailed(from)))
     }
 
     /// Run until simulation time `t_end`, pumping the control plane.
@@ -528,36 +494,22 @@ impl Cluster {
     /// pushes in event order, which is what its goldens pin, and is left
     /// alone.
     fn sort_sink_tails(&mut self) {
+        fn sort_tail<T, K: Ord>(v: &mut [T], mark: &mut usize, key: impl FnMut(&T) -> K) {
+            v[*mark..].sort_by_key(key);
+            *mark = v.len();
+        }
         if self.config.partition == Partition::Whole {
             return;
         }
-        {
-            let mut d = self.deliveries.lock().unwrap();
-            let from = self.sink_marks[0].min(d.len());
-            d[from..].sort_by_key(|r| (r.at, r.receiver.0));
-            self.sink_marks[0] = d.len();
-        }
-        {
-            let mut e = self.user_events.lock().unwrap();
-            let from = self.sink_marks[1].min(e.len());
-            e[from..].sort_by_key(|(at, p, _)| (*at, p.0));
-            self.sink_marks[1] = e.len();
-        }
-        {
-            let mut e = self.switch_events.lock().unwrap();
-            let from = self.sink_marks[2].min(e.len());
-            e[from..].sort_by_key(|ev| {
-                let SwitchEvent::InLinkDead { switch, from, at, .. } = ev;
-                (*at, switch.0, from.0)
-            });
-            self.sink_marks[2] = e.len();
-        }
-        {
-            let mut e = self.ctrl_outbox.lock().unwrap();
-            let from = self.sink_marks[3].min(e.len());
-            e[from..].sort_by_key(|(at, p, _)| (*at, p.0));
-            self.sink_marks[3] = e.len();
-        }
+        let [deliveries, user_events, switch_events, ctrl_requests] = &mut self.sink_marks;
+        let sinks = &mut *self.sinks.borrow_mut();
+        sort_tail(&mut sinks.deliveries, deliveries, |r| (r.at, r.receiver.0));
+        sort_tail(&mut sinks.user_events, user_events, |(at, p, _)| (*at, p.0));
+        sort_tail(&mut self.switch_events.borrow_mut(), switch_events, |ev| {
+            let SwitchEvent::InLinkDead { switch, from, at, .. } = ev;
+            (*at, switch.0, from.0)
+        });
+        sort_tail(&mut sinks.ctrl_requests, ctrl_requests, |(at, p, _)| (*at, p.0));
     }
 
     /// Run for `dt` more nanoseconds.
@@ -565,14 +517,20 @@ impl Cluster {
         self.run_until(self.sim.now() + dt);
     }
 
-    /// Deliveries recorded since the last call.
+    /// Deliveries recorded since the last call, moved out: the cluster
+    /// keeps no copy. A chaos hook sees them first.
     pub fn take_deliveries(&mut self) -> Vec<DeliveryRecord> {
         self.sort_sink_tails();
-        let all = self.deliveries.lock().unwrap();
-        let out = all[self.delivery_cursor..].to_vec();
-        self.delivery_cursor = all.len();
-        drop(all);
-        out
+        self.pump_chaos();
+        self.sink_marks[0] = 0;
+        self.chaos_delivery_cursor = 0;
+        std::mem::take(&mut self.sinks.borrow_mut().deliveries)
+    }
+
+    /// Every user event raised across the cluster so far: `(true time,
+    /// process, event)`.
+    pub fn user_events(&self) -> Ref<'_, [(u64, ProcessId, UserEvent)]> {
+        Ref::map(self.sinks.borrow(), |s| s.user_events.as_slice())
     }
 
     /// Crash an entire host at absolute time `at`.
@@ -707,26 +665,12 @@ impl Cluster {
     }
 
     /// Aggregate endpoint statistics across all (live) hosts.
-    pub fn total_stats(&mut self) -> crate::endpoint::EndpointStats {
-        let mut total = crate::endpoint::EndpointStats::default();
+    pub fn total_stats(&mut self) -> EndpointStats {
+        let mut total = EndpointStats::default();
         for h in 0..self.topo.num_hosts() {
-            let host = HostId(h as u32);
-            let stats = self
-                .with_host(host, |hl, _| hl.endpoints.iter().map(|e| e.stats).collect::<Vec<_>>());
-            if let Some(stats) = stats {
-                for s in stats {
-                    total.scatterings_sent += s.scatterings_sent;
-                    total.packets_sent += s.packets_sent;
-                    total.retransmits += s.retransmits;
-                    total.delivered_be += s.delivered_be;
-                    total.delivered_rel += s.delivered_rel;
-                    total.send_failures += s.send_failures;
-                    total.commits_sent += s.commits_sent;
-                    total.rx_dropped += s.rx_dropped;
-                    total.late_drops += s.late_drops;
-                    total.commit_anomalies += s.commit_anomalies;
-                }
-            }
+            self.with_host(HostId(h as u32), |hl, _| {
+                hl.endpoints.iter().for_each(|e| total += e.stats);
+            });
         }
         total
     }
@@ -736,43 +680,27 @@ impl Cluster {
     /// the run continuously, not just at test end.
     fn pump_chaos(&mut self) {
         let Some(hook) = self.chaos.clone() else { return };
-        // Deliveries since the last pump (cloned out so the hook can't
-        // observe a live borrow of the shared log).
-        let new_d: Vec<DeliveryRecord> = {
-            let all = self.deliveries.lock().unwrap();
-            all[self.chaos_delivery_cursor..].to_vec()
-        };
-        self.chaos_delivery_cursor += new_d.len();
-        {
-            let mut h = hook.borrow_mut();
-            for rec in &new_d {
-                h.on_delivery(rec);
-            }
+        let mut hook = hook.borrow_mut();
+        // Deliveries, then user events, since the last pump.
+        let sinks = self.sinks.borrow();
+        for rec in &sinks.deliveries[self.chaos_delivery_cursor..] {
+            hook.on_delivery(rec);
         }
-        let new_e: Vec<(u64, ProcessId, crate::events::UserEvent)> = {
-            let all = self.user_events.lock().unwrap();
-            all[self.chaos_event_cursor..].to_vec()
-        };
-        self.chaos_event_cursor += new_e.len();
-        {
-            let mut h = hook.borrow_mut();
-            for (at, p, ev) in &new_e {
-                h.on_user_event(*at, *p, ev);
-            }
+        self.chaos_delivery_cursor = sinks.deliveries.len();
+        for (at, p, ev) in &sinks.user_events[self.chaos_event_cursor..] {
+            hook.on_user_event(*at, *p, ev);
         }
+        self.chaos_event_cursor = sinks.user_events.len();
+        drop(sinks);
         let now = self.sim.now();
         if now >= self.chaos_next_sample {
-            for hidx in 0..self.topo.num_hosts() {
-                let host = HostId(hidx as u32);
-                let samples = self.with_host(host, |hl, _| {
-                    hl.endpoints.iter().map(|e| (e.id(), e.barriers())).collect::<Vec<_>>()
-                });
-                if let Some(samples) = samples {
-                    let mut h = hook.borrow_mut();
-                    for (p, (be, commit)) in samples {
-                        h.on_barrier_sample(now, p, be, commit);
+            for h in 0..self.topo.num_hosts() {
+                self.with_host(HostId(h as u32), |hl, _| {
+                    for e in &hl.endpoints {
+                        let (be, commit) = e.barriers();
+                        hook.on_barrier_sample(now, e.id(), be, commit);
                     }
-                }
+                });
             }
             self.chaos_next_sample = now + self.chaos_sample_stride;
         }
@@ -788,19 +716,20 @@ impl Cluster {
     }
 
     fn pump_control(&mut self) {
-        // Fast path: nothing to drain (every push into `switch_events`
-        // or `ctrl_outbox` raises the simulator's attention flag) and the
-        // next replica tick still in the future. Raft traffic itself
-        // rides the management heap and is handled in `apply_mgmt`, not
-        // here.
+        // Fast path: nothing to drain (every push into `switch_events` or
+        // `Sinks::ctrl_requests` raises the simulator's attention flag)
+        // and the next replica tick still in the future. Raft traffic
+        // itself rides the management heap and is handled in
+        // `apply_mgmt`, not here.
         let now = self.sim.now();
         if !self.sim.take_attention() && now < self.next_ctrl_tick {
             return;
         }
         // Switch detect reports: one management hop to the controller
         // cluster, then re-driven until a leader commits them.
-        let events: Vec<SwitchEvent> = self.switch_events.lock().unwrap().drain(..).collect();
-        self.sink_marks[2] = 0;
+        let events = std::mem::take(&mut *self.switch_events.borrow_mut());
+        let reqs = std::mem::take(&mut self.sinks.borrow_mut().ctrl_requests);
+        self.sink_marks[2..].fill(0);
         for ev in events {
             let SwitchEvent::InLinkDead { switch, from, last_commit, at } = ev;
             self.push_mgmt(
@@ -812,9 +741,6 @@ impl Cluster {
             );
         }
         // Endpoint control requests: same path.
-        let reqs: Vec<(u64, ProcessId, CtrlRequest)> =
-            self.ctrl_outbox.lock().unwrap().drain(..).collect();
-        self.sink_marks[3] = 0;
         for (_raised_at, from, req) in reqs {
             match req.into_event(from) {
                 Ok(ev) => self.push_mgmt(now + self.mgmt_delay, MgmtMsg::ToCtrl { ev, attempt: 0 }),
@@ -948,14 +874,8 @@ impl Cluster {
             }
             MgmtMsg::Forward { dgram } => {
                 let Some(host) = self.procs.host_of(dgram.dst) else { return };
-                let node = self.topo.host_node(host);
-                self.sim.with_node(node, |logic, ctx| {
-                    logic
-                        .as_any_mut()
-                        .unwrap()
-                        .downcast_mut::<HostLogic>()
-                        .unwrap()
-                        .deliver_forwarded(ctx, dgram);
+                self.with_host(host, |hl, ctx| {
+                    hl.drive(ctx, |rt, wire| rt.deliver_forwarded(wire, dgram))
                 });
             }
         }
@@ -990,14 +910,8 @@ impl Cluster {
         match action {
             CtrlAction::Announce { id, to, failures } => {
                 let Some(host) = self.procs.host_of(to) else { return };
-                let node = self.topo.host_node(host);
-                self.sim.with_node(node, |logic, ctx| {
-                    logic
-                        .as_any_mut()
-                        .unwrap()
-                        .downcast_mut::<HostLogic>()
-                        .unwrap()
-                        .deliver_announcement(ctx, to, id, &failures);
+                self.with_host(host, |hl, ctx| {
+                    hl.drive(ctx, |rt, wire| rt.deliver_announcement(wire, to, id, &failures))
                 });
             }
             CtrlAction::Resume { at, input } => {
@@ -1032,7 +946,6 @@ fn build_failure_domains(topo: &Topology, procs: &ProcessMap) -> FailureDomains 
         next_comp += 1;
     }
     // Physical switches: group up/down halves.
-    use std::collections::HashMap;
     let mut tors: HashMap<(u32, u32), Vec<NodeId>> = HashMap::new();
     let mut spines: HashMap<(u32, u32), Vec<NodeId>> = HashMap::new();
     let mut cores: HashMap<u32, Vec<NodeId>> = HashMap::new();
@@ -1279,8 +1192,7 @@ mod tests {
             [r.at, r.receiver.0 as u64, m.ts.raw(), m.src.0 as u64, m.seq, r.reliable as u64]
         }));
         assert_eq!((d.len(), delivery_fp), (1267, 0x2950_aa55_a5c2_e08d));
-        let events_fp =
-            fnv(c.user_events.lock().unwrap().iter().flat_map(|(at, p, _)| [*at, p.0 as u64]));
+        let events_fp = fnv(c.user_events().iter().flat_map(|(at, p, _)| [*at, p.0 as u64]));
         assert_eq!(events_fp, 0x28e3_42f5_7a16_758b);
         let s = &c.sim.stats;
         assert_eq!(
@@ -1391,7 +1303,7 @@ mod tests {
                 .iter()
                 .map(|r| (r.at, r.receiver, r.msg.ts, r.msg.src, r.reliable))
                 .collect();
-            let ev: Vec<_> = c.user_events.lock().unwrap().clone();
+            let ev = c.user_events().to_vec();
             (d, format!("{ev:?}"), c.sim.stats.events, c.failed_processes())
         };
         let one = run();

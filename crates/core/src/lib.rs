@@ -19,8 +19,9 @@
 //!
 //! One layer up, [`runtime`] packages everything a 1Pipe *host* does —
 //! endpoint pumping, app-hook dispatch, beacon emission with its
-//! flush-before-beacon invariant, ctrl-request routing — behind the tiny
-//! [`runtime::Wire`] transport trait. Two adapters drive it: [`simhost`]
+//! flush-before-beacon invariant — and hands everything it produces
+//! (packets, deliveries, user events, controller requests) to its driver
+//! through the [`runtime::Wire`] trait. Two drivers exist: [`simhost`]
 //! plugs hosts into the deterministic network simulator, and
 //! `onepipe-udp` runs the same runtime over real UDP sockets. [`harness`]
 //! assembles a complete simulated cluster — topology, switches,

@@ -8,16 +8,18 @@
 //! * the host's synchronized clock (§4.1 timestamping),
 //! * application-hook dispatch and [`SendQueue`] application,
 //! * beacon emission (§4.2 — hosts beacon their first-hop switch when
-//!   idle) with the flush-before-beacon ordering invariant,
-//! * routing of endpoint [`CtrlRequest`]s toward the controller.
+//!   idle) with the flush-before-beacon ordering invariant.
 //!
-//! Transports adapt it through the tiny [`Wire`] trait: the deterministic
-//! simulator ([`simhost::HostLogic`]) implements it over simulator packet
-//! sends, the UDP transport (`onepipe-udp`) over a real socket. Both
-//! drivers reduce to glue — receive a datagram → [`HostRuntime::on_datagram`],
-//! timer/poll tick → [`HostRuntime::on_tick`] — so the pump semantics
-//! (drain order, callback completion, the beacon invariant) exist exactly
-//! once.
+//! It keeps nothing it produces. Everything that leaves a host — packets,
+//! deliveries, user events, controller requests, raw messages — leaves
+//! through the [`Wire`] its driver passes to each call: the deterministic
+//! simulator ([`simhost::HostLogic`]) turns packets into simulator sends
+//! and collects the rest for the harness, the UDP transport
+//! (`onepipe-udp`) writes packets to a real socket and the rest to the
+//! process's channels. Both drivers reduce to glue — receive a datagram →
+//! [`HostRuntime::on_datagram`], timer/poll tick → [`HostRuntime::on_tick`]
+//! — so the pump semantics (drain order, callback completion, the beacon
+//! invariant) exist exactly once.
 //!
 //! [`simhost::HostLogic`]: crate::simhost::HostLogic
 
@@ -29,10 +31,11 @@ use onepipe_types::ids::{HostId, ProcessId};
 use onepipe_types::message::{Delivered, Message};
 use onepipe_types::time::{Duration, Timestamp};
 use onepipe_types::wire::{Datagram, Opcode};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
-/// What the runtime needs from a transport: a datagram sink toward the
-/// first-hop switch and a reading of true (transport) time.
+/// What the runtime needs from its driver: a reading of true (transport)
+/// time, a datagram sink toward the first-hop switch, and somewhere to
+/// hand what it produces for the application and the controller.
 ///
 /// `emit` receives host-originated packets with `src == HOP_LOCAL`
 /// (beacons, commit messages); transports whose switch identifies input
@@ -48,11 +51,18 @@ pub trait Wire {
     fn now(&self) -> u64;
     /// Queue a datagram toward the first-hop switch.
     fn emit(&mut self, d: Datagram);
-    /// The runtime just queued a controller request in its `ctrl_outbox`.
-    /// Drivers that only drain the outbox when told to (the simulator
-    /// harness, between event batches) take the hint here; drivers that
-    /// drain it every iteration keep the default no-op.
-    fn raise_attention(&mut self) {}
+    /// A message was delivered to a local process (the [`AppHook`], if
+    /// any, has seen it).
+    fn deliver(&mut self, rec: DeliveryRecord);
+    /// A user event (send failure, recall, commit, process-failure
+    /// callback) surfaced on `proc` at true time `at`.
+    fn user_event(&mut self, at: u64, proc: ProcessId, ev: UserEvent);
+    /// An endpoint of `proc` asks the controller for something at true
+    /// time `at`; the driver routes it over the management network.
+    fn ctrl_request(&mut self, at: u64, proc: ProcessId, req: CtrlRequest);
+    /// A raw (outside-1Pipe) message from `src` arrived for the local
+    /// process `receiver` (the [`AppHook`], if any, has seen it).
+    fn raw(&mut self, _receiver: ProcessId, _src: ProcessId, _payload: Bytes) {}
 }
 
 /// One delivered message, recorded with the true (transport) time.
@@ -163,14 +173,6 @@ pub struct HostRuntime {
     /// random phase (the paper's ablation: random phases make a switch
     /// wait for the *last* host's beacon, adding ~a full interval).
     pub synchronized_beacons: bool,
-    /// Shared record of all deliveries (for experiments and oracles).
-    pub deliveries: Arc<Mutex<Vec<DeliveryRecord>>>,
-    /// Controller requests raised by endpoints — `(true time raised,
-    /// process, request)` — drained by the driver and routed over the
-    /// management network.
-    pub ctrl_outbox: Arc<Mutex<Vec<(u64, ProcessId, CtrlRequest)>>>,
-    /// User events kept for driver/harness inspection (send failures etc.).
-    pub user_events: Arc<Mutex<Vec<(u64, ProcessId, UserEvent)>>>,
 }
 
 impl HostRuntime {
@@ -180,9 +182,6 @@ impl HostRuntime {
         clock: MonotonicClock,
         endpoints: Vec<Endpoint>,
         beacon_interval: Duration,
-        deliveries: Arc<Mutex<Vec<DeliveryRecord>>>,
-        ctrl_outbox: Arc<Mutex<Vec<(u64, ProcessId, CtrlRequest)>>>,
-        user_events: Arc<Mutex<Vec<(u64, ProcessId, UserEvent)>>>,
     ) -> Self {
         let proc_ids = endpoints.iter().map(|e| e.id()).collect();
         HostRuntime {
@@ -193,9 +192,6 @@ impl HostRuntime {
             app: None,
             beacon_interval,
             synchronized_beacons: true,
-            deliveries,
-            ctrl_outbox,
-            user_events,
         }
     }
 
@@ -299,7 +295,7 @@ impl HostRuntime {
     /// Process one datagram arriving from the wire.
     pub fn on_datagram(&mut self, wire: &mut impl Wire, d: Datagram) {
         let (now, local) = self.read_clock(wire);
-        self.ingest(now, local, d);
+        self.ingest(wire, now, local, d);
         self.drain(wire, now, local);
     }
 
@@ -322,18 +318,20 @@ impl HostRuntime {
     /// Dispatch one datagram received at true time `now` (clock reading
     /// `local`) to the endpoints / app hook, without draining outputs
     /// (callers drain).
-    fn ingest(&mut self, now: u64, local: Timestamp, d: Datagram) {
+    fn ingest(&mut self, wire: &mut impl Wire, now: u64, local: Timestamp, d: Datagram) {
         match d.header.opcode {
             Opcode::Beacon => self.on_barrier(d.header.barrier, d.header.commit_barrier),
+            // Raw application RPC, or background traffic: outside 1Pipe,
+            // so straight to the application — the hook, then the driver.
             Opcode::Control => {
-                // Raw application RPC, or background traffic (no app).
-                let mut queue = SendQueue::default();
-                if let Some(app) = &self.app {
-                    if self.proc_ids.contains(&d.dst) {
+                if self.proc_ids.contains(&d.dst) {
+                    if let Some(app) = &self.app {
+                        let mut queue = SendQueue::default();
                         app.lock().unwrap().on_raw(now, d.dst, d.src, &d.payload, &mut queue);
+                        self.apply_queue(local, queue);
                     }
+                    wire.raw(d.dst, d.src, d.payload);
                 }
-                self.apply_queue(local, queue);
             }
             _ => {
                 let dst = d.dst;
@@ -377,8 +375,8 @@ impl HostRuntime {
         now + delay.max(1)
     }
 
-    /// Drain endpoint outputs: transmissions, deliveries, events, control
-    /// requests — then run application reactions.
+    /// Drain endpoint outputs into the wire: transmissions, deliveries,
+    /// events, control requests — then run application reactions.
     pub fn flush(&mut self, wire: &mut impl Wire) {
         let (now, local) = self.read_clock(wire);
         self.drain(wire, now, local);
@@ -390,14 +388,12 @@ impl HostRuntime {
         // so a pass that queued none leaves every endpoint drained.
         for _round in 0..8 {
             let mut queue = SendQueue::default();
-            // Taken on the pass's first delivery, held to its end.
-            let mut sink: Option<MutexGuard<'_, Vec<DeliveryRecord>>> = None;
             for ep in &mut self.endpoints {
                 // Transmissions.
                 while let Some(d) = ep.poll_transmit() {
                     wire.emit(d);
                 }
-                // Deliveries: the hook sees the message, the record keeps it.
+                // Deliveries: the hook sees the message, the driver keeps it.
                 let receiver = ep.id();
                 for reliable in [false, true] {
                     while let Some(msg) =
@@ -408,8 +404,7 @@ impl HostRuntime {
                                 .unwrap()
                                 .on_delivery(now, receiver, &msg, reliable, &mut queue);
                         }
-                        sink.get_or_insert_with(|| self.deliveries.lock().unwrap())
-                            .push(DeliveryRecord { at: now, receiver, msg, reliable });
+                        wire.deliver(DeliveryRecord { at: now, receiver, msg, reliable });
                     }
                 }
                 // User events.
@@ -424,15 +419,13 @@ impl HostRuntime {
                             ep.complete_failure_callback(*announce_id);
                         }
                     }
-                    self.user_events.lock().unwrap().push((now, receiver, ev));
+                    wire.user_event(now, receiver, ev);
                 }
                 // Controller requests.
                 while let Some(req) = ep.poll_ctrl() {
-                    self.ctrl_outbox.lock().unwrap().push((now, receiver, req));
-                    wire.raise_attention();
+                    wire.ctrl_request(now, receiver, req);
                 }
             }
-            drop(sink);
             // Application-queued sends.
             if queue.is_empty() || !self.apply_queue(local, queue) {
                 break;
@@ -486,5 +479,242 @@ impl HostRuntime {
             commit = commit.min(ep.commit_contribution(local));
         }
         wire.emit(Datagram::beacon(be, commit));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::EndpointConfig;
+    use crate::endpoint::HOP_LOCAL;
+    use onepipe_types::time::MICROS;
+
+    /// One call a runtime made on its wire.
+    #[derive(Debug)]
+    enum Call {
+        Emit(Datagram),
+        Deliver(DeliveryRecord),
+        UserEvent(ProcessId, UserEvent),
+        CtrlRequest(ProcessId, CtrlRequest),
+        Raw(ProcessId, ProcessId, Bytes),
+    }
+
+    /// A wire that keeps every call, in order, and a clock set by hand.
+    struct Recorder {
+        now: u64,
+        calls: Vec<Call>,
+    }
+
+    impl Wire for Recorder {
+        fn now(&self) -> u64 {
+            self.now
+        }
+        fn emit(&mut self, d: Datagram) {
+            self.calls.push(Call::Emit(d));
+        }
+        fn deliver(&mut self, rec: DeliveryRecord) {
+            self.calls.push(Call::Deliver(rec));
+        }
+        fn user_event(&mut self, _at: u64, proc: ProcessId, ev: UserEvent) {
+            self.calls.push(Call::UserEvent(proc, ev));
+        }
+        fn ctrl_request(&mut self, _at: u64, proc: ProcessId, req: CtrlRequest) {
+            self.calls.push(Call::CtrlRequest(proc, req));
+        }
+        fn raw(&mut self, receiver: ProcessId, src: ProcessId, payload: Bytes) {
+            self.calls.push(Call::Raw(receiver, src, payload));
+        }
+    }
+
+    impl Recorder {
+        fn at(now: u64) -> Self {
+            Recorder { now, calls: Vec::new() }
+        }
+
+        /// What the first-hop switch would forward: every datagram emitted
+        /// for a process leaves the record and arrives at `peer`.
+        fn forward_to(&mut self, peer: &mut HostRuntime, peer_wire: &mut Recorder) {
+            for call in std::mem::take(&mut self.calls) {
+                match call {
+                    Call::Emit(d) if d.dst != HOP_LOCAL => peer.on_datagram(peer_wire, d),
+                    kept => self.calls.push(kept),
+                }
+            }
+        }
+    }
+
+    /// A host with the single process `p` on a perfect clock.
+    fn host(p: u32) -> HostRuntime {
+        let endpoints = vec![Endpoint::new(ProcessId(p), EndpointConfig::default())];
+        HostRuntime::new(HostId(p), MonotonicClock::perfect(), endpoints, 3 * MICROS)
+    }
+
+    /// Records raw payloads; answers `ProcessFailed` callbacks with `done`.
+    struct Hook {
+        done: bool,
+        raws: Arc<Mutex<Vec<Bytes>>>,
+    }
+
+    impl AppHook for Hook {
+        fn on_delivery(&mut self, _: u64, _: ProcessId, _: &Delivered, _: bool, _: &mut SendQueue) {
+        }
+        fn on_user_event(
+            &mut self,
+            _: u64,
+            _: ProcessId,
+            _: &UserEvent,
+            _: &mut SendQueue,
+        ) -> bool {
+            self.done
+        }
+        fn on_raw(&mut self, _: u64, _: ProcessId, _: ProcessId, p: &Bytes, _: &mut SendQueue) {
+            self.raws.lock().unwrap().push(p.clone());
+        }
+    }
+
+    #[test]
+    fn a_tick_drains_its_data_before_the_beacon() {
+        let mut rt = host(0);
+        let mut wire = Recorder::at(9_000);
+        // Stamped and queued in the endpoint, not yet drained.
+        let msgs = vec![Message::new(ProcessId(1), "a"), Message::new(ProcessId(2), "b")];
+        rt.endpoints[0].send_unreliable(Timestamp::from_nanos(8_000), msgs).unwrap();
+        rt.on_tick(&mut wire);
+        let opcodes: Vec<Opcode> = wire
+            .calls
+            .iter()
+            .map(|c| match c {
+                Call::Emit(d) => d.header.opcode,
+                other => panic!("a tick with nothing to report called {other:?}"),
+            })
+            .collect();
+        assert_eq!(opcodes, [Opcode::Data, Opcode::Data, Opcode::Beacon]);
+    }
+
+    #[test]
+    fn a_reliable_round_trip_delivers_once_and_commits_once() {
+        let (mut a, mut b) = (host(0), host(1));
+        let (mut wa, mut wb) = (Recorder::at(10_000), Recorder::at(10_000));
+        let (ts, _) = a
+            .submit_send(&mut wa, ProcessId(0), vec![Message::new(ProcessId(1), "x")], true)
+            .unwrap();
+        wa.forward_to(&mut b, &mut wb); // Prepare
+        wb.forward_to(&mut a, &mut wa); // ACK
+        assert!(
+            wa.calls.iter().any(
+                |c| matches!(c, Call::Emit(d) if d.header.opcode == Opcode::Commit && d.dst == HOP_LOCAL)
+            ),
+            "the full ACK sends a Commit to the first-hop switch: {:?}",
+            wa.calls
+        );
+        assert!(!wb.calls.iter().any(|c| matches!(c, Call::Deliver(_))), "not before the barrier");
+        let above = Timestamp::from_nanos(ts.raw() + 1);
+        b.on_beacon(&mut wb, above, above);
+
+        let all: Vec<&Call> = wa.calls.iter().chain(&wb.calls).collect();
+        let delivered: Vec<_> = all
+            .iter()
+            .filter_map(|c| match c {
+                Call::Deliver(rec) => Some((rec.receiver, rec.msg.src, rec.msg.ts, rec.reliable)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(delivered, [(ProcessId(1), ProcessId(0), ts, true)]);
+        let events: Vec<_> = all
+            .iter()
+            .filter_map(|c| match c {
+                Call::UserEvent(p, ev) => Some((*p, ev)),
+                _ => None,
+            })
+            .collect();
+        assert!(
+            matches!(events[..], [(ProcessId(0), UserEvent::Committed { ts: t, .. })] if *t == ts),
+            "{events:?}"
+        );
+        assert!(!all.iter().any(|c| matches!(c, Call::CtrlRequest(..))));
+    }
+
+    #[test]
+    fn a_black_holed_peer_is_escalated_to_the_controller_once() {
+        let mut rt = host(0);
+        let mut wire = Recorder::at(1_000);
+        rt.submit_send(&mut wire, ProcessId(0), vec![Message::new(ProcessId(1), "x")], true)
+            .unwrap();
+        // Twenty RTOs (100 µs) pass and nothing comes back.
+        for _ in 0..20 {
+            wire.now += 150 * MICROS;
+            rt.on_tick(&mut wire);
+        }
+        let forwards: Vec<_> = wire
+            .calls
+            .iter()
+            .filter_map(|c| match c {
+                Call::CtrlRequest(p, CtrlRequest::Forward { dgram }) => Some((*p, dgram.dst)),
+                Call::CtrlRequest(_, other) => panic!("unexpected request {other:?}"),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(forwards, [(ProcessId(0), ProcessId(1))]);
+    }
+
+    #[test]
+    fn a_failure_callback_completes_when_the_hook_says_so() {
+        let completions = |wire: &Recorder| {
+            wire.calls
+                .iter()
+                .filter(|c| {
+                    matches!(
+                        c,
+                        Call::CtrlRequest(
+                            ProcessId(0),
+                            CtrlRequest::CallbackComplete { announce_id: 7 }
+                        )
+                    )
+                })
+                .count()
+        };
+        let failures = [(ProcessId(5), Timestamp::from_nanos(4_000))];
+        for hook in [None, Some(true), Some(false)] {
+            let mut rt = host(0);
+            if let Some(done) = hook {
+                rt.set_app(Arc::new(Mutex::new(Hook { done, raws: Arc::default() })));
+            }
+            let mut wire = Recorder::at(10_000);
+            rt.deliver_announcement(&mut wire, ProcessId(0), 7, &failures);
+            let announced = wire
+                .calls
+                .iter()
+                .filter(|c| matches!(c, Call::UserEvent(_, UserEvent::ProcessFailed { .. })))
+                .count();
+            assert_eq!(announced, 1, "the driver sees the event whatever the hook answers");
+            let deferred = hook == Some(false);
+            assert_eq!(completions(&wire), if deferred { 0 } else { 1 }, "hook {hook:?}");
+            // A deferring application completes the callback itself, later.
+            rt.endpoints[0].complete_failure_callback(7);
+            rt.flush(&mut wire);
+            assert_eq!(completions(&wire), 1, "hook {hook:?}");
+        }
+    }
+
+    #[test]
+    fn a_raw_message_reaches_hook_and_driver_only_at_its_process() {
+        let mut sender = host(0);
+        let mut out = Recorder::at(10_000);
+        sender.submit_raw(&mut out, ProcessId(0), ProcessId(1), "rpc");
+        sender.submit_raw(&mut out, ProcessId(0), ProcessId(9), "elsewhere");
+
+        let raws = Arc::new(Mutex::new(Vec::new()));
+        let mut rt = host(1);
+        rt.set_app(Arc::new(Mutex::new(Hook { done: true, raws: raws.clone() })));
+        let mut wire = Recorder::at(10_000);
+        out.forward_to(&mut rt, &mut wire);
+        assert!(out.calls.is_empty(), "both left for the switch");
+
+        assert_eq!(*raws.lock().unwrap(), [Bytes::from_static(b"rpc")]);
+        assert!(
+            matches!(&wire.calls[..], [Call::Raw(ProcessId(1), ProcessId(0), p)] if p == &Bytes::from_static(b"rpc")),
+            "{:?}",
+            wire.calls
+        );
     }
 }

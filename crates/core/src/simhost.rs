@@ -4,31 +4,47 @@
 //! One [`HostLogic`] per server: it is nothing but glue between the
 //! simulator's [`NodeLogic`] callbacks and the runtime — packets go to
 //! [`HostRuntime::on_datagram`], the poll timer to
-//! [`HostRuntime::on_tick`], and the runtime's [`Wire`] emissions become
-//! simulator packets toward the ToR. All pump semantics (drain order,
-//! beacon invariant, ctrl routing) live in [`crate::runtime`].
-
-use crate::runtime::{HostRuntime, Wire};
-use onepipe_clock::MonotonicClock;
-use onepipe_netsim::engine::{Ctx, NodeLogic, SimPacket};
-use onepipe_netsim::traffic::BackgroundTraffic;
-use onepipe_types::ids::{HostId, NodeId, ProcessId};
-use onepipe_types::message::Message;
-use onepipe_types::time::{Duration, Timestamp};
-use onepipe_types::wire::Datagram;
-use std::sync::{Arc, Mutex};
+//! [`HostRuntime::on_tick`]. The runtime's output leaves through a
+//! [`SimWire`]: emissions become simulator packets toward the ToR, and
+//! deliveries, user events and controller requests land in the [`Sinks`]
+//! every host of one simulation shares with the harness that reads them.
+//! All pump semantics (drain order, beacon invariant) live in
+//! [`crate::runtime`].
 
 use crate::events::{CtrlRequest, UserEvent};
+use crate::runtime::{HostRuntime, Wire};
+use onepipe_netsim::engine::{Ctx, NodeLogic, SimPacket};
+use onepipe_netsim::traffic::BackgroundTraffic;
+use onepipe_types::ids::{NodeId, ProcessId};
+use onepipe_types::time::Timestamp;
+use onepipe_types::wire::Datagram;
+use std::cell::RefCell;
+use std::rc::Rc;
+
 pub use crate::runtime::{AppHook, DeliveryRecord, SendQueue};
 
 /// Timer token for the host's periodic poll/beacon tick.
 pub const TOKEN_POLL: u64 = 3;
 
+/// What the hosts of one simulation hand the harness, in the order they
+/// produced it (event order on an unsplit network).
+#[derive(Default)]
+pub struct Sinks {
+    /// Deliveries to applications.
+    pub deliveries: Vec<DeliveryRecord>,
+    /// User events: `(true time, process, event)`.
+    pub user_events: Vec<(u64, ProcessId, UserEvent)>,
+    /// Controller requests not yet routed: `(true time raised, process,
+    /// request)`. Every push raises the engine's attention flag.
+    pub ctrl_requests: Vec<(u64, ProcessId, CtrlRequest)>,
+}
+
 /// [`Wire`] over a simulator context: datagrams become [`SimPacket`]s on
-/// the host→ToR link.
-struct SimWire<'a, 'b> {
+/// the host→ToR link, everything else lands in the shared [`Sinks`].
+pub struct SimWire<'a, 'b> {
     ctx: &'a mut Ctx<'b>,
     tor: NodeId,
+    sinks: &'a RefCell<Sinks>,
 }
 
 impl Wire for SimWire<'_, '_> {
@@ -40,7 +56,18 @@ impl Wire for SimWire<'_, '_> {
         self.ctx.send(self.tor, SimPacket::new(d));
     }
 
-    fn raise_attention(&mut self) {
+    fn deliver(&mut self, rec: DeliveryRecord) {
+        self.sinks.borrow_mut().deliveries.push(rec);
+    }
+
+    fn user_event(&mut self, at: u64, proc: ProcessId, ev: UserEvent) {
+        self.sinks.borrow_mut().user_events.push((at, proc, ev));
+    }
+
+    /// The harness routes requests between event batches, and only when
+    /// told there is one: end the batch here.
+    fn ctrl_request(&mut self, at: u64, proc: ProcessId, req: CtrlRequest) {
+        self.sinks.borrow_mut().ctrl_requests.push((at, proc, req));
         self.ctx.raise_attention();
     }
 }
@@ -51,6 +78,7 @@ pub struct HostLogic {
     tor: NodeId,
     /// The transport-agnostic runtime doing the actual work.
     pub rt: HostRuntime,
+    sinks: Rc<RefCell<Sinks>>,
     traffic: Option<BackgroundTraffic>,
 }
 
@@ -68,31 +96,9 @@ impl std::ops::DerefMut for HostLogic {
 }
 
 impl HostLogic {
-    /// Create the logic for `host`, attached to ToR node `tor`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        host: HostId,
-        tor: NodeId,
-        clock: MonotonicClock,
-        endpoints: Vec<crate::endpoint::Endpoint>,
-        beacon_interval: Duration,
-        deliveries: Arc<Mutex<Vec<DeliveryRecord>>>,
-        ctrl_outbox: Arc<Mutex<Vec<(u64, ProcessId, CtrlRequest)>>>,
-        user_events: Arc<Mutex<Vec<(u64, ProcessId, UserEvent)>>>,
-    ) -> Self {
-        HostLogic {
-            tor,
-            rt: HostRuntime::new(
-                host,
-                clock,
-                endpoints,
-                beacon_interval,
-                deliveries,
-                ctrl_outbox,
-                user_events,
-            ),
-            traffic: None,
-        }
+    /// Run `rt` behind ToR node `tor`, its output going to `sinks`.
+    pub fn new(rt: HostRuntime, tor: NodeId, sinks: Rc<RefCell<Sinks>>) -> Self {
+        HostLogic { tor, rt, sinks, traffic: None }
     }
 
     /// Attach background traffic flows (Figure 12 experiments).
@@ -100,58 +106,14 @@ impl HostLogic {
         self.traffic = Some(traffic);
     }
 
-    fn wire<'a, 'b>(&self, ctx: &'a mut Ctx<'b>) -> SimWire<'a, 'b> {
-        SimWire { ctx, tor: self.tor }
-    }
-
-    /// Issue a scattering from a local process right now (harness API).
-    /// Returns the send timestamp on success.
-    pub fn send_from(
+    /// Call into the runtime with this host's wire over `ctx` — every
+    /// [`HostRuntime`] entry point that can produce output takes one.
+    pub fn drive<R>(
         &mut self,
         ctx: &mut Ctx<'_>,
-        from: ProcessId,
-        msgs: Vec<Message>,
-        reliable: bool,
-    ) -> onepipe_types::Result<Timestamp> {
-        self.send_from_traced(ctx, from, msgs, reliable).map(|(ts, _)| ts)
-    }
-
-    /// Like [`send_from`](Self::send_from), additionally returning the
-    /// scattering sequence number — chaos oracles join delivery records to
-    /// registered sends by `(sender, seq)`.
-    pub fn send_from_traced(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        from: ProcessId,
-        msgs: Vec<Message>,
-        reliable: bool,
-    ) -> onepipe_types::Result<(Timestamp, u64)> {
-        let mut wire = self.wire(ctx);
-        self.rt.submit_send(&mut wire, from, msgs, reliable)
-    }
-
-    /// Deliver a controller failure announcement to a local process.
-    pub fn deliver_announcement(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        to: ProcessId,
-        announce_id: u64,
-        failures: &[(ProcessId, Timestamp)],
-    ) {
-        let mut wire = self.wire(ctx);
-        self.rt.deliver_announcement(&mut wire, to, announce_id, failures);
-    }
-
-    /// Deliver a controller-forwarded datagram to a local process.
-    pub fn deliver_forwarded(&mut self, ctx: &mut Ctx<'_>, d: Datagram) {
-        let mut wire = self.wire(ctx);
-        self.rt.deliver_forwarded(&mut wire, d);
-    }
-
-    /// Drain endpoint outputs through the runtime pump.
-    pub fn flush(&mut self, ctx: &mut Ctx<'_>) {
-        let mut wire = self.wire(ctx);
-        self.rt.flush(&mut wire);
+        f: impl FnOnce(&mut HostRuntime, &mut SimWire<'_, '_>) -> R,
+    ) -> R {
+        f(&mut self.rt, &mut SimWire { ctx, tor: self.tor, sinks: &self.sinks })
     }
 
     fn arm_poll(&self, ctx: &mut Ctx<'_>) {
@@ -169,13 +131,11 @@ impl NodeLogic for HostLogic {
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, pkt: SimPacket) {
-        let mut wire = SimWire { ctx, tor: self.tor };
-        self.rt.on_datagram(&mut wire, pkt.dgram);
+        self.drive(ctx, |rt, wire| rt.on_datagram(wire, pkt.dgram));
     }
 
     fn on_beacon(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, be: Timestamp, commit: Timestamp) {
-        let mut wire = SimWire { ctx, tor: self.tor };
-        self.rt.on_beacon(&mut wire, be, commit);
+        self.drive(ctx, |rt, wire| rt.on_beacon(wire, be, commit));
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
@@ -186,8 +146,7 @@ impl NodeLogic for HostLogic {
             return;
         }
         if token == TOKEN_POLL {
-            let mut wire = SimWire { ctx, tor: self.tor };
-            self.rt.on_tick(&mut wire);
+            self.drive(ctx, |rt, wire| rt.on_tick(wire));
             self.arm_poll(ctx);
         }
     }
@@ -206,8 +165,11 @@ mod tests {
     use onepipe_clock::MonotonicClock;
     use onepipe_netsim::engine::Sim;
     use onepipe_netsim::link::LinkParams;
+    use onepipe_types::ids::HostId;
+    use onepipe_types::message::Message;
     use onepipe_types::time::MICROS;
     use onepipe_types::wire::{Flags, Opcode, PacketHeader};
+    use std::sync::{Arc, Mutex};
 
     /// Records everything a "switch" node receives from the host.
     struct SwitchProbe {
@@ -235,17 +197,8 @@ mod tests {
         sim.set_logic(switch_node, Box::new(SwitchProbe { log: log.clone() }));
         let endpoints =
             (0..n_procs).map(|i| Endpoint::new(ProcessId(i), EndpointConfig::default())).collect();
-        let logic = HostLogic::new(
-            HostId(0),
-            switch_node,
-            MonotonicClock::perfect(),
-            endpoints,
-            3 * MICROS,
-            Arc::new(Mutex::new(Vec::new())),
-            Arc::new(Mutex::new(Vec::new())),
-            Arc::new(Mutex::new(Vec::new())),
-        );
-        sim.set_logic(host_node, Box::new(logic));
+        let rt = HostRuntime::new(HostId(0), MonotonicClock::perfect(), endpoints, 3 * MICROS);
+        sim.set_logic(host_node, Box::new(HostLogic::new(rt, switch_node, Rc::default())));
         (sim, host_node, log)
     }
 
@@ -277,8 +230,8 @@ mod tests {
         // though process 1 is idle.
         sim.with_node(host, |logic, ctx| {
             let hl = logic.as_any_mut().unwrap().downcast_mut::<HostLogic>().unwrap();
-            hl.send_from(ctx, ProcessId(0), vec![Message::new(ProcessId(5), "outstanding")], true)
-                .unwrap();
+            let msgs = vec![Message::new(ProcessId(5), "outstanding")];
+            hl.drive(ctx, |rt, wire| rt.submit_send(wire, ProcessId(0), msgs, true)).unwrap();
         });
         let sent_at = sim.now();
         sim.run_until(sent_at + 10 * MICROS);
@@ -337,7 +290,8 @@ mod tests {
         sim.run_until(5 * MICROS);
         sim.with_node(host, |logic, ctx| {
             let hl = logic.as_any_mut().unwrap().downcast_mut::<HostLogic>().unwrap();
-            hl.send_from(ctx, ProcessId(0), vec![Message::new(ProcessId(9), "x")], true).unwrap();
+            let msgs = vec![Message::new(ProcessId(9), "x")];
+            hl.drive(ctx, |rt, wire| rt.submit_send(wire, ProcessId(0), msgs, true)).unwrap();
         });
         // Let the data packet reach the switch probe.
         sim.run_until(sim.now() + 5 * MICROS);
@@ -367,7 +321,7 @@ mod tests {
             let now = ctx.now();
             let local = Timestamp::from_nanos(now);
             hl.endpoint_mut(ProcessId(0)).unwrap().handle_datagram(local, ack);
-            hl.flush(ctx);
+            hl.drive(ctx, |rt, wire| rt.flush(wire));
         });
         sim.run_until(sim.now() + 5 * MICROS);
         let commits =

@@ -12,8 +12,9 @@
 use bytes::Bytes;
 use onepipe_clock::MonotonicClock;
 use onepipe_core::endpoint::{Endpoint, HOP_LOCAL};
+use onepipe_core::events::{CtrlRequest, UserEvent};
 use onepipe_core::frag::REL_CHANNEL;
-use onepipe_core::runtime::{HostRuntime, Wire};
+use onepipe_core::runtime::{DeliveryRecord, HostRuntime, Wire};
 use onepipe_core::EndpointConfig;
 use onepipe_netsim::engine::{Ctx, NodeLogic, Sim, SimPacket};
 use onepipe_netsim::link::LinkParams;
@@ -24,7 +25,6 @@ use onepipe_types::wire::{Datagram, Flags, Opcode, PacketHeader};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
-use std::sync::{Arc, Mutex};
 
 /// Counts this thread's allocations (the harness runs tests side by
 /// side). Frees are not counted: everything freed was allocated.
@@ -169,19 +169,20 @@ impl Wire for NullWire {
         self.emitted += 1;
         drop(black_box(d));
     }
+    fn deliver(&mut self, rec: DeliveryRecord) {
+        drop(black_box(rec));
+    }
+    fn user_event(&mut self, _at: u64, _proc: ProcessId, ev: UserEvent) {
+        drop(black_box(ev));
+    }
+    fn ctrl_request(&mut self, _at: u64, _proc: ProcessId, req: CtrlRequest) {
+        drop(black_box(req));
+    }
 }
 
 fn idle_host() -> HostRuntime {
     let endpoints = (0..2).map(|p| Endpoint::new(ProcessId(p), EndpointConfig::default()));
-    HostRuntime::new(
-        HostId(0),
-        MonotonicClock::perfect(),
-        endpoints.collect(),
-        3 * MICROS,
-        Arc::new(Mutex::new(Vec::new())),
-        Arc::new(Mutex::new(Vec::new())),
-        Arc::new(Mutex::new(Vec::new())),
-    )
+    HostRuntime::new(HostId(0), MonotonicClock::perfect(), endpoints.collect(), 3 * MICROS)
 }
 
 #[test]

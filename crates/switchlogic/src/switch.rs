@@ -8,7 +8,9 @@ pub use onepipe_types::ids::HOP_LOCAL;
 use onepipe_types::process_map::ProcessMap;
 use onepipe_types::time::{Duration, Timestamp, MICROS};
 use onepipe_types::wire::Opcode;
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
+use std::sync::Arc;
 
 /// Timer token: periodic beacon / dead-link scan.
 const TOKEN_BEACON: u64 = 1;
@@ -106,7 +108,7 @@ pub struct SwitchShared {
     pub procs: Arc<ProcessMap>,
     /// Outbox of failure events, drained by the harness; every push is
     /// followed by [`Ctx::raise_attention`].
-    pub events: Arc<Mutex<Vec<SwitchEvent>>>,
+    pub events: Rc<RefCell<Vec<SwitchEvent>>>,
 }
 
 /// Per-switch traffic counters.
@@ -432,7 +434,7 @@ impl NodeLogic for SwitchLogic {
                 let now = ctx.now();
                 let timeout = self.cfg.beacon_interval * self.cfg.dead_after_intervals;
                 for (from, last_commit) in self.agg.detect_dead(now, timeout) {
-                    self.shared.events.lock().unwrap().push(SwitchEvent::InLinkDead {
+                    self.shared.events.borrow_mut().push(SwitchEvent::InLinkDead {
                         switch: ctx.node(),
                         from,
                         last_commit,
@@ -490,6 +492,7 @@ mod tests {
     use onepipe_netsim::topology::FatTreeParams;
     use onepipe_types::ids::{HostId, LinkId, ProcessId};
     use onepipe_types::wire::{Datagram, Flags, PacketHeader};
+    use std::sync::Mutex;
 
     /// A trivial host that records barriers seen in beacons, and can send
     /// one pre-armed data packet.
@@ -531,8 +534,7 @@ mod tests {
         let mut sim = Sim::new(99);
         let topo = Arc::new(Topology::build(&mut sim, FatTreeParams::single_rack(n)));
         let procs = Arc::new(ProcessMap::place_round_robin(n as usize, n as usize));
-        let shared =
-            SwitchShared { topo: topo.clone(), procs, events: Arc::new(Mutex::new(Vec::new())) };
+        let shared = SwitchShared { topo: topo.clone(), procs, events: Rc::default() };
         for &s in &topo.switch_nodes {
             sim.set_logic(s, Box::new(SwitchLogic::new(shared.clone(), cfg)));
         }
@@ -620,7 +622,7 @@ mod tests {
         let cfg = SwitchConfig::default();
         let mut w = build_world(2, cfg, vec![]);
         w.sim.run_until(200_000); // 200 µs >> 30 µs timeout
-        let events = w.shared.events.lock().unwrap();
+        let events = w.shared.events.borrow();
         // Both silent host links (and no fabric links, which carry beacons)
         // must be reported dead by the ToR-up switch.
         let host_nodes: Vec<NodeId> = (0..2).map(|h| w.topo.host_node(HostId(h))).collect();
@@ -642,11 +644,11 @@ mod tests {
         // system does not crash, and events fire exactly once per link.
         let mut w = build_world(2, SwitchConfig::default(), vec![]);
         w.sim.run_until(500_000);
-        let events = w.shared.events.lock().unwrap();
+        let events = w.shared.events.borrow();
         let dead_count = events.len();
         drop(events);
         w.sim.run_until(1_000_000);
-        assert_eq!(w.shared.events.lock().unwrap().len(), dead_count, "re-reported dead links");
+        assert_eq!(w.shared.events.borrow().len(), dead_count, "re-reported dead links");
     }
 
     #[test]
@@ -745,7 +747,7 @@ mod tests {
             let shared = SwitchShared {
                 topo: topo.clone(),
                 procs: Arc::new(ProcessMap::place_round_robin(hosts, hosts)),
-                events: Arc::new(Mutex::new(Vec::new())),
+                events: Rc::default(),
             };
             for &s in &topo.switch_nodes {
                 sim.set_logic(

@@ -44,11 +44,12 @@
 //! the frame/datagram/decode-error counters — undecodable input is
 //! counted, never silently dropped.
 //!
-//! **Pluggable application.** By default each process forwards
-//! deliveries/events onto its [`UdpProcess`] channels.
-//! [`UdpClusterBuilder::app_hook`] installs any [`AppHook`] as well
-//! (tee'd with the channels), which is how `onepipe-log` runs over this
-//! transport end-to-end.
+//! **Pluggable application.** A process's deliveries, user events and raw
+//! messages leave its runtime through the driver's `Wire`, which puts
+//! them on the [`UdpProcess`] channels. [`UdpClusterBuilder::app_hook`]
+//! installs an [`AppHook`] as the runtime's application in addition — it
+//! sees each of them first and may react — which is how `onepipe-log`
+//! runs over this transport end-to-end.
 //!
 //! Timestamps come from a shared monotonic epoch (`Instant`), so all
 //! processes in one [`UdpCluster`] share a perfectly synchronized clock —
@@ -79,8 +80,8 @@ use onepipe_controller::{
 };
 use onepipe_core::config::EndpointConfig;
 use onepipe_core::endpoint::{Endpoint, HOP_LOCAL};
-use onepipe_core::events::UserEvent;
-use onepipe_core::runtime::{AppHook, HostRuntime, SendQueue, Wire};
+use onepipe_core::events::{CtrlRequest, UserEvent};
+use onepipe_core::runtime::{AppHook, DeliveryRecord, HostRuntime, Wire};
 use onepipe_switchlogic::barrier::BarrierAggregator;
 use onepipe_types::ids::{HostId, NodeId, ProcessId};
 use onepipe_types::message::{Delivered, Message};
@@ -248,8 +249,8 @@ impl UdpClusterBuilder {
 
     /// Install one application hook shared by every process (the
     /// `onepipe-log` shape; hooks run strictly per-process reactions, so
-    /// sharing is safe). It is tee'd with the default channel forwarding,
-    /// so [`UdpProcess`] receive methods keep working alongside it.
+    /// sharing is safe). It runs ahead of the channel forwarding, so
+    /// [`UdpProcess`] receive methods keep working alongside it.
     pub fn app_hook(mut self, hook: Arc<Mutex<dyn AppHook>>) -> Self {
         self.app = Some(hook);
         self
@@ -319,7 +320,9 @@ impl UdpClusterBuilder {
                 net: net.clone(),
                 user_app: app.clone(),
                 cmd_rx,
-                chan: ChannelApp { del_tx, ev_tx, raw_tx },
+                del_tx,
+                ev_tx,
+                raw_tx,
                 kill: kill.clone(),
             };
             let thread = std::thread::spawn(move || run_process(ctx));
@@ -827,21 +830,28 @@ impl CtrlClient {
     }
 }
 
-/// [`Wire`] over a UDP socket: every emission goes to the soft switch,
-/// with the runtime's `HOP_LOCAL` source sentinel rewritten to the local
-/// process id so the switch can attribute the input link.
+/// [`Wire`] over a UDP socket and the process's channels: every emission
+/// goes to the soft switch, with the runtime's `HOP_LOCAL` source sentinel
+/// rewritten to the local process id so the switch can attribute the
+/// input link; deliveries, user events and raw messages go to the
+/// [`UdpProcess`] handle (a send to a dropped handle is not an error).
 ///
-/// Emissions queue in the [`PacketTx`]; the driver loop — the only place
-/// that knows an iteration ended — flushes it once it has processed
-/// commands, an RX burst and the tick, so everything the iteration emitted
-/// leaves as coalesced frames. Per-destination FIFO in the queue preserves
-/// the beacon invariant.
+/// Emissions queue in the [`PacketTx`] and controller requests in
+/// `ctrl_reqs`; the driver loop — the only place that knows an iteration
+/// ended — routes the requests and flushes the queue once it has
+/// processed commands, an RX burst and the tick, so everything the
+/// iteration emitted leaves as coalesced frames. Per-destination FIFO in
+/// the queue preserves the beacon invariant.
 struct UdpWire<'a> {
     sock: &'a UdpSocket,
     switch_addr: SocketAddr,
     epoch: Instant,
     id: ProcessId,
     tx: PacketTx,
+    ctrl_reqs: Vec<(ProcessId, CtrlRequest)>,
+    del_tx: Sender<(Delivered, bool)>,
+    ev_tx: Sender<UserEvent>,
+    raw_tx: Sender<(ProcessId, bytes::Bytes)>,
 }
 
 impl Wire for UdpWire<'_> {
@@ -855,100 +865,21 @@ impl Wire for UdpWire<'_> {
         }
         self.tx.push(self.sock, self.switch_addr, d);
     }
-}
 
-/// App hook forwarding runtime callbacks onto the process's channels.
-struct ChannelApp {
-    del_tx: Sender<(Delivered, bool)>,
-    ev_tx: Sender<UserEvent>,
-    raw_tx: Sender<(ProcessId, bytes::Bytes)>,
-}
-
-impl AppHook for ChannelApp {
-    fn on_delivery(
-        &mut self,
-        _now: u64,
-        _receiver: ProcessId,
-        msg: &Delivered,
-        reliable: bool,
-        _out: &mut SendQueue,
-    ) {
-        let _ = self.del_tx.send((msg.clone(), reliable));
+    fn deliver(&mut self, rec: DeliveryRecord) {
+        let _ = self.del_tx.send((rec.msg, rec.reliable));
     }
 
-    fn on_user_event(
-        &mut self,
-        _now: u64,
-        _proc: ProcessId,
-        ev: &UserEvent,
-        _out: &mut SendQueue,
-    ) -> bool {
-        let _ = self.ev_tx.send(ev.clone());
-        true
+    fn user_event(&mut self, _at: u64, _proc: ProcessId, ev: UserEvent) {
+        let _ = self.ev_tx.send(ev);
     }
 
-    fn on_raw(
-        &mut self,
-        _now: u64,
-        _receiver: ProcessId,
-        src: ProcessId,
-        payload: &bytes::Bytes,
-        _out: &mut SendQueue,
-    ) {
-        let _ = self.raw_tx.send((src, payload.clone()));
-    }
-}
-
-/// Chains a user-supplied hook (from [`UdpClusterBuilder::app_hook`])
-/// with the default [`ChannelApp`], so custom applications and the
-/// [`UdpProcess`] channel API observe the same callbacks. The user hook
-/// runs first (it may queue reactions); a `ProcessFailed` callback
-/// completes only when both hooks say so.
-struct TeeApp {
-    user: Arc<Mutex<dyn AppHook>>,
-    chan: ChannelApp,
-}
-
-impl AppHook for TeeApp {
-    fn on_delivery(
-        &mut self,
-        now: u64,
-        receiver: ProcessId,
-        msg: &Delivered,
-        reliable: bool,
-        out: &mut SendQueue,
-    ) {
-        self.user.lock().unwrap().on_delivery(now, receiver, msg, reliable, out);
-        self.chan.on_delivery(now, receiver, msg, reliable, out);
+    fn ctrl_request(&mut self, _at: u64, proc: ProcessId, req: CtrlRequest) {
+        self.ctrl_reqs.push((proc, req));
     }
 
-    fn on_user_event(
-        &mut self,
-        now: u64,
-        proc: ProcessId,
-        ev: &UserEvent,
-        out: &mut SendQueue,
-    ) -> bool {
-        let a = self.user.lock().unwrap().on_user_event(now, proc, ev, out);
-        let b = self.chan.on_user_event(now, proc, ev, out);
-        a && b
-    }
-
-    fn on_raw(
-        &mut self,
-        now: u64,
-        receiver: ProcessId,
-        src: ProcessId,
-        payload: &bytes::Bytes,
-        out: &mut SendQueue,
-    ) {
-        self.user.lock().unwrap().on_raw(now, receiver, src, payload, out);
-        self.chan.on_raw(now, receiver, src, payload, out);
-    }
-
-    fn on_tick(&mut self, now: u64, host: HostId, procs: &[ProcessId], out: &mut SendQueue) {
-        self.user.lock().unwrap().on_tick(now, host, procs, out);
-        self.chan.on_tick(now, host, procs, out);
+    fn raw(&mut self, _receiver: ProcessId, src: ProcessId, payload: bytes::Bytes) {
+        let _ = self.raw_tx.send((src, payload));
     }
 }
 
@@ -960,7 +891,9 @@ struct ProcessCtx {
     /// [`UdpClusterBuilder::app_hook`].
     user_app: Option<Arc<Mutex<dyn AppHook>>>,
     cmd_rx: Receiver<Cmd>,
-    chan: ChannelApp,
+    del_tx: Sender<(Delivered, bool)>,
+    ev_tx: Sender<UserEvent>,
+    raw_tx: Sender<(ProcessId, bytes::Bytes)>,
     kill: Arc<AtomicBool>,
 }
 
@@ -972,7 +905,7 @@ struct ProcessCtx {
 /// queued emission on the wire as coalesced frames and recycle the
 /// receive buffers whose payloads were fully consumed.
 fn run_process(ctx: ProcessCtx) {
-    let ProcessCtx { id, sock, net, user_app, cmd_rx, chan, kill } = ctx;
+    let ProcessCtx { id, sock, net, user_app, cmd_rx, del_tx, ev_tx, raw_tx, kill } = ctx;
     let Net { switch_addr, ctrl_addrs, epoch, stats, ctrl_retries, ctrl_drops, stop, .. } = net;
     let cfg = EndpointConfig {
         // Only beacons carry trustworthy barriers over this transport
@@ -989,16 +922,21 @@ fn run_process(ctx: ProcessCtx) {
         MonotonicClock::perfect(),
         vec![Endpoint::new(id, cfg)],
         BEACON_INTERVAL,
-        Arc::new(Mutex::new(Vec::new())),
-        Arc::new(Mutex::new(Vec::new())),
-        Arc::new(Mutex::new(Vec::new())),
     );
-    rt.set_app(match user_app {
-        Some(user) => Arc::new(Mutex::new(TeeApp { user, chan })),
-        None => Arc::new(Mutex::new(chan)),
-    });
-    let mut wire =
-        UdpWire { sock: &sock, switch_addr, epoch, id, tx: PacketTx::new(stats.clone()) };
+    if let Some(app) = user_app {
+        rt.set_app(app);
+    }
+    let mut wire = UdpWire {
+        sock: &sock,
+        switch_addr,
+        epoch,
+        id,
+        tx: PacketTx::new(stats.clone()),
+        ctrl_reqs: Vec::new(),
+        del_tx,
+        ev_tx,
+        raw_tx,
+    };
     // Initial leader guesses are spread over the replicas so follower
     // contact (and the Redirect path) gets exercised, not just the lucky
     // processes whose guess is right.
@@ -1062,8 +1000,7 @@ fn run_process(ctx: ProcessCtx) {
         // Route controller requests over the management plane: requests
         // that must reach the log go through the retrying client;
         // forwarding stays best-effort (data-path fallback, not state).
-        let reqs: Vec<_> = rt.ctrl_outbox.lock().unwrap().drain(..).collect();
-        for (_raised_at, from, req) in reqs {
+        for (from, req) in wire.ctrl_reqs.drain(..) {
             match req.into_event(from) {
                 Ok(ev) => client.submit(ev, now),
                 Err(dgram) => {
@@ -1082,16 +1019,13 @@ fn run_process(ctx: ProcessCtx) {
         for spent in spent_bufs.drain(..) {
             rx_burst.recycle(spent);
         }
-        // The app hook already forwarded these to the channels; the sinks
-        // exist for harness-style inspection, which nothing does here.
-        rt.deliveries.lock().unwrap().clear();
-        rt.user_events.lock().unwrap().clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use onepipe_core::runtime::SendQueue;
 
     /// Each test spawns several busy threads; running clusters
     /// concurrently starves them on small CI machines. Serialize.
@@ -1228,6 +1162,7 @@ mod tests {
         let _guard = TEST_LOCK.lock();
         struct CountingApp {
             deliveries: Arc<AtomicU64>,
+            raws: Arc<AtomicU64>,
         }
         impl AppHook for CountingApp {
             fn on_delivery(
@@ -1240,19 +1175,34 @@ mod tests {
             ) {
                 self.deliveries.fetch_add(1, Ordering::SeqCst);
             }
+            fn on_raw(
+                &mut self,
+                _now: u64,
+                _receiver: ProcessId,
+                _src: ProcessId,
+                _payload: &bytes::Bytes,
+                _out: &mut SendQueue,
+            ) {
+                self.raws.fetch_add(1, Ordering::SeqCst);
+            }
         }
         let deliveries = Arc::new(AtomicU64::new(0));
-        let counted = deliveries.clone();
-        let cluster = UdpClusterBuilder::new(2)
-            .app_hook(Arc::new(Mutex::new(CountingApp { deliveries: counted })))
-            .build()
-            .unwrap();
+        let raws = Arc::new(AtomicU64::new(0));
+        let app = CountingApp { deliveries: deliveries.clone(), raws: raws.clone() };
+        let cluster =
+            UdpClusterBuilder::new(2).app_hook(Arc::new(Mutex::new(app))).build().unwrap();
         std::thread::sleep(Duration::from_millis(50));
+        // Raw first: per-link FIFO puts it ahead of the reliable message,
+        // so once that is delivered the raw message has arrived too.
+        cluster.process(0).send_raw(ProcessId(1), "rpc");
         cluster.process(0).send_reliable(vec![Message::new(ProcessId(1), "seen twice")]);
-        // The tee keeps the channel API working alongside the user hook.
+        // The channel API keeps working alongside the user hook.
         let got = cluster.process(1).recv_timeout(Duration::from_secs(5)).expect("delivery");
         assert_eq!(got.0.payload, bytes::Bytes::from_static(b"seen twice"));
         assert_eq!(deliveries.load(Ordering::SeqCst), 1, "user hook observed the delivery");
+        assert_eq!(raws.load(Ordering::SeqCst), 1, "user hook observed the raw message once");
+        let raw = cluster.process(1).try_raw();
+        assert_eq!(raw, [(ProcessId(0), bytes::Bytes::from_static(b"rpc"))], "and so did try_raw");
         cluster.shutdown();
     }
 
