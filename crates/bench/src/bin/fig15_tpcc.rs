@@ -49,7 +49,7 @@ fn recovery() {
     cluster.run_for(3_000_000);
     // Detection+removal time: first failure announcement.
     let announce_at = cluster
-        .user_events()
+        .take_user_events()
         .iter()
         .find(|(_, _, ev)| matches!(ev, onepipe_core::events::UserEvent::ProcessFailed { .. }))
         .map(|(at, _, _)| *at);

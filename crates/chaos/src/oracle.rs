@@ -1,7 +1,11 @@
 //! The continuous ordering-invariant oracle.
 //!
-//! An [`Oracle`] implements [`ChaosHook`] and incrementally verifies the
-//! paper's delivery guarantees on every observation, not just at test end:
+//! An [`Oracle`] incrementally verifies the paper's delivery guarantees
+//! on every observation, not just at test end. It reads plain records
+//! through four calls — [`Oracle::on_delivery`], [`Oracle::on_user_event`],
+//! [`Oracle::on_ctrl_action`] and [`Oracle::on_barrier_sample`] — so the
+//! campaign runner feeds it what the simulated cluster recorded and a UDP
+//! test feeds it what its processes received. It checks:
 //!
 //! 1. **Total order** (§4.1): each receiver delivers messages in strictly
 //!    increasing `(timestamp, sender, seq)` order *per service channel*
@@ -29,7 +33,6 @@
 
 use onepipe_controller::CtrlAction;
 use onepipe_core::events::UserEvent;
-use onepipe_core::harness::ChaosHook;
 use onepipe_core::simhost::DeliveryRecord;
 use onepipe_types::ids::{NodeId, ProcessId};
 use onepipe_types::message::OrderKey;
@@ -123,11 +126,10 @@ struct ScatterState {
     recalled: bool,
 }
 
-/// The invariant oracle. Attach with [`Cluster::set_chaos`] and register
-/// every workload send with [`Oracle::register_send`]; call
-/// [`Oracle::finalize`] after the run has drained.
-///
-/// [`Cluster::set_chaos`]: onepipe_core::harness::Cluster::set_chaos
+/// The invariant oracle. Register every workload send with
+/// [`Oracle::register_send`], feed it what the run recorded — before the
+/// next send, so causality sees deliveries ahead of the sends they
+/// precede — and call [`Oracle::finalize`] after the run has drained.
 #[derive(Default)]
 pub struct Oracle {
     /// Last delivered order key per `(receiver, reliable-channel)` pair
@@ -203,21 +205,115 @@ impl Oracle {
         );
     }
 
-    /// Feed one delivery observed outside the sim harness (e.g. on the
-    /// UDP loopback cluster) — the same check path [`ChaosHook`] drives.
-    pub fn observe_delivery(
-        &mut self,
-        at: u64,
-        receiver: ProcessId,
-        msg: &onepipe_types::message::Delivered,
-        reliable: bool,
-    ) {
-        ChaosHook::on_delivery(self, &DeliveryRecord { at, receiver, msg: msg.clone(), reliable });
+    /// A message was delivered to an application: total order, at-most-once,
+    /// the receiver's causal horizon, and atomicity bookkeeping.
+    pub fn on_delivery(&mut self, rec: &DeliveryRecord) {
+        self.observations += 1;
+        let key = rec.msg.order_key();
+        // Total order: strictly increasing keys per receiver and channel.
+        // (Equal keys are left to the at-most-once check below so one
+        // defect does not fire two alarms.)
+        let chan = (rec.receiver, rec.reliable);
+        if let Some(&last) = self.last_delivered.get(&chan) {
+            if key < last {
+                self.record(Violation {
+                    kind: InvariantKind::TotalOrder,
+                    at: rec.at,
+                    detail: format!(
+                        "{:?} delivered {:?} on the {} channel after already delivering {:?}",
+                        rec.receiver,
+                        key,
+                        if rec.reliable { "reliable" } else { "best-effort" },
+                        last
+                    ),
+                });
+            }
+        }
+        self.last_delivered.entry(chan).and_modify(|k| *k = (*k).max(key)).or_insert(key);
+        // At-most-once.
+        if !self.seen.insert((rec.receiver, key)) {
+            self.record(Violation {
+                kind: InvariantKind::AtMostOnce,
+                at: rec.at,
+                detail: format!("{:?} delivered {key:?} twice", rec.receiver),
+            });
+        }
+        // Causality, delivery side: the receiver has now observed this
+        // timestamp; its future sends must stay at or above it.
+        self.bump_observed(rec.receiver, rec.msg.ts);
+        // Atomicity bookkeeping.
+        if let Some(s) = self.scatterings.get_mut(&(rec.msg.src, rec.msg.seq)) {
+            s.delivered.insert(rec.receiver);
+        }
     }
 
-    /// Feed one user event observed outside the sim harness.
-    pub fn observe_event(&mut self, at: u64, proc: ProcessId, ev: &UserEvent) {
-        ChaosHook::on_user_event(self, at, proc, ev);
+    /// A user event surfaced on `proc`: `Committed` and `Recalled` settle
+    /// the outcome [`finalize`](Self::finalize) judges atomicity by.
+    pub fn on_user_event(&mut self, _at: u64, proc: ProcessId, ev: &UserEvent) {
+        self.observations += 1;
+        match ev {
+            UserEvent::Committed { seq, .. } => {
+                if let Some(s) = self.scatterings.get_mut(&(proc, *seq)) {
+                    s.committed = true;
+                }
+            }
+            UserEvent::Recalled { seq, .. } => {
+                if let Some(s) = self.scatterings.get_mut(&(proc, *seq)) {
+                    s.recalled = true;
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// A controller action passed the epoch fence at its destination;
+    /// `epoch` is the Raft term of the leader that emitted it.
+    pub fn on_ctrl_action(&mut self, at: u64, epoch: u64, action: &CtrlAction) {
+        self.observations += 1;
+        // Exactly-once in effect: the harness only reports actions that
+        // survived epoch fencing, so within one epoch each decision must
+        // appear once. A re-driven decision after failover arrives under
+        // a higher epoch and forms a distinct key — that is the intended
+        // at-least-once wire / exactly-once effect split.
+        let key = match *action {
+            CtrlAction::Announce { id, to, .. } => CtrlDecision::Announce(id, to),
+            CtrlAction::Resume { at: site, input } => CtrlDecision::Resume(site, input),
+            CtrlAction::RecoveryInfo { .. } => return, // idempotent reply, not a decision
+        };
+        if !self.ctrl_seen.insert((epoch, key)) {
+            self.record(Violation {
+                kind: InvariantKind::CtrlExactlyOnce,
+                at,
+                detail: format!("controller decision {key:?} delivered twice in epoch {epoch}"),
+            });
+        }
+    }
+
+    /// A snapshot of one endpoint's `(best-effort, commit)` barrier pair.
+    pub fn on_barrier_sample(
+        &mut self,
+        at: u64,
+        proc: ProcessId,
+        be: Timestamp,
+        commit: Timestamp,
+    ) {
+        self.observations += 1;
+        if let Some(&(pbe, pcommit)) = self.barriers.get(&proc) {
+            if be < pbe || commit < pcommit {
+                self.record(Violation {
+                    kind: InvariantKind::BarrierMonotonicity,
+                    at,
+                    detail: format!(
+                        "{proc:?} barrier regressed: be {} -> {}, commit {} -> {}",
+                        pbe.raw(),
+                        be.raw(),
+                        pcommit.raw(),
+                        commit.raw()
+                    ),
+                });
+            }
+        }
+        self.barriers.insert(proc, (be, commit));
     }
 
     /// Recovery-liveness check: after a run has fully drained, no failure
@@ -321,106 +417,6 @@ impl Oracle {
 
     fn bump_observed(&mut self, p: ProcessId, ts: Timestamp) {
         self.observed_ts.entry(p).and_modify(|t| *t = (*t).max(ts)).or_insert(ts);
-    }
-}
-
-impl ChaosHook for Oracle {
-    fn on_delivery(&mut self, rec: &DeliveryRecord) {
-        self.observations += 1;
-        let key = rec.msg.order_key();
-        // Total order: strictly increasing keys per receiver and channel.
-        // (Equal keys are left to the at-most-once check below so one
-        // defect does not fire two alarms.)
-        let chan = (rec.receiver, rec.reliable);
-        if let Some(&last) = self.last_delivered.get(&chan) {
-            if key < last {
-                self.record(Violation {
-                    kind: InvariantKind::TotalOrder,
-                    at: rec.at,
-                    detail: format!(
-                        "{:?} delivered {:?} on the {} channel after already delivering {:?}",
-                        rec.receiver,
-                        key,
-                        if rec.reliable { "reliable" } else { "best-effort" },
-                        last
-                    ),
-                });
-            }
-        }
-        self.last_delivered.entry(chan).and_modify(|k| *k = (*k).max(key)).or_insert(key);
-        // At-most-once.
-        if !self.seen.insert((rec.receiver, key)) {
-            self.record(Violation {
-                kind: InvariantKind::AtMostOnce,
-                at: rec.at,
-                detail: format!("{:?} delivered {key:?} twice", rec.receiver),
-            });
-        }
-        // Causality, delivery side: the receiver has now observed this
-        // timestamp; its future sends must stay at or above it.
-        self.bump_observed(rec.receiver, rec.msg.ts);
-        // Atomicity bookkeeping.
-        if let Some(s) = self.scatterings.get_mut(&(rec.msg.src, rec.msg.seq)) {
-            s.delivered.insert(rec.receiver);
-        }
-    }
-
-    fn on_user_event(&mut self, _at: u64, proc: ProcessId, ev: &UserEvent) {
-        self.observations += 1;
-        match ev {
-            UserEvent::Committed { seq, .. } => {
-                if let Some(s) = self.scatterings.get_mut(&(proc, *seq)) {
-                    s.committed = true;
-                }
-            }
-            UserEvent::Recalled { seq, .. } => {
-                if let Some(s) = self.scatterings.get_mut(&(proc, *seq)) {
-                    s.recalled = true;
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn on_ctrl_action(&mut self, at: u64, epoch: u64, action: &CtrlAction) {
-        self.observations += 1;
-        // Exactly-once in effect: the harness only reports actions that
-        // survived epoch fencing, so within one epoch each decision must
-        // appear once. A re-driven decision after failover arrives under
-        // a higher epoch and forms a distinct key — that is the intended
-        // at-least-once wire / exactly-once effect split.
-        let key = match *action {
-            CtrlAction::Announce { id, to, .. } => CtrlDecision::Announce(id, to),
-            CtrlAction::Resume { at: site, input } => CtrlDecision::Resume(site, input),
-            CtrlAction::RecoveryInfo { .. } => return, // idempotent reply, not a decision
-        };
-        if !self.ctrl_seen.insert((epoch, key)) {
-            self.record(Violation {
-                kind: InvariantKind::CtrlExactlyOnce,
-                at,
-                detail: format!("controller decision {key:?} delivered twice in epoch {epoch}"),
-            });
-        }
-    }
-
-    fn on_barrier_sample(&mut self, at: u64, proc: ProcessId, be: Timestamp, commit: Timestamp) {
-        self.observations += 1;
-        if let Some(&(pbe, pcommit)) = self.barriers.get(&proc) {
-            if be < pbe || commit < pcommit {
-                self.record(Violation {
-                    kind: InvariantKind::BarrierMonotonicity,
-                    at,
-                    detail: format!(
-                        "{proc:?} barrier regressed: be {} -> {}, commit {} -> {}",
-                        pbe.raw(),
-                        be.raw(),
-                        pcommit.raw(),
-                        commit.raw()
-                    ),
-                });
-            }
-        }
-        self.barriers.insert(proc, (be, commit));
     }
 }
 

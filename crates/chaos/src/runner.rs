@@ -3,22 +3,23 @@
 //! One *campaign* is a sweep of seeds. Each seed deterministically derives
 //! a fault schedule (from the topology and a [`FaultBudget`]) and a
 //! workload (random scatterings among all processes), runs them against a
-//! fresh cluster with an attached [`Oracle`], and reports the first
-//! invariant violation if any. Failing seeds are minimized with
+//! fresh cluster in steps of the send interval, and after every step feeds
+//! an [`Oracle`] what the cluster recorded — deliveries, user events,
+//! controller actions — plus one barrier snapshot per endpoint; it reports
+//! the first invariant violation if any. Failing seeds are minimized with
 //! [`shrink`] and written to `results/chaos/` for replay.
 
 use crate::oracle::{Oracle, Violation};
 use crate::schedule::{processes_on_hosts, Fault, FaultBudget, FaultSchedule};
 use crate::shrink::shrink;
 use onepipe_core::harness::{Cluster, ClusterConfig};
-use onepipe_types::ids::ProcessId;
+use onepipe_core::simhost::DeliveryRecord;
+use onepipe_types::ids::{HostId, ProcessId};
 use onepipe_types::message::Message;
 use onepipe_types::time::MICROS;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cell::RefCell;
 use std::path::Path;
-use std::rc::Rc;
 
 /// Everything one campaign run needs besides the seed.
 #[derive(Clone, Debug)]
@@ -34,7 +35,8 @@ pub struct CampaignConfig {
     /// Extra quiet time after the last fault effect ends, so in-flight
     /// scatterings commit or recall before atomicity is judged, ns.
     pub drain: u64,
-    /// Spacing of workload send rounds, ns.
+    /// Spacing of workload send rounds, ns — also the step at which the
+    /// oracle is fed, through the drain too.
     pub send_interval: u64,
     /// Scatterings issued per send round.
     pub sends_per_round: usize,
@@ -157,12 +159,13 @@ pub fn run_with_schedule(cfg: &CampaignConfig, seed: u64, schedule: &FaultSchedu
     let n_procs = ccfg.processes as u32;
     assert!(n_procs >= 2, "campaigns need at least two processes");
     let mut c = Cluster::new(ccfg);
-    let oracle = Rc::new(RefCell::new(Oracle::new()));
-    c.set_chaos(oracle.clone());
+    let mut oracle = Oracle::new();
+    let mut records = Vec::new();
     let runtime = schedule.apply(&mut c);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x0C4A_0517);
 
     c.run_until(cfg.warmup);
+    feed(&mut c, &mut oracle, &mut records);
     let t_stop = cfg.warmup + cfg.fault_window;
     let mut sends = 0u64;
     let mut rt_idx = 0;
@@ -170,6 +173,7 @@ pub fn run_with_schedule(cfg: &CampaignConfig, seed: u64, schedule: &FaultSchedu
     while t < t_stop {
         t += cfg.send_interval;
         c.run_until(t);
+        feed(&mut c, &mut oracle, &mut records);
         // Runtime faults (clock skews) due by now.
         while rt_idx < runtime.len() && runtime[rt_idx].at <= t {
             FaultSchedule::apply_runtime(&mut c, &runtime[rt_idx]);
@@ -196,15 +200,19 @@ pub fn run_with_schedule(cfg: &CampaignConfig, seed: u64, schedule: &FaultSchedu
                 dsts.iter().map(|&d| Message::new(d, format!("s{seed}-{sends}"))).collect();
             // Sends from crashed hosts fail; that is part of the chaos.
             if let Ok((ts, seq)) = c.send_traced(from, msgs, reliable) {
-                oracle.borrow_mut().register_send(c.sim.now(), from, seq, ts, dsts, reliable);
+                oracle.register_send(c.sim.now(), from, seq, ts, dsts, reliable);
                 sends += 1;
             }
         }
     }
     // Drain: past the last fault effect, then quiet time for commits,
     // recalls and controller announcements to settle.
-    let quiesce = schedule.quiesce_time().max(t_stop);
-    c.run_until(quiesce + cfg.drain);
+    let end = schedule.quiesce_time().max(t_stop) + cfg.drain;
+    while t < end {
+        t = (t + cfg.send_interval).min(end);
+        c.run_until(t);
+        feed(&mut c, &mut oracle, &mut records);
+    }
     // Failed = genuinely crashed (from the schedule) ∪ declared failed by
     // the controller (a >30 µs link flap falsely accuses a live host, and
     // failure semantics follow the declaration — §5.2).
@@ -214,13 +222,6 @@ pub fn run_with_schedule(cfg: &CampaignConfig, seed: u64, schedule: &FaultSchedu
             failed.push(p);
         }
     }
-    // The only take of the run: the replay log is every delivery.
-    let records = c.take_deliveries();
-    let deliveries = records.len();
-    let delivery_log = render_delivery_log(&records);
-    let faults_injected = c.sim.stats.faults_injected();
-    let ctrl_elections = c.sim.stats.ctrl_elections;
-    let mut o = oracle.borrow_mut();
     // Recovery liveness is only judged when the schedule attacked the
     // controller: that is the campaign whose acceptance is "failover
     // re-drives and the reliable channel never hangs". (Controller-free
@@ -229,24 +230,50 @@ pub fn run_with_schedule(cfg: &CampaignConfig, seed: u64, schedule: &FaultSchedu
         matches!(e.fault, Fault::ControllerCrash { .. } | Fault::ControllerPartition { .. })
     });
     if ctrl_faults {
-        o.check_recovery_liveness(c.sim.now(), c.controller_pending().len());
+        oracle.check_recovery_liveness(c.sim.now(), c.controller_pending().len());
     }
-    o.finalize(c.sim.now(), &failed);
+    oracle.finalize(c.sim.now(), &failed);
     SeedOutcome {
         seed,
         schedule: schedule.clone(),
-        violation: o.first_violation().cloned(),
+        violation: oracle.first_violation().cloned(),
         sends,
-        deliveries,
-        faults_injected,
-        ctrl_elections,
-        delivery_log,
+        deliveries: records.len(),
+        faults_injected: c.sim.stats.faults_injected(),
+        ctrl_elections: c.sim.stats.ctrl_elections,
+        delivery_log: render_delivery_log(&records),
+    }
+}
+
+/// Feed `oracle` what `c` recorded since the last step — deliveries (also
+/// kept in `records` for the replay log), user events and controller
+/// actions — and one barrier snapshot per live endpoint.
+fn feed(c: &mut Cluster, oracle: &mut Oracle, records: &mut Vec<DeliveryRecord>) {
+    let deliveries = c.take_deliveries();
+    for rec in &deliveries {
+        oracle.on_delivery(rec);
+    }
+    records.extend(deliveries);
+    for (at, proc, ev) in c.take_user_events() {
+        oracle.on_user_event(at, proc, &ev);
+    }
+    for (at, epoch, action) in c.take_ctrl_actions() {
+        oracle.on_ctrl_action(at, epoch, &action);
+    }
+    let now = c.sim.now();
+    for h in 0..c.topo.num_hosts() {
+        c.with_host(HostId(h as u32), |hl, _| {
+            for e in &hl.endpoints {
+                let (be, commit) = e.barriers();
+                oracle.on_barrier_sample(now, e.id(), be, commit);
+            }
+        });
     }
 }
 
 /// Render a cluster's delivery records as one canonical line each:
 /// `at=<ns> rx=<proc> src=<proc> seq=<n> ts=<raw> len=<bytes> rel=<0|1>`.
-fn render_delivery_log(records: &[onepipe_core::simhost::DeliveryRecord]) -> String {
+fn render_delivery_log(records: &[DeliveryRecord]) -> String {
     let mut s = String::with_capacity(records.len() * 48);
     for r in records {
         use std::fmt::Write;
@@ -317,6 +344,7 @@ fn write_repro(dir: &Path, seed: u64, outcome: &SeedOutcome, minimized: &FaultSc
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::InvariantKind;
 
     #[test]
     fn fault_free_single_rack_run_is_clean() {
@@ -327,6 +355,18 @@ mod tests {
         assert!(out.sends > 0);
         assert!(out.deliveries > 0, "workload must actually deliver");
         assert_eq!(out.faults_injected, 0);
+    }
+
+    /// The oracle sees every delivery: an endpoint that delivers without
+    /// waiting for the barrier breaks total order on a fault-free run.
+    #[test]
+    fn unordered_delivery_fails_the_campaign() {
+        let mut cfg = CampaignConfig::single_rack(4, 4);
+        cfg.cluster.endpoint = cfg.cluster.endpoint.unordered();
+        cfg.fault_window = 300 * MICROS;
+        let out = run_with_schedule(&cfg, 1, &FaultSchedule::empty());
+        let v = out.violation.expect("unordered delivery must fail the campaign");
+        assert_eq!(v.kind, InvariantKind::TotalOrder, "{v}");
     }
 
     #[test]

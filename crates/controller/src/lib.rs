@@ -58,3 +58,7 @@ pub use raft::{RaftConfig, RaftMsg, RaftNode, RaftRole};
 pub use replicated::ReplicatedController;
 pub use retry::RetryPolicy;
 pub use wire::MgmtFrame;
+
+/// Controller replicas per deployment (§5.2: "replicated using Paxos or
+/// Raft"): the smallest Raft group that survives the loss of one.
+pub const REPLICAS: usize = 3;

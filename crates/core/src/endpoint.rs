@@ -1194,11 +1194,6 @@ impl Endpoint {
         self.callbacks.retain(|_, cb| !cb.reported);
     }
 
-    /// Whether `proc` has been announced as failed.
-    pub fn is_failed(&self, proc: ProcessId) -> bool {
-        self.failed.contains_key(&proc)
-    }
-
     /// Receiver Recovery (§5.2): a process that recovers from a transient
     /// failure applies the failure history and undeliverable-recall
     /// records it fetched from the controller, so that it delivers or

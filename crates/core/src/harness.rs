@@ -8,18 +8,25 @@
 //! * one [`HostLogic`] per server with its endpoints and synchronized
 //!   clock, all writing what they deliver, report and request into the
 //!   one [`Sinks`] the cluster owns,
-//! * a **replicated controller** (§5.2): [`ClusterConfig::ctrl_replicas`]
+//! * a **replicated controller** (§5.2): [`REPLICAS`]
 //!   [`ReplicatedController`] replicas exchanging Raft traffic over the
-//!   modelled management network, of which the elected leader drives
-//!   recovery; controller replicas can be crashed or partitioned
-//!   mid-recovery and a new leader re-drives in-flight failures,
+//!   modelled management network ([`MGMT_DELAY`] per hop), of which the
+//!   elected leader drives recovery; controller replicas can be crashed
+//!   or partitioned mid-recovery and a new leader re-drives in-flight
+//!   failures,
 //!
 //! and interleaves simulator events with management-plane deliveries in
 //! deterministic time order. Control requests from switches and hosts are
 //! re-driven into the replicated log with capped exponential backoff
-//! (at-least-once; the log's state machine dedupes), and every controller
-//! action carries the emitting leader's epoch so hosts and switches fence
-//! off deposed leaders.
+//! ([`CTRL_RETRY`]; at-least-once, the log's state machine dedupes), and
+//! every controller action carries the emitting leader's epoch so hosts
+//! and switches fence off deposed leaders.
+//!
+//! What a run produces is taken, not kept: deliveries, user events and
+//! the controller actions that passed the epoch fence are moved out by
+//! [`Cluster::take_deliveries`], [`Cluster::take_user_events`] and
+//! [`Cluster::take_ctrl_actions`]. The chaos runner feeds them to its
+//! oracle after every step, as plain records a UDP test can build too.
 
 use crate::config::EndpointConfig;
 use crate::endpoint::{Endpoint, EndpointStats};
@@ -33,6 +40,7 @@ use onepipe_controller::protocol::{
 use onepipe_controller::raft::{RaftConfig, RaftMsg};
 use onepipe_controller::replicated::ReplicatedController;
 use onepipe_controller::retry::RetryPolicy;
+use onepipe_controller::REPLICAS;
 use onepipe_netsim::engine::Sim;
 use onepipe_netsim::topology::{FatTreeParams, NodeRole, Topology};
 use onepipe_netsim::traffic::BackgroundTraffic;
@@ -44,9 +52,8 @@ use onepipe_types::message::Message;
 use onepipe_types::process_map::ProcessMap;
 use onepipe_types::time::Timestamp;
 use onepipe_types::wire::Datagram;
-use std::cell::{Ref, RefCell};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::cell::RefCell;
+use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
@@ -68,15 +75,6 @@ pub struct ClusterConfig {
     pub sync: SyncDiscipline,
     /// Master seed.
     pub seed: u64,
-    /// One-way management-network delay (controller ↔ host), ns.
-    pub mgmt_delay: u64,
-    /// Controller send serialization per management message, ns — the
-    /// paper reports recovery cost growing 3–15 µs per host because the
-    /// controller "needs to contact all processes in the system" (§7.2).
-    pub mgmt_serialize: u64,
-    /// Number of controller replicas (§5.2: "replicated using Paxos or
-    /// Raft"). With 3 replicas the service survives one crash.
-    pub ctrl_replicas: usize,
     /// How the simulator lays the network out. [`ClusterConfig::testbed`]
     /// and [`ClusterConfig::single_rack`] choose it from `processes`
     /// ([`RACKS_FROM_PROCESSES`]); only measurements of the partition
@@ -117,9 +115,6 @@ impl ClusterConfig {
             perfect_clocks: false,
             sync: SyncDiscipline::default(),
             seed: 2021,
-            mgmt_delay: 5_000,
-            mgmt_serialize: 3_000,
-            ctrl_replicas: 3,
             partition: if processes >= RACKS_FROM_PROCESSES {
                 Partition::Racks
             } else {
@@ -134,37 +129,20 @@ impl ClusterConfig {
     }
 }
 
-/// Observer hook for chaos campaigns: sees every delivery, user event and
-/// periodic per-endpoint barrier snapshot across the whole cluster, in
-/// deterministic time order. Unlike [`AppHook`] it cannot inject work —
-/// it is a passive, continuously-checked oracle surface.
-pub trait ChaosHook {
-    /// A message was delivered to an application somewhere in the cluster.
-    fn on_delivery(&mut self, _rec: &DeliveryRecord) {}
+/// One-way management-network delay (controller ↔ host), ns; also the
+/// controller replicas' tick interval and the unit of their Raft timing.
+pub const MGMT_DELAY: u64 = 5_000;
 
-    /// A user event (send failure, recall, commit, failure callback) was
-    /// surfaced on `proc`.
-    fn on_user_event(&mut self, _at: u64, _proc: ProcessId, _ev: &UserEvent) {}
+/// Controller send serialization per management message, ns — the paper
+/// reports recovery cost growing 3–15 µs per host because the controller
+/// "needs to contact all processes in the system" (§7.2).
+pub const MGMT_SERIALIZE: u64 = 3_000;
 
-    /// Periodic snapshot of one endpoint's `(best-effort, commit)` barrier
-    /// pair, taken every [`Cluster::set_chaos_sample_stride`] nanoseconds.
-    fn on_barrier_sample(
-        &mut self,
-        _at: u64,
-        _proc: ProcessId,
-        _be: Timestamp,
-        _commit: Timestamp,
-    ) {
-    }
-
-    /// A controller action reached its destination (after epoch fencing).
-    /// `epoch` is the Raft term of the leader that emitted it; the oracle
-    /// uses this to check exactly-once delivery per epoch.
-    fn on_ctrl_action(&mut self, _at: u64, _epoch: u64, _action: &CtrlAction) {}
-}
-
-/// Default spacing of chaos barrier snapshots, ns.
-const DEFAULT_CHAOS_SAMPLE_STRIDE: u64 = 10_000;
+/// Backoff for re-driving a control request into the replicated log: ~10
+/// rounds, a span that comfortably covers a leader election (10 one-way
+/// delays) plus commit latency.
+pub const CTRL_RETRY: RetryPolicy =
+    RetryPolicy { base: 2 * MGMT_DELAY, cap: 20 * MGMT_DELAY, max_attempts: 10 };
 
 /// A management-network message in flight.
 #[derive(Debug)]
@@ -201,29 +179,6 @@ impl CtrlReplica {
     }
 }
 
-struct MgmtEntry {
-    at: u64,
-    seq: u64,
-    msg: MgmtMsg,
-}
-
-impl PartialEq for MgmtEntry {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
-    }
-}
-impl Eq for MgmtEntry {}
-impl PartialOrd for MgmtEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for MgmtEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
 /// The assembled simulated cluster.
 pub struct Cluster {
     /// The discrete-event simulator.
@@ -232,9 +187,8 @@ pub struct Cluster {
     pub topo: Arc<Topology>,
     /// Process placement.
     pub procs: Arc<ProcessMap>,
-    /// What the hosts produced: deliveries since the last
-    /// [`take_deliveries`](Self::take_deliveries), every user event of the
-    /// run, controller requests until the next pump.
+    /// What the hosts produced and nobody has taken yet: deliveries, user
+    /// events, controller requests (until the next pump).
     sinks: Rc<RefCell<Sinks>>,
     switch_events: Rc<RefCell<Vec<SwitchEvent>>>,
     /// Sorted-prefix watermarks for the sinks (rack partition), in the
@@ -246,28 +200,18 @@ pub struct Cluster {
     /// timeouts + Determine-window expiry): the deadline that ends an
     /// event batch in [`Cluster::run_until`].
     next_ctrl_tick: u64,
-    ctrl_tick_interval: u64,
-    /// Backoff policy for [`MgmtMsg::ToCtrl`] re-delivery.
-    ctrl_retry: RetryPolicy,
     /// Highest controller epoch seen per process / per switch — actions
     /// from lower epochs (a deposed leader) are fenced off.
     proc_epoch: HashMap<ProcessId, u64>,
     switch_epoch: HashMap<NodeId, u64>,
     /// Highest term observed with a leader, for election counting.
     last_leader_term: u64,
-    mgmt: BinaryHeap<Reverse<MgmtEntry>>,
+    /// Management messages in flight by `(delivery time, push order)`.
+    mgmt: BTreeMap<(u64, u64), MgmtMsg>,
     mgmt_seq: u64,
-    mgmt_delay: u64,
-    mgmt_serialize: u64,
-    chaos: Option<Rc<RefCell<dyn ChaosHook>>>,
-    chaos_delivery_cursor: usize,
-    chaos_event_cursor: usize,
-    chaos_sample_stride: u64,
-    chaos_next_sample: u64,
     /// `(sim time, epoch, action)` of every controller action applied
-    /// past the epoch fence — what the pump-timing golden pins.
-    #[cfg(test)]
-    applied_actions: Vec<(u64, u64, CtrlAction)>,
+    /// past the epoch fence and not yet taken.
+    ctrl_actions: Vec<(u64, u64, CtrlAction)>,
     /// The cluster configuration it was built with.
     pub config: ClusterConfig,
 }
@@ -321,10 +265,9 @@ impl Cluster {
         let domains = build_failure_domains(&topo, &procs);
         // Raft timing in units of the management-network delay: elections
         // resolve within ~10 one-way delays, heartbeats every 2.
-        let mgmt_delay = cfg.mgmt_delay.max(1);
         let raft_cfg =
-            RaftConfig { election_timeout: 10 * mgmt_delay, heartbeat_interval: 2 * mgmt_delay };
-        let n_ctrl = cfg.ctrl_replicas.max(1) as u32;
+            RaftConfig { election_timeout: 10 * MGMT_DELAY, heartbeat_interval: 2 * MGMT_DELAY };
+        let n_ctrl = REPLICAS as u32;
         let replicas = (0..n_ctrl)
             .map(|i| CtrlReplica {
                 ctrl: ReplicatedController::new(
@@ -338,12 +281,6 @@ impl Cluster {
                 partitioned_until: 0,
             })
             .collect();
-        // Re-drive control requests for ~10 backoff rounds; the span
-        // comfortably covers a leader election (10 one-way delays) plus
-        // commit latency.
-        let ctrl_retry =
-            RetryPolicy { base: 2 * mgmt_delay, cap: 20 * mgmt_delay, max_attempts: 10 };
-
         if cfg.partition == Partition::Racks {
             sim.set_partition(topo.partition());
         }
@@ -356,42 +293,15 @@ impl Cluster {
             switch_events,
             replicas,
             next_ctrl_tick: 0,
-            ctrl_tick_interval: mgmt_delay,
-            ctrl_retry,
             proc_epoch: HashMap::new(),
             switch_epoch: HashMap::new(),
             last_leader_term: 0,
-            mgmt: BinaryHeap::new(),
+            mgmt: BTreeMap::new(),
             mgmt_seq: 0,
-            mgmt_delay: cfg.mgmt_delay,
-            mgmt_serialize: cfg.mgmt_serialize,
             sink_marks: [0; 4],
-            chaos: None,
-            chaos_delivery_cursor: 0,
-            chaos_event_cursor: 0,
-            chaos_sample_stride: DEFAULT_CHAOS_SAMPLE_STRIDE,
-            chaos_next_sample: 0,
-            #[cfg(test)]
-            applied_actions: Vec::new(),
+            ctrl_actions: Vec::new(),
             config: cfg,
         }
-    }
-
-    /// Attach a chaos observer; it starts seeing deliveries, user events
-    /// and barrier snapshots from the current time on.
-    pub fn set_chaos(&mut self, hook: Rc<RefCell<dyn ChaosHook>>) {
-        let sinks = self.sinks.borrow();
-        self.chaos_delivery_cursor = sinks.deliveries.len();
-        self.chaos_event_cursor = sinks.user_events.len();
-        drop(sinks);
-        self.chaos_next_sample = self.sim.now();
-        self.chaos = Some(hook);
-    }
-
-    /// Change the spacing of chaos barrier snapshots (ns).
-    pub fn set_chaos_sample_stride(&mut self, stride: u64) {
-        assert!(stride > 0);
-        self.chaos_sample_stride = stride;
     }
 
     /// Attach a shared application hook to every host.
@@ -444,37 +354,31 @@ impl Cluster {
     /// during which a switch or host queued a control request (it raises
     /// the simulator's attention flag) — exactly the events after which
     /// a pump after *every* event would have found work, so results do
-    /// not depend on the batching. With a chaos hook attached such a
-    /// window is one event long: the oracle sees each event's deliveries
-    /// and user events before the next event runs. On a rack partition a
-    /// window is bounded by the lookahead horizon instead and runs to
-    /// its end; where windows end is a function of the event times alone,
-    /// so runs repeat bit for bit.
+    /// not depend on the batching. On a rack partition a window is
+    /// bounded by the lookahead horizon instead and runs to its end; where
+    /// windows end is a function of the event times alone, so runs repeat
+    /// bit for bit.
     pub fn run_until(&mut self, t_end: u64) {
         loop {
             self.sort_sink_tails();
             self.pump_control();
-            self.pump_chaos();
-            let mgmt_next = self.mgmt.peek().map(|Reverse(e)| e.at);
-            // The chaos oracle must see each event's deliveries and user
-            // events before the next event runs.
-            let deadline = if self.chaos.is_some() { 0 } else { self.next_ctrl_tick };
+            let mgmt_next = self.mgmt.first_key_value().map(|(&(at, _), _)| at);
             let through = match mgmt_next {
                 // `None`: a delivery at time 0 precedes every event.
                 Some(m) => m.checked_sub(1).map(|before| before.min(t_end)),
                 None => Some(t_end),
             };
-            if through.is_some_and(|through| self.sim.run(through, deadline)) {
+            if through.is_some_and(|through| self.sim.run(through, self.next_ctrl_tick)) {
                 continue;
             }
             match mgmt_next {
                 Some(m) if m <= t_end => {
-                    let Reverse(entry) = self.mgmt.pop().expect("peeked entry");
+                    let (_, msg) = self.mgmt.pop_first().expect("peeked entry");
                     // Events at the delivery's own time run first, with
                     // no pump in between.
-                    self.sim.run_until(entry.at);
+                    self.sim.run_until(m);
                     self.sort_sink_tails();
-                    self.apply_mgmt(entry.msg);
+                    self.apply_mgmt(msg);
                 }
                 _ => break,
             }
@@ -482,7 +386,6 @@ impl Cluster {
         self.sim.run_until(t_end);
         self.sort_sink_tails();
         self.pump_control();
-        self.pump_chaos();
     }
 
     /// Canonicalize the unsorted tail of each shared sink by
@@ -518,19 +421,26 @@ impl Cluster {
     }
 
     /// Deliveries recorded since the last call, moved out: the cluster
-    /// keeps no copy. A chaos hook sees them first.
+    /// keeps no copy.
     pub fn take_deliveries(&mut self) -> Vec<DeliveryRecord> {
         self.sort_sink_tails();
-        self.pump_chaos();
         self.sink_marks[0] = 0;
-        self.chaos_delivery_cursor = 0;
         std::mem::take(&mut self.sinks.borrow_mut().deliveries)
     }
 
-    /// Every user event raised across the cluster so far: `(true time,
+    /// User events raised since the last call, moved out: `(true time,
     /// process, event)`.
-    pub fn user_events(&self) -> Ref<'_, [(u64, ProcessId, UserEvent)]> {
-        Ref::map(self.sinks.borrow(), |s| s.user_events.as_slice())
+    pub fn take_user_events(&mut self) -> Vec<(u64, ProcessId, UserEvent)> {
+        self.sort_sink_tails();
+        self.sink_marks[1] = 0;
+        std::mem::take(&mut self.sinks.borrow_mut().user_events)
+    }
+
+    /// Controller actions applied past the epoch fence since the last
+    /// call, moved out: `(sim time, epoch, action)` in the order they
+    /// reached their destinations.
+    pub fn take_ctrl_actions(&mut self) -> Vec<(u64, u64, CtrlAction)> {
+        std::mem::take(&mut self.ctrl_actions)
     }
 
     /// Crash an entire host at absolute time `at`.
@@ -625,11 +535,6 @@ impl Cluster {
             .map(|(i, _)| i)
     }
 
-    /// The highest controller epoch (Raft term) among alive replicas.
-    pub fn controller_epoch(&self) -> u64 {
-        self.replicas.iter().filter(|r| r.alive).map(|r| r.ctrl.epoch()).max().unwrap_or(0)
-    }
-
     /// Crash controller replica `replica` at absolute time `at`.
     pub fn crash_controller(&mut self, at: u64, replica: usize) {
         assert!(replica < self.replicas.len());
@@ -675,44 +580,13 @@ impl Cluster {
         total
     }
 
-    /// Feed new deliveries, user events and due barrier snapshots to the
-    /// chaos hook. Called between simulator events so the oracle observes
-    /// the run continuously, not just at test end.
-    fn pump_chaos(&mut self) {
-        let Some(hook) = self.chaos.clone() else { return };
-        let mut hook = hook.borrow_mut();
-        // Deliveries, then user events, since the last pump.
-        let sinks = self.sinks.borrow();
-        for rec in &sinks.deliveries[self.chaos_delivery_cursor..] {
-            hook.on_delivery(rec);
-        }
-        self.chaos_delivery_cursor = sinks.deliveries.len();
-        for (at, p, ev) in &sinks.user_events[self.chaos_event_cursor..] {
-            hook.on_user_event(*at, *p, ev);
-        }
-        self.chaos_event_cursor = sinks.user_events.len();
-        drop(sinks);
-        let now = self.sim.now();
-        if now >= self.chaos_next_sample {
-            for h in 0..self.topo.num_hosts() {
-                self.with_host(HostId(h as u32), |hl, _| {
-                    for e in &hl.endpoints {
-                        let (be, commit) = e.barriers();
-                        hook.on_barrier_sample(now, e.id(), be, commit);
-                    }
-                });
-            }
-            self.chaos_next_sample = now + self.chaos_sample_stride;
-        }
-    }
-
     // ------------------------------------------------------------------
     // Control plane pumping
     // ------------------------------------------------------------------
 
     fn push_mgmt(&mut self, at: u64, msg: MgmtMsg) {
         self.mgmt_seq += 1;
-        self.mgmt.push(Reverse(MgmtEntry { at, seq: self.mgmt_seq, msg }));
+        self.mgmt.insert((at, self.mgmt_seq), msg);
     }
 
     fn pump_control(&mut self) {
@@ -733,7 +607,7 @@ impl Cluster {
         for ev in events {
             let SwitchEvent::InLinkDead { switch, from, last_commit, at } = ev;
             self.push_mgmt(
-                now + self.mgmt_delay,
+                now + MGMT_DELAY,
                 MgmtMsg::ToCtrl {
                     ev: CtrlEvent::Detect { reporter: switch, dead: from, last_commit, at },
                     attempt: 0,
@@ -743,17 +617,17 @@ impl Cluster {
         // Endpoint control requests: same path.
         for (_raised_at, from, req) in reqs {
             match req.into_event(from) {
-                Ok(ev) => self.push_mgmt(now + self.mgmt_delay, MgmtMsg::ToCtrl { ev, attempt: 0 }),
+                Ok(ev) => self.push_mgmt(now + MGMT_DELAY, MgmtMsg::ToCtrl { ev, attempt: 0 }),
                 // Controller relays after two management hops. Best
                 // effort: the relay does not touch the replicated log.
-                Err(dgram) => self.push_mgmt(now + 2 * self.mgmt_delay, MgmtMsg::Forward { dgram }),
+                Err(dgram) => self.push_mgmt(now + 2 * MGMT_DELAY, MgmtMsg::Forward { dgram }),
             }
         }
         // Periodic replica tick: Raft timeouts/heartbeats and Determine-
         // window expiry. Partitioned replicas keep ticking (their local
         // clock runs) but their traffic is dropped at the edge.
         if now >= self.next_ctrl_tick {
-            self.next_ctrl_tick = now + self.ctrl_tick_interval;
+            self.next_ctrl_tick = now + MGMT_DELAY;
             for i in 0..self.replicas.len() {
                 if !self.replicas[i].alive {
                     continue;
@@ -774,7 +648,7 @@ impl Cluster {
             return;
         }
         for (to, msg) in msgs {
-            self.push_mgmt(now + self.mgmt_delay, MgmtMsg::Raft { from: from as u32, to, msg });
+            self.push_mgmt(now + MGMT_DELAY, MgmtMsg::Raft { from: from as u32, to, msg });
         }
     }
 
@@ -790,9 +664,9 @@ impl Cluster {
             let delay = match action.dest() {
                 ActionDest::Process(_) => {
                     out_idx += 1;
-                    self.mgmt_delay + out_idx * self.mgmt_serialize
+                    MGMT_DELAY + out_idx * MGMT_SERIALIZE
                 }
-                ActionDest::Switch(_) => self.mgmt_delay,
+                ActionDest::Switch(_) => MGMT_DELAY,
             };
             self.push_mgmt(now + delay, MgmtMsg::Action { epoch, action });
         }
@@ -853,8 +727,8 @@ impl Cluster {
                 if !accepted {
                     self.sim.stats.ctrl_retries += 1;
                 }
-                if !self.ctrl_retry.exhausted(next) {
-                    let delay = self.ctrl_retry.delay(next).max(self.mgmt_delay);
+                if !CTRL_RETRY.exhausted(next) {
+                    let delay = CTRL_RETRY.delay(next).max(MGMT_DELAY);
                     self.push_mgmt(now + delay, MgmtMsg::ToCtrl { ev, attempt: next });
                 } else if !accepted {
                     self.sim.stats.ctrl_drops += 1;
@@ -902,11 +776,7 @@ impl Cluster {
         if fenced {
             return;
         }
-        #[cfg(test)]
-        self.applied_actions.push((now, epoch, action.clone()));
-        if let Some(hook) = self.chaos.clone() {
-            hook.borrow_mut().on_ctrl_action(now, epoch, &action);
-        }
+        self.ctrl_actions.push((now, epoch, action.clone()));
         match action {
             CtrlAction::Announce { id, to, failures } => {
                 let Some(host) = self.procs.host_of(to) else { return };
@@ -1155,7 +1025,7 @@ mod tests {
         h
     }
 
-    /// Pump-timing golden for the path the benchmark runs (no chaos hook):
+    /// Pump-timing golden for the path the benchmark runs:
     /// a host crash, then a controller-leader crash mid-recovery, under
     /// 1e-4 link loss. Every value was recorded on the per-event pump loop
     /// (pump after every simulator event), so it holds only if the batch
@@ -1192,7 +1062,7 @@ mod tests {
             [r.at, r.receiver.0 as u64, m.ts.raw(), m.src.0 as u64, m.seq, r.reliable as u64]
         }));
         assert_eq!((d.len(), delivery_fp), (1267, 0x2950_aa55_a5c2_e08d));
-        let events_fp = fnv(c.user_events().iter().flat_map(|(at, p, _)| [*at, p.0 as u64]));
+        let events_fp = fnv(c.take_user_events().iter().flat_map(|(at, p, _)| [*at, p.0 as u64]));
         assert_eq!(events_fp, 0x28e3_42f5_7a16_758b);
         let s = &c.sim.stats;
         assert_eq!(
@@ -1205,7 +1075,7 @@ mod tests {
         // each), the second re-drives the announcements whose callbacks
         // had not committed and resumes the ToR that reported the link.
         let applied: Vec<String> = c
-            .applied_actions
+            .take_ctrl_actions()
             .iter()
             .map(|(at, epoch, a)| match a {
                 CtrlAction::Announce { id, to, .. } => {
@@ -1303,7 +1173,7 @@ mod tests {
                 .iter()
                 .map(|r| (r.at, r.receiver, r.msg.ts, r.msg.src, r.reliable))
                 .collect();
-            let ev = c.user_events().to_vec();
+            let ev = c.take_user_events();
             (d, format!("{ev:?}"), c.sim.stats.events, c.failed_processes())
         };
         let one = run();

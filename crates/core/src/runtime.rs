@@ -206,11 +206,6 @@ impl HostRuntime {
         self.clock.perturb(true_now, offset_ns);
     }
 
-    /// The host's synchronized-clock reading at true time `now`.
-    pub fn local_time(&mut self, now: u64) -> Timestamp {
-        self.clock.now(now)
-    }
-
     /// True time and the host clock's reading of it. Every entry point
     /// reads them once and pumps with that reading.
     fn read_clock(&mut self, wire: &impl Wire) -> (u64, Timestamp) {
@@ -221,11 +216,6 @@ impl HostRuntime {
     /// The endpoint of process `p`, if it lives here.
     pub fn endpoint_mut(&mut self, p: ProcessId) -> Option<&mut Endpoint> {
         self.endpoints.iter_mut().find(|e| e.id() == p)
-    }
-
-    /// Local process ids.
-    pub fn process_ids(&self) -> &[ProcessId] {
-        &self.proc_ids
     }
 
     /// Issue a scattering from a local process right now, returning the

@@ -76,7 +76,7 @@ use onepipe_clock::MonotonicClock;
 use onepipe_controller::protocol::ActionDest;
 use onepipe_controller::raft::RaftConfig;
 use onepipe_controller::{
-    CtrlAction, CtrlEvent, FailureDomains, MgmtFrame, ReplicatedController, RetryPolicy,
+    CtrlAction, CtrlEvent, FailureDomains, MgmtFrame, ReplicatedController, RetryPolicy, REPLICAS,
 };
 use onepipe_core::config::EndpointConfig;
 use onepipe_core::endpoint::{Endpoint, HOP_LOCAL};
@@ -98,10 +98,6 @@ use std::time::{Duration, Instant};
 /// How often the soft switch re-reports a still-unresumed dead link to
 /// the controller cluster (at-least-once Detect under controller outage).
 const DETECT_REREPORT_INTERVAL: u64 = 100 * MILLIS;
-
-/// Controller replicas per cluster: the smallest Raft group that survives
-/// the loss of one.
-const CONTROLLERS: usize = 3;
 
 /// Beacon interval of the hosts and the soft switch. Loopback scheduling
 /// granularity is coarser than a real NIC, hence 100 µs rather than the
@@ -269,7 +265,7 @@ impl UdpClusterBuilder {
             Ok((socks, addrs))
         };
         let switch_sock = UdpSocket::bind("127.0.0.1:0")?;
-        let (ctrl_socks, ctrl_addrs) = bind(CONTROLLERS)?;
+        let (ctrl_socks, ctrl_addrs) = bind(REPLICAS)?;
         let (proc_socks, proc_addrs) = bind(n)?;
         let net = Net {
             switch_addr: switch_sock.local_addr()?,

@@ -18,7 +18,7 @@ fn host_failure_is_announced_to_all_correct_processes() {
     c.run_for(1_000 * MICROS);
     assert_eq!(c.failed_processes(), vec![(ProcessId(2), c.failed_processes()[0].1)]);
     // Every correct process got the callback.
-    let events = c.user_events();
+    let events = c.take_user_events();
     let notified: std::collections::HashSet<ProcessId> = events
         .iter()
         .filter(|(_, _, ev)| matches!(ev, UserEvent::ProcessFailed { .. }))
@@ -52,7 +52,7 @@ fn scattering_to_failed_receiver_is_recalled_atomically() {
         .collect();
     assert!(delivered.is_empty(), "atomicity: no receiver may deliver the aborted scattering");
     // The sender learned about the recall.
-    let events = c.user_events();
+    let events = c.take_user_events();
     assert!(
         events
             .iter()
@@ -172,7 +172,7 @@ fn controller_forwarding_rescues_an_unreachable_receiver() {
     c.run_for(3_000 * MICROS);
     // The sender observed the commit: the forwarded copy was ACKed.
     let committed = c
-        .user_events()
+        .take_user_events()
         .iter()
         .any(|(_, p, ev)| *p == ProcessId(0) && matches!(ev, UserEvent::Committed { .. }));
     assert!(committed, "forwarding must complete the scattering");

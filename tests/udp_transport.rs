@@ -9,12 +9,11 @@
 use onepipe::chaos::oracle::Oracle;
 use onepipe::service::events::UserEvent;
 use onepipe::service::harness::{Cluster, ClusterConfig};
+use onepipe::service::simhost::DeliveryRecord;
 use onepipe::types::ids::ProcessId;
 use onepipe::types::message::Message;
 use onepipe::types::time::{MICROS, MILLIS};
 use onepipe::udp::UdpClusterBuilder;
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -56,26 +55,39 @@ fn expected_deliveries() -> usize {
     workload().iter().map(|(_, rs)| rs.len()).sum()
 }
 
+/// Feed `oracle` the deliveries and user events `cluster` recorded since
+/// the last call; returns how many deliveries there were.
+fn feed_sim(cluster: &mut Cluster, oracle: &mut Oracle) -> usize {
+    let deliveries = cluster.take_deliveries();
+    for rec in &deliveries {
+        oracle.on_delivery(rec);
+    }
+    for (at, proc, ev) in cluster.take_user_events() {
+        oracle.on_user_event(at, proc, &ev);
+    }
+    deliveries.len()
+}
+
 #[test]
 fn conformance_sim_reliable_scatter() {
     let _guard = TEST_LOCK.lock();
     let mut cluster = Cluster::new(ClusterConfig::single_rack(N as u32, N));
-    let oracle = Rc::new(RefCell::new(Oracle::new()));
-    cluster.set_chaos(oracle.clone());
+    let mut oracle = Oracle::new();
     cluster.run_for(100 * MICROS);
+    let mut delivered = feed_sim(&mut cluster, &mut oracle);
     for (round, (sender, receivers)) in workload().into_iter().enumerate() {
         let msgs: Vec<Message> =
             receivers.iter().map(|&d| Message::new(d, payload(round, sender))).collect();
         let (ts, seq) = cluster.send_traced(sender, msgs, true).expect("sim send accepted");
-        oracle.borrow_mut().register_send(ts.raw(), sender, seq, ts, receivers, true);
+        oracle.register_send(ts.raw(), sender, seq, ts, receivers, true);
         cluster.run_for(20 * MICROS);
+        delivered += feed_sim(&mut cluster, &mut oracle);
     }
     cluster.run_for(3_000 * MICROS);
-    let delivered = cluster.take_deliveries().len();
+    delivered += feed_sim(&mut cluster, &mut oracle);
     assert_eq!(delivered, expected_deliveries(), "sim: all reliable scatterings delivered");
     let failed: Vec<ProcessId> = cluster.failed_processes().iter().map(|&(p, _)| p).collect();
     assert!(failed.is_empty(), "nothing failed in this run");
-    let mut oracle = oracle.borrow_mut();
     oracle.finalize(0, &failed);
     assert!(oracle.ok(), "sim invariants: {}", oracle.first_violation().unwrap());
 }
@@ -105,11 +117,11 @@ fn conformance_udp_reliable_scatter() {
             let receiver = ProcessId(i as u32);
             for (msg, reliable) in cluster.process(i).try_recv_all() {
                 assert!(reliable, "workload is reliable-only");
-                oracle.observe_delivery(msg.ts.raw(), receiver, &msg, reliable);
+                oracle.on_delivery(&DeliveryRecord { at: msg.ts.raw(), receiver, msg, reliable });
                 delivered += 1;
             }
             for ev in cluster.process(i).try_events() {
-                oracle.observe_event(0, receiver, &ev);
+                oracle.on_user_event(0, receiver, &ev);
             }
         }
         std::thread::sleep(Duration::from_millis(5));
