@@ -2,10 +2,11 @@
 //! event scheduler, a beacon's hop through the simulation engine, live
 //! routing and the switch's cached lookup, timestamp ordering, wire
 //! codec, the empty payload every control packet carries, barrier
-//! aggregation (eq. 4.1), the receive-side reorder buffer, the endpoint's
-//! idle tick and reliable round trip, and the zipfian workload generator
-//! — plus the reorder-buffer data-structure ablation (BTreeMap vs sorted
-//! Vec) from DESIGN.md §5.
+//! aggregation (eq. 4.1), the receive-side reorder buffer, a channel's
+//! unacknowledged-packet ring, the endpoint's idle tick and reliable
+//! round trip, and the zipfian workload generator — plus the
+//! reorder-buffer data-structure ablation (key-ordered ring vs BTreeMap)
+//! from DESIGN.md §5.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use onepipe_core::frag::START_OF_MESSAGE;
@@ -97,6 +98,34 @@ fn bench_sched(c: &mut Criterion) {
             black_box(q.pop())
         })
     });
+    // The cursor slot on its own: `k` events pushed into one 64 ns slot, a
+    // peek that orders the slot, and `k` pops. `k` is the mean size of the
+    // bucket the cursor orders on `sim_rel_loss` (9), `sim_be_scatter`
+    // (29) and `sim_log_tenants` (37); the events come mostly in time
+    // order, every third one two places early, as pushes do (DESIGN.md
+    // §10 has the measured disorder).
+    let mut group = c.benchmark_group("sched/cursor_slot");
+    for k in [9u64, 29, 37] {
+        group.bench_with_input(BenchmarkId::from_parameter(k), &k, |bench, &k| {
+            let mut offsets: Vec<u64> = (0..k).map(|i| i * 64 / k).collect();
+            for i in (2..k as usize).step_by(3) {
+                offsets.swap(i, i - 2);
+            }
+            let mut q: CalendarQueue<[u64; 4]> = CalendarQueue::new();
+            let mut slot = 0u64;
+            bench.iter(|| {
+                slot += 1;
+                for (i, &offset) in offsets.iter().enumerate() {
+                    q.push(slot * 64 + offset, [i as u64; 4]);
+                }
+                black_box(q.peek_time());
+                for _ in 0..k {
+                    black_box(q.pop());
+                }
+            })
+        });
+    }
+    group.finish();
     // Far-future pushes exercise the sorted overflow tier and the bulk
     // migration back into the wheel.
     c.bench_function("sched/overflow_cycle_64", |bench| {
@@ -283,58 +312,107 @@ fn bench_barrier_aggregation(c: &mut Criterion) {
     group.finish();
 }
 
+/// The keys of `batch` messages from 16 senders in arrival order, in two
+/// shapes: `scattered` — `(i·37) mod 500` ns, most arrivals far from their
+/// place — and `near_sorted` — ascending, every fourth one two places
+/// early (mean displacement 1, max 2: the benchmark workloads measured
+/// 0.06–1.9 mean, DESIGN.md §10).
+fn reorder_arrivals(batch: usize) -> [(&'static str, Vec<OrderKey>); 2] {
+    let key = |i: u64, ts: u64| OrderKey {
+        ts: Timestamp::from_nanos(1_000 + ts),
+        sender: ProcessId((i % 16) as u32),
+        seq: i,
+    };
+    let scattered = (0..batch as u64).map(|i| key(i, (i * 37) % 500)).collect();
+    let mut near_sorted: Vec<OrderKey> = (0..batch as u64).map(|i| key(i, i)).collect();
+    for i in (3..batch).step_by(4) {
+        near_sorted.swap(i, i - 2);
+    }
+    [("scattered", scattered), ("near_sorted", near_sorted)]
+}
+
+/// The production buffer: insert `batch` single-fragment 64 B messages,
+/// then release them all.
 fn bench_reorder_buffer(c: &mut Criterion) {
     let flags = START_OF_MESSAGE | Flags::END_OF_MESSAGE;
     let mut group = c.benchmark_group("reorder/insert_and_advance");
     for batch in [64usize, 1024] {
-        group.bench_with_input(BenchmarkId::from_parameter(batch), &batch, |bench, &batch| {
-            bench.iter(|| {
-                let mut rb = ReorderBuffer::new(false, false);
-                for i in 0..batch as u64 {
-                    let key = OrderKey {
-                        ts: Timestamp::from_nanos(1_000 + (i * 37) % 500),
-                        sender: ProcessId((i % 16) as u32),
-                        seq: i,
-                    };
-                    rb.insert_fragment(
-                        key,
-                        0,
-                        i as u32,
-                        flags,
-                        bytes::Bytes::from_static(&[0u8; 64]),
-                    );
-                }
-                black_box(rb.advance(Timestamp::from_nanos(10_000)))
-            })
-        });
+        for (shape, keys) in reorder_arrivals(batch) {
+            group.bench_with_input(BenchmarkId::new(shape, batch), &keys, |bench, keys| {
+                bench.iter(|| {
+                    let mut rb = ReorderBuffer::new(false, false);
+                    for (psn, &key) in keys.iter().enumerate() {
+                        let payload = bytes::Bytes::from_static(&[0u8; 64]);
+                        rb.insert_fragment(key, 0, psn as u32, flags, payload);
+                    }
+                    black_box(rb.advance(Timestamp::from_nanos(10_000)))
+                })
+            });
+        }
     }
     group.finish();
 }
 
-/// Ablation (c): the reorder buffer as a sorted Vec instead of a BTreeMap.
-fn bench_reorder_ablation_sorted_vec(c: &mut Criterion) {
-    let mut group = c.benchmark_group("reorder/ablation_sorted_vec");
+/// Ablation (c): the same arrivals into an ordered map, the structure the
+/// buffer used before its key-ordered ring.
+fn bench_reorder_ablation_btreemap(c: &mut Criterion) {
+    use std::collections::BTreeMap;
+    let mut group = c.benchmark_group("reorder/ablation_btreemap");
     for batch in [64usize, 1024] {
-        group.bench_with_input(BenchmarkId::from_parameter(batch), &batch, |bench, &batch| {
-            bench.iter(|| {
-                let mut buf: Vec<(OrderKey, [u8; 64])> = Vec::new();
-                for i in 0..batch as u64 {
-                    let key = OrderKey {
-                        ts: Timestamp::from_nanos(1_000 + (i * 37) % 500),
-                        sender: ProcessId((i % 16) as u32),
-                        seq: i,
-                    };
-                    let pos = buf.partition_point(|(k, _)| *k < key);
-                    buf.insert(pos, (key, [0u8; 64]));
-                }
-                // advance = drain the prefix below the barrier
-                let barrier = Timestamp::from_nanos(10_000);
-                let cut = buf.partition_point(|(k, _)| k.ts < barrier);
-                black_box(buf.drain(..cut).count())
-            })
-        });
+        for (shape, keys) in reorder_arrivals(batch) {
+            group.bench_with_input(BenchmarkId::new(shape, batch), &keys, |bench, keys| {
+                bench.iter(|| {
+                    let mut buf: BTreeMap<OrderKey, bytes::Bytes> = BTreeMap::new();
+                    for &key in keys {
+                        buf.entry(key).or_insert_with(|| bytes::Bytes::from_static(&[0u8; 64]));
+                    }
+                    // advance = release every entry below the barrier
+                    let barrier = Timestamp::from_nanos(10_000);
+                    let mut released = Vec::new();
+                    while let Some(entry) = buf.first_entry() {
+                        if entry.key().ts >= barrier {
+                            break;
+                        }
+                        released.push(entry.remove());
+                    }
+                    black_box(released)
+                })
+            });
+        }
     }
     group.finish();
+}
+
+/// A channel's unacknowledged packets: track 64 in PSN order, then ACK
+/// them in order except that every eighth pair arrives swapped.
+fn bench_conn(c: &mut Criterion) {
+    use onepipe_core::conn::{OutPacket, TxChannel};
+    let pkt = OutPacket {
+        dgram: Datagram {
+            src: ProcessId(0),
+            dst: ProcessId(1),
+            header: PacketHeader::data(Timestamp::from_nanos(1), 0, Flags::END_OF_MESSAGE),
+            payload: bytes::Bytes::from(vec![0u8; 64]),
+        },
+        sent_at: Timestamp::from_nanos(1),
+        retries: 0,
+        scat: (Timestamp::from_nanos(1), 0),
+        forwarding: false,
+    };
+    let mut ch = TxChannel::new(ProcessId(1), 64, 1.0 / 16.0);
+    c.bench_function("conn/track_ack/64", |bench| {
+        bench.iter(|| {
+            let psns: [u32; 64] = std::array::from_fn(|_| ch.alloc_psn());
+            for &psn in &psns {
+                ch.track(psn, pkt.clone());
+            }
+            for i in 0..64 {
+                // Offsets 14 and 15 of every 16 swap places.
+                let i = if i % 16 >= 14 { i ^ 1 } else { i };
+                black_box(ch.ack(psns[i], false));
+            }
+        })
+    });
 }
 
 /// The host tick (one per beacon interval per endpoint) on an endpoint
@@ -429,7 +507,8 @@ criterion_group!(
     bench_empty_bytes,
     bench_barrier_aggregation,
     bench_reorder_buffer,
-    bench_reorder_ablation_sorted_vec,
+    bench_reorder_ablation_btreemap,
+    bench_conn,
     bench_endpoint,
     bench_zipf
 );

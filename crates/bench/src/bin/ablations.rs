@@ -10,8 +10,8 @@
 //! (e) In-network aggregation vs receiver-side (Lamport-style) exchange:
 //!     same barrier computed at the edge costs O(N²) messages.
 //!
-//! Ablation (c) — reorder buffer BTreeMap vs sorted Vec — is a criterion
-//! micro-benchmark (`cargo bench -p onepipe-bench`).
+//! Ablation (c) — the reorder buffer's key-ordered ring vs a BTreeMap — is
+//! a criterion micro-benchmark (`cargo bench -p onepipe-bench`).
 
 use onepipe_bench::{row, run_onepipe_unicast, us};
 use onepipe_core::harness::{Cluster, ClusterConfig};

@@ -1,11 +1,18 @@
 //! Per-destination connection state: PSN allocation, outstanding-packet
 //! tracking, and DCTCP-style congestion control (paper §6.1: "Congestion
 //! control follows DCTCP where ECN mark is in the UD header").
+//!
+//! A channel sends with consecutive PSNs and its peer acknowledges them
+//! mostly in that order, so the unacknowledged packets live in a
+//! [`PsnRing`] — a deque in PSN order — rather than an ordered map:
+//! tracking is a push at the back, an in-order ACK a pop at the front, and
+//! an ACK out of order finds its packet by its distance from the front or,
+//! failing that, by a binary search.
 
 use onepipe_types::ids::ProcessId;
 use onepipe_types::time::Timestamp;
 use onepipe_types::wire::Datagram;
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 /// A packet awaiting acknowledgement.
 #[derive(Clone, Debug)]
@@ -22,6 +29,67 @@ pub struct OutPacket {
     pub forwarding: bool,
 }
 
+/// A channel's unacknowledged packets as `(psn, packet)` in ascending PSN
+/// order (from the oldest, across a `u32` wrap). Memory follows the count
+/// of packets outstanding: one whose ACK never comes holds one entry,
+/// however many are tracked and acknowledged after it.
+#[derive(Debug, Default)]
+pub struct PsnRing {
+    pkts: VecDeque<(u32, OutPacket)>,
+}
+
+impl PsnRing {
+    /// Number of outstanding packets.
+    pub fn len(&self) -> usize {
+        self.pkts.len()
+    }
+
+    /// Whether no packet is outstanding.
+    pub fn is_empty(&self) -> bool {
+        self.pkts.is_empty()
+    }
+
+    /// Track `pkt` under `psn`, which must follow every PSN outstanding (a
+    /// channel allocates them in order).
+    pub fn insert(&mut self, psn: u32, pkt: OutPacket) {
+        if let (Some(&(first, _)), Some(&(last, _))) = (self.pkts.front(), self.pkts.back()) {
+            let d = psn.wrapping_sub(first);
+            assert!(d > last.wrapping_sub(first) && d < 1 << 31, "PSN {psn} tracked out of order");
+        }
+        self.pkts.push_back((psn, pkt));
+    }
+
+    /// Take the packet with `psn` out, if outstanding.
+    pub fn remove(&mut self, psn: u32) -> Option<OutPacket> {
+        let first = self.pkts.front()?.0;
+        let d = psn.wrapping_sub(first);
+        // `psn` sits `d` entries from the front unless a packet before it
+        // was acknowledged out of order: then it is nearer, if present.
+        let i = if self.pkts.get(d as usize).is_some_and(|&(p, _)| p == psn) {
+            d as usize
+        } else {
+            self.pkts.binary_search_by_key(&d, |&(p, _)| p.wrapping_sub(first)).ok()?
+        };
+        self.pkts.remove(i).map(|(_, pkt)| pkt)
+    }
+
+    /// Outstanding `(psn, packet)` pairs in PSN order.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, &OutPacket)> {
+        self.pkts.iter().map(|(psn, pkt)| (*psn, pkt))
+    }
+
+    /// Outstanding packets in PSN order.
+    pub fn values(&self) -> impl Iterator<Item = &OutPacket> {
+        self.pkts.iter().map(|(_, pkt)| pkt)
+    }
+
+    /// Keep only the packets for which `keep(psn, packet)` holds, visiting
+    /// them in PSN order.
+    pub fn retain(&mut self, mut keep: impl FnMut(u32, &mut OutPacket) -> bool) {
+        self.pkts.retain_mut(|(psn, pkt)| keep(*psn, pkt));
+    }
+}
+
 /// One direction of one service channel (best-effort or reliable) toward a
 /// single destination process.
 #[derive(Debug)]
@@ -30,7 +98,7 @@ pub struct TxChannel {
     pub peer: ProcessId,
     next_psn: u32,
     /// Unacknowledged packets by PSN.
-    pub outstanding: BTreeMap<u32, OutPacket>,
+    pub outstanding: PsnRing,
     /// Credits reserved by the head scattering (§6.1 live-lock avoidance).
     pub reserved: u32,
     // --- DCTCP ---
@@ -49,7 +117,7 @@ impl TxChannel {
         TxChannel {
             peer,
             next_psn: 0,
-            outstanding: BTreeMap::new(),
+            outstanding: PsnRing::default(),
             reserved: 0,
             cwnd: initial_cwnd as f64,
             max_cwnd: initial_cwnd as f64,
@@ -88,7 +156,7 @@ impl TxChannel {
     /// Process an ACK for `psn` (with its ECN echo); returns the completed
     /// packet if it was outstanding.
     pub fn ack(&mut self, psn: u32, ecn: bool) -> Option<OutPacket> {
-        let pkt = self.outstanding.remove(&psn);
+        let pkt = self.outstanding.remove(psn);
         if pkt.is_some() {
             self.on_ack_dctcp(psn, ecn);
         }
@@ -127,7 +195,7 @@ impl TxChannel {
         self.outstanding
             .iter()
             .filter(|(_, p)| now.since(p.sent_at) >= timeout)
-            .map(|(&psn, _)| psn)
+            .map(|(psn, _)| psn)
             .collect()
     }
 
@@ -320,6 +388,94 @@ mod tests {
         assert!(ch.expired(now, 100).is_empty());
         let now = Timestamp::from_nanos(100 + 150);
         assert_eq!(ch.expired(now, 100), vec![0]);
+    }
+
+    #[test]
+    fn a_packet_never_acked_holds_one_entry() {
+        // A packet handed to the controller is no longer timed; if its ACK
+        // is lost it stays outstanding while the channel carries on.
+        let mut ch = TxChannel::new(ProcessId(1), 16, 0.0625);
+        let stuck = ch.alloc_psn();
+        ch.track(stuck, OutPacket { forwarding: true, ..out_pkt() });
+        for _ in 0..100_000 {
+            let psn = ch.alloc_psn();
+            ch.track(psn, out_pkt());
+            assert!(ch.ack(psn, false).is_some());
+        }
+        assert_eq!(ch.outstanding.iter().map(|(psn, _)| psn).collect::<Vec<_>>(), vec![stuck]);
+        assert!(ch.outstanding.pkts.capacity() < 16, "memory follows the count, not the PSN span");
+        assert!(ch.ack(stuck, false).is_some_and(|p| p.forwarding));
+        assert!(ch.outstanding.is_empty());
+    }
+
+    proptest::proptest! {
+        /// The ring against an ordered map: packets tracked under
+        /// consecutive PSNs from an arbitrary start (the `u32` wrap
+        /// included), ACKed in order, out of order, twice or before they
+        /// were sent, and filtered by `retain`. Walks, counts and taken
+        /// packets agree throughout; the map is keyed by distance from the
+        /// start, which is the ring's order across a wrap.
+        #[test]
+        fn psn_ring_matches_ordered_map(
+            start in proptest::prelude::any::<u32>(),
+            ops in proptest::collection::vec((0u8..8, proptest::prelude::any::<u32>()), 1..300),
+        ) {
+            use std::collections::BTreeMap;
+            let mut ring = PsnRing::default();
+            let mut reference: BTreeMap<u32, OutPacket> = BTreeMap::new();
+            let mut sent = 0u32;
+            let id = |p: &OutPacket| p.retries;
+            for (kind, arg) in ops {
+                match kind {
+                    0..=2 => {
+                        let mut pkt = out_pkt();
+                        pkt.retries = sent;
+                        ring.insert(start.wrapping_add(sent), pkt.clone());
+                        reference.insert(sent, pkt);
+                        sent += 1;
+                    }
+                    3 | 4 => {
+                        // Any PSN sent so far, or one or two not yet sent.
+                        let off = arg % (sent + 2);
+                        let got = ring.remove(start.wrapping_add(off));
+                        proptest::prop_assert_eq!(got.as_ref().map(id), reference.remove(&off).as_ref().map(id));
+                    }
+                    5 => {
+                        // In order: the oldest outstanding.
+                        let oldest = reference.keys().next().copied();
+                        let got = oldest.and_then(|off| ring.remove(start.wrapping_add(off)));
+                        proptest::prop_assert_eq!(got.as_ref().map(id), oldest.and_then(|off| reference.remove(&off)).as_ref().map(id));
+                    }
+                    6 => {
+                        let mut visited = Vec::new();
+                        ring.retain(|psn, pkt| {
+                            visited.push(psn.wrapping_sub(start));
+                            pkt.sent_at = Timestamp::from_nanos(arg as u64);
+                            (psn ^ arg) % 3 != 0
+                        });
+                        proptest::prop_assert_eq!(visited, reference.keys().copied().collect::<Vec<_>>());
+                        reference.retain(|&off, pkt| {
+                            pkt.sent_at = Timestamp::from_nanos(arg as u64);
+                            (start.wrapping_add(off) ^ arg) % 3 != 0
+                        });
+                    }
+                    _ => {
+                        // Out of order from the other end: the newest.
+                        let newest = reference.keys().next_back().copied();
+                        let got = newest.and_then(|off| ring.remove(start.wrapping_add(off)));
+                        proptest::prop_assert_eq!(got.as_ref().map(id), newest.and_then(|off| reference.remove(&off)).as_ref().map(id));
+                    }
+                }
+                proptest::prop_assert_eq!(ring.len(), reference.len());
+                proptest::prop_assert_eq!(ring.is_empty(), reference.is_empty());
+                let walked: Vec<(u32, u32, Timestamp)> =
+                    ring.iter().map(|(psn, p)| (psn.wrapping_sub(start), id(p), p.sent_at)).collect();
+                let want: Vec<(u32, u32, Timestamp)> =
+                    reference.iter().map(|(&off, p)| (off, id(p), p.sent_at)).collect();
+                proptest::prop_assert_eq!(walked, want);
+                proptest::prop_assert!(ring.values().map(id).eq(reference.values().map(id)));
+            }
+        }
     }
 
     #[test]

@@ -663,17 +663,13 @@ impl Endpoint {
         if let Some(pkt) = ch.ack(d.header.psn, false) {
             failed.push(pkt.scat);
         }
-        let stale: Vec<u32> = ch
-            .outstanding
-            .iter()
-            .filter(|(_, p)| p.scat.0 == d.header.msg_ts)
-            .map(|(&psn, _)| psn)
-            .collect();
-        for psn in stale {
-            if let Some(pkt) = ch.outstanding.remove(&psn) {
-                failed.push(pkt.scat);
+        ch.outstanding.retain(|_, p| {
+            let stale = p.scat.0 == d.header.msg_ts;
+            if stale {
+                failed.push(p.scat);
             }
-        }
+            !stale
+        });
         failed.sort();
         failed.dedup();
         for (ts, seq) in failed {
@@ -1107,9 +1103,7 @@ impl Endpoint {
         // Find scatterings with outstanding packets to the failed process.
         let mut doomed: Vec<(Timestamp, u64)> = Vec::new();
         if let Some(ch) = self.rel_tx.get_mut(proc) {
-            let psns: Vec<u32> = ch.outstanding.keys().copied().collect();
-            for psn in psns {
-                let pkt = ch.outstanding.remove(&psn).unwrap();
+            for pkt in std::mem::take(&mut ch.outstanding).values() {
                 if !doomed.contains(&pkt.scat) {
                     doomed.push(pkt.scat);
                 }
@@ -1132,15 +1126,7 @@ impl Endpoint {
             // Stop retransmitting the scattering's packets to the others —
             // they will be recalled instead.
             for ch in self.rel_tx.iter_mut() {
-                let stale: Vec<u32> = ch
-                    .outstanding
-                    .iter()
-                    .filter(|(_, p)| p.scat == (ts, seq))
-                    .map(|(&psn, _)| psn)
-                    .collect();
-                for psn in stale {
-                    ch.outstanding.remove(&psn);
-                }
+                ch.outstanding.retain(|_, p| p.scat != (ts, seq));
             }
             self.events.push_back(UserEvent::Recalled { ts, seq });
             if others.is_empty() {
@@ -1842,10 +1828,13 @@ mod tests {
                 for tick in 1..=1_200u64 {
                     let now = ts(tick * 3_000);
                     // The reference: every channel, every outstanding packet.
+                    fn packet(ch: &TxChannel, psn: u32) -> &OutPacket {
+                        ch.outstanding.iter().find(|&(p, _)| p == psn).expect("expired ⇒ outstanding").1
+                    }
                     let mut due_rel = Vec::new();
                     for ch in a.rel_tx.iter() {
                         for psn in ch.expired(now, cfg.rto) {
-                            if !ch.outstanding[&psn].forwarding {
+                            if !packet(ch, psn).forwarding {
                                 due_rel.push((ch.peer, psn));
                             }
                         }
@@ -1853,7 +1842,7 @@ mod tests {
                     let mut due_be = Vec::new();
                     for ch in a.be_tx.iter() {
                         for psn in ch.expired(now, cfg.be_ack_timeout) {
-                            let scat = ch.outstanding[&psn].scat;
+                            let scat = packet(ch, psn).scat;
                             due_be.push((scat.0, scat.1, ch.peer));
                         }
                     }

@@ -1,11 +1,20 @@
 //! The receive-side reorder buffer.
 //!
-//! Arriving fragments are buffered and sorted by their total-order key
+//! Arriving fragments are buffered in the order of their total-order key
 //! `(timestamp, sender, seq)`; whole messages are released to the
 //! application when the barrier passes them (paper §4.1: "it first buffers
 //! the packet in a priority queue that sorts packets based on the message
 //! timestamp ... it delivers all buffered packets with the message
 //! timestamp below B").
+//!
+//! The paper's priority queue is one ring of messages in ascending key
+//! order. Links are FIFO and every sender's timestamps only grow, so a
+//! fragment almost always belongs at the back or a few places before it:
+//! an insert scans back from the end, and a release pops the front. Both
+//! are constant work for in-order arrivals; an arrival `d` places out of
+//! order costs `d` comparisons and a shift of at most `d` entries
+//! (DESIGN.md §10 has the displacement measured on the benchmark
+//! workloads).
 //!
 //! Note on the key order: [`Timestamp`] ordering is PAWS-style ring
 //! comparison, which is a valid total order only within half the 48-bit
@@ -18,7 +27,7 @@ use onepipe_types::ids::ProcessId;
 use onepipe_types::message::{Delivered, OrderKey};
 use onepipe_types::time::Timestamp;
 use onepipe_types::wire::Flags;
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 /// Identifies one message inside the buffer: total-order key + message
 /// index within the scattering (a scattering may contain several messages
@@ -163,7 +172,8 @@ pub struct FailedMsg {
 /// The reorder buffer of one service channel on one endpoint.
 #[derive(Debug)]
 pub struct ReorderBuffer {
-    pending: BTreeMap<MsgKey, PendingMsg>,
+    /// Buffered messages, keys strictly ascending.
+    pending: VecDeque<(MsgKey, PendingMsg)>,
     /// Barrier edge below (or at, if `inclusive`) which everything was
     /// already delivered or discarded.
     edge: Timestamp,
@@ -181,7 +191,7 @@ impl ReorderBuffer {
     /// rule (`ts ≤ barrier`).
     pub fn new(inclusive: bool, unordered: bool) -> Self {
         ReorderBuffer {
-            pending: BTreeMap::new(),
+            pending: VecDeque::new(),
             edge: Timestamp::ZERO,
             inclusive,
             unordered,
@@ -234,7 +244,16 @@ impl ReorderBuffer {
             return Insert::Late;
         }
         let mk = MsgKey { key, midx };
-        let entry = self.pending.entry(mk).or_default();
+        // The last entry at or below `mk`: `mk` itself, or its predecessor.
+        let at = match self.pending.iter().rposition(|(k, _)| *k <= mk) {
+            Some(i) if self.pending[i].0 == mk => i,
+            below => {
+                let i = below.map_or(0, |i| i + 1);
+                self.pending.insert(i, (mk, PendingMsg::default()));
+                i
+            }
+        };
+        let entry = &mut self.pending[at].1;
         if flags.contains(START_OF_MESSAGE) {
             entry.start_psn = Some(psn);
         }
@@ -250,7 +269,7 @@ impl ReorderBuffer {
             self.max_bytes = self.max_bytes.max(self.bytes);
         }
         if self.unordered && entry.is_complete() {
-            let msg = self.pending.remove(&mk).unwrap();
+            let (_, msg) = self.pending.remove(at).expect("`at` was just looked up");
             self.bytes -= msg.bytes;
             return Insert::Ready(Delivered {
                 ts: key.ts,
@@ -276,13 +295,12 @@ impl ReorderBuffer {
         if barrier == Timestamp::ZERO || (self.edge != Timestamp::ZERO && barrier <= self.edge) {
             return;
         }
-        while let Some(entry) = self.pending.first_entry() {
-            let mk = *entry.key();
+        while let Some((mk, _)) = self.pending.front() {
             let passes = if self.inclusive { mk.key.ts <= barrier } else { mk.key.ts < barrier };
             if !passes {
                 break;
             }
-            let msg = entry.remove();
+            let (mk, msg) = self.pending.pop_front().expect("front was just read");
             self.bytes -= msg.bytes;
             sink(if msg.is_complete() {
                 Ok(Delivered {
@@ -314,33 +332,28 @@ impl ReorderBuffer {
     /// with timestamps above its failure timestamp. Returns how many
     /// messages were discarded.
     pub fn discard_from(&mut self, sender: ProcessId, failure_ts: Timestamp) -> usize {
-        let doomed: Vec<MsgKey> = self
-            .pending
-            .keys()
-            .filter(|mk| mk.key.sender == sender && mk.key.ts > failure_ts)
-            .copied()
-            .collect();
-        for mk in &doomed {
-            let msg = self.pending.remove(mk).unwrap();
-            self.bytes -= msg.bytes;
-        }
-        doomed.len()
+        self.discard(|k| k.sender == sender && k.ts > failure_ts)
     }
 
     /// Recall step: drop all buffered messages of one scattering. Returns
     /// whether anything was present.
     pub fn discard_scattering(&mut self, sender: ProcessId, ts: Timestamp, seq: u64) -> bool {
-        let doomed: Vec<MsgKey> = self
-            .pending
-            .keys()
-            .filter(|mk| mk.key.sender == sender && mk.key.ts == ts && mk.key.seq == seq)
-            .copied()
-            .collect();
-        for mk in &doomed {
-            let msg = self.pending.remove(mk).unwrap();
-            self.bytes -= msg.bytes;
-        }
-        !doomed.is_empty()
+        self.discard(|k| k.sender == sender && k.ts == ts && k.seq == seq) > 0
+    }
+
+    /// Drop every buffered message whose scattering key matches; returns
+    /// how many.
+    fn discard(&mut self, doomed: impl Fn(&OrderKey) -> bool) -> usize {
+        let before = self.pending.len();
+        let bytes = &mut self.bytes;
+        self.pending.retain(|(mk, msg)| {
+            let drop = doomed(&mk.key);
+            if drop {
+                *bytes -= msg.bytes;
+            }
+            !drop
+        });
+        before - self.pending.len()
     }
 }
 

@@ -12,8 +12,12 @@
 //!   simulated time; the link/beacon model schedules every data-plane
 //!   event less than 8.2 µs ahead — histogram in DESIGN.md §10). Pushes
 //!   append to the target bucket unsorted; the bucket holding the cursor
-//!   is sorted lazily, once, when the cursor reaches it — `O(k log k)`
-//!   for `k` events that all have to pop anyway.
+//!   is ordered once, when the cursor reaches it: reversed if it is
+//!   already in time order, else by one stable counting pass on
+//!   `time % SLOT_NS` — `O(k)` either way for `k` events that all have to
+//!   pop anyway. Ordering by time alone is enough: a bucket holds the
+//!   events of one time in push order, which is `seq` order (see
+//!   `sort_bucket`).
 //! - a **sorted overflow tier** (`BTreeMap`) holds far-future events
 //!   (fault schedules, long timeouts). As the wheel turns, events whose
 //!   slot becomes addressable migrate into the wheel in bulk.
@@ -74,7 +78,8 @@ pub struct CalendarQueue<T> {
     /// `[base_slot, base_slot + NUM_SLOTS)`. Never rewinds.
     base_slot: u64,
     /// Absolute slot whose bucket is currently sorted (descending), or
-    /// [`NONE_SLOT`].
+    /// [`NONE_SLOT`]. Every other bucket holds the events of one time in
+    /// ascending `seq` (see `sort_bucket`).
     sorted_slot: u64,
     /// Cached absolute slot of the first occupied wheel bucket, or
     /// [`NONE_SLOT`] when unknown. The engine peeks before every pop;
@@ -95,6 +100,8 @@ pub struct CalendarQueue<T> {
     now: u64,
     /// The events pushed at `now`, as `(seq, item)` in push order.
     lane: VecDeque<(u64, T)>,
+    /// The counting pass's output buffer, empty between passes.
+    scratch: Vec<Option<Entry<T>>>,
 }
 
 impl<T> Default for CalendarQueue<T> {
@@ -119,6 +126,7 @@ impl<T> CalendarQueue<T> {
             len: 0,
             now: 0,
             lane: VecDeque::new(),
+            scratch: Vec::new(),
         }
     }
 
@@ -245,15 +253,46 @@ impl<T> CalendarQueue<T> {
         None
     }
 
-    /// Sort the bucket of `slot` (descending) if it is not already the
-    /// sorted cursor bucket.
+    /// Order the bucket of `slot` descending by `(time, seq)` if it is not
+    /// already the sorted cursor bucket.
+    #[inline]
     fn ensure_sorted(&mut self, slot: u64) {
-        if self.sorted_slot == slot {
-            return;
+        if self.sorted_slot != slot {
+            self.sort_bucket(slot);
         }
-        let b = (slot & SLOT_MASK) as usize;
-        self.buckets[b].sort_unstable_by_key(|e| std::cmp::Reverse((e.time, e.seq)));
+    }
+
+    /// Make `slot`'s bucket the sorted cursor bucket.
+    ///
+    /// Ordering by `time` alone, stably, does it, because every other
+    /// bucket keeps the events of one time in ascending `seq`: direct
+    /// pushes append in push order, and the overflow tier hands a slot its
+    /// far-future events in `(time, seq)` order, before any direct push can
+    /// reach that slot (`refill_from_overflow` runs whenever `base_slot`
+    /// advances). The one bucket that breaks it is a sorted bucket left
+    /// behind — a peek sorted it, then a push into an earlier slot moved
+    /// the cursor there (a run that stops short of the next event and then
+    /// schedules more, as the rack partition does at every window barrier)
+    /// — so it is reversed back to ascending when the cursor leaves it.
+    ///
+    /// A bucket already in time order — every bucket of the barrier
+    /// background, where each burst is one instant, and two thirds of
+    /// `sim_rel_loss`'s — only needs reversing into pop order. Any other
+    /// takes one counting pass on `time % SLOT_NS` (DESIGN.md §10 has the
+    /// measured shapes).
+    #[inline(never)]
+    fn sort_bucket(&mut self, slot: u64) {
+        if self.sorted_slot != NONE_SLOT {
+            // Not empty: `pop` unsets `sorted_slot` when it empties it.
+            self.buckets[(self.sorted_slot & SLOT_MASK) as usize].reverse();
+        }
         self.sorted_slot = slot;
+        let bucket = &mut self.buckets[(slot & SLOT_MASK) as usize];
+        if bucket.windows(2).all(|w| w[0].time <= w[1].time) {
+            bucket.reverse();
+        } else {
+            counting_pass(bucket, &mut self.scratch);
+        }
     }
 
     /// Migrate overflow events whose slot is now within the wheel horizon.
@@ -347,6 +386,33 @@ impl<T> CalendarQueue<T> {
         self.now = e.time;
         Some((e.time, e.seq, e.item))
     }
+}
+
+/// Order a bucket that holds each instant's events in ascending `seq`
+/// descending by `(time, seq)`, through `scratch` (left empty). Out of
+/// line: on the barrier background no bucket needs it.
+#[inline(never)]
+fn counting_pass<T>(bucket: &mut Vec<Entry<T>>, scratch: &mut Vec<Option<Entry<T>>>) {
+    // `end[k]`: one past the last output position of offset `k`, whose
+    // events go after every later offset's (descending time).
+    let mut end = [0u32; SLOT_NS as usize];
+    for e in bucket.iter() {
+        end[(e.time % SLOT_NS) as usize] += 1;
+    }
+    let mut acc = 0;
+    for n in end.iter_mut().rev() {
+        acc += *n;
+        *n = acc;
+    }
+    // Filling each offset's range from its end puts its lowest `seq` last,
+    // where `pop` takes it first.
+    scratch.resize_with(bucket.len(), || None);
+    for e in bucket.drain(..) {
+        let pos = &mut end[(e.time % SLOT_NS) as usize];
+        *pos -= 1;
+        scratch[*pos as usize] = Some(e);
+    }
+    bucket.extend(scratch.drain(..).map(|e| e.expect("a counting pass fills every position")));
 }
 
 #[cfg(test)]

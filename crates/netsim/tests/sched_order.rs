@@ -224,6 +224,42 @@ proptest! {
     }
 }
 
+/// A bucket a peek sorted and the cursor then left behind. The peek puts
+/// slot S in pop order (descending); a push into an earlier slot moves
+/// the cursor there, that slot pops, and more events of S's instants
+/// arrive. S must still pop in `(time, seq)` order: the pass that orders
+/// it by time relies on each instant's events being in push order, which
+/// the sorted bucket had reversed. Once with S in time order when the
+/// cursor comes back (only reversed), once out of order (the counting
+/// pass).
+#[test]
+fn a_bucket_left_behind_by_the_cursor_pops_in_seq_order() {
+    for (before, after) in [(3, 0), (12, 24)] {
+        let mut cal: CalendarQueue<u64> = CalendarQueue::new();
+        let mut reference = RefHeap::new();
+        let push = |cal: &mut CalendarQueue<u64>, reference: &mut RefHeap, time: u64| {
+            cal.push(time, reference.seq + 1);
+            reference.push(time);
+        };
+        // Two instants of slot S, alternating.
+        let s = 10 * SLOT_NS;
+        let instant = |i: u64| s + 10 + 10 * (i % 2);
+        for i in 0..before {
+            push(&mut cal, &mut reference, instant(i));
+        }
+        assert_eq!(cal.peek_time(), Some(s + 10));
+        push(&mut cal, &mut reference, SLOT_NS + 5);
+        assert_eq!(cal.pop(), reference.pop().map(|(t, seq)| (t, seq, seq)));
+        for i in 0..after {
+            push(&mut cal, &mut reference, instant(i));
+        }
+        while let Some((t, seq)) = reference.pop() {
+            assert_eq!(cal.pop(), Some((t, seq, seq)), "{before} + {after} events in S");
+        }
+        assert!(cal.is_empty());
+    }
+}
+
 /// An event pushed at `now` pops after an event of the same nanosecond
 /// that was already queued — whichever structure either sits in.
 #[test]

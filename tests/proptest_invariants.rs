@@ -1,17 +1,19 @@
 //! Property-based tests (proptest) of 1Pipe's core invariants: the 48-bit
 //! timestamp ring, wire codecs, fragmentation, the reorder buffer against
-//! a model, barrier aggregation's lower-bound property, and clock
-//! monotonicity.
+//! a model and against the ordered map it used to be, barrier
+//! aggregation's lower-bound property, and clock monotonicity.
 
 use bytes::Bytes;
 use onepipe::service::frag::{fragment_message, parse_fragment, START_OF_MESSAGE};
-use onepipe::service::reorder::{Insert, ReorderBuffer};
+use onepipe::service::reorder::{FailedMsg, Insert, MsgKey, ReorderBuffer};
 use onepipe::switchlogic::barrier::BarrierAggregator;
 use onepipe::types::ids::{NodeId, ProcessId};
+use onepipe::types::message::Delivered;
 use onepipe::types::message::OrderKey;
 use onepipe::types::time::{Timestamp, TIMESTAMP_MASK};
 use onepipe::types::wire::{Datagram, Flags, Opcode, PacketHeader};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 proptest! {
     /// Ring comparison is a total order on any window < half the ring.
@@ -406,5 +408,219 @@ proptest! {
                 prop_assert_eq!(n, 1, "withheld message not reported failed: {key:?}");
             }
         }
+    }
+}
+
+/// The reorder buffer as an ordered map from message to its fragments by
+/// PSN — the structure `ReorderBuffer` used before its key-ordered ring,
+/// kept here as the reference the ring is checked against.
+struct MapBuffer {
+    pending: BTreeMap<MsgKey, MapMsg>,
+    edge: Timestamp,
+    inclusive: bool,
+    unordered: bool,
+    bytes: usize,
+    max_bytes: usize,
+}
+
+#[derive(Default)]
+struct MapMsg {
+    frags: BTreeMap<u32, Bytes>,
+    start_psn: Option<u32>,
+    end_psn: Option<u32>,
+    bytes: usize,
+}
+
+impl MapMsg {
+    fn is_complete(&self) -> bool {
+        match (self.start_psn, self.end_psn) {
+            (Some(s), Some(e)) => e.wrapping_sub(s) as usize + 1 == self.frags.len(),
+            _ => false,
+        }
+    }
+
+    fn deliver(self, mk: MsgKey) -> Delivered {
+        let payload: Vec<u8> = self.frags.values().flat_map(|f| f.iter().copied()).collect();
+        Delivered { ts: mk.key.ts, src: mk.key.sender, seq: mk.key.seq, payload: payload.into() }
+    }
+}
+
+impl MapBuffer {
+    fn new(inclusive: bool, unordered: bool) -> Self {
+        MapBuffer {
+            pending: BTreeMap::new(),
+            edge: Timestamp::ZERO,
+            inclusive,
+            unordered,
+            bytes: 0,
+            max_bytes: 0,
+        }
+    }
+
+    fn passes(inclusive: bool, ts: Timestamp, barrier: Timestamp) -> bool {
+        if inclusive {
+            ts <= barrier
+        } else {
+            ts < barrier
+        }
+    }
+
+    fn insert_fragment(
+        &mut self,
+        key: OrderKey,
+        midx: u16,
+        psn: u32,
+        flags: Flags,
+        data: Bytes,
+    ) -> Insert {
+        if self.edge != Timestamp::ZERO && Self::passes(self.inclusive, key.ts, self.edge) {
+            return Insert::Late;
+        }
+        let mk = MsgKey { key, midx };
+        let msg = self.pending.entry(mk).or_default();
+        if flags.contains(START_OF_MESSAGE) {
+            msg.start_psn = Some(psn);
+        }
+        if flags.contains(Flags::END_OF_MESSAGE) {
+            msg.end_psn = Some(psn);
+        }
+        if !msg.frags.contains_key(&psn) {
+            msg.bytes += data.len();
+            self.bytes += data.len();
+            self.max_bytes = self.max_bytes.max(self.bytes);
+            msg.frags.insert(psn, data);
+        }
+        if self.unordered && msg.is_complete() {
+            let msg = self.pending.remove(&mk).unwrap();
+            self.bytes -= msg.bytes;
+            return Insert::Ready(msg.deliver(mk));
+        }
+        Insert::Buffered
+    }
+
+    fn advance(&mut self, barrier: Timestamp) -> (Vec<Delivered>, Vec<FailedMsg>) {
+        let (mut delivered, mut failed) = (Vec::new(), Vec::new());
+        if self.unordered
+            || barrier == Timestamp::ZERO
+            || (self.edge != Timestamp::ZERO && barrier <= self.edge)
+        {
+            return (delivered, failed);
+        }
+        while let Some(entry) = self.pending.first_entry() {
+            if !Self::passes(self.inclusive, entry.key().key.ts, barrier) {
+                break;
+            }
+            let mk = *entry.key();
+            let msg = entry.remove();
+            self.bytes -= msg.bytes;
+            if msg.is_complete() {
+                delivered.push(msg.deliver(mk));
+            } else {
+                failed.push(FailedMsg { key: mk, psn: *msg.frags.keys().next().unwrap() });
+            }
+        }
+        self.edge = barrier;
+        (delivered, failed)
+    }
+
+    fn discard(&mut self, doomed: impl Fn(&OrderKey) -> bool) -> usize {
+        let keys: Vec<MsgKey> = self.pending.keys().filter(|mk| doomed(&mk.key)).copied().collect();
+        for mk in &keys {
+            self.bytes -= self.pending.remove(mk).unwrap().bytes;
+        }
+        keys.len()
+    }
+}
+
+proptest! {
+    /// The reorder ring against the ordered map, operation by operation:
+    /// multi-fragment messages (several per scattering) arrive in key
+    /// order displaced by up to `span` places — from nearly sorted to
+    /// fully shuffled — with duplicated and withheld fragments, barriers
+    /// that advance, repeat and regress, `discard_from` and
+    /// `discard_scattering`, under the strict, inclusive and unordered
+    /// rules. Every insert outcome, delivered and failed list, discard
+    /// count, `buffered_bytes`, `max_bytes`, `len` and the edge agree.
+    #[test]
+    fn reorder_ring_matches_ordered_map(
+        specs in proptest::collection::vec((1u64..400, 0u32..4, 0u64..6, 0u16..3, 1u32..4), 1..40),
+        mode in 0u8..3,
+        span in 0usize..64,
+        seed in any::<u64>(),
+    ) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let (inclusive, unordered) = (mode == 1, mode == 2);
+        let mut ring = ReorderBuffer::new(inclusive, unordered);
+        let mut map = MapBuffer::new(inclusive, unordered);
+
+        // Fragments in key order, each message on its own PSN range.
+        let mut frags: Vec<(MsgKey, u32, Flags, Bytes)> = Vec::new();
+        let mut seen = std::collections::HashSet::new();
+        for (i, &(ts, sender, seq, midx, nfrags)) in specs.iter().enumerate() {
+            let key = OrderKey { ts: Timestamp::from_nanos(ts), sender: ProcessId(sender), seq };
+            if !seen.insert((key, midx)) {
+                continue;
+            }
+            for j in 0..nfrags {
+                let mut flags = Flags::empty();
+                if j == 0 {
+                    flags = flags | START_OF_MESSAGE;
+                }
+                if j == nfrags - 1 {
+                    flags = flags | Flags::END_OF_MESSAGE;
+                }
+                let data = Bytes::from(vec![(i * 8 + j as usize) as u8; 1 + (i + j as usize) % 5]);
+                frags.push((MsgKey { key, midx }, i as u32 * 8 + j, flags, data));
+            }
+        }
+        frags.sort_by_key(|(mk, psn, ..)| (*mk, *psn));
+        for i in (1..frags.len()).rev() {
+            frags.swap(i, rng.random_range(i.saturating_sub(span)..=i));
+        }
+
+        let mut barrier = 0u64;
+        for (mk, psn, flags, data) in &frags {
+            for _ in 0..1 + (rng.random_range(0..8u32) == 0) as u32 {
+                if rng.random_range(0..16u32) == 0 {
+                    continue; // withheld (lost)
+                }
+                let got = ring.insert_fragment(mk.key, mk.midx, *psn, *flags, data.clone());
+                let want = map.insert_fragment(mk.key, mk.midx, *psn, *flags, data.clone());
+                prop_assert_eq!(got, want);
+            }
+            match rng.random_range(0..24u32) {
+                0..=3 => {
+                    // Mostly forward; sometimes repeated or behind the edge.
+                    barrier = match rng.random_range(0..4u32) {
+                        0 => barrier.saturating_sub(rng.random_range(0..40u64)),
+                        1 => barrier,
+                        _ => barrier + rng.random_range(1..60u64),
+                    };
+                    let b = Timestamp::from_nanos(barrier);
+                    prop_assert_eq!(ring.advance(b), map.advance(b));
+                }
+                4 => {
+                    let (sender, ts) = (ProcessId(rng.random_range(0..4u32)), Timestamp::from_nanos(rng.random_range(1..400u64)));
+                    let got = ring.discard_from(sender, ts);
+                    prop_assert_eq!(got, map.discard(|k| k.sender == sender && k.ts > ts));
+                }
+                5 => {
+                    let k = mk.key;
+                    let got = ring.discard_scattering(k.sender, k.ts, k.seq);
+                    let want = map.discard(|o| o.sender == k.sender && o.ts == k.ts && o.seq == k.seq);
+                    prop_assert_eq!(got, want > 0);
+                }
+                _ => {}
+            }
+            prop_assert_eq!(ring.buffered_bytes(), map.bytes);
+            prop_assert_eq!(ring.max_bytes, map.max_bytes);
+            prop_assert_eq!(ring.len(), map.pending.len());
+            prop_assert_eq!(ring.edge(), map.edge);
+        }
+        let end = Timestamp::from_nanos(1_000);
+        prop_assert_eq!(ring.advance(end), map.advance(end));
+        prop_assert_eq!(ring.buffered_bytes(), map.bytes);
+        prop_assert_eq!(ring.len(), map.pending.len());
     }
 }
