@@ -148,7 +148,7 @@ fn bench_sched(c: &mut Criterion) {
 }
 
 /// The barrier background's unit of work: a beacon crossing one link —
-/// `Ctx::send_beacon`, the link model, the calendar queue, `Shard::run`,
+/// `Ctx::send_beacon`, the link model, the calendar queue, `Sim::run`,
 /// `NodeLogic::on_beacon`. Two nodes bounce one beacon between them; an
 /// iteration is 64 hops (507 ns each: 7 ns on the wire, 500 in flight).
 fn bench_engine(c: &mut Criterion) {

@@ -28,12 +28,7 @@
 //!   128 and 512 processes (4 and 16 per host), at `fig8_scalability`'s
 //!   seed, rate and window for those rows.
 //!
-//! There is one engine, single-threaded; each workload is measured on
-//! both layouts of it: the whole network in one shard (entry name
-//! unchanged for trend continuity) and the rack partition (`_racks`
-//! suffix). The three fig8 sizes bracket the process count at which
-//! `ClusterConfig::testbed` switches from the first to the second
-//! (`onepipe_core::harness::RACKS_FROM_PROCESSES`).
+//! There is one engine, single-threaded, and one row per workload.
 //!
 //! Wall-clock rates vary with the machine; they are *report-only*
 //! (trend data), not a gating threshold. Compare ratios between commits
@@ -43,7 +38,7 @@
 //! differ from the committed baseline of the same mode.
 
 use onepipe_bench::run_onepipe_broadcast;
-use onepipe_core::harness::{Cluster, ClusterConfig, Partition};
+use onepipe_core::harness::{Cluster, ClusterConfig};
 use onepipe_types::ids::{HostId, ProcessId};
 use onepipe_types::message::Message;
 use std::fmt::Write as _;
@@ -62,34 +57,18 @@ struct WorkloadReport {
     wall_s: f64,
     /// Peak total receive-side reorder-buffer bytes across all hosts.
     peak_reorder_bytes: usize,
-    /// Shards in the partition.
-    shards: usize,
-    /// Packets that crossed a shard boundary.
-    cross_shard_msgs: u64,
-    /// Per-shard windows with work, summed.
-    windows: u64,
-    /// Per-shard windows stalled on lookahead, summed.
-    stalled_windows: u64,
 }
 
 impl WorkloadReport {
     /// Read the counters of a finished run off its cluster.
-    fn of(base: &str, cluster: &mut Cluster, deliveries: u64, wall_s: f64) -> WorkloadReport {
-        let stats = cluster.sim.shard_stats();
+    fn of(name: &str, cluster: &mut Cluster, deliveries: u64, wall_s: f64) -> WorkloadReport {
         WorkloadReport {
-            name: match cluster.config.partition {
-                Partition::Whole => base.to_string(),
-                Partition::Racks => format!("{base}_racks"),
-            },
+            name: name.to_string(),
             events: cluster.sim.stats.events,
             deliveries,
             sim_ns: cluster.sim.now(),
             wall_s,
             peak_reorder_bytes: peak_reorder_bytes(cluster),
-            shards: stats.len(),
-            cross_shard_msgs: stats.iter().map(|s| s.cross_shard_msgs).sum(),
-            windows: stats.iter().map(|s| s.windows).sum(),
-            stalled_windows: stats.iter().map(|s| s.stalled_windows).sum(),
         }
     }
 
@@ -117,15 +96,11 @@ impl WorkloadReport {
             self.peak_reorder_bytes,
             self.sim_ns,
         );
-        println!(
-            "{:>20}  {} shard(s), {} cross-shard msgs, {} windows ({} stalled)",
-            "", self.shards, self.cross_shard_msgs, self.windows, self.stalled_windows,
-        );
     }
 
     fn json(&self) -> String {
         format!(
-            "    \"{}\": {{\n      \"events\": {},\n      \"deliveries\": {},\n      \"sim_ns\": {},\n      \"wall_s\": {:.6},\n      \"events_per_sec\": {:.1},\n      \"ns_per_event\": {:.1},\n      \"deliveries_per_sec\": {:.1},\n      \"peak_reorder_bytes\": {},\n      \"shards\": {},\n      \"cross_shard_msgs\": {},\n      \"windows\": {},\n      \"stalled_windows\": {}\n    }}",
+            "    \"{}\": {{\n      \"events\": {},\n      \"deliveries\": {},\n      \"sim_ns\": {},\n      \"wall_s\": {:.6},\n      \"events_per_sec\": {:.1},\n      \"ns_per_event\": {:.1},\n      \"deliveries_per_sec\": {:.1},\n      \"peak_reorder_bytes\": {}\n    }}",
             self.name,
             self.events,
             self.deliveries,
@@ -135,10 +110,6 @@ impl WorkloadReport {
             self.ns_per_event(),
             self.deliveries_per_sec(),
             self.peak_reorder_bytes,
-            self.shards,
-            self.cross_shard_msgs,
-            self.windows,
-            self.stalled_windows,
         )
     }
 }
@@ -159,30 +130,21 @@ fn peak_reorder_bytes(cluster: &mut Cluster) -> usize {
 /// Figure-8-style all-to-all best-effort broadcast among `n` processes
 /// on the 32-server testbed: `rate` broadcasts/s per process for
 /// `dur_ns`.
-fn bench_fig8(
-    base: &str,
-    n: usize,
-    seed: u64,
-    rate: f64,
-    dur_ns: u64,
-    partition: Partition,
-) -> WorkloadReport {
+fn bench_fig8(name: &str, n: usize, seed: u64, rate: f64, dur_ns: u64) -> WorkloadReport {
     let mut cfg = ClusterConfig::testbed(n);
     cfg.seed = seed;
-    cfg.partition = partition;
     let mut cluster = Cluster::new(cfg);
     let wall = Instant::now();
     let m = run_onepipe_broadcast(&mut cluster, n, rate, dur_ns, false);
     let wall_s = wall.elapsed().as_secs_f64();
-    WorkloadReport::of(base, &mut cluster, m.delivered, wall_s)
+    WorkloadReport::of(name, &mut cluster, m.delivered, wall_s)
 }
 
 /// Incast: every process unicasts 256-byte messages to process 0.
-fn bench_incast(smoke: bool, partition: Partition) -> WorkloadReport {
+fn bench_incast(smoke: bool) -> WorkloadReport {
     let n = 32;
     let mut cfg = ClusterConfig::testbed(n);
     cfg.seed = 43;
-    cfg.partition = partition;
     let mut cluster = Cluster::new(cfg);
     let dur_ns: u64 = if smoke { 400_000 } else { 2_000_000 };
     let interval = 5_000u64; // each process sends every 5 µs
@@ -208,11 +170,10 @@ fn bench_incast(smoke: bool, partition: Partition) -> WorkloadReport {
 /// short (tens of milliseconds) and exactly repeatable, so it is made
 /// five times and the fastest is reported: one descheduling would
 /// otherwise double the figure.
-fn bench_idle(smoke: bool, partition: Partition) -> WorkloadReport {
+fn bench_idle(smoke: bool) -> WorkloadReport {
     let run = || {
         let mut cfg = ClusterConfig::testbed(32);
         cfg.seed = 44;
-        cfg.partition = partition;
         let mut cluster = Cluster::new(cfg);
         let wall = Instant::now();
         cluster.run_for(if smoke { 2_000_000 } else { 10_000_000 });
@@ -270,22 +231,16 @@ fn main() {
 
     // 40 000 broadcasts/s per process among 32.
     let fig8_dur = if smoke { 400_000 } else { 2_000_000 };
-    type Bench<'a> = Box<dyn Fn(Partition) -> WorkloadReport + 'a>;
-    let mut workloads: Vec<Bench> = vec![
-        Box::new(|p| bench_fig8("fig8_broadcast", 32, 42, 40_000.0, fig8_dur, p)),
-        Box::new(|p| bench_incast(smoke, p)),
-        Box::new(|p| bench_idle(smoke, p)),
+    let mut reports = vec![
+        bench_fig8("fig8_broadcast", 32, 42, 40_000.0, fig8_dur),
+        bench_incast(smoke),
+        bench_idle(smoke),
     ];
     if !smoke {
         // Seed, rate and window of `fig8_scalability`'s 128- and
         // 512-process rows.
-        workloads.push(Box::new(|p| bench_fig8("fig8_128", 128, 7, 20_000.0, 1_500_000, p)));
-        workloads.push(Box::new(|p| bench_fig8("fig8_512", 512, 7, 2_000.0, 800_000, p)));
-    }
-    let mut reports = Vec::new();
-    for bench in &workloads {
-        reports.push(bench(Partition::Whole));
-        reports.push(bench(Partition::Racks));
+        reports.push(bench_fig8("fig8_128", 128, 7, 20_000.0, 1_500_000));
+        reports.push(bench_fig8("fig8_512", 512, 7, 2_000.0, 800_000));
     }
     for r in &reports {
         r.print();

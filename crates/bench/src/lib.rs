@@ -165,9 +165,7 @@ pub fn row(cells: &[String]) {
 }
 
 /// Standard cluster for a given process count: single rack below 9
-/// processes (matching the paper's placement), the 32-host testbed above;
-/// the simulator's partition follows from the process count
-/// ([`onepipe_core::harness::RACKS_FROM_PROCESSES`]).
+/// processes (matching the paper's placement), the 32-host testbed above.
 pub fn cluster_for(n: usize, seed: u64) -> Cluster {
     let mut cfg = if n <= 8 {
         ClusterConfig::single_rack(n.max(2) as u32, n)

@@ -1,27 +1,17 @@
-//! Determinism regression for the engine's rack partition on the
-//! workloads perfbench and the figure sweeps measure: an explicit
-//! `Partition::Racks` below the size at which `ClusterConfig::testbed`
-//! would choose it reproduces the counts recorded in
-//! `BENCH_sim_smoke.json`, and a partitioned run repeats bit for bit
+//! Determinism regression for the engine on the workloads perfbench and
+//! the figure sweeps measure: the default cluster reproduces the counts
+//! recorded in `BENCH_sim_smoke.json`, and a run repeats bit for bit
 //! (DESIGN.md §10.1 states the contract; this file pins it).
 //!
 //! The fingerprint compares full delivery records — timestamp order,
 //! wall-clock delivery time, receiver, source, sequence number, payload
 //! length and channel — plus the engine's global event count, so any
-//! divergence in merge order, RNG streams, or window scheduling trips it.
+//! divergence in event order or the RNG stream trips it.
 
-use onepipe_bench::run_onepipe_broadcast;
-use onepipe_core::harness::{Cluster, ClusterConfig, Partition};
+use onepipe_bench::{cluster_for, run_onepipe_broadcast};
+use onepipe_core::harness::Cluster;
 use onepipe_types::ids::{HostId, ProcessId};
 use onepipe_types::message::Message;
-
-/// The testbed with `n` processes, split by rack whatever `n` is.
-fn racks_cluster(n: usize, seed: u64) -> Cluster {
-    let mut cfg = ClusterConfig::testbed(n);
-    cfg.seed = seed;
-    cfg.partition = Partition::Racks;
-    Cluster::new(cfg)
-}
 
 /// Render every delivery a cluster observed as one canonical string.
 fn delivery_fingerprint(cluster: &mut Cluster) -> String {
@@ -43,7 +33,7 @@ fn delivery_fingerprint(cluster: &mut Cluster) -> String {
 
 /// Run the fig8 all-to-all broadcast workload and fingerprint it.
 fn fig8_run(n: usize, seed: u64, reliable: bool) -> (String, u64) {
-    let mut c = racks_cluster(n, seed);
+    let mut c = cluster_for(n, seed);
     let m = run_onepipe_broadcast(&mut c, n, 80_000.0, 300_000, reliable);
     assert!(m.delivered > 0, "workload must deliver traffic");
     (delivery_fingerprint(&mut c), c.sim.stats.events)
@@ -51,7 +41,7 @@ fn fig8_run(n: usize, seed: u64, reliable: bool) -> (String, u64) {
 
 /// Run the perfbench incast workload (everyone unicasts to process 0).
 fn incast_run(n: usize, seed: u64) -> (String, u64) {
-    let mut c = racks_cluster(n, seed);
+    let mut c = cluster_for(n, seed);
     c.run_for(100_000);
     let t0 = c.sim.now();
     let mut t = t0;
@@ -66,10 +56,10 @@ fn incast_run(n: usize, seed: u64) -> (String, u64) {
     (delivery_fingerprint(&mut c), c.sim.stats.events)
 }
 
-/// A faulty run (host crash mid-workload): the crash is fenced into the
-/// window schedule, which decides which packets die with the host.
+/// A faulty run (host crash mid-workload): the crash is a queued event,
+/// which decides which packets die with the host.
 fn crash_run() -> (String, u64) {
-    let mut c = racks_cluster(12, 5);
+    let mut c = cluster_for(12, 5);
     c.crash_host(250_000, HostId(3));
     let m = run_onepipe_broadcast(&mut c, 12, 60_000.0, 400_000, false);
     assert!(m.delivered > 0);
@@ -77,23 +67,18 @@ fn crash_run() -> (String, u64) {
     (delivery_fingerprint(&mut c), c.sim.stats.events)
 }
 
-/// perfbench's smoke `fig8_broadcast` at 32 processes, where the derived
-/// partition is one shard: the override still yields the eight rack
-/// shards and the `(events, deliveries, sim_ns)` that
-/// `BENCH_sim_smoke.json` records as `fig8_broadcast_racks`, and the
-/// default yields the `fig8_broadcast` row.
+/// perfbench's smoke `fig8_broadcast` at 32 processes yields the
+/// `(events, deliveries, sim_ns)` that `BENCH_sim_smoke.json` records
+/// for that row.
 #[test]
-fn explicit_racks_override_reproduces_the_recorded_counts() {
-    let run = |mut c: Cluster| {
-        let m = run_onepipe_broadcast(&mut c, 32, 40_000.0, 400_000, false);
-        (c.sim.shard_stats().len(), c.sim.stats.events, m.delivered, c.sim.now())
-    };
-    assert_eq!(run(racks_cluster(32, 42)), (8, 415_964, 16_384, 2_475_000));
-    assert_eq!(run(onepipe_bench::cluster_for(32, 42)), (1, 416_250, 16_384, 2_475_000));
+fn fig8_broadcast_reproduces_the_recorded_counts() {
+    let mut c = cluster_for(32, 42);
+    let m = run_onepipe_broadcast(&mut c, 32, 40_000.0, 400_000, false);
+    assert_eq!((c.sim.stats.events, m.delivered, c.sim.now()), (416_250, 16_384, 2_475_000));
 }
 
 #[test]
-fn rack_partition_runs_repeat_bit_for_bit() {
+fn runs_repeat_bit_for_bit() {
     assert_eq!(fig8_run(32, 42, false), fig8_run(32, 42, false), "fig8 best-effort");
     assert_eq!(fig8_run(16, 42, true), fig8_run(16, 42, true), "fig8 reliable");
     assert_eq!(incast_run(32, 43), incast_run(32, 43), "incast");

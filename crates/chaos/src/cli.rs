@@ -2,7 +2,6 @@
 //! package's `src/bin/chaos_sweep.rs`.
 
 use crate::runner::{run_campaign, CampaignConfig};
-use onepipe_core::harness::Partition;
 use onepipe_types::time::MICROS;
 use std::path::PathBuf;
 
@@ -12,7 +11,6 @@ pub fn sweep_main(args: impl Iterator<Item = String>) -> i32 {
     let mut seeds = 50u64;
     let mut single_rack = false;
     let mut controller_faults = false;
-    let mut rack_partition = false;
     let mut out_dir = PathBuf::from("results/chaos");
     let mut args = args.peekable();
     while let Some(a) = args.next() {
@@ -25,7 +23,6 @@ pub fn sweep_main(args: impl Iterator<Item = String>) -> i32 {
             }
             "--single-rack" => single_rack = true,
             "--controller-faults" => controller_faults = true,
-            "--rack-partition" => rack_partition = true,
             "--out" => {
                 out_dir = match args.next() {
                     Some(p) => PathBuf::from(p),
@@ -38,13 +35,6 @@ pub fn sweep_main(args: impl Iterator<Item = String>) -> i32 {
 
     let mut cfg =
         if single_rack { CampaignConfig::single_rack(8, 8) } else { CampaignConfig::testbed() };
-    // The campaign's clusters are small enough to default to one shard;
-    // the flag runs the same schedules on the rack partition, whose
-    // window barriers and per-shard loss streams are a second,
-    // independently deterministic event order (DESIGN.md §10.1).
-    if rack_partition {
-        cfg.cluster.partition = Partition::Racks;
-    }
     if controller_faults {
         cfg.budget = cfg.budget.with_controller_faults();
         // Controller failover adds an election (~10 management RTTs) plus
@@ -53,13 +43,12 @@ pub fn sweep_main(args: impl Iterator<Item = String>) -> i32 {
         cfg.drain = cfg.drain.max(1_500 * MICROS);
     }
     println!(
-        "# chaos sweep: {} seeds on {} ({} hosts, {} processes{}{})",
+        "# chaos sweep: {} seeds on {} ({} hosts, {} processes{})",
         seeds,
         if single_rack { "single rack" } else { "fat-tree testbed" },
         cfg.cluster.topo.total_hosts(),
         cfg.cluster.processes,
         if controller_faults { ", controller faults on" } else { "" },
-        if rack_partition { ", rack partition" } else { "" },
     );
     let report = run_campaign(&cfg, seeds, Some(&out_dir));
     print!("{}", report.render());
@@ -80,8 +69,6 @@ pub fn sweep_main(args: impl Iterator<Item = String>) -> i32 {
 
 fn usage(err: &str) -> i32 {
     eprintln!("{err}");
-    eprintln!(
-        "usage: chaos_sweep [--seeds N] [--single-rack] [--controller-faults] [--rack-partition] [--out DIR]"
-    );
+    eprintln!("usage: chaos_sweep [--seeds N] [--single-rack] [--controller-faults] [--out DIR]");
     2
 }

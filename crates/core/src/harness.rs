@@ -75,34 +75,7 @@ pub struct ClusterConfig {
     pub sync: SyncDiscipline,
     /// Master seed.
     pub seed: u64,
-    /// How the simulator lays the network out. [`ClusterConfig::testbed`]
-    /// and [`ClusterConfig::single_rack`] choose it from `processes`
-    /// ([`RACKS_FROM_PROCESSES`]); only measurements of the partition
-    /// itself and tests that pin its goldens override it.
-    pub partition: Partition,
 }
-
-/// The simulator's layout of the network: the same engine and the same
-/// code either way, a different (each deterministic) event order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Partition {
-    /// The whole network in one shard: one event queue, one RNG stream.
-    Whole,
-    /// One shard per rack subtree, pod spine group and core switch
-    /// (`Topology::partition`), run window by window under a conservative
-    /// lookahead. Each shard's working set is a fraction of the
-    /// network's, which pays once the whole no longer fits the cache.
-    Racks,
-}
-
-/// Process count from which [`ClusterConfig::testbed`] splits the network
-/// by rack. Placed by the perfbench sweep of fig8 all-to-all on the
-/// testbed, wall time of `<name>` against `<name>_racks` (`BENCH_sim.json`
-/// commits the 32, 128 and 512 rows, DESIGN.md §10.1 tabulates 32 to
-/// 512): one shard is 1.1× faster at 32 processes, the two are within
-/// 3 % of each other at 64 and 128, and the rack partition is ahead from
-/// 256 up (1.03×; 1.05–1.1× at 512).
-pub const RACKS_FROM_PROCESSES: usize = 256;
 
 impl ClusterConfig {
     /// The paper's 32-server testbed with `processes` processes.
@@ -115,11 +88,6 @@ impl ClusterConfig {
             perfect_clocks: false,
             sync: SyncDiscipline::default(),
             seed: 2021,
-            partition: if processes >= RACKS_FROM_PROCESSES {
-                Partition::Racks
-            } else {
-                Partition::Whole
-            },
         }
     }
 
@@ -191,10 +159,6 @@ pub struct Cluster {
     /// events, controller requests (until the next pump).
     sinks: Rc<RefCell<Sinks>>,
     switch_events: Rc<RefCell<Vec<SwitchEvent>>>,
-    /// Sorted-prefix watermarks for the sinks (rack partition), in the
-    /// order deliveries, user events, switch events, controller requests:
-    /// the tail past each mark is canonicalized by `sort_sink_tails`.
-    sink_marks: [usize; 4],
     replicas: Vec<CtrlReplica>,
     /// Next time the controller replicas run their periodic tick (Raft
     /// timeouts + Determine-window expiry): the deadline that ends an
@@ -281,10 +245,6 @@ impl Cluster {
                 partitioned_until: 0,
             })
             .collect();
-        if cfg.partition == Partition::Racks {
-            sim.set_partition(topo.partition());
-        }
-
         Cluster {
             sim,
             topo,
@@ -298,7 +258,6 @@ impl Cluster {
             last_leader_term: 0,
             mgmt: BTreeMap::new(),
             mgmt_seq: 0,
-            sink_marks: [0; 4],
             ctrl_actions: Vec::new(),
             config: cfg,
         }
@@ -345,22 +304,17 @@ impl Cluster {
 
     /// Run until simulation time `t_end`, pumping the control plane.
     ///
-    /// Simulator events run a window at a time ([`Sim::run`]) and the
-    /// control plane is pumped between windows. A window never reaches
-    /// the next management delivery: it covers events strictly before
-    /// it and no later than `t_end`. On an unsplit network
-    /// ([`Partition::Whole`]) it also ends after the first
-    /// event at or past the next controller tick and after an event
-    /// during which a switch or host queued a control request (it raises
-    /// the simulator's attention flag) — exactly the events after which
-    /// a pump after *every* event would have found work, so results do
-    /// not depend on the batching. On a rack partition a window is
-    /// bounded by the lookahead horizon instead and runs to its end; where
-    /// windows end is a function of the event times alone, so runs repeat
-    /// bit for bit.
+    /// Simulator events run a batch at a time ([`Sim::run`]) and the
+    /// control plane is pumped between batches. A batch never reaches
+    /// the next management delivery: it covers events strictly before it
+    /// and no later than `t_end`. It also ends after the first event at
+    /// or past the next controller tick and after an event during which a
+    /// switch or host queued a control request (it raises the
+    /// simulator's attention flag) — exactly the events after which a
+    /// pump after *every* event would have found work, so results do not
+    /// depend on the batching.
     pub fn run_until(&mut self, t_end: u64) {
         loop {
-            self.sort_sink_tails();
             self.pump_control();
             let mgmt_next = self.mgmt.first_key_value().map(|(&(at, _), _)| at);
             let through = match mgmt_next {
@@ -377,42 +331,13 @@ impl Cluster {
                     // Events at the delivery's own time run first, with
                     // no pump in between.
                     self.sim.run_until(m);
-                    self.sort_sink_tails();
                     self.apply_mgmt(msg);
                 }
                 _ => break,
             }
         }
         self.sim.run_until(t_end);
-        self.sort_sink_tails();
         self.pump_control();
-    }
-
-    /// Canonicalize the unsorted tail of each shared sink by
-    /// `(time, owner)`. On a rack partition a window runs shard after
-    /// shard, so the sinks fill in shard order rather than time order;
-    /// entries with equal keys always come from one host — one shard —
-    /// and the stable sort keeps their relative order. (It is the order
-    /// the partition goldens were recorded under.) An unsplit network
-    /// pushes in event order, which is what its goldens pin, and is left
-    /// alone.
-    fn sort_sink_tails(&mut self) {
-        fn sort_tail<T, K: Ord>(v: &mut [T], mark: &mut usize, key: impl FnMut(&T) -> K) {
-            v[*mark..].sort_by_key(key);
-            *mark = v.len();
-        }
-        if self.config.partition == Partition::Whole {
-            return;
-        }
-        let [deliveries, user_events, switch_events, ctrl_requests] = &mut self.sink_marks;
-        let sinks = &mut *self.sinks.borrow_mut();
-        sort_tail(&mut sinks.deliveries, deliveries, |r| (r.at, r.receiver.0));
-        sort_tail(&mut sinks.user_events, user_events, |(at, p, _)| (*at, p.0));
-        sort_tail(&mut self.switch_events.borrow_mut(), switch_events, |ev| {
-            let SwitchEvent::InLinkDead { switch, from, at, .. } = ev;
-            (*at, switch.0, from.0)
-        });
-        sort_tail(&mut sinks.ctrl_requests, ctrl_requests, |(at, p, _)| (*at, p.0));
     }
 
     /// Run for `dt` more nanoseconds.
@@ -423,16 +348,12 @@ impl Cluster {
     /// Deliveries recorded since the last call, moved out: the cluster
     /// keeps no copy.
     pub fn take_deliveries(&mut self) -> Vec<DeliveryRecord> {
-        self.sort_sink_tails();
-        self.sink_marks[0] = 0;
         std::mem::take(&mut self.sinks.borrow_mut().deliveries)
     }
 
     /// User events raised since the last call, moved out: `(true time,
     /// process, event)`.
     pub fn take_user_events(&mut self) -> Vec<(u64, ProcessId, UserEvent)> {
-        self.sort_sink_tails();
-        self.sink_marks[1] = 0;
         std::mem::take(&mut self.sinks.borrow_mut().user_events)
     }
 
@@ -603,7 +524,6 @@ impl Cluster {
         // cluster, then re-driven until a leader commits them.
         let events = std::mem::take(&mut *self.switch_events.borrow_mut());
         let reqs = std::mem::take(&mut self.sinks.borrow_mut().ctrl_requests);
-        self.sink_marks[2..].fill(0);
         for ev in events {
             let SwitchEvent::InLinkDead { switch, from, last_commit, at } = ev;
             self.push_mgmt(
@@ -1102,8 +1022,8 @@ mod tests {
 
     /// A management delivery and a simulator event in the same
     /// nanosecond: the event runs first (inside the `run_until` that
-    /// precedes `apply_mgmt`), on the whole-network shard — recorded on
-    /// the single-queue engine — and on the rack partition alike.
+    /// precedes `apply_mgmt`) — the order recorded on the single-queue
+    /// engine.
     #[test]
     fn events_at_a_management_delivery_time_run_before_it() {
         use onepipe_netsim::engine::{Ctx, NodeLogic, SimPacket};
@@ -1121,45 +1041,28 @@ mod tests {
                 None
             }
         }
-        for partition in [Partition::Whole, Partition::Racks] {
-            let mut cfg = ClusterConfig::testbed(32);
-            cfg.partition = partition;
-            let mut c = Cluster::new(cfg);
-            let core = *c.topo.switch_nodes.last().expect("testbed has switches");
-            let log = Arc::new(Mutex::new(Vec::new()));
-            c.sim.set_logic(core, Box::new(Probe(log.clone())));
-            let tie = 10 * MICROS;
-            // The delivery is queued first; push order does not decide.
-            let action = CtrlAction::Resume { at: core, input: NodeId(0) };
-            c.push_mgmt(tie, MgmtMsg::Action { epoch: 0, action });
-            c.sim.schedule_timer(tie, core, 0);
-            c.run_until(tie - 1);
-            assert!(log.lock().unwrap().is_empty(), "{partition:?}");
-            c.run_until(tie);
-            assert_eq!(*log.lock().unwrap(), ["event", "mgmt"], "{partition:?}");
-        }
-    }
-
-    /// The partition follows the size of the run, and nothing else.
-    #[test]
-    fn partition_is_chosen_from_the_process_count() {
-        assert_eq!(ClusterConfig::testbed(32).partition, Partition::Whole);
-        assert_eq!(ClusterConfig::single_rack(8, 8).partition, Partition::Whole);
-        assert_eq!(Cluster::new(ClusterConfig::testbed(32)).sim.shard_stats().len(), 1);
-        assert_eq!(ClusterConfig::testbed(RACKS_FROM_PROCESSES).partition, Partition::Racks);
-        assert!(Cluster::new(ClusterConfig::testbed(512)).sim.shard_stats().len() > 1);
+        let mut c = Cluster::new(ClusterConfig::testbed(32));
+        let core = *c.topo.switch_nodes.last().expect("testbed has switches");
+        let log = Arc::new(Mutex::new(Vec::new()));
+        c.sim.set_logic(core, Box::new(Probe(log.clone())));
+        let tie = 10 * MICROS;
+        // The delivery is queued first; push order does not decide.
+        let action = CtrlAction::Resume { at: core, input: NodeId(0) };
+        c.push_mgmt(tie, MgmtMsg::Action { epoch: 0, action });
+        c.sim.schedule_timer(tie, core, 0);
+        c.run_until(tie - 1);
+        assert!(log.lock().unwrap().is_empty());
+        c.run_until(tie);
+        assert_eq!(*log.lock().unwrap(), ["event", "mgmt"]);
     }
 
     #[test]
-    fn sharded_cluster_repeats_bit_for_bit() {
+    fn a_cluster_with_a_host_crash_repeats_bit_for_bit() {
         // The full cluster — switches, hosts, controller, a host crash
-        // and its recovery — on the rack partition: two runs produce
-        // byte-identical delivery and event streams.
+        // and its recovery: two runs produce byte-identical delivery and
+        // event streams.
         let run = || {
-            let mut cfg = ClusterConfig::single_rack(4, 4);
-            cfg.partition = Partition::Racks;
-            let mut c = Cluster::new(cfg);
-            assert!(c.sim.shard_stats().len() > 1, "the rack partition splits the network");
+            let mut c = Cluster::new(ClusterConfig::single_rack(4, 4));
             c.run_for(50 * MICROS);
             for p in 0..4u32 {
                 c.send(ProcessId(p), vec![Message::new(ProcessId((p + 1) % 4), "x")], true)
@@ -1183,10 +1086,8 @@ mod tests {
     }
 
     #[test]
-    fn sharded_testbed_preserves_total_order() {
-        let mut cfg = ClusterConfig::testbed(32);
-        cfg.partition = Partition::Racks;
-        let mut c = Cluster::new(cfg);
+    fn total_order_holds_across_pods() {
+        let mut c = Cluster::new(ClusterConfig::testbed(32));
         c.run_for(50 * MICROS);
         for round in 0..3 {
             for p in 0..6u32 {

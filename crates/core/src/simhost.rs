@@ -27,7 +27,7 @@ pub use crate::runtime::{AppHook, DeliveryRecord, SendQueue};
 pub const TOKEN_POLL: u64 = 3;
 
 /// What the hosts of one simulation hand the harness, in the order they
-/// produced it (event order on an unsplit network).
+/// produced it (event order).
 #[derive(Default)]
 pub struct Sinks {
     /// Deliveries to applications.

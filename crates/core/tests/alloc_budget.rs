@@ -117,8 +117,8 @@ impl NodeLogic for Sink {
 }
 
 /// One hop through the engine — `Ctx::send`, the link, the calendar
-/// queue, `Shard::run`, the handler — for a beacon (queued as its two
-/// barriers) and for a 64 B data packet (queued as a slot of the shard's
+/// queue, `Sim::run`, the handler — for a beacon (queued as its two
+/// barriers) and for a 64 B data packet (queued as a slot of the engine's
 /// packet pool, reused last-freed-first). A hop starts every 64 ns, so
 /// the warm-up takes the clock twice round the wheel and leaves every
 /// bucket, the pool and its free list at their working size.

@@ -1,27 +1,27 @@
 //! The discrete-event engine: event model, node callbacks and the
-//! simulator that coordinates them.
+//! simulator that runs them.
 //!
-//! There is one engine. [`Sim`] is a coordinator over *shards*
-//! ([`crate::shard`]): each shard owns a disjoint set of nodes, the links
-//! that leave them, a calendar queue, an RNG stream and the one event
-//! loop. A new simulator holds the whole network in a single shard —
-//! one queue, one RNG, events in global `(time, seq)` order;
-//! [`Sim::set_partition`] splits that shard along the topology so that
-//! each shard's queue, links and node state stay small enough to be
-//! cache-resident in a large run. Everything runs on the calling thread:
-//! the partition decides how state is laid out and in which
-//! (deterministic) order events run, never which code runs.
+//! [`Sim`] is one event loop over one network. One calendar queue holds
+//! every pending event, and events run in `(time, seq)` order on the
+//! calling thread. Beside the queue sit the packet pool, the link table,
+//! the crash flags, one RNG stream and one [`Stats`]. The node table sits
+//! next to that state: an event borrows its node's logic from the table
+//! and hands it a [`Ctx`] that borrows the rest.
+//!
+//! A scheduled fault (a link flap, a loss-rate change, a crash) is a
+//! queue event like any other. A fault and an event at the same
+//! nanosecond therefore run in push order, the queue's own tie-break.
 
 use crate::link::{Enqueue, Link, LinkParams};
-use crate::shard::{OutMsg, Shard, Shared};
-use crate::stats::{ShardStat, Stats};
+use crate::sched::CalendarQueue;
+use crate::stats::Stats;
 use crate::trace::{TraceRecord, TracerHandle};
 use onepipe_types::ids::{LinkId, NodeId, HOP_LOCAL};
 use onepipe_types::time::{Duration, Timestamp};
 use onepipe_types::wire::{Datagram, Flags, Opcode, HEADER_LEN};
 use rand::rngs::StdRng;
-use rand::Rng;
-use std::collections::BTreeMap;
+use rand::{Rng, SeedableRng};
+use std::cell::Cell;
 
 /// Fixed per-packet overhead on the wire beyond the 1Pipe datagram:
 /// Ethernet + IP + UDP headers (≈ RoCE UD framing in the testbed).
@@ -75,7 +75,7 @@ impl SimPacket {
 
 /// What travels over a link: a canonical beacon as its two barriers, any
 /// other packet whole.
-pub(crate) enum InFlight {
+enum InFlight {
     Beacon { be: Timestamp, commit: Timestamp },
     Packet(SimPacket),
 }
@@ -107,30 +107,22 @@ pub trait NodeLogic {
     }
 }
 
-/// Sentinel slot meaning "no such link" in [`LinkMap`].
+/// Sentinel slot meaning "no such link" in [`LinkTable`].
 const NO_LINK: u32 = u32::MAX;
 
 /// Dense per-directed-link storage. `slot[from][to]` indexes into
 /// `items`, so the per-hop lookups on the forwarding path (`Ctx::send`,
 /// the viability oracle behind ECMP failover) are two array reads instead
 /// of a hash. Rows grow on demand; node-id space is small and dense.
-pub(crate) struct LinkMap<T> {
+#[derive(Default)]
+struct LinkTable {
     slot: Vec<Vec<u32>>,
-    items: Vec<T>,
+    items: Vec<Link>,
 }
 
-/// The links a shard owns.
-pub(crate) type LinkTable = LinkMap<Link>;
-
-impl<T> Default for LinkMap<T> {
-    fn default() -> Self {
-        LinkMap { slot: Vec::new(), items: Vec::new() }
-    }
-}
-
-impl<T> LinkMap<T> {
-    /// Insert an entry; returns `false` if the link already has one.
-    pub(crate) fn insert(&mut self, id: LinkId, item: T) -> bool {
+impl LinkTable {
+    /// Insert a link; returns `false` if there already is one.
+    fn insert(&mut self, id: LinkId, link: Link) -> bool {
         let (f, t) = (id.from.0 as usize, id.to.0 as usize);
         if self.slot.len() <= f {
             self.slot.resize_with(f + 1, Vec::new);
@@ -143,7 +135,7 @@ impl<T> LinkMap<T> {
             return false;
         }
         row[t] = self.items.len() as u32;
-        self.items.push(item);
+        self.items.push(link);
         true
     }
 
@@ -158,45 +150,24 @@ impl<T> LinkMap<T> {
     }
 
     #[inline]
-    pub(crate) fn get(&self, id: LinkId) -> Option<&T> {
+    fn get(&self, id: LinkId) -> Option<&Link> {
         self.index(id).map(|i| &self.items[i])
     }
 
     #[inline]
-    pub(crate) fn get_mut(&mut self, id: LinkId) -> Option<&mut T> {
+    fn get_mut(&mut self, id: LinkId) -> Option<&mut Link> {
         match self.index(id) {
             Some(i) => Some(&mut self.items[i]),
             None => None,
         }
     }
-
-    pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
-        self.items.iter_mut()
-    }
-
-    /// Consume the map into `(id, item)` pairs, in `(from, to)` id
-    /// order — used by [`Sim::set_partition`] to split links by owner.
-    pub(crate) fn into_entries(self) -> Vec<(LinkId, T)> {
-        let LinkMap { slot, items } = self;
-        let mut items: Vec<Option<T>> = items.into_iter().map(Some).collect();
-        let mut out = Vec::with_capacity(items.len());
-        for (f, row) in slot.iter().enumerate() {
-            for (t, &s) in row.iter().enumerate() {
-                if s != NO_LINK {
-                    let id = LinkId::new(NodeId(f as u32), NodeId(t as u32));
-                    out.push((id, items[s as usize].take().expect("link indexed twice")));
-                }
-            }
-        }
-        out
-    }
 }
 
-/// What a shard's calendar queue holds: 32 bytes, 48 with the queue's
+/// What the calendar queue holds: 32 bytes, 48 with the queue's
 /// `(time, seq)` — the queue sorts and shifts whole entries.
-pub(crate) enum EventKind {
-    /// A packet arrives; `pkt` is its slot in the shard's packet pool
-    /// (`Shard::packets`).
+enum EventKind {
+    /// A packet arrives; `pkt` is its slot in the packet pool
+    /// (`Net::packets`).
     Arrive {
         to: NodeId,
         from: NodeId,
@@ -216,17 +187,12 @@ pub(crate) enum EventKind {
     Start {
         node: NodeId,
     },
-    /// Place-holder for the coordinator's next scheduled [`Fault`]. One
-    /// is pushed into *every* shard's queue when the fault is scheduled,
-    /// so it takes the `(time, push order)` position the fault has among
-    /// that shard's events; a shard that pops it stops and the
-    /// coordinator applies the fault.
-    Fence,
+    /// A scheduled change to the network itself.
+    Fault(Fault),
 }
 
-/// A scheduled change to the network itself. Faults touch links and
-/// crash flags of any shard, so only the coordinator applies them
-/// (`Sim::apply_next_fault`), between windows.
+/// A scheduled change to the network: applied by [`Sim::apply_fault`]
+/// when its event pops.
 enum Fault {
     LinkAdmin { link: LinkId, up: bool },
     LinkLoss { link: LinkId, rate: f64 },
@@ -244,23 +210,92 @@ enum Offer {
     Arrives { at: u64, ecn: bool },
 }
 
+/// Who is wired to whom: fixed once the topology is built, and read by
+/// [`Ctx`] for as long as the callback runs.
+#[derive(Default)]
+struct Neighbors {
+    outgoing: Vec<Vec<NodeId>>,
+    incoming: Vec<Vec<NodeId>>,
+}
+
+/// The state an event acts on, but for the node logic and [`Stats`].
+struct Net {
+    /// Time of the event running, or of the last one run (raised to the
+    /// target of [`Sim::run_until`]).
+    now: u64,
+    queue: CalendarQueue<EventKind>,
+    /// The packets of the queue's [`EventKind::Arrive`] events, which hold
+    /// a slot index: sorting and shifting queue entries moves 48 bytes,
+    /// not a packet. A slot is `None` while it is on `free_packets`.
+    packets: Vec<Option<SimPacket>>,
+    /// Vacant slots of `packets`, reused last-freed-first (the warmest);
+    /// in steady state no arrival allocates.
+    free_packets: Vec<u32>,
+    links: LinkTable,
+    crashed: Vec<bool>,
+    rng: StdRng,
+    /// Bumped whenever a link's administrative state is written; whatever
+    /// a node derived from link states under an older value is stale
+    /// ([`Ctx::link_epoch`]).
+    link_epoch: u64,
+    /// Raised by [`Ctx::raise_attention`], which takes `&self`.
+    attention: Cell<bool>,
+}
+
+impl Net {
+    /// Queue the arrival of `body` at `to`. Inlined where the caller
+    /// knows which kind of `body` it has, so that the queue entry is
+    /// built from registers ([`CalendarQueue::push`]).
+    #[inline(always)]
+    fn schedule_arrival(&mut self, at: u64, to: NodeId, from: NodeId, body: InFlight) {
+        match body {
+            InFlight::Beacon { be, commit } => {
+                self.queue.push(at, EventKind::Beacon { to, from, be, commit })
+            }
+            InFlight::Packet(pkt) => {
+                let pkt = self.pool_packet(pkt);
+                self.queue.push(at, EventKind::Arrive { to, from, pkt })
+            }
+        }
+    }
+
+    /// Put `pkt` in the packet pool; returns its slot.
+    fn pool_packet(&mut self, pkt: SimPacket) -> u32 {
+        match self.free_packets.pop() {
+            Some(slot) => {
+                self.packets[slot as usize] = Some(pkt);
+                slot
+            }
+            None => {
+                self.packets.push(Some(pkt));
+                (self.packets.len() - 1) as u32
+            }
+        }
+    }
+
+    /// Take the packet of a popped [`EventKind::Arrive`] out of the pool.
+    fn take_packet(&mut self, slot: u32) -> SimPacket {
+        self.free_packets.push(slot);
+        self.packets[slot as usize].take().expect("an Arrive event owns its pool slot")
+    }
+}
+
 /// The execution context handed to [`NodeLogic`] callbacks.
 ///
 /// Provides the node's view of the world: current time, packet
 /// transmission on attached links, timers, neighbor discovery and a
 /// deterministic RNG.
 pub struct Ctx<'a> {
-    pub(crate) now: u64,
-    pub(crate) node: NodeId,
-    /// The shard that owns `node` (its logic taken out for the call).
-    pub(crate) shard: &'a mut Shard,
-    pub(crate) net: &'a Shared,
+    node: NodeId,
+    net: &'a mut Net,
+    stats: &'a mut Stats,
+    neighbors: &'a Neighbors,
 }
 
 impl<'a> Ctx<'a> {
     /// Current simulation (true) time in nanoseconds.
     pub fn now(&self) -> u64 {
-        self.now
+        self.net.now
     }
 
     /// The node this callback runs on.
@@ -274,32 +309,31 @@ impl<'a> Ctx<'a> {
     /// `'a`), not this `Ctx` — callers can iterate it while calling
     /// `&mut self` methods like [`Ctx::send`], with no defensive clone.
     pub fn out_neighbors(&self) -> &'a [NodeId] {
-        let net: &'a Shared = self.net;
-        &net.out_neighbors[self.node.0 as usize]
+        let neighbors: &'a Neighbors = self.neighbors;
+        &neighbors.outgoing[self.node.0 as usize]
     }
 
     /// Incoming neighbors of this node (lifetime `'a`, like
     /// [`Ctx::out_neighbors`]).
     pub fn in_neighbors(&self) -> &'a [NodeId] {
-        let net: &'a Shared = self.net;
-        &net.in_neighbors[self.node.0 as usize]
+        let neighbors: &'a Neighbors = self.neighbors;
+        &neighbors.incoming[self.node.0 as usize]
     }
 
     /// Deterministic RNG (seeded at simulation construction).
     pub fn rng(&mut self) -> &mut StdRng {
-        &mut self.shard.rng
+        &mut self.net.rng
     }
 
     /// Simulation-wide statistics.
     pub fn stats(&mut self) -> &mut Stats {
-        &mut self.shard.scratch
+        self.stats
     }
 
     /// Tell whoever drives the simulation that this callback left work
     /// for it outside the event queue (a failure report, a controller
-    /// request): a whole-network shard returns from [`Sim::run`] after
-    /// the current event, a split network at the end of the window, and
-    /// the flag stays up until [`Sim::take_attention`] lowers it.
+    /// request): [`Sim::run`] returns after the current event, and the
+    /// flag stays up until [`Sim::take_attention`] lowers it.
     pub fn raise_attention(&self) {
         self.net.attention.set(true);
     }
@@ -349,194 +383,141 @@ impl<'a> Ctx<'a> {
     /// the loss draw and the counters of a transmission.
     #[inline]
     fn offer(&mut self, to: NodeId, wire_bytes: u64) -> Offer {
-        let shard = &mut *self.shard;
-        let Some(link) = shard.links.get_mut(LinkId::new(self.node, to)) else {
-            shard.scratch.drops_no_link += 1;
+        let (net, stats) = (&mut *self.net, &mut *self.stats);
+        let Some(link) = net.links.get_mut(LinkId::new(self.node, to)) else {
+            stats.drops_no_link += 1;
             return Offer::Refused;
         };
-        match link.enqueue(self.now, wire_bytes) {
+        match link.enqueue(net.now, wire_bytes) {
             Enqueue::Accepted { arrive_ns, ecn } => {
                 if ecn {
-                    shard.scratch.ecn_marks += 1;
+                    stats.ecn_marks += 1;
                 }
-                shard.scratch.packets_sent += 1;
+                stats.packets_sent += 1;
                 let lost = link.params.loss_rate > 0.0
-                    && shard.rng.random_range(0.0..1.0) < link.params.loss_rate;
+                    && net.rng.random_range(0.0..1.0) < link.params.loss_rate;
                 if lost {
-                    shard.scratch.drops_inflight += 1;
+                    stats.drops_inflight += 1;
                     Offer::Lost
                 } else {
                     Offer::Arrives { at: arrive_ns, ecn }
                 }
             }
             Enqueue::BufferOverflow => {
-                shard.scratch.drops_overflow += 1;
+                stats.drops_overflow += 1;
                 Offer::Refused
             }
             Enqueue::LinkDown => {
-                shard.scratch.drops_link_down += 1;
+                stats.drops_link_down += 1;
                 Offer::Refused
             }
         }
     }
 
-    /// Schedule the arrival of `body` at `to`, in this shard's queue or,
-    /// for a node of another shard, through the outbox.
+    /// Queue the arrival of `body` at `to`, sent by this node.
     #[inline(always)]
     fn arrives(&mut self, at: u64, to: NodeId, body: InFlight) {
-        let shard = &mut *self.shard;
-        if self.net.shard_of[to.0 as usize] == shard.id {
-            shard.schedule_arrival(at, to, self.node, body);
-        } else {
-            // Cross-shard arrival: buffered in the shard's outbox and
-            // merged into the destination shard's queue at the next
-            // window barrier. Safe because at ≥ now + 1 + prop > window
-            // end (the lookahead is min cross-shard prop + 1).
-            shard.stat.cross_shard_msgs += 1;
-            shard.outbox.push(OutMsg { at, to, from: self.node, body });
-        }
+        self.net.schedule_arrival(at, to, self.node, body);
     }
 
     /// Arm a timer that fires `delay` ns from now with the given token.
     pub fn set_timer(&mut self, delay: Duration, token: u64) {
-        self.shard.queue.push(self.now + delay, EventKind::Timer { node: self.node, token });
+        self.net.queue.push(self.net.now + delay, EventKind::Timer { node: self.node, token });
     }
 
     /// Inspect the queue occupancy of an outgoing link, in bytes.
     pub fn link_queue_bytes(&self, to: NodeId) -> Option<u64> {
-        self.shard.links.get(LinkId::new(self.node, to)).map(|l| l.queue_bytes(self.now))
+        self.net.links.get(LinkId::new(self.node, to)).map(|l| l.queue_bytes(self.net.now))
     }
 
     /// Whether the outgoing link to `to` is up.
     pub fn link_is_up(&self, to: NodeId) -> bool {
-        self.shard.links.get(LinkId::new(self.node, to)).map(|l| l.is_up()).unwrap_or(false)
+        self.global_link_is_up(self.node, to)
     }
 
     /// Whether an arbitrary directed link `from → to` is up. Switch logic
     /// uses this as the global link-state database a converged routing
     /// protocol would provide: forwarding avoids next hops whose entire
     /// downstream path is dead, not just hops behind a locally-down port.
-    ///
-    /// The link may belong to another shard, so this reads the
-    /// coordinator's mirror of every link's administrative state, which
-    /// changes only between windows (`Sim::apply_next_fault`).
     pub fn global_link_is_up(&self, from: NodeId, to: NodeId) -> bool {
-        self.net.up.get(LinkId::new(from, to)).is_some_and(|&up| up)
+        self.net.links.get(LinkId::new(from, to)).is_some_and(|l| l.is_up())
     }
 
     /// A counter that moves whenever any link's administrative state
     /// does: an answer derived from [`Ctx::global_link_is_up`] holds for
-    /// as long as this reads the same. Written, like the link states, by
-    /// the coordinator between windows only.
+    /// as long as this reads the same.
     pub fn link_epoch(&self) -> u64 {
         self.net.link_epoch
     }
 }
 
-/// The simulator: a coordinator over the shards that hold the nodes,
-/// links and event queues.
+/// The simulator: one event loop over one network.
 pub struct Sim {
-    now: u64,
-    pub(crate) shards: Vec<Shard>,
-    /// Topology and flags every shard reads.
-    pub(crate) net: Shared,
-    pub(crate) seed: u64,
-    /// Window length: min cross-shard propagation delay + 1 (`u64::MAX`
-    /// when no link crosses a shard boundary).
-    pub(crate) lookahead: u64,
-    /// The fault schedule, keyed `(time, schedule order)`; every entry
-    /// has an [`EventKind::Fence`] in every shard's queue.
-    faults: BTreeMap<(u64, u64), Fault>,
-    fault_seq: u64,
+    /// Node logic by node id, beside the state its callbacks act on.
+    nodes: Vec<Option<Box<dyn NodeLogic>>>,
+    neighbors: Neighbors,
+    net: Net,
     tracer: Option<TracerHandle>,
     /// Simulation-wide statistics.
     pub stats: Stats,
 }
 
 impl Sim {
-    /// Create an empty simulator with a deterministic seed: one shard
-    /// that will own every node and link added.
+    /// Create an empty simulator with a deterministic seed.
     pub fn new(seed: u64) -> Self {
         Sim {
-            now: 0,
-            shards: vec![Shard::new(0, seed, 0, false)],
-            net: Shared::default(),
-            seed,
-            lookahead: u64::MAX,
-            faults: BTreeMap::new(),
-            fault_seq: 0,
+            nodes: Vec::new(),
+            neighbors: Neighbors::default(),
+            net: Net {
+                now: 0,
+                queue: CalendarQueue::new(),
+                packets: Vec::new(),
+                free_packets: Vec::new(),
+                links: LinkTable::default(),
+                crashed: Vec::new(),
+                rng: StdRng::seed_from_u64(seed),
+                link_epoch: 0,
+                attention: Cell::new(false),
+            },
             tracer: None,
             stats: Stats::default(),
         }
     }
 
-    /// Attach a packet tracer; every delivered packet is recorded. Each
-    /// shard buffers its own records; they reach the tracer at the next
-    /// barrier, ordered by `(time, shard, position)`.
+    /// Attach a packet tracer; every delivered packet is recorded as it
+    /// arrives.
     pub fn set_tracer(&mut self, tracer: TracerHandle) {
-        for shard in &mut self.shards {
-            shard.trace = Some(Vec::new());
-        }
         self.tracer = Some(tracer);
-    }
-
-    /// Per-shard execution counters (one entry for an unsplit network).
-    pub fn shard_stats(&self) -> Vec<ShardStat> {
-        self.shards.iter().map(|s| s.stat.clone()).collect()
     }
 
     /// Current simulation time (ns).
     pub fn now(&self) -> u64 {
-        self.now
-    }
-
-    /// The shard that owns `node`.
-    fn owner(&self, node: NodeId) -> &Shard {
-        &self.shards[self.net.shard_of[node.0 as usize] as usize]
-    }
-
-    fn owner_mut(&mut self, node: NodeId) -> &mut Shard {
-        &mut self.shards[self.net.shard_of[node.0 as usize] as usize]
-    }
-
-    /// The topology tables, writable while the network is still one
-    /// shard (a split fixes the length of every shard's node tables).
-    fn net_mut(&mut self) -> &mut Shared {
-        assert!(self.shards.len() == 1, "cannot grow the network after set_partition");
-        &mut self.net
+        self.net.now
     }
 
     /// Add a node without logic (logic can be attached later); returns its id.
     pub fn add_node(&mut self) -> NodeId {
-        let net = self.net_mut();
-        let id = NodeId(net.shard_of.len() as u32);
-        net.shard_of.push(0);
-        net.out_neighbors.push(Vec::new());
-        net.in_neighbors.push(Vec::new());
-        let shard = self.owner_mut(id);
-        shard.nodes.push(None);
-        shard.crashed.push(false);
+        let id = NodeId(self.nodes.len() as u32);
+        self.nodes.push(None);
+        self.net.crashed.push(false);
+        self.neighbors.outgoing.push(Vec::new());
+        self.neighbors.incoming.push(Vec::new());
         id
     }
 
     /// Attach (or replace) the logic of a node. An `on_start` event is
     /// scheduled at the current time.
     pub fn set_logic(&mut self, node: NodeId, logic: Box<dyn NodeLogic>) {
-        let now = self.now;
-        let shard = self.owner_mut(node);
-        shard.nodes[node.0 as usize] = Some(logic);
-        shard.queue.push(now, EventKind::Start { node });
+        self.nodes[node.0 as usize] = Some(logic);
+        self.net.queue.push(self.net.now, EventKind::Start { node });
     }
 
     /// Add a directed link with the given parameters.
     pub fn add_link(&mut self, from: NodeId, to: NodeId, params: LinkParams) {
         let id = LinkId::new(from, to);
-        let link = Link::new(params);
-        let net = self.net_mut();
-        assert!(net.up.insert(id, link.is_up()), "duplicate link {id:?}");
-        net.out_neighbors[from.0 as usize].push(to);
-        net.in_neighbors[to.0 as usize].push(from);
-        self.owner_mut(from).links.insert(id, link);
+        assert!(self.net.links.insert(id, Link::new(params)), "duplicate link {id:?}");
+        self.neighbors.outgoing[from.0 as usize].push(to);
+        self.neighbors.incoming[to.0 as usize].push(from);
     }
 
     /// Add a bidirectional link (two directed links with equal parameters).
@@ -547,45 +528,33 @@ impl Sim {
 
     /// Shared access to a link.
     pub fn link(&self, id: LinkId) -> Option<&Link> {
-        let owner = *self.net.shard_of.get(id.from.0 as usize)?;
-        self.shards[owner as usize].links.get(id)
+        self.net.links.get(id)
     }
 
     fn link_mut(&mut self, id: LinkId) -> Option<&mut Link> {
-        let owner = *self.net.shard_of.get(id.from.0 as usize)?;
-        self.shards[owner as usize].links.get_mut(id)
+        self.net.links.get_mut(id)
     }
 
-    /// Set a link's administrative state and its mirror in
-    /// [`Shared::up`], and advance the link-state epoch; `false` if there
-    /// is no such link.
+    /// Set a link's administrative state and advance the link-state
+    /// epoch; `false` if there is no such link.
     fn set_link_up(&mut self, id: LinkId, up: bool) -> bool {
         let Some(link) = self.link_mut(id) else { return false };
         link.set_up(up);
-        if let Some(mirror) = self.net.up.get_mut(id) {
-            *mirror = up;
-        }
         self.net.link_epoch += 1;
         true
     }
 
     /// Set the loss rate of every link in the network.
     pub fn set_global_loss_rate(&mut self, rate: f64) {
-        for shard in &mut self.shards {
-            for link in shard.links.values_mut() {
-                link.params.loss_rate = rate;
-            }
+        for link in &mut self.net.links.items {
+            link.params.loss_rate = rate;
         }
     }
 
-    /// Put `fault` on the schedule and a fence for it in every queue.
+    /// Queue `fault` to take effect at `at`.
     fn schedule_fault(&mut self, at: u64, fault: Fault) {
-        assert!(at >= self.now);
-        self.fault_seq += 1;
-        self.faults.insert((at, self.fault_seq), fault);
-        for shard in &mut self.shards {
-            shard.queue.push(at, EventKind::Fence);
-        }
+        assert!(at >= self.now());
+        self.net.queue.push(at, EventKind::Fault(fault));
     }
 
     /// Schedule an administrative link up/down change at `at` (absolute ns).
@@ -624,34 +593,34 @@ impl Sim {
 
     /// Schedule a timer on a node from outside (harness hook).
     pub fn schedule_timer(&mut self, at: u64, node: NodeId, token: u64) {
-        assert!(at >= self.now);
-        self.owner_mut(node).queue.push(at, EventKind::Timer { node, token });
+        assert!(at >= self.now());
+        self.net.queue.push(at, EventKind::Timer { node, token });
     }
 
     /// Whether a node has been crashed.
     pub fn is_crashed(&self, node: NodeId) -> bool {
-        self.owner(node).crashed[node.0 as usize]
+        self.net.crashed[node.0 as usize]
     }
 
     /// Outgoing neighbors of a node.
     pub fn out_neighbors(&self, node: NodeId) -> &[NodeId] {
-        &self.net.out_neighbors[node.0 as usize]
+        &self.neighbors.outgoing[node.0 as usize]
     }
 
     /// Incoming neighbors of a node.
     pub fn in_neighbors(&self, node: NodeId) -> &[NodeId] {
-        &self.net.in_neighbors[node.0 as usize]
+        &self.neighbors.incoming[node.0 as usize]
     }
 
     /// Immutable access to a node's logic, downcast by the caller.
     pub fn logic(&self, node: NodeId) -> Option<&dyn NodeLogic> {
-        self.owner(node).nodes[node.0 as usize].as_deref()
+        self.nodes[node.0 as usize].as_deref()
     }
 
     /// Mutable access to a node's logic (the harness uses this to inject
     /// application work between events).
     pub fn logic_mut(&mut self, node: NodeId) -> Option<&mut (dyn NodeLogic + 'static)> {
-        match self.owner_mut(node).nodes[node.0 as usize] {
+        match self.nodes[node.0 as usize] {
             Some(ref mut b) => Some(b.as_mut()),
             None => None,
         }
@@ -664,112 +633,93 @@ impl Sim {
         node: NodeId,
         f: impl FnOnce(&mut dyn NodeLogic, &mut Ctx<'_>) -> R,
     ) -> Option<R> {
-        let shard = &mut self.shards[self.net.shard_of[node.0 as usize] as usize];
-        if shard.crashed[node.0 as usize] {
+        if self.net.crashed[node.0 as usize] {
             return None;
         }
-        let r = shard.with_ctx(&self.net, self.now, node, f);
-        // The callback may have sent packets: count them and hand any
-        // cross-shard arrivals over before the next run.
-        self.barrier();
-        r
+        self.call(node, f)
     }
 
-    /// Earliest pending event (or fence) over all shards.
-    fn min_head(&mut self) -> Option<u64> {
-        self.shards.iter_mut().filter_map(|s| s.queue.peek_time()).min()
+    /// Call `f` with `node`'s logic and a [`Ctx`] over the rest of the
+    /// simulator; `None` if the node has no logic attached.
+    #[inline(always)]
+    fn call<R>(
+        &mut self,
+        node: NodeId,
+        f: impl FnOnce(&mut dyn NodeLogic, &mut Ctx<'_>) -> R,
+    ) -> Option<R> {
+        let logic = self.nodes[node.0 as usize].as_deref_mut()?;
+        let mut ctx =
+            Ctx { node, net: &mut self.net, stats: &mut self.stats, neighbors: &self.neighbors };
+        Some(f(logic, &mut ctx))
     }
 
-    /// Run queued events in `(time, seq)` order while their time is ≤
-    /// `through`; returns `false` if there were none. One call is one
-    /// *window* — every shard with work in it runs its event loop
-    /// (`Shard::run`), then the barrier merges what they produced —
-    /// or one scheduled fault.
-    ///
-    /// An unsplit network has no one to wait for, so its window reaches
-    /// to `through`, and it may end early: after the first event at or
-    /// past `deadline`, or after an event during which a node raised
-    /// attention ([`Ctx::raise_attention`]; it stays raised, so a window
-    /// is one event long until [`Sim::take_attention`]). A split network
-    /// runs windows of the lookahead length ([`crate::shard`]) to their
-    /// end, and neither `deadline` nor the flag is consulted inside one.
-    pub fn run(&mut self, through: u64, deadline: u64) -> bool {
-        let Some(head) = self.min_head().filter(|&h| h <= through) else { return false };
-        let (end, early) = if self.shards.len() == 1 {
-            (through, Some(deadline))
-        } else {
-            // Events before the next fault; once those are done, the
-            // events at its time up to each shard's fence. (The fences
-            // keep `head` from passing the fault.)
-            let fault = self.faults.keys().next().map_or(u64::MAX, |&(at, _)| at);
-            let before_fault = if head < fault { fault - 1 } else { fault };
-            (head.saturating_add(self.lookahead - 1).min(before_fault).min(through), None)
-        };
-
-        // Every shard holds a fence for every fault, so all of them tell
-        // whether this window ended at one.
-        let mut fenced = false;
-        for shard in &mut self.shards {
-            match shard.queue.peek_time() {
-                // Pending work beyond the horizon: the shard idles this
-                // window, held back by the conservative lookahead.
-                Some(h) if h > end => shard.stat.stalled_windows += 1,
-                Some(_) => fenced |= shard.run(&self.net, end, early),
-                None => {}
-            }
-        }
-        self.barrier();
-        if early.is_none() {
-            // Shards that share a window have all run to its end. (A lone
-            // shard stands at its last event: its window may have ended
-            // early, and the driver reads the clock when it pumps.)
-            self.now = self.now.max(end);
-        }
-        if fenced {
-            self.apply_next_fault();
-        }
-        true
-    }
-
-    /// The window barrier: fold the shards' counters into [`Sim::stats`]
-    /// (in shard order), advance the clock to the latest event run, merge
-    /// cross-shard arrivals into their destination queues and trace
-    /// records into the tracer — both in `(time, source shard, position)`
-    /// order.
-    fn barrier(&mut self) {
-        let mut mail: Vec<OutMsg> = Vec::new();
-        let mut traced: Vec<TraceRecord> = Vec::new();
-        for shard in &mut self.shards {
-            shard.stat.events += shard.scratch.events;
-            self.stats.merge(&shard.scratch);
-            shard.scratch = Stats::default();
-            self.now = self.now.max(shard.now);
-            mail.append(&mut shard.outbox);
-            if let Some(buf) = &mut shard.trace {
-                traced.append(buf);
-            }
-        }
-        // Stable sorts of a concatenation in shard order.
-        mail.sort_by_key(|m| m.at);
-        for OutMsg { at, to, from, body } in mail {
-            self.owner_mut(to).schedule_arrival(at, to, from, body);
-        }
+    /// Hand the record of `pkt` arriving over `from → to` to the tracer,
+    /// if one is attached.
+    fn trace(&self, from: NodeId, to: NodeId, pkt: &SimPacket) {
         if let Some(tracer) = &self.tracer {
-            traced.sort_by_key(|r| r.at);
-            let mut tracer = tracer.borrow_mut();
-            for rec in traced {
-                tracer.record(rec);
-            }
+            tracer.borrow_mut().record(TraceRecord::arrival(self.net.now, from, to, pkt));
         }
     }
 
-    /// Apply the earliest scheduled fault; its fences have just been
-    /// popped. The one place that executes `LinkAdmin`, `LinkLoss`,
-    /// `GlobalLoss` and `Crash`.
-    fn apply_next_fault(&mut self) {
-        let ((at, _), fault) = self.faults.pop_first().expect("a fence stands for a fault");
-        debug_assert_eq!(at, self.now, "fences and faults are scheduled together");
-        self.stats.events += 1;
+    /// The event loop: pop and execute queued events in `(time, seq)`
+    /// order while their time is ≤ `through`; returns `false` if there
+    /// were none. It returns early after the first event at or past
+    /// `deadline`, and after an event during which a node raised
+    /// attention ([`Ctx::raise_attention`]; it stays raised, so each call
+    /// runs one event until [`Sim::take_attention`]).
+    pub fn run(&mut self, through: u64, deadline: u64) -> bool {
+        let mut ran = false;
+        while self.net.queue.peek_time().is_some_and(|head| head <= through) {
+            let (time, _seq, kind) = self.net.queue.pop().expect("peeked non-empty queue");
+            debug_assert!(time >= self.net.now, "time went backwards");
+            self.net.now = time;
+            match kind {
+                // Packets arriving over a link that went down mid-flight
+                // are still delivered: they were already serialized.
+                EventKind::Arrive { to, from, pkt } => {
+                    let pkt = self.net.take_packet(pkt);
+                    if !self.net.crashed[to.0 as usize] {
+                        self.trace(from, to, &pkt);
+                        if self.call(to, |l, ctx| l.on_packet(ctx, from, pkt)).is_none() {
+                            self.stats.drops_no_logic += 1;
+                        }
+                    }
+                }
+                EventKind::Beacon { to, from, be, commit } => {
+                    if !self.net.crashed[to.0 as usize] {
+                        if self.tracer.is_some() {
+                            self.trace(from, to, &SimPacket::beacon(be, commit));
+                        }
+                        if self.call(to, |l, ctx| l.on_beacon(ctx, from, be, commit)).is_none() {
+                            self.stats.drops_no_logic += 1;
+                        }
+                    }
+                }
+                EventKind::Timer { node, token } => {
+                    if !self.net.crashed[node.0 as usize] {
+                        let _ = self.call(node, |l, ctx| l.on_timer(ctx, token));
+                    }
+                }
+                EventKind::Start { node } => {
+                    if !self.net.crashed[node.0 as usize] {
+                        let _ = self.call(node, |l, ctx| l.on_start(ctx));
+                    }
+                }
+                EventKind::Fault(fault) => self.apply_fault(fault),
+            }
+            self.stats.events += 1;
+            ran = true;
+            if time >= deadline || self.net.attention.get() {
+                break;
+            }
+        }
+        ran
+    }
+
+    /// Execute a scheduled fault: the one place that applies `LinkAdmin`,
+    /// `LinkLoss`, `GlobalLoss` and `Crash`.
+    #[cold]
+    fn apply_fault(&mut self, fault: Fault) {
         match fault {
             Fault::LinkAdmin { link, up } => {
                 if self.set_link_up(link, up) {
@@ -787,11 +737,11 @@ impl Sim {
                 self.stats.faults_loss_bursts += 1;
             }
             Fault::Crash { node } => {
-                self.owner_mut(node).crashed[node.0 as usize] = true;
+                self.net.crashed[node.0 as usize] = true;
                 self.stats.faults_crashes += 1;
                 // Take both directions of every attached link down.
-                let outs = self.net.out_neighbors[node.0 as usize].iter();
-                let ins = self.net.in_neighbors[node.0 as usize].iter();
+                let outs = self.neighbors.outgoing[node.0 as usize].iter();
+                let ins = self.neighbors.incoming[node.0 as usize].iter();
                 let attached: Vec<LinkId> = outs
                     .map(|&peer| LinkId::new(node, peer))
                     .chain(ins.map(|&peer| LinkId::new(peer, node)))
@@ -812,7 +762,7 @@ impl Sim {
     /// Events at exactly `t_end` are processed.
     pub fn run_until(&mut self, t_end: u64) {
         while self.run(t_end, u64::MAX) {}
-        self.now = self.now.max(t_end);
+        self.net.now = self.net.now.max(t_end);
     }
 
     /// Run until the queue drains completely.
@@ -942,8 +892,11 @@ mod tests {
         sim.set_logic(a, Box::new(Blaster { peer: NodeId(1), n: 3 }));
         sim.run_until(5_000);
         assert_eq!(log.lock().unwrap().len(), 0, "link is down");
+        assert_eq!(sim.stats.drops_link_down, 3);
+        sim.with_node(a, |_, ctx| assert!(!ctx.global_link_is_up(a, b)));
         sim.run_until(10_000); // link back up
         sim.with_node(a, |_, ctx| {
+            assert!(ctx.global_link_is_up(a, b) && ctx.link_is_up(b));
             ctx.send(NodeId(1), SimPacket::new(dgram(7)));
         });
         sim.run_to_completion();
@@ -1199,4 +1152,118 @@ mod tests {
         sim.run_until(1);
         assert!(sim.with_node(a, |_, _| ()).is_none());
     }
+
+    /// FNV-1a over an arrival log.
+    fn fnv(log: &[(u64, u32)]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for &(at, psn) in log {
+            for b in at.to_le_bytes().into_iter().chain(psn.to_le_bytes()) {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Loss is drawn from the seed in `(time, seq)` order: arrivals and
+    /// counters equal the values the single-queue engine produced
+    /// (recorded on the commit before the engines were first unified).
+    #[test]
+    fn a_lossy_run_matches_the_recorded_single_queue_run() {
+        let params = LinkParams { loss_rate: 0.5, ..LinkParams::default() };
+        let (mut sim, a, _b, log) = two_node_sim(params);
+        sim.set_logic(a, Box::new(Blaster { peer: NodeId(1), n: 1000 }));
+        sim.run_to_completion();
+        let log = log.lock().unwrap();
+        assert_eq!((log.len(), fnv(&log)), (ONE_SHARD_LOSS.0, ONE_SHARD_LOSS.1));
+        assert_eq!(
+            (sim.stats.events, sim.stats.packets_sent, sim.stats.drops_inflight),
+            (ONE_SHARD_LOSS.2, 1000, 1000 - ONE_SHARD_LOSS.0 as u64)
+        );
+    }
+    /// `(arrivals, fnv(arrival log), events)` of the run above.
+    const ONE_SHARD_LOSS: (usize, u64, u64) = (463, 0x9a8c_df39_cf8b_294c, 465);
+
+    /// Like [`Recorder`], and answers every packet on the reverse link.
+    struct Echo {
+        log: ArrivalLog,
+    }
+    impl NodeLogic for Echo {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, pkt: SimPacket) {
+            self.log.lock().unwrap().push((ctx.now(), pkt.dgram.header.psn));
+            ctx.send(from, pkt);
+        }
+    }
+
+    /// A fault and an event in the same nanosecond run in push order,
+    /// the queue's own tie-break. `a` sends one packet to `b`, which
+    /// echoes it; the fault lands on the packet's arrival time, scheduled
+    /// either before the packet was sent or while it was in flight.
+    #[test]
+    fn fault_ties_break_in_push_order() {
+        /// Returns `(arrivals at b, packets dropped at a down link)`.
+        fn run(fault_first: bool, fault: impl Fn(&mut Sim, u64, NodeId, NodeId)) -> (usize, u64) {
+            let arrival = {
+                let (mut probe, a, _b, log) = two_node_sim(LinkParams::default());
+                probe.set_logic(a, Box::new(Blaster { peer: NodeId(1), n: 1 }));
+                probe.run_to_completion();
+                let at = log.lock().unwrap()[0].0;
+                at
+            };
+            let (mut sim, a, b, log) = two_node_sim(LinkParams::default());
+            sim.set_logic(b, Box::new(Echo { log: log.clone() }));
+            if fault_first {
+                fault(&mut sim, arrival, a, b);
+            }
+            sim.set_logic(a, Box::new(Blaster { peer: NodeId(1), n: 1 }));
+            sim.run_until(0); // the packet is in flight
+            if !fault_first {
+                fault(&mut sim, arrival, a, b);
+            }
+            sim.run_to_completion();
+            let arrivals = log.lock().unwrap().len();
+            (arrivals, sim.stats.drops_link_down)
+        }
+        let crash = |sim: &mut Sim, at: u64, _a: NodeId, b: NodeId| sim.schedule_crash(at, b);
+        let cut_reply = |sim: &mut Sim, at: u64, a: NodeId, b: NodeId| {
+            sim.schedule_link_down(at, LinkId::new(b, a))
+        };
+        // Scheduled up front, the fault precedes the arrival: the crashed
+        // node never sees the packet; the echo finds its link down.
+        assert_eq!(run(true, crash), (0, 0));
+        assert_eq!(run(true, cut_reply), (1, 1));
+        // Scheduled behind the in-flight packet, it follows it.
+        assert_eq!(run(false, crash), (1, 0));
+        assert_eq!(run(false, cut_reply), (1, 0));
+    }
+
+    /// Traffic into host 31 of the testbed fat-tree, injected at its
+    /// ToR, reproduces the single-queue engine's recorded arrivals and
+    /// event count, and the tracer sees every arrival.
+    #[test]
+    fn fat_tree_traffic_matches_the_recorded_run() {
+        use crate::topology::{FatTreeParams, Topology};
+        use crate::trace::Tracer;
+        use onepipe_types::ids::HostId;
+        let mut sim = Sim::new(9);
+        let topo = Topology::build(&mut sim, FatTreeParams::testbed());
+        let tracer = Tracer::shared(1 << 16);
+        sim.set_tracer(tracer.clone());
+        let log: ArrivalLog = Arc::new(Mutex::new(Vec::new()));
+        let sink = topo.host_node(HostId(31));
+        sim.set_logic(sink, Box::new(Recorder { log: log.clone() }));
+        let tor_down = NodeId(topo.tor_up_of(HostId(31)).0 + 1);
+        sim.set_logic(tor_down, Box::new(Blaster { peer: NodeId(0), n: 0 }));
+        sim.run_until(100);
+        for i in 0..50u32 {
+            sim.with_node(tor_down, |_, ctx| {
+                ctx.send(sink, SimPacket::new(dgram(i)));
+            });
+        }
+        sim.run_to_completion();
+        let log = log.lock().unwrap();
+        assert_eq!((log.len(), fnv(&log), sim.stats.events), FAT_TREE_WHOLE);
+        assert_eq!(tracer.borrow().dump().lines().count(), 50, "every arrival is traced");
+    }
+    /// `(arrivals, fnv(arrival log), events)` of the run above.
+    const FAT_TREE_WHOLE: (usize, u64, u64) = (50, 0xae37_e8e2_29d0_7416, 52);
 }

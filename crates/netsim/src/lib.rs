@@ -28,7 +28,6 @@ pub mod engine;
 pub mod link;
 pub mod pcap;
 pub mod sched;
-pub mod shard;
 pub mod stats;
 pub mod topology;
 pub mod trace;
@@ -37,6 +36,6 @@ pub mod traffic;
 pub use engine::{Ctx, NodeLogic, Sim, SimPacket};
 pub use link::{Link, LinkParams};
 pub use pcap::PcapWriter;
-pub use stats::{ShardStat, Stats};
+pub use stats::Stats;
 pub use topology::{FatTreeParams, NodeRole, Topology};
 pub use trace::{TraceRecord, Tracer, TracerHandle};

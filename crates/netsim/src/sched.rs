@@ -51,10 +51,10 @@ const SLOT_BITS: u32 = 6;
 /// the testbed workloads so buckets stay small (tens of events).
 pub const SLOT_NS: u64 = 1 << SLOT_BITS;
 /// Number of wheel slots (power of two). Horizon = `NUM_SLOTS * SLOT_NS`,
-/// four times the longest data-plane lookahead measured (DESIGN.md §10):
-/// only fault schedules and long timers take the overflow tier, and the
-/// buckets — entries are stored inline — are revisited every 33 µs of
-/// simulated time, while they are still in cache.
+/// four times the furthest ahead any data-plane event is scheduled
+/// (DESIGN.md §10): only fault schedules and long timers take the
+/// overflow tier, and the buckets — entries are stored inline — are
+/// revisited every 33 µs of simulated time, while they are still in cache.
 pub const NUM_SLOTS: usize = 512;
 
 const SLOT_MASK: u64 = NUM_SLOTS as u64 - 1;

@@ -50,45 +50,6 @@ impl Stats {
             + self.faults_ctrl_crashes
             + self.faults_ctrl_partitions
     }
-
-    /// Add every counter from `other` into `self` — the engine folds
-    /// per-shard scratch counters into the global totals this way at
-    /// each window barrier.
-    pub fn merge(&mut self, other: &Stats) {
-        self.events += other.events;
-        self.packets_sent += other.packets_sent;
-        self.drops_inflight += other.drops_inflight;
-        self.drops_overflow += other.drops_overflow;
-        self.drops_link_down += other.drops_link_down;
-        self.drops_no_link += other.drops_no_link;
-        self.drops_no_logic += other.drops_no_logic;
-        self.ecn_marks += other.ecn_marks;
-        self.faults_crashes += other.faults_crashes;
-        self.faults_link_flaps += other.faults_link_flaps;
-        self.faults_loss_bursts += other.faults_loss_bursts;
-        self.faults_ctrl_crashes += other.faults_ctrl_crashes;
-        self.faults_ctrl_partitions += other.faults_ctrl_partitions;
-        self.ctrl_elections += other.ctrl_elections;
-        self.ctrl_retries += other.ctrl_retries;
-        self.ctrl_drops += other.ctrl_drops;
-    }
-}
-
-/// Per-shard counters (see [`crate::shard`]); retrieved via
-/// `Sim::shard_stats`.
-#[derive(Clone, Debug, Default)]
-pub struct ShardStat {
-    /// Shard id (index into the partition).
-    pub shard: u32,
-    /// Events executed by this shard.
-    pub events: u64,
-    /// Packets this shard sent to nodes owned by other shards.
-    pub cross_shard_msgs: u64,
-    /// Windows in which this shard executed at least one event.
-    pub windows: u64,
-    /// Windows in which this shard had pending events but all of them
-    /// lay beyond the conservative-lookahead horizon (idle stalls).
-    pub stalled_windows: u64,
 }
 
 /// A reservoir of latency (or other scalar) samples with percentile

@@ -431,30 +431,6 @@ impl Topology {
         self.next_hops(hop, dst).iter().any(|&n| self.hop_viable(hop, n, dst, up))
     }
 
-    /// The rack partition, for [`Sim::set_partition`]:
-    /// one shard per rack subtree (the rack's hosts plus both halves of
-    /// its ToR and every intra-rack link), one shard per pod's spine
-    /// group, and one per core switch. Every link that crosses a shard
-    /// boundary is a host-uplink or fabric link — the 50 ns virtual
-    /// loopbacks joining a switch's two halves stay inside one shard —
-    /// so the conservative lookahead horizon equals the minimum fabric
-    /// propagation delay + 1 (501 ns at the testbed's defaults).
-    pub fn partition(&self) -> Vec<u32> {
-        let p = &self.params;
-        let num_racks = p.pods * p.tors_per_pod;
-        self.roles
-            .iter()
-            .map(|r| match *r {
-                NodeRole::Host(h) => h.0 / p.hosts_per_tor,
-                NodeRole::TorUp { pod, idx } | NodeRole::TorDown { pod, idx } => {
-                    pod * p.tors_per_pod + idx
-                }
-                NodeRole::SpineUp { pod, .. } | NodeRole::SpineDown { pod, .. } => num_racks + pod,
-                NodeRole::Core { idx } => num_racks + p.pods + idx,
-            })
-            .collect()
-    }
-
     /// The ToR uplink switch a host attaches to (its first hop).
     pub fn tor_up_of(&self, h: HostId) -> NodeId {
         let p = &self.params;

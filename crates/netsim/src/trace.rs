@@ -5,12 +5,8 @@
 //! Attach a [`Tracer`] with [`Sim::set_tracer`]; every delivered packet is
 //! recorded (after loss/drop filtering, i.e. what the receiving node
 //! actually saw). The buffer is a ring: the newest `capacity` records win.
-//!
-//! A running shard only appends to its own buffer; the simulator hands
-//! the buffers to the tracer at each window barrier, ordered by
-//! `(time, shard, position)` — the order cross-shard packets are merged
-//! in — so a trace is in time order on any partition, and the filters
-//! below apply at that hand-over.
+//! The simulator hands each record over as the arrival runs, so a trace
+//! is in event order, and the filters below apply at that hand-over.
 //!
 //! [`Sim::set_tracer`]: crate::engine::Sim::set_tracer
 

@@ -3,7 +3,7 @@
 //! causality, FIFO, and behaviour under loss.
 
 use bytes::Bytes;
-use onepipe::service::harness::{Cluster, ClusterConfig, Partition};
+use onepipe::service::harness::{Cluster, ClusterConfig};
 use onepipe::switchlogic::switch::Incarnation;
 use onepipe::types::ids::ProcessId;
 use onepipe::types::message::{Message, OrderKey};
@@ -215,11 +215,9 @@ fn causality_delivered_ts_below_receiver_clock() {
 fn tracer_sees_barrier_flow() {
     use onepipe::sim::Tracer;
     use onepipe::types::wire::Opcode;
-    // On a whole-network shard and on a rack partition.
-    let mut split = ClusterConfig::testbed(16);
-    split.partition = Partition::Racks;
-    for cfg in [ClusterConfig::single_rack(4, 4), split] {
-        let partition = cfg.partition;
+    // On one rack and on the fat-tree testbed.
+    for cfg in [ClusterConfig::single_rack(4, 4), ClusterConfig::testbed(16)] {
+        let hosts = cfg.topo.total_hosts();
         let mut c = Cluster::new(cfg);
         let tracer = Tracer::shared(1 << 16);
         tracer.borrow_mut().opcode_filter = Some(Opcode::Beacon);
@@ -239,22 +237,20 @@ fn tracer_sees_barrier_flow() {
         let (link, vals) = per_link.iter().max_by_key(|(_, v)| v.len()).unwrap();
         assert!(vals.len() > 5);
         for w in vals.windows(2) {
-            assert!(w[0] <= w[1], "barrier regressed on {link:?}, {partition:?}");
+            assert!(w[0] <= w[1], "barrier regressed on {link:?}, {hosts} hosts");
         }
     }
 }
 
-/// A packet trace is part of the deterministic output: on a rack
-/// partition it repeats exactly, and the whole-network shard's is the
-/// single-queue engine's (count and FNV-1a of the dump recorded on the
-/// commit before the engines were unified).
+/// A packet trace is part of the deterministic output: it repeats
+/// exactly, and it is the single-queue engine's (count and FNV-1a of the
+/// dump recorded on the commit before the engines were first unified).
 #[test]
 fn packet_trace_repeats_and_is_pinned_on_one_shard() {
     use onepipe::sim::Tracer;
-    let run = |partition: Partition| {
+    let run = || {
         let mut cfg = ClusterConfig::testbed(32);
         cfg.seed = 7;
-        cfg.partition = partition;
         let mut c = Cluster::new(cfg);
         let tracer = Tracer::shared(1 << 20);
         c.sim.set_tracer(tracer.clone());
@@ -270,10 +266,8 @@ fn packet_trace_repeats_and_is_pinned_on_one_shard() {
         });
         (t.captured, fnv)
     };
-    assert_eq!(run(Partition::Whole), (11_308, 0x37ad_8f89_a0ec_e842));
-    let racks = run(Partition::Racks);
-    assert!(racks.0 > 10_000, "the partitioned run is traced: {}", racks.0);
-    assert_eq!(run(Partition::Racks), racks);
+    assert_eq!(run(), (11_308, 0x37ad_8f89_a0ec_e842));
+    assert_eq!(run(), (11_308, 0x37ad_8f89_a0ec_e842), "a second run diverged");
 }
 
 #[test]
