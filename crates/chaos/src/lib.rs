@@ -2,6 +2,7 @@
 //! ordering-invariant oracle.
 
 pub mod cli;
+pub mod log;
 pub mod oracle;
 pub mod runner;
 pub mod schedule;

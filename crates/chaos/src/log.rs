@@ -1,32 +1,41 @@
 //! Seeded shard-crash campaigns for the log service.
 //!
-//! Each seed runs the full service (clients driving open-loop
-//! multi-tenant traffic, replicated shards, subscribers) on the 32-host
-//! testbed fat-tree, kills one shard server's host mid-append, lets
-//! recovery (failure announcement → client window resend → subscriber
-//! re-subscribe + replay) run, and then replays every observer's view —
-//! both shard replicas *and* every subscriber — through the
-//! [`StreamOrderOracle`]: no tenant may observe a per-client sequence
-//! gap, reorder, or duplicate, and no two observers may diverge.
+//! Each seed runs the full service (replicated shards, subscribers, and
+//! clients fed open-loop multi-tenant traffic through
+//! [`LogService::submit`]) on the 32-host testbed fat-tree, kills one
+//! shard server's host mid-append, lets recovery (failure announcement →
+//! client window resend → subscriber re-subscribe + replay) run, and then
+//! replays every observer's view — both shard replicas *and* every
+//! subscriber — through the [`StreamOrderOracle`]: no tenant may observe
+//! a per-client sequence gap, reorder, or duplicate, and no two observers
+//! may diverge.
 //!
 //! On top of the oracle, a seed only passes if the run *completed*:
 //! every submitted batch acknowledged and every subscriber caught up to
 //! its streams' final log length (replay actually worked, rather than
 //! nobody observing anything).
 
-use crate::service::{DriveConfig, LogConfig, LogService};
-use onepipe_chaos::streams::StreamOrderOracle;
-use onepipe_chaos::Violation;
+use crate::streams::StreamOrderOracle;
+use crate::Violation;
+use onepipe_apps::workload::OpenLoop;
 use onepipe_core::harness::{Cluster, ClusterConfig};
+use onepipe_log::{LogConfig, LogService};
 use onepipe_types::ids::ProcessId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::{Arc, Mutex};
 
+/// Arrivals are handed to the service once per quantum of sim time, ns.
+const SUBMIT_QUANTUM_NS: u64 = 1_000;
+
+/// Mean batch payload bytes; sizes are drawn uniform in
+/// `[BATCH_BYTES / 2, 3 * BATCH_BYTES / 2)`.
+const BATCH_BYTES: usize = 64;
+
 /// Campaign shape (times in sim ns).
 #[derive(Clone, Debug)]
 pub struct LogChaosConfig {
-    /// Service deployment (drive is installed by the runner).
+    /// Service deployment.
     pub log: LogConfig,
     /// Open-loop arrivals per second per client.
     pub rate_per_sec: f64,
@@ -97,11 +106,6 @@ impl LogSeedOutcome {
 pub fn run_seed(cfg: &LogChaosConfig, seed: u64) -> LogSeedOutcome {
     let mut log_cfg = cfg.log.clone();
     log_cfg.seed = seed;
-    log_cfg.drive = Some(DriveConfig {
-        rate_per_sec: cfg.rate_per_sec,
-        theta: cfg.theta,
-        stop_at: cfg.stop_traffic_at,
-    });
 
     let mut cluster_cfg = ClusterConfig::testbed(log_cfg.n_processes());
     cluster_cfg.seed = seed;
@@ -117,10 +121,35 @@ pub fn run_seed(cfg: &LogChaosConfig, seed: u64) -> LogSeedOutcome {
         cluster.procs.host_of(ProcessId(victim_shard)).expect("shard process is placed");
     cluster.crash_host(crash_at, victim_host);
 
+    // Each client's open-loop arrivals and batch sizes, seeded per client.
+    let mut clients: Vec<(OpenLoop, StdRng)> = (0..log_cfg.n_clients as u64)
+        .map(|c| {
+            let arrivals = OpenLoop::new(
+                log_cfg.n_streams,
+                cfg.theta,
+                cfg.rate_per_sec,
+                0,
+                seed ^ 0xC11E ^ (c << 8),
+            );
+            (arrivals, StdRng::seed_from_u64(seed ^ 0xBA7C ^ (c << 16)))
+        })
+        .collect();
+    let mut t = 0;
+    while t < cfg.stop_traffic_at {
+        t = (t + SUBMIT_QUANTUM_NS).min(cfg.stop_traffic_at);
+        cluster.run_until(t);
+        let mut svc = app.lock().expect("log service lock");
+        for (c, (arrivals, sizes)) in clients.iter_mut().enumerate() {
+            while let Some(a) = arrivals.next_before(t) {
+                let len = sizes.random_range(BATCH_BYTES / 2..BATCH_BYTES + BATCH_BYTES / 2);
+                svc.submit(c as u32, a.tenant, vec![0xB5u8; len]);
+            }
+        }
+    }
     cluster.run_until(cfg.run_until);
 
     // Judge every observer's view of every stream.
-    let svc = app.lock().unwrap();
+    let svc = app.lock().expect("log service lock");
     let mut oracle = StreamOrderOracle::new();
     let at = cfg.run_until;
     for shard in 0..log_cfg.n_shards {

@@ -21,7 +21,7 @@
 
 #![warn(missing_docs)]
 
-use onepipe_types::time::{Duration, Timestamp, MICROS, MILLIS};
+use onepipe_types::time::{Duration, Timestamp, MILLIS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -250,46 +250,11 @@ impl ClockFleet {
     }
 }
 
-/// Summary statistics over a skew sample set (ns).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SkewStats {
-    /// Mean absolute skew.
-    pub mean: f64,
-    /// 95th-percentile absolute skew.
-    pub p95: f64,
-    /// Maximum absolute skew.
-    pub max: f64,
-}
-
-impl SkewStats {
-    /// Compute stats from raw samples. Returns zeros for an empty slice.
-    pub fn from_samples(samples: &[f64]) -> SkewStats {
-        if samples.is_empty() {
-            return SkewStats { mean: 0.0, p95: 0.0, max: 0.0 };
-        }
-        let mut sorted: Vec<f64> = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let mean = sorted.iter().sum::<f64>() / sorted.len() as f64;
-        let p95 = sorted[((sorted.len() as f64 * 0.95) as usize).min(sorted.len() - 1)];
-        let max = *sorted.last().unwrap();
-        SkewStats { mean, p95, max }
-    }
-
-    /// Mean in microseconds (for reporting against the paper's numbers).
-    pub fn mean_us(&self) -> f64 {
-        self.mean / MICROS as f64
-    }
-
-    /// p95 in microseconds.
-    pub fn p95_us(&self) -> f64 {
-        self.p95 / MICROS as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use onepipe_types::time::SECONDS;
+    use onepipe_netsim::stats::Samples;
+    use onepipe_types::time::{MICROS, SECONDS};
 
     #[test]
     fn perfect_clock_tracks_true_time() {
@@ -360,23 +325,11 @@ mod tests {
         // that: mean in [0.1, 0.6] µs, p95 in [0.3, 1.6] µs.
         let mut fleet = ClockFleet::new(32, SyncDiscipline::default(), 2021);
         let instants: Vec<u64> = (1..=40).map(|k| k * 60 * MILLIS).collect();
-        let samples = fleet.skew_samples(&instants);
-        let stats = SkewStats::from_samples(&samples);
-        assert!(
-            (0.1..0.6).contains(&stats.mean_us()),
-            "mean skew {} µs out of band",
-            stats.mean_us()
-        );
-        assert!((0.3..1.6).contains(&stats.p95_us()), "p95 skew {} µs out of band", stats.p95_us());
-    }
-
-    #[test]
-    fn skew_stats_empty_and_singleton() {
-        assert_eq!(SkewStats::from_samples(&[]), SkewStats { mean: 0.0, p95: 0.0, max: 0.0 });
-        let s = SkewStats::from_samples(&[500.0]);
-        assert_eq!(s.mean, 500.0);
-        assert_eq!(s.p95, 500.0);
-        assert_eq!(s.max, 500.0);
+        let mut stats = Samples::new();
+        fleet.skew_samples(&instants).into_iter().for_each(|v| stats.push(v / MICROS as f64));
+        let (mean, p95) = (stats.mean(), stats.percentile(0.95));
+        assert!((0.1..0.6).contains(&mean), "mean skew {mean} µs out of band");
+        assert!((0.3..1.6).contains(&p95), "p95 skew {p95} µs out of band");
     }
 
     #[test]

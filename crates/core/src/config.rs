@@ -25,9 +25,6 @@ pub struct EndpointConfig {
     pub recv_window: u32,
     /// Retransmission timeout for reliable packets (local-clock ns).
     pub rto: Duration,
-    /// After this many fruitless retransmissions, ask the controller to
-    /// forward the packet (§5.2 "Controller Forwarding").
-    pub forward_after_retries: u32,
     /// ACK timeout after which a best-effort packet is reported lost via
     /// the send-failure callback.
     pub be_ack_timeout: Duration,
@@ -44,8 +41,6 @@ pub struct EndpointConfig {
     pub rx_drop_rate: f64,
     /// Send-buffer capacity in scatterings; `send` fails beyond this.
     pub send_buffer_scatterings: usize,
-    /// DCTCP gain `g` for the ECN fraction EWMA.
-    pub dctcp_gain: f64,
     /// Seed for the endpoint's deterministic RNG (drop sampling).
     pub seed: u64,
     /// Artificial extra delivery delay: the receiver holds the barrier
@@ -60,13 +55,11 @@ impl Default for EndpointConfig {
             initial_cwnd: 64,
             recv_window: 256,
             rto: 100 * MICROS,
-            forward_after_retries: 8,
             be_ack_timeout: 200 * MICROS,
             trust_data_barriers: true,
             delivery: DeliveryMode::Ordered,
             rx_drop_rate: 0.0,
             send_buffer_scatterings: 4096,
-            dctcp_gain: 1.0 / 16.0,
             seed: 1,
             artificial_delay: 0,
         }

@@ -35,6 +35,14 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 pub use onepipe_types::ids::HOP_LOCAL;
 
+/// After this many fruitless retransmissions of a reliable packet (or
+/// Recall), ask the controller to forward it (§5.2 "Controller
+/// Forwarding").
+const FORWARD_AFTER_RETRIES: u32 = 8;
+
+/// DCTCP gain `g` for the per-window ECN-fraction EWMA.
+const DCTCP_GAIN: f64 = 1.0 / 16.0;
+
 /// A scattering waiting in the send buffer for window credits.
 #[derive(Debug)]
 struct PendingScattering {
@@ -147,10 +155,6 @@ impl std::ops::AddAssign for EndpointStats {
         self.commit_anomalies += commit_anomalies;
     }
 }
-
-/// `((ts, seq), destinations, unacked packets, aborted)` — the shape of
-/// [`Endpoint::oldest_outstanding`].
-pub type OutstandingInfo = ((Timestamp, u64), Vec<ProcessId>, u32, bool);
 
 /// The 1Pipe endpoint for a single process. See the crate docs for the
 /// driving contract.
@@ -399,14 +403,7 @@ impl Endpoint {
         self.out.push_back(Datagram {
             src: self.id,
             dst,
-            header: PacketHeader {
-                msg_ts: self.now_local,
-                barrier: Timestamp::ZERO,
-                commit_barrier: Timestamp::ZERO,
-                psn: 0,
-                opcode: Opcode::Control,
-                flags: Flags::empty(),
-            },
+            header: PacketHeader::control(Opcode::Control, self.now_local, 0, Flags::empty()),
             payload: payload.into(),
         });
     }
@@ -441,12 +438,12 @@ impl Endpoint {
     /// outstanding (or aborted-but-unrecalled) reliable scattering, or the
     /// clock when nothing is outstanding.
     pub fn commit_contribution(&mut self, now: Timestamp) -> Timestamp {
-        let oldest_outstanding = self.outstanding_rel.first_key_value().map(|((ts, _), _)| *ts);
+        let oldest_sent = self.outstanding_rel.first_key_value().map(|((ts, _), _)| *ts);
         // Queued reliable scatterings count as in-flight too: their
         // timestamps were assigned at submit. The pending queue is
         // ts-monotone, so the first reliable entry is the oldest.
         let oldest_pending = self.pending.iter().find(|p| p.reliable).map(|p| p.ts);
-        let oldest = match (oldest_outstanding, oldest_pending) {
+        let oldest = match (oldest_sent, oldest_pending) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
@@ -468,34 +465,6 @@ impl Endpoint {
     /// API returns `TS` synchronously). Read immediately after a send.
     pub fn last_assigned_ts(&self) -> Timestamp {
         self.last_ts_assigned
-    }
-
-    /// The oldest outstanding reliable scattering, if any: `(ts, seq)`,
-    /// its destinations, unacked packet count and whether it was aborted
-    /// (telemetry / chaos triage).
-    pub fn oldest_outstanding(&self) -> Option<OutstandingInfo> {
-        self.outstanding_rel
-            .first_key_value()
-            .map(|(&key, rs)| (key, rs.dsts.clone(), rs.remaining, rs.aborted))
-    }
-
-    /// Failure callbacks not yet reported complete: `(announce_id,
-    /// app_done, recall seqs still in flight)` (telemetry / chaos triage).
-    pub fn pending_callbacks(&self) -> Vec<(u64, bool, Vec<u64>)> {
-        self.callbacks
-            .iter()
-            .filter(|(_, cb)| !cb.reported)
-            .map(|(&id, cb)| (id, cb.app_done, cb.recalls.iter().copied().collect()))
-            .collect()
-    }
-
-    /// In-flight recalls: `(seq, receivers still unacked, retries)`
-    /// (telemetry / chaos triage).
-    pub fn pending_recalls(&self) -> Vec<(u64, Vec<ProcessId>, u32)> {
-        self.recalls
-            .iter()
-            .map(|(&seq, rs)| (seq, rs.waiting.iter().copied().collect(), rs.retries))
-            .collect()
     }
 
     /// Total buffered bytes on this endpoint (send + receive), for the
@@ -599,14 +568,7 @@ impl Endpoint {
         self.out.push_back(Datagram {
             src: self.id,
             dst: to,
-            header: PacketHeader {
-                msg_ts: header.msg_ts,
-                barrier: Timestamp::ZERO,
-                commit_barrier: Timestamp::ZERO,
-                psn: header.psn,
-                opcode: Opcode::Ack,
-                flags,
-            },
+            header: PacketHeader::control(Opcode::Ack, header.msg_ts, header.psn, flags),
             payload: Bytes::new(),
         });
     }
@@ -616,14 +578,7 @@ impl Endpoint {
         self.out.push_back(Datagram {
             src: self.id,
             dst: to,
-            header: PacketHeader {
-                msg_ts,
-                barrier: Timestamp::ZERO,
-                commit_barrier: Timestamp::ZERO,
-                psn,
-                opcode: Opcode::Nak,
-                flags: Flags::empty(),
-            },
+            header: PacketHeader::control(Opcode::Nak, msg_ts, psn, Flags::empty()),
             payload: Bytes::new(),
         });
     }
@@ -687,14 +642,7 @@ impl Endpoint {
         self.out.push_back(Datagram {
             src: self.id,
             dst: d.src,
-            header: PacketHeader {
-                msg_ts: d.header.msg_ts,
-                barrier: Timestamp::ZERO,
-                commit_barrier: Timestamp::ZERO,
-                psn: 0,
-                opcode: Opcode::RecallAck,
-                flags: Flags::empty(),
-            },
+            header: PacketHeader::control(Opcode::RecallAck, d.header.msg_ts, 0, Flags::empty()),
             payload: payload.freeze(),
         });
     }
@@ -841,12 +789,11 @@ impl Endpoint {
     }
 
     fn check_reliable_timeouts(&mut self, now: Timestamp) {
-        let forward_after = self.cfg.forward_after_retries;
         let Endpoint { rel_tx, out, ctrl_out, stats, .. } = self;
         rel_tx.scan_expired(now, self.cfg.rto, |_, pkt| {
             pkt.retries += 1;
             pkt.sent_at = now;
-            if pkt.retries > forward_after {
+            if pkt.retries > FORWARD_AFTER_RETRIES {
                 pkt.forwarding = true;
                 ctrl_out.push_back(CtrlRequest::Forward { dgram: pkt.dgram.clone() });
             } else {
@@ -870,7 +817,6 @@ impl Endpoint {
 
     fn check_recall_timeouts(&mut self, now: Timestamp) {
         let rto = self.cfg.rto;
-        let max_retries = self.cfg.forward_after_retries;
         let mut resend: Vec<(u64, Timestamp, Vec<ProcessId>)> = Vec::new();
         let mut undeliverable: Vec<(u64, Timestamp, ProcessId)> = Vec::new();
         for (&seq, rs) in self.recalls.iter_mut() {
@@ -879,7 +825,7 @@ impl Endpoint {
             }
             rs.retries += 1;
             rs.last_sent = now;
-            if rs.retries > max_retries {
+            if rs.retries > FORWARD_AFTER_RETRIES {
                 for &dst in rs.waiting.iter() {
                     undeliverable.push((seq, rs.ts, dst));
                 }
@@ -912,14 +858,7 @@ impl Endpoint {
         self.out.push_back(Datagram {
             src: self.id,
             dst,
-            header: PacketHeader {
-                msg_ts: ts,
-                barrier: Timestamp::ZERO,
-                commit_barrier: Timestamp::ZERO,
-                psn: 0,
-                opcode: Opcode::Recall,
-                flags: Flags::empty(),
-            },
+            header: PacketHeader::control(Opcode::Recall, ts, 0, Flags::empty()),
             payload: payload.freeze(),
         });
     }
@@ -936,19 +875,11 @@ impl Endpoint {
         let contribution = self.commit_contribution(now);
         self.commit_dirty = false;
         if contribution > before {
-            self.out.push_back(Datagram {
-                src: self.id,
-                dst: HOP_LOCAL,
-                header: PacketHeader {
-                    msg_ts: Timestamp::ZERO,
-                    barrier: Timestamp::ZERO,
-                    commit_barrier: contribution,
-                    psn: 0,
-                    opcode: Opcode::Commit,
-                    flags: Flags::empty(),
-                },
-                payload: Bytes::new(),
-            });
+            let mut header =
+                PacketHeader::control(Opcode::Commit, Timestamp::ZERO, 0, Flags::empty());
+            header.commit_barrier = contribution;
+            let commit = Datagram { src: self.id, dst: HOP_LOCAL, header, payload: Bytes::new() };
+            self.out.push_back(commit);
             self.stats.commits_sent += 1;
         }
     }
@@ -983,14 +914,12 @@ impl Endpoint {
             Err(lost) => out.push_back(Datagram {
                 src: *id,
                 dst: lost.key.key.sender,
-                header: PacketHeader {
-                    msg_ts: lost.key.key.ts,
-                    barrier: Timestamp::ZERO,
-                    commit_barrier: Timestamp::ZERO,
-                    psn: lost.psn,
-                    opcode: Opcode::Nak,
-                    flags: Flags::empty(),
-                },
+                header: PacketHeader::control(
+                    Opcode::Nak,
+                    lost.key.key.ts,
+                    lost.psn,
+                    Flags::empty(),
+                ),
                 payload: Bytes::new(),
             }),
         });
@@ -1215,7 +1144,7 @@ impl Endpoint {
 }
 
 fn channel<'a>(table: &'a mut TxTable, dst: ProcessId, cfg: &EndpointConfig) -> &'a mut TxChannel {
-    table.get_or_open(dst, cfg.initial_cwnd, cfg.dctcp_gain)
+    table.get_or_open(dst, cfg.initial_cwnd, DCTCP_GAIN)
 }
 
 /// Merge a barrier observation into state where [`Timestamp::ZERO`] is the

@@ -1,4 +1,4 @@
-//! Per-client sequence gate: hold-and-release gap enforcement.
+//! Sequence gate: hold-and-release gap enforcement.
 //!
 //! 1Pipe delivers every shard replica the same total order, but a
 //! client's batches can still arrive with *sequence* gaps relative to the
@@ -6,56 +6,65 @@
 //! recalled and retried after later batches, a duplicate from failover
 //! retransmission. The gate restores the Embarcadero-style per-client
 //! contract (SNIPPETS.md, Snippet 3): batches append in exactly
-//! client-sequence order `0, 1, 2, …`, each exactly once.
+//! client-sequence order `0, 1, 2, …`, each exactly once. Subscribers
+//! reuse it keyed by log offset, to apply raw-path record pushes and
+//! replay chunks in offset order.
 //!
-//! Rules, applied to each offered `(seq, payload)`:
+//! Rules, applied to each offered `(seq, item)`:
 //! * `seq <  expected` → duplicate: drop (and report, so the server can
 //!   still acknowledge cumulative progress to unstick the sender).
 //! * `seq == expected` → release it plus any directly following held
-//!   batches, in sequence order.
+//!   items, in sequence order.
 //! * `seq >  expected` → hold until the gap fills; offering the same held
-//!   seq twice keeps the first payload.
+//!   seq twice keeps the first item.
 
 use bytes::Bytes;
 use std::collections::BTreeMap;
 
-/// Outcome of offering one batch to the gate.
+/// Outcome of offering one item to the gate.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Offered {
-    /// The batch (and possibly held successors) appended; the released
-    /// run is `(seq, payload)` in strictly increasing, contiguous order.
-    Released(Vec<(u64, Bytes)>),
-    /// The batch is ahead of a gap and parked.
+pub enum Offered<T> {
+    /// The item (and possibly held successors) released; the run is
+    /// `(seq, item)` in strictly increasing, contiguous order.
+    Released(Vec<(u64, T)>),
+    /// The item is ahead of a gap and parked.
     Held,
-    /// The batch was already released once; dropped.
+    /// The item was already released once; dropped.
     Duplicate,
 }
 
-/// Gap-enforcement state for one `(stream, client)` pair.
-#[derive(Clone, Debug, Default)]
-pub struct ClientGate {
-    /// Next client sequence eligible for release.
+/// Gap-enforcement state for one sequence space: a `(stream, client)`
+/// pair's batches at a shard, or one stream's records at a subscriber.
+#[derive(Clone, Debug)]
+pub struct ClientGate<T = Bytes> {
+    /// Next sequence eligible for release.
     next_seq: u64,
-    /// Batches parked above a gap, keyed by sequence.
-    held: BTreeMap<u64, Bytes>,
+    /// Items parked above a gap, keyed by sequence.
+    held: BTreeMap<u64, T>,
 }
 
-impl ClientGate {
+impl<T> Default for ClientGate<T> {
+    fn default() -> Self {
+        ClientGate { next_seq: 0, held: BTreeMap::new() }
+    }
+}
+
+impl<T> ClientGate<T> {
     /// Fresh gate expecting sequence 0.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Offer a batch; see the module docs for the release rules.
-    pub fn offer(&mut self, seq: u64, payload: Bytes) -> Offered {
+    /// Offer an item; see the module docs for the release rules.
+    pub fn offer(&mut self, seq: u64, item: T) -> Offered<T> {
         if seq < self.next_seq {
             return Offered::Duplicate;
         }
         if seq > self.next_seq {
-            self.held.entry(seq).or_insert(payload);
+            self.held.entry(seq).or_insert(item);
             return Offered::Held;
         }
-        let mut run = vec![(seq, payload)];
+        let mut run = vec![(seq, item)];
         self.next_seq = seq + 1;
         while let Some(p) = self.held.remove(&self.next_seq) {
             run.push((self.next_seq, p));
@@ -69,7 +78,7 @@ impl ClientGate {
         self.next_seq
     }
 
-    /// Number of batches parked behind a gap.
+    /// Number of items parked behind a gap.
     pub fn held_len(&self) -> usize {
         self.held.len()
     }

@@ -9,28 +9,31 @@
 //! appends as one reliable scattering and converge without running any
 //! replication protocol of their own.
 //!
+//! The crate is the service and nothing else: traffic enters only
+//! through [`LogService::submit`], and load generators and fault
+//! campaigns live with their callers (`onepipe_chaos::log` runs the
+//! shard-crash campaign).
+//!
 //! Modules:
-//! * [`gate`] — the per-client gap-enforcement state machine,
+//! * [`gate`] — the gap-enforcement state machine, used per client by
+//!   the shards and per stream (keyed by offset) by the subscribers,
 //! * [`shard`] — per-stream record logs over the gates (pure, reused by
 //!   the cross-transport conformance test),
 //! * [`proto`] — wire formats (append / ack+credit / subscribe / record
 //!   push / snapshot chunk / fetch),
 //! * [`service`] — the [`AppHook`] tying clients, shard replicas, and
 //!   subscribers together (credit backpressure, fan-out, replay,
-//!   failover),
-//! * [`chaos`] — seeded shard-crash campaigns checked by the
-//!   stream-order oracle.
+//!   failover).
 //!
 //! [`AppHook`]: onepipe_core::simhost::AppHook
 
 #![warn(missing_docs)]
 
-pub mod chaos;
 pub mod gate;
 pub mod proto;
 pub mod service;
 pub mod shard;
 
 pub use gate::{ClientGate, Offered};
-pub use service::{DriveConfig, LogConfig, LogService};
+pub use service::{LogConfig, LogService};
 pub use shard::{Record, ShardState};

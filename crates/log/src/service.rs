@@ -13,32 +13,24 @@
 //! unacknowledged window (the sequence gate drops duplicates) and
 //! subscribers re-subscribe from their next offset.
 
+use crate::gate::{ClientGate, Offered};
 use crate::proto::{tag, Ack, Append, RecordSet, StreamReq, WireRecord};
 use crate::shard::{Record, ShardState};
 use bytes::{Buf, Bytes};
 use onepipe_apps::metrics::{ByKey, Samples, TenantTable};
-use onepipe_apps::workload::{shard_of, OpenLoop};
+use onepipe_apps::workload::shard_of;
 use onepipe_core::events::UserEvent;
 use onepipe_core::simhost::{AppHook, SendQueue};
 use onepipe_types::ids::{HostId, ProcessId};
 use onepipe_types::message::{Delivered, Message};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, VecDeque};
 
-/// Self-driven traffic: an open-loop multi-tenant arrival process per
-/// client (benches and chaos campaigns; tests may instead inject batches
-/// with [`LogService::submit`]).
-#[derive(Clone, Debug)]
-pub struct DriveConfig {
-    /// Aggregate arrivals per second per client.
-    pub rate_per_sec: f64,
-    /// Zipf tenant skew (0.0 = uniform).
-    pub theta: f64,
-    /// Stop generating at this true time (ns); the service keeps
-    /// draining what was generated.
-    pub stop_at: u64,
-}
+/// Backlog (ns of queued CPU work) beyond which the owner shrinks credit
+/// grants to 1 — the backpressure signal.
+const BUSY_LIMIT_NS: u64 = 30_000;
+
+/// Records per snapshot/replay chunk.
+const SNAPSHOT_CHUNK: u64 = 32;
 
 /// Static configuration of one log-service deployment.
 #[derive(Clone, Debug)]
@@ -60,25 +52,16 @@ pub struct LogConfig {
     pub window: u32,
     /// Modeled shard CPU cost per appended record, ns.
     pub server_op_ns: u64,
-    /// Backlog (ns of queued CPU work) beyond which the owner shrinks
-    /// credit grants to 1 — the backpressure signal.
-    pub busy_limit_ns: u64,
-    /// Records per snapshot/replay chunk.
-    pub snapshot_chunk: usize,
     /// Client resends unacknowledged batches after this long, ns.
     pub resend_after_ns: u64,
     /// Subscriber issues a pull-repair after this long without progress
     /// on a stream it knows is ahead, ns.
     pub fetch_after_ns: u64,
-    /// Mean batch payload bytes (drawn uniform in `[size/2, 3*size/2)`).
-    pub batch_bytes: usize,
     /// Per-subscriber join time, ns (index ≥ len joins at 0). Late
     /// entries exercise snapshot + replay catch-up.
     pub join_at: Vec<u64>,
-    /// Workload seed.
+    /// Deployment seed. The service itself draws nothing at random.
     pub seed: u64,
-    /// Optional self-driven open-loop traffic.
-    pub drive: Option<DriveConfig>,
 }
 
 impl Default for LogConfig {
@@ -92,14 +75,10 @@ impl Default for LogConfig {
             fanout: 1,
             window: 8,
             server_op_ns: 300,
-            busy_limit_ns: 30_000,
-            snapshot_chunk: 32,
             resend_after_ns: 2_000_000,
             fetch_after_ns: 300_000,
-            batch_bytes: 64,
             join_at: Vec::new(),
             seed: 1,
-            drive: None,
         }
     }
 }
@@ -146,15 +125,17 @@ struct ClientState {
     credit: BTreeMap<u64, u32>,
     /// Admitted-pending arrivals blocked on credit.
     pending: VecDeque<(u64, Bytes)>,
-    arrivals: Option<OpenLoop>,
-    rng: Option<StdRng>,
+    /// No unacknowledged batch falls due for a timer resend before this
+    /// (a lower bound: acks and other resends only push the real
+    /// deadline later, and the next scan recomputes it).
+    resend_due: u64,
 }
 
 #[derive(Default)]
 struct SubStream {
-    next_offset: u64,
-    /// Out-of-order future records, keyed by offset.
-    buf: BTreeMap<u64, WireRecord>,
+    /// Records keyed by offset: applies the contiguous run, parks what
+    /// arrives ahead of a gap, drops what was already applied.
+    gate: ClientGate<WireRecord>,
     /// Applied records, in offset order.
     applied: Vec<Record>,
     /// Highest shard log length heard of.
@@ -203,21 +184,7 @@ impl LogService {
     /// Build a service for `cfg`; `n_processes()` processes expected.
     pub fn new(cfg: LogConfig) -> Self {
         let n = cfg.n_processes();
-        let mut clients = BTreeMap::new();
-        for c in 0..cfg.n_clients {
-            let mut st = ClientState::default();
-            if let Some(d) = &cfg.drive {
-                st.arrivals = Some(OpenLoop::new(
-                    cfg.n_streams,
-                    d.theta,
-                    d.rate_per_sec,
-                    0,
-                    cfg.seed ^ (0xC11E_u64) ^ (c as u64) << 8,
-                ));
-            }
-            st.rng = Some(StdRng::seed_from_u64(cfg.seed ^ 0xBA7C_u64 ^ ((c as u64) << 16)));
-            clients.insert(c, st);
-        }
+        let clients = (0..cfg.n_clients).map(|c| (c, ClientState::default())).collect();
         let shards = (0..cfg.n_shards).map(|s| (s, ShardReplica::default())).collect();
         let subs = (0..cfg.n_subs).map(|u| (u, SubState::default())).collect();
         LogService {
@@ -266,8 +233,8 @@ impl LogService {
         self.cfg.replicas(stream).into_iter().find(|&s| self.alive[s as usize])
     }
 
-    /// Inject one batch at a client (test-driven traffic); it is
-    /// admitted under the credit window on the next tick.
+    /// Hand one batch to a client; it is admitted under the credit
+    /// window on the client's next tick. The only way traffic enters.
     pub fn submit(&mut self, client_idx: u32, stream: u64, payload: impl Into<Bytes>) {
         let st = self.clients.get_mut(&client_idx).expect("client exists");
         st.pending.push_back((stream, payload.into()));
@@ -287,16 +254,6 @@ impl LogService {
             .unwrap_or(&[])
     }
 
-    /// Subscriber-side stream progress:
-    /// `(next_offset, buffered, known_len, subscribed)`.
-    pub fn sub_progress(&self, sub_idx: u32, stream: u64) -> (u64, usize, u64, bool) {
-        self.subs
-            .get(&sub_idx)
-            .and_then(|s| s.streams.get(&stream))
-            .map(|ss| (ss.next_offset, ss.buf.len(), ss.known_len, ss.subscribed))
-            .unwrap_or((0, 0, 0, false))
-    }
-
     /// Batches submitted but not yet acknowledged, across all clients.
     pub fn unacked_total(&self) -> usize {
         self.clients.values().map(|c| c.unacked.len() + c.pending.len()).sum()
@@ -312,33 +269,52 @@ impl LogService {
         t
     }
 
-    /// Send (or resend) one batch as a reliable scattering to the live
-    /// replicas of its stream.
+    /// Send (or resend) client `client`'s batch `(stream, seq)` as a
+    /// reliable scattering to the live replicas of its stream.
     fn scatter_batch(
-        &self,
-        from: ProcessId,
-        stream: u64,
-        client_idx: u32,
-        seq: u64,
+        cfg: &LogConfig,
+        alive: &[bool],
+        client: u32,
+        (stream, seq): (u64, u64),
         payload: &Bytes,
         out: &mut SendQueue,
     ) {
-        let wire = Append { stream, client: client_idx, seq, payload: payload.clone() }.encode();
-        let msgs: Vec<Message> = self
-            .cfg
+        let wire = Append { stream, client, seq, payload: payload.clone() }.encode();
+        let msgs: Vec<Message> = cfg
             .replicas(stream)
             .into_iter()
-            .filter(|&s| self.alive[s as usize])
+            .filter(|&s| alive[s as usize])
             .map(|s| Message::new(Self::shard_proc(s), wire.clone()))
             .collect();
         if !msgs.is_empty() {
-            out.push(from, msgs, true);
+            out.push(ProcessId(cfg.n_shards + client), msgs, true);
         }
+    }
+
+    /// Resend client `c`'s unacknowledged batches that `pick(cfg, stream,
+    /// batch)` selects, in key order, and recompute its resend deadline.
+    fn resend(
+        &mut self,
+        c: u32,
+        now: u64,
+        out: &mut SendQueue,
+        pick: impl Fn(&LogConfig, u64, &Inflight) -> bool,
+    ) {
+        let LogService { cfg, alive, clients, .. } = self;
+        let Some(st) = clients.get_mut(&c) else { return };
+        let mut due = u64::MAX;
+        for (&key, inf) in st.unacked.iter_mut() {
+            if pick(cfg, key.0, inf) {
+                Self::scatter_batch(cfg, alive, c, key, &inf.payload, out);
+                inf.last_sent = now;
+            }
+            due = due.min(inf.last_sent + cfg.resend_after_ns);
+        }
+        st.resend_due = due;
     }
 
     /// Admit pending arrivals at client `c` while credit allows.
     fn try_admit(&mut self, c: u32, now: u64, out: &mut SendQueue) {
-        let from = self.client_proc(c);
         let window = self.cfg.window;
         loop {
             let Some(st) = self.clients.get_mut(&c) else { return };
@@ -362,7 +338,8 @@ impl LogService {
                 (stream, seq),
                 Inflight { payload: payload.clone(), first_sent: now, last_sent: now },
             );
-            self.scatter_batch(from, stream, c, seq, &payload, out);
+            st.resend_due = st.resend_due.min(now + self.cfg.resend_after_ns);
+            Self::scatter_batch(&self.cfg, &self.alive, c, (stream, seq), &payload, out);
         }
     }
 
@@ -386,7 +363,7 @@ impl LogService {
         sh.busy_until = sh.busy_until.max(now) + self.cfg.server_op_ns * appended.len() as u64;
         let backlog = sh.busy_until.saturating_sub(now);
         let held = sh.state.stream(stream).map(|s| s.held_len()).unwrap_or(0);
-        let credit = if backlog > self.cfg.busy_limit_ns || held as u32 >= self.cfg.window {
+        let credit = if backlog > BUSY_LIMIT_NS || held as u32 >= self.cfg.window {
             1
         } else {
             self.cfg.window
@@ -433,11 +410,10 @@ impl LogService {
         let me = Self::shard_proc(shard_idx);
         let sh = self.shards.get_mut(&shard_idx).expect("shard exists");
         let log_len = sh.state.len(stream);
-        let chunk = self.cfg.snapshot_chunk.max(1) as u64;
         let mut at = from.min(log_len);
         let mut shipped = 0u64;
         loop {
-            let hi = (at + chunk).min(log_len);
+            let hi = (at + SNAPSHOT_CHUNK).min(log_len);
             let records: Vec<WireRecord> = sh
                 .state
                 .range(stream, at, hi)
@@ -467,24 +443,15 @@ impl LogService {
         let st = self.subs.entry(sub_idx).or_default();
         let ss = st.streams.entry(stream).or_default();
         ss.known_len = ss.known_len.max(set.log_len);
+        let before = ss.applied.len();
         for r in set.records {
-            if r.offset < ss.next_offset || ss.buf.contains_key(&r.offset) {
-                continue; // duplicate
+            let Offered::Released(run) = ss.gate.offer(r.offset, r) else { continue };
+            for (offset, WireRecord { client, seq, appended_at, payload, .. }) in run {
+                self.sub_e2e_ns.push(now.saturating_sub(appended_at) as f64);
+                ss.applied.push(Record { offset, client, seq, payload });
             }
-            ss.buf.insert(r.offset, r);
         }
-        let mut applied_now = 0u64;
-        while let Some(r) = ss.buf.remove(&ss.next_offset) {
-            self.sub_e2e_ns.push(now.saturating_sub(r.appended_at) as f64);
-            ss.applied.push(Record {
-                offset: r.offset,
-                client: r.client,
-                seq: r.seq,
-                payload: r.payload,
-            });
-            ss.next_offset += 1;
-            applied_now += 1;
-        }
+        let applied_now = (ss.applied.len() - before) as u64;
         if applied_now > 0 {
             ss.last_progress = now;
             self.sub_records += applied_now;
@@ -511,32 +478,9 @@ impl LogService {
         match self.role(proc) {
             // Clients: resend every unacknowledged batch whose replica
             // group lost a member; the gate makes resends idempotent.
-            Role::Client(c) => {
-                let affected: Vec<(u64, u64, Bytes)> = self
-                    .clients
-                    .get(&c)
-                    .map(|st| {
-                        st.unacked
-                            .iter()
-                            .filter(|((stream, _), _)| {
-                                self.cfg
-                                    .replicas(*stream)
-                                    .iter()
-                                    .any(|&s| failed.contains(&Self::shard_proc(s)))
-                            })
-                            .map(|((stream, seq), inf)| (*stream, *seq, inf.payload.clone()))
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                for (stream, seq, payload) in affected {
-                    self.scatter_batch(proc, stream, c, seq, &payload, out);
-                    if let Some(inf) =
-                        self.clients.get_mut(&c).and_then(|st| st.unacked.get_mut(&(stream, seq)))
-                    {
-                        inf.last_sent = now;
-                    }
-                }
-            }
+            Role::Client(c) => self.resend(c, now, out, |cfg, stream, _| {
+                cfg.replicas(stream).iter().any(|&s| failed.contains(&Self::shard_proc(s)))
+            }),
             // Subscribers: streams whose group lost a member must
             // re-subscribe at the (possibly new) owner from the current
             // frontier; replay fills the failover hole.
@@ -553,7 +497,7 @@ impl LogService {
                         let group = cfg.replicas(*stream);
                         if group.iter().any(|&s| failed.contains(&Self::shard_proc(s))) {
                             ss.subscribed = false;
-                            Some((*stream, ss.next_offset))
+                            Some((*stream, ss.gate.next_seq()))
                         } else {
                             None
                         }
@@ -643,27 +587,7 @@ impl AppHook for LogService {
                 // this client's whole unacknowledged window — duplicates
                 // are dropped by the gates.
                 if let Role::Client(c) = self.role(proc) {
-                    let from = self.client_proc(c);
-                    let batches: Vec<(u64, u64, Bytes)> = self
-                        .clients
-                        .get(&c)
-                        .map(|st| {
-                            st.unacked
-                                .iter()
-                                .map(|((s, q), inf)| (*s, *q, inf.payload.clone()))
-                                .collect()
-                        })
-                        .unwrap_or_default();
-                    for (stream, seq, payload) in batches {
-                        self.scatter_batch(from, stream, c, seq, &payload, out);
-                        if let Some(inf) = self
-                            .clients
-                            .get_mut(&c)
-                            .and_then(|st| st.unacked.get_mut(&(stream, seq)))
-                        {
-                            inf.last_sent = now;
-                        }
-                    }
+                    self.resend(c, now, out, |_, _, _| true);
                 }
             }
             UserEvent::Committed { .. } => {}
@@ -737,40 +661,12 @@ impl AppHook for LogService {
             }
             match self.role(proc) {
                 Role::Client(c) => {
-                    // Open-loop arrivals due by now become pending batches.
-                    let mut new = Vec::new();
-                    if let Some(st) = self.clients.get_mut(&c) {
-                        let stop = self.cfg.drive.as_ref().map(|d| d.stop_at).unwrap_or(0);
-                        let mean = self.cfg.batch_bytes.max(2);
-                        if let (Some(arr), Some(rng)) = (st.arrivals.as_mut(), st.rng.as_mut()) {
-                            while let Some(a) = arr.next_before(now.min(stop)) {
-                                let len = rng.random_range(mean / 2..mean + mean / 2);
-                                new.push((a.tenant, vec![0xB5u8; len]));
-                            }
-                        }
-                        for (stream, bytes) in new {
-                            st.pending.push_back((stream, Bytes::from(bytes)));
-                        }
-                        // Timer resend of stale unacknowledged batches.
-                        let stale: Vec<(u64, u64, Bytes)> = st
-                            .unacked
-                            .iter()
-                            .filter(|(_, inf)| {
-                                now.saturating_sub(inf.last_sent) > self.cfg.resend_after_ns
-                            })
-                            .map(|((s, q), inf)| (*s, *q, inf.payload.clone()))
-                            .collect();
-                        let from = ProcessId(self.cfg.n_shards + c);
-                        for (stream, seq, payload) in stale {
-                            self.scatter_batch(from, stream, c, seq, &payload, out);
-                            if let Some(inf) = self
-                                .clients
-                                .get_mut(&c)
-                                .and_then(|st| st.unacked.get_mut(&(stream, seq)))
-                            {
-                                inf.last_sent = now;
-                            }
-                        }
+                    // Timer resend of stale unacknowledged batches, once
+                    // the earliest of them can be due.
+                    if self.clients.get(&c).is_some_and(|st| now > st.resend_due) {
+                        self.resend(c, now, out, |cfg, _, inf| {
+                            now.saturating_sub(inf.last_sent) > cfg.resend_after_ns
+                        });
                     }
                     self.try_admit(c, now, out);
                 }
@@ -805,12 +701,13 @@ impl AppHook for LogService {
                     let mut fetches = Vec::new();
                     if let Some(st) = self.subs.get_mut(&u) {
                         for (stream, ss) in st.streams.iter_mut() {
-                            let behind = ss.known_len > ss.next_offset || !ss.buf.is_empty();
+                            let next = ss.gate.next_seq();
+                            let behind = ss.known_len > next || ss.gate.held_len() > 0;
                             let idle = now.saturating_sub(ss.last_progress.max(ss.last_fetch))
                                 > self.cfg.fetch_after_ns;
                             if ss.subscribed && behind && idle {
                                 ss.last_fetch = now;
-                                fetches.push((*stream, ss.next_offset));
+                                fetches.push((*stream, next));
                             }
                         }
                     }

@@ -3,7 +3,7 @@
 //! and credit-based backpressure under a hot tenant.
 
 use onepipe_core::harness::{Cluster, ClusterConfig};
-use onepipe_log::service::{DriveConfig, LogConfig, LogService};
+use onepipe_log::service::{LogConfig, LogService};
 use std::sync::{Arc, Mutex};
 
 fn cluster_for(cfg: &LogConfig, seed: u64) -> (Cluster, Arc<Mutex<LogService>>) {
@@ -28,7 +28,6 @@ fn appends_ack_and_fan_out_in_client_order() {
         n_streams: 4,
         replicate: true,
         fanout: 2,
-        drive: None,
         ..LogConfig::default()
     };
     let (mut cluster, app) = cluster_for(&cfg, 11);
@@ -85,7 +84,6 @@ fn late_subscriber_catches_up_via_snapshot_then_tails() {
         fanout: 2,
         // Subscriber 1 joins only after the first half of the traffic.
         join_at: vec![0, 1_500_000],
-        drive: None,
         ..LogConfig::default()
     };
     let (mut cluster, app) = cluster_for(&cfg, 12);
@@ -121,12 +119,18 @@ fn hot_tenant_hits_credit_backpressure() {
         window: 4,
         // Make the shard slow enough that one hot tenant outruns it.
         server_op_ns: 40_000,
-        busy_limit_ns: 40_000,
-        drive: Some(DriveConfig { rate_per_sec: 2_000_000.0, theta: 0.0, stop_at: 1_000_000 }),
         ..LogConfig::default()
     };
     let (mut cluster, app) = cluster_for(&cfg, 13);
-    cluster.run_for(8_000_000);
+    // An open loop far past the shard's rate: 20 batches every 10 µs
+    // (2 M/s) for the first millisecond.
+    for _ in 0..100 {
+        for _ in 0..20 {
+            app.lock().unwrap().submit(0, 0, vec![0xB5u8; 64]);
+        }
+        cluster.run_for(10_000);
+    }
+    cluster.run_for(7_000_000);
 
     let svc = app.lock().unwrap();
     let totals = svc.tenant_totals().totals();

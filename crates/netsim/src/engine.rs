@@ -425,11 +425,6 @@ impl<'a> Ctx<'a> {
         self.net.queue.push(self.net.now + delay, EventKind::Timer { node: self.node, token });
     }
 
-    /// Inspect the queue occupancy of an outgoing link, in bytes.
-    pub fn link_queue_bytes(&self, to: NodeId) -> Option<u64> {
-        self.net.links.get(LinkId::new(self.node, to)).map(|l| l.queue_bytes(self.net.now))
-    }
-
     /// Whether the outgoing link to `to` is up.
     pub fn link_is_up(&self, to: NodeId) -> bool {
         self.global_link_is_up(self.node, to)
@@ -610,20 +605,6 @@ impl Sim {
     /// Incoming neighbors of a node.
     pub fn in_neighbors(&self, node: NodeId) -> &[NodeId] {
         &self.neighbors.incoming[node.0 as usize]
-    }
-
-    /// Immutable access to a node's logic, downcast by the caller.
-    pub fn logic(&self, node: NodeId) -> Option<&dyn NodeLogic> {
-        self.nodes[node.0 as usize].as_deref()
-    }
-
-    /// Mutable access to a node's logic (the harness uses this to inject
-    /// application work between events).
-    pub fn logic_mut(&mut self, node: NodeId) -> Option<&mut (dyn NodeLogic + 'static)> {
-        match self.nodes[node.0 as usize] {
-            Some(ref mut b) => Some(b.as_mut()),
-            None => None,
-        }
     }
 
     /// Run a node callback from the harness with a proper [`Ctx`]

@@ -169,8 +169,8 @@ mod tests {
     }
 
     /// `percentile` takes a quantile, not a percent: a percent used to
-    /// clamp to the last rank silently, which made `log_sweep` report the
-    /// maximum as both its p50 and its p99.
+    /// clamp to the last rank silently, so a caller that passed `50.0` and
+    /// `99.0` reported the maximum as both its p50 and its p99.
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "outside [0, 1]")]

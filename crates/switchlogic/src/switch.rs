@@ -63,9 +63,6 @@ pub struct SwitchConfig {
     pub incarnation: Incarnation,
     /// Beacon interval (paper testbed: 3 µs).
     pub beacon_interval: Duration,
-    /// An input link is dead after this many silent beacon intervals (§4.2:
-    /// "e.g., 10 beacon intervals").
-    pub dead_after_intervals: u64,
     /// Send beacons at globally synchronized phase (§4.2) rather than at a
     /// random per-switch phase (ablation b in DESIGN.md).
     pub synchronized_beacons: bool,
@@ -76,11 +73,14 @@ impl Default for SwitchConfig {
         SwitchConfig {
             incarnation: Incarnation::Chip,
             beacon_interval: 3 * MICROS,
-            dead_after_intervals: 10,
             synchronized_beacons: true,
         }
     }
 }
+
+/// An input link is dead after this many silent beacon intervals (§4.2:
+/// "e.g., 10 beacon intervals").
+const DEAD_AFTER_INTERVALS: u64 = 10;
 
 /// Failure-related events surfaced to the harness/controller.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -196,11 +196,6 @@ impl SwitchLogic {
     /// Controller Resume (§5.2): stop waiting for commits from `from`.
     pub fn remove_commit_input(&mut self, from: NodeId) -> bool {
         self.agg.remove_commit_input(from)
-    }
-
-    /// Re-admit a recovered input link.
-    pub fn restore_input(&mut self, from: NodeId, now: u64) -> bool {
-        self.agg.restore_input(from, now)
     }
 
     /// Immutable access to the aggregator (tests, telemetry).
@@ -432,7 +427,7 @@ impl NodeLogic for SwitchLogic {
         match token {
             TOKEN_BEACON => {
                 let now = ctx.now();
-                let timeout = self.cfg.beacon_interval * self.cfg.dead_after_intervals;
+                let timeout = self.cfg.beacon_interval * DEAD_AFTER_INTERVALS;
                 for (from, last_commit) in self.agg.detect_dead(now, timeout) {
                     self.shared.events.borrow_mut().push(SwitchEvent::InLinkDead {
                         switch: ctx.node(),

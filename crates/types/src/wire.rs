@@ -169,6 +169,19 @@ impl PacketHeader {
         }
     }
 
+    /// A header-only control packet (ACK, NAK, Recall, RecallAck, Commit,
+    /// raw RPC): both barriers zero, so no switch reads one from it.
+    pub fn control(opcode: Opcode, msg_ts: Timestamp, psn: u32, flags: Flags) -> Self {
+        PacketHeader {
+            msg_ts,
+            barrier: Timestamp::ZERO,
+            commit_barrier: Timestamp::ZERO,
+            psn,
+            opcode,
+            flags,
+        }
+    }
+
     /// Serialize into `buf` (appends exactly [`HEADER_LEN`] bytes).
     pub fn encode(&self, buf: &mut BytesMut) {
         buf.put_uint(self.msg_ts.raw(), 6);

@@ -7,7 +7,7 @@
 //! cargo run --release --bin log_chaos -- --seeds 10
 //! ```
 
-use onepipe::log::chaos::{run_seed, LogChaosConfig};
+use onepipe::chaos::log::{run_seed, LogChaosConfig};
 
 fn main() {
     std::process::exit(real_main(std::env::args().skip(1)));

@@ -266,7 +266,6 @@ fn svc_config() -> LogConfig {
         // that so neither transport fights its own retries.
         resend_after_ns: 500_000_000,
         fetch_after_ns: 500_000_000,
-        drive: None,
         ..LogConfig::default()
     }
 }
