@@ -101,47 +101,60 @@ impl TenantCounters {
     }
 }
 
-/// Per-tenant counter table, keyed by tenant (stream) id.
+/// Per-tenant counter table, indexed by tenant (stream) id.
+///
+/// A dense table: a touch is an index, and memory grows with the
+/// largest tenant id ever touched, so callers bound tenant ids.
 #[derive(Default)]
 pub struct TenantTable {
-    map: BTreeMap<u64, TenantCounters>,
+    /// `None`: never touched.
+    slots: Vec<Option<TenantCounters>>,
+    touched: usize,
 }
 
 impl TenantTable {
     /// Empty table.
     pub fn new() -> Self {
-        TenantTable { map: BTreeMap::new() }
+        Self::default()
     }
 
     /// Mutable counters for `tenant`, created on first touch.
     pub fn tenant(&mut self, tenant: u64) -> &mut TenantCounters {
-        self.map.entry(tenant).or_default()
+        let i = tenant as usize;
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, None);
+        }
+        let slot = &mut self.slots[i];
+        if slot.is_none() {
+            self.touched += 1;
+        }
+        slot.get_or_insert_with(TenantCounters::default)
     }
 
     /// Counters for `tenant`, if it was ever touched.
     pub fn get(&self, tenant: u64) -> Option<&TenantCounters> {
-        self.map.get(&tenant)
+        self.slots.get(tenant as usize)?.as_ref()
     }
 
-    /// Iterate `(tenant, counters)` in tenant order.
-    pub fn iter(&self) -> impl Iterator<Item = (&u64, &TenantCounters)> {
-        self.map.iter()
+    /// Iterate `(tenant, counters)` in tenant order over touched tenants.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &TenantCounters)> {
+        (0u64..).zip(&self.slots).filter_map(|(id, c)| Some((id, c.as_ref()?)))
     }
 
     /// Number of tenants touched.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.touched
     }
 
     /// True when no tenant was touched.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.touched == 0
     }
 
     /// Sum of all tenants' counters (peaks are maxima, not sums).
     pub fn totals(&self) -> TenantCounters {
         let mut t = TenantCounters::default();
-        for c in self.map.values() {
+        for (_, c) in self.iter() {
             t.merge(c);
         }
         t
@@ -150,7 +163,7 @@ impl TenantTable {
     /// Fold another table into this one, tenant by tenant.
     pub fn merge(&mut self, o: &TenantTable) {
         for (id, c) in o.iter() {
-            self.tenant(*id).merge(c);
+            self.tenant(id).merge(c);
         }
     }
 }
@@ -273,5 +286,12 @@ mod tests {
         assert_eq!(t.get(2).unwrap().appends, 3);
         assert_eq!(t.get(3).unwrap().dup_drops, 9);
         assert_eq!(t.len(), 3);
+        // Touches only: tenant 0 sits below the largest id but was never
+        // touched, and reading does not touch.
+        assert!(t.get(0).is_none() && t.get(99).is_none());
+        let ids: Vec<u64> = t.iter().map(|(id, _)| id).collect();
+        assert_eq!(ids, vec![1, 2, 3]);
+        t.tenant(0);
+        assert_eq!(t.len(), 4);
     }
 }

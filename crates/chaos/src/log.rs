@@ -159,7 +159,7 @@ pub fn run_seed(cfg: &LogChaosConfig, seed: u64) -> LogSeedOutcome {
                 oracle.observe_record(
                     at,
                     observer,
-                    *stream,
+                    stream,
                     r.offset,
                     r.client,
                     r.seq,

@@ -17,20 +17,40 @@
 //!   items, in sequence order.
 //! * `seq >  expected` → hold until the gap fills; offering the same held
 //!   seq twice keeps the first item.
+//!
+//! The in-order case — nothing held, the expected seq arrives — touches
+//! no heap: the released [`Run`] is the offered item plus an empty `Vec`.
 
 use bytes::Bytes;
 use std::collections::BTreeMap;
+use std::iter::{Chain, Once};
 
 /// Outcome of offering one item to the gate.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Offered<T> {
-    /// The item (and possibly held successors) released; the run is
-    /// `(seq, item)` in strictly increasing, contiguous order.
-    Released(Vec<(u64, T)>),
+    /// The item (and possibly held successors) released.
+    Released(Run<T>),
     /// The item is ahead of a gap and parked.
     Held,
     /// The item was already released once; dropped.
     Duplicate,
+}
+
+/// A released run: `(seq, item)` in strictly increasing, contiguous
+/// order — the offered item, then the held successors it unblocked.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Run<T> {
+    first: (u64, T),
+    rest: Vec<(u64, T)>,
+}
+
+impl<T> IntoIterator for Run<T> {
+    type Item = (u64, T);
+    type IntoIter = Chain<Once<(u64, T)>, std::vec::IntoIter<(u64, T)>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        std::iter::once(self.first).chain(self.rest)
+    }
 }
 
 /// Gap-enforcement state for one sequence space: a `(stream, client)`
@@ -64,13 +84,13 @@ impl<T> ClientGate<T> {
             self.held.entry(seq).or_insert(item);
             return Offered::Held;
         }
-        let mut run = vec![(seq, item)];
+        let mut rest = Vec::new();
         self.next_seq = seq + 1;
         while let Some(p) = self.held.remove(&self.next_seq) {
-            run.push((self.next_seq, p));
+            rest.push((self.next_seq, p));
             self.next_seq += 1;
         }
-        Offered::Released(run)
+        Offered::Released(Run { first: (seq, item), rest })
     }
 
     /// Next sequence the gate will release (== cumulative released count).
@@ -92,11 +112,19 @@ mod tests {
         Bytes::from(s.to_string())
     }
 
+    /// The released run as a `Vec`, or `None` for `Held` / `Duplicate`.
+    fn released(o: Offered<Bytes>) -> Option<Vec<(u64, Bytes)>> {
+        match o {
+            Offered::Released(run) => Some(run.into_iter().collect()),
+            _ => None,
+        }
+    }
+
     #[test]
     fn in_order_releases_immediately() {
         let mut g = ClientGate::new();
-        assert_eq!(g.offer(0, b("a")), Offered::Released(vec![(0, b("a"))]));
-        assert_eq!(g.offer(1, b("b")), Offered::Released(vec![(1, b("b"))]));
+        assert_eq!(released(g.offer(0, b("a"))), Some(vec![(0, b("a"))]));
+        assert_eq!(released(g.offer(1, b("b"))), Some(vec![(1, b("b"))]));
         assert_eq!(g.next_seq(), 2);
         assert_eq!(g.held_len(), 0);
     }
@@ -107,10 +135,7 @@ mod tests {
         assert_eq!(g.offer(2, b("c")), Offered::Held);
         assert_eq!(g.offer(1, b("b")), Offered::Held);
         assert_eq!(g.held_len(), 2);
-        assert_eq!(
-            g.offer(0, b("a")),
-            Offered::Released(vec![(0, b("a")), (1, b("b")), (2, b("c"))])
-        );
+        assert_eq!(released(g.offer(0, b("a"))), Some(vec![(0, b("a")), (1, b("b")), (2, b("c"))]));
         assert_eq!(g.held_len(), 0);
     }
 
@@ -122,7 +147,7 @@ mod tests {
         // Duplicate of a held seq keeps the first payload.
         assert_eq!(g.offer(2, b("c")), Offered::Held);
         assert_eq!(g.offer(2, b("c2")), Offered::Held);
-        assert_eq!(g.offer(1, b("b")), Offered::Released(vec![(1, b("b")), (2, b("c"))]));
+        assert_eq!(released(g.offer(1, b("b"))), Some(vec![(1, b("b")), (2, b("c"))]));
         assert_eq!(g.offer(2, b("c3")), Offered::Duplicate);
     }
 }

@@ -34,6 +34,6 @@ pub mod proto;
 pub mod service;
 pub mod shard;
 
-pub use gate::{ClientGate, Offered};
-pub use service::{LogConfig, LogService};
+pub use gate::{ClientGate, Offered, Run};
+pub use service::{LogConfig, LogService, ReplicaGroup};
 pub use shard::{Record, ShardState};

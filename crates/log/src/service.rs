@@ -12,6 +12,11 @@
 //! a crash the survivor simply becomes owner — clients resend their
 //! unacknowledged window (the sequence gate drops duplicates) and
 //! subscribers re-subscribe from their next offset.
+//!
+//! Every table is a `Vec` indexed by an id the [`LogConfig`] bounds:
+//! shards, clients and subscribers by their counts, streams by
+//! `n_streams`. Ids that arrive off the wire are checked against those
+//! bounds at the door, and a message naming one outside them is dropped.
 
 use crate::gate::{ClientGate, Offered};
 use crate::proto::{tag, Ack, Append, RecordSet, StreamReq, WireRecord};
@@ -23,7 +28,8 @@ use onepipe_core::events::UserEvent;
 use onepipe_core::simhost::{AppHook, SendQueue};
 use onepipe_types::ids::{HostId, ProcessId};
 use onepipe_types::message::{Delivered, Message};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
+use std::ops::{Deref, Range};
 
 /// Backlog (ns of queued CPU work) beyond which the owner shrinks credit
 /// grants to 1 — the backpressure signal.
@@ -90,12 +96,12 @@ impl LogConfig {
     }
 
     /// Replica group of `stream`, primary first.
-    pub fn replicas(&self, stream: u64) -> Vec<u32> {
+    pub fn replicas(&self, stream: u64) -> ReplicaGroup {
         let p = shard_of(stream, self.n_shards as usize) as u32;
         if self.replicate && self.n_shards >= 2 {
-            vec![p, (p + 1) % self.n_shards]
+            ReplicaGroup { members: [p, (p + 1) % self.n_shards], len: 2 }
         } else {
-            vec![p]
+            ReplicaGroup { members: [p, p], len: 1 }
         }
     }
 
@@ -104,25 +110,59 @@ impl LogConfig {
         let f = self.fanout.min(self.n_subs);
         (0..f).map(|i| ((stream + i as u64) % self.n_subs as u64) as u32).collect()
     }
+
+    /// `stream` is one of this deployment's streams.
+    fn has_stream(&self, stream: u64) -> bool {
+        stream < self.n_streams
+    }
+}
+
+/// A stream's replica group, primary first: one shard, or two when
+/// replicated. Derefs to `[u32]` and iterates by value.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ReplicaGroup {
+    members: [u32; 2],
+    len: usize,
+}
+
+impl Deref for ReplicaGroup {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        &self.members[..self.len]
+    }
+}
+
+impl IntoIterator for ReplicaGroup {
+    type Item = u32;
+    type IntoIter = std::iter::Take<std::array::IntoIter<u32, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.members.into_iter().take(self.len)
+    }
 }
 
 /// One in-flight (sent, unacknowledged) batch at a client.
 struct Inflight {
+    seq: u64,
     payload: Bytes,
     first_sent: u64,
     last_sent: u64,
 }
 
-#[derive(Default)]
+/// A client's side of one stream.
+struct ClientStream {
+    /// Next sequence to assign.
+    next_seq: u64,
+    /// Last credit grant (the full window until the first ack).
+    credit: u32,
+    /// Sent but unacknowledged batches, in sequence order.
+    unacked: VecDeque<Inflight>,
+}
+
 struct ClientState {
-    /// Next sequence to assign, per stream.
-    next_seq: BTreeMap<u64, u64>,
-    /// Sent but unacknowledged, keyed `(stream, seq)`.
-    unacked: BTreeMap<(u64, u64), Inflight>,
-    /// Outstanding batch count per stream (cache of `unacked` per key).
-    outstanding: BTreeMap<u64, u32>,
-    /// Last credit grant per stream (defaults to the full window).
-    credit: BTreeMap<u64, u32>,
+    /// Indexed by stream.
+    streams: Vec<ClientStream>,
     /// Admitted-pending arrivals blocked on credit.
     pending: VecDeque<(u64, Bytes)>,
     /// No unacknowledged batch falls due for a timer resend before this
@@ -145,17 +185,34 @@ struct SubStream {
     last_fetch: u64,
 }
 
-#[derive(Default)]
-struct SubState {
-    joined: bool,
-    streams: BTreeMap<u64, SubStream>,
+impl SubStream {
+    /// The instant after which this stream falls due for a pull-repair:
+    /// `fetch_after_ns` past its last progress or FETCH, if it is
+    /// subscribed and known to be behind (the shard's log is longer, or
+    /// records wait behind a gap); `u64::MAX` otherwise.
+    fn fetch_due(&self, fetch_after_ns: u64) -> u64 {
+        let behind = self.known_len > self.gate.next_seq() || self.gate.held_len() > 0;
+        if self.subscribed && behind {
+            self.last_progress.max(self.last_fetch).saturating_add(fetch_after_ns)
+        } else {
+            u64::MAX
+        }
+    }
 }
 
-#[derive(Default)]
+struct SubState {
+    joined: bool,
+    /// Indexed by stream; `None`: never subscribed or heard of.
+    streams: Vec<Option<SubStream>>,
+    /// No stream falls due for a pull-repair before this (a lower bound:
+    /// lowered whenever a stream is left behind, recomputed by a scan).
+    fetch_due: u64,
+}
+
 struct ShardReplica {
     state: ShardState,
-    /// Registered subscribers per stream (process ids).
-    subs: BTreeMap<u64, Vec<ProcessId>>,
+    /// Registered subscribers (process ids), indexed by stream.
+    subs: Vec<Vec<ProcessId>>,
     /// Modeled CPU backlog frontier, ns.
     busy_until: u64,
 }
@@ -165,9 +222,9 @@ pub struct LogService {
     /// Deployment configuration.
     pub cfg: LogConfig,
     alive: Vec<bool>,
-    shards: BTreeMap<u32, ShardReplica>,
-    clients: BTreeMap<u32, ClientState>,
-    subs: BTreeMap<u32, SubState>,
+    shards: Vec<ShardReplica>,
+    clients: Vec<ClientState>,
+    subs: Vec<SubState>,
     /// Client-side per-tenant counters (stalls live here).
     pub client_tenants: TenantTable,
     /// Append ack latency (ns) per stream, client-observed.
@@ -180,16 +237,45 @@ pub struct LogService {
     pub sub_records: u64,
 }
 
+/// Lowest-index live replica of `stream`.
+fn owner_of(cfg: &LogConfig, alive: &[bool], stream: u64) -> Option<u32> {
+    cfg.replicas(stream).into_iter().find(|&s| alive[s as usize])
+}
+
 impl LogService {
     /// Build a service for `cfg`; `n_processes()` processes expected.
     pub fn new(cfg: LogConfig) -> Self {
-        let n = cfg.n_processes();
-        let clients = (0..cfg.n_clients).map(|c| (c, ClientState::default())).collect();
-        let shards = (0..cfg.n_shards).map(|s| (s, ShardReplica::default())).collect();
-        let subs = (0..cfg.n_subs).map(|u| (u, SubState::default())).collect();
+        let n_streams = cfg.n_streams as usize;
+        let shards = (0..cfg.n_shards)
+            .map(|_| ShardReplica {
+                state: ShardState::new(),
+                subs: vec![Vec::new(); n_streams],
+                busy_until: 0,
+            })
+            .collect();
+        let clients = (0..cfg.n_clients)
+            .map(|_| ClientState {
+                streams: (0..n_streams)
+                    .map(|_| ClientStream {
+                        next_seq: 0,
+                        credit: cfg.window,
+                        unacked: VecDeque::new(),
+                    })
+                    .collect(),
+                pending: VecDeque::new(),
+                resend_due: u64::MAX,
+            })
+            .collect();
+        let subs = (0..cfg.n_subs)
+            .map(|_| SubState {
+                joined: false,
+                streams: (0..n_streams).map(|_| None).collect(),
+                fetch_due: u64::MAX,
+            })
+            .collect();
         LogService {
+            alive: vec![true; cfg.n_processes()],
             cfg,
-            alive: vec![true; n],
             shards,
             clients,
             subs,
@@ -215,12 +301,15 @@ impl LogService {
 
     fn role(&self, p: ProcessId) -> Role {
         let i = p.0;
-        if i < self.cfg.n_shards {
+        let (shards, clients) = (self.cfg.n_shards, self.cfg.n_shards + self.cfg.n_clients);
+        if i < shards {
             Role::Shard(i)
-        } else if i < self.cfg.n_shards + self.cfg.n_clients {
-            Role::Client(i - self.cfg.n_shards)
+        } else if i < clients {
+            Role::Client(i - shards)
+        } else if i < clients + self.cfg.n_subs {
+            Role::Sub(i - clients)
         } else {
-            Role::Sub(i - self.cfg.n_shards - self.cfg.n_clients)
+            Role::Outside
         }
     }
 
@@ -230,39 +319,49 @@ impl LogService {
 
     /// Current owner shard of `stream`: lowest-index live replica.
     pub fn owner(&self, stream: u64) -> Option<u32> {
-        self.cfg.replicas(stream).into_iter().find(|&s| self.alive[s as usize])
+        owner_of(&self.cfg, &self.alive, stream)
     }
 
     /// Hand one batch to a client; it is admitted under the credit
-    /// window on the client's next tick. The only way traffic enters.
+    /// window on the client's next tick. The only way traffic enters. A
+    /// client or stream outside the deployment is refused: the batch is
+    /// dropped.
     pub fn submit(&mut self, client_idx: u32, stream: u64, payload: impl Into<Bytes>) {
-        let st = self.clients.get_mut(&client_idx).expect("client exists");
-        st.pending.push_back((stream, payload.into()));
+        if !self.cfg.has_stream(stream) {
+            return;
+        }
+        if let Some(st) = self.clients.get_mut(client_idx as usize) {
+            st.pending.push_back((stream, payload.into()));
+        }
     }
 
     /// The shard-replica log state (for benches, tests, the oracle).
+    ///
+    /// # Panics
+    ///
+    /// If `shard_idx` is not below `n_shards`.
     pub fn shard_state(&self, shard_idx: u32) -> &ShardState {
-        &self.shards.get(&shard_idx).expect("shard exists").state
+        &self.shards[shard_idx as usize].state
     }
 
     /// Records a subscriber has applied for `stream`, in offset order.
     pub fn sub_applied(&self, sub_idx: u32, stream: u64) -> &[Record] {
         self.subs
-            .get(&sub_idx)
-            .and_then(|s| s.streams.get(&stream))
-            .map(|s| s.applied.as_slice())
-            .unwrap_or(&[])
+            .get(sub_idx as usize)
+            .and_then(|s| s.streams.get(stream as usize)?.as_ref())
+            .map_or(&[], |s| s.applied.as_slice())
     }
 
     /// Batches submitted but not yet acknowledged, across all clients.
     pub fn unacked_total(&self) -> usize {
-        self.clients.values().map(|c| c.unacked.len() + c.pending.len()).sum()
+        let unacked = |c: &ClientState| c.streams.iter().map(|s| s.unacked.len()).sum::<usize>();
+        self.clients.iter().map(|c| unacked(c) + c.pending.len()).sum()
     }
 
     /// Merged per-tenant counters: shard-side ∪ client-side.
     pub fn tenant_totals(&self) -> TenantTable {
         let mut t = TenantTable::new();
-        for sh in self.shards.values() {
+        for sh in &self.shards {
             t.merge(&sh.state.tenants);
         }
         t.merge(&self.client_tenants);
@@ -292,7 +391,8 @@ impl LogService {
     }
 
     /// Resend client `c`'s unacknowledged batches that `pick(cfg, stream,
-    /// batch)` selects, in key order, and recompute its resend deadline.
+    /// batch)` selects, in `(stream, seq)` order, and recompute its
+    /// resend deadline.
     fn resend(
         &mut self,
         c: u32,
@@ -301,45 +401,38 @@ impl LogService {
         pick: impl Fn(&LogConfig, u64, &Inflight) -> bool,
     ) {
         let LogService { cfg, alive, clients, .. } = self;
-        let Some(st) = clients.get_mut(&c) else { return };
+        let st = &mut clients[c as usize];
         let mut due = u64::MAX;
-        for (&key, inf) in st.unacked.iter_mut() {
-            if pick(cfg, key.0, inf) {
-                Self::scatter_batch(cfg, alive, c, key, &inf.payload, out);
-                inf.last_sent = now;
+        for (stream, cs) in (0u64..).zip(st.streams.iter_mut()) {
+            for inf in cs.unacked.iter_mut() {
+                if pick(cfg, stream, inf) {
+                    Self::scatter_batch(cfg, alive, c, (stream, inf.seq), &inf.payload, out);
+                    inf.last_sent = now;
+                }
+                due = due.min(inf.last_sent + cfg.resend_after_ns);
             }
-            due = due.min(inf.last_sent + cfg.resend_after_ns);
         }
         st.resend_due = due;
     }
 
     /// Admit pending arrivals at client `c` while credit allows.
     fn try_admit(&mut self, c: u32, now: u64, out: &mut SendQueue) {
-        let window = self.cfg.window;
-        loop {
-            let Some(st) = self.clients.get_mut(&c) else { return };
-            let stream = match st.pending.front() {
-                Some((s, _)) => *s,
-                None => return,
-            };
-            let credit = st.credit.get(&stream).copied().unwrap_or(window);
-            let outstanding = st.outstanding.get(&stream).copied().unwrap_or(0);
-            if outstanding >= credit {
+        let LogService { cfg, alive, clients, client_tenants, .. } = self;
+        let st = &mut clients[c as usize];
+        // `submit` only queues streams of this deployment.
+        while let Some(&(stream, _)) = st.pending.front() {
+            let cs = &mut st.streams[stream as usize];
+            if cs.unacked.len() >= cs.credit as usize {
                 // Blocked on credit: surfaced as a backpressure stall.
-                self.client_tenants.tenant(stream).stalls += 1;
+                client_tenants.tenant(stream).stalls += 1;
                 return;
             }
-            let (stream, payload) = st.pending.pop_front().expect("front checked");
-            let seq_ref = st.next_seq.entry(stream).or_insert(0);
-            let seq = *seq_ref;
-            *seq_ref += 1;
-            *st.outstanding.entry(stream).or_insert(0) += 1;
-            st.unacked.insert(
-                (stream, seq),
-                Inflight { payload: payload.clone(), first_sent: now, last_sent: now },
-            );
-            st.resend_due = st.resend_due.min(now + self.cfg.resend_after_ns);
-            Self::scatter_batch(&self.cfg, &self.alive, c, (stream, seq), &payload, out);
+            let Some((_, payload)) = st.pending.pop_front() else { return };
+            let seq = cs.next_seq;
+            cs.next_seq += 1;
+            Self::scatter_batch(cfg, alive, c, (stream, seq), &payload, out);
+            cs.unacked.push_back(Inflight { seq, payload, first_sent: now, last_sent: now });
+            st.resend_due = st.resend_due.min(now + cfg.resend_after_ns);
         }
     }
 
@@ -352,17 +445,18 @@ impl LogService {
         stream: u64,
         client_idx: u32,
         seq_next: u64,
-        appended: &[u64],
+        appended: Range<u64>,
         out: &mut SendQueue,
     ) {
         let me = Self::shard_proc(shard_idx);
         let client_proc = self.client_proc(client_idx);
-        let sh = self.shards.get_mut(&shard_idx).expect("shard exists");
+        let sh = &mut self.shards[shard_idx as usize];
         // CPU model: each appended record costs server_op_ns; credit
         // shrinks while the backlog exceeds the limit.
-        sh.busy_until = sh.busy_until.max(now) + self.cfg.server_op_ns * appended.len() as u64;
+        let n_appended = appended.end - appended.start;
+        sh.busy_until = sh.busy_until.max(now) + self.cfg.server_op_ns * n_appended;
         let backlog = sh.busy_until.saturating_sub(now);
-        let held = sh.state.stream(stream).map(|s| s.held_len()).unwrap_or(0);
+        let held = sh.state.stream(stream).map_or(0, |s| s.held_len());
         let credit = if backlog > BUSY_LIMIT_NS || held as u32 >= self.cfg.window {
             1
         } else {
@@ -370,16 +464,13 @@ impl LogService {
         };
         let log_len = sh.state.len(stream);
         out.push_raw(me, client_proc, Ack { stream, seq_next, log_len, credit }.encode());
-        if appended.is_empty() {
-            return;
-        }
-        let subs = sh.subs.get(&stream).cloned().unwrap_or_default();
-        if subs.is_empty() {
+        let subs = &sh.subs[stream as usize];
+        if appended.is_empty() || subs.is_empty() {
             return;
         }
         let records: Vec<WireRecord> = sh
             .state
-            .range(stream, appended[0], appended[appended.len() - 1] + 1)
+            .range(stream, appended.start, appended.end)
             .iter()
             .map(|r| WireRecord {
                 offset: r.offset,
@@ -392,7 +483,7 @@ impl LogService {
         let n = records.len() as u64;
         let set = RecordSet { stream, log_len, records }.encode(tag::RECORD);
         sh.state.tenants.tenant(stream).fanout_records += n * subs.len() as u64;
-        for sub in subs {
+        for &sub in subs {
             out.push_raw(me, sub, set.clone());
         }
     }
@@ -408,7 +499,7 @@ impl LogService {
         out: &mut SendQueue,
     ) {
         let me = Self::shard_proc(shard_idx);
-        let sh = self.shards.get_mut(&shard_idx).expect("shard exists");
+        let sh = &mut self.shards[shard_idx as usize];
         let log_len = sh.state.len(stream);
         let mut at = from.min(log_len);
         let mut shipped = 0u64;
@@ -439,9 +530,9 @@ impl LogService {
 
     /// Subscriber-side: integrate a record set, apply what is contiguous.
     fn sub_ingest(&mut self, sub_idx: u32, now: u64, set: RecordSet) {
-        let stream = set.stream;
-        let st = self.subs.entry(sub_idx).or_default();
-        let ss = st.streams.entry(stream).or_default();
+        let fetch_after = self.cfg.fetch_after_ns;
+        let st = &mut self.subs[sub_idx as usize];
+        let ss = st.streams[set.stream as usize].get_or_insert_with(SubStream::default);
         ss.known_len = ss.known_len.max(set.log_len);
         let before = ss.applied.len();
         for r in set.records {
@@ -456,6 +547,54 @@ impl LogService {
             ss.last_progress = now;
             self.sub_records += applied_now;
         }
+        st.fetch_due = st.fetch_due.min(ss.fetch_due(fetch_after));
+    }
+
+    /// One subscriber tick: the initial subscriptions, then a pull-repair
+    /// scan once the earliest stream can be due — a stream known to be
+    /// ahead with no recent progress gets a FETCH from its frontier.
+    fn sub_tick(&mut self, u: u32, now: u64, out: &mut SendQueue) {
+        let from = self.sub_proc(u);
+        let LogService { cfg, alive, subs, .. } = self;
+        let st = &mut subs[u as usize];
+        if !st.joined {
+            // Initial subscription to every assigned stream.
+            for stream in 0..cfg.n_streams {
+                if !cfg.subs_of(stream).contains(&u) {
+                    continue;
+                }
+                if let Some(owner) = owner_of(cfg, alive, stream) {
+                    out.push_raw(
+                        from,
+                        Self::shard_proc(owner),
+                        StreamReq { stream, from: 0 }.encode(tag::SUBSCRIBE),
+                    );
+                    let ss = st.streams[stream as usize].get_or_insert_with(SubStream::default);
+                    ss.subscribed = true;
+                    st.fetch_due = st.fetch_due.min(ss.fetch_due(cfg.fetch_after_ns));
+                }
+            }
+            st.joined = true;
+        }
+        if now <= st.fetch_due {
+            return;
+        }
+        let mut due = u64::MAX;
+        for (stream, ss) in (0u64..).zip(st.streams.iter_mut()) {
+            let Some(ss) = ss else { continue };
+            if now > ss.fetch_due(cfg.fetch_after_ns) {
+                ss.last_fetch = now;
+                if let Some(owner) = owner_of(cfg, alive, stream) {
+                    out.push_raw(
+                        from,
+                        Self::shard_proc(owner),
+                        StreamReq { stream, from: ss.gate.next_seq() }.encode(tag::FETCH),
+                    );
+                }
+            }
+            due = due.min(ss.fetch_due(cfg.fetch_after_ns));
+        }
+        st.fetch_due = due;
     }
 
     /// One process's reaction to a failure announcement. The callback
@@ -475,60 +614,54 @@ impl LogService {
                 *a = false;
             }
         }
+        let lost_member = |cfg: &LogConfig, stream: u64| {
+            cfg.replicas(stream).iter().any(|&s| failed.contains(&Self::shard_proc(s)))
+        };
         match self.role(proc) {
             // Clients: resend every unacknowledged batch whose replica
             // group lost a member; the gate makes resends idempotent.
-            Role::Client(c) => self.resend(c, now, out, |cfg, stream, _| {
-                cfg.replicas(stream).iter().any(|&s| failed.contains(&Self::shard_proc(s)))
-            }),
+            Role::Client(c) => self.resend(c, now, out, |cfg, stream, _| lost_member(cfg, stream)),
             // Subscribers: streams whose group lost a member must
             // re-subscribe at the (possibly new) owner from the current
             // frontier; replay fills the failover hole.
             Role::Sub(u) => {
-                let cfg = &self.cfg;
-                let Some(st) = self.subs.get_mut(&u) else { return };
+                let LogService { cfg, alive, subs, .. } = self;
+                let st = &mut subs[u as usize];
                 if !st.joined {
                     return;
                 }
-                let moved: Vec<(u64, u64)> = st
-                    .streams
-                    .iter_mut()
-                    .filter_map(|(stream, ss)| {
-                        let group = cfg.replicas(*stream);
-                        if group.iter().any(|&s| failed.contains(&Self::shard_proc(s))) {
-                            ss.subscribed = false;
-                            Some((*stream, ss.gate.next_seq()))
-                        } else {
-                            None
-                        }
-                    })
-                    .collect();
-                for (stream, next) in moved {
-                    if let Some(owner) = self.owner(stream) {
+                for (stream, ss) in (0u64..).zip(st.streams.iter_mut()) {
+                    let Some(ss) = ss else { continue };
+                    if !lost_member(cfg, stream) {
+                        continue;
+                    }
+                    ss.subscribed = false;
+                    if let Some(owner) = owner_of(cfg, alive, stream) {
                         out.push_raw(
                             proc,
                             Self::shard_proc(owner),
-                            StreamReq { stream, from: next }.encode(tag::SUBSCRIBE),
+                            StreamReq { stream, from: ss.gate.next_seq() }.encode(tag::SUBSCRIBE),
                         );
-                        if let Some(ss) =
-                            self.subs.get_mut(&u).and_then(|s| s.streams.get_mut(&stream))
-                        {
-                            ss.subscribed = true;
-                        }
+                        ss.subscribed = true;
+                        st.fetch_due = st.fetch_due.min(ss.fetch_due(cfg.fetch_after_ns));
                     }
                 }
             }
             // A surviving replica needs no action: it becomes owner
             // implicitly and starts acking on the clients' resends.
-            Role::Shard(_) => {}
+            Role::Shard(_) | Role::Outside => {}
         }
     }
 }
 
+/// A process's role and its index within the role, always below the
+/// role's `LogConfig` count: the service indexes its role tables by it.
 enum Role {
     Shard(u32),
     Client(u32),
     Sub(u32),
+    /// A process past the deployment's `n_processes()`.
+    Outside,
 }
 
 impl AppHook for LogService {
@@ -549,12 +682,11 @@ impl AppHook for LogService {
             return;
         }
         let Some(a) = Append::decode(&mut p) else { return };
-        let applied = self
-            .shards
-            .get_mut(&shard_idx)
-            .expect("shard exists")
-            .state
-            .apply(a.stream, a.client, a.seq, a.payload);
+        if !self.cfg.has_stream(a.stream) || a.client >= self.cfg.n_clients {
+            return;
+        }
+        let applied =
+            self.shards[shard_idx as usize].state.apply(a.stream, a.client, a.seq, a.payload);
         // Only the owner talks; the backup applies silently and stays
         // byte-identical thanks to the shared total order.
         if self.owner(a.stream) == Some(shard_idx) {
@@ -564,7 +696,7 @@ impl AppHook for LogService {
                 a.stream,
                 a.client,
                 applied.next_seq,
-                &applied.appended,
+                applied.appended,
                 out,
             );
         }
@@ -611,32 +743,24 @@ impl AppHook for LogService {
         match (self.role(receiver), t) {
             (Role::Client(c), tag::ACK) => {
                 let Some(ack) = Ack::decode(&mut p) else { return };
-                let mut acked: Vec<(u64, u64)> = Vec::new();
-                if let Some(st) = self.clients.get_mut(&c) {
-                    st.credit.insert(ack.stream, ack.credit.max(1));
-                    let done: Vec<(u64, u64)> = st
-                        .unacked
-                        .range((ack.stream, 0)..(ack.stream, ack.seq_next))
-                        .map(|(k, _)| *k)
-                        .collect();
-                    for k in done {
-                        let inf = st.unacked.remove(&k).expect("key from range");
-                        if let Some(o) = st.outstanding.get_mut(&ack.stream) {
-                            *o = o.saturating_sub(1);
-                        }
-                        acked.push((k.0, now.saturating_sub(inf.first_sent)));
-                    }
+                if !self.cfg.has_stream(ack.stream) {
+                    return;
                 }
-                for (stream, lat) in acked {
+                let cs = &mut self.clients[c as usize].streams[ack.stream as usize];
+                cs.credit = ack.credit.max(1);
+                while let Some(inf) = cs.unacked.pop_front_if(|inf| inf.seq < ack.seq_next) {
                     self.acked_appends += 1;
-                    self.append_latency_ns.push(stream, lat as f64);
+                    self.append_latency_ns
+                        .push(ack.stream, now.saturating_sub(inf.first_sent) as f64);
                 }
                 self.try_admit(c, now, out);
             }
             (Role::Shard(s), tag::SUBSCRIBE) => {
                 let Some(req) = StreamReq::decode(&mut p) else { return };
-                let sh = self.shards.get_mut(&s).expect("shard exists");
-                let subs = sh.subs.entry(req.stream).or_default();
+                if !self.cfg.has_stream(req.stream) {
+                    return;
+                }
+                let subs = &mut self.shards[s as usize].subs[req.stream as usize];
                 if !subs.contains(&src) {
                     subs.push(src);
                 }
@@ -644,10 +768,16 @@ impl AppHook for LogService {
             }
             (Role::Shard(s), tag::FETCH) => {
                 let Some(req) = StreamReq::decode(&mut p) else { return };
+                if !self.cfg.has_stream(req.stream) {
+                    return;
+                }
                 self.serve_replay(s, req.stream, req.from, src, now, out);
             }
             (Role::Sub(u), tag::RECORD) | (Role::Sub(u), tag::CHUNK) => {
                 let Some(set) = RecordSet::decode(&mut p) else { return };
+                if !self.cfg.has_stream(set.stream) {
+                    return;
+                }
                 self.sub_ingest(u, now, set);
             }
             _ => {}
@@ -663,7 +793,7 @@ impl AppHook for LogService {
                 Role::Client(c) => {
                     // Timer resend of stale unacknowledged batches, once
                     // the earliest of them can be due.
-                    if self.clients.get(&c).is_some_and(|st| now > st.resend_due) {
+                    if now > self.clients[c as usize].resend_due {
                         self.resend(c, now, out, |cfg, _, inf| {
                             now.saturating_sub(inf.last_sent) > cfg.resend_after_ns
                         });
@@ -671,57 +801,12 @@ impl AppHook for LogService {
                     self.try_admit(c, now, out);
                 }
                 Role::Sub(u) => {
-                    let from = self.sub_proc(u);
                     let join_at = self.cfg.join_at.get(u as usize).copied().unwrap_or(0);
-                    if now < join_at {
-                        continue;
-                    }
-                    if !self.subs.get(&u).map(|s| s.joined).unwrap_or(false) {
-                        // Initial subscription to every assigned stream.
-                        let assigned: Vec<u64> = (0..self.cfg.n_streams)
-                            .filter(|&s| self.cfg.subs_of(s).contains(&u))
-                            .collect();
-                        for stream in assigned {
-                            if let Some(owner) = self.owner(stream) {
-                                out.push_raw(
-                                    from,
-                                    Self::shard_proc(owner),
-                                    StreamReq { stream, from: 0 }.encode(tag::SUBSCRIBE),
-                                );
-                                let st = self.subs.entry(u).or_default();
-                                st.streams.entry(stream).or_default().subscribed = true;
-                            }
-                        }
-                        if let Some(st) = self.subs.get_mut(&u) {
-                            st.joined = true;
-                        }
-                    }
-                    // Pull-repair: a stream known to be ahead with no
-                    // recent progress gets a FETCH from the frontier.
-                    let mut fetches = Vec::new();
-                    if let Some(st) = self.subs.get_mut(&u) {
-                        for (stream, ss) in st.streams.iter_mut() {
-                            let next = ss.gate.next_seq();
-                            let behind = ss.known_len > next || ss.gate.held_len() > 0;
-                            let idle = now.saturating_sub(ss.last_progress.max(ss.last_fetch))
-                                > self.cfg.fetch_after_ns;
-                            if ss.subscribed && behind && idle {
-                                ss.last_fetch = now;
-                                fetches.push((*stream, next));
-                            }
-                        }
-                    }
-                    for (stream, next) in fetches {
-                        if let Some(owner) = self.owner(stream) {
-                            out.push_raw(
-                                from,
-                                Self::shard_proc(owner),
-                                StreamReq { stream, from: next }.encode(tag::FETCH),
-                            );
-                        }
+                    if now >= join_at {
+                        self.sub_tick(u, now, out);
                     }
                 }
-                Role::Shard(_) => {}
+                Role::Shard(_) | Role::Outside => {}
             }
         }
     }

@@ -1,9 +1,17 @@
 //! Simulated-cluster integration tests for the log service: basic
 //! ordered append/ack/fan-out, snapshot + replay for a late subscriber,
-//! and credit-based backpressure under a hot tenant.
+//! credit-based backpressure under a hot tenant, and ids from outside the
+//! deployment dropped at the door.
 
+use bytes::Bytes;
 use onepipe_core::harness::{Cluster, ClusterConfig};
+use onepipe_core::simhost::{AppHook, SendQueue};
+use onepipe_log::proto::{tag, Ack, Append, RecordSet, StreamReq, WireRecord};
 use onepipe_log::service::{LogConfig, LogService};
+use onepipe_log::shard::Record;
+use onepipe_types::ids::ProcessId;
+use onepipe_types::message::Delivered;
+use onepipe_types::time::Timestamp;
 use std::sync::{Arc, Mutex};
 
 fn cluster_for(cfg: &LogConfig, seed: u64) -> (Cluster, Arc<Mutex<LogService>>) {
@@ -141,4 +149,117 @@ fn hot_tenant_hits_credit_backpressure() {
     // log matches exactly what was acknowledged.
     assert_eq!(totals.held_peak, 0);
     assert_eq!(svc.acked_appends, svc.shard_state(0).len(0));
+}
+
+/// Everything a message from outside the deployment could disturb.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    /// Per shard, `(stream, records)` for every stream it holds a log of.
+    logs: Vec<Vec<(u64, Vec<Record>)>>,
+    /// Per subscriber, the applied records of every stream id up to and
+    /// including the first one past the deployment.
+    applied: Vec<Vec<Vec<Record>>>,
+    tenants: usize,
+    client_tenants: usize,
+    latency_streams: usize,
+    acked_appends: u64,
+    sub_records: u64,
+    unacked: usize,
+}
+
+impl Observed {
+    fn of(svc: &LogService) -> Observed {
+        let cfg = &svc.cfg;
+        Observed {
+            logs: (0..cfg.n_shards)
+                .map(|s| {
+                    let state = svc.shard_state(s);
+                    state.iter().map(|(id, log)| (id, log.records.clone())).collect()
+                })
+                .collect(),
+            applied: (0..cfg.n_subs)
+                .map(|u| (0..=cfg.n_streams).map(|s| svc.sub_applied(u, s).to_vec()).collect())
+                .collect(),
+            tenants: svc.tenant_totals().len(),
+            client_tenants: svc.client_tenants.len(),
+            latency_streams: svc.append_latency_ns.len(),
+            acked_appends: svc.acked_appends,
+            sub_records: svc.sub_records,
+            unacked: svc.unacked_total(),
+        }
+    }
+}
+
+/// The service's tables are indexed by the ids the config bounds, so a
+/// stream or client id from outside the deployment — on an append, an
+/// ack, a subscription, a fetch, a record push, a replay chunk or a
+/// submit — is dropped at the door: no panic, no table grows, nothing
+/// is answered, and the logs and counters stay as they were.
+#[test]
+fn ids_outside_the_deployment_are_dropped_at_the_door() {
+    let cfg = LogConfig {
+        n_shards: 2,
+        n_clients: 2,
+        n_subs: 2,
+        n_streams: 4,
+        replicate: true,
+        fanout: 2,
+        ..LogConfig::default()
+    };
+    let (mut cluster, app) = cluster_for(&cfg, 14);
+    cluster.run_for(100_000);
+    for round in 0..3u8 {
+        for c in 0..2u32 {
+            for stream in 0..4u64 {
+                app.lock().unwrap().submit(c, stream, vec![round; 8]);
+            }
+        }
+        cluster.run_for(20_000);
+    }
+    cluster.run_for(2_000_000);
+
+    let mut svc = app.lock().unwrap();
+    let before = Observed::of(&svc);
+    assert_eq!(before.acked_appends, 24);
+    assert_eq!(before.sub_records, 48, "two subscribers per stream");
+
+    let client = ProcessId(cfg.n_shards);
+    let sub = ProcessId(cfg.n_shards + cfg.n_clients);
+    let now = 2_200_000; // just after the run
+    let payload = Bytes::from(vec![0xEE; 8]);
+    let mut out = SendQueue::default();
+    // Appends naming a stream past the deployment, or a client past it.
+    let hostile = [(cfg.n_streams, 0), (u64::MAX, 0), (0, u32::MAX)];
+    for (seq, (stream, c)) in (0u64..).zip(hostile) {
+        let append = Append { stream, client: c, seq: 0, payload: payload.clone() };
+        let d = Delivered {
+            ts: Timestamp::from_nanos(now),
+            src: client,
+            seq,
+            payload: append.encode(),
+        };
+        for shard in 0..cfg.n_shards {
+            svc.on_delivery(now, ProcessId(shard), &d, true, &mut out);
+        }
+        svc.submit(c, stream, payload.clone());
+    }
+    svc.submit(u32::MAX, u64::MAX, payload.clone());
+    for stream in [cfg.n_streams, u64::MAX] {
+        let ack = Ack { stream, seq_next: 99, log_len: 99, credit: 8 };
+        svc.on_raw(now, client, ProcessId(0), &ack.encode(), &mut out);
+        for t in [tag::SUBSCRIBE, tag::FETCH] {
+            for shard in 0..cfg.n_shards {
+                let req = StreamReq { stream, from: 0 }.encode(t);
+                svc.on_raw(now, ProcessId(shard), sub, &req, &mut out);
+            }
+        }
+        let record =
+            WireRecord { offset: 0, client: 0, seq: 0, appended_at: now, payload: payload.clone() };
+        for t in [tag::RECORD, tag::CHUNK] {
+            let set = RecordSet { stream, log_len: 9, records: vec![record.clone()] };
+            svc.on_raw(now, sub, ProcessId(0), &set.encode(t), &mut out);
+        }
+    }
+    assert!(out.is_empty(), "a dropped message is answered by nothing");
+    assert_eq!(Observed::of(&svc), before);
 }
