@@ -3,9 +3,10 @@
 //! The controller consumes **events** (Detect reports from switches and
 //! hosts, callback completions from processes, recovery requests) and
 //! produces **actions** (failure announcements, resume commands, recovery
-//! information). Determinism: events are applied in the order they commit
-//! to the replicated log, and all timing decisions use the timestamps
-//! carried in events plus the controller's tick time.
+//! information). The state machine is a pure function of the replicated
+//! log: events are applied in the order they commit, and nothing in
+//! [`ControllerCore::apply`] reads a clock, so every replica that applies
+//! the same log reaches the same state (Raft's state-machine contract).
 //!
 //! Failure model implemented (matching the paper's evaluation):
 //! * host / NIC / host-link failure → all processes on the host fail;
@@ -15,11 +16,12 @@
 //!   process fails**, and the controller only needs to issue Resume so the
 //!   commit barrier stops waiting on the dead component.
 //!
-//! The *failure timestamp* of a component is the maximum last-commit
-//! barrier reported by its live neighbors within the collection window —
-//! the paper's cut rule specialised to tree topologies, where the
-//! reporting neighbors always form a cut between the failed component and
-//! every correct receiver.
+//! Determine: the first committed report for a component announces it, and
+//! its `last_commit` is the component's *failure timestamp*. Later reports
+//! only add their dead link to the Resume set. This is the paper's cut
+//! rule specialised to tree topologies, where the reporting neighbors
+//! always form a cut between the failed component and every correct
+//! receiver.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use onepipe_types::ids::{NodeId, ProcessId};
@@ -66,8 +68,6 @@ pub enum CtrlEvent {
         dead: NodeId,
         /// Last commit barrier heard from it.
         last_commit: Timestamp,
-        /// Report time.
-        at: u64,
     },
     /// A process finished its failure callback (and any Recall work) for
     /// announcement `announce_id`.
@@ -93,14 +93,6 @@ pub enum CtrlEvent {
     RecoveryRequest {
         /// The recovering process.
         proc: ProcessId,
-    },
-    /// The leader's decision to close a Determine window and broadcast the
-    /// failure. Putting the decision itself in the replicated log keeps
-    /// every replica's state machine identical (followers never run the
-    /// leader's timers).
-    AnnounceDecision {
-        /// The component whose failure is being announced.
-        component: ComponentId,
     },
     /// Barrier entry a freshly elected leader writes to its log. Raft only
     /// commits current-term entries directly, so committing this entry is
@@ -174,19 +166,14 @@ impl CtrlAction {
 }
 
 /// A failure being processed (between Detect and Resume).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PendingFailure {
     /// The failed component.
     pub component: ComponentId,
-    /// Max last-commit over reports so far — the failure timestamp.
+    /// The first committed report's last-commit — the failure timestamp.
     pub failure_ts: Timestamp,
-    /// When the first report arrived (starts the collection window).
-    pub first_report_at: u64,
     /// Announcement id, once broadcast.
     pub announce_id: Option<u64>,
-    /// Whether the leader has already proposed the announce decision
-    /// (avoids duplicate log entries; reset implicitly on leader change).
-    pub decision_proposed: bool,
     /// Processes that have completed their callbacks.
     pub completed: BTreeSet<ProcessId>,
     /// Processes whose completion we are waiting for.
@@ -199,8 +186,6 @@ pub struct PendingFailure {
 /// The controller state machine (runs on the Raft leader).
 pub struct ControllerCore {
     domains: FailureDomains,
-    /// Determine-step collection window (ns).
-    pub determine_window: u64,
     correct: BTreeSet<ProcessId>,
     failed: BTreeMap<ProcessId, Timestamp>,
     pending: BTreeMap<ComponentId, PendingFailure>,
@@ -219,7 +204,6 @@ impl ControllerCore {
     pub fn new(domains: FailureDomains, all_procs: impl IntoIterator<Item = ProcessId>) -> Self {
         ControllerCore {
             domains,
-            determine_window: 10_000, // 10 µs: a few beacon timeouts
             correct: all_procs.into_iter().collect(),
             failed: BTreeMap::new(),
             pending: BTreeMap::new(),
@@ -249,10 +233,10 @@ impl ControllerCore {
         self.pending.values()
     }
 
-    /// Apply one committed event at controller time `now`; returns actions.
-    pub fn apply(&mut self, ev: CtrlEvent, now: u64) -> Vec<CtrlAction> {
+    /// Apply one committed event; returns actions.
+    pub fn apply(&mut self, ev: CtrlEvent) -> Vec<CtrlAction> {
         match ev {
-            CtrlEvent::Detect { reporter, dead, last_commit, at } => {
+            CtrlEvent::Detect { reporter, dead, last_commit } => {
                 let Some(&comp) = self.domains.component_of.get(&dead) else {
                     return Vec::new();
                 };
@@ -263,22 +247,17 @@ impl ControllerCore {
                 }
                 let entry = self.pending.entry(comp).or_insert_with(|| PendingFailure {
                     component: comp,
-                    failure_ts: Timestamp::ZERO,
-                    first_report_at: at,
+                    failure_ts: last_commit,
                     announce_id: None,
-                    decision_proposed: false,
                     completed: BTreeSet::new(),
                     expected: BTreeSet::new(),
                     dead_links: BTreeSet::new(),
                 });
                 entry.dead_links.insert((reporter, dead));
+                let mut actions = Vec::new();
                 if entry.announce_id.is_none() {
-                    entry.failure_ts = entry.failure_ts.max(last_commit);
+                    actions = self.announce_component(comp);
                 }
-                self.tick(now)
-            }
-            CtrlEvent::AnnounceDecision { component } => {
-                let mut actions = self.announce_component(component);
                 actions.extend(self.finish_ready());
                 actions
             }
@@ -312,41 +291,11 @@ impl ControllerCore {
         }
     }
 
-    /// Components whose Determine window expired and whose announce
-    /// decision has not yet been proposed. A replicated deployment puts an
-    /// [`CtrlEvent::AnnounceDecision`] in the log for each; a standalone
-    /// deployment lets [`tick`](Self::tick) apply them directly.
-    pub fn expired_windows(&self, now: u64) -> Vec<ComponentId> {
-        self.pending
-            .iter()
-            .filter(|(_, p)| {
-                p.announce_id.is_none()
-                    && !p.decision_proposed
-                    && now >= p.first_report_at + self.determine_window
-            })
-            .map(|(&c, _)| c)
-            .collect()
-    }
-
-    /// Mark a component's announce decision as proposed (leader-side
-    /// bookkeeping between proposal and commitment).
-    pub fn mark_decision_proposed(&mut self, comp: ComponentId) {
-        if let Some(p) = self.pending.get_mut(&comp) {
-            p.decision_proposed = true;
-        }
-    }
-
-    /// Close the Determine window of `comp`: record failures and emit the
-    /// Broadcast actions. Idempotent — re-applying a committed decision
-    /// (possible across leader changes) is a no-op.
+    /// Determine `comp`'s failure: record its failed processes and emit
+    /// the Broadcast actions. Called once per component, on its first
+    /// committed report.
     fn announce_component(&mut self, comp: ComponentId) -> Vec<CtrlAction> {
         let mut actions = Vec::new();
-        let Some(p) = self.pending.get(&comp) else {
-            return actions;
-        };
-        if p.announce_id.is_some() {
-            return actions;
-        }
         let killed: Vec<ProcessId> = self
             .domains
             .killed_procs
@@ -387,17 +336,6 @@ impl ControllerCore {
         actions
     }
 
-    /// Advance the controller clock (standalone deployment): close expired
-    /// Determine windows directly and emit Broadcast / Resume actions.
-    pub fn tick(&mut self, now: u64) -> Vec<CtrlAction> {
-        let mut actions = Vec::new();
-        for comp in self.expired_windows(now) {
-            actions.extend(self.announce_component(comp));
-        }
-        actions.extend(self.finish_ready());
-        actions
-    }
-
     /// Emit Resume for every pending failure whose callbacks are all in.
     fn finish_ready(&mut self) -> Vec<CtrlAction> {
         let mut actions = Vec::new();
@@ -415,17 +353,6 @@ impl ControllerCore {
             }
         }
         actions
-    }
-
-    /// Clear leader-side "decision already proposed" bookkeeping. A new
-    /// leader must call this on election: the flag lives outside the
-    /// replicated log, so it reflects the *previous* leader's proposals —
-    /// some of which may have died with it. Re-proposing is safe because
-    /// [`announce_component`](Self::apply) is idempotent.
-    pub fn reset_decision_proposals(&mut self) {
-        for p in self.pending.values_mut() {
-            p.decision_proposed = false;
-        }
     }
 
     /// Actions a freshly elected leader must re-issue to guarantee every
@@ -469,12 +396,11 @@ impl CtrlEvent {
     pub fn encode(&self) -> Bytes {
         let mut b = BytesMut::new();
         match self {
-            CtrlEvent::Detect { reporter, dead, last_commit, at } => {
+            CtrlEvent::Detect { reporter, dead, last_commit } => {
                 b.put_u8(0);
                 b.put_u32(reporter.0);
                 b.put_u32(dead.0);
                 b.put_uint(last_commit.raw(), 6);
-                b.put_u64(*at);
             }
             CtrlEvent::CallbackComplete { announce_id, from } => {
                 b.put_u8(1);
@@ -491,10 +417,6 @@ impl CtrlEvent {
             CtrlEvent::RecoveryRequest { proc } => {
                 b.put_u8(3);
                 b.put_u32(proc.0);
-            }
-            CtrlEvent::AnnounceDecision { component } => {
-                b.put_u8(4);
-                b.put_u32(*component);
             }
             CtrlEvent::NewEpoch { term } => {
                 b.put_u8(5);
@@ -520,12 +442,11 @@ impl CtrlEvent {
         };
         Ok(match tag {
             0 => {
-                need(&buf, 4 + 4 + 6 + 8)?;
+                need(&buf, 4 + 4 + 6)?;
                 CtrlEvent::Detect {
                     reporter: NodeId(buf.get_u32()),
                     dead: NodeId(buf.get_u32()),
                     last_commit: Timestamp::from_raw(buf.get_uint(6)),
-                    at: buf.get_u64(),
                 }
             }
             1 => {
@@ -548,10 +469,6 @@ impl CtrlEvent {
                 need(&buf, 4)?;
                 CtrlEvent::RecoveryRequest { proc: ProcessId(buf.get_u32()) }
             }
-            4 => {
-                need(&buf, 4)?;
-                CtrlEvent::AnnounceDecision { component: buf.get_u32() }
-            }
             5 => {
                 need(&buf, 8)?;
                 CtrlEvent::NewEpoch { term: buf.get_u64() }
@@ -567,6 +484,14 @@ mod tests {
 
     fn ts(v: u64) -> Timestamp {
         Timestamp::from_nanos(v)
+    }
+
+    fn detect(reporter: u32, dead: u32, last_commit: u64) -> CtrlEvent {
+        CtrlEvent::Detect {
+            reporter: NodeId(reporter),
+            dead: NodeId(dead),
+            last_commit: ts(last_commit),
+        }
     }
 
     /// 2 hosts (nodes 0,1) with procs 0,1 — plus a fabric node 10.
@@ -585,24 +510,9 @@ mod tests {
     #[test]
     fn host_failure_full_sequence() {
         let mut c = core();
-        // Detect at t=0; window is 10 µs.
-        let a = c.apply(
-            CtrlEvent::Detect { reporter: NodeId(5), dead: NodeId(0), last_commit: ts(100), at: 0 },
-            0,
-        );
-        assert!(a.is_empty(), "must wait out the determine window");
-        // A second report raises the failure timestamp.
-        c.apply(
-            CtrlEvent::Detect {
-                reporter: NodeId(6),
-                dead: NodeId(0),
-                last_commit: ts(150),
-                at: 1_000,
-            },
-            1_000,
-        );
-        // Window closes: announce to the two correct processes.
-        let a = c.tick(10_000);
+        // The first report announces to the two correct processes, with
+        // its last-commit as the failure timestamp.
+        let a = c.apply(detect(5, 0, 100));
         let announces: Vec<_> = a
             .iter()
             .filter_map(|x| match x {
@@ -612,16 +522,16 @@ mod tests {
             .collect();
         assert_eq!(announces.len(), 2);
         for (_, _, fails) in &announces {
-            assert_eq!(fails, &vec![(ProcessId(0), ts(150))]);
+            assert_eq!(fails, &vec![(ProcessId(0), ts(100))]);
         }
         let id = announces[0].0;
+        // A second reporter adds its link to the Resume set only.
+        assert!(c.apply(detect(6, 0, 150)).is_empty());
         // One completion: not yet resumed.
-        let a =
-            c.apply(CtrlEvent::CallbackComplete { announce_id: id, from: ProcessId(1) }, 11_000);
+        let a = c.apply(CtrlEvent::CallbackComplete { announce_id: id, from: ProcessId(1) });
         assert!(a.is_empty());
         // Second completion: Resume fires for each reported dead link.
-        let a =
-            c.apply(CtrlEvent::CallbackComplete { announce_id: id, from: ProcessId(2) }, 12_000);
+        let a = c.apply(CtrlEvent::CallbackComplete { announce_id: id, from: ProcessId(2) });
         assert_eq!(
             a,
             vec![
@@ -630,17 +540,13 @@ mod tests {
             ]
         );
         assert!(!c.has_pending());
-        assert_eq!(c.failures().collect::<Vec<_>>(), vec![(ProcessId(0), ts(150))]);
+        assert_eq!(c.failures().collect::<Vec<_>>(), vec![(ProcessId(0), ts(100))]);
     }
 
     #[test]
     fn fabric_failure_resumes_without_announcement() {
         let mut c = core();
-        c.apply(
-            CtrlEvent::Detect { reporter: NodeId(5), dead: NodeId(10), last_commit: ts(42), at: 0 },
-            0,
-        );
-        let a = c.tick(10_000);
+        let a = c.apply(detect(5, 10, 42));
         assert_eq!(a, vec![CtrlAction::Resume { at: NodeId(5), input: NodeId(10) }]);
         // Nobody failed.
         assert_eq!(c.failures().count(), 0);
@@ -650,10 +556,7 @@ mod tests {
     #[test]
     fn unknown_node_ignored() {
         let mut c = core();
-        let a = c.apply(
-            CtrlEvent::Detect { reporter: NodeId(5), dead: NodeId(99), last_commit: ts(1), at: 0 },
-            0,
-        );
+        let a = c.apply(detect(5, 99, 1));
         assert!(a.is_empty());
         assert!(!c.has_pending());
     }
@@ -661,41 +564,22 @@ mod tests {
     #[test]
     fn late_reports_do_not_raise_announced_failure_ts() {
         let mut c = core();
-        c.apply(
-            CtrlEvent::Detect { reporter: NodeId(5), dead: NodeId(0), last_commit: ts(100), at: 0 },
-            0,
-        );
-        c.tick(10_000); // announced with ts=100
-        c.apply(
-            CtrlEvent::Detect {
-                reporter: NodeId(7),
-                dead: NodeId(0),
-                last_commit: ts(999),
-                at: 20_000,
-            },
-            20_000,
-        );
+        c.apply(detect(5, 0, 100)); // announced with ts=100
+        c.apply(detect(7, 0, 999));
         assert_eq!(c.failures().collect::<Vec<_>>(), vec![(ProcessId(0), ts(100))]);
     }
 
     #[test]
     fn recovery_request_returns_history_and_recalls() {
         let mut c = core();
-        c.apply(
-            CtrlEvent::Detect { reporter: NodeId(5), dead: NodeId(0), last_commit: ts(77), at: 0 },
-            0,
-        );
-        c.tick(10_000);
-        c.apply(
-            CtrlEvent::UndeliverableRecall {
-                to: ProcessId(0),
-                ts: ts(500),
-                seq: 3,
-                sender: ProcessId(1),
-            },
-            11_000,
-        );
-        let a = c.apply(CtrlEvent::RecoveryRequest { proc: ProcessId(0) }, 12_000);
+        c.apply(detect(5, 0, 77));
+        c.apply(CtrlEvent::UndeliverableRecall {
+            to: ProcessId(0),
+            ts: ts(500),
+            seq: 3,
+            sender: ProcessId(1),
+        });
+        let a = c.apply(CtrlEvent::RecoveryRequest { proc: ProcessId(0) });
         assert_eq!(
             a,
             vec![CtrlAction::RecoveryInfo {
@@ -709,15 +593,8 @@ mod tests {
     #[test]
     fn double_failure_handled_independently() {
         let mut c = core();
-        c.apply(
-            CtrlEvent::Detect { reporter: NodeId(5), dead: NodeId(0), last_commit: ts(10), at: 0 },
-            0,
-        );
-        c.apply(
-            CtrlEvent::Detect { reporter: NodeId(5), dead: NodeId(1), last_commit: ts(20), at: 0 },
-            0,
-        );
-        let a = c.tick(10_000);
+        let mut a = c.apply(detect(5, 0, 10));
+        a.extend(c.apply(detect(5, 1, 20)));
         // Component 0 announces to {p1, p2} (p1 not yet processed), then
         // component 1 announces to {p2}: three announcements total, and the
         // now-failed p1 is dropped from every pending expectation so the
@@ -728,10 +605,9 @@ mod tests {
         // p2's completions alone must now finish both failures.
         let mut resumes = Vec::new();
         for id in [1u64, 2u64] {
-            resumes.extend(c.apply(
-                CtrlEvent::CallbackComplete { announce_id: id, from: ProcessId(2) },
-                20_000,
-            ));
+            resumes.extend(
+                c.apply(CtrlEvent::CallbackComplete { announce_id: id, from: ProcessId(2) }),
+            );
         }
         assert_eq!(resumes.iter().filter(|a| matches!(a, CtrlAction::Resume { .. })).count(), 2);
         assert!(!c.has_pending());
@@ -740,11 +616,7 @@ mod tests {
     #[test]
     fn redrive_reannounces_only_to_incomplete_processes() {
         let mut c = core();
-        c.apply(
-            CtrlEvent::Detect { reporter: NodeId(5), dead: NodeId(0), last_commit: ts(100), at: 0 },
-            0,
-        );
-        let a = c.tick(10_000);
+        let a = c.apply(detect(5, 0, 100));
         let id = a
             .iter()
             .find_map(|x| match x {
@@ -752,7 +624,7 @@ mod tests {
                 _ => None,
             })
             .unwrap();
-        c.apply(CtrlEvent::CallbackComplete { announce_id: id, from: ProcessId(1) }, 11_000);
+        c.apply(CtrlEvent::CallbackComplete { announce_id: id, from: ProcessId(1) });
         // A new leader re-drives: only p2 (incomplete) gets re-announced.
         let redrive = c.redrive_actions();
         assert_eq!(
@@ -764,7 +636,7 @@ mod tests {
             }]
         );
         // Once finished, re-drive re-sends the recorded Resumes instead.
-        c.apply(CtrlEvent::CallbackComplete { announce_id: id, from: ProcessId(2) }, 12_000);
+        c.apply(CtrlEvent::CallbackComplete { announce_id: id, from: ProcessId(2) });
         assert_eq!(
             c.redrive_actions(),
             vec![CtrlAction::Resume { at: NodeId(5), input: NodeId(0) }]
@@ -774,14 +646,11 @@ mod tests {
     #[test]
     fn duplicate_detect_after_resume_is_ignored() {
         let mut c = core();
-        let detect =
-            CtrlEvent::Detect { reporter: NodeId(5), dead: NodeId(10), last_commit: ts(42), at: 0 };
-        c.apply(detect.clone(), 0);
-        let a = c.tick(10_000);
+        let a = c.apply(detect(5, 10, 42));
         assert_eq!(a.len(), 1, "fabric failure resumes immediately");
         // A retried copy of the same report must not reopen the recovery
         // (that would emit a second Resume for the same link).
-        let a = c.apply(detect, 20_000);
+        let a = c.apply(detect(5, 10, 42));
         assert!(a.is_empty());
         assert!(!c.has_pending());
     }
@@ -795,9 +664,9 @@ mod tests {
             seq: 3,
             sender: ProcessId(1),
         };
-        c.apply(ev.clone(), 0);
-        c.apply(ev, 1_000);
-        let a = c.apply(CtrlEvent::RecoveryRequest { proc: ProcessId(0) }, 2_000);
+        c.apply(ev.clone());
+        c.apply(ev);
+        let a = c.apply(CtrlEvent::RecoveryRequest { proc: ProcessId(0) });
         match &a[0] {
             CtrlAction::RecoveryInfo { recalls, .. } => assert_eq!(recalls.len(), 1),
             other => panic!("expected RecoveryInfo, got {other:?}"),
@@ -805,28 +674,9 @@ mod tests {
     }
 
     #[test]
-    fn reset_decision_proposals_allows_reproposal() {
-        let mut c = core();
-        c.apply(
-            CtrlEvent::Detect { reporter: NodeId(5), dead: NodeId(0), last_commit: ts(1), at: 0 },
-            0,
-        );
-        c.mark_decision_proposed(0);
-        assert!(c.expired_windows(10_000).is_empty(), "proposed decisions are not re-offered");
-        // Leader change: the proposal may have died with the old leader.
-        c.reset_decision_proposals();
-        assert_eq!(c.expired_windows(10_000), vec![0]);
-    }
-
-    #[test]
     fn event_codec_roundtrip() {
         let events = vec![
-            CtrlEvent::Detect {
-                reporter: NodeId(1),
-                dead: NodeId(2),
-                last_commit: ts(123_456),
-                at: 789,
-            },
+            detect(1, 2, 123_456),
             CtrlEvent::CallbackComplete { announce_id: 9, from: ProcessId(3) },
             CtrlEvent::UndeliverableRecall {
                 to: ProcessId(4),
@@ -835,7 +685,6 @@ mod tests {
                 sender: ProcessId(7),
             },
             CtrlEvent::RecoveryRequest { proc: ProcessId(8) },
-            CtrlEvent::AnnounceDecision { component: 11 },
             CtrlEvent::NewEpoch { term: 12 },
         ];
         for ev in events {
@@ -850,5 +699,10 @@ mod tests {
         assert!(CtrlEvent::decode(Bytes::new()).is_err());
         assert!(CtrlEvent::decode(Bytes::from_static(&[9, 0, 0])).is_err());
         assert!(CtrlEvent::decode(Bytes::from_static(&[0, 1])).is_err());
+        // Tag 4 is unassigned.
+        assert!(matches!(
+            CtrlEvent::decode(Bytes::from_static(&[4, 0, 0, 0, 0])),
+            Err(onepipe_types::Error::BadOpcode(4))
+        ));
     }
 }

@@ -84,29 +84,12 @@ impl ReplicatedController {
         self.raft.propose(ev.encode().to_vec())
     }
 
-    /// Advance time: Raft housekeeping plus controller window expiry.
-    /// Returns `(raft messages to deliver, controller actions)`.
-    ///
-    /// Unlike the standalone controller, window expiry does not announce
-    /// directly: the leader proposes an [`CtrlEvent::AnnounceDecision`]
-    /// into the log, and the announcement happens when it commits — so
-    /// every replica applies identical state transitions.
+    /// Advance time: Raft timeouts and heartbeats, then apply whatever
+    /// committed. Returns `(raft messages to deliver, controller actions)`.
     pub fn tick(&mut self, now: u64) -> (Vec<(u32, RaftMsg)>, Vec<CtrlAction>) {
         let msgs = self.raft.tick(now);
         self.leadership_check();
-        let mut actions = self.drain_committed(now);
-        if self.raft.is_leader() {
-            for comp in self.core.expired_windows(now) {
-                if self
-                    .raft
-                    .propose(CtrlEvent::AnnounceDecision { component: comp }.encode().to_vec())
-                {
-                    self.core.mark_decision_proposed(comp);
-                }
-            }
-            // Single-replica clusters commit instantly.
-            actions.extend(self.drain_committed(now));
-        }
+        let actions = self.drain_committed();
         (msgs, actions)
     }
 
@@ -119,27 +102,24 @@ impl ReplicatedController {
     ) -> (Vec<(u32, RaftMsg)>, Vec<CtrlAction>) {
         let msgs = self.raft.on_message(from, msg, now);
         self.leadership_check();
-        let actions = self.drain_committed(now);
+        let actions = self.drain_committed();
         (msgs, actions)
     }
 
-    /// React to leadership edges. On acquiring leadership the replica (a)
-    /// forgets the previous leader's unlogged "decision proposed" flags so
-    /// stalled Determine windows are re-proposed, and (b) writes a
-    /// [`CtrlEvent::NewEpoch`] barrier whose commitment both surfaces
-    /// surviving prior-term entries (Raft commits only current-term
-    /// entries directly) and triggers the re-drive of in-flight
-    /// recoveries.
+    /// React to leadership edges. On acquiring leadership the replica
+    /// writes a [`CtrlEvent::NewEpoch`] barrier whose commitment both
+    /// surfaces surviving prior-term entries (Raft commits only
+    /// current-term entries directly) and triggers the re-drive of
+    /// in-flight recoveries.
     fn leadership_check(&mut self) {
         let leading = self.raft.is_leader();
         if leading && !self.was_leader {
-            self.core.reset_decision_proposals();
             self.raft.propose(CtrlEvent::NewEpoch { term: self.raft.term() }.encode().to_vec());
         }
         self.was_leader = leading;
     }
 
-    fn drain_committed(&mut self, now: u64) -> Vec<CtrlAction> {
+    fn drain_committed(&mut self) -> Vec<CtrlAction> {
         let mut actions = Vec::new();
         let leader = self.raft.is_leader();
         let term = self.raft.term();
@@ -150,14 +130,14 @@ impl ReplicatedController {
                 // barrier (older barriers replayed during catch-up must
                 // not re-emit, or a single epoch would duplicate actions).
                 let redrive = leader && matches!(ev, CtrlEvent::NewEpoch { term: t } if t == term);
-                let a = self.core.apply(ev, now);
+                let a = self.core.apply(ev);
                 if leader {
                     // A surviving prior-term entry (e.g. the old leader's
-                    // AnnounceDecision) commits *under* our own barrier; it
-                    // must mutate state silently, because the barrier's
-                    // re-drive re-derives everything still owed — emitting
-                    // its actions here too would send the same decision
-                    // twice within one epoch.
+                    // first Detect for a component) commits *under* our
+                    // own barrier; it must mutate state silently, because
+                    // the barrier's re-drive re-derives everything still
+                    // owed — emitting its actions here too would send the
+                    // same decision twice within one epoch.
                     if own_term {
                         actions.extend(a);
                     }
@@ -181,6 +161,7 @@ mod tests {
     fn domains() -> FailureDomains {
         let mut d = FailureDomains::default();
         d.add_component(0, vec![NodeId(0)], vec![ProcessId(0)]);
+        d.add_component(1, vec![NodeId(1)], vec![ProcessId(1)]);
         d
     }
 
@@ -261,7 +242,6 @@ mod tests {
             reporter: NodeId(5),
             dead: NodeId(0),
             last_commit: Timestamp::from_nanos(42),
-            at: c.now,
         }));
         let actions = c.run(60_000);
         // The leader announced to the two correct processes.
@@ -287,7 +267,6 @@ mod tests {
                 reporter: NodeId(5),
                 dead: NodeId(0),
                 last_commit: Timestamp::from_nanos(42),
-                at: 0,
             },
             CtrlEvent::UndeliverableRecall {
                 to: ProcessId(0),
@@ -299,9 +278,8 @@ mod tests {
         // Standalone.
         let mut core = ControllerCore::new(domains(), [ProcessId(0), ProcessId(1), ProcessId(2)]);
         for ev in &events {
-            core.apply(ev.clone(), 0);
+            core.apply(ev.clone());
         }
-        core.tick(20_000);
         // Replicated, single node (instant commit).
         let mut rep = ReplicatedController::new(
             0,
@@ -332,10 +310,9 @@ mod tests {
             reporter: NodeId(5),
             dead: NodeId(0),
             last_commit: Timestamp::from_nanos(42),
-            at: c.now,
         }));
-        // Let the Determine window close and the announcement commit, and
-        // let one of the two survivors complete its callback.
+        // Let the report commit (which announces it), and let one of the
+        // two survivors complete its callback.
         let actions = c.run(60_000);
         let id = actions
             .iter()
@@ -384,11 +361,12 @@ mod tests {
 
     #[test]
     fn catchup_entries_do_not_duplicate_redrive_within_one_epoch() {
-        // The old leader proposes an AnnounceDecision and replicates it to
-        // the followers, but dies before the commit index reaches them.
-        // The entry then commits *under* the new leader's NewEpoch barrier
-        // — applying it must not emit announcements on top of the
-        // barrier's re-drive, or one epoch delivers every decision twice.
+        // The old leader replicates a component's first Detect — the entry
+        // that announces it — to the followers, but dies before the commit
+        // index reaches them. The entry then commits *under* the new
+        // leader's NewEpoch barrier — applying it must not emit
+        // announcements on top of the barrier's re-drive, or one epoch
+        // delivers every decision twice.
         let mut c = Cluster::new(3);
         c.run(10_000);
         let old = c.leader();
@@ -396,18 +374,8 @@ mod tests {
             reporter: NodeId(5),
             dead: NodeId(0),
             last_commit: Timestamp::from_nanos(42),
-            at: c.now,
         }));
-        // Step until the Determine window closes and the decision is
-        // proposed (the leader's log grows past the Detect entry).
-        let base = c.replicas[old].last_log_index();
-        let mut steps = 0;
-        while c.replicas[old].last_log_index() == base {
-            c.run(100);
-            steps += 1;
-            assert!(steps < 1_000, "leader never proposed the announce decision");
-        }
-        // Step until the survivors hold the decision appended but not yet
+        // Step until the survivors hold the Detect appended but not yet
         // committed (leader_commit piggybacks on the *next* heartbeat), a
         // window of up to one heartbeat interval — then crash the leader.
         let target = c.replicas[old].last_log_index();
@@ -438,6 +406,31 @@ mod tests {
             }
         }
         assert_eq!(announced, 2, "the new leader must announce to both correct processes");
+    }
+
+    #[test]
+    fn lagging_replica_assigns_the_leaders_announcement_ids() {
+        // Announcement ids are state: a replica that applies the same log
+        // later must assign the same ones.
+        let mut c = Cluster::new(3);
+        c.run(10_000);
+        let leader = c.leader();
+        let lagging = (0..3).find(|&i| i != leader).unwrap();
+        c.blocked[lagging] = true;
+        for dead in [1, 0] {
+            assert!(c.replicas[leader].submit(CtrlEvent::Detect {
+                reporter: NodeId(5),
+                dead: NodeId(dead),
+                last_commit: Timestamp::from_nanos(42),
+            }));
+        }
+        c.run(60_000);
+        c.blocked[lagging] = false;
+        c.run(60_000);
+        let ids = |r: &ReplicatedController| {
+            r.core().pending_failures().map(|p| (p.component, p.announce_id)).collect::<Vec<_>>()
+        };
+        assert_eq!(ids(&c.replicas[leader]), ids(&c.replicas[lagging]));
     }
 
     #[test]

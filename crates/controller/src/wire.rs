@@ -350,7 +350,6 @@ mod tests {
                 reporter: NodeId(4),
                 dead: NodeId(1),
                 last_commit: ts(12_345),
-                at: 678,
             }),
             MgmtFrame::Event(CtrlEvent::CallbackComplete { announce_id: 2, from: ProcessId(1) }),
             MgmtFrame::Action {

@@ -23,7 +23,6 @@ fn mk_frame(variant: u8, a: u64, b: u64, c: u32, seed: u64) -> MgmtFrame {
             reporter: NodeId(c),
             dead: NodeId(c.wrapping_add(1)),
             last_commit: ts,
-            at: b,
         }),
         1 => MgmtFrame::Event(CtrlEvent::UndeliverableRecall {
             to: ProcessId(c),

@@ -161,7 +161,7 @@ pub struct Cluster {
     switch_events: Rc<RefCell<Vec<SwitchEvent>>>,
     replicas: Vec<CtrlReplica>,
     /// Next time the controller replicas run their periodic tick (Raft
-    /// timeouts + Determine-window expiry): the deadline that ends an
+    /// timeouts and heartbeats): the deadline that ends an
     /// event batch in [`Cluster::run_until`].
     next_ctrl_tick: u64,
     /// Highest controller epoch seen per process / per switch — actions
@@ -525,11 +525,11 @@ impl Cluster {
         let events = std::mem::take(&mut *self.switch_events.borrow_mut());
         let reqs = std::mem::take(&mut self.sinks.borrow_mut().ctrl_requests);
         for ev in events {
-            let SwitchEvent::InLinkDead { switch, from, last_commit, at } = ev;
+            let SwitchEvent::InLinkDead { switch, from, last_commit } = ev;
             self.push_mgmt(
                 now + MGMT_DELAY,
                 MgmtMsg::ToCtrl {
-                    ev: CtrlEvent::Detect { reporter: switch, dead: from, last_commit, at },
+                    ev: CtrlEvent::Detect { reporter: switch, dead: from, last_commit },
                     attempt: 0,
                 },
             );
@@ -543,9 +543,9 @@ impl Cluster {
                 Err(dgram) => self.push_mgmt(now + 2 * MGMT_DELAY, MgmtMsg::Forward { dgram }),
             }
         }
-        // Periodic replica tick: Raft timeouts/heartbeats and Determine-
-        // window expiry. Partitioned replicas keep ticking (their local
-        // clock runs) but their traffic is dropped at the edge.
+        // Periodic replica tick: Raft timeouts/heartbeats. Partitioned
+        // replicas keep ticking (their local clock runs) but their traffic
+        // is dropped at the edge.
         if now >= self.next_ctrl_tick {
             self.next_ctrl_tick = now + MGMT_DELAY;
             for i in 0..self.replicas.len() {
@@ -783,6 +783,7 @@ fn build_failure_domains(topo: &Topology, procs: &ProcessMap) -> FailureDomains 
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use onepipe_controller::protocol::PendingFailure;
     use onepipe_types::time::MICROS;
 
     #[test]
@@ -932,6 +933,55 @@ mod tests {
         c.send(ProcessId(0), vec![Message::new(ProcessId(1), "post")], true).unwrap();
         c.run_for(300 * MICROS);
         assert!(c.take_deliveries().iter().any(|r| r.msg.payload == Bytes::from_static(b"post")));
+    }
+
+    /// What a replica's state machine holds: failures, correct processes
+    /// and every pending failure.
+    fn core_view(
+        core: &ControllerCore,
+    ) -> (Vec<(ProcessId, Timestamp)>, Vec<ProcessId>, Vec<PendingFailure>) {
+        (
+            core.failures().collect(),
+            core.correct_processes().collect(),
+            core.pending_failures().cloned().collect(),
+        )
+    }
+
+    #[test]
+    fn replicas_that_applied_the_same_log_agree() {
+        // A dead ToR is reported by each of its spines; the leader dies
+        // while that recovery is in flight. Throughout, any two alive
+        // replicas at the same commit index must hold the same state, and
+        // at quiescence every alive replica must.
+        let mut c = Cluster::new(ClusterConfig::testbed(32));
+        c.run_for(100 * MICROS);
+        let old_leader = c.controller_leader().expect("initial election completed");
+        let t = c.sim.now();
+        c.crash_tor(t + 1, 1, 1);
+        c.crash_controller(t + 40 * MICROS, old_leader);
+        let mut compared = 0;
+        for _ in 0..200 {
+            c.run_for(5 * MICROS);
+            let alive: Vec<&ReplicatedController> =
+                c.replicas.iter().filter(|r| r.alive).map(|r| &r.ctrl).collect();
+            for (i, a) in alive.iter().enumerate() {
+                for b in &alive[i + 1..] {
+                    if a.commit_index() == b.commit_index() && a.core().has_pending() {
+                        assert_eq!(core_view(a.core()), core_view(b.core()));
+                        compared += 1;
+                    }
+                }
+            }
+        }
+        assert!(compared > 0, "no two replicas ever shared a commit index mid-recovery");
+        c.run_for(2_000 * MICROS);
+        assert_eq!(c.sim.stats.faults_ctrl_crashes, 1);
+        assert_ne!(c.controller_leader(), Some(old_leader));
+        let views: Vec<_> =
+            c.replicas.iter().filter(|r| r.alive).map(|r| core_view(r.ctrl.core())).collect();
+        assert_eq!(views.len(), 2);
+        assert_eq!(views[0], views[1]);
+        assert_eq!(views[0].0.len(), 8, "the rack's eight processes failed");
     }
 
     /// FNV-1a over a stream of words (the golden fingerprints below).

@@ -94,8 +94,6 @@ pub enum SwitchEvent {
         from: NodeId,
         /// Last commit barrier seen on the link.
         last_commit: Timestamp,
-        /// Detection time (ns).
-        at: u64,
     },
 }
 
@@ -433,7 +431,6 @@ impl NodeLogic for SwitchLogic {
                         switch: ctx.node(),
                         from,
                         last_commit,
-                        at: now,
                     });
                     ctx.raise_attention();
                 }

@@ -467,9 +467,9 @@ fn run_soft_switch(sock: UdpSocket, net: Net, dead_timeout: NsDuration) {
     // input link.
     let reporter = NodeId(proc_addrs.len() as u32);
     let mut agg = BarrierAggregator::new(inputs);
-    // Dead links not yet resumed: input -> (last_commit, detect time,
-    // next report time, reported at least once).
-    let mut unresumed: HashMap<NodeId, (Timestamp, u64, u64, bool)> = HashMap::new();
+    // Dead links not yet resumed: input -> (last_commit, next report time,
+    // reported at least once).
+    let mut unresumed: HashMap<NodeId, (Timestamp, u64, bool)> = HashMap::new();
     // Highest controller epoch seen; actions from lower epochs (a deposed
     // leader) are fenced off.
     let mut max_epoch = 0u64;
@@ -545,30 +545,29 @@ fn run_soft_switch(sock: UdpSocket, net: Net, dead_timeout: NsDuration) {
             // are reported; only the controller's Resume releases the
             // commit barrier.
             for (input, last_commit) in agg.detect_dead(now, dead_timeout) {
-                unresumed.entry(input).or_insert((last_commit, now, now, false));
+                unresumed.entry(input).or_insert((last_commit, now, false));
             }
             // Report (and re-report) every unresumed dead link to all
             // replicas: the cluster may be mid-election or the previous
             // leader may have died with the report uncommitted. The
             // controller log deduplicates.
             for (input, state) in unresumed.iter_mut() {
-                if now < state.2 {
+                if now < state.1 {
                     continue;
                 }
                 let frame = MgmtFrame::Event(CtrlEvent::Detect {
                     reporter,
                     dead: *input,
                     last_commit: state.0,
-                    at: state.1,
                 });
                 for addr in &ctrl_addrs {
                     tx.send_mgmt(&sock, *addr, &frame);
                 }
-                if state.3 {
+                if state.2 {
                     retries.fetch_add(1, Ordering::Relaxed);
                 }
-                state.3 = true;
-                state.2 = now + DETECT_REREPORT_INTERVAL;
+                state.2 = true;
+                state.1 = now + DETECT_REREPORT_INTERVAL;
             }
             let be = agg.out_be(now);
             let commit = agg.out_commit(now);
@@ -674,7 +673,7 @@ fn run_controller_replica(ctx: ReplicaCtx) {
         if let Some(spent) = spent {
             burst.recycle(spent);
         }
-        // Raft timeouts/heartbeats + Determine-window expiry.
+        // Raft timeouts/heartbeats; applies whatever committed.
         let (m, a) = ctrl.tick(now_ns(epoch));
         raft_out.extend(m);
         actions.extend(a);

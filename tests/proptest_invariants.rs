@@ -231,14 +231,12 @@ proptest! {
         reporter in any::<u32>(),
         dead in any::<u32>(),
         commit in 0u64..TIMESTAMP_MASK,
-        at in any::<u64>(),
     ) {
         use onepipe::controller::CtrlEvent;
         let ev = CtrlEvent::Detect {
             reporter: NodeId(reporter),
             dead: NodeId(dead),
             last_commit: Timestamp::from_raw(commit),
-            at,
         };
         prop_assert_eq!(CtrlEvent::decode(ev.encode()).unwrap(), ev);
     }
