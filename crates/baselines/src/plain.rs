@@ -2,7 +2,7 @@
 
 use onepipe_netsim::engine::{Ctx, NodeLogic, SimPacket};
 use onepipe_netsim::topology::Topology;
-use onepipe_types::ids::{HostId, NodeId, ProcessId};
+use onepipe_types::ids::{HostId, NodeId};
 use onepipe_types::process_map::ProcessMap;
 use std::sync::Arc;
 
@@ -51,18 +51,13 @@ impl NodeLogic for PlainSwitch {
     }
 }
 
-/// Convenience: the process id used for node-addressed baseline control
-/// packets that target a host rather than a real process.
-pub fn host_proc(procs: &ProcessMap, host: HostId) -> Option<ProcessId> {
-    procs.processes_on(host).first().copied()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bytes::Bytes;
     use onepipe_netsim::engine::Sim;
     use onepipe_netsim::topology::FatTreeParams;
+    use onepipe_types::ids::ProcessId;
     use onepipe_types::time::Timestamp;
     use onepipe_types::wire::{Datagram, Flags, Opcode, PacketHeader};
     use std::sync::Mutex;

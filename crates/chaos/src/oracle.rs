@@ -278,7 +278,6 @@ impl Oracle {
         let key = match *action {
             CtrlAction::Announce { id, to, .. } => CtrlDecision::Announce(id, to),
             CtrlAction::Resume { at: site, input } => CtrlDecision::Resume(site, input),
-            CtrlAction::RecoveryInfo { .. } => return, // idempotent reply, not a decision
         };
         if !self.ctrl_seen.insert((epoch, key)) {
             self.record(Violation {

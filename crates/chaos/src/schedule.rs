@@ -89,19 +89,6 @@ pub enum Fault {
 }
 
 impl Fault {
-    /// True for faults the engine can execute from pre-scheduled events;
-    /// false for faults the runner must apply at runtime (clock skews,
-    /// and controller faults whose `None` target resolves to "the leader
-    /// right now").
-    pub fn is_schedulable(&self) -> bool {
-        !matches!(
-            self,
-            Fault::ClockSkew { .. }
-                | Fault::ControllerCrash { .. }
-                | Fault::ControllerPartition { .. }
-        )
-    }
-
     /// When the fault's effect ends (absolute, given its start time), for
     /// transient faults; `start` itself for instantaneous/permanent ones.
     pub fn end_time(&self, start: u64) -> u64 {

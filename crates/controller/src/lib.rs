@@ -9,10 +9,10 @@
 //!   replication, commitment) replicating controller decisions;
 //! * [`protocol`] — the failure-recovery state machine executing the
 //!   paper's Detect → Determine → Broadcast → Discard/Recall → Callback →
-//!   Resume sequence (Figure 7), plus the message-forwarding fallback and
-//!   receiver-recovery records. Determine takes no time of its own: a
-//!   component's first committed Detect fixes its failure timestamp and
-//!   announces it, so the state machine reads only its log, never a clock;
+//!   Resume sequence (Figure 7), plus the message-forwarding fallback.
+//!   Determine takes no time of its own: a component's first committed
+//!   Detect fixes its failure timestamp and announces it, so the state
+//!   machine reads only its log, never a clock;
 //! * [`replicated`] — the glue: every replica applies the committed event
 //!   log to an identical state machine, only the Raft leader emits
 //!   actions, and a freshly elected leader *re-drives* in-flight

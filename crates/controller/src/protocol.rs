@@ -1,9 +1,8 @@
 //! The failure-recovery protocol (paper §5.2, Figure 7).
 //!
 //! The controller consumes **events** (Detect reports from switches and
-//! hosts, callback completions from processes, recovery requests) and
-//! produces **actions** (failure announcements, resume commands, recovery
-//! information). The state machine is a pure function of the replicated
+//! hosts, callback completions from processes) and produces **actions**
+//! (failure announcements, resume commands). The state machine is a pure function of the replicated
 //! log: events are applied in the order they commit, and nothing in
 //! [`ControllerCore::apply`] reads a clock, so every replica that applies
 //! the same log reaches the same state (Raft's state-machine contract).
@@ -77,23 +76,6 @@ pub enum CtrlEvent {
         /// The acknowledging process.
         from: ProcessId,
     },
-    /// A sender could not deliver a Recall to a receiver; recorded so the
-    /// receiver can discard consistently if it ever recovers (§5.2).
-    UndeliverableRecall {
-        /// The unreachable receiver.
-        to: ProcessId,
-        /// Scattering timestamp.
-        ts: Timestamp,
-        /// Scattering sequence number within its sender.
-        seq: u64,
-        /// The sender of the recalled scattering.
-        sender: ProcessId,
-    },
-    /// A recovered process asks for the failure history it missed.
-    RecoveryRequest {
-        /// The recovering process.
-        proc: ProcessId,
-    },
     /// Barrier entry a freshly elected leader writes to its log. Raft only
     /// commits current-term entries directly, so committing this entry is
     /// what commits (and surfaces) every surviving entry from prior terms;
@@ -130,16 +112,6 @@ pub enum CtrlAction {
         /// The input link to drop from commit aggregation.
         input: NodeId,
     },
-    /// Reply to a `RecoveryRequest`.
-    RecoveryInfo {
-        /// The recovering process.
-        to: ProcessId,
-        /// All failure announcements so far (process, failure timestamp).
-        failures: Vec<(ProcessId, Timestamp)>,
-        /// Recalled scatterings addressed to `to` that could not be
-        /// delivered: (sender, ts, seq).
-        recalls: Vec<(ProcessId, Timestamp, u64)>,
-    },
 }
 
 /// Where a [`CtrlAction`] must be delivered.
@@ -153,13 +125,11 @@ pub enum ActionDest {
 
 impl CtrlAction {
     /// The single routing rule shared by every transport (sim harness and
-    /// UDP controller): Announce and RecoveryInfo go to a process,
-    /// Resume goes to the reporting switch. Keeping this here means the
+    /// UDP controller): Announce goes to a process, Resume goes to the reporting switch. Keeping this here means the
     /// transports cannot drift on recovery semantics.
     pub fn dest(&self) -> ActionDest {
         match self {
             CtrlAction::Announce { to, .. } => ActionDest::Process(*to),
-            CtrlAction::RecoveryInfo { to, .. } => ActionDest::Process(*to),
             CtrlAction::Resume { at, .. } => ActionDest::Switch(*at),
         }
     }
@@ -190,8 +160,6 @@ pub struct ControllerCore {
     failed: BTreeMap<ProcessId, Timestamp>,
     pending: BTreeMap<ComponentId, PendingFailure>,
     next_announce_id: u64,
-    /// Undeliverable recalls per receiver: (sender, ts, seq).
-    recall_records: BTreeMap<ProcessId, Vec<(ProcessId, Timestamp, u64)>>,
     /// Links whose Resume has been emitted: `(reporter, input)`. Kept so a
     /// new leader can re-drive Resume after failover, and so duplicate
     /// Detect reports for an already-resumed link (at-least-once event
@@ -208,7 +176,6 @@ impl ControllerCore {
             failed: BTreeMap::new(),
             pending: BTreeMap::new(),
             next_announce_id: 1,
-            recall_records: BTreeMap::new(),
             resumed: BTreeSet::new(),
         }
     }
@@ -268,22 +235,6 @@ impl ControllerCore {
                     }
                 }
                 self.finish_ready()
-            }
-            CtrlEvent::UndeliverableRecall { to, ts, seq, sender } => {
-                let records = self.recall_records.entry(to).or_default();
-                // Hosts retry this request until acknowledged; dedupe so a
-                // re-delivered copy does not double-record the recall.
-                if !records.contains(&(sender, ts, seq)) {
-                    records.push((sender, ts, seq));
-                }
-                Vec::new()
-            }
-            CtrlEvent::RecoveryRequest { proc } => {
-                vec![CtrlAction::RecoveryInfo {
-                    to: proc,
-                    failures: self.failed.iter().map(|(&p, &t)| (p, t)).collect(),
-                    recalls: self.recall_records.get(&proc).cloned().unwrap_or_default(),
-                }]
             }
             // Pure log barrier; state is untouched. The replication layer
             // reacts to its commitment (re-drive), not the state machine.
@@ -407,17 +358,6 @@ impl CtrlEvent {
                 b.put_u64(*announce_id);
                 b.put_u32(from.0);
             }
-            CtrlEvent::UndeliverableRecall { to, ts, seq, sender } => {
-                b.put_u8(2);
-                b.put_u32(to.0);
-                b.put_uint(ts.raw(), 6);
-                b.put_u64(*seq);
-                b.put_u32(sender.0);
-            }
-            CtrlEvent::RecoveryRequest { proc } => {
-                b.put_u8(3);
-                b.put_u32(proc.0);
-            }
             CtrlEvent::NewEpoch { term } => {
                 b.put_u8(5);
                 b.put_u64(*term);
@@ -455,19 +395,6 @@ impl CtrlEvent {
                     announce_id: buf.get_u64(),
                     from: ProcessId(buf.get_u32()),
                 }
-            }
-            2 => {
-                need(&buf, 4 + 6 + 8 + 4)?;
-                CtrlEvent::UndeliverableRecall {
-                    to: ProcessId(buf.get_u32()),
-                    ts: Timestamp::from_raw(buf.get_uint(6)),
-                    seq: buf.get_u64(),
-                    sender: ProcessId(buf.get_u32()),
-                }
-            }
-            3 => {
-                need(&buf, 4)?;
-                CtrlEvent::RecoveryRequest { proc: ProcessId(buf.get_u32()) }
             }
             5 => {
                 need(&buf, 8)?;
@@ -570,27 +497,6 @@ mod tests {
     }
 
     #[test]
-    fn recovery_request_returns_history_and_recalls() {
-        let mut c = core();
-        c.apply(detect(5, 0, 77));
-        c.apply(CtrlEvent::UndeliverableRecall {
-            to: ProcessId(0),
-            ts: ts(500),
-            seq: 3,
-            sender: ProcessId(1),
-        });
-        let a = c.apply(CtrlEvent::RecoveryRequest { proc: ProcessId(0) });
-        assert_eq!(
-            a,
-            vec![CtrlAction::RecoveryInfo {
-                to: ProcessId(0),
-                failures: vec![(ProcessId(0), ts(77))],
-                recalls: vec![(ProcessId(1), ts(500), 3)],
-            }]
-        );
-    }
-
-    #[test]
     fn double_failure_handled_independently() {
         let mut c = core();
         let mut a = c.apply(detect(5, 0, 10));
@@ -656,35 +562,10 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_undeliverable_recall_recorded_once() {
-        let mut c = core();
-        let ev = CtrlEvent::UndeliverableRecall {
-            to: ProcessId(0),
-            ts: ts(500),
-            seq: 3,
-            sender: ProcessId(1),
-        };
-        c.apply(ev.clone());
-        c.apply(ev);
-        let a = c.apply(CtrlEvent::RecoveryRequest { proc: ProcessId(0) });
-        match &a[0] {
-            CtrlAction::RecoveryInfo { recalls, .. } => assert_eq!(recalls.len(), 1),
-            other => panic!("expected RecoveryInfo, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn event_codec_roundtrip() {
         let events = vec![
             detect(1, 2, 123_456),
             CtrlEvent::CallbackComplete { announce_id: 9, from: ProcessId(3) },
-            CtrlEvent::UndeliverableRecall {
-                to: ProcessId(4),
-                ts: ts(55),
-                seq: 6,
-                sender: ProcessId(7),
-            },
-            CtrlEvent::RecoveryRequest { proc: ProcessId(8) },
             CtrlEvent::NewEpoch { term: 12 },
         ];
         for ev in events {
@@ -699,10 +580,12 @@ mod tests {
         assert!(CtrlEvent::decode(Bytes::new()).is_err());
         assert!(CtrlEvent::decode(Bytes::from_static(&[9, 0, 0])).is_err());
         assert!(CtrlEvent::decode(Bytes::from_static(&[0, 1])).is_err());
-        // Tag 4 is unassigned.
-        assert!(matches!(
-            CtrlEvent::decode(Bytes::from_static(&[4, 0, 0, 0, 0])),
-            Err(onepipe_types::Error::BadOpcode(4))
-        ));
+        // Tags 2, 3 and 4 are retired.
+        for tag in [2, 3, 4] {
+            assert!(matches!(
+                CtrlEvent::decode(Bytes::copy_from_slice(&[tag, 0, 0, 0, 0])),
+                Err(onepipe_types::Error::BadOpcode(t)) if t == tag
+            ));
+        }
     }
 }

@@ -268,12 +268,7 @@ mod tests {
                 dead: NodeId(0),
                 last_commit: Timestamp::from_nanos(42),
             },
-            CtrlEvent::UndeliverableRecall {
-                to: ProcessId(0),
-                ts: Timestamp::from_nanos(99),
-                seq: 4,
-                sender: ProcessId(1),
-            },
+            CtrlEvent::CallbackComplete { announce_id: 1, from: ProcessId(1) },
         ];
         // Standalone.
         let mut core = ControllerCore::new(domains(), [ProcessId(0), ProcessId(1), ProcessId(2)]);
@@ -439,6 +434,7 @@ mod tests {
         c.run(10_000);
         let leader = c.leader();
         let follower = (0..3).find(|&i| i != leader).unwrap();
-        assert!(!c.replicas[follower].submit(CtrlEvent::RecoveryRequest { proc: ProcessId(1) }));
+        assert!(!c.replicas[follower]
+            .submit(CtrlEvent::CallbackComplete { announce_id: 1, from: ProcessId(1) }));
     }
 }

@@ -14,7 +14,7 @@
 //!   protocol: a host tags its event with a sequence number, retries with
 //!   capped exponential backoff until the leader acks (on *commit*, not
 //!   receipt), and follows `Redirect`s from non-leader replicas;
-//! * **Action** — Announce / Resume / RecoveryInfo decisions going *from*
+//! * **Action** — Announce / Resume decisions going *from*
 //!   the controller to hosts and switches, tagged with the leader's epoch
 //!   (Raft term) so receivers can fence off deposed leaders;
 //! * **Raft** — replica-to-replica consensus traffic;
@@ -262,21 +262,6 @@ fn encode_action(a: &CtrlAction, b: &mut BytesMut) {
             b.put_u32(at.0);
             b.put_u32(input.0);
         }
-        CtrlAction::RecoveryInfo { to, failures, recalls } => {
-            b.put_u8(2);
-            b.put_u32(to.0);
-            b.put_u32(failures.len() as u32);
-            for (p, ts) in failures {
-                b.put_u32(p.0);
-                b.put_uint(ts.raw(), 6);
-            }
-            b.put_u32(recalls.len() as u32);
-            for (p, ts, seq) in recalls {
-                b.put_u32(p.0);
-                b.put_uint(ts.raw(), 6);
-                b.put_u64(*seq);
-            }
-        }
     }
 }
 
@@ -307,28 +292,6 @@ fn decode_action(mut buf: Bytes) -> onepipe_types::Result<CtrlAction> {
         1 => {
             need(&buf, 4 + 4)?;
             CtrlAction::Resume { at: NodeId(buf.get_u32()), input: NodeId(buf.get_u32()) }
-        }
-        2 => {
-            need(&buf, 4 + 4)?;
-            let to = ProcessId(buf.get_u32());
-            let n = buf.get_u32() as usize;
-            need(&buf, n * (4 + 6))?;
-            let mut failures = Vec::with_capacity(n);
-            for _ in 0..n {
-                failures.push((ProcessId(buf.get_u32()), Timestamp::from_raw(buf.get_uint(6))));
-            }
-            need(&buf, 4)?;
-            let m = buf.get_u32() as usize;
-            need(&buf, m * (4 + 6 + 8))?;
-            let mut recalls = Vec::with_capacity(m);
-            for _ in 0..m {
-                recalls.push((
-                    ProcessId(buf.get_u32()),
-                    Timestamp::from_raw(buf.get_uint(6)),
-                    buf.get_u64(),
-                ));
-            }
-            CtrlAction::RecoveryInfo { to, failures, recalls }
         }
         other => return Err(Error::BadOpcode(other)),
     })
@@ -363,14 +326,6 @@ mod tests {
             MgmtFrame::Action {
                 epoch: 9,
                 action: CtrlAction::Resume { at: NodeId(0), input: NodeId(2) },
-            },
-            MgmtFrame::Action {
-                epoch: 1,
-                action: CtrlAction::RecoveryInfo {
-                    to: ProcessId(1),
-                    failures: vec![(ProcessId(2), ts(50))],
-                    recalls: vec![(ProcessId(0), ts(49), 3)],
-                },
             },
             MgmtFrame::Raft {
                 from: 2,
@@ -430,5 +385,10 @@ mod tests {
             1, 0, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 3, 0, 0, 0, 255
         ]))
         .is_err());
+        // Action tag 2 is retired.
+        assert!(matches!(
+            MgmtFrame::decode(Bytes::from_static(&[1, 0, 0, 0, 0, 0, 0, 0, 1, 2, 0, 0, 0, 0])),
+            Err(onepipe_types::Error::BadOpcode(2))
+        ));
     }
 }

@@ -24,12 +24,7 @@ fn mk_frame(variant: u8, a: u64, b: u64, c: u32, seed: u64) -> MgmtFrame {
             dead: NodeId(c.wrapping_add(1)),
             last_commit: ts,
         }),
-        1 => MgmtFrame::Event(CtrlEvent::UndeliverableRecall {
-            to: ProcessId(c),
-            ts,
-            seq: b,
-            sender: ProcessId(c.wrapping_mul(3)),
-        }),
+        1 => MgmtFrame::Event(CtrlEvent::CallbackComplete { announce_id: b, from: ProcessId(c) }),
         2 => MgmtFrame::Action {
             epoch: a,
             action: CtrlAction::Announce {

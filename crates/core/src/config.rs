@@ -16,13 +16,8 @@ pub enum DeliveryMode {
 /// Tunables of a 1Pipe endpoint. Defaults follow the paper's testbed.
 #[derive(Clone, Copy, Debug)]
 pub struct EndpointConfig {
-    /// Maximum payload bytes per fragment (RDMA UD MTU minus headers).
-    pub mtu_payload: usize,
     /// Initial / maximum congestion window, in packets per destination.
     pub initial_cwnd: u32,
-    /// Receive window advertised per connection, packets (paper: receive
-    /// buffer provisioned at connection setup).
-    pub recv_window: u32,
     /// Retransmission timeout for reliable packets (local-clock ns).
     pub rto: Duration,
     /// ACK timeout after which a best-effort packet is reported lost via
@@ -51,9 +46,7 @@ pub struct EndpointConfig {
 impl Default for EndpointConfig {
     fn default() -> Self {
         EndpointConfig {
-            mtu_payload: 1024,
             initial_cwnd: 64,
-            recv_window: 256,
             rto: 100 * MICROS,
             be_ack_timeout: 200 * MICROS,
             trust_data_barriers: true,

@@ -35,10 +35,17 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 pub use onepipe_types::ids::HOP_LOCAL;
 
-/// After this many fruitless retransmissions of a reliable packet (or
-/// Recall), ask the controller to forward it (§5.2 "Controller
-/// Forwarding").
+/// After this many fruitless retransmissions of a reliable packet, ask the
+/// controller to forward it (§5.2 "Controller Forwarding"). A Recall is
+/// not forwarded: after this many retries it is abandoned.
 const FORWARD_AFTER_RETRIES: u32 = 8;
+
+/// Maximum payload bytes per fragment (RDMA UD MTU minus headers).
+const MTU_PAYLOAD: usize = 1024;
+
+/// Receive window per connection, in packets (paper: receive buffer
+/// provisioned at connection setup).
+const RECV_WINDOW: u32 = 256;
 
 /// DCTCP gain `g` for the per-window ECN-fraction EWMA.
 const DCTCP_GAIN: f64 = 1.0 / 16.0;
@@ -290,11 +297,6 @@ impl Endpoint {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &EndpointConfig {
-        &self.cfg
-    }
-
     // ------------------------------------------------------------------
     // Application API (Table 1)
     // ------------------------------------------------------------------
@@ -347,7 +349,7 @@ impl Endpoint {
             .iter()
             .map(|m| Need {
                 dst: m.dst,
-                packets: fragment_count(m.payload.len(), self.cfg.mtu_payload),
+                packets: fragment_count(m.payload.len(), MTU_PAYLOAD),
                 reserved: 0,
             })
             .collect();
@@ -706,13 +708,12 @@ impl Endpoint {
             for need in &mut head.needs {
                 if need.reserved < need.packets {
                     let ch = channel(table, need.dst, &self.cfg);
-                    let take =
-                        (need.packets - need.reserved).min(ch.available(self.cfg.recv_window));
+                    let take = (need.packets - need.reserved).min(ch.available(RECV_WINDOW));
                     ch.reserved += take;
                     need.reserved += take;
                     if need.reserved < need.packets {
                         all = false;
-                        if ch.available(self.cfg.recv_window) > 0 || !ch.outstanding.is_empty() {
+                        if ch.available(RECV_WINDOW) > 0 || !ch.outstanding.is_empty() {
                             forceable = false;
                         }
                     }
@@ -748,7 +749,7 @@ impl Endpoint {
                 dsts.push(msg.dst);
             }
             let ch = channel(table, msg.dst, &self.cfg);
-            for frag in fragments(scat.seq, midx as u16, &msg.payload, self.cfg.mtu_payload) {
+            for frag in fragments(scat.seq, midx as u16, &msg.payload, MTU_PAYLOAD) {
                 let psn = ch.alloc_psn();
                 let mut flags = frag.flags;
                 if scattering_flag {
@@ -818,7 +819,7 @@ impl Endpoint {
     fn check_recall_timeouts(&mut self, now: Timestamp) {
         let rto = self.cfg.rto;
         let mut resend: Vec<(u64, Timestamp, Vec<ProcessId>)> = Vec::new();
-        let mut undeliverable: Vec<(u64, Timestamp, ProcessId)> = Vec::new();
+        let mut abandoned: Vec<u64> = Vec::new();
         for (&seq, rs) in self.recalls.iter_mut() {
             if now.since(rs.last_sent) < rto {
                 continue;
@@ -826,10 +827,7 @@ impl Endpoint {
             rs.retries += 1;
             rs.last_sent = now;
             if rs.retries > FORWARD_AFTER_RETRIES {
-                for &dst in rs.waiting.iter() {
-                    undeliverable.push((seq, rs.ts, dst));
-                }
-                rs.waiting.clear();
+                abandoned.push(seq);
             } else {
                 resend.push((seq, rs.ts, rs.waiting.iter().copied().collect()));
             }
@@ -839,15 +837,7 @@ impl Endpoint {
                 self.push_recall(ts, seq, dst);
             }
         }
-        let mut finished = Vec::new();
-        for (seq, ts, dst) in undeliverable {
-            self.ctrl_out.push_back(CtrlRequest::UndeliverableRecall { to: dst, ts, seq });
-            if self.recalls.get(&seq).map(|r| r.waiting.is_empty()).unwrap_or(false) {
-                finished.push(seq);
-            }
-        }
-        finished.dedup();
-        for seq in finished {
+        for seq in abandoned {
             self.finish_recall(seq);
         }
     }
@@ -988,19 +978,12 @@ impl Endpoint {
             if let Some(cb) = self.callbacks.get_mut(&announce_id) {
                 cb.recalls.extend(aborted);
             }
-            // Cancel in-progress recalls addressed to the newly failed
-            // process: they are now undeliverable.
+            // In-progress recalls stop waiting for the newly failed
+            // process; one left waiting for nobody is finished.
             let mut finished = Vec::new();
             for (&seq, rs) in self.recalls.iter_mut() {
-                if rs.waiting.remove(&proc) {
-                    self.ctrl_out.push_back(CtrlRequest::UndeliverableRecall {
-                        to: proc,
-                        ts: rs.ts,
-                        seq,
-                    });
-                    if rs.waiting.is_empty() {
-                        finished.push(seq);
-                    }
+                if rs.waiting.remove(&proc) && rs.waiting.is_empty() {
+                    finished.push(seq);
                 }
             }
             for seq in finished {
@@ -1107,39 +1090,6 @@ impl Endpoint {
             }
         }
         self.callbacks.retain(|_, cb| !cb.reported);
-    }
-
-    /// Receiver Recovery (§5.2): a process that recovers from a transient
-    /// failure applies the failure history and undeliverable-recall
-    /// records it fetched from the controller, so that it delivers or
-    /// discards its buffered messages *consistently with the other
-    /// receivers*, then continues (the paper then re-registers it as a
-    /// new process; identity management is left to the deployment).
-    ///
-    /// `failures` is every `(process, failure timestamp)` announced while
-    /// this process was down; `recalls` lists scatterings addressed to
-    /// this process that were recalled but undeliverable:
-    /// `(sender, ts, seq)`.
-    pub fn recover(
-        &mut self,
-        now: Timestamp,
-        failures: &[(ProcessId, Timestamp)],
-        recalls: &[(ProcessId, Timestamp, u64)],
-    ) {
-        self.observe_clock(now);
-        for &(proc, fail_ts) in failures {
-            self.failed.insert(proc, fail_ts);
-            // Discard: buffered messages from failed senders above their
-            // failure timestamps can never commit.
-            self.rel_rx.discard_from(proc, fail_ts);
-        }
-        for &(sender, ts, seq) in recalls {
-            // Recalls we never received: apply them now.
-            self.rel_rx.discard_scattering(sender, ts, seq);
-        }
-        // Whatever remains buffered below the commit barrier is exactly
-        // what every other receiver delivered; release it.
-        self.advance_buffers();
     }
 }
 
@@ -1449,6 +1399,81 @@ mod tests {
         assert!(reqs.iter().any(|r| matches!(r, CtrlRequest::CallbackComplete { announce_id: 1 })));
     }
 
+    /// `a` sends one reliable scattering to p1 and p2, p1 acknowledges
+    /// its leg, and p2 is announced failed (id 1): the scattering aborts
+    /// and a Recall to p1 is in flight.
+    fn recall_in_flight_to_p1() -> Endpoint {
+        let mut a = Endpoint::new(ProcessId(0), EndpointConfig::default());
+        let mut b = Endpoint::new(ProcessId(1), EndpointConfig::default());
+        a.send_reliable(
+            ts(100),
+            vec![Message::new(ProcessId(1), "b-part"), Message::new(ProcessId(2), "dead-part")],
+        )
+        .unwrap();
+        while let Some(d) = a.poll_transmit() {
+            if d.dst == ProcessId(1) {
+                b.handle_datagram(ts(101), d);
+            }
+        }
+        pump(&mut b, &mut a, ts(102));
+        a.on_failure_announcement(ts(200), 1, &[(ProcessId(2), ts(150))]);
+        let recalls: Vec<_> = std::iter::from_fn(|| a.poll_transmit())
+            .filter(|d| d.header.opcode == Opcode::Recall)
+            .map(|d| d.dst)
+            .collect();
+        assert_eq!(recalls, vec![ProcessId(1)]);
+        assert_eq!(a.recalls.len(), 1);
+        a
+    }
+
+    #[test]
+    fn second_failure_finishes_a_recall_in_flight() {
+        let mut a = recall_in_flight_to_p1();
+        // p1 fails before acknowledging the Recall: nobody is left to wait
+        // for, so the recall finishes and the scattering is gone.
+        a.on_failure_announcement(ts(300), 2, &[(ProcessId(1), ts(250))]);
+        assert!(a.outstanding_rel.is_empty());
+        assert!(a.recalls.is_empty());
+        a.complete_failure_callback(1);
+        a.complete_failure_callback(2);
+        let reqs: Vec<_> = std::iter::from_fn(|| a.poll_ctrl()).collect();
+        assert_eq!(
+            reqs,
+            vec![
+                CtrlRequest::CallbackComplete { announce_id: 1 },
+                CtrlRequest::CallbackComplete { announce_id: 2 },
+            ]
+        );
+    }
+
+    #[test]
+    fn unacknowledged_recall_is_abandoned_after_its_retries() {
+        let mut a = recall_in_flight_to_p1();
+        a.complete_failure_callback(1);
+        assert!(a.poll_ctrl().is_none(), "the callback waits for the recall");
+        // p1 is alive but never acknowledges: each RTO resends the Recall,
+        // and the aborted scattering keeps holding the commit frontier.
+        let rto = EndpointConfig::default().rto;
+        let mut t = 200;
+        for _ in 0..FORWARD_AFTER_RETRIES {
+            t += rto;
+            a.poll(ts(t));
+            let sent: Vec<_> = std::iter::from_fn(|| a.poll_transmit())
+                .map(|d| (d.dst, d.header.opcode))
+                .collect();
+            assert_eq!(sent, vec![(ProcessId(1), Opcode::Recall)]);
+            assert!(a.commit_contribution(ts(t)) < ts(100));
+        }
+        // One more RTO exhausts the retries: the recall is abandoned.
+        t += rto;
+        a.poll(ts(t));
+        assert!(a.recalls.is_empty());
+        assert!(a.outstanding_rel.is_empty());
+        assert!(a.commit_contribution(ts(t)) >= ts(100));
+        let reqs: Vec<_> = std::iter::from_fn(|| a.poll_ctrl()).collect();
+        assert_eq!(reqs, vec![CtrlRequest::CallbackComplete { announce_id: 1 }]);
+    }
+
     #[test]
     fn duplicate_announcement_reacks_without_replaying() {
         let (mut a, _) = two();
@@ -1584,24 +1609,6 @@ mod tests {
         a.send_reliable(ts(4), vec![Message::new(ProcessId(1), "small")]).unwrap();
         assert_eq!(data_out(&mut a), 0, "window busy: head holds, FIFO holds");
         assert_eq!(a.pending.len(), 2);
-    }
-
-    #[test]
-    fn receiver_recovery_applies_history_consistently() {
-        let (mut a, mut b) = two();
-        // Two scatterings reach b's buffer but no commit barrier yet.
-        a.send_reliable(ts(100), vec![Message::new(ProcessId(1), "keep")]).unwrap();
-        a.send_reliable(ts(200), vec![Message::new(ProcessId(1), "recalled")]).unwrap();
-        pump(&mut a, &mut b, ts(101));
-        assert!(b.recv_reliable().is_none(), "still buffered");
-        // b "recovers": the controller tells it that scattering seq=1 was
-        // recalled (undeliverable recall) and that a failed at ts=150 —
-        // so only the first message survives.
-        b.recover(ts(1_000), &[(ProcessId(0), ts(150))], &[(ProcessId(0), ts(200), 1)]);
-        b.on_barrier(Timestamp::ZERO, ts(10_000));
-        let got = b.recv_reliable().unwrap();
-        assert_eq!(got.payload, Bytes::from_static(b"keep"));
-        assert!(b.recv_reliable().is_none(), "recalled + post-failure discarded");
     }
 
     #[test]

@@ -64,16 +64,6 @@ pub enum CtrlRequest {
         /// The announcement being acknowledged.
         announce_id: u64,
     },
-    /// A recall could not be delivered to a (failed) receiver; record it
-    /// for receiver recovery.
-    UndeliverableRecall {
-        /// The unreachable receiver.
-        to: ProcessId,
-        /// Scattering timestamp.
-        ts: Timestamp,
-        /// Scattering sequence number.
-        seq: u64,
-    },
 }
 
 impl CtrlRequest {
@@ -84,9 +74,6 @@ impl CtrlRequest {
         match self {
             CtrlRequest::CallbackComplete { announce_id } => {
                 Ok(CtrlEvent::CallbackComplete { announce_id, from })
-            }
-            CtrlRequest::UndeliverableRecall { to, ts, seq } => {
-                Ok(CtrlEvent::UndeliverableRecall { to, ts, seq, sender: from })
             }
             CtrlRequest::Forward { dgram } => Err(dgram),
         }

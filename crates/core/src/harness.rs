@@ -716,7 +716,6 @@ impl Cluster {
                     }
                 });
             }
-            CtrlAction::RecoveryInfo { .. } => { /* receiver recovery: not routed in-sim */ }
         }
     }
 }
@@ -1054,7 +1053,6 @@ mod tests {
                 CtrlAction::Resume { at: sw, input } => {
                     format!("{at} e{epoch} resume {}<-{}", sw.0, input.0)
                 }
-                CtrlAction::RecoveryInfo { to, .. } => format!("{at} e{epoch} recovery->{}", to.0),
             })
             .collect();
         let mut want = Vec::new();

@@ -293,11 +293,6 @@ impl BarrierAggregator {
         self.index_of(from).map(|i| self.be_dead[i]).unwrap_or(true)
     }
 
-    /// Whether a given input link is currently excluded from the commit min.
-    pub fn is_commit_dead(&self, from: NodeId) -> bool {
-        self.index_of(from).map(|i| self.commit_dead[i]).unwrap_or(true)
-    }
-
     /// The best-effort register of one input link (telemetry).
     pub fn register_be(&self, from: NodeId) -> Option<Timestamp> {
         self.index_of(from).map(|i| self.be[i])
