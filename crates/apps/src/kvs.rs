@@ -22,7 +22,7 @@ use onepipe_types::ids::{HostId, ProcessId};
 use onepipe_types::message::{Delivered, Message};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Which system serves the transactions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -123,7 +123,9 @@ struct Txn {
     awaiting: usize,
     // FaRM state.
     phase: FarmPhase,
-    read_versions: HashMap<u64, u64>,
+    /// Version seen per key read. Ordered: VALIDATEs go out in its
+    /// iteration order, which must not vary from run to run.
+    read_versions: BTreeMap<u64, u64>,
     locked: Vec<u64>,
     failed: bool,
     issued_at: u64,
@@ -247,7 +249,7 @@ impl KvsApp {
             retries: 0,
             awaiting: 0,
             phase: FarmPhase::Exec,
-            read_versions: HashMap::new(),
+            read_versions: BTreeMap::new(),
             locked: Vec::new(),
             failed: false,
             issued_at: now,

@@ -399,7 +399,7 @@ fn bench_conn(c: &mut Criterion) {
         scat: (Timestamp::from_nanos(1), 0),
         forwarding: false,
     };
-    let mut ch = TxChannel::new(ProcessId(1), 64, 1.0 / 16.0);
+    let mut ch = TxChannel::new(ProcessId(1), 64, 1.0 / 16.0, 100_000);
     c.bench_function("conn/track_ack/64", |bench| {
         bench.iter(|| {
             let psns: [u32; 64] = std::array::from_fn(|_| ch.alloc_psn());

@@ -18,7 +18,11 @@ pub enum DeliveryMode {
 pub struct EndpointConfig {
     /// Initial / maximum congestion window, in packets per destination.
     pub initial_cwnd: u32,
-    /// Retransmission timeout for reliable packets (local-clock ns).
+    /// Retransmission timeout for reliable packets (local-clock ns): the
+    /// timeout a channel uses until it has sampled a round trip, and the
+    /// ceiling on every later one. A sampled channel times out after
+    /// `srtt + max(srtt, 4·rttvar, 3 µs)`, doubled per expiry
+    /// ([`RttEstimator`](crate::conn::RttEstimator)).
     pub rto: Duration,
     /// ACK timeout after which a best-effort packet is reported lost via
     /// the send-failure callback.

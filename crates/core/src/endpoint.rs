@@ -588,9 +588,12 @@ impl Endpoint {
     fn on_ack(&mut self, d: Datagram) {
         let reliable = d.header.flags.contains(REL_CHANNEL);
         let ecn = d.header.flags.contains(Flags::ECN);
-        let ch = if reliable { self.rel_tx.get_mut(d.src) } else { self.be_tx.get_mut(d.src) };
-        let Some(ch) = ch else { return };
-        let Some(pkt) = ch.ack(d.header.psn, ecn) else { return };
+        let pkt = if reliable {
+            self.rel_tx.ack_sampled(d.src, d.header.psn, ecn, self.now_local)
+        } else {
+            self.be_tx.get_mut(d.src).and_then(|ch| ch.ack(d.header.psn, ecn))
+        };
+        let Some(pkt) = pkt else { return };
         if reliable {
             let key = pkt.scat;
             let mut done = false;
@@ -707,7 +710,7 @@ impl Endpoint {
             let table = if reliable { &mut self.rel_tx } else { &mut self.be_tx };
             for need in &mut head.needs {
                 if need.reserved < need.packets {
-                    let ch = channel(table, need.dst, &self.cfg);
+                    let ch = channel(table, need.dst, &self.cfg, reliable);
                     let take = (need.packets - need.reserved).min(ch.available(RECV_WINDOW));
                     ch.reserved += take;
                     need.reserved += take;
@@ -726,7 +729,7 @@ impl Endpoint {
             // Return any held credits before transmitting (transmission
             // tracks real in-flight packets instead).
             for need in head.needs.iter().filter(|n| n.reserved > 0) {
-                let ch = channel(table, need.dst, &self.cfg);
+                let ch = channel(table, need.dst, &self.cfg, reliable);
                 ch.reserved = ch.reserved.saturating_sub(need.reserved);
             }
             self.transmit_scattering(now, head);
@@ -743,12 +746,12 @@ impl Endpoint {
         let mut total_packets = 0u32;
         let mut dsts: Vec<ProcessId> = Vec::new();
         let table = if reliable { &mut self.rel_tx } else { &mut self.be_tx };
-        table.note_sent(now);
         for (midx, msg) in scat.msgs.iter().enumerate() {
             if !dsts.contains(&msg.dst) {
                 dsts.push(msg.dst);
             }
-            let ch = channel(table, msg.dst, &self.cfg);
+            let ch = channel(table, msg.dst, &self.cfg, reliable);
+            let timeout = ch.rtt.timeout();
             for frag in fragments(scat.seq, midx as u16, &msg.payload, MTU_PAYLOAD) {
                 let psn = ch.alloc_psn();
                 let mut flags = frag.flags;
@@ -782,6 +785,7 @@ impl Endpoint {
                 self.stats.packets_sent += 1;
                 total_packets += 1;
             }
+            table.note_sent(now, timeout);
         }
         if reliable {
             self.outstanding_rel
@@ -791,7 +795,7 @@ impl Endpoint {
 
     fn check_reliable_timeouts(&mut self, now: Timestamp) {
         let Endpoint { rel_tx, out, ctrl_out, stats, .. } = self;
-        rel_tx.scan_expired(now, self.cfg.rto, |_, pkt| {
+        rel_tx.scan_expired(now, |_, pkt| {
             pkt.retries += 1;
             pkt.sent_at = now;
             if pkt.retries > FORWARD_AFTER_RETRIES {
@@ -809,7 +813,7 @@ impl Endpoint {
 
     fn check_be_timeouts(&mut self, now: Timestamp) {
         let Endpoint { be_tx, events, stats, .. } = self;
-        be_tx.scan_expired(now, self.cfg.be_ack_timeout, |dst, pkt| {
+        be_tx.scan_expired(now, |dst, pkt| {
             stats.send_failures += 1;
             events.push_back(UserEvent::SendFailed { ts: pkt.scat.0, seq: pkt.scat.1, dst });
             false
@@ -1093,8 +1097,17 @@ impl Endpoint {
     }
 }
 
-fn channel<'a>(table: &'a mut TxTable, dst: ProcessId, cfg: &EndpointConfig) -> &'a mut TxChannel {
-    table.get_or_open(dst, cfg.initial_cwnd, DCTCP_GAIN)
+/// The channel toward `dst`, opened on first use. A reliable channel's
+/// timer starts at, and never exceeds, `rto`; a best-effort one is never
+/// sampled and waits `be_ack_timeout` throughout.
+fn channel<'a>(
+    table: &'a mut TxTable,
+    dst: ProcessId,
+    cfg: &EndpointConfig,
+    reliable: bool,
+) -> &'a mut TxChannel {
+    let timeout = if reliable { cfg.rto } else { cfg.be_ack_timeout };
+    table.get_or_open(dst, cfg.initial_cwnd, DCTCP_GAIN, timeout)
 }
 
 /// Merge a barrier observation into state where [`Timestamp::ZERO`] is the
@@ -1233,6 +1246,36 @@ mod tests {
         b.handle_datagram(ts(150_001), d);
         pump(&mut b, &mut a, ts(150_002));
         assert!(a.outstanding_rel.is_empty());
+    }
+
+    #[test]
+    fn a_sampled_channel_resends_a_lost_packet_within_a_few_rtts() {
+        let (mut a, mut b) = two();
+        // Eight round trips of 5 µs: 2.5 µs out, 2.5 µs back.
+        let mut t = 0;
+        for _ in 0..8 {
+            a.send_reliable(ts(t), vec![Message::new(ProcessId(1), "x")]).unwrap();
+            pump(&mut a, &mut b, ts(t + 2_500));
+            pump(&mut b, &mut a, ts(t + 5_000));
+            t += 10_000;
+        }
+        assert!(a.outstanding_rel.is_empty());
+        assert_eq!(
+            a.rel_tx.get(ProcessId(1)).unwrap().rtt.estimate().map(|(srtt, _)| srtt),
+            Some(5_000)
+        );
+        // The next packet is lost. Before any sample it would wait the
+        // whole 100 µs `rto`.
+        a.send_reliable(ts(t), vec![Message::new(ProcessId(1), "y")]).unwrap();
+        while a.poll_transmit().is_some() {}
+        let resent_after = (1..=100u64).map(|us| us * 1_000).find(|&dt| {
+            a.poll(ts(t + dt));
+            std::iter::from_fn(|| a.poll_transmit())
+                .any(|d| d.header.flags.contains(Flags::RETRANSMIT))
+        });
+        let dt = resent_after.expect("resent");
+        assert!((5_000..=20_000).contains(&dt), "resent {dt} ns after the loss");
+        assert_eq!(a.stats.retransmits, 1);
     }
 
     #[test]
@@ -1769,7 +1812,7 @@ mod tests {
                     }
                     let mut due_rel = Vec::new();
                     for ch in a.rel_tx.iter() {
-                        for psn in ch.expired(now, cfg.rto) {
+                        for psn in ch.expired(now) {
                             if !packet(ch, psn).forwarding {
                                 due_rel.push((ch.peer, psn));
                             }
@@ -1777,7 +1820,7 @@ mod tests {
                     }
                     let mut due_be = Vec::new();
                     for ch in a.be_tx.iter() {
-                        for psn in ch.expired(now, cfg.be_ack_timeout) {
+                        for psn in ch.expired(now) {
                             let scat = packet(ch, psn).scat;
                             due_be.push((scat.0, scat.1, ch.peer));
                         }

@@ -50,6 +50,7 @@ fn chaos_replay_matches_recorded_delivery_log() {
         FaultSchedule::generate(3, cfg.warmup, cfg.fault_window, &cfg.cluster.topo, &cfg.budget);
     let out = run_with_schedule(&cfg, 3, &schedule);
     assert!(out.deliveries > 0, "replay seed must actually deliver traffic");
+    assert!(out.violation.is_none(), "replay seed broke an invariant: {:?}", out.violation);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/results/chaos/replay_seed3.log");
     if std::env::var_os("BLESS_CHAOS_REPLAY").is_some() {
         std::fs::write(path, &out.delivery_log).unwrap();
