@@ -1030,13 +1030,13 @@ mod tests {
             let m = &r.msg;
             [r.at, r.receiver.0 as u64, m.ts.raw(), m.src.0 as u64, m.seq, r.reliable as u64]
         }));
-        assert_eq!((d.len(), delivery_fp), (1267, 0x2950_aa55_a5c2_e08d));
+        assert_eq!((d.len(), delivery_fp), (1267, 0xc0ee_b3f9_93c3_aac6));
         let events_fp = fnv(c.take_user_events().iter().flat_map(|(at, p, _)| [*at, p.0 as u64]));
-        assert_eq!(events_fp, 0x28e3_42f5_7a16_758b);
+        assert_eq!(events_fp, 0x10d3_6397_2514_4765);
         let s = &c.sim.stats;
         assert_eq!(
             (s.events, s.packets_sent, s.drops_inflight, s.ctrl_elections, s.ctrl_retries),
-            (140_806, 89_690, 6, 2, 82)
+            (99_831, 64_357, 2, 2, 82)
         );
 
         // The sim time of every applied controller action: the first

@@ -40,16 +40,22 @@ pub struct BarrierAggregator {
     out_be: Timestamp,
     /// Monotonic clamp on the outgoing commit barrier.
     out_commit: Timestamp,
-    /// Cached [`Self::out_be`] result, valid until a best-effort
-    /// register or liveness change. Only populated when the result is
-    /// independent of `now` (some input live), so serving it is exact.
+    /// Cached [`Self::out_be`] result, valid until the live set changes
+    /// or a best-effort register that may be the minimum rises. Only
+    /// populated when the result is independent of `now` (some input
+    /// live), so serving it is exact.
     /// The chip rewrites barriers per forwarded packet but registers
     /// only change ~once per beacon interval, so this hits often.
     be_cache: Option<Timestamp>,
     /// Cached [`Self::out_commit`] result (same rules).
     commit_cache: Option<Timestamp>,
-    /// Number of min-computations performed (CPU cost model, Figure 13a).
-    pub min_computes: u64,
+}
+
+/// Whether a register that held `old` sat strictly above the `cached`
+/// output, so it was not the minimum and raising it cannot move the
+/// output. The ZERO sentinel (never heard) may have been pinning it.
+fn above_output(old: Timestamp, cached: Option<Timestamp>) -> bool {
+    cached.is_some_and(|c| old != Timestamp::ZERO && old > c)
 }
 
 impl BarrierAggregator {
@@ -80,7 +86,6 @@ impl BarrierAggregator {
             out_commit: Timestamp::ZERO,
             be_cache: None,
             commit_cache: None,
-            min_computes: 0,
         }
     }
 
@@ -108,10 +113,13 @@ impl BarrierAggregator {
         // the "never heard" sentinel: the first real value replaces it
         // outright (deployment clocks may sit anywhere in the 48-bit
         // ring, where a ring-max against ZERO would misorder).
-        let new = if self.be[i] == Timestamp::ZERO { barrier } else { self.be[i].max(barrier) };
-        if new != self.be[i] {
+        let old = self.be[i];
+        let new = if old == Timestamp::ZERO { barrier } else { old.max(barrier) };
+        if new != old {
             self.be[i] = new;
-            self.be_cache = None;
+            if !above_output(old, self.be_cache) {
+                self.be_cache = None;
+            }
         }
         self.last_heard[i] = now;
         // A link that speaks again leaves the best-effort dead set (§4.2
@@ -130,11 +138,13 @@ impl BarrierAggregator {
         if self.quarantined[i] {
             return true;
         }
-        let new =
-            if self.commit[i] == Timestamp::ZERO { barrier } else { self.commit[i].max(barrier) };
-        if new != self.commit[i] {
+        let old = self.commit[i];
+        let new = if old == Timestamp::ZERO { barrier } else { old.max(barrier) };
+        if new != old {
             self.commit[i] = new;
-            self.commit_cache = None;
+            if !above_output(old, self.commit_cache) {
+                self.commit_cache = None;
+            }
         }
         self.last_heard[i] = now;
         true
@@ -163,7 +173,6 @@ impl BarrierAggregator {
     /// pinning the network on a frozen register (the dead inputs' data
     /// is discarded by the failure announcement anyway).
     pub fn out_be(&mut self, now: u64) -> Timestamp {
-        self.min_computes += 1;
         if let Some(c) = self.be_cache {
             return c;
         }
@@ -203,7 +212,6 @@ impl BarrierAggregator {
     /// removed by the controller's Resume) imposes no constraint and the
     /// output tracks `now`.
     pub fn out_commit(&mut self, now: u64) -> Timestamp {
-        self.min_computes += 1;
         if let Some(c) = self.commit_cache {
             return c;
         }
@@ -307,6 +315,8 @@ impl BarrierAggregator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use onepipe_types::time::TIMESTAMP_MASK;
+    use proptest::prelude::*;
 
     fn ts(v: u64) -> Timestamp {
         Timestamp::from_nanos(v)
@@ -453,5 +463,38 @@ mod tests {
         let dead = a.detect_dead(2000, 500);
         assert_eq!(dead.len(), 2);
         assert!(!a.is_be_dead(NodeId(3)));
+    }
+
+    proptest! {
+        /// The cached minima always equal a recompute from the registers,
+        /// liveness and output clamps alone, whatever sequence of
+        /// observations and membership changes led there, wherever in the
+        /// timestamp ring the clocks sit.
+        #[test]
+        fn cached_minima_match_a_recompute(
+            epoch in 0u64..TIMESTAMP_MASK,
+            steps in proptest::collection::vec((0u8..6, 1u32..5, 0u64..1_000, 0u64..300), 1..200),
+        ) {
+            let mut a = BarrierAggregator::new(vec![NodeId(1), NodeId(2), NodeId(3)]);
+            let mut now = epoch + 1_000;
+            for (op, link, lag, dt) in steps {
+                now += dt;
+                // Link 4 is not an input.
+                let (from, v) = (NodeId(link), Timestamp::from_raw(now - lag));
+                match op {
+                    0 => _ = a.observe_be(from, v, now),
+                    1 => _ = a.observe_commit(from, v, now),
+                    2 => a.observe_alive(from, now),
+                    3 => _ = a.detect_dead(now, 500),
+                    4 => _ = a.remove_commit_input(from),
+                    _ => _ = a.restore_input(from, now),
+                }
+                let mut fresh = a.clone();
+                fresh.be_cache = None;
+                fresh.commit_cache = None;
+                prop_assert_eq!(a.out_be(now), fresh.out_be(now));
+                prop_assert_eq!(a.out_commit(now), fresh.out_commit(now));
+            }
+        }
     }
 }

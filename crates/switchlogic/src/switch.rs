@@ -124,9 +124,6 @@ pub struct SwitchCounters {
     pub unroutable: u64,
 }
 
-/// Sentinel for "no beacon ever sent" on an output port.
-const NEVER_TX: u64 = u64::MAX;
-
 /// Per-output-link transmit state, stored densely in the out-neighbor
 /// order of the switch (the forwarding path updates it per packet, so
 /// it must not hash).
@@ -134,13 +131,20 @@ const NEVER_TX: u64 = u64::MAX;
 struct OutPort {
     /// The downstream neighbor this port leads to.
     to: NodeId,
-    /// Last time a barrier-carrying packet left on this link.
+    /// Last time a barrier-carrying packet (rewritten data or a beacon)
+    /// left on this link.
     last_tx: u64,
-    /// Last time a beacon left on this link (relay rate limiting).
-    last_beacon_tx: u64,
     /// Barrier values most recently advertised on this link, whether by
     /// a rewritten data packet or a beacon.
     advertised: (Timestamp, Timestamp),
+}
+
+impl OutPort {
+    /// Record that a packet advertising `(be, commit)` left at `now`.
+    fn carry(&mut self, now: u64, be: Timestamp, commit: Timestamp) {
+        self.last_tx = now;
+        self.advertised = (self.advertised.0.max(be), self.advertised.1.max(commit));
+    }
 }
 
 /// The viable next hops toward one destination host, as of a link-state
@@ -168,6 +172,10 @@ pub struct SwitchLogic {
     emission_pending: bool,
     /// Chip: a coalesced relay is already scheduled.
     relay_pending: bool,
+    /// Chip: the `(be, commit)` of the last relay. Every port has
+    /// advertised at least this much since, so only an aggregate past it
+    /// can need a relay.
+    relayed: (Timestamp, Timestamp),
     /// Counters for the overhead experiments.
     pub counters: SwitchCounters,
     started: bool,
@@ -186,6 +194,7 @@ impl SwitchLogic {
             ports: Vec::new(),
             emission_pending: false,
             relay_pending: false,
+            relayed: (Timestamp::ZERO, Timestamp::ZERO),
             counters: SwitchCounters::default(),
             started: false,
         }
@@ -264,13 +273,19 @@ impl SwitchLogic {
         pkt.dgram.header.barrier = be;
         pkt.dgram.header.commit_barrier = commit;
         if let Some(i) = self.port_index(next) {
-            let p = &mut self.ports[i];
-            p.last_tx = now;
-            p.advertised.0 = p.advertised.0.max(be);
-            p.advertised.1 = p.advertised.1.max(commit);
+            self.ports[i].carry(now, be, commit);
         }
         self.counters.forwarded += 1;
         ctx.send(next, pkt);
+    }
+
+    /// Chip: send a beacon on output port `i`; like a rewritten data
+    /// packet, it counts as traffic on the link.
+    fn beacon_port(&mut self, ctx: &mut Ctx<'_>, i: usize, be: Timestamp, commit: Timestamp) {
+        let p = &mut self.ports[i];
+        p.carry(ctx.now(), be, commit);
+        self.counters.beacons_tx += 1;
+        ctx.send_beacon(p.to, be, commit);
     }
 
     fn emit_beacons(&mut self, ctx: &mut Ctx<'_>, be: Timestamp, commit: Timestamp) {
@@ -285,39 +300,37 @@ impl SwitchLogic {
     }
 
     /// Chip incarnation: when the aggregated barrier advances, relay it
-    /// promptly on every output link that has not already carried the new
-    /// value (rate-limited per link). This is what keeps the chip's
-    /// end-to-end barrier staleness at ~beacon_interval/2 total rather
-    /// than per hop (§6.2.1's expected-delay formula). Busy links are
-    /// covered for free by rewritten data packets, which also update the
-    /// per-link advertisement.
+    /// at once on every output link that has not already carried the new
+    /// value. This is what keeps the chip's end-to-end barrier staleness
+    /// at ~beacon_interval/2 total rather than per hop (§6.2.1's
+    /// expected-delay formula). Busy links are covered for free by
+    /// rewritten data packets, which also update the per-link
+    /// advertisement.
     fn relay_if_advanced(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
         let be = self.agg.out_be(now);
         let commit = self.agg.out_commit(now);
-        let min_gap = self.cfg.beacon_interval / 16;
         for i in 0..self.ports.len() {
-            let p = &mut self.ports[i];
-            let adv = p.advertised;
-            if be <= adv.0 && commit <= adv.1 {
-                continue;
+            let adv = self.ports[i].advertised;
+            if !(be <= adv.0 && commit <= adv.1) {
+                self.beacon_port(ctx, i, be, commit);
             }
-            if p.last_beacon_tx != NEVER_TX && now.saturating_sub(p.last_beacon_tx) < min_gap {
-                continue; // periodic backstop will carry it
-            }
-            p.advertised = (adv.0.max(be), adv.1.max(commit));
-            p.last_beacon_tx = now;
-            let to = p.to;
-            self.counters.beacons_tx += 1;
-            ctx.send_beacon(to, be, commit);
         }
+        self.relayed = (be, commit);
     }
 
-    /// Chip: coalesce relays of simultaneous beacon arrivals (one wave of
-    /// synchronized host beacons lands in the same instant) so the relay
-    /// carries the fully aggregated minimum, not the first fragment.
+    /// Chip: after a barrier observation, schedule a relay if the
+    /// aggregate moved past the last relay. The relay is coalesced over
+    /// simultaneous arrivals (one wave of synchronized host beacons lands
+    /// in the same instant) so it carries the fully aggregated minimum,
+    /// not the first fragment.
     fn schedule_relay(&mut self, ctx: &mut Ctx<'_>) {
         if self.relay_pending {
+            return;
+        }
+        let now = ctx.now();
+        let (be, commit) = (self.agg.out_be(now), self.agg.out_commit(now));
+        if be <= self.relayed.0 && commit <= self.relayed.1 {
             return;
         }
         self.relay_pending = true;
@@ -345,7 +358,6 @@ impl NodeLogic for SwitchLogic {
                 .map(|&to| OutPort {
                     to,
                     last_tx: 0,
-                    last_beacon_tx: NEVER_TX,
                     advertised: (Timestamp::ZERO, Timestamp::ZERO),
                 })
                 .collect();
@@ -438,12 +450,15 @@ impl NodeLogic for SwitchLogic {
                 let commit = self.agg.out_commit(ctx.now());
                 match self.cfg.incarnation {
                     Incarnation::Chip => {
-                        // Beacons only on links idle for a full interval.
+                        // A removed dead input may have advanced the
+                        // aggregate: relay it to busy links too. Then
+                        // beacon the links that carried nothing for a
+                        // full interval.
+                        self.relay_if_advanced(ctx);
+                        let interval = self.cfg.beacon_interval;
                         for i in 0..self.ports.len() {
-                            let p = self.ports[i];
-                            if now.saturating_sub(p.last_tx) >= self.cfg.beacon_interval {
-                                self.counters.beacons_tx += 1;
-                                ctx.send_beacon(p.to, be, commit);
+                            if now.saturating_sub(self.ports[i].last_tx) >= interval {
+                                self.beacon_port(ctx, i, be, commit);
                             }
                         }
                     }
@@ -718,6 +733,116 @@ mod tests {
             .unwrap();
         assert!(removed);
     }
+
+    fn ts(v: u64) -> Timestamp {
+        Timestamp::from_nanos(v)
+    }
+
+    /// Run `f` on the switch logic of `node` at the current instant.
+    fn on_switch<R>(
+        w: &mut World,
+        node: NodeId,
+        f: impl FnOnce(&mut SwitchLogic, &mut Ctx<'_>) -> R,
+    ) -> R {
+        w.sim
+            .with_node(node, |logic, ctx| {
+                f(logic.as_any_mut().unwrap().downcast_mut::<SwitchLogic>().unwrap(), ctx)
+            })
+            .unwrap()
+    }
+
+    #[test]
+    fn an_advance_right_after_a_relay_is_relayed_at_once() {
+        let mut w = build_world(2, SwitchConfig::default(), vec![]);
+        let tor = w.topo.tor_up_of(HostId(0));
+        let hosts: Vec<NodeId> = (0..2).map(|h| w.topo.host_node(HostId(h))).collect();
+        // Two advances 100 ns apart, both between periodic ticks (3 µs).
+        for (t, v) in [(1_000, 500), (1_100, 600)] {
+            w.sim.run_until(t);
+            on_switch(&mut w, tor, |sw, ctx| {
+                for &h in &hosts {
+                    sw.on_beacon(ctx, h, ts(v), ts(v));
+                }
+            });
+            w.sim.run_until(t); // the coalesced relay fires in the same instant
+            on_switch(&mut w, tor, |sw, _| {
+                for p in &sw.ports {
+                    assert_eq!(p.advertised, (ts(v), ts(v)), "port to {:?} at {t}", p.to);
+                }
+            });
+        }
+        // A relay beacon is traffic: the next tick skips these links.
+        on_switch(&mut w, tor, |sw, _| assert!(sw.ports.iter().all(|p| p.last_tx == 1_100)));
+    }
+
+    #[test]
+    fn an_observation_that_leaves_the_aggregate_queues_no_relay() {
+        let mut w = build_world(2, SwitchConfig::default(), vec![]);
+        let tor = w.topo.tor_up_of(HostId(0));
+        let (h0, h1) = (w.topo.host_node(HostId(0)), w.topo.host_node(HostId(1)));
+        w.sim.run_until(1_000);
+        on_switch(&mut w, tor, |sw, ctx| {
+            sw.on_beacon(ctx, h0, ts(500), ts(500));
+            sw.on_beacon(ctx, h1, ts(700), ts(700));
+        });
+        w.sim.run_until(1_000);
+        on_switch(&mut w, tor, |sw, ctx| {
+            assert_eq!(sw.relayed, (ts(500), ts(500)));
+            // Host 1 was not the minimum: nothing to relay.
+            sw.on_beacon(ctx, h1, ts(900), ts(900));
+            assert!(!sw.relay_pending);
+            // Host 0 was: the aggregate moves to 900.
+            sw.on_beacon(ctx, h0, ts(1_000), ts(1_000));
+            assert!(sw.relay_pending);
+        });
+    }
+
+    /// A host that beacons its clock to its ToR at every multiple of
+    /// `interval` and logs the beacons it receives.
+    struct BeaconingHost {
+        tor: NodeId,
+        interval: u64,
+        barriers: BarrierLog,
+    }
+    impl NodeLogic for BeaconingHost {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.set_timer(self.interval - ctx.now() % self.interval, 0);
+        }
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, pkt: SimPacket) {
+            let h = pkt.dgram.header;
+            assert_eq!(h.opcode, Opcode::Beacon);
+            self.barriers.lock().unwrap().push((ctx.now(), h.barrier, h.commit_barrier));
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+            let t = ts(ctx.now());
+            ctx.send_beacon(self.tor, t, t);
+            ctx.set_timer(self.interval, 0);
+        }
+    }
+
+    #[test]
+    fn an_idle_chip_link_carries_one_beacon_per_interval() {
+        let cfg = SwitchConfig::default();
+        let mut w = build_world(2, cfg, vec![]);
+        for h in 0..2 {
+            let host = BeaconingHost {
+                tor: w.topo.tor_up_of(HostId(h)),
+                interval: cfg.beacon_interval,
+                barriers: w.barriers[h as usize].clone(),
+            };
+            w.sim.set_logic(w.topo.host_node(HostId(h)), Box::new(host));
+        }
+        w.sim.run_until(60 * MICROS);
+        let log = w.barriers[0].lock().unwrap();
+        let window: Vec<_> =
+            log.iter().filter(|&&(at, _, _)| (30 * MICROS..60 * MICROS).contains(&at)).collect();
+        assert_eq!(window.len(), 10, "{window:?}");
+        for pair in window.windows(2) {
+            assert_eq!(pair[1].0 - pair[0].0, cfg.beacon_interval, "{window:?}");
+            assert!(pair[1].1 > pair[0].1, "every beacon advances the barrier: {window:?}");
+        }
+    }
+
     /// Every switch's cached next hop equals [`Topology::route_live`]
     /// under the current link states, for every flow, after every step of
     /// a random sequence of link cuts, repairs and switch crashes — and

