@@ -706,7 +706,7 @@ impl AppHook for TpccApp {
         // "aborted and retried" path of §7.3.2); replicas dedupe by id.
         if self.cfg.mode == TpccMode::OnePipe {
             let timeout = self.cfg.retry_timeout;
-            let stale: Vec<u64> = self
+            let mut stale: Vec<u64> = self
                 .txns
                 .iter()
                 .filter(|(_, t)| {
@@ -714,6 +714,9 @@ impl AppHook for TpccApp {
                 })
                 .map(|(&id, _)| id)
                 .collect();
+            // `txns` iterates in a per-run random order; re-issue in id
+            // order so a run repeats.
+            stale.sort_unstable();
             for id in stale {
                 if let Some(t) = self.txns.get_mut(&id) {
                     t.retries += 1;

@@ -572,8 +572,8 @@ mod tests {
 
     #[test]
     fn recycle_keeps_capacity_for_pool_reuse() {
-        // The UDP receive pool relies on freeze → slice → drop-slices →
-        // try_into_mut to recycle a full-size buffer without re-zeroing.
+        // freeze → slice → drop the slices → try_into_mut hands back the
+        // whole buffer at its full length, as in the real crate.
         let mut b = BytesMut::new();
         b.resize(1024, 0);
         let full = b.freeze();

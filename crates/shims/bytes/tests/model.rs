@@ -5,7 +5,7 @@
 //! `try_into_mut` runs over a pool of handles. The model tracks what each
 //! handle views and which buffer it pins, which is all the callers rely
 //! on: value semantics everywhere, and `try_into_mut` succeeding exactly
-//! when no other handle pins the buffer (`RecvPool::recycle`). Empty
+//! when no other handle pins the buffer, as in the real crate. Empty
 //! handles pin nothing unless `advance` emptied them in place.
 
 use bytes::{Buf, Bytes};
@@ -192,7 +192,8 @@ proptest! {
 
     #[test]
     fn a_unique_full_buffer_comes_back_with_its_capacity(len in 1usize..64, spare in 0usize..64) {
-        // freeze → slice → drop the slices → try_into_mut is RecvPool's cycle.
+        // freeze → slice → drop the slices → try_into_mut reclaims the
+        // whole buffer, capacity included.
         let mut v = Vec::with_capacity(len + spare);
         v.resize(len, 7u8);
         let cap = v.capacity();

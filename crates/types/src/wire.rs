@@ -270,10 +270,9 @@ impl Datagram {
 
     /// Deserialize from a buffer produced by [`encode`](Self::encode).
     ///
-    /// Zero-copy: the payload is a sub-view sharing `buf`'s storage (for
-    /// pooled receive buffers this means no per-packet heap copy). Empty
-    /// payloads return a detached [`Bytes::new`] so beacons and ACKs never
-    /// pin a pool chunk.
+    /// Zero-copy: the payload is a sub-view sharing `buf`'s storage, so
+    /// it pins the frame it was decoded from. Empty payloads return a
+    /// detached [`Bytes::new`] so beacons and ACKs pin nothing.
     pub fn decode(mut buf: Bytes) -> crate::Result<Self> {
         if buf.remaining() < ADDR_LEN + HEADER_LEN {
             return Err(crate::Error::Truncated {

@@ -5,11 +5,10 @@
 //! One UDP frame is either a bare [`Datagram`] (management frames leave
 //! that way) or a batch frame (`onepipe_types::wire::BATCH_MAGIC`)
 //! carrying several datagrams behind length prefixes — see
-//! [`decode_frame`]. The receive path reads into a pooled buffer, freezes
-//! it, and slices datagram payloads out of the shared allocation
-//! (zero-copy); once every payload slice has been consumed,
-//! `RxBurst::recycle` reclaims the buffer for the next `recv_from`
-//! without re-zeroing.
+//! [`decode_frame`]. The receive path reads into one buffer per socket
+//! and copies each frame out into a buffer of exactly its length, which
+//! the frame's datagram payloads then share: whatever holds a payload
+//! pins that one frame and nothing more.
 
 use bytes::{Bytes, BytesMut};
 use onepipe_controller::MgmtFrame;
@@ -35,7 +34,7 @@ const DEFAULT_MAX_FRAME: usize = 16 * 1024;
 // `SO_RCVTIMEO` is jiffy-granular on the kernels this runs on, so on an
 // empty socket each of them really waits ≈ 8 ms, and a pump processes an
 // RX burst only after its last `recv` has timed out: that wait, nine hops
-// deep, is the 72 ms loopback p50 (DESIGN §7.1). ROADMAP item 1 replaces
+// deep, is the 72 ms loopback p50 (DESIGN §7.1). ROADMAP item 2 replaces
 // `RX_DRAIN` with a non-blocking `recv`; the two idle waits are what a
 // pump with nothing to do sleeps on, and stay.
 
@@ -170,56 +169,15 @@ impl UdpStatsSnapshot {
     }
 }
 
-/// Pool of full-size receive buffers. `recv_from` reads into a pooled
-/// `BytesMut`, [`recv`](Self::recv) freezes it into a shared [`Bytes`],
-/// and decoding slices payloads out of that allocation. When every slice
-/// has been dropped, [`recycle`](Self::recycle) reclaims the buffer —
-/// steady state does zero allocation and zero zeroing per packet.
-struct RecvPool {
-    free: Vec<BytesMut>,
-    max_free: usize,
-}
-
-impl RecvPool {
-    fn new() -> Self {
-        RecvPool { free: Vec::new(), max_free: 32 }
-    }
-
-    /// Receive one UDP frame: `(full buffer, frame length, sender)`. The
-    /// caller decodes from `full.slice(0..len)` and hands `full` back via
-    /// [`recycle`](Self::recycle).
-    fn recv(&mut self, sock: &UdpSocket) -> std::io::Result<(Bytes, usize, SocketAddr)> {
-        let mut buf = self.free.pop().unwrap_or_default();
-        if buf.len() < RECV_BUF_LEN {
-            buf.resize(RECV_BUF_LEN, 0);
-        }
-        match sock.recv_from(&mut buf[..]) {
-            Ok((len, from)) => Ok((buf.freeze(), len, from)),
-            Err(e) => {
-                self.free.push(buf);
-                Err(e)
-            }
-        }
-    }
-
-    /// Keep `full` for a later `recv` if nothing else still holds it.
-    fn recycle(&mut self, full: Bytes) {
-        if self.free.len() >= self.max_free {
-            return;
-        }
-        if let Ok(buf) = full.try_into_mut() {
-            self.free.push(buf);
-        }
-    }
-}
-
 /// The receive side of one socket, and the one place this crate turns
-/// `recv_from` syscalls into datagrams: it owns the buffer pool, the
+/// `recv_from` syscalls into datagrams: it owns the receive buffer, the
 /// socket's receive timeout, the frame decode and the RX counters
 /// (undecodable input is counted here, never handed on).
 pub(crate) struct PacketRx<'a> {
     sock: &'a UdpSocket,
-    pool: RecvPool,
+    /// Where `recv_from` lands, allocated once; each frame is copied out
+    /// of it, so nothing downstream ever holds it.
+    buf: Box<[u8]>,
     stats: Arc<UdpStats>,
     /// What the first `recv` of a burst waits for.
     idle: Duration,
@@ -229,7 +187,8 @@ pub(crate) struct PacketRx<'a> {
 
 impl<'a> PacketRx<'a> {
     pub(crate) fn new(sock: &'a UdpSocket, idle: Duration, stats: Arc<UdpStats>) -> Self {
-        PacketRx { sock, pool: RecvPool::new(), stats, idle, timeout: None }
+        let buf = vec![0; RECV_BUF_LEN].into_boxed_slice();
+        PacketRx { sock, buf, stats, idle, timeout: None }
     }
 
     /// Start a burst: a run of `recv`s of which the first waits `idle`
@@ -250,20 +209,18 @@ pub(crate) struct RxBurst<'r, 'a> {
 
 impl RxBurst<'_, '_> {
     /// Receive one frame and hand each datagram in it to `handle`, with
-    /// the frame's sender. Returns the spent receive buffer — to be given
-    /// to [`recycle`](Self::recycle) once the datagrams' payload slices
-    /// are dropped — or `None`, without calling `handle`, when the socket
-    /// had nothing within the timeout.
-    pub(crate) fn recv(&mut self, mut handle: impl FnMut(Datagram, SocketAddr)) -> Option<Bytes> {
+    /// the frame's sender. Returns `false`, without calling `handle`, when
+    /// the socket had nothing within the timeout.
+    pub(crate) fn recv(&mut self, mut handle: impl FnMut(Datagram, SocketAddr)) -> bool {
         let rx = &mut *self.rx;
         if rx.timeout != Some(self.wait) {
             rx.sock.set_read_timeout(Some(self.wait)).ok();
             rx.timeout = Some(self.wait);
         }
-        let (full, len, from) = rx.pool.recv(rx.sock).ok()?;
+        let Ok((len, from)) = rx.sock.recv_from(&mut rx.buf) else { return false };
         self.wait = RX_DRAIN;
         rx.stats.note_rx_frame(len);
-        for decoded in decode_frame(full.slice(0..len)) {
+        for decoded in decode_frame(Bytes::copy_from_slice(&rx.buf[..len])) {
             match decoded {
                 Ok(d) => {
                     rx.stats.note_rx_datagram();
@@ -272,15 +229,7 @@ impl RxBurst<'_, '_> {
                 Err(_) => rx.stats.note_decode_error(),
             }
         }
-        Some(full)
-    }
-
-    /// Attempt to reclaim a receive buffer. Succeeds exactly when no
-    /// payload slice escaped into longer-lived state (TX queue, reorder
-    /// store, delivery channel); otherwise the allocation is released to
-    /// the outstanding slices and freed when the last of them drops.
-    pub(crate) fn recycle(&mut self, spent: Bytes) {
-        self.rx.pool.recycle(spent);
+        true
     }
 }
 
@@ -404,6 +353,46 @@ mod tests {
     use super::*;
     use onepipe_types::ids::ProcessId;
     use onepipe_types::wire::{encode_batch_into, ADDR_LEN};
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    /// Counts the bytes this thread allocates (the harness runs tests
+    /// side by side). Frees are not counted.
+    struct Counting;
+
+    thread_local! {
+        static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+    }
+
+    // SAFETY: defers to `System` unchanged; the counter is a
+    // const-initialized thread-local `Cell` with no destructor, so touching
+    // it neither allocates nor runs during thread teardown.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            ALLOCATED.with(|n| n.set(n.get() + layout.size()));
+            // SAFETY: same contract as ours.
+            unsafe { System.alloc(layout) }
+        }
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: `ptr` came from `System.alloc` with this layout.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            ALLOCATED.with(|n| n.set(n.get() + new_size));
+            // SAFETY: same contract as ours.
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+    }
+
+    #[global_allocator]
+    static GLOBAL: Counting = Counting;
+
+    /// Bytes `f` allocates on this thread.
+    fn bytes_allocated(f: impl FnOnce()) -> usize {
+        let before = ALLOCATED.with(Cell::get);
+        f();
+        ALLOCATED.with(Cell::get) - before
+    }
 
     fn datagram(psn: u32, payload: &[u8]) -> Datagram {
         Datagram {
@@ -429,7 +418,7 @@ mod tests {
         let mut seen = Vec::new();
 
         // An empty socket: idle, and the handler is not called.
-        assert!(rx.burst().recv(|d, _| seen.push(d)).is_none());
+        assert!(!rx.burst().recv(|d, _| seen.push(d)));
         assert!(seen.is_empty());
         assert_eq!(stats.snapshot(), UdpStatsSnapshot::default());
 
@@ -448,16 +437,38 @@ mod tests {
 
         let mut burst = rx.burst();
         for _ in 0..3 {
-            let spent = burst.recv(|d, from| {
+            let got = burst.recv(|d, from| {
                 assert_eq!(from, a.local_addr().unwrap());
                 seen.push(d);
             });
-            burst.recycle(spent.expect("loopback delivers in order, at once"));
+            assert!(got, "loopback delivers in order, at once");
         }
-        assert!(burst.recv(|d, _| seen.push(d)).is_none(), "drained");
+        assert!(!burst.recv(|d, _| seen.push(d)), "drained");
         assert_eq!(seen, [ds[0].clone(), ds[2].clone(), bare]);
         let s = stats.snapshot();
         assert_eq!((s.rx_frames, s.rx_datagrams, s.decode_errors), (3, 3, 2));
+    }
+
+    /// A received frame costs the heap about its own length, not a
+    /// receive buffer: a datagram still held from the previous frame (as
+    /// the reorder buffer or a TX queue holds one) pins only that frame,
+    /// so the next `recv` has nothing to replace.
+    #[test]
+    fn a_held_datagram_pins_only_its_own_frame() {
+        let (a, b, to) = socket_pair();
+        let mut rx = PacketRx::new(&b, RX_IDLE, Arc::new(UdpStats::default()));
+        let d = datagram(1, &[7u8; 64]);
+        let frame = d.encode();
+        assert!(frame.len() < 128, "a ~100 B frame");
+        let mut held = Vec::with_capacity(2);
+        a.send_to(&frame, to).unwrap();
+        assert!(rx.burst().recv(|d, _| held.push(d)));
+        a.send_to(&frame, to).unwrap();
+        let bytes = bytes_allocated(|| {
+            assert!(rx.burst().recv(|d, _| held.push(d)));
+        });
+        assert_eq!(held, [d.clone(), d]);
+        assert!(bytes < 1024, "receiving a {} B frame allocated {bytes} B", frame.len());
     }
 
     /// `push` transmits when the destination's pending frame reaches

@@ -33,10 +33,10 @@
 //! stalls until a new leader is elected and the retried reports drain
 //! into its log.
 //!
-//! **Batched, zero-copy data plane.** All I/O goes through the batching
-//! layer in `batch.rs`: every thread receives through one routine
-//! (`PacketRx`) that drains multiple frames per pump into pooled buffers,
-//! decodes payloads as zero-copy slices of the shared receive buffer and
+//! **Batched data plane.** All I/O goes through the batching layer in
+//! `batch.rs`: every thread receives through one routine (`PacketRx`)
+//! that drains multiple frames per pump, copies each into a buffer of
+//! exactly its length, decodes payloads as slices of that copy and
 //! counts what it could not decode; transmits accumulate in a `PacketTx`
 //! and coalesce per destination into multi-datagram batch frames
 //! (`onepipe_types::wire::BATCH_MAGIC`), so one syscall carries data +
@@ -487,7 +487,7 @@ fn run_soft_switch(sock: UdpSocket, net: Net, dead_timeout: NsDuration) {
         let mut burst = rx.burst();
         let mut now = now_ns(epoch);
         loop {
-            let spent = burst.recv(|d, _from| {
+            let got = burst.recv(|d, _from| {
                 let link = NodeId(d.src.0);
                 match d.header.opcode {
                     Opcode::Beacon => {
@@ -525,13 +525,12 @@ fn run_soft_switch(sock: UdpSocket, net: Net, dead_timeout: NsDuration) {
                     }
                 }
             });
-            let Some(spent) = spent else {
+            if !got {
                 // Receive queue empty: put queued forwards on the wire
                 // rather than sitting on them until the beacon.
                 tx.flush(&sock);
                 break;
-            };
-            burst.recycle(spent);
+            }
             now = now_ns(epoch);
             if now >= next_beacon {
                 break;
@@ -633,8 +632,7 @@ fn run_controller_replica(ctx: ReplicaCtx) {
         let mut raft_out = Vec::new();
         let mut actions = Vec::new();
         // A burst of one frame: the replica ticks after every frame.
-        let mut burst = rx.burst();
-        let spent = burst.recv(|d, from_addr| {
+        rx.burst().recv(|d, from_addr| {
             if d.header.opcode != Opcode::Mgmt {
                 return;
             }
@@ -670,9 +668,6 @@ fn run_controller_replica(ctx: ReplicaCtx) {
                 _ => {}
             }
         });
-        if let Some(spent) = spent {
-            burst.recycle(spent);
-        }
         // Raft timeouts/heartbeats; applies whatever committed.
         let (m, a) = ctrl.tick(now_ns(epoch));
         raft_out.extend(m);
@@ -897,8 +892,7 @@ struct ProcessCtx {
 /// Each loop iteration is one pump: drain application commands, drain an
 /// RX burst from the socket (multiple frames, each holding multiple
 /// datagrams), tick if due, route controller requests — then put every
-/// queued emission on the wire as coalesced frames and recycle the
-/// receive buffers whose payloads were fully consumed.
+/// queued emission on the wire as coalesced frames.
 fn run_process(ctx: ProcessCtx) {
     let ProcessCtx { id, sock, net, user_app, cmd_rx, del_tx, ev_tx, raw_tx, kill } = ctx;
     let Net { switch_addr, ctrl_addrs, epoch, stats, ctrl_retries, ctrl_drops, stop, .. } = net;
@@ -945,10 +939,8 @@ fn run_process(ctx: ProcessCtx) {
     // Stale-leader fence: highest controller epoch seen.
     let mut max_epoch = 0u64;
     let mut rx = PacketRx::new(&sock, RX_IDLE, stats);
-    // Data-plane datagrams of one RX burst; receive buffers awaiting
-    // recycling after the burst is processed.
+    // Data-plane datagrams of one RX burst.
     let mut burst: Vec<Datagram> = Vec::with_capacity(RX_BURST_MAX);
-    let mut spent_bufs: Vec<bytes::Bytes> = Vec::new();
     let mut next_tick = 0u64;
     while !stop.load(Ordering::SeqCst) && !kill.load(Ordering::SeqCst) {
         // Application commands.
@@ -966,7 +958,7 @@ fn run_process(ctx: ProcessCtx) {
         // RX burst: drain the socket up to RX_BURST_MAX datagrams.
         let mut rx_burst = rx.burst();
         while burst.len() < RX_BURST_MAX {
-            let spent = rx_burst.recv(|d, _from| {
+            let got = rx_burst.recv(|d, _from| {
                 if d.header.opcode != Opcode::Mgmt {
                     burst.push(d);
                     return;
@@ -983,8 +975,9 @@ fn run_process(ctx: ProcessCtx) {
                     _ => {}
                 }
             });
-            let Some(spent) = spent else { break };
-            spent_bufs.push(spent);
+            if !got {
+                break;
+            }
         }
         // Process the burst only now that the socket is drained: ACKs,
         // commits and app reactions to all of it coalesce into the same
@@ -1014,12 +1007,6 @@ fn run_process(ctx: ProcessCtx) {
         // Pump boundary: everything this iteration emitted goes out as
         // coalesced frames (data first, then the beacon — FIFO per dest).
         wire.tx.flush(&sock);
-        // Receive buffers whose payload slices were all consumed go back
-        // to the pool; any still pinned by the reorder store are freed by
-        // the last slice instead.
-        for spent in spent_bufs.drain(..) {
-            rx_burst.recycle(spent);
-        }
     }
 }
 
