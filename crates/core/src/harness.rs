@@ -44,9 +44,7 @@ use onepipe_controller::REPLICAS;
 use onepipe_netsim::engine::Sim;
 use onepipe_netsim::topology::{FatTreeParams, NodeRole, Topology};
 use onepipe_netsim::traffic::BackgroundTraffic;
-use onepipe_switchlogic::switch::{
-    Incarnation, SwitchConfig, SwitchEvent, SwitchLogic, SwitchShared,
-};
+use onepipe_switchlogic::{Incarnation, SwitchConfig, SwitchEvent, SwitchLogic, SwitchShared};
 use onepipe_types::ids::{HostId, LinkId, NodeId, ProcessId};
 use onepipe_types::message::Message;
 use onepipe_types::process_map::ProcessMap;
@@ -710,7 +708,7 @@ impl Cluster {
                 self.sim.with_node(at, |logic, ctx| {
                     if let Some(any) = logic.as_any_mut() {
                         if let Some(sw) = any.downcast_mut::<SwitchLogic>() {
-                            sw.remove_commit_input(input);
+                            sw.core.remove_commit_input(input);
                             let _ = ctx;
                         }
                     }

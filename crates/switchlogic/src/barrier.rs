@@ -15,47 +15,110 @@ pub struct BarrierAggregator {
     /// `u16::MAX` marks "not an input". Barrier observations run per
     /// packet, so the slot lookup must not scan.
     index: Vec<u16>,
-    /// Best-effort barrier register per input link.
-    be: Vec<Timestamp>,
-    /// Commit barrier register per input link.
-    commit: Vec<Timestamp>,
+    /// The best-effort barrier. An input leaves its minimum by the
+    /// decentralized timeout (§4.2), and its death is then reported to
+    /// the controller (Detect, §5.2). Failure is by fiat from that point:
+    /// even if the link revives (a healed partition, a falsely-accused
+    /// process), its registers are frozen and it never rejoins either
+    /// minimum. Otherwise a zombie's barrier contributions could advance
+    /// the commit barrier during the Announce→Resume window and release
+    /// messages the announcement orders every receiver to discard.
+    be: Minimum,
+    /// The commit barrier. An input leaves its minimum only by the
+    /// controller's Resume step (§5.2).
+    commit: Minimum,
     /// Last time anything (data or beacon) was heard on each input link.
     last_heard: Vec<u64>,
-    /// Input links removed from the best-effort minimum (decentralized
-    /// timeout, §4.2).
-    be_dead: Vec<bool>,
-    /// Input links removed from the commit minimum (only by the
-    /// controller's Resume step, §5.2).
-    commit_dead: Vec<bool>,
-    /// Input links whose death has been *reported* to the controller
-    /// (Detect, §5.2). Failure is by fiat from that point: even if the
-    /// link revives (a healed partition, a falsely-accused process), its
-    /// registers are frozen and it stays out of both minima until the
-    /// controller explicitly re-admits it. Otherwise a zombie's barrier
-    /// contributions could advance the commit barrier during the
-    /// Announce→Resume window and release messages the announcement
-    /// orders every receiver to discard.
-    quarantined: Vec<bool>,
-    /// Monotonic clamp on the outgoing best-effort barrier.
-    out_be: Timestamp,
-    /// Monotonic clamp on the outgoing commit barrier.
-    out_commit: Timestamp,
-    /// Cached [`Self::out_be`] result, valid until the live set changes
-    /// or a best-effort register that may be the minimum rises. Only
-    /// populated when the result is independent of `now` (some input
-    /// live), so serving it is exact.
-    /// The chip rewrites barriers per forwarded packet but registers
-    /// only change ~once per beacon interval, so this hits often.
-    be_cache: Option<Timestamp>,
-    /// Cached [`Self::out_commit`] result (same rules).
-    commit_cache: Option<Timestamp>,
 }
 
-/// Whether a register that held `old` sat strictly above the `cached`
-/// output, so it was not the minimum and raising it cannot move the
-/// output. The ZERO sentinel (never heard) may have been pinning it.
-fn above_output(old: Timestamp, cached: Option<Timestamp>) -> bool {
-    cached.is_some_and(|c| old != Timestamp::ZERO && old > c)
+/// One of the two barriers: a register per input link, the links left
+/// out of the minimum, and the monotone output.
+#[derive(Clone, Debug)]
+struct Minimum {
+    regs: Vec<Timestamp>,
+    removed: Vec<bool>,
+    /// Monotonic clamp on the output.
+    out: Timestamp,
+    /// Cached [`Self::out`] result, valid until the live set changes or
+    /// a register that may be the minimum rises. Only populated when the
+    /// result is independent of `now` (some input live), so serving it
+    /// is exact. The chip rewrites barriers per forwarded packet but
+    /// registers only change ~once per beacon interval, so this hits
+    /// often.
+    cache: Option<Timestamp>,
+}
+
+impl Minimum {
+    fn new(n: usize) -> Self {
+        Minimum {
+            regs: vec![Timestamp::ZERO; n],
+            removed: vec![false; n],
+            out: Timestamp::ZERO,
+            cache: None,
+        }
+    }
+
+    /// Raise input `i`'s register to `barrier`.
+    fn observe(&mut self, i: usize, barrier: Timestamp) {
+        // FIFO links deliver non-decreasing barriers; clamp defensively so
+        // a reordered packet cannot drag the register backwards. ZERO is
+        // the "never heard" sentinel: the first real value replaces it
+        // outright (deployment clocks may sit anywhere in the 48-bit
+        // ring, where a ring-max against ZERO would misorder).
+        let old = self.regs[i];
+        let new = if old == Timestamp::ZERO { barrier } else { old.max(barrier) };
+        // A register that sat strictly above the cached output was not
+        // the minimum, so raising it cannot move the output. The ZERO
+        // sentinel (never heard) may have been pinning it.
+        let above_output = self.cache.is_some_and(|c| old != Timestamp::ZERO && old > c);
+        if new != old {
+            self.regs[i] = new;
+            if !above_output {
+                self.cache = None;
+            }
+        }
+    }
+
+    /// Leave input `i` out of the minimum.
+    fn remove(&mut self, i: usize) {
+        self.removed[i] = true;
+        self.cache = None;
+    }
+
+    /// `min` over the live inputs' registers, clamped monotone (eq. 4.1).
+    /// `now` is the switch-local time: the min over an *empty* live set
+    /// is unconstrained, so a switch whose entire subtree died emits its
+    /// clock instead of pinning the network on a frozen register (the
+    /// dead inputs' data is discarded by the failure announcement
+    /// anyway).
+    fn out(&mut self, now: u64) -> Timestamp {
+        if let Some(c) = self.cache {
+            return c;
+        }
+        let mut any_live = false;
+        let mut min: Option<Timestamp> = None;
+        for (&reg, _) in self.regs.iter().zip(&self.removed).filter(|(_, &removed)| !removed) {
+            any_live = true;
+            if reg == Timestamp::ZERO {
+                // A live link that has never reported pins the output at
+                // "no information" (ring comparison against the ZERO
+                // sentinel would be meaningless).
+                self.cache = Some(self.out);
+                return self.out;
+            }
+            min = Some(min.map_or(reg, |m| m.min(reg)));
+        }
+        if !any_live && now != 0 {
+            min = Some(Timestamp::from_raw(now));
+        }
+        if let Some(m) = min {
+            self.out = if self.out == Timestamp::ZERO { m } else { self.out.max(m) };
+        }
+        if any_live {
+            self.cache = Some(self.out);
+        }
+        self.out
+    }
 }
 
 impl BarrierAggregator {
@@ -76,135 +139,60 @@ impl BarrierAggregator {
         BarrierAggregator {
             inputs,
             index,
-            be: vec![Timestamp::ZERO; n],
-            commit: vec![Timestamp::ZERO; n],
+            be: Minimum::new(n),
+            commit: Minimum::new(n),
             last_heard: vec![0; n],
-            be_dead: vec![false; n],
-            commit_dead: vec![false; n],
-            quarantined: vec![false; n],
-            out_be: Timestamp::ZERO,
-            out_commit: Timestamp::ZERO,
-            be_cache: None,
-            commit_cache: None,
         }
     }
 
-    fn index_of(&self, link: NodeId) -> Option<usize> {
+    /// The slot of a live input link; `Err(false)` for an unknown link,
+    /// `Err(true)` for one reported dead.
+    fn live_slot(&self, link: NodeId) -> Result<usize, bool> {
         match self.index.get(link.0 as usize) {
-            Some(&i) if i != u16::MAX => Some(i as usize),
-            _ => None,
+            Some(&i) if i != u16::MAX && self.be.removed[i as usize] => Err(true),
+            Some(&i) if i != u16::MAX => Ok(i as usize),
+            _ => Err(false),
         }
-    }
-
-    /// The input links this aggregator watches.
-    pub fn inputs(&self) -> &[NodeId] {
-        &self.inputs
     }
 
     /// Record a best-effort barrier observation on an input link.
     /// Returns `false` if the link is unknown.
     pub fn observe_be(&mut self, from: NodeId, barrier: Timestamp, now: u64) -> bool {
-        let Some(i) = self.index_of(from) else { return false };
-        if self.quarantined[i] {
-            return true;
-        }
-        // FIFO links deliver non-decreasing barriers; clamp defensively so
-        // a reordered packet cannot drag the register backwards. ZERO is
-        // the "never heard" sentinel: the first real value replaces it
-        // outright (deployment clocks may sit anywhere in the 48-bit
-        // ring, where a ring-max against ZERO would misorder).
-        let old = self.be[i];
-        let new = if old == Timestamp::ZERO { barrier } else { old.max(barrier) };
-        if new != old {
-            self.be[i] = new;
-            if !above_output(old, self.be_cache) {
-                self.be_cache = None;
+        match self.live_slot(from) {
+            Ok(i) => {
+                self.be.observe(i, barrier);
+                self.last_heard[i] = now;
+                true
             }
+            Err(known) => known,
         }
-        self.last_heard[i] = now;
-        // A link that speaks again leaves the best-effort dead set (§4.2
-        // "addition of new hosts and links"); the monotonic output clamp
-        // absorbs any regression while it catches up.
-        if self.be_dead[i] {
-            self.be_dead[i] = false;
-            self.be_cache = None;
-        }
-        true
     }
 
     /// Record a commit barrier observation on an input link.
     pub fn observe_commit(&mut self, from: NodeId, barrier: Timestamp, now: u64) -> bool {
-        let Some(i) = self.index_of(from) else { return false };
-        if self.quarantined[i] {
-            return true;
-        }
-        let old = self.commit[i];
-        let new = if old == Timestamp::ZERO { barrier } else { old.max(barrier) };
-        if new != old {
-            self.commit[i] = new;
-            if !above_output(old, self.commit_cache) {
-                self.commit_cache = None;
+        match self.live_slot(from) {
+            Ok(i) => {
+                self.commit.observe(i, barrier);
+                self.last_heard[i] = now;
+                true
             }
+            Err(known) => known,
         }
-        self.last_heard[i] = now;
-        true
     }
 
     /// Mark liveness on a link without a barrier value (e.g. a reliable
     /// data packet, which does not update barrier registers but proves the
     /// link is alive).
     pub fn observe_alive(&mut self, from: NodeId, now: u64) {
-        if let Some(i) = self.index_of(from) {
-            if self.quarantined[i] {
-                return;
-            }
+        if let Ok(i) = self.live_slot(from) {
             self.last_heard[i] = now;
-            if self.be_dead[i] {
-                self.be_dead[i] = false;
-                self.be_cache = None;
-            }
         }
     }
 
     /// Current outgoing best-effort barrier: `min` over live input links'
-    /// registers, clamped monotone (eq. 4.1). `now` is the switch-local
-    /// time: the min over an *empty* live set is unconstrained, so a
-    /// switch whose entire subtree died emits its clock instead of
-    /// pinning the network on a frozen register (the dead inputs' data
-    /// is discarded by the failure announcement anyway).
+    /// registers, clamped monotone (eq. 4.1).
     pub fn out_be(&mut self, now: u64) -> Timestamp {
-        if let Some(c) = self.be_cache {
-            return c;
-        }
-        let mut any_live = false;
-        let mut min: Option<Timestamp> = None;
-        for i in 0..self.inputs.len() {
-            if self.be_dead[i] {
-                continue;
-            }
-            any_live = true;
-            if self.be[i] == Timestamp::ZERO {
-                // A live link that has never reported pins the output at
-                // "no information" (ring comparison against the ZERO
-                // sentinel would be meaningless).
-                self.be_cache = Some(self.out_be);
-                return self.out_be;
-            }
-            min = Some(match min {
-                None => self.be[i],
-                Some(m) => m.min(self.be[i]),
-            });
-        }
-        if !any_live && now != 0 {
-            min = Some(Timestamp::from_raw(now));
-        }
-        if let Some(m) = min {
-            self.out_be = if self.out_be == Timestamp::ZERO { m } else { self.out_be.max(m) };
-        }
-        if any_live {
-            self.be_cache = Some(self.out_be);
-        }
-        self.out_be
+        self.be.out(now)
     }
 
     /// Current outgoing commit barrier: `min` over commit-live input
@@ -212,36 +200,7 @@ impl BarrierAggregator {
     /// removed by the controller's Resume) imposes no constraint and the
     /// output tracks `now`.
     pub fn out_commit(&mut self, now: u64) -> Timestamp {
-        if let Some(c) = self.commit_cache {
-            return c;
-        }
-        let mut any_live = false;
-        let mut min: Option<Timestamp> = None;
-        for i in 0..self.inputs.len() {
-            if self.commit_dead[i] {
-                continue;
-            }
-            any_live = true;
-            if self.commit[i] == Timestamp::ZERO {
-                self.commit_cache = Some(self.out_commit);
-                return self.out_commit;
-            }
-            min = Some(match min {
-                None => self.commit[i],
-                Some(m) => m.min(self.commit[i]),
-            });
-        }
-        if !any_live && now != 0 {
-            min = Some(Timestamp::from_raw(now));
-        }
-        if let Some(m) = min {
-            self.out_commit =
-                if self.out_commit == Timestamp::ZERO { m } else { self.out_commit.max(m) };
-        }
-        if any_live {
-            self.commit_cache = Some(self.out_commit);
-        }
-        self.out_commit
+        self.commit.out(now)
     }
 
     /// Find input links silent since `now − timeout` and remove them from
@@ -250,17 +209,11 @@ impl BarrierAggregator {
     pub fn detect_dead(&mut self, now: u64, timeout: u64) -> Vec<(NodeId, Timestamp)> {
         let mut dead = Vec::new();
         for i in 0..self.inputs.len() {
-            if self.be_dead[i] {
-                continue;
-            }
-            if now.saturating_sub(self.last_heard[i]) > timeout {
-                self.be_dead[i] = true;
-                self.be_cache = None;
+            if !self.be.removed[i] && now.saturating_sub(self.last_heard[i]) > timeout {
                 // The death is about to be reported: from here the input
-                // is failed by fiat and may only rejoin via the
-                // controller (`restore_input`).
-                self.quarantined[i] = true;
-                dead.push((self.inputs[i], self.commit[i]));
+                // is failed by fiat.
+                self.be.remove(i);
+                dead.push((self.inputs[i], self.commit.regs[i]));
             }
         }
         dead
@@ -268,47 +221,16 @@ impl BarrierAggregator {
 
     /// Remove an input link from the commit minimum (controller Resume).
     pub fn remove_commit_input(&mut self, from: NodeId) -> bool {
-        match self.index_of(from) {
-            Some(i) => {
-                self.commit_dead[i] = true;
-                self.commit_cache = None;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Re-admit a recovered input link to both minima. Its registers keep
-    /// their old values; the monotonic clamp hides them until the link
-    /// catches up (§4.2 link-addition rule).
-    pub fn restore_input(&mut self, from: NodeId, now: u64) -> bool {
-        match self.index_of(from) {
-            Some(i) => {
-                self.be_dead[i] = false;
-                self.commit_dead[i] = false;
-                self.quarantined[i] = false;
-                self.last_heard[i] = now;
-                self.be_cache = None;
-                self.commit_cache = None;
-                true
-            }
-            None => false,
-        }
+        let Some(&i) = self.index.get(from.0 as usize).filter(|&&i| i != u16::MAX) else {
+            return false;
+        };
+        self.commit.remove(i as usize);
+        true
     }
 
     /// Whether a given input link is currently excluded from the BE min.
     pub fn is_be_dead(&self, from: NodeId) -> bool {
-        self.index_of(from).map(|i| self.be_dead[i]).unwrap_or(true)
-    }
-
-    /// The best-effort register of one input link (telemetry).
-    pub fn register_be(&self, from: NodeId) -> Option<Timestamp> {
-        self.index_of(from).map(|i| self.be[i])
-    }
-
-    /// The commit register of one input link (telemetry).
-    pub fn register_commit(&self, from: NodeId) -> Option<Timestamp> {
-        self.index_of(from).map(|i| self.commit[i])
+        self.live_slot(from).is_err()
     }
 }
 
@@ -408,7 +330,7 @@ mod tests {
     }
 
     #[test]
-    fn reported_dead_link_is_quarantined_until_restored() {
+    fn reported_dead_link_stays_out_for_good() {
         let mut a = agg3();
         for n in 1..=3 {
             a.observe_be(NodeId(n), ts(100), 0);
@@ -424,33 +346,7 @@ mod tests {
         a.observe_commit(NodeId(1), ts(200), 10_001);
         a.observe_alive(NodeId(1), 10_002);
         assert!(a.is_be_dead(NodeId(1)));
-        assert_eq!(a.register_commit(NodeId(1)), Some(ts(100)));
-        // Only the controller re-admits it.
-        a.restore_input(NodeId(1), 10_003);
-        assert!(!a.is_be_dead(NodeId(1)));
-        a.observe_commit(NodeId(1), ts(200), 10_004);
-        assert_eq!(a.register_commit(NodeId(1)), Some(ts(200)));
-    }
-
-    #[test]
-    fn restore_input_readmits_to_both_minima() {
-        let mut a = agg3();
-        for n in 1..=3 {
-            a.observe_be(NodeId(n), ts(100), 0);
-            a.observe_commit(NodeId(n), ts(100), 0);
-        }
-        a.remove_commit_input(NodeId(2));
-        a.observe_commit(NodeId(1), ts(200), 1);
-        a.observe_commit(NodeId(3), ts(200), 1);
-        assert_eq!(a.out_commit(0), ts(200));
-        // Restore: link 2's stale register (100) is below the clamp (200),
-        // so the output holds at 200 until link 2 catches up.
-        a.restore_input(NodeId(2), 2);
-        assert_eq!(a.out_commit(0), ts(200));
-        a.observe_commit(NodeId(2), ts(300), 3);
-        a.observe_commit(NodeId(1), ts(300), 3);
-        a.observe_commit(NodeId(3), ts(300), 3);
-        assert_eq!(a.out_commit(0), ts(300));
+        assert_eq!((a.be.regs[0], a.commit.regs[0], a.last_heard[0]), (ts(100), ts(100), 0));
     }
 
     #[test]
@@ -473,7 +369,7 @@ mod tests {
         #[test]
         fn cached_minima_match_a_recompute(
             epoch in 0u64..TIMESTAMP_MASK,
-            steps in proptest::collection::vec((0u8..6, 1u32..5, 0u64..1_000, 0u64..300), 1..200),
+            steps in proptest::collection::vec((0u8..5, 1u32..5, 0u64..1_000, 0u64..300), 1..200),
         ) {
             let mut a = BarrierAggregator::new(vec![NodeId(1), NodeId(2), NodeId(3)]);
             let mut now = epoch + 1_000;
@@ -486,12 +382,11 @@ mod tests {
                     1 => _ = a.observe_commit(from, v, now),
                     2 => a.observe_alive(from, now),
                     3 => _ = a.detect_dead(now, 500),
-                    4 => _ = a.remove_commit_input(from),
-                    _ => _ = a.restore_input(from, now),
+                    _ => _ = a.remove_commit_input(from),
                 }
                 let mut fresh = a.clone();
-                fresh.be_cache = None;
-                fresh.commit_cache = None;
+                fresh.be.cache = None;
+                fresh.commit.cache = None;
                 prop_assert_eq!(a.out_be(now), fresh.out_be(now));
                 prop_assert_eq!(a.out_commit(now), fresh.out_commit(now));
             }

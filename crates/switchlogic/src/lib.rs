@@ -15,17 +15,26 @@
 //!   different (often smaller, via RDMA) processing delay plus the
 //!   switch↔host round trip.
 //!
-//! The module also implements the decentralized failure detection of §4.2:
+//! All three live in one transport-neutral [`SwitchCore`] (`switch.rs`):
+//! it reads no clock and does no I/O, and everything it sends, every
+//! timer it arms and every dead input it reports goes through a
+//! [`SwitchWire`]. Two drivers run it: [`SwitchLogic`] (`sim.rs`) as a
+//! node of the simulator, and the UDP soft switch in `onepipe-udp` as
+//! the chip of a one-rack loopback cluster.
+//!
+//! The core also implements the decentralized failure detection of §4.2:
 //! an input link that carries neither data nor beacons for a timeout
-//! (default 10 beacon intervals) is removed from the best-effort minimum,
-//! and a [`SwitchEvent::InLinkDead`] is emitted for the controller, which
-//! later calls [`SwitchLogic::remove_commit_input`] (the Resume step of
-//! §5.2) to unblock the commit barrier as well.
+//! (the simulator: 10 beacon intervals) is removed from the best-effort
+//! minimum and reported through [`SwitchWire::dead_input`]; the
+//! controller later calls [`SwitchCore::remove_commit_input`] (the
+//! Resume step of §5.2) to unblock the commit barrier as well.
 
 #![warn(missing_docs)]
 
 pub mod barrier;
+pub mod sim;
 pub mod switch;
 
 pub use barrier::BarrierAggregator;
-pub use switch::{Incarnation, SwitchConfig, SwitchEvent, SwitchLogic, SwitchShared};
+pub use sim::{SwitchEvent, SwitchLogic, SwitchShared};
+pub use switch::{Incarnation, SwitchConfig, SwitchCore, SwitchWire};

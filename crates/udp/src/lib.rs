@@ -1,17 +1,17 @@
 //! Real UDP transport for 1Pipe.
 //!
 //! Runs the same transport-agnostic [`HostRuntime`] the simulator uses
-//! over genuine `std::net::UdpSocket`s. The deployment shape mirrors the
-//! paper's host-delegation mode (§6.2.3) collapsed to one rack:
+//! over genuine `std::net::UdpSocket`s, in one rack:
 //!
 //! * every process is a [`UdpProcess`]: a socket + a driver thread that
 //!   adapts the runtime to the socket (the pump itself — drain order,
 //!   beacon cadence, ctrl routing — lives in `onepipe_core::runtime`);
-//! * a *soft switch* process plays the ToR: it forwards datagrams between
-//!   processes, aggregates barrier timestamps per input link with the
-//!   same [`BarrierAggregator`] the simulated switches use, beacons every
-//!   interval, and re-reports input links that fall silent until the
-//!   controller resumes them;
+//! * a *soft switch* process plays the ToR: it runs the same
+//!   [`SwitchCore`] the simulated switches run, as the programmable chip
+//!   (§6.2.1) with one port per process — every forwarded packet carries
+//!   the rewritten barrier minimum, each advance is relayed at once and
+//!   only idle links get a beacon — and re-reports input links that fall
+//!   silent until the controller resumes them;
 //! * a **replicated controller**: three controller replica processes,
 //!   each a socket + thread running a [`ReplicatedController`] — Raft
 //!   traffic travels as [`MgmtFrame::Raft`] datagrams between replicas,
@@ -56,7 +56,7 @@
 //! the single-machine analogue of PTP.
 //!
 //! [`HostRuntime`]: onepipe_core::runtime::HostRuntime
-//! [`BarrierAggregator`]: onepipe_switchlogic::barrier::BarrierAggregator
+//! [`SwitchCore`]: onepipe_switchlogic::SwitchCore
 //! [`ReplicatedController`]: onepipe_controller::ReplicatedController
 //! [`MgmtFrame`]: onepipe_controller::MgmtFrame
 //! [`MgmtFrame::Raft`]: onepipe_controller::MgmtFrame::Raft
@@ -82,11 +82,11 @@ use onepipe_core::config::EndpointConfig;
 use onepipe_core::endpoint::{Endpoint, HOP_LOCAL};
 use onepipe_core::events::{CtrlRequest, UserEvent};
 use onepipe_core::runtime::{AppHook, DeliveryRecord, HostRuntime, Wire};
-use onepipe_switchlogic::barrier::BarrierAggregator;
+use onepipe_switchlogic::{SwitchConfig, SwitchCore, SwitchWire};
 use onepipe_types::ids::{HostId, NodeId, ProcessId};
 use onepipe_types::message::{Delivered, Message};
 use onepipe_types::time::{Duration as NsDuration, Timestamp, MICROS, MILLIS};
-use onepipe_types::wire::{Datagram, Opcode};
+use onepipe_types::wire::{Datagram, Opcode, PacketHeader};
 use std::collections::HashMap;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -217,8 +217,7 @@ pub struct UdpClusterBuilder {
 impl UdpClusterBuilder {
     /// A cluster of `n` processes: 3 controller replicas, 100 µs beacons,
     /// 1 s dead-link timeout, `EndpointConfig::default()` under the
-    /// loopback floors (data barriers untrusted, RTO 20 ms, best-effort
-    /// ack timeout 100 ms).
+    /// loopback floors (RTO 20 ms, best-effort ack timeout 100 ms).
     pub fn new(n: usize) -> Self {
         UdpClusterBuilder {
             n,
@@ -455,102 +454,121 @@ fn now_ns(epoch: Instant) -> u64 {
     epoch.elapsed().as_nanos() as u64
 }
 
-/// The ToR stand-in: forwards datagrams, aggregates barriers, and reports
-/// dead input links to the controller cluster — re-reporting every
-/// [`DETECT_REREPORT_INTERVAL`] until the link is resumed, so a Detect
-/// outlives any controller outage or failover.
+/// The soft switch's [`SwitchWire`]: port `NodeId(i)` leads to process
+/// `i`. Forwards and beacons queue in one [`PacketTx`] (per-destination
+/// FIFO, §4.1), an armed timer waits for the end of the RX burst, and
+/// dead inputs wait for the Detect report.
+struct SoftSwitchWire<'a> {
+    sock: &'a UdpSocket,
+    proc_addrs: &'a [SocketAddr],
+    tx: PacketTx,
+    /// The core armed its timer; the chip's has zero delay.
+    timer: bool,
+    /// Dead inputs not yet resumed: input -> (last_commit, next report
+    /// time, 0 until the first report).
+    unresumed: HashMap<NodeId, (Timestamp, u64)>,
+}
+
+impl SwitchWire for SoftSwitchWire<'_> {
+    type Packet = Datagram;
+
+    fn header(d: &mut Datagram) -> &mut PacketHeader {
+        &mut d.header
+    }
+
+    fn route(&mut self, d: &Datagram) -> Option<NodeId> {
+        ((d.dst.0 as usize) < self.proc_addrs.len()).then_some(NodeId(d.dst.0))
+    }
+
+    fn forward(&mut self, to: NodeId, d: Datagram) {
+        self.tx.push(self.sock, self.proc_addrs[to.0 as usize], d);
+    }
+
+    fn beacon(&mut self, to: NodeId, be: Timestamp, commit: Timestamp) {
+        self.forward(to, Datagram::beacon(be, commit));
+    }
+
+    fn set_timer(&mut self, delay: NsDuration) {
+        debug_assert_eq!(delay, 0, "the chip arms only zero-delay timers");
+        self.timer = true;
+    }
+
+    fn dead_input(&mut self, from: NodeId, last_commit: Timestamp) {
+        self.unresumed.entry(from).or_insert((last_commit, 0));
+    }
+}
+
+/// The ToR stand-in: runs the chip [`SwitchCore`] over the switch socket
+/// and reports dead input links to the controller cluster —
+/// re-reporting every [`DETECT_REREPORT_INTERVAL`] until the link is
+/// resumed, so a Detect outlives any controller outage or failover.
 fn run_soft_switch(sock: UdpSocket, net: Net, dead_timeout: NsDuration) {
     let Net { ctrl_addrs, proc_addrs, epoch, stats, ctrl_retries: retries, stop, .. } = net;
-    // One "input link" per process: NodeId(i) == ProcessId(i)'s link.
-    let inputs: Vec<NodeId> = (0..proc_addrs.len() as u32).map(NodeId).collect();
+    // The chip (the default incarnation), with one input link and one
+    // port per process: NodeId(i) is process i's.
+    let cfg = SwitchConfig { beacon_interval: BEACON_INTERVAL, ..SwitchConfig::default() };
+    let links: Vec<NodeId> = (0..proc_addrs.len() as u32).map(NodeId).collect();
+    let mut core = SwitchCore::new(cfg, links.clone(), &links, dead_timeout);
     // The switch reports dead links under its own id, distinct from any
     // input link.
     let reporter = NodeId(proc_addrs.len() as u32);
-    let mut agg = BarrierAggregator::new(inputs);
-    // Dead links not yet resumed: input -> (last_commit, next report time,
-    // reported at least once).
-    let mut unresumed: HashMap<NodeId, (Timestamp, u64, bool)> = HashMap::new();
     // Highest controller epoch seen; actions from lower epochs (a deposed
     // leader) are fenced off.
     let mut max_epoch = 0u64;
     let mut rx = PacketRx::new(&sock, RX_IDLE, stats.clone());
-    let mut tx = PacketTx::new(stats);
-    let mut next_beacon = 0u64;
+    let mut wire = SoftSwitchWire {
+        sock: &sock,
+        proc_addrs: &proc_addrs,
+        tx: PacketTx::new(stats),
+        timer: false,
+        unresumed: HashMap::new(),
+    };
+    let mut next_tick = 0u64;
     while !stop.load(Ordering::SeqCst) {
-        // Drain the receive queue before the next beacon emission, bounded
-        // by the beacon deadline: on a loaded single-core machine packets
-        // can arrive continuously and an unbounded drain would starve
-        // beacon emission entirely. Emitting mid-queue is safe: the
-        // registers reflect only *processed* packets, and any queued data
-        // from a host was stamped before the host's last processed beacon
-        // was sent (per-link FIFO, §4.1).
+        // Drain the receive queue, bounded by the next tick: on a loaded
+        // single-core machine packets can arrive continuously and an
+        // unbounded drain would starve the tick entirely. Ticking
+        // mid-queue is safe: the registers reflect only *processed*
+        // packets, and data still queued from a host left it after the
+        // barrier last processed from it, so its timestamp is at or above
+        // that barrier (per-link FIFO, §4.1).
         let mut burst = rx.burst();
-        let mut now = now_ns(epoch);
         loop {
             let got = burst.recv(|d, _from| {
-                let link = NodeId(d.src.0);
-                match d.header.opcode {
-                    Opcode::Beacon => {
-                        agg.observe_be(link, d.header.barrier, now);
-                        agg.observe_commit(link, d.header.commit_barrier, now);
+                let now = now_ns(epoch);
+                if d.header.opcode != Opcode::Mgmt {
+                    return core.on_packet(&mut wire, now, NodeId(d.src.0), d);
+                }
+                // Controller decisions addressed to this switch.
+                if let Ok(MgmtFrame::Action { epoch: ep, action }) = MgmtFrame::decode(d.payload) {
+                    if ep < max_epoch {
+                        return; // stale leader
                     }
-                    Opcode::Commit => {
-                        agg.observe_commit(link, d.header.commit_barrier, now);
-                    }
-                    Opcode::Mgmt => {
-                        // Controller decisions addressed to this switch.
-                        if let Ok(MgmtFrame::Action { epoch: ep, action }) =
-                            MgmtFrame::decode(d.payload)
-                        {
-                            if ep < max_epoch {
-                                return; // stale leader
-                            }
-                            max_epoch = ep;
-                            if let CtrlAction::Resume { input, .. } = action {
-                                agg.remove_commit_input(input);
-                                unresumed.remove(&input);
-                            }
-                        }
-                    }
-                    _ => {
-                        // Forward by destination process (data plane). Any
-                        // packet proves its input link alive even when it
-                        // carries no trusted barrier. Forwards coalesce
-                        // per destination until the queue drains or the
-                        // frame fills.
-                        agg.observe_alive(link, now);
-                        if let Some(addr) = proc_addrs.get(d.dst.0 as usize) {
-                            tx.push(&sock, *addr, d);
-                        }
+                    max_epoch = ep;
+                    if let CtrlAction::Resume { input, .. } = action {
+                        core.remove_commit_input(input);
+                        wire.unresumed.remove(&input);
                     }
                 }
             });
-            if !got {
-                // Receive queue empty: put queued forwards on the wire
-                // rather than sitting on them until the beacon.
-                tx.flush(&sock);
-                break;
-            }
-            now = now_ns(epoch);
-            if now >= next_beacon {
+            if !got || now_ns(epoch) >= next_tick {
                 break;
             }
         }
+        // The burst is processed: the coalesced relay fires now.
         let now = now_ns(epoch);
-        if now >= next_beacon {
-            next_beacon = now + BEACON_INTERVAL;
-            // Detect (§5.2): links silent past the timeout leave the
-            // best-effort minimum immediately (quarantined by fiat) and
-            // are reported; only the controller's Resume releases the
-            // commit barrier.
-            for (input, last_commit) in agg.detect_dead(now, dead_timeout) {
-                unresumed.entry(input).or_insert((last_commit, now, false));
-            }
+        if std::mem::take(&mut wire.timer) {
+            core.on_timer(&mut wire, now);
+        }
+        if now >= next_tick {
+            next_tick = now + BEACON_INTERVAL;
+            // Detect (§5.2) and the idle-link beacons.
+            core.on_tick(&mut wire, now);
             // Report (and re-report) every unresumed dead link to all
             // replicas: the cluster may be mid-election or the previous
             // leader may have died with the report uncommitted. The
             // controller log deduplicates.
-            for (input, state) in unresumed.iter_mut() {
+            for (input, state) in wire.unresumed.iter_mut() {
                 if now < state.1 {
                     continue;
                 }
@@ -560,25 +578,16 @@ fn run_soft_switch(sock: UdpSocket, net: Net, dead_timeout: NsDuration) {
                     last_commit: state.0,
                 });
                 for addr in &ctrl_addrs {
-                    tx.send_mgmt(&sock, *addr, &frame);
+                    wire.tx.send_mgmt(&sock, *addr, &frame);
                 }
-                if state.2 {
+                if state.1 != 0 {
                     retries.fetch_add(1, Ordering::Relaxed);
                 }
-                state.2 = true;
                 state.1 = now + DETECT_REREPORT_INTERVAL;
             }
-            let be = agg.out_be(now);
-            let commit = agg.out_commit(now);
-            let beacon = Datagram::beacon(be, commit);
-            // The beacon rides behind any still-queued forwards to the
-            // same process (per-destination FIFO = the §4.1 invariant),
-            // then everything flushes together.
-            for addr in &proc_addrs {
-                tx.push(&sock, *addr, beacon.clone());
-            }
-            tx.flush(&sock);
         }
+        // Everything this iteration queued leaves as coalesced frames.
+        wire.tx.flush(&sock);
     }
 }
 
@@ -777,12 +786,10 @@ impl CtrlClient {
     }
 
     fn on_redirect(&mut self, seq: u64, leader: u32) {
-        if self.pending.iter().any(|p| p.seq == seq) {
+        if let Some(p) = self.pending.iter_mut().find(|p| p.seq == seq) {
             self.guess = (leader as usize) % self.addrs.len();
-            if let Some(p) = self.pending.iter_mut().find(|p| p.seq == seq) {
-                p.due = 0; // resend immediately, to the indicated leader
-                p.redirected = true;
-            }
+            p.due = 0; // resend immediately, to the indicated leader
+            p.redirected = true;
         }
     }
 
@@ -897,9 +904,6 @@ fn run_process(ctx: ProcessCtx) {
     let ProcessCtx { id, sock, net, user_app, cmd_rx, del_tx, ev_tx, raw_tx, kill } = ctx;
     let Net { switch_addr, ctrl_addrs, epoch, stats, ctrl_retries, ctrl_drops, stop, .. } = net;
     let cfg = EndpointConfig {
-        // Only beacons carry trustworthy barriers over this transport
-        // (host-delegation mode).
-        trust_data_barriers: false,
         // Loopback thread scheduling is millisecond-scale; the simulator
         // defaults (hundreds of µs) would misfire constantly. A loopback
         // round trip crosses about four 8 ms receive timeouts (DESIGN
@@ -1014,6 +1018,7 @@ fn run_process(ctx: ProcessCtx) {
 mod tests {
     use super::*;
     use onepipe_core::runtime::SendQueue;
+    use onepipe_types::wire::{decode_frame, Flags};
 
     /// Each test spawns several busy threads; running clusters
     /// concurrently starves them on small CI machines. Serialize.
@@ -1026,6 +1031,55 @@ mod tests {
         fn lock(&self) -> std::sync::MutexGuard<'_, ()> {
             self.0.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
         }
+    }
+
+    /// The soft switch alone, with two probe sockets standing in for the
+    /// processes: once both have beaconed, data from probe 0 reaches
+    /// probe 1 carrying the minimum of the two inputs, not its sender's
+    /// barrier.
+    #[test]
+    fn the_soft_switch_rewrites_data_barriers_to_the_minimum() {
+        let _guard = TEST_LOCK.lock();
+        let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let probes = [(); 2].map(|_| UdpSocket::bind("127.0.0.1:0").unwrap());
+        let net = Net {
+            switch_addr: sock.local_addr().unwrap(),
+            ctrl_addrs: Vec::new(),
+            proc_addrs: probes.iter().map(|p| p.local_addr().unwrap()).collect(),
+            epoch: Instant::now(),
+            stats: Arc::default(),
+            ctrl_retries: Arc::default(),
+            ctrl_drops: Arc::default(),
+            stop: Arc::default(),
+        };
+        let (switch_addr, stop) = (net.switch_addr, net.stop.clone());
+        let switch = std::thread::spawn(move || run_soft_switch(sock, net, 1000 * MILLIS));
+        let ts = Timestamp::from_nanos;
+        let send = |p: u32, mut d: Datagram| {
+            d.src = ProcessId(p);
+            probes[p as usize].send_to(&d.encode(), switch_addr).unwrap();
+        };
+        send(0, Datagram::beacon(ts(3_000), ts(3_000)));
+        send(1, Datagram::beacon(ts(2_000), ts(2_000)));
+        let mut header = PacketHeader::data(ts(5_000), 0, Flags::END_OF_MESSAGE);
+        header.commit_barrier = ts(5_000);
+        let payload = bytes::Bytes::new();
+        send(0, Datagram { src: ProcessId(0), dst: ProcessId(1), header, payload });
+        // Probe 1 also hears the switch's beacons; wait for the data.
+        probes[1].set_read_timeout(Some(Duration::from_millis(100))).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut buf = vec![0; 65536];
+        let mut got = None;
+        while got.is_none() && Instant::now() < deadline {
+            let Ok(len) = probes[1].recv(&mut buf) else { continue };
+            let frame = decode_frame(bytes::Bytes::copy_from_slice(&buf[..len]));
+            got = frame.flatten().find(|d| d.header.opcode == Opcode::Data);
+        }
+        stop.store(true, Ordering::SeqCst);
+        switch.join().unwrap();
+        let h = got.expect("the data reached probe 1").header;
+        assert_eq!((h.barrier, h.commit_barrier), (ts(2_000), ts(2_000)));
+        assert_eq!(h.msg_ts, ts(5_000), "only the barriers are rewritten");
     }
 
     #[test]
