@@ -19,10 +19,12 @@ pub struct BarrierAggregator {
     /// decentralized timeout (§4.2), and its death is then reported to
     /// the controller (Detect, §5.2). Failure is by fiat from that point:
     /// even if the link revives (a healed partition, a falsely-accused
-    /// process), its registers are frozen and it never rejoins either
-    /// minimum. Otherwise a zombie's barrier contributions could advance
-    /// the commit barrier during the Announce→Resume window and release
-    /// messages the announcement orders every receiver to discard.
+    /// process), its registers are frozen and it stays out of both
+    /// minima until the controller explicitly re-admits it
+    /// ([`Self::restore_input`]). Otherwise a zombie's barrier
+    /// contributions could advance the commit barrier during the
+    /// Announce→Resume window and release messages the announcement
+    /// orders every receiver to discard.
     be: Minimum,
     /// The commit barrier. An input leaves its minimum only by the
     /// controller's Resume step (§5.2).
@@ -79,9 +81,9 @@ impl Minimum {
         }
     }
 
-    /// Leave input `i` out of the minimum.
-    fn remove(&mut self, i: usize) {
-        self.removed[i] = true;
+    /// Leave input `i` out of the minimum, or take it back in.
+    fn set_removed(&mut self, i: usize, removed: bool) {
+        self.removed[i] = removed;
         self.cache = None;
     }
 
@@ -95,10 +97,8 @@ impl Minimum {
         if let Some(c) = self.cache {
             return c;
         }
-        let mut any_live = false;
         let mut min: Option<Timestamp> = None;
         for (&reg, _) in self.regs.iter().zip(&self.removed).filter(|(_, &removed)| !removed) {
-            any_live = true;
             if reg == Timestamp::ZERO {
                 // A live link that has never reported pins the output at
                 // "no information" (ring comparison against the ZERO
@@ -108,6 +108,8 @@ impl Minimum {
             }
             min = Some(min.map_or(reg, |m| m.min(reg)));
         }
+        // Some input is live: the output does not depend on `now`.
+        let any_live = min.is_some();
         if !any_live && now != 0 {
             min = Some(Timestamp::from_raw(now));
         }
@@ -145,14 +147,26 @@ impl BarrierAggregator {
         }
     }
 
-    /// The slot of a live input link; `Err(false)` for an unknown link,
-    /// `Err(true)` for one reported dead.
-    fn live_slot(&self, link: NodeId) -> Result<usize, bool> {
+    fn index_of(&self, link: NodeId) -> Option<usize> {
         match self.index.get(link.0 as usize) {
-            Some(&i) if i != u16::MAX && self.be.removed[i as usize] => Err(true),
-            Some(&i) if i != u16::MAX => Ok(i as usize),
-            _ => Err(false),
+            Some(&i) if i != u16::MAX => Some(i as usize),
+            _ => None,
         }
+    }
+
+    /// The slot of a live input link; `Err(false)` for an unknown link,
+    /// `Err(true)` for one reported dead and not yet re-admitted.
+    fn live_slot(&self, link: NodeId) -> Result<usize, bool> {
+        match self.index_of(link) {
+            Some(i) if self.be.removed[i] => Err(true),
+            Some(i) => Ok(i),
+            None => Err(false),
+        }
+    }
+
+    /// The input links this aggregator watches.
+    pub fn inputs(&self) -> &[NodeId] {
+        &self.inputs
     }
 
     /// Record a best-effort barrier observation on an input link.
@@ -211,8 +225,9 @@ impl BarrierAggregator {
         for i in 0..self.inputs.len() {
             if !self.be.removed[i] && now.saturating_sub(self.last_heard[i]) > timeout {
                 // The death is about to be reported: from here the input
-                // is failed by fiat.
-                self.be.remove(i);
+                // is failed by fiat and may only rejoin via the
+                // controller (`restore_input`).
+                self.be.set_removed(i, true);
                 dead.push((self.inputs[i], self.commit.regs[i]));
             }
         }
@@ -221,16 +236,35 @@ impl BarrierAggregator {
 
     /// Remove an input link from the commit minimum (controller Resume).
     pub fn remove_commit_input(&mut self, from: NodeId) -> bool {
-        let Some(&i) = self.index.get(from.0 as usize).filter(|&&i| i != u16::MAX) else {
-            return false;
-        };
-        self.commit.remove(i as usize);
+        let Some(i) = self.index_of(from) else { return false };
+        self.commit.set_removed(i, true);
+        true
+    }
+
+    /// Re-admit a recovered input link to both minima. Its registers keep
+    /// their old values; the monotonic clamp hides them until the link
+    /// catches up (§4.2 link-addition rule).
+    pub fn restore_input(&mut self, from: NodeId, now: u64) -> bool {
+        let Some(i) = self.index_of(from) else { return false };
+        self.be.set_removed(i, false);
+        self.commit.set_removed(i, false);
+        self.last_heard[i] = now;
         true
     }
 
     /// Whether a given input link is currently excluded from the BE min.
     pub fn is_be_dead(&self, from: NodeId) -> bool {
         self.live_slot(from).is_err()
+    }
+
+    /// The best-effort register of one input link (telemetry).
+    pub fn register_be(&self, from: NodeId) -> Option<Timestamp> {
+        self.index_of(from).map(|i| self.be.regs[i])
+    }
+
+    /// The commit register of one input link (telemetry).
+    pub fn register_commit(&self, from: NodeId) -> Option<Timestamp> {
+        self.index_of(from).map(|i| self.commit.regs[i])
     }
 }
 
@@ -330,7 +364,7 @@ mod tests {
     }
 
     #[test]
-    fn reported_dead_link_stays_out_for_good() {
+    fn reported_dead_link_is_quarantined_until_restored() {
         let mut a = agg3();
         for n in 1..=3 {
             a.observe_be(NodeId(n), ts(100), 0);
@@ -346,7 +380,33 @@ mod tests {
         a.observe_commit(NodeId(1), ts(200), 10_001);
         a.observe_alive(NodeId(1), 10_002);
         assert!(a.is_be_dead(NodeId(1)));
-        assert_eq!((a.be.regs[0], a.commit.regs[0], a.last_heard[0]), (ts(100), ts(100), 0));
+        assert_eq!(a.register_commit(NodeId(1)), Some(ts(100)));
+        // Only the controller re-admits it.
+        a.restore_input(NodeId(1), 10_003);
+        assert!(!a.is_be_dead(NodeId(1)));
+        a.observe_commit(NodeId(1), ts(200), 10_004);
+        assert_eq!(a.register_commit(NodeId(1)), Some(ts(200)));
+    }
+
+    #[test]
+    fn restore_input_readmits_to_both_minima() {
+        let mut a = agg3();
+        for n in 1..=3 {
+            a.observe_be(NodeId(n), ts(100), 0);
+            a.observe_commit(NodeId(n), ts(100), 0);
+        }
+        a.remove_commit_input(NodeId(2));
+        a.observe_commit(NodeId(1), ts(200), 1);
+        a.observe_commit(NodeId(3), ts(200), 1);
+        assert_eq!(a.out_commit(0), ts(200));
+        // Restore: link 2's stale register (100) is below the clamp (200),
+        // so the output holds at 200 until link 2 catches up.
+        a.restore_input(NodeId(2), 2);
+        assert_eq!(a.out_commit(0), ts(200));
+        a.observe_commit(NodeId(2), ts(300), 3);
+        a.observe_commit(NodeId(1), ts(300), 3);
+        a.observe_commit(NodeId(3), ts(300), 3);
+        assert_eq!(a.out_commit(0), ts(300));
     }
 
     #[test]
@@ -369,7 +429,7 @@ mod tests {
         #[test]
         fn cached_minima_match_a_recompute(
             epoch in 0u64..TIMESTAMP_MASK,
-            steps in proptest::collection::vec((0u8..5, 1u32..5, 0u64..1_000, 0u64..300), 1..200),
+            steps in proptest::collection::vec((0u8..6, 1u32..5, 0u64..1_000, 0u64..300), 1..200),
         ) {
             let mut a = BarrierAggregator::new(vec![NodeId(1), NodeId(2), NodeId(3)]);
             let mut now = epoch + 1_000;
@@ -382,7 +442,8 @@ mod tests {
                     1 => _ = a.observe_commit(from, v, now),
                     2 => a.observe_alive(from, now),
                     3 => _ = a.detect_dead(now, 500),
-                    _ => _ = a.remove_commit_input(from),
+                    4 => _ = a.remove_commit_input(from),
+                    _ => _ = a.restore_input(from, now),
                 }
                 let mut fresh = a.clone();
                 fresh.be.cache = None;

@@ -125,13 +125,6 @@ impl OutPort {
         self.last_tx = now;
         self.advertised = (self.advertised.0.max(out.0), self.advertised.1.max(out.1));
     }
-
-    /// Chip: send a beacon on this port; like a rewritten data packet, it
-    /// counts as traffic on the link.
-    fn beacon(&mut self, w: &mut impl SwitchWire, now: u64, out: Barriers) {
-        self.carry(now, out);
-        w.beacon(self.to, out.0, out.1);
-    }
 }
 
 /// One logical switch, in any of the three incarnations.
@@ -195,7 +188,6 @@ impl SwitchCore {
             Opcode::Beacon => self.on_beacon(w, now, from, h.barrier, h.commit_barrier),
             Opcode::Commit => {
                 self.agg.observe_commit(from, h.commit_barrier, now);
-                self.agg.observe_alive(from, now);
                 // Commit messages die at the first-hop switch (Figure 6).
                 self.barrier_input(w, now);
             }
@@ -203,7 +195,7 @@ impl SwitchCore {
                 self.agg.observe_be(from, h.barrier, now);
                 self.agg.observe_commit(from, h.commit_barrier, now);
                 self.forward_rewritten(w, now, pkt);
-                self.schedule_relay(w, now);
+                self.barrier_input(w, now);
             }
             // Prepare-phase packets do NOT update barrier registers
             // (§5.1) but do prove link liveness.
@@ -265,18 +257,14 @@ impl SwitchCore {
             w.dead_input(from, last_commit);
         }
         if !self.is_chip() {
-            return self.schedule_emission(w);
+            return self.barrier_input(w, now);
         }
         // A removed dead input may have advanced the aggregate: relay it
         // to busy links too. Then beacon the links that carried nothing
         // for a full interval.
         self.relay_if_advanced(w, now);
-        let out = self.out(now);
-        for p in &mut self.ports {
-            if now.saturating_sub(p.last_tx) >= self.cfg.beacon_interval {
-                p.beacon(w, now, out);
-            }
-        }
+        let interval = self.cfg.beacon_interval;
+        self.beacon_where(w, now, |p| now.saturating_sub(p.last_tx) >= interval);
     }
 
     fn is_chip(&self) -> bool {
@@ -300,15 +288,6 @@ impl SwitchCore {
         w.forward(to, pkt);
     }
 
-    /// Fresh barrier input: the chip relays it, the CPU recomputes.
-    fn barrier_input(&mut self, w: &mut impl SwitchWire, now: u64) {
-        if self.is_chip() {
-            self.schedule_relay(w, now);
-        } else {
-            self.schedule_emission(w);
-        }
-    }
-
     /// Chip incarnation: when the aggregated barrier advances, relay it
     /// at once on every output link that has not already carried the new
     /// value. This is what keeps the chip's end-to-end barrier staleness
@@ -318,35 +297,37 @@ impl SwitchCore {
     /// advertisement.
     fn relay_if_advanced(&mut self, w: &mut impl SwitchWire, now: u64) {
         let out = self.out(now);
-        for p in &mut self.ports {
-            if !covers(p.advertised, out) {
-                p.beacon(w, now, out);
-            }
-        }
         self.relayed = out;
+        self.beacon_where(w, now, |p| !covers(p.advertised, out));
     }
 
-    /// Chip: after a barrier observation, schedule a relay if the
-    /// aggregate moved past the last relay. The relay is coalesced over
-    /// simultaneous arrivals (one wave of synchronized host beacons lands
-    /// in the same instant) so it carries the fully aggregated minimum,
-    /// not the first fragment.
-    fn schedule_relay(&mut self, w: &mut impl SwitchWire, now: u64) {
-        if self.timer_armed || covers(self.relayed, self.out(now)) {
+    /// Chip: beacon the aggregate of the last relay on every port `due`
+    /// picks. Like a rewritten data packet, a beacon counts as traffic on
+    /// its link.
+    fn beacon_where(&mut self, w: &mut impl SwitchWire, now: u64, due: impl Fn(&OutPort) -> bool) {
+        let out = self.relayed;
+        for p in self.ports.iter_mut().filter(|p| due(p)) {
+            p.carry(now, out);
+            w.beacon(p.to, out.0, out.1);
+        }
+    }
+
+    /// Fresh barrier input: arm the one-shot timer unless it is armed.
+    /// The chip arms it only if the aggregate moved past the last relay,
+    /// with no delay: the relay is coalesced over simultaneous arrivals
+    /// (one wave of synchronized host beacons lands in the same instant)
+    /// so it carries the fully aggregated minimum, not the first
+    /// fragment. The CPU/delegate recomputes and broadcasts
+    /// `processing_delay` later.
+    fn barrier_input(&mut self, w: &mut impl SwitchWire, now: u64) {
+        if self.timer_armed || (self.is_chip() && covers(self.relayed, self.out(now))) {
             return;
         }
         self.timer_armed = true;
-        w.set_timer(0);
-    }
-
-    /// CPU/delegate incarnations: schedule one (re)computation+broadcast
-    /// `processing_delay` after fresh barrier input, if none is pending.
-    fn schedule_emission(&mut self, w: &mut impl SwitchWire) {
-        if self.timer_armed {
-            return;
-        }
-        self.timer_armed = true;
-        w.set_timer(self.cfg.incarnation.processing_delay().max(1));
+        w.set_timer(match self.cfg.incarnation {
+            Incarnation::Chip => 0,
+            cpu => cpu.processing_delay().max(1),
+        });
     }
 }
 

@@ -786,10 +786,12 @@ impl CtrlClient {
     }
 
     fn on_redirect(&mut self, seq: u64, leader: u32) {
-        if let Some(p) = self.pending.iter_mut().find(|p| p.seq == seq) {
+        if self.pending.iter().any(|p| p.seq == seq) {
             self.guess = (leader as usize) % self.addrs.len();
-            p.due = 0; // resend immediately, to the indicated leader
-            p.redirected = true;
+            if let Some(p) = self.pending.iter_mut().find(|p| p.seq == seq) {
+                p.due = 0; // resend immediately, to the indicated leader
+                p.redirected = true;
+            }
         }
     }
 
