@@ -18,11 +18,12 @@
 //!   actions, and a freshly elected leader *re-drives* in-flight
 //!   recoveries (re-Announce to incomplete processes, re-Resume recorded
 //!   links) rather than restarting them;
-//! * [`wire`] — management-plane framing ([`MgmtFrame`]): events, epoch-
-//!   tagged actions, Raft traffic, the host retry protocol
-//!   (Req/Ack/Redirect), and forwarded datagrams;
-//! * [`retry`] — the capped-exponential-backoff policy hosts use for
-//!   control requests (bounded attempts, no silent drop).
+//! * [`wire`] — management-plane framing ([`MgmtFrame`]): the one
+//!   control-request protocol (a Req to every replica, the leader's Ack
+//!   on commit), epoch-tagged actions, Raft traffic, and forwarded
+//!   datagrams;
+//! * [`retry`] — the capped-exponential-backoff policy a client re-sends
+//!   its control requests on (bounded attempts, no silent drop).
 //!
 //! # Epochs and fencing
 //!

@@ -111,9 +111,6 @@ pub struct RaftNode {
     match_index: Vec<u64>,
     election_deadline: u64,
     heartbeat_due: u64,
-    /// Last replica observed acting as leader for the current term (self
-    /// when leading). Used to redirect clients; cleared on term changes.
-    leader_hint: Option<u32>,
 }
 
 impl RaftNode {
@@ -136,7 +133,6 @@ impl RaftNode {
             match_index: vec![0; n],
             election_deadline: 0,
             heartbeat_due: 0,
-            leader_hint: None,
         };
         node.reset_election_deadline(0);
         node
@@ -172,12 +168,6 @@ impl RaftNode {
         self.log.len() as u64
     }
 
-    /// The replica last seen acting as leader for the current term, if
-    /// any — self when leading. Clients use this to find the leader.
-    pub fn leader_hint(&self) -> Option<u32> {
-        self.leader_hint
-    }
-
     /// Deterministic per-replica election stagger: replica ids spread
     /// their timeouts so elections rarely collide (a substitute for the
     /// randomized timeout of full Raft that keeps the simulation
@@ -203,9 +193,6 @@ impl RaftNode {
     }
 
     fn become_follower(&mut self, term: u64, now: u64) {
-        if term != self.term {
-            self.leader_hint = None;
-        }
         self.term = term;
         self.role = RaftRole::Follower;
         self.voted_for = None;
@@ -257,7 +244,6 @@ impl RaftNode {
                     self.term += 1;
                     self.role = RaftRole::Candidate;
                     self.voted_for = Some(self.id);
-                    self.leader_hint = None;
                     self.votes = 1;
                     self.reset_election_deadline(now);
                     if self.votes >= self.quorum() {
@@ -282,7 +268,6 @@ impl RaftNode {
 
     fn become_leader(&mut self, now: u64, out: &mut Vec<(u32, RaftMsg)>) {
         self.role = RaftRole::Leader;
-        self.leader_hint = Some(self.id);
         self.heartbeat_due = now + self.cfg.heartbeat_interval;
         let next = self.last_log_index() + 1;
         for i in 0..self.peers.len() {
@@ -348,7 +333,6 @@ impl RaftNode {
                     ));
                     return out;
                 }
-                self.leader_hint = Some(from);
                 self.reset_election_deadline(now);
                 // Consistency check.
                 if prev_log_index > self.last_log_index()

@@ -64,12 +64,6 @@ impl ReplicatedController {
         self.raft.last_log_index()
     }
 
-    /// Best-known current leader (self when leading), for redirecting
-    /// clients that contacted a follower.
-    pub fn leader_hint(&self) -> Option<u32> {
-        self.raft.leader_hint()
-    }
-
     /// Read access to the underlying state machine.
     pub fn core(&self) -> &ControllerCore {
         &self.core

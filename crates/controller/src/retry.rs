@@ -1,11 +1,14 @@
 //! Capped exponential backoff for control-plane requests.
 //!
-//! Hosts (and the sim's modelled management network) use this policy for
+//! Every client of the controller — a host or a switch, over UDP or on
+//! the simulator's modelled management network — uses this policy for
 //! requests that must reach the controller *log*: send, wait, and if no
 //! acknowledgement arrives, retry with exponentially growing delays up to
 //! a cap and a bounded attempt count. Bounding matters in both
 //! directions: no unbounded spin against a dead controller cluster, and
-//! no silent drop — callers observe exhaustion and surface it.
+//! no silent drop — callers observe exhaustion and surface it. A client
+//! that must never give up (the UDP soft switch's Detect reports) says
+//! so with `max_attempts: u32::MAX`.
 
 /// A capped exponential backoff schedule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

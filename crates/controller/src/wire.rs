@@ -5,15 +5,14 @@
 //! as in-memory values; a real deployment must put them on the wire. A
 //! [`MgmtFrame`] is the payload of an `Opcode::Mgmt` datagram travelling
 //! over the management network between hosts, switches, and the
-//! controller leader:
+//! controller replicas:
 //!
-//! * **Event** — switch dead-link reports going *to* the controller (the
-//!   same [`CtrlEvent`]s that enter the replicated log, reusing its
-//!   codec), fire-and-forget — switches re-report until resumed;
-//! * **Req / Ack / Redirect** — host `CtrlRequest`s under the retry
-//!   protocol: a host tags its event with a sequence number, retries with
-//!   capped exponential backoff until the leader acks (on *commit*, not
-//!   receipt), and follows `Redirect`s from non-leader replicas;
+//! * **Req / Ack** — the one control-request protocol, for a switch's
+//!   Detect report and a host's request alike: the client tags a
+//!   [`CtrlEvent`] (the same codec the replicated log uses) with a
+//!   sequence number, sends it to every replica and re-sends it with
+//!   capped backoff until the leader acks it — on *commit*, not receipt;
+//!   only the leader logs it;
 //! * **Action** — Announce / Resume decisions going *from*
 //!   the controller to hosts and switches, tagged with the leader's epoch
 //!   (Raft term) so receivers can fence off deposed leaders;
@@ -32,8 +31,6 @@ use onepipe_types::wire::Datagram;
 /// One management-plane message.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MgmtFrame {
-    /// Toward the controller: a report or request entering its log.
-    Event(CtrlEvent),
     /// From the controller: a decision for a host or switch to carry out,
     /// fenced by the emitting leader's epoch.
     Action {
@@ -51,10 +48,10 @@ pub enum MgmtFrame {
         /// The Raft message.
         msg: RaftMsg,
     },
-    /// A host control request that expects an [`MgmtFrame::Ack`]; `seq` is
-    /// the host's retry-correlation number.
+    /// A control request that expects an [`MgmtFrame::Ack`]; `seq` is the
+    /// client's retry-correlation number.
     Req {
-        /// Host-chosen correlation number, echoed in the reply.
+        /// Client-chosen correlation number, echoed in the reply.
         seq: u64,
         /// The request entering the controller log.
         ev: CtrlEvent,
@@ -64,13 +61,6 @@ pub enum MgmtFrame {
         /// Correlation number of the acknowledged request.
         seq: u64,
     },
-    /// A non-leader replica pointing the host at its best leader guess.
-    Redirect {
-        /// Correlation number of the redirected request.
-        seq: u64,
-        /// Replica id believed to be the leader.
-        leader: u32,
-    },
 }
 
 impl MgmtFrame {
@@ -78,10 +68,6 @@ impl MgmtFrame {
     pub fn encode(&self) -> Bytes {
         let mut b = BytesMut::new();
         match self {
-            MgmtFrame::Event(ev) => {
-                b.put_u8(0);
-                b.extend_from_slice(&ev.encode());
-            }
             MgmtFrame::Action { epoch, action } => {
                 b.put_u8(1);
                 b.put_u64(*epoch);
@@ -105,11 +91,6 @@ impl MgmtFrame {
                 b.put_u8(5);
                 b.put_u64(*seq);
             }
-            MgmtFrame::Redirect { seq, leader } => {
-                b.put_u8(6);
-                b.put_u64(*seq);
-                b.put_u32(*leader);
-            }
         }
         b.freeze()
     }
@@ -127,7 +108,6 @@ impl MgmtFrame {
         need(&buf, 1)?;
         let tag = buf.get_u8();
         Ok(match tag {
-            0 => MgmtFrame::Event(CtrlEvent::decode(buf)?),
             1 => {
                 need(&buf, 8)?;
                 let epoch = buf.get_u64();
@@ -147,10 +127,6 @@ impl MgmtFrame {
             5 => {
                 need(&buf, 8)?;
                 MgmtFrame::Ack { seq: buf.get_u64() }
-            }
-            6 => {
-                need(&buf, 8 + 4)?;
-                MgmtFrame::Redirect { seq: buf.get_u64(), leader: buf.get_u32() }
             }
             other => return Err(Error::BadOpcode(other)),
         })
@@ -309,12 +285,14 @@ mod tests {
     #[test]
     fn frame_codec_roundtrip() {
         let frames = vec![
-            MgmtFrame::Event(CtrlEvent::Detect {
-                reporter: NodeId(4),
-                dead: NodeId(1),
-                last_commit: ts(12_345),
-            }),
-            MgmtFrame::Event(CtrlEvent::CallbackComplete { announce_id: 2, from: ProcessId(1) }),
+            MgmtFrame::Req {
+                seq: 1,
+                ev: CtrlEvent::Detect {
+                    reporter: NodeId(4),
+                    dead: NodeId(1),
+                    last_commit: ts(12_345),
+                },
+            },
             MgmtFrame::Action {
                 epoch: 3,
                 action: CtrlAction::Announce {
@@ -354,7 +332,6 @@ mod tests {
                 ev: CtrlEvent::CallbackComplete { announce_id: 2, from: ProcessId(1) },
             },
             MgmtFrame::Ack { seq: 11 },
-            MgmtFrame::Redirect { seq: 12, leader: 1 },
             MgmtFrame::Forward(Datagram {
                 src: ProcessId(0),
                 dst: ProcessId(1),
@@ -378,7 +355,18 @@ mod tests {
     #[test]
     fn frame_codec_rejects_garbage() {
         assert!(MgmtFrame::decode(Bytes::new()).is_err());
-        assert!(MgmtFrame::decode(Bytes::from_static(&[7])).is_err());
+        // Tag 0 (a fire-and-forget report) and tag 6 (a redirect toward a
+        // leader guess) are retired: frames that once decoded no longer do.
+        let detect = CtrlEvent::Detect { reporter: NodeId(4), dead: NodeId(1), last_commit: ts(9) };
+        let report = [&[0][..], &detect.encode()].concat();
+        let redirect = vec![6, 0, 0, 0, 0, 0, 0, 0, 12, 0, 0, 0, 1];
+        for frame in [report, redirect, vec![7]] {
+            let tag = frame[0];
+            assert!(matches!(
+                MgmtFrame::decode(Bytes::from(frame)),
+                Err(onepipe_types::Error::BadOpcode(t)) if t == tag
+            ));
+        }
         assert!(MgmtFrame::decode(Bytes::from_static(&[1, 9, 0])).is_err());
         // Action with a length prefix pointing past the buffer.
         assert!(MgmtFrame::decode(Bytes::from_static(&[

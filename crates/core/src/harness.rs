@@ -295,7 +295,7 @@ impl Cluster {
     ) -> onepipe_types::Result<(Timestamp, u64)> {
         let host = self.procs.host_of(from).ok_or(onepipe_types::Error::UnknownProcess(from))?;
         self.with_host(host, |hl, ctx| {
-            hl.drive(ctx, |rt, wire| rt.submit_send(wire, from, msgs, reliable))
+            hl.drive(ctx, |rt, wire, now| rt.submit_send(wire, now, from, msgs, reliable))
         })
         .unwrap_or(Err(onepipe_types::Error::ProcessFailed(from)))
     }
@@ -667,7 +667,7 @@ impl Cluster {
             MgmtMsg::Forward { dgram } => {
                 let Some(host) = self.procs.host_of(dgram.dst) else { return };
                 self.with_host(host, |hl, ctx| {
-                    hl.drive(ctx, |rt, wire| rt.deliver_forwarded(wire, dgram))
+                    hl.drive(ctx, |rt, wire, now| rt.deliver_forwarded(wire, now, dgram))
                 });
             }
         }
@@ -699,7 +699,9 @@ impl Cluster {
             CtrlAction::Announce { id, to, failures } => {
                 let Some(host) = self.procs.host_of(to) else { return };
                 self.with_host(host, |hl, ctx| {
-                    hl.drive(ctx, |rt, wire| rt.deliver_announcement(wire, to, id, &failures))
+                    hl.drive(ctx, |rt, wire, now| {
+                        rt.deliver_announcement(wire, now, to, id, &failures)
+                    })
                 });
             }
             CtrlAction::Resume { at, input } => {

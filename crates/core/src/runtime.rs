@@ -33,9 +33,10 @@ use onepipe_types::time::{Duration, Timestamp};
 use onepipe_types::wire::{Datagram, Opcode};
 use std::sync::{Arc, Mutex};
 
-/// What the runtime needs from its driver: a reading of true (transport)
-/// time, a datagram sink toward the first-hop switch, and somewhere to
-/// hand what it produces for the application and the controller.
+/// What the runtime needs from its driver: a datagram sink toward the
+/// first-hop switch, and somewhere to hand what it produces for the
+/// application and the controller. The driver owns the clock: every entry
+/// point takes the true (transport) time `now` right after the wire.
 ///
 /// `emit` receives host-originated packets with `src == HOP_LOCAL`
 /// (beacons, commit messages); transports whose switch identifies input
@@ -47,8 +48,6 @@ use std::sync::{Arc, Mutex};
 /// iteration ends), as long as datagrams toward one destination leave in
 /// `emit` order: a beacon emitted after data must not overtake it (§4.1).
 pub trait Wire {
-    /// True time now, in nanoseconds of the transport's epoch.
-    fn now(&self) -> u64;
     /// Queue a datagram toward the first-hop switch.
     fn emit(&mut self, d: Datagram);
     /// A message was delivered to a local process (the [`AppHook`], if
@@ -206,11 +205,10 @@ impl HostRuntime {
         self.clock.perturb(true_now, offset_ns);
     }
 
-    /// True time and the host clock's reading of it. Every entry point
-    /// reads them once and pumps with that reading.
-    fn read_clock(&mut self, wire: &impl Wire) -> (u64, Timestamp) {
-        let now = wire.now();
-        (now, self.clock.now(now))
+    /// The host clock's reading of true time `now`. Every entry point
+    /// reads it once and pumps with that reading.
+    fn read_clock(&mut self, now: u64) -> Timestamp {
+        self.clock.now(now)
     }
 
     /// The endpoint of process `p`, if it lives here.
@@ -225,11 +223,12 @@ impl HostRuntime {
     pub fn submit_send(
         &mut self,
         wire: &mut impl Wire,
+        now: u64,
         from: ProcessId,
         msgs: Vec<Message>,
         reliable: bool,
     ) -> onepipe_types::Result<(Timestamp, u64)> {
-        let (now, local) = self.read_clock(wire);
+        let local = self.read_clock(now);
         let ep = self.endpoint_mut(from).ok_or(onepipe_types::Error::UnknownProcess(from))?;
         let sid = if reliable {
             ep.send_reliable(local, msgs)?
@@ -248,6 +247,7 @@ impl HostRuntime {
     pub fn submit_raw(
         &mut self,
         wire: &mut impl Wire,
+        now: u64,
         from: ProcessId,
         to: ProcessId,
         payload: impl Into<Bytes>,
@@ -255,18 +255,19 @@ impl HostRuntime {
         if let Some(ep) = self.endpoint_mut(from) {
             ep.send_raw(to, payload);
         }
-        self.flush(wire);
+        self.flush(wire, now);
     }
 
     /// Deliver a controller failure announcement to a local process.
     pub fn deliver_announcement(
         &mut self,
         wire: &mut impl Wire,
+        now: u64,
         to: ProcessId,
         announce_id: u64,
         failures: &[(ProcessId, Timestamp)],
     ) {
-        let (now, local) = self.read_clock(wire);
+        let local = self.read_clock(now);
         if let Some(ep) = self.endpoint_mut(to) {
             ep.on_failure_announcement(local, announce_id, failures);
         }
@@ -274,8 +275,8 @@ impl HostRuntime {
     }
 
     /// Deliver a controller-forwarded datagram to a local process.
-    pub fn deliver_forwarded(&mut self, wire: &mut impl Wire, d: Datagram) {
-        let (now, local) = self.read_clock(wire);
+    pub fn deliver_forwarded(&mut self, wire: &mut impl Wire, now: u64, d: Datagram) {
+        let local = self.read_clock(now);
         if let Some(ep) = self.endpoint_mut(d.dst) {
             ep.handle_datagram(local, d);
         }
@@ -283,8 +284,8 @@ impl HostRuntime {
     }
 
     /// Process one datagram arriving from the wire.
-    pub fn on_datagram(&mut self, wire: &mut impl Wire, d: Datagram) {
-        let (now, local) = self.read_clock(wire);
+    pub fn on_datagram(&mut self, wire: &mut impl Wire, now: u64, d: Datagram) {
+        let local = self.read_clock(now);
         self.ingest(wire, now, local, d);
         self.drain(wire, now, local);
     }
@@ -292,8 +293,8 @@ impl HostRuntime {
     /// [`on_datagram`](Self::on_datagram) of a beacon carrying barriers
     /// `be` and `commit`, for a transport that has them without the
     /// datagram around them.
-    pub fn on_beacon(&mut self, wire: &mut impl Wire, be: Timestamp, commit: Timestamp) {
-        let (now, local) = self.read_clock(wire);
+    pub fn on_beacon(&mut self, wire: &mut impl Wire, now: u64, be: Timestamp, commit: Timestamp) {
+        let local = self.read_clock(now);
         self.on_barrier(be, commit);
         self.drain(wire, now, local);
     }
@@ -335,8 +336,8 @@ impl HostRuntime {
     /// One poll tick: advance endpoint timers, run the application's
     /// time-driven hook, flush, then beacon. Drivers call this at the
     /// times [`next_tick_at`](Self::next_tick_at) reports.
-    pub fn on_tick(&mut self, wire: &mut impl Wire) {
-        let (now, local) = self.read_clock(wire);
+    pub fn on_tick(&mut self, wire: &mut impl Wire, now: u64) {
+        let local = self.read_clock(now);
         for ep in &mut self.endpoints {
             ep.poll(local);
         }
@@ -367,8 +368,8 @@ impl HostRuntime {
 
     /// Drain endpoint outputs into the wire: transmissions, deliveries,
     /// events, control requests — then run application reactions.
-    pub fn flush(&mut self, wire: &mut impl Wire) {
-        let (now, local) = self.read_clock(wire);
+    pub fn flush(&mut self, wire: &mut impl Wire, now: u64) {
+        let local = self.read_clock(now);
         self.drain(wire, now, local);
     }
 
@@ -489,16 +490,13 @@ mod tests {
         Raw(ProcessId, ProcessId, Bytes),
     }
 
-    /// A wire that keeps every call, in order, and a clock set by hand.
+    /// A wire that keeps every call, in order.
+    #[derive(Default)]
     struct Recorder {
-        now: u64,
         calls: Vec<Call>,
     }
 
     impl Wire for Recorder {
-        fn now(&self) -> u64 {
-            self.now
-        }
         fn emit(&mut self, d: Datagram) {
             self.calls.push(Call::Emit(d));
         }
@@ -517,16 +515,12 @@ mod tests {
     }
 
     impl Recorder {
-        fn at(now: u64) -> Self {
-            Recorder { now, calls: Vec::new() }
-        }
-
         /// What the first-hop switch would forward: every datagram emitted
-        /// for a process leaves the record and arrives at `peer`.
-        fn forward_to(&mut self, peer: &mut HostRuntime, peer_wire: &mut Recorder) {
+        /// for a process leaves the record and arrives at `peer` at `now`.
+        fn forward_to(&mut self, peer: &mut HostRuntime, peer_wire: &mut Recorder, now: u64) {
             for call in std::mem::take(&mut self.calls) {
                 match call {
-                    Call::Emit(d) if d.dst != HOP_LOCAL => peer.on_datagram(peer_wire, d),
+                    Call::Emit(d) if d.dst != HOP_LOCAL => peer.on_datagram(peer_wire, now, d),
                     kept => self.calls.push(kept),
                 }
             }
@@ -565,11 +559,11 @@ mod tests {
     #[test]
     fn a_tick_drains_its_data_before_the_beacon() {
         let mut rt = host(0);
-        let mut wire = Recorder::at(9_000);
+        let mut wire = Recorder::default();
         // Stamped and queued in the endpoint, not yet drained.
         let msgs = vec![Message::new(ProcessId(1), "a"), Message::new(ProcessId(2), "b")];
         rt.endpoints[0].send_unreliable(Timestamp::from_nanos(8_000), msgs).unwrap();
-        rt.on_tick(&mut wire);
+        rt.on_tick(&mut wire, 9_000);
         let opcodes: Vec<Opcode> = wire
             .calls
             .iter()
@@ -584,12 +578,13 @@ mod tests {
     #[test]
     fn a_reliable_round_trip_delivers_once_and_commits_once() {
         let (mut a, mut b) = (host(0), host(1));
-        let (mut wa, mut wb) = (Recorder::at(10_000), Recorder::at(10_000));
+        let (mut wa, mut wb) = (Recorder::default(), Recorder::default());
+        let now = 10_000;
         let (ts, _) = a
-            .submit_send(&mut wa, ProcessId(0), vec![Message::new(ProcessId(1), "x")], true)
+            .submit_send(&mut wa, now, ProcessId(0), vec![Message::new(ProcessId(1), "x")], true)
             .unwrap();
-        wa.forward_to(&mut b, &mut wb); // Prepare
-        wb.forward_to(&mut a, &mut wa); // ACK
+        wa.forward_to(&mut b, &mut wb, now); // Prepare
+        wb.forward_to(&mut a, &mut wa, now); // ACK
         assert!(
             wa.calls.iter().any(
                 |c| matches!(c, Call::Emit(d) if d.header.opcode == Opcode::Commit && d.dst == HOP_LOCAL)
@@ -599,7 +594,7 @@ mod tests {
         );
         assert!(!wb.calls.iter().any(|c| matches!(c, Call::Deliver(_))), "not before the barrier");
         let above = Timestamp::from_nanos(ts.raw() + 1);
-        b.on_beacon(&mut wb, above, above);
+        b.on_beacon(&mut wb, now, above, above);
 
         let all: Vec<&Call> = wa.calls.iter().chain(&wb.calls).collect();
         let delivered: Vec<_> = all
@@ -627,13 +622,14 @@ mod tests {
     #[test]
     fn a_black_holed_peer_is_escalated_to_the_controller_once() {
         let mut rt = host(0);
-        let mut wire = Recorder::at(1_000);
-        rt.submit_send(&mut wire, ProcessId(0), vec![Message::new(ProcessId(1), "x")], true)
+        let mut wire = Recorder::default();
+        let mut now = 1_000;
+        rt.submit_send(&mut wire, now, ProcessId(0), vec![Message::new(ProcessId(1), "x")], true)
             .unwrap();
         // Twenty RTOs (100 µs) pass and nothing comes back.
         for _ in 0..20 {
-            wire.now += 150 * MICROS;
-            rt.on_tick(&mut wire);
+            now += 150 * MICROS;
+            rt.on_tick(&mut wire, now);
         }
         let forwards: Vec<_> = wire
             .calls
@@ -669,8 +665,8 @@ mod tests {
             if let Some(done) = hook {
                 rt.set_app(Arc::new(Mutex::new(Hook { done, raws: Arc::default() })));
             }
-            let mut wire = Recorder::at(10_000);
-            rt.deliver_announcement(&mut wire, ProcessId(0), 7, &failures);
+            let mut wire = Recorder::default();
+            rt.deliver_announcement(&mut wire, 10_000, ProcessId(0), 7, &failures);
             let announced = wire
                 .calls
                 .iter()
@@ -681,7 +677,7 @@ mod tests {
             assert_eq!(completions(&wire), if deferred { 0 } else { 1 }, "hook {hook:?}");
             // A deferring application completes the callback itself, later.
             rt.endpoints[0].complete_failure_callback(7);
-            rt.flush(&mut wire);
+            rt.flush(&mut wire, 10_000);
             assert_eq!(completions(&wire), 1, "hook {hook:?}");
         }
     }
@@ -689,15 +685,15 @@ mod tests {
     #[test]
     fn a_raw_message_reaches_hook_and_driver_only_at_its_process() {
         let mut sender = host(0);
-        let mut out = Recorder::at(10_000);
-        sender.submit_raw(&mut out, ProcessId(0), ProcessId(1), "rpc");
-        sender.submit_raw(&mut out, ProcessId(0), ProcessId(9), "elsewhere");
+        let mut out = Recorder::default();
+        sender.submit_raw(&mut out, 10_000, ProcessId(0), ProcessId(1), "rpc");
+        sender.submit_raw(&mut out, 10_000, ProcessId(0), ProcessId(9), "elsewhere");
 
         let raws = Arc::new(Mutex::new(Vec::new()));
         let mut rt = host(1);
         rt.set_app(Arc::new(Mutex::new(Hook { done: true, raws: raws.clone() })));
-        let mut wire = Recorder::at(10_000);
-        out.forward_to(&mut rt, &mut wire);
+        let mut wire = Recorder::default();
+        out.forward_to(&mut rt, &mut wire, 10_000);
         assert!(out.calls.is_empty(), "both left for the switch");
 
         assert_eq!(*raws.lock().unwrap(), [Bytes::from_static(b"rpc")]);

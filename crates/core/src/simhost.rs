@@ -48,10 +48,6 @@ pub struct SimWire<'a, 'b> {
 }
 
 impl Wire for SimWire<'_, '_> {
-    fn now(&self) -> u64 {
-        self.ctx.now()
-    }
-
     fn emit(&mut self, d: Datagram) {
         self.ctx.send(self.tor, SimPacket::new(d));
     }
@@ -106,14 +102,16 @@ impl HostLogic {
         self.traffic = Some(traffic);
     }
 
-    /// Call into the runtime with this host's wire over `ctx` — every
-    /// [`HostRuntime`] entry point that can produce output takes one.
+    /// Call into the runtime with this host's wire over `ctx` and the
+    /// simulated time — every [`HostRuntime`] entry point that can produce
+    /// output takes both.
     pub fn drive<R>(
         &mut self,
         ctx: &mut Ctx<'_>,
-        f: impl FnOnce(&mut HostRuntime, &mut SimWire<'_, '_>) -> R,
+        f: impl FnOnce(&mut HostRuntime, &mut SimWire<'_, '_>, u64) -> R,
     ) -> R {
-        f(&mut self.rt, &mut SimWire { ctx, tor: self.tor, sinks: &self.sinks })
+        let now = ctx.now();
+        f(&mut self.rt, &mut SimWire { ctx, tor: self.tor, sinks: &self.sinks }, now)
     }
 
     fn arm_poll(&self, ctx: &mut Ctx<'_>) {
@@ -131,11 +129,11 @@ impl NodeLogic for HostLogic {
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, pkt: SimPacket) {
-        self.drive(ctx, |rt, wire| rt.on_datagram(wire, pkt.dgram));
+        self.drive(ctx, |rt, wire, now| rt.on_datagram(wire, now, pkt.dgram));
     }
 
     fn on_beacon(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, be: Timestamp, commit: Timestamp) {
-        self.drive(ctx, |rt, wire| rt.on_beacon(wire, be, commit));
+        self.drive(ctx, |rt, wire, now| rt.on_beacon(wire, now, be, commit));
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
@@ -146,7 +144,7 @@ impl NodeLogic for HostLogic {
             return;
         }
         if token == TOKEN_POLL {
-            self.drive(ctx, |rt, wire| rt.on_tick(wire));
+            self.drive(ctx, |rt, wire, now| rt.on_tick(wire, now));
             self.arm_poll(ctx);
         }
     }
@@ -231,7 +229,8 @@ mod tests {
         sim.with_node(host, |logic, ctx| {
             let hl = logic.as_any_mut().unwrap().downcast_mut::<HostLogic>().unwrap();
             let msgs = vec![Message::new(ProcessId(5), "outstanding")];
-            hl.drive(ctx, |rt, wire| rt.submit_send(wire, ProcessId(0), msgs, true)).unwrap();
+            hl.drive(ctx, |rt, wire, now| rt.submit_send(wire, now, ProcessId(0), msgs, true))
+                .unwrap();
         });
         let sent_at = sim.now();
         sim.run_until(sent_at + 10 * MICROS);
@@ -291,7 +290,8 @@ mod tests {
         sim.with_node(host, |logic, ctx| {
             let hl = logic.as_any_mut().unwrap().downcast_mut::<HostLogic>().unwrap();
             let msgs = vec![Message::new(ProcessId(9), "x")];
-            hl.drive(ctx, |rt, wire| rt.submit_send(wire, ProcessId(0), msgs, true)).unwrap();
+            hl.drive(ctx, |rt, wire, now| rt.submit_send(wire, now, ProcessId(0), msgs, true))
+                .unwrap();
         });
         // Let the data packet reach the switch probe.
         sim.run_until(sim.now() + 5 * MICROS);
@@ -321,7 +321,7 @@ mod tests {
             let now = ctx.now();
             let local = Timestamp::from_nanos(now);
             hl.endpoint_mut(ProcessId(0)).unwrap().handle_datagram(local, ack);
-            hl.drive(ctx, |rt, wire| rt.flush(wire));
+            hl.drive(ctx, |rt, wire, now| rt.flush(wire, now));
         });
         sim.run_until(sim.now() + 5 * MICROS);
         let commits =

@@ -156,15 +156,12 @@ fn a_hop_through_the_engine_does_not_allocate() {
 }
 
 /// A wire into the void: the runtime under test is all that can allocate.
+#[derive(Default)]
 struct NullWire {
-    now: u64,
     emitted: u64,
 }
 
 impl Wire for NullWire {
-    fn now(&self) -> u64 {
-        self.now
-    }
     fn emit(&mut self, d: Datagram) {
         self.emitted += 1;
         drop(black_box(d));
@@ -188,14 +185,15 @@ fn idle_host() -> HostRuntime {
 #[test]
 fn an_idle_host_takes_a_beacon_without_allocating() {
     let mut rt = idle_host();
-    let mut wire = NullWire { now: 10_000, emitted: 0 };
+    let mut wire = NullWire::default();
+    let mut now = 10_000;
     let n = allocations(|| {
         for round in 0..100u64 {
-            wire.now += 3_000;
+            now += 3_000;
             let mut beacon = control(Opcode::Beacon, HOP_LOCAL, HOP_LOCAL, Flags::empty());
-            beacon.header.barrier = ts(wire.now - 2_000 + round);
-            beacon.header.commit_barrier = ts(wire.now - 2_500 + round);
-            rt.on_datagram(&mut wire, beacon);
+            beacon.header.barrier = ts(now - 2_000 + round);
+            beacon.header.commit_barrier = ts(now - 2_500 + round);
+            rt.on_datagram(&mut wire, now, beacon);
         }
     });
     assert_eq!(n, 0);
@@ -206,11 +204,12 @@ fn an_idle_host_takes_a_beacon_without_allocating() {
 #[test]
 fn an_idle_tick_beacons_without_allocating() {
     let mut rt = idle_host();
-    let mut wire = NullWire { now: 10_000, emitted: 0 };
+    let mut wire = NullWire::default();
+    let mut now = 10_000;
     let n = allocations(|| {
         for _ in 0..100 {
-            wire.now = rt.next_tick_at(wire.now);
-            rt.on_tick(&mut wire);
+            now = rt.next_tick_at(now);
+            rt.on_tick(&mut wire, now);
         }
     });
     assert_eq!(n, 0);

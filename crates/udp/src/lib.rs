@@ -10,8 +10,8 @@
 //!   [`SwitchCore`] the simulated switches run, as the programmable chip
 //!   (§6.2.1) with one port per process — every forwarded packet carries
 //!   the rewritten barrier minimum, each advance is relayed at once and
-//!   only idle links get a beacon — and re-reports input links that fall
-//!   silent until the controller resumes them;
+//!   only idle links get a beacon — and reports input links that fall
+//!   silent to the controller;
 //! * a **replicated controller**: three controller replica processes,
 //!   each a socket + thread running a [`ReplicatedController`] — Raft
 //!   traffic travels as [`MgmtFrame::Raft`] datagrams between replicas,
@@ -20,11 +20,12 @@
 //!   Replicas can be killed at runtime ([`UdpCluster::kill_controller`]);
 //!   the survivors elect a new leader that re-drives in-flight recoveries.
 //!
-//! Host control requests are **not** fire-and-forget: each request is a
-//! [`MgmtFrame::Req`] retried with capped exponential backoff
-//! ([`RetryPolicy`]) until the leader acknowledges it *on commit*
-//! ([`MgmtFrame::Ack`]); non-leader replicas answer with
-//! [`MgmtFrame::Redirect`] toward their best leader guess.
+//! Control requests — a process's and the switch's Detect reports alike —
+//! take one path, the one the simulator models: each is a
+//! [`MgmtFrame::Req`] sent to every replica and re-sent with capped
+//! backoff ([`RetryPolicy`]) until the leader acknowledges it *on commit*
+//! ([`MgmtFrame::Ack`]). Only the leader logs a request, so no client
+//! needs to know which replica leads.
 //!
 //! Degradation contract: while no controller leader exists, best-effort
 //! traffic keeps flowing (beacons and the data plane never touch the
@@ -62,7 +63,6 @@
 //! [`MgmtFrame::Raft`]: onepipe_controller::MgmtFrame::Raft
 //! [`MgmtFrame::Req`]: onepipe_controller::MgmtFrame::Req
 //! [`MgmtFrame::Ack`]: onepipe_controller::MgmtFrame::Ack
-//! [`MgmtFrame::Redirect`]: onepipe_controller::MgmtFrame::Redirect
 //! [`RetryPolicy`]: onepipe_controller::RetryPolicy
 
 #![warn(missing_docs)]
@@ -87,7 +87,6 @@ use onepipe_types::ids::{HostId, NodeId, ProcessId};
 use onepipe_types::message::{Delivered, Message};
 use onepipe_types::time::{Duration as NsDuration, Timestamp, MICROS, MILLIS};
 use onepipe_types::wire::{Datagram, Opcode, PacketHeader};
-use std::collections::HashMap;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -95,9 +94,17 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How often the soft switch re-reports a still-unresumed dead link to
-/// the controller cluster (at-least-once Detect under controller outage).
-const DETECT_REREPORT_INTERVAL: u64 = 100 * MILLIS;
+/// A process's control requests: first resend after 50 ms, doubling to a
+/// 400 ms cap; 8 attempts ≈ 2 s of cover — enough for an election plus
+/// commit round-trips on a loaded CI machine.
+const HOST_RETRY: RetryPolicy =
+    RetryPolicy { base: 50 * MILLIS, cap: 400 * MILLIS, max_attempts: 8 };
+
+/// The soft switch's Detect reports: every 100 ms until the leader acks the
+/// commit, never giving up, so a report outlives any controller outage.
+/// Once committed, the log owns it: a new leader re-drives the Resume.
+const SWITCH_RETRY: RetryPolicy =
+    RetryPolicy { base: 100 * MILLIS, cap: 100 * MILLIS, max_attempts: u32::MAX };
 
 /// Beacon interval of the hosts and the soft switch. Loopback scheduling
 /// granularity is coarser than a real NIC, hence 100 µs rather than the
@@ -388,15 +395,15 @@ impl UdpCluster {
             .position(|c| !c.kill.load(Ordering::SeqCst) && c.is_leader.load(Ordering::SeqCst))
     }
 
-    /// Control requests retransmitted by hosts (timeout or redirect) plus
-    /// dead-link re-reports by the soft switch — nonzero whenever the
-    /// retry machinery actually ran.
+    /// Control requests re-sent for want of an ack, by processes and by
+    /// the soft switch — nonzero whenever the retry machinery actually
+    /// ran.
     pub fn ctrl_retries(&self) -> u64 {
         self.net.ctrl_retries.load(Ordering::SeqCst)
     }
 
-    /// Host control requests abandoned after exhausting their retry
-    /// budget.
+    /// Process control requests abandoned after exhausting their retry
+    /// budget (the switch's never run out).
     pub fn ctrl_drops(&self) -> u64 {
         self.net.ctrl_drops.load(Ordering::SeqCst)
     }
@@ -456,17 +463,15 @@ fn now_ns(epoch: Instant) -> u64 {
 
 /// The soft switch's [`SwitchWire`]: port `NodeId(i)` leads to process
 /// `i`. Forwards and beacons queue in one [`PacketTx`] (per-destination
-/// FIFO, §4.1), an armed timer waits for the end of the RX burst, and
-/// dead inputs wait for the Detect report.
+/// FIFO, §4.1), an armed timer waits for the end of the RX burst, and a
+/// dead input becomes a Detect request of the switch's [`CtrlClient`].
 struct SoftSwitchWire<'a> {
     sock: &'a UdpSocket,
     proc_addrs: &'a [SocketAddr],
     tx: PacketTx,
     /// The core armed its timer; the chip's has zero delay.
     timer: bool,
-    /// Dead inputs not yet resumed: input -> (last_commit, next report
-    /// time, 0 until the first report).
-    unresumed: HashMap<NodeId, (Timestamp, u64)>,
+    client: CtrlClient,
 }
 
 impl SwitchWire for SoftSwitchWire<'_> {
@@ -494,24 +499,23 @@ impl SwitchWire for SoftSwitchWire<'_> {
     }
 
     fn dead_input(&mut self, from: NodeId, last_commit: Timestamp) {
-        self.unresumed.entry(from).or_insert((last_commit, 0));
+        // The switch reports under its own id, distinct from any input.
+        let reporter = NodeId(self.proc_addrs.len() as u32);
+        self.client.submit(CtrlEvent::Detect { reporter, dead: from, last_commit });
     }
 }
 
 /// The ToR stand-in: runs the chip [`SwitchCore`] over the switch socket
-/// and reports dead input links to the controller cluster —
-/// re-reporting every [`DETECT_REREPORT_INTERVAL`] until the link is
-/// resumed, so a Detect outlives any controller outage or failover.
+/// and reports dead input links to the controller cluster through its
+/// [`CtrlClient`] ([`SWITCH_RETRY`]).
 fn run_soft_switch(sock: UdpSocket, net: Net, dead_timeout: NsDuration) {
-    let Net { ctrl_addrs, proc_addrs, epoch, stats, ctrl_retries: retries, stop, .. } = net;
+    let client = CtrlClient::new(SWITCH_RETRY, &net);
+    let Net { proc_addrs, epoch, stats, stop, .. } = net;
     // The chip (the default incarnation), with one input link and one
     // port per process: NodeId(i) is process i's.
     let cfg = SwitchConfig { beacon_interval: BEACON_INTERVAL, ..SwitchConfig::default() };
     let links: Vec<NodeId> = (0..proc_addrs.len() as u32).map(NodeId).collect();
     let mut core = SwitchCore::new(cfg, links.clone(), &links, dead_timeout);
-    // The switch reports dead links under its own id, distinct from any
-    // input link.
-    let reporter = NodeId(proc_addrs.len() as u32);
     // Highest controller epoch seen; actions from lower epochs (a deposed
     // leader) are fenced off.
     let mut max_epoch = 0u64;
@@ -521,7 +525,7 @@ fn run_soft_switch(sock: UdpSocket, net: Net, dead_timeout: NsDuration) {
         proc_addrs: &proc_addrs,
         tx: PacketTx::new(stats),
         timer: false,
-        unresumed: HashMap::new(),
+        client,
     };
     let mut next_tick = 0u64;
     while !stop.load(Ordering::SeqCst) {
@@ -539,16 +543,17 @@ fn run_soft_switch(sock: UdpSocket, net: Net, dead_timeout: NsDuration) {
                 if d.header.opcode != Opcode::Mgmt {
                     return core.on_packet(&mut wire, now, NodeId(d.src.0), d);
                 }
-                // Controller decisions addressed to this switch.
-                if let Ok(MgmtFrame::Action { epoch: ep, action }) = MgmtFrame::decode(d.payload) {
-                    if ep < max_epoch {
-                        return; // stale leader
+                // Controller decisions addressed to this switch, and acks
+                // of its reports.
+                match MgmtFrame::decode(d.payload) {
+                    Ok(MgmtFrame::Action { epoch: ep, action }) if ep >= max_epoch => {
+                        max_epoch = ep;
+                        if let CtrlAction::Resume { input, .. } = action {
+                            core.remove_commit_input(input);
+                        }
                     }
-                    max_epoch = ep;
-                    if let CtrlAction::Resume { input, .. } = action {
-                        core.remove_commit_input(input);
-                        wire.unresumed.remove(&input);
-                    }
+                    Ok(MgmtFrame::Ack { seq }) => wire.client.on_ack(seq),
+                    _ => {}
                 }
             });
             if !got || now_ns(epoch) >= next_tick {
@@ -562,29 +567,10 @@ fn run_soft_switch(sock: UdpSocket, net: Net, dead_timeout: NsDuration) {
         }
         if now >= next_tick {
             next_tick = now + BEACON_INTERVAL;
-            // Detect (§5.2) and the idle-link beacons.
+            // Detect (§5.2) and the idle-link beacons, then the due
+            // reports.
             core.on_tick(&mut wire, now);
-            // Report (and re-report) every unresumed dead link to all
-            // replicas: the cluster may be mid-election or the previous
-            // leader may have died with the report uncommitted. The
-            // controller log deduplicates.
-            for (input, state) in wire.unresumed.iter_mut() {
-                if now < state.1 {
-                    continue;
-                }
-                let frame = MgmtFrame::Event(CtrlEvent::Detect {
-                    reporter,
-                    dead: *input,
-                    last_commit: state.0,
-                });
-                for addr in &ctrl_addrs {
-                    wire.tx.send_mgmt(&sock, *addr, &frame);
-                }
-                if state.1 != 0 {
-                    retries.fetch_add(1, Ordering::Relaxed);
-                }
-                state.1 = now + DETECT_REREPORT_INTERVAL;
-            }
+            wire.client.pump(now, &sock, &mut wire.tx);
         }
         // Everything this iteration queued leaves as coalesced frames.
         wire.tx.flush(&sock);
@@ -646,21 +632,10 @@ fn run_controller_replica(ctx: ReplicaCtx) {
                 return;
             }
             match MgmtFrame::decode(d.payload) {
-                Ok(MgmtFrame::Event(ev)) => {
-                    // Fire-and-forget report (the switch re-sends until
-                    // resumed); only a leader can log it.
-                    let _ = ctrl.submit(ev);
-                }
-                Ok(MgmtFrame::Req { seq, ev }) => {
-                    if ctrl.is_leader() {
-                        if ctrl.submit(ev) {
-                            pending_acks.push((seq, ctrl.last_log_index(), from_addr));
-                        }
-                    } else if let Some(leader) = ctrl.leader_hint() {
-                        if leader != id {
-                            tx.send_mgmt(&sock, from_addr, &MgmtFrame::Redirect { seq, leader });
-                        }
-                    }
+                // Every replica hears every request; only the leader logs
+                // it, and acks it once it commits.
+                Ok(MgmtFrame::Req { seq, ev }) if ctrl.submit(ev.clone()) => {
+                    pending_acks.push((seq, ctrl.last_log_index(), from_addr));
                 }
                 Ok(MgmtFrame::Raft { from, msg }) => {
                     let (m, a) = ctrl.on_raft_msg(from, msg, now_ns(epoch));
@@ -669,7 +644,8 @@ fn run_controller_replica(ctx: ReplicaCtx) {
                 }
                 Ok(MgmtFrame::Forward(fwd)) => {
                     // Forwarding fallback (§5.2): relay around the broken
-                    // direct path. Stateless — any replica serves it.
+                    // direct path. Stateless — every replica serves it,
+                    // and the receiver drops the duplicates.
                     if let Some(addr) = proc_addrs.get(fwd.dst.0 as usize) {
                         tx.send_now(&sock, *addr, &fwd);
                     }
@@ -683,8 +659,8 @@ fn run_controller_replica(ctx: ReplicaCtx) {
         actions.extend(a);
         let leading = ctrl.is_leader();
         if was_leader && !leading {
-            // Deposed: abandon un-acked requests. Clients time out and
-            // retry against the new leader; the log deduplicates.
+            // Deposed: abandon un-acked requests. Clients re-send them,
+            // the new leader logs them and the log deduplicates.
             pending_acks.clear();
         }
         was_leader = leading;
@@ -720,112 +696,78 @@ fn run_controller_replica(ctx: ReplicaCtx) {
     }
 }
 
-/// One in-flight host control request under the retry protocol.
+/// One in-flight control request.
 struct PendingReq {
     seq: u64,
     ev: CtrlEvent,
     attempt: u32,
     due: u64,
-    redirected: bool,
 }
 
-/// Host-side control-request client: capped exponential backoff, leader
-/// guessing with rotation on timeout, redirect following, ack-on-commit.
-/// Replaces the old fire-and-forget ctrl path — a request is only dropped
-/// after its bounded retry budget is exhausted (and that is counted, not
-/// silent).
+/// The client side of the one control-request protocol, run by every
+/// process and by the soft switch: each due request goes to every replica
+/// as a [`MgmtFrame::Req`], is re-sent on its [`RetryPolicy`]'s schedule
+/// and retires when the leader acks its commit. A request out of attempts
+/// is dropped and counted, never silently.
 struct CtrlClient {
     addrs: Vec<SocketAddr>,
-    guess: usize,
+    retry: RetryPolicy,
     next_seq: u64,
     pending: Vec<PendingReq>,
-    retry: RetryPolicy,
     retries: Arc<AtomicU64>,
     drops: Arc<AtomicU64>,
 }
 
 impl CtrlClient {
-    fn new(
-        addrs: Vec<SocketAddr>,
-        first_guess: usize,
-        retries: Arc<AtomicU64>,
-        drops: Arc<AtomicU64>,
-    ) -> Self {
-        let guess = first_guess % addrs.len().max(1);
+    fn new(retry: RetryPolicy, net: &Net) -> Self {
         CtrlClient {
-            addrs,
-            guess,
+            addrs: net.ctrl_addrs.clone(),
+            retry,
             next_seq: 0,
             pending: Vec::new(),
-            // First resend after 50 ms, doubling to a 400 ms cap; 8
-            // attempts ≈ 2 s of cover — enough for an election plus
-            // commit round-trips on a loaded CI machine.
-            retry: RetryPolicy { base: 50 * MILLIS, cap: 400 * MILLIS, max_attempts: 8 },
-            retries,
-            drops,
+            retries: net.ctrl_retries.clone(),
+            drops: net.ctrl_drops.clone(),
         }
     }
 
-    fn guess_addr(&self) -> SocketAddr {
-        self.addrs[self.guess]
-    }
-
-    fn submit(&mut self, ev: CtrlEvent, now: u64) {
+    /// Queue `ev`; the next [`pump`](Self::pump) sends it.
+    fn submit(&mut self, ev: CtrlEvent) {
         self.next_seq += 1;
-        self.pending.push(PendingReq {
-            seq: self.next_seq,
-            ev,
-            attempt: 0,
-            due: now,
-            redirected: false,
-        });
+        self.pending.push(PendingReq { seq: self.next_seq, ev, attempt: 0, due: 0 });
     }
 
     fn on_ack(&mut self, seq: u64) {
         self.pending.retain(|p| p.seq != seq);
     }
 
-    fn on_redirect(&mut self, seq: u64, leader: u32) {
-        if self.pending.iter().any(|p| p.seq == seq) {
-            self.guess = (leader as usize) % self.addrs.len();
-            if let Some(p) = self.pending.iter_mut().find(|p| p.seq == seq) {
-                p.due = 0; // resend immediately, to the indicated leader
-                p.redirected = true;
-            }
+    /// Send `frame` to every replica.
+    fn send_all(&self, sock: &UdpSocket, tx: &mut PacketTx, frame: &MgmtFrame) {
+        for addr in &self.addrs {
+            tx.send_mgmt(sock, *addr, frame);
         }
     }
 
+    /// Send every request due at `now`; drop those out of attempts.
     fn pump(&mut self, now: u64, sock: &UdpSocket, tx: &mut PacketTx) {
-        let mut i = 0;
-        while i < self.pending.len() {
-            if now < self.pending[i].due {
-                i += 1;
-                continue;
+        self.pending.retain_mut(|p| {
+            if now < p.due {
+                return true;
             }
-            if self.retry.exhausted(self.pending[i].attempt) {
-                // Bounded: give up loudly rather than retry forever.
+            if self.retry.exhausted(p.attempt) {
                 self.drops.fetch_add(1, Ordering::Relaxed);
-                self.pending.swap_remove(i);
-                continue;
+                return false;
             }
-            let redirected = self.pending[i].redirected;
-            let attempt = self.pending[i].attempt + 1;
-            if attempt > 1 {
+            if p.attempt > 0 {
                 self.retries.fetch_add(1, Ordering::Relaxed);
-                if !redirected {
-                    // Timed out: the guessed replica may be dead or
-                    // deposed — try the next one.
-                    self.guess = (self.guess + 1) % self.addrs.len();
-                }
             }
-            let p = &mut self.pending[i];
-            p.attempt = attempt;
-            p.redirected = false;
-            p.due = now + self.retry.delay(attempt);
+            p.attempt += 1;
+            p.due = now + self.retry.delay(p.attempt);
             let frame = MgmtFrame::Req { seq: p.seq, ev: p.ev.clone() };
-            tx.send_mgmt(sock, self.addrs[self.guess], &frame);
-            i += 1;
-        }
+            for addr in &self.addrs {
+                tx.send_mgmt(sock, *addr, &frame);
+            }
+            true
+        });
     }
 }
 
@@ -844,7 +786,6 @@ impl CtrlClient {
 struct UdpWire<'a> {
     sock: &'a UdpSocket,
     switch_addr: SocketAddr,
-    epoch: Instant,
     id: ProcessId,
     tx: PacketTx,
     ctrl_reqs: Vec<(ProcessId, CtrlRequest)>,
@@ -854,10 +795,6 @@ struct UdpWire<'a> {
 }
 
 impl Wire for UdpWire<'_> {
-    fn now(&self) -> u64 {
-        now_ns(self.epoch)
-    }
-
     fn emit(&mut self, mut d: Datagram) {
         if d.src == HOP_LOCAL {
             d.src = self.id;
@@ -904,7 +841,8 @@ struct ProcessCtx {
 /// queued emission on the wire as coalesced frames.
 fn run_process(ctx: ProcessCtx) {
     let ProcessCtx { id, sock, net, user_app, cmd_rx, del_tx, ev_tx, raw_tx, kill } = ctx;
-    let Net { switch_addr, ctrl_addrs, epoch, stats, ctrl_retries, ctrl_drops, stop, .. } = net;
+    let mut client = CtrlClient::new(HOST_RETRY, &net);
+    let Net { switch_addr, epoch, stats, stop, .. } = net;
     let cfg = EndpointConfig {
         // Loopback thread scheduling is millisecond-scale; the simulator
         // defaults (hundreds of µs) would misfire constantly. A loopback
@@ -930,7 +868,6 @@ fn run_process(ctx: ProcessCtx) {
     let mut wire = UdpWire {
         sock: &sock,
         switch_addr,
-        epoch,
         id,
         tx: PacketTx::new(stats.clone()),
         ctrl_reqs: Vec::new(),
@@ -938,10 +875,6 @@ fn run_process(ctx: ProcessCtx) {
         ev_tx,
         raw_tx,
     };
-    // Initial leader guesses are spread over the replicas so follower
-    // contact (and the Redirect path) gets exercised, not just the lucky
-    // processes whose guess is right.
-    let mut client = CtrlClient::new(ctrl_addrs, id.0 as usize, ctrl_retries, ctrl_drops);
     // Stale-leader fence: highest controller epoch seen.
     let mut max_epoch = 0u64;
     let mut rx = PacketRx::new(&sock, RX_IDLE, stats);
@@ -953,12 +886,14 @@ fn run_process(ctx: ProcessCtx) {
         for cmd in cmd_rx.try_iter() {
             match cmd {
                 Cmd::Send { msgs, reliable, reply } => {
-                    let r = rt.submit_send(&mut wire, id, msgs, reliable);
+                    let r = rt.submit_send(&mut wire, now_ns(epoch), id, msgs, reliable);
                     if let Some(tx) = reply {
                         let _ = tx.send(r);
                     }
                 }
-                Cmd::SendRaw { to, payload } => rt.submit_raw(&mut wire, id, to, payload),
+                Cmd::SendRaw { to, payload } => {
+                    rt.submit_raw(&mut wire, now_ns(epoch), id, to, payload)
+                }
             }
         }
         // RX burst: drain the socket up to RX_BURST_MAX datagrams.
@@ -973,11 +908,11 @@ fn run_process(ctx: ProcessCtx) {
                     Ok(MgmtFrame::Action { epoch: ep, action }) if ep >= max_epoch => {
                         max_epoch = ep;
                         if let CtrlAction::Announce { id: announce_id, failures, .. } = action {
-                            rt.deliver_announcement(&mut wire, id, announce_id, &failures);
+                            let now = now_ns(epoch);
+                            rt.deliver_announcement(&mut wire, now, id, announce_id, &failures);
                         }
                     }
                     Ok(MgmtFrame::Ack { seq }) => client.on_ack(seq),
-                    Ok(MgmtFrame::Redirect { seq, leader }) => client.on_redirect(seq, leader),
                     _ => {}
                 }
             });
@@ -989,12 +924,12 @@ fn run_process(ctx: ProcessCtx) {
         // commits and app reactions to all of it coalesce into the same
         // flush.
         for d in burst.drain(..) {
-            rt.on_datagram(&mut wire, d);
+            rt.on_datagram(&mut wire, now_ns(epoch), d);
         }
         // Poll tick (endpoint timers + host beacon) when due.
         let now = now_ns(epoch);
         if now >= next_tick {
-            rt.on_tick(&mut wire);
+            rt.on_tick(&mut wire, now);
             next_tick = rt.next_tick_at(now);
         }
         // Route controller requests over the management plane: requests
@@ -1002,11 +937,8 @@ fn run_process(ctx: ProcessCtx) {
         // forwarding stays best-effort (data-path fallback, not state).
         for (from, req) in wire.ctrl_reqs.drain(..) {
             match req.into_event(from) {
-                Ok(ev) => client.submit(ev, now),
-                Err(dgram) => {
-                    let to = client.guess_addr();
-                    wire.tx.send_mgmt(&sock, to, &MgmtFrame::Forward(dgram));
-                }
+                Ok(ev) => client.submit(ev),
+                Err(dgram) => client.send_all(&sock, &mut wire.tx, &MgmtFrame::Forward(dgram)),
             }
         }
         client.pump(now_ns(epoch), &sock, &mut wire.tx);
@@ -1082,6 +1014,85 @@ mod tests {
         let h = got.expect("the data reached probe 1").header;
         assert_eq!((h.barrier, h.commit_barrier), (ts(2_000), ts(2_000)));
         assert_eq!(h.msg_ts, ts(5_000), "only the barriers are rewritten");
+    }
+
+    /// The soft switch alone, with a probe socket for its one process and
+    /// one for each controller replica: once the process falls silent past
+    /// the dead-link timeout, every replica receives the same Detect
+    /// request, re-sent until one of them acks it and never after.
+    #[test]
+    fn the_soft_switch_reports_a_dead_link_to_every_replica_until_acked() {
+        let _guard = TEST_LOCK.lock();
+        let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let process = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let replicas = [(); REPLICAS].map(|_| UdpSocket::bind("127.0.0.1:0").unwrap());
+        let net = Net {
+            switch_addr: sock.local_addr().unwrap(),
+            ctrl_addrs: replicas.iter().map(|r| r.local_addr().unwrap()).collect(),
+            proc_addrs: vec![process.local_addr().unwrap()],
+            epoch: Instant::now(),
+            stats: Arc::default(),
+            ctrl_retries: Arc::default(),
+            ctrl_drops: Arc::default(),
+            stop: Arc::default(),
+        };
+        let (switch_addr, stop, retries) =
+            (net.switch_addr, net.stop.clone(), net.ctrl_retries.clone());
+        let switch = std::thread::spawn(move || run_soft_switch(sock, net, 20 * MILLIS));
+        let mut beacon =
+            Datagram::beacon(Timestamp::from_nanos(2_000), Timestamp::from_nanos(2_000));
+        beacon.src = ProcessId(0);
+        process.send_to(&beacon.encode(), switch_addr).unwrap();
+        // Then silence. Each replica's requests, in arrival order.
+        let mut buf = vec![0; 65536];
+        let mut recv_reqs = |r: &UdpSocket| -> Vec<(u64, CtrlEvent)> {
+            r.set_read_timeout(Some(Duration::from_millis(10))).unwrap();
+            let mut got = Vec::new();
+            while let Ok(len) = r.recv(&mut buf) {
+                let frame = decode_frame(bytes::Bytes::copy_from_slice(&buf[..len]));
+                for d in frame.flatten() {
+                    if let Ok(MgmtFrame::Req { seq, ev }) = MgmtFrame::decode(d.payload) {
+                        got.push((seq, ev));
+                    }
+                }
+            }
+            got
+        };
+        let detect = CtrlEvent::Detect {
+            reporter: NodeId(1),
+            dead: NodeId(0),
+            last_commit: Timestamp::from_nanos(2_000),
+        };
+        // Collect until every replica has heard the report twice: the
+        // first send and one re-send.
+        let mut heard: [Vec<(u64, CtrlEvent)>; REPLICAS] = Default::default();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while heard.iter().any(|h| h.len() < 2) && Instant::now() < deadline {
+            for (r, h) in replicas.iter().zip(&mut heard) {
+                h.extend(recv_reqs(r));
+            }
+        }
+        let seq = heard[0].first().expect("the report reached replica 0").0;
+        for h in &heard {
+            assert!(h.len() >= 2, "every replica hears the report and its re-send: {heard:?}");
+            assert!(h.iter().all(|r| *r == (seq, detect.clone())), "{heard:?}");
+        }
+        // One replica acks the commit: the re-sends stop.
+        PacketTx::new(Arc::default()).send_mgmt(&replicas[1], switch_addr, &MgmtFrame::Ack { seq });
+        std::thread::sleep(Duration::from_millis(100));
+        for r in &replicas {
+            recv_reqs(r); // a re-send that crossed the ack
+        }
+        let resent = retries.load(Ordering::SeqCst);
+        let quiet = Instant::now() + Duration::from_millis(350);
+        while Instant::now() < quiet {
+            for r in &replicas {
+                assert_eq!(recv_reqs(r), [], "no re-send after the ack");
+            }
+        }
+        stop.store(true, Ordering::SeqCst);
+        switch.join().unwrap();
+        assert_eq!(retries.load(Ordering::SeqCst), resent);
     }
 
     #[test]
