@@ -355,8 +355,9 @@ mod tests {
     #[test]
     fn frame_codec_rejects_garbage() {
         assert!(MgmtFrame::decode(Bytes::new()).is_err());
-        // Tag 0 (a fire-and-forget report) and tag 6 (a redirect toward a
-        // leader guess) are retired: frames that once decoded no longer do.
+        // Tag 0 (a fire-and-forget report) and tag 6 (a redirect toward the
+        // believed leader) are retired: frames that once decoded no longer
+        // do.
         let detect = CtrlEvent::Detect { reporter: NodeId(4), dead: NodeId(1), last_commit: ts(9) };
         let report = [&[0][..], &detect.encode()].concat();
         let redirect = vec![6, 0, 0, 0, 0, 0, 0, 0, 12, 0, 0, 0, 1];

@@ -36,7 +36,8 @@ use std::sync::{Arc, Mutex};
 /// What the runtime needs from its driver: a datagram sink toward the
 /// first-hop switch, and somewhere to hand what it produces for the
 /// application and the controller. The driver owns the clock: every entry
-/// point takes the true (transport) time `now` right after the wire.
+/// point takes the true (transport) time `now` right after the wire, and
+/// pumps with the host clock's one reading of it.
 ///
 /// `emit` receives host-originated packets with `src == HOP_LOCAL`
 /// (beacons, commit messages); transports whose switch identifies input
@@ -205,12 +206,6 @@ impl HostRuntime {
         self.clock.perturb(true_now, offset_ns);
     }
 
-    /// The host clock's reading of true time `now`. Every entry point
-    /// reads it once and pumps with that reading.
-    fn read_clock(&mut self, now: u64) -> Timestamp {
-        self.clock.now(now)
-    }
-
     /// The endpoint of process `p`, if it lives here.
     pub fn endpoint_mut(&mut self, p: ProcessId) -> Option<&mut Endpoint> {
         self.endpoints.iter_mut().find(|e| e.id() == p)
@@ -228,7 +223,7 @@ impl HostRuntime {
         msgs: Vec<Message>,
         reliable: bool,
     ) -> onepipe_types::Result<(Timestamp, u64)> {
-        let local = self.read_clock(now);
+        let local = self.clock.now(now);
         let ep = self.endpoint_mut(from).ok_or(onepipe_types::Error::UnknownProcess(from))?;
         let sid = if reliable {
             ep.send_reliable(local, msgs)?
@@ -267,7 +262,7 @@ impl HostRuntime {
         announce_id: u64,
         failures: &[(ProcessId, Timestamp)],
     ) {
-        let local = self.read_clock(now);
+        let local = self.clock.now(now);
         if let Some(ep) = self.endpoint_mut(to) {
             ep.on_failure_announcement(local, announce_id, failures);
         }
@@ -276,7 +271,7 @@ impl HostRuntime {
 
     /// Deliver a controller-forwarded datagram to a local process.
     pub fn deliver_forwarded(&mut self, wire: &mut impl Wire, now: u64, d: Datagram) {
-        let local = self.read_clock(now);
+        let local = self.clock.now(now);
         if let Some(ep) = self.endpoint_mut(d.dst) {
             ep.handle_datagram(local, d);
         }
@@ -285,7 +280,7 @@ impl HostRuntime {
 
     /// Process one datagram arriving from the wire.
     pub fn on_datagram(&mut self, wire: &mut impl Wire, now: u64, d: Datagram) {
-        let local = self.read_clock(now);
+        let local = self.clock.now(now);
         self.ingest(wire, now, local, d);
         self.drain(wire, now, local);
     }
@@ -294,7 +289,7 @@ impl HostRuntime {
     /// `be` and `commit`, for a transport that has them without the
     /// datagram around them.
     pub fn on_beacon(&mut self, wire: &mut impl Wire, now: u64, be: Timestamp, commit: Timestamp) {
-        let local = self.read_clock(now);
+        let local = self.clock.now(now);
         self.on_barrier(be, commit);
         self.drain(wire, now, local);
     }
@@ -337,7 +332,7 @@ impl HostRuntime {
     /// time-driven hook, flush, then beacon. Drivers call this at the
     /// times [`next_tick_at`](Self::next_tick_at) reports.
     pub fn on_tick(&mut self, wire: &mut impl Wire, now: u64) {
-        let local = self.read_clock(now);
+        let local = self.clock.now(now);
         for ep in &mut self.endpoints {
             ep.poll(local);
         }
@@ -369,7 +364,7 @@ impl HostRuntime {
     /// Drain endpoint outputs into the wire: transmissions, deliveries,
     /// events, control requests — then run application reactions.
     pub fn flush(&mut self, wire: &mut impl Wire, now: u64) {
-        let local = self.read_clock(now);
+        let local = self.clock.now(now);
         self.drain(wire, now, local);
     }
 
