@@ -22,6 +22,9 @@
 //!   control-request protocol (a Req to every replica, the leader's Ack
 //!   on commit), epoch-tagged actions, Raft traffic, and forwarded
 //!   datagrams;
+//! * [`client`] — that protocol's client ([`CtrlClient`]): it re-sends a
+//!   request to every replica until the leader acks its commit (the
+//!   server side is [`ReplicatedController`]'s);
 //! * [`retry`] — the capped-exponential-backoff policy a client re-sends
 //!   its control requests on (bounded attempts, no silent drop).
 //!
@@ -48,17 +51,19 @@
 
 #![warn(missing_docs)]
 
+pub mod client;
 pub mod protocol;
 pub mod raft;
 pub mod replicated;
 pub mod retry;
 pub mod wire;
 
+pub use client::CtrlClient;
 pub use protocol::{
     ActionDest, ComponentId, ControllerCore, CtrlAction, CtrlEvent, FailureDomains, PendingFailure,
 };
 pub use raft::{RaftConfig, RaftMsg, RaftNode, RaftRole};
-pub use replicated::ReplicatedController;
+pub use replicated::{Output, ReplicatedController};
 pub use retry::RetryPolicy;
 pub use wire::MgmtFrame;
 

@@ -115,7 +115,7 @@ pub enum CtrlAction {
 }
 
 /// Where a [`CtrlAction`] must be delivered.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ActionDest {
     /// Deliver to a process (host endpoint).
     Process(ProcessId),

@@ -1,14 +1,16 @@
 //! Capped exponential backoff for control-plane requests.
 //!
 //! Every client of the controller — a host or a switch, over UDP or on
-//! the simulator's modelled management network — uses this policy for
-//! requests that must reach the controller *log*: send, wait, and if no
-//! acknowledgement arrives, retry with exponentially growing delays up to
-//! a cap and a bounded attempt count. Bounding matters in both
-//! directions: no unbounded spin against a dead controller cluster, and
-//! no silent drop — callers observe exhaustion and surface it. A client
-//! that must never give up (the UDP soft switch's Detect reports) says
-//! so with `max_attempts: u32::MAX`.
+//! the simulator's modelled management network — re-sends requests that
+//! must reach the controller *log* on this policy ([`CtrlClient`]): send,
+//! wait, and if no commit ack arrives, re-send with exponentially growing
+//! delays up to a cap and a bounded attempt count. Bounding matters in
+//! both directions: no unbounded spin against a dead controller cluster,
+//! and no silent drop — the client counts exhaustion. A client that must
+//! never give up (a switch's Detect reports, on both transports) says so
+//! with `max_attempts: u32::MAX`.
+//!
+//! [`CtrlClient`]: crate::client::CtrlClient
 
 /// A capped exponential backoff schedule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -38,12 +40,6 @@ impl RetryPolicy {
     pub fn exhausted(&self, attempt: u32) -> bool {
         attempt >= self.max_attempts
     }
-
-    /// Worst-case total time spent retrying (sum of all delays), useful
-    /// for sizing drain windows in tests.
-    pub fn total_span(&self) -> u64 {
-        (1..self.max_attempts).map(|a| self.delay(a)).sum()
-    }
 }
 
 #[cfg(test)]
@@ -62,7 +58,6 @@ mod tests {
         let p = RetryPolicy { base: 1, cap: 4, max_attempts: 3 };
         assert!(!p.exhausted(2));
         assert!(p.exhausted(3));
-        assert_eq!(p.total_span(), 1 + 2);
     }
 
     #[test]

@@ -32,11 +32,12 @@ pub struct Stats {
     /// Controller leader elections observed (a new Raft term acquiring a
     /// leader), including the initial election.
     pub ctrl_elections: u64,
-    /// Control requests re-driven because no controller leader accepted
-    /// them on a delivery attempt.
+    /// Control requests re-sent for want of a commit ack (every send of a
+    /// request but its first).
     pub ctrl_retries: u64,
     /// Control requests dropped after exhausting their retry budget
-    /// without ever reaching a leader.
+    /// without a commit ack. Only host requests can drop: a switch's
+    /// reports are re-sent until acked.
     pub ctrl_drops: u64,
 }
 

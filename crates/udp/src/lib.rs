@@ -21,11 +21,11 @@
 //!   the survivors elect a new leader that re-drives in-flight recoveries.
 //!
 //! Control requests — a process's and the switch's Detect reports alike —
-//! take one path, the one the simulator models: each is a
-//! [`MgmtFrame::Req`] sent to every replica and re-sent with capped
-//! backoff ([`RetryPolicy`]) until the leader acknowledges it *on commit*
-//! ([`MgmtFrame::Ack`]). Only the leader logs a request, so no client
-//! needs to know which replica leads.
+//! take one path, run by the same sans-I/O roles the simulator drives:
+//! a [`CtrlClient`] sends each as a [`MgmtFrame::Req`] to every replica
+//! and re-sends it with capped backoff ([`RetryPolicy`]) until the leader
+//! acknowledges it *on commit* ([`MgmtFrame::Ack`]). Only the leader logs
+//! a request, so no client needs to know which replica leads.
 //!
 //! Degradation contract: while no controller leader exists, best-effort
 //! traffic keeps flowing (beacons and the data plane never touch the
@@ -64,6 +64,7 @@
 //! [`MgmtFrame::Req`]: onepipe_controller::MgmtFrame::Req
 //! [`MgmtFrame::Ack`]: onepipe_controller::MgmtFrame::Ack
 //! [`RetryPolicy`]: onepipe_controller::RetryPolicy
+//! [`CtrlClient`]: onepipe_controller::CtrlClient
 
 #![warn(missing_docs)]
 
@@ -76,7 +77,8 @@ use onepipe_clock::MonotonicClock;
 use onepipe_controller::protocol::ActionDest;
 use onepipe_controller::raft::RaftConfig;
 use onepipe_controller::{
-    CtrlAction, CtrlEvent, FailureDomains, MgmtFrame, ReplicatedController, RetryPolicy, REPLICAS,
+    CtrlAction, CtrlClient, CtrlEvent, FailureDomains, MgmtFrame, Output, ReplicatedController,
+    RetryPolicy, REPLICAS,
 };
 use onepipe_core::config::EndpointConfig;
 use onepipe_core::endpoint::{Endpoint, HOP_LOCAL};
@@ -509,23 +511,22 @@ impl SwitchWire for SoftSwitchWire<'_> {
 /// and reports dead input links to the controller cluster through its
 /// [`CtrlClient`] ([`SWITCH_RETRY`]).
 fn run_soft_switch(sock: UdpSocket, net: Net, dead_timeout: NsDuration) {
-    let client = CtrlClient::new(SWITCH_RETRY, &net);
-    let Net { proc_addrs, epoch, stats, stop, .. } = net;
+    let (epoch, stop) = (net.epoch, net.stop.clone());
     // The chip (the default incarnation), with one input link and one
     // port per process: NodeId(i) is process i's.
     let cfg = SwitchConfig { beacon_interval: BEACON_INTERVAL, ..SwitchConfig::default() };
-    let links: Vec<NodeId> = (0..proc_addrs.len() as u32).map(NodeId).collect();
+    let links: Vec<NodeId> = (0..net.proc_addrs.len() as u32).map(NodeId).collect();
     let mut core = SwitchCore::new(cfg, links.clone(), &links, dead_timeout);
     // Highest controller epoch seen; actions from lower epochs (a deposed
     // leader) are fenced off.
     let mut max_epoch = 0u64;
-    let mut rx = PacketRx::new(&sock, RX_IDLE, stats.clone());
+    let mut rx = PacketRx::new(&sock, RX_IDLE, net.stats.clone());
     let mut wire = SoftSwitchWire {
         sock: &sock,
-        proc_addrs: &proc_addrs,
-        tx: PacketTx::new(stats),
+        proc_addrs: &net.proc_addrs,
+        tx: PacketTx::new(net.stats.clone()),
         timer: false,
-        client,
+        client: CtrlClient::new(SWITCH_RETRY),
     };
     let mut next_tick = 0u64;
     while !stop.load(Ordering::SeqCst) {
@@ -570,7 +571,7 @@ fn run_soft_switch(sock: UdpSocket, net: Net, dead_timeout: NsDuration) {
             // Detect (§5.2) and the idle-link beacons, then the due
             // reports.
             core.on_tick(&mut wire, now);
-            wire.client.pump(now, &sock, &mut wire.tx);
+            poll_client(&mut wire.client, now, &net, &sock, &mut wire.tx);
         }
         // Everything this iteration queued leaves as coalesced frames.
         wire.tx.flush(&sock);
@@ -615,17 +616,32 @@ fn run_controller_replica(ctx: ReplicaCtx) {
     let cfg = RaftConfig { election_timeout: 150 * MILLIS, heartbeat_interval: 25 * MILLIS };
     let peers: Vec<u32> = (0..ctrl_addrs.len() as u32).filter(|&p| p != id).collect();
     let mut ctrl = ReplicatedController::new(id, peers, cfg, domains, (0..n as u32).map(ProcessId));
-    // Requests accepted but not yet committed: (client seq, log index it
-    // must reach, client address).
-    let mut pending_acks: Vec<(u64, u64, SocketAddr)> = Vec::new();
-    let mut was_leader = false;
     let mut rx = PacketRx::new(&sock, RX_CTRL_IDLE, stats.clone());
     // The management plane is latency-sensitive and low-rate: every frame
     // goes out immediately (the `send_now` path), nothing is queued.
     let mut tx = PacketTx::new(stats);
+    // Send one step's output: Raft traffic, the actions epoch-tagged and
+    // routed by `CtrlAction::dest` (as in the simulator), the commit acks.
+    let send = |tx: &mut PacketTx, ep: u64, out: Output<SocketAddr>| {
+        for (to, msg) in out.raft {
+            if let Some(addr) = ctrl_addrs.get(to as usize) {
+                tx.send_mgmt(&sock, *addr, &MgmtFrame::Raft { from: id, msg });
+            }
+        }
+        for action in out.actions {
+            let addr = match action.dest() {
+                ActionDest::Process(p) => proc_addrs.get(p.0 as usize).copied(),
+                ActionDest::Switch(_) => Some(switch_addr),
+            };
+            if let Some(addr) = addr {
+                tx.send_mgmt(&sock, addr, &MgmtFrame::Action { epoch: ep, action });
+            }
+        }
+        for (client, seq) in out.acks {
+            tx.send_mgmt(&sock, client, &MgmtFrame::Ack { seq });
+        }
+    };
     while !stop.load(Ordering::SeqCst) && !kill.load(Ordering::SeqCst) {
-        let mut raft_out = Vec::new();
-        let mut actions = Vec::new();
         // A burst of one frame: the replica ticks after every frame.
         rx.burst().recv(|d, from_addr| {
             if d.header.opcode != Opcode::Mgmt {
@@ -634,13 +650,12 @@ fn run_controller_replica(ctx: ReplicaCtx) {
             match MgmtFrame::decode(d.payload) {
                 // Every replica hears every request; only the leader logs
                 // it, and acks it once it commits.
-                Ok(MgmtFrame::Req { seq, ev }) if ctrl.submit(ev.clone()) => {
-                    pending_acks.push((seq, ctrl.last_log_index(), from_addr));
+                Ok(MgmtFrame::Req { seq, ev }) => {
+                    ctrl.submit(from_addr, seq, ev);
                 }
                 Ok(MgmtFrame::Raft { from, msg }) => {
-                    let (m, a) = ctrl.on_raft_msg(from, msg, now_ns(epoch));
-                    raft_out.extend(m);
-                    actions.extend(a);
+                    let out = ctrl.on_raft_msg(from, msg, now_ns(epoch));
+                    send(&mut tx, ctrl.epoch(), out);
                 }
                 Ok(MgmtFrame::Forward(fwd)) => {
                     // Forwarding fallback (§5.2): relay around the broken
@@ -654,121 +669,26 @@ fn run_controller_replica(ctx: ReplicaCtx) {
             }
         });
         // Raft timeouts/heartbeats; applies whatever committed.
-        let (m, a) = ctrl.tick(now_ns(epoch));
-        raft_out.extend(m);
-        actions.extend(a);
-        let leading = ctrl.is_leader();
-        if was_leader && !leading {
-            // Deposed: abandon un-acked requests. Clients re-send them,
-            // the new leader logs them and the log deduplicates.
-            pending_acks.clear();
-        }
-        was_leader = leading;
-        is_leader.store(leading, Ordering::SeqCst);
-        for (to, msg) in raft_out {
-            if let Some(addr) = ctrl_addrs.get(to as usize) {
-                tx.send_mgmt(&sock, *addr, &MgmtFrame::Raft { from: id, msg });
-            }
-        }
-        // Emit actions epoch-tagged, routed by the shared destination
-        // helper (the same one the simulator harness uses).
-        let ep = ctrl.epoch();
-        for action in actions {
-            let addr = match action.dest() {
-                ActionDest::Process(p) => proc_addrs.get(p.0 as usize).copied(),
-                ActionDest::Switch(_) => Some(switch_addr),
-            };
-            if let Some(addr) = addr {
-                tx.send_mgmt(&sock, addr, &MgmtFrame::Action { epoch: ep, action });
-            }
-        }
-        // Ack-on-commit: a request is acknowledged only once its log
-        // entry is committed, so an acked request survives any failover.
-        let committed = ctrl.commit_index();
-        pending_acks.retain(|&(seq, idx, client)| {
-            if leading && committed >= idx {
-                tx.send_mgmt(&sock, client, &MgmtFrame::Ack { seq });
-                false
-            } else {
-                true
-            }
-        });
+        let out = ctrl.tick(now_ns(epoch));
+        send(&mut tx, ctrl.epoch(), out);
+        is_leader.store(ctrl.is_leader(), Ordering::SeqCst);
     }
 }
 
-/// One in-flight control request.
-struct PendingReq {
-    seq: u64,
-    ev: CtrlEvent,
-    attempt: u32,
-    due: u64,
+/// Send `frame` to every controller replica.
+fn send_all(net: &Net, sock: &UdpSocket, tx: &mut PacketTx, frame: &MgmtFrame) {
+    for addr in &net.ctrl_addrs {
+        tx.send_mgmt(sock, *addr, frame);
+    }
 }
 
-/// The client side of the one control-request protocol, run by every
-/// process and by the soft switch: each due request goes to every replica
-/// as a [`MgmtFrame::Req`], is re-sent on its [`RetryPolicy`]'s schedule
-/// and retires when the leader acks its commit. A request out of attempts
-/// is dropped and counted, never silently.
-struct CtrlClient {
-    addrs: Vec<SocketAddr>,
-    retry: RetryPolicy,
-    next_seq: u64,
-    pending: Vec<PendingReq>,
-    retries: Arc<AtomicU64>,
-    drops: Arc<AtomicU64>,
-}
-
-impl CtrlClient {
-    fn new(retry: RetryPolicy, net: &Net) -> Self {
-        CtrlClient {
-            addrs: net.ctrl_addrs.clone(),
-            retry,
-            next_seq: 0,
-            pending: Vec::new(),
-            retries: net.ctrl_retries.clone(),
-            drops: net.ctrl_drops.clone(),
-        }
-    }
-
-    /// Queue `ev`; the next [`pump`](Self::pump) sends it.
-    fn submit(&mut self, ev: CtrlEvent) {
-        self.next_seq += 1;
-        self.pending.push(PendingReq { seq: self.next_seq, ev, attempt: 0, due: 0 });
-    }
-
-    fn on_ack(&mut self, seq: u64) {
-        self.pending.retain(|p| p.seq != seq);
-    }
-
-    /// Send `frame` to every replica.
-    fn send_all(&self, sock: &UdpSocket, tx: &mut PacketTx, frame: &MgmtFrame) {
-        for addr in &self.addrs {
-            tx.send_mgmt(sock, *addr, frame);
-        }
-    }
-
-    /// Send every request due at `now`; drop those out of attempts.
-    fn pump(&mut self, now: u64, sock: &UdpSocket, tx: &mut PacketTx) {
-        self.pending.retain_mut(|p| {
-            if now < p.due {
-                return true;
-            }
-            if self.retry.exhausted(p.attempt) {
-                self.drops.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
-            if p.attempt > 0 {
-                self.retries.fetch_add(1, Ordering::Relaxed);
-            }
-            p.attempt += 1;
-            p.due = now + self.retry.delay(p.attempt);
-            let frame = MgmtFrame::Req { seq: p.seq, ev: p.ev.clone() };
-            for addr in &self.addrs {
-                tx.send_mgmt(sock, *addr, &frame);
-            }
-            true
-        });
-    }
+/// Send every request `client` has due at `now` to every replica as a
+/// [`MgmtFrame::Req`], and add its re-sends and drops to the cluster's
+/// counters.
+fn poll_client(client: &mut CtrlClient, now: u64, net: &Net, sock: &UdpSocket, tx: &mut PacketTx) {
+    client.poll(now, |seq, ev| send_all(net, sock, tx, &MgmtFrame::Req { seq, ev }));
+    net.ctrl_retries.fetch_add(std::mem::take(&mut client.retries), Ordering::Relaxed);
+    net.ctrl_drops.fetch_add(std::mem::take(&mut client.drops), Ordering::Relaxed);
 }
 
 /// [`Wire`] over a UDP socket and the process's channels: every emission
@@ -841,8 +761,8 @@ struct ProcessCtx {
 /// queued emission on the wire as coalesced frames.
 fn run_process(ctx: ProcessCtx) {
     let ProcessCtx { id, sock, net, user_app, cmd_rx, del_tx, ev_tx, raw_tx, kill } = ctx;
-    let mut client = CtrlClient::new(HOST_RETRY, &net);
-    let Net { switch_addr, epoch, stats, stop, .. } = net;
+    let mut client = CtrlClient::new(HOST_RETRY);
+    let (epoch, stop) = (net.epoch, net.stop.clone());
     let cfg = EndpointConfig {
         // Loopback thread scheduling is millisecond-scale; the simulator
         // defaults (hundreds of µs) would misfire constantly. A loopback
@@ -867,9 +787,9 @@ fn run_process(ctx: ProcessCtx) {
     }
     let mut wire = UdpWire {
         sock: &sock,
-        switch_addr,
+        switch_addr: net.switch_addr,
         id,
-        tx: PacketTx::new(stats.clone()),
+        tx: PacketTx::new(net.stats.clone()),
         ctrl_reqs: Vec::new(),
         del_tx,
         ev_tx,
@@ -877,7 +797,7 @@ fn run_process(ctx: ProcessCtx) {
     };
     // Stale-leader fence: highest controller epoch seen.
     let mut max_epoch = 0u64;
-    let mut rx = PacketRx::new(&sock, RX_IDLE, stats);
+    let mut rx = PacketRx::new(&sock, RX_IDLE, net.stats.clone());
     // Data-plane datagrams of one RX burst.
     let mut burst: Vec<Datagram> = Vec::with_capacity(RX_BURST_MAX);
     let mut next_tick = 0u64;
@@ -938,10 +858,10 @@ fn run_process(ctx: ProcessCtx) {
         for (from, req) in wire.ctrl_reqs.drain(..) {
             match req.into_event(from) {
                 Ok(ev) => client.submit(ev),
-                Err(dgram) => client.send_all(&sock, &mut wire.tx, &MgmtFrame::Forward(dgram)),
+                Err(dgram) => send_all(&net, &sock, &mut wire.tx, &MgmtFrame::Forward(dgram)),
             }
         }
-        client.pump(now_ns(epoch), &sock, &mut wire.tx);
+        poll_client(&mut client, now_ns(epoch), &net, &sock, &mut wire.tx);
         // Pump boundary: everything this iteration emitted goes out as
         // coalesced frames (data first, then the beacon — FIFO per dest).
         wire.tx.flush(&sock);
