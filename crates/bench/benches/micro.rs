@@ -208,9 +208,10 @@ fn bench_route_live(c: &mut Criterion) {
 /// with one of the pod's two spines crashed (half the inter-rack flows
 /// fail over to the survivor).
 fn bench_switch_next_hop(c: &mut Criterion) {
+    use onepipe_core::simswitch::{SwitchLogic, SwitchShared};
     use onepipe_netsim::engine::{Sim, SimPacket};
     use onepipe_netsim::topology::{FatTreeParams, NodeRole, Topology};
-    use onepipe_switchlogic::{SwitchConfig, SwitchLogic, SwitchShared};
+    use onepipe_switchlogic::SwitchConfig;
     use onepipe_types::ids::HostId;
     use onepipe_types::process_map::ProcessMap;
     use std::sync::Arc;

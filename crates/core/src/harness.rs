@@ -2,56 +2,54 @@
 //! controller, assembled and pumped together.
 //!
 //! [`Cluster`] is what experiments, examples and integration tests build
-//! on. It wires:
+//! on. It wires the fat-tree topology and its switches ([`SwitchLogic`]),
+//! one [`HostLogic`] per server with its endpoints and synchronized clock,
+//! and a **replicated controller** (§5.2): [`REPLICAS`] replicas whose
+//! elected leader drives recovery, which can be crashed or partitioned
+//! mid-recovery (a new leader re-drives in-flight failures).
 //!
-//! * the fat-tree topology and switch barrier logic (data plane),
-//! * one [`HostLogic`] per server with its endpoints and synchronized
-//!   clock, all writing what they deliver, report and request into the
-//!   one [`Sinks`] the cluster owns,
-//! * a **replicated controller** (§5.2): [`REPLICAS`]
-//!   [`ReplicatedController`] replicas exchanging Raft traffic over the
-//!   modelled management network ([`MGMT_DELAY`] per hop), of which the
-//!   elected leader drives recovery; controller replicas can be crashed
-//!   or partitioned mid-recovery and a new leader re-drives in-flight
-//!   failures,
+//! Simulator events interleave with management-plane deliveries in
+//! deterministic time order. The management network ([`MGMT_DELAY`] per
+//! hop) carries the [`MgmtFrame`]s UDP puts on sockets, between the same
+//! nodes ([`crate::node`]): each replica is a [`ReplicaNode`], and an
+//! action goes to its destination's [`ProcessNode`] or [`SwitchNode`],
+//! whose epoch fence drops a deposed leader's. The hosts' and the
+//! switches' [`CtrlClient`] send each request to every replica until the
+//! leader acks its commit ([`CTRL_RETRY`]; a switch never gives up).
 //!
-//! and interleaves simulator events with management-plane deliveries in
-//! deterministic time order. Control requests take UDP's path, driving
-//! the same roles: the hosts' and the switches' [`CtrlClient`] send each
-//! to every replica until the leader acks its commit ([`CTRL_RETRY`]; a
-//! switch never gives up). Every controller action carries the emitting
-//! leader's epoch so hosts and switches fence off deposed leaders.
+//! What a run produces is taken, not kept: [`Cluster::take_deliveries`],
+//! [`Cluster::take_user_events`] and [`Cluster::take_ctrl_actions`] (the
+//! actions that passed a fence) move the records out, as plain records a
+//! UDP test can build too; the chaos runner feeds them to its oracle.
 //!
-//! What a run produces is taken, not kept: deliveries, user events and
-//! the controller actions that passed the epoch fence are moved out by
-//! [`Cluster::take_deliveries`], [`Cluster::take_user_events`] and
-//! [`Cluster::take_ctrl_actions`]. The chaos runner feeds them to its
-//! oracle after every step, as plain records a UDP test can build too.
+//! [`ProcessNode`]: crate::node::ProcessNode
+//! [`SwitchNode`]: crate::node::SwitchNode
 
 use crate::config::EndpointConfig;
 use crate::endpoint::{Endpoint, EndpointStats};
 use crate::events::UserEvent;
+use crate::node::{MgmtTo, ReplicaIo, ReplicaNode};
 use crate::runtime::HostRuntime;
 use crate::simhost::{AppHook, DeliveryRecord, HostLogic, Sinks};
+use crate::simswitch::{SwitchEvent, SwitchLogic, SwitchShared};
 use onepipe_clock::{ClockFleet, SyncDiscipline};
 use onepipe_controller::protocol::{
-    ActionDest, ControllerCore, CtrlAction, CtrlEvent, FailureDomains,
+    ActionDest, ControllerCore, CtrlAction, CtrlEvent, FailureDomains, PendingFailure,
 };
-use onepipe_controller::raft::{RaftConfig, RaftMsg};
-use onepipe_controller::replicated::{Output, ReplicatedController};
+use onepipe_controller::raft::RaftConfig;
 use onepipe_controller::retry::RetryPolicy;
-use onepipe_controller::{CtrlClient, REPLICAS};
+use onepipe_controller::{CtrlClient, MgmtFrame, REPLICAS};
 use onepipe_netsim::engine::Sim;
 use onepipe_netsim::topology::{FatTreeParams, NodeRole, Topology};
 use onepipe_netsim::traffic::BackgroundTraffic;
-use onepipe_switchlogic::{Incarnation, SwitchConfig, SwitchEvent, SwitchLogic, SwitchShared};
+use onepipe_switchlogic::{Incarnation, SwitchConfig};
 use onepipe_types::ids::{HostId, LinkId, NodeId, ProcessId};
 use onepipe_types::message::Message;
 use onepipe_types::process_map::ProcessMap;
 use onepipe_types::time::Timestamp;
 use onepipe_types::wire::Datagram;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
@@ -65,7 +63,7 @@ pub struct ClusterConfig {
     /// Switch configuration (incarnation, beacon interval, ...).
     pub switch: SwitchConfig,
     /// Endpoint configuration. `trust_data_barriers` is overridden to
-    /// match the switch incarnation.
+    /// match the switch incarnation, and `seed` with the master seed.
     pub endpoint: EndpointConfig,
     /// Use perfect clocks instead of the PTP model.
     pub perfect_clocks: bool,
@@ -121,15 +119,11 @@ const SWITCHES: usize = 1;
 /// A management-network message in flight.
 #[derive(Debug)]
 enum MgmtMsg {
-    /// A controller action travelling leader → host/switch, tagged with
-    /// the emitting leader's epoch (Raft term) for stale-leader fencing.
-    Action { epoch: u64, action: CtrlAction },
-    /// Raft traffic between controller replicas.
-    Raft { from: u32, to: u32, msg: RaftMsg },
+    /// What a replica sent: Raft traffic to a replica, an epoch-tagged
+    /// action to a host or switch, a commit ack to a client.
+    Frame { to: MgmtTo<usize>, frame: MgmtFrame },
     /// Request `seq` of `client` reaching every replica; a leader logs it.
     Req { client: usize, seq: u64, ev: CtrlEvent },
-    /// The leader's commit ack of request `seq` reaching client `client`.
-    Ack { client: usize, seq: u64 },
     /// Client `client`'s next re-send (or drop) is due.
     Poll { client: usize },
     /// Forwarded datagram (controller fallback relay).
@@ -143,7 +137,7 @@ enum MgmtMsg {
 
 /// One controller replica plus its harness-side fault state.
 struct CtrlReplica {
-    ctrl: ReplicatedController<usize>,
+    node: ReplicaNode<usize>,
     alive: bool,
     partitioned_until: u64,
 }
@@ -151,6 +145,48 @@ struct CtrlReplica {
 impl CtrlReplica {
     fn reachable(&self, now: u64) -> bool {
         self.alive && now >= self.partitioned_until
+    }
+}
+
+/// Management messages in flight by `(delivery time, push order)`.
+#[derive(Default)]
+struct MgmtNet {
+    heap: BTreeMap<(u64, u64), MgmtMsg>,
+    seq: u64,
+}
+
+impl MgmtNet {
+    /// Queue `msg` for delivery at `at`; returns its key.
+    fn push(&mut self, at: u64, msg: MgmtMsg) -> (u64, u64) {
+        self.seq += 1;
+        self.heap.insert((at, self.seq), msg);
+        (at, self.seq)
+    }
+}
+
+/// What one step of a replica sends, onto the management network: one
+/// hop away, announcements one serialization slot apart (contacting every
+/// correct process costs CPU/network time, §7.2). A dead or partitioned
+/// replica's output is dropped at the edge.
+struct ReplicaOut<'a> {
+    net: &'a mut MgmtNet,
+    now: u64,
+    reachable: bool,
+    /// Announcements sent so far in this step.
+    announced: u64,
+}
+
+impl ReplicaIo<usize> for ReplicaOut<'_> {
+    fn send(&mut self, to: MgmtTo<usize>, frame: MgmtFrame) {
+        if !self.reachable {
+            return;
+        }
+        let mut delay = MGMT_DELAY;
+        if let MgmtTo::Node(ActionDest::Process(_)) = to {
+            self.announced += 1;
+            delay += self.announced * MGMT_SERIALIZE;
+        }
+        self.net.push(self.now + delay, MgmtMsg::Frame { to, frame });
     }
 }
 
@@ -174,14 +210,9 @@ pub struct Cluster {
     /// The hosts' and the switches' control-request clients, each with the
     /// management-heap key of its [`MgmtMsg::Poll`] at its next due time.
     clients: [(CtrlClient, Option<(u64, u64)>); 2],
-    /// Highest controller epoch seen per destination — actions from lower
-    /// epochs (a deposed leader) are fenced off.
-    epochs: HashMap<ActionDest, u64>,
     /// Highest term observed with a leader, for election counting.
     last_leader_term: u64,
-    /// Management messages in flight by `(delivery time, push order)`.
-    mgmt: BTreeMap<(u64, u64), MgmtMsg>,
-    mgmt_seq: u64,
+    mgmt: MgmtNet,
     /// `(sim time, epoch, action)` of every controller action applied
     /// past the epoch fence and not yet taken.
     ctrl_actions: Vec<(u64, u64, CtrlAction)>,
@@ -194,6 +225,7 @@ impl Cluster {
     pub fn new(mut cfg: ClusterConfig) -> Self {
         // Barrier trust must match the switch incarnation (§6.2.2).
         cfg.endpoint.trust_data_barriers = matches!(cfg.switch.incarnation, Incarnation::Chip);
+        cfg.endpoint.seed = cfg.seed;
 
         let mut sim = Sim::new(cfg.seed);
         let topo = Arc::new(Topology::build(&mut sim, cfg.topo.clone()));
@@ -219,15 +251,8 @@ impl Cluster {
         let sinks = Rc::default();
         for h in 0..n_hosts {
             let host = HostId(h as u32);
-            let endpoints: Vec<Endpoint> = procs
-                .processes_on(host)
-                .iter()
-                .map(|&p| {
-                    let mut ecfg = cfg.endpoint;
-                    ecfg.seed = cfg.seed;
-                    Endpoint::new(p, ecfg)
-                })
-                .collect();
+            let endpoints =
+                procs.processes_on(host).iter().map(|&p| Endpoint::new(p, cfg.endpoint)).collect();
             let clock = clocks.clock_mut(h).clone();
             let mut rt = HostRuntime::new(host, clock, endpoints, cfg.switch.beacon_interval);
             rt.synchronized_beacons = cfg.switch.synchronized_beacons;
@@ -240,16 +265,9 @@ impl Cluster {
         // resolve within ~10 one-way delays, heartbeats every 2.
         let raft_cfg =
             RaftConfig { election_timeout: 10 * MGMT_DELAY, heartbeat_interval: 2 * MGMT_DELAY };
-        let n_ctrl = REPLICAS as u32;
-        let replicas = (0..n_ctrl)
+        let replicas = (0..REPLICAS as u32)
             .map(|i| CtrlReplica {
-                ctrl: ReplicatedController::new(
-                    i,
-                    (0..n_ctrl).filter(|&p| p != i).collect(),
-                    raft_cfg,
-                    domains.clone(),
-                    procs.all(),
-                ),
+                node: ReplicaNode::new(i, raft_cfg, domains.clone(), procs.all()),
                 alive: true,
                 partitioned_until: 0,
             })
@@ -263,10 +281,8 @@ impl Cluster {
             replicas,
             next_ctrl_tick: 0,
             clients: [(CtrlClient::new(CTRL_RETRY), None), (CtrlClient::new(SWITCH_RETRY), None)],
-            epochs: HashMap::new(),
             last_leader_term: 0,
-            mgmt: BTreeMap::new(),
-            mgmt_seq: 0,
+            mgmt: MgmtNet::default(),
             ctrl_actions: Vec::new(),
             config: cfg,
         }
@@ -306,7 +322,7 @@ impl Cluster {
     ) -> onepipe_types::Result<(Timestamp, u64)> {
         let host = self.procs.host_of(from).ok_or(onepipe_types::Error::UnknownProcess(from))?;
         self.with_host(host, |hl, ctx| {
-            hl.drive(ctx, |rt, wire, now| rt.submit_send(wire, now, from, msgs, reliable))
+            hl.drive(ctx, |node, wire, now| node.rt.submit_send(wire, now, from, msgs, reliable))
         })
         .unwrap_or(Err(onepipe_types::Error::ProcessFailed(from)))
     }
@@ -325,7 +341,7 @@ impl Cluster {
     pub fn run_until(&mut self, t_end: u64) {
         loop {
             self.pump_control();
-            let mgmt_next = self.mgmt.first_key_value().map(|(&(at, _), _)| at);
+            let mgmt_next = self.mgmt.heap.first_key_value().map(|(&(at, _), _)| at);
             let through = match mgmt_next {
                 // `None`: a delivery at time 0 precedes every event.
                 Some(m) => m.checked_sub(1).map(|before| before.min(t_end)),
@@ -336,7 +352,7 @@ impl Cluster {
             }
             match mgmt_next {
                 Some(m) if m <= t_end => {
-                    let (_, msg) = self.mgmt.pop_first().expect("peeked entry");
+                    let (_, msg) = self.mgmt.heap.pop_first().expect("peeked entry");
                     // Events at the delivery's own time run first, with
                     // no pump in between.
                     self.sim.run_until(m);
@@ -450,7 +466,7 @@ impl Cluster {
             .controller_leader()
             .or_else(|| self.replicas.iter().position(|r| r.alive))
             .unwrap_or(0);
-        self.replicas[idx].ctrl.core()
+        self.replicas[idx].node.ctrl.core()
     }
 
     /// The index of the current alive controller leader, if any. With
@@ -460,22 +476,23 @@ impl Cluster {
         self.replicas
             .iter()
             .enumerate()
-            .filter(|(_, r)| r.alive && r.ctrl.is_leader())
-            .max_by_key(|(_, r)| r.ctrl.epoch())
+            .filter(|(_, r)| r.alive && r.node.ctrl.is_leader())
+            .max_by_key(|(_, r)| r.node.ctrl.epoch())
             .map(|(i, _)| i)
     }
 
     /// Crash controller replica `replica` at absolute time `at`.
     pub fn crash_controller(&mut self, at: u64, replica: usize) {
         assert!(replica < self.replicas.len());
-        self.push_mgmt(at, MgmtMsg::CtrlCrash { replica });
+        self.mgmt.push(at, MgmtMsg::CtrlCrash { replica });
     }
 
     /// Partition controller replica `replica` off the management network
     /// for `duration` ns starting at absolute time `at`.
     pub fn partition_controller(&mut self, at: u64, replica: usize, duration: u64) {
         assert!(replica < self.replicas.len());
-        self.push_mgmt(at, MgmtMsg::CtrlPartition { replica, until: at.saturating_add(duration) });
+        let until = at.saturating_add(duration);
+        self.mgmt.push(at, MgmtMsg::CtrlPartition { replica, until });
     }
 
     /// The controller's view of failed processes.
@@ -483,20 +500,10 @@ impl Cluster {
         self.authoritative_core().failures().collect()
     }
 
-    /// Failure-handling still in flight at the controller: for each pending
-    /// failure, `(announce_id, expected, completed)` callback sets
-    /// (telemetry / chaos triage).
-    pub fn controller_pending(&self) -> Vec<(Option<u64>, Vec<ProcessId>, Vec<ProcessId>)> {
-        self.authoritative_core()
-            .pending_failures()
-            .map(|p| {
-                (
-                    p.announce_id,
-                    p.expected.iter().copied().collect(),
-                    p.completed.iter().copied().collect(),
-                )
-            })
-            .collect()
+    /// Failure handling still in flight at the controller, each with its
+    /// expected and completed callbacks (telemetry / chaos triage).
+    pub fn controller_pending(&self) -> Vec<PendingFailure> {
+        self.authoritative_core().pending_failures().cloned().collect()
     }
 
     /// Aggregate endpoint statistics across all (live) hosts.
@@ -513,11 +520,6 @@ impl Cluster {
     // ------------------------------------------------------------------
     // Control plane pumping
     // ------------------------------------------------------------------
-
-    fn push_mgmt(&mut self, at: u64, msg: MgmtMsg) {
-        self.mgmt_seq += 1;
-        self.mgmt.insert((at, self.mgmt_seq), msg);
-    }
 
     fn pump_control(&mut self) {
         // Fast path: nothing to drain (every push into `switch_events` or
@@ -542,7 +544,9 @@ impl Cluster {
                 Ok(ev) => self.clients[HOSTS].0.submit(ev),
                 // Controller relays after two management hops. Best
                 // effort: the relay does not touch the replicated log.
-                Err(dgram) => self.push_mgmt(now + 2 * MGMT_DELAY, MgmtMsg::Forward { dgram }),
+                Err(dgram) => {
+                    self.mgmt.push(now + 2 * MGMT_DELAY, MgmtMsg::Forward { dgram });
+                }
             }
         }
         self.poll_client(SWITCHES);
@@ -552,12 +556,10 @@ impl Cluster {
         // is dropped at the edge.
         if now >= self.next_ctrl_tick {
             self.next_ctrl_tick = now + MGMT_DELAY;
-            for i in 0..self.replicas.len() {
-                if !self.replicas[i].alive {
-                    continue;
-                }
-                let out = self.replicas[i].ctrl.tick(now);
-                self.route(now, i, out);
+            for r in self.replicas.iter_mut().filter(|r| r.alive) {
+                let reachable = r.reachable(now);
+                let out = &mut ReplicaOut { net: &mut self.mgmt, now, reachable, announced: 0 };
+                r.node.tick(out, now);
             }
             self.note_leadership();
         }
@@ -574,81 +576,54 @@ impl Cluster {
         self.sim.stats.ctrl_drops += std::mem::take(&mut client.drops);
         let next = client.next_due();
         if let Some(key) = poll.take() {
-            self.mgmt.remove(&key);
+            self.mgmt.heap.remove(&key);
         }
         for req in due {
-            self.push_mgmt(now + MGMT_DELAY, req);
+            self.mgmt.push(now + MGMT_DELAY, req);
         }
-        if let Some(at) = next {
-            self.push_mgmt(at, MgmtMsg::Poll { client: c });
-            self.clients[c].1 = Some((at, self.mgmt_seq));
-        }
-    }
-
-    /// Queue what replica `from` emitted — Raft messages, its actions
-    /// tagged with its epoch, its commit acks — unless it is dead or
-    /// partitioned. Announcements pay the per-message serialization cost
-    /// (contacting every correct process costs CPU/network time, §7.2).
-    fn route(&mut self, now: u64, from: usize, out: Output<usize>) {
-        if !self.replicas[from].reachable(now) {
-            return;
-        }
-        for (to, msg) in out.raft {
-            self.push_mgmt(now + MGMT_DELAY, MgmtMsg::Raft { from: from as u32, to, msg });
-        }
-        let epoch = self.replicas[from].ctrl.epoch();
-        let mut out_idx = 0u64;
-        for action in out.actions {
-            let delay = match action.dest() {
-                ActionDest::Process(_) => {
-                    out_idx += 1;
-                    MGMT_DELAY + out_idx * MGMT_SERIALIZE
-                }
-                ActionDest::Switch(_) => MGMT_DELAY,
-            };
-            self.push_mgmt(now + delay, MgmtMsg::Action { epoch, action });
-        }
-        for (client, seq) in out.acks {
-            self.push_mgmt(now + MGMT_DELAY, MgmtMsg::Ack { client, seq });
-        }
+        *poll = next.map(|at| self.mgmt.push(at, MgmtMsg::Poll { client: c }));
     }
 
     /// Count leader elections: the first time any alive replica is seen
     /// leading a term newer than every previously-led term.
     fn note_leadership(&mut self) {
-        for r in &self.replicas {
-            if r.alive && r.ctrl.is_leader() && r.ctrl.epoch() > self.last_leader_term {
-                self.last_leader_term = r.ctrl.epoch();
+        for r in self.replicas.iter().filter(|r| r.alive).map(|r| &r.node.ctrl) {
+            if r.is_leader() && r.epoch() > self.last_leader_term {
+                self.last_leader_term = r.epoch();
                 self.sim.stats.ctrl_elections += 1;
             }
         }
     }
 
     fn apply_mgmt(&mut self, msg: MgmtMsg) {
+        let now = self.sim.now();
         match msg {
-            MgmtMsg::Action { epoch, action } => self.apply_ctrl_action(epoch, action),
-            MgmtMsg::Raft { from, to, msg } => {
-                let now = self.sim.now();
-                let to = to as usize;
+            MgmtMsg::Frame { to: MgmtTo::Node(_), frame: MgmtFrame::Action { epoch, action } } => {
+                self.apply_ctrl_action(epoch, action)
+            }
+            MgmtMsg::Frame { to: MgmtTo::Replica(to), frame: MgmtFrame::Raft { from, msg } } => {
                 // In-flight messages from a replica that died after sending
                 // still arrive; a dead or partitioned *receiver* does not
                 // take delivery.
-                if !self.replicas[to].reachable(now) {
+                let r = &mut self.replicas[to as usize];
+                if !r.reachable(now) {
                     return;
                 }
-                let out = self.replicas[to].ctrl.on_raft_msg(from, msg, now);
-                self.route(now, to, out);
+                let out =
+                    &mut ReplicaOut { net: &mut self.mgmt, now, reachable: true, announced: 0 };
+                r.node.on_raft(out, now, from, msg);
                 self.note_leadership();
             }
-            MgmtMsg::Req { client, seq, ev } => {
-                let now = self.sim.now();
-                for r in self.replicas.iter_mut().filter(|r| r.reachable(now)) {
-                    r.ctrl.submit(client, seq, ev.clone());
-                }
-            }
-            MgmtMsg::Ack { client, seq } => {
+            MgmtMsg::Frame { to: MgmtTo::Client(client), frame: MgmtFrame::Ack { seq } } => {
                 self.clients[client].0.on_ack(seq);
                 self.poll_client(client);
+            }
+            // A replica sends no other frame.
+            MgmtMsg::Frame { .. } => {}
+            MgmtMsg::Req { client, seq, ev } => {
+                for r in self.replicas.iter_mut().filter(|r| r.reachable(now)) {
+                    r.node.ctrl.submit(client, seq, ev.clone());
+                }
             }
             MgmtMsg::Poll { client } => self.poll_client(client),
             MgmtMsg::CtrlCrash { replica } => {
@@ -666,43 +641,35 @@ impl Cluster {
             MgmtMsg::Forward { dgram } => {
                 let Some(host) = self.procs.host_of(dgram.dst) else { return };
                 self.with_host(host, |hl, ctx| {
-                    hl.drive(ctx, |rt, wire, now| rt.deliver_forwarded(wire, now, dgram))
+                    hl.drive(ctx, |node, wire, now| node.rt.deliver_forwarded(wire, now, dgram))
                 });
             }
         }
     }
 
-    /// Deliver an epoch-tagged controller action to its destination,
-    /// fencing off actions from deposed leaders.
+    /// Hand an epoch-tagged controller action to its destination's node,
+    /// whose fence drops it if a deposed leader sent it, and record it if
+    /// it passed.
     fn apply_ctrl_action(&mut self, epoch: u64, action: CtrlAction) {
         let now = self.sim.now();
-        let seen = self.epochs.entry(action.dest()).or_insert(0);
-        if epoch < *seen {
-            return;
-        }
-        *seen = epoch;
-        self.ctrl_actions.push((now, epoch, action.clone()));
-        match action {
-            CtrlAction::Announce { id, to, failures } => {
+        let record = action.clone();
+        let passed = match action.dest() {
+            ActionDest::Process(to) => {
                 let Some(host) = self.procs.host_of(to) else { return };
                 self.with_host(host, |hl, ctx| {
-                    hl.drive(ctx, |rt, wire, now| {
-                        rt.deliver_announcement(wire, now, to, id, &failures)
-                    })
-                });
+                    hl.drive(ctx, |node, wire, now| node.on_action(wire, now, epoch, action))
+                })
             }
-            CtrlAction::Resume { at, input } => {
-                // The reporting switch drops exactly the reported dead
-                // input link from its commit aggregation (§5.2 Resume).
-                self.sim.with_node(at, |logic, ctx| {
-                    if let Some(any) = logic.as_any_mut() {
-                        if let Some(sw) = any.downcast_mut::<SwitchLogic>() {
-                            sw.core.remove_commit_input(input);
-                            let _ = ctx;
-                        }
-                    }
-                });
-            }
+            ActionDest::Switch(at) => self
+                .sim
+                .with_node(at, |logic, _| {
+                    let sw = logic.as_any_mut()?.downcast_mut::<SwitchLogic>()?;
+                    Some(sw.node.on_action(epoch, action))
+                })
+                .flatten(),
+        };
+        if passed == Some(true) {
+            self.ctrl_actions.push((now, epoch, record));
         }
     }
 }
@@ -721,35 +688,25 @@ fn build_failure_domains(topo: &Topology, procs: &ProcessMap) -> FailureDomains 
         );
         next_comp += 1;
     }
-    // Physical switches: group up/down halves, in key order.
-    let mut tors: BTreeMap<(u32, u32), Vec<NodeId>> = BTreeMap::new();
-    let mut spines: BTreeMap<(u32, u32), Vec<NodeId>> = BTreeMap::new();
-    let mut cores: BTreeMap<u32, Vec<NodeId>> = BTreeMap::new();
+    // Physical switches, up and down halves together: the ToRs, then the
+    // spines, then the cores, each in key order.
+    let mut switches: BTreeMap<(u8, u32, u32), Vec<NodeId>> = BTreeMap::new();
     for (i, role) in topo.roles.iter().enumerate() {
-        let n = NodeId(i as u32);
-        match *role {
-            NodeRole::TorUp { pod, idx } | NodeRole::TorDown { pod, idx } => {
-                tors.entry((pod, idx)).or_default().push(n)
-            }
-            NodeRole::SpineUp { pod, idx } | NodeRole::SpineDown { pod, idx } => {
-                spines.entry((pod, idx)).or_default().push(n)
-            }
-            NodeRole::Core { idx } => cores.entry(idx).or_default().push(n),
+        let key = match *role {
+            NodeRole::TorUp { pod, idx } | NodeRole::TorDown { pod, idx } => (0, pod, idx),
+            NodeRole::SpineUp { pod, idx } | NodeRole::SpineDown { pod, idx } => (1, pod, idx),
+            NodeRole::Core { idx } => (2, 0, idx),
             NodeRole::Host(_) => continue,
         };
+        switches.entry(key).or_default().push(NodeId(i as u32));
     }
-    for ((pod, idx), nodes) in tors {
+    let per_tor = topo.params.hosts_per_tor;
+    for ((kind, pod, idx), nodes) in switches {
         // Single-homed racks: a dead ToR kills every process in the rack.
-        let first_host = (pod * topo.params.tors_per_pod + idx) * topo.params.hosts_per_tor;
-        let mut killed = Vec::new();
-        for h in first_host..first_host + topo.params.hosts_per_tor {
-            killed.extend_from_slice(procs.processes_on(HostId(h)));
-        }
+        let first = (pod * topo.params.tors_per_pod + idx) * per_tor;
+        let rack = (first..first + per_tor).flat_map(|h| procs.processes_on(HostId(h)));
+        let killed = if kind == 0 { rack.copied().collect() } else { Vec::new() };
         domains.add_component(next_comp, nodes, killed);
-        next_comp += 1;
-    }
-    for nodes in spines.into_values().chain(cores.into_values()) {
-        domains.add_component(next_comp, nodes, Vec::new());
         next_comp += 1;
     }
     domains
@@ -759,7 +716,7 @@ fn build_failure_domains(topo: &Topology, procs: &ProcessMap) -> FailureDomains 
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use onepipe_controller::protocol::PendingFailure;
+    use onepipe_controller::ReplicatedController;
     use onepipe_types::time::MICROS;
 
     #[test]
@@ -939,7 +896,7 @@ mod tests {
         for _ in 0..200 {
             c.run_for(5 * MICROS);
             let alive: Vec<&ReplicatedController<usize>> =
-                c.replicas.iter().filter(|r| r.alive).map(|r| &r.ctrl).collect();
+                c.replicas.iter().filter(|r| r.alive).map(|r| &r.node.ctrl).collect();
             for (i, a) in alive.iter().enumerate() {
                 for b in &alive[i + 1..] {
                     if a.raft().commit_index() == b.raft().commit_index() && a.core().has_pending()
@@ -955,7 +912,7 @@ mod tests {
         assert_eq!(c.sim.stats.faults_ctrl_crashes, 1);
         assert_ne!(c.controller_leader(), Some(old_leader));
         let views: Vec<_> =
-            c.replicas.iter().filter(|r| r.alive).map(|r| core_view(r.ctrl.core())).collect();
+            c.replicas.iter().filter(|r| r.alive).map(|r| core_view(r.node.ctrl.core())).collect();
         assert_eq!(views.len(), 2);
         assert_eq!(views[0], views[1]);
         assert_eq!(views[0].0.len(), 8, "the rack's eight processes failed");
@@ -1098,7 +1055,8 @@ mod tests {
         let tie = 10 * MICROS;
         // The delivery is queued first; push order does not decide.
         let action = CtrlAction::Resume { at: core, input: NodeId(0) };
-        c.push_mgmt(tie, MgmtMsg::Action { epoch: 0, action });
+        let to = MgmtTo::Node(action.dest());
+        c.mgmt.push(tie, MgmtMsg::Frame { to, frame: MgmtFrame::Action { epoch: 0, action } });
         c.sim.schedule_timer(tie, core, 0);
         c.run_until(tie - 1);
         assert!(log.lock().unwrap().is_empty());

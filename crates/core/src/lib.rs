@@ -36,9 +36,11 @@ pub mod endpoint;
 pub mod events;
 pub mod frag;
 pub mod harness;
+pub mod node;
 pub mod reorder;
 pub mod runtime;
 pub mod simhost;
+pub mod simswitch;
 
 pub use config::{DeliveryMode, EndpointConfig};
 pub use endpoint::Endpoint;

@@ -2,9 +2,10 @@
 //! network simulator.
 //!
 //! One [`HostLogic`] per server: it is nothing but glue between the
-//! simulator's [`NodeLogic`] callbacks and the runtime — packets go to
-//! [`HostRuntime::on_datagram`], the poll timer to
-//! [`HostRuntime::on_tick`]. The runtime's output leaves through a
+//! simulator's [`NodeLogic`] callbacks and the host's [`ProcessNode`] —
+//! packets go to [`HostRuntime::on_datagram`], the poll timer to
+//! [`HostRuntime::on_tick`], and the harness hands controller actions to
+//! [`ProcessNode::on_action`]. The runtime's output leaves through a
 //! [`SimWire`]: emissions become simulator packets toward the ToR, and
 //! deliveries, user events and controller requests land in the [`Sinks`]
 //! every host of one simulation shares with the harness that reads them.
@@ -12,6 +13,7 @@
 //! [`crate::runtime`].
 
 use crate::events::{CtrlRequest, UserEvent};
+use crate::node::ProcessNode;
 use crate::runtime::{HostRuntime, Wire};
 use onepipe_netsim::engine::{Ctx, NodeLogic, SimPacket};
 use onepipe_netsim::traffic::BackgroundTraffic;
@@ -68,12 +70,12 @@ impl Wire for SimWire<'_, '_> {
     }
 }
 
-/// The node logic of one simulated server: a [`HostRuntime`] plus the
+/// The node logic of one simulated server: a [`ProcessNode`] plus the
 /// ToR link and optional background traffic.
 pub struct HostLogic {
     tor: NodeId,
-    /// The transport-agnostic runtime doing the actual work.
-    pub rt: HostRuntime,
+    /// The host's node; its runtime does the actual work.
+    pub node: ProcessNode,
     sinks: Rc<RefCell<Sinks>>,
     traffic: Option<BackgroundTraffic>,
 }
@@ -81,20 +83,20 @@ pub struct HostLogic {
 impl std::ops::Deref for HostLogic {
     type Target = HostRuntime;
     fn deref(&self) -> &HostRuntime {
-        &self.rt
+        &self.node.rt
     }
 }
 
 impl std::ops::DerefMut for HostLogic {
     fn deref_mut(&mut self) -> &mut HostRuntime {
-        &mut self.rt
+        &mut self.node.rt
     }
 }
 
 impl HostLogic {
     /// Run `rt` behind ToR node `tor`, its output going to `sinks`.
     pub fn new(rt: HostRuntime, tor: NodeId, sinks: Rc<RefCell<Sinks>>) -> Self {
-        HostLogic { tor, rt, sinks, traffic: None }
+        HostLogic { tor, node: ProcessNode::new(rt), sinks, traffic: None }
     }
 
     /// Attach background traffic flows (Figure 12 experiments).
@@ -102,21 +104,21 @@ impl HostLogic {
         self.traffic = Some(traffic);
     }
 
-    /// Call into the runtime with this host's wire over `ctx` and the
-    /// simulated time — every [`HostRuntime`] entry point that can produce
-    /// output takes both.
+    /// Call into the node with this host's wire over `ctx` and the
+    /// simulated time — every entry point that can produce output takes
+    /// both.
     pub fn drive<R>(
         &mut self,
         ctx: &mut Ctx<'_>,
-        f: impl FnOnce(&mut HostRuntime, &mut SimWire<'_, '_>, u64) -> R,
+        f: impl FnOnce(&mut ProcessNode, &mut SimWire<'_, '_>, u64) -> R,
     ) -> R {
         let now = ctx.now();
-        f(&mut self.rt, &mut SimWire { ctx, tor: self.tor, sinks: &self.sinks }, now)
+        f(&mut self.node, &mut SimWire { ctx, tor: self.tor, sinks: &self.sinks }, now)
     }
 
     fn arm_poll(&self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
-        ctx.set_timer(self.rt.next_tick_at(now) - now, TOKEN_POLL);
+        ctx.set_timer(self.node.rt.next_tick_at(now) - now, TOKEN_POLL);
     }
 }
 
@@ -129,11 +131,11 @@ impl NodeLogic for HostLogic {
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, pkt: SimPacket) {
-        self.drive(ctx, |rt, wire, now| rt.on_datagram(wire, now, pkt.dgram));
+        self.drive(ctx, |node, wire, now| node.rt.on_datagram(wire, now, pkt.dgram));
     }
 
     fn on_beacon(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, be: Timestamp, commit: Timestamp) {
-        self.drive(ctx, |rt, wire, now| rt.on_beacon(wire, now, be, commit));
+        self.drive(ctx, |node, wire, now| node.rt.on_beacon(wire, now, be, commit));
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
@@ -144,7 +146,7 @@ impl NodeLogic for HostLogic {
             return;
         }
         if token == TOKEN_POLL {
-            self.drive(ctx, |rt, wire, now| rt.on_tick(wire, now));
+            self.drive(ctx, |node, wire, now| node.rt.on_tick(wire, now));
             self.arm_poll(ctx);
         }
     }
@@ -229,8 +231,10 @@ mod tests {
         sim.with_node(host, |logic, ctx| {
             let hl = logic.as_any_mut().unwrap().downcast_mut::<HostLogic>().unwrap();
             let msgs = vec![Message::new(ProcessId(5), "outstanding")];
-            hl.drive(ctx, |rt, wire, now| rt.submit_send(wire, now, ProcessId(0), msgs, true))
-                .unwrap();
+            hl.drive(ctx, |node, wire, now| {
+                node.rt.submit_send(wire, now, ProcessId(0), msgs, true)
+            })
+            .unwrap();
         });
         let sent_at = sim.now();
         sim.run_until(sent_at + 10 * MICROS);
@@ -290,8 +294,10 @@ mod tests {
         sim.with_node(host, |logic, ctx| {
             let hl = logic.as_any_mut().unwrap().downcast_mut::<HostLogic>().unwrap();
             let msgs = vec![Message::new(ProcessId(9), "x")];
-            hl.drive(ctx, |rt, wire, now| rt.submit_send(wire, now, ProcessId(0), msgs, true))
-                .unwrap();
+            hl.drive(ctx, |node, wire, now| {
+                node.rt.submit_send(wire, now, ProcessId(0), msgs, true)
+            })
+            .unwrap();
         });
         // Let the data packet reach the switch probe.
         sim.run_until(sim.now() + 5 * MICROS);
@@ -321,7 +327,7 @@ mod tests {
             let now = ctx.now();
             let local = Timestamp::from_nanos(now);
             hl.endpoint_mut(ProcessId(0)).unwrap().handle_datagram(local, ack);
-            hl.drive(ctx, |rt, wire, now| rt.flush(wire, now));
+            hl.drive(ctx, |node, wire, now| node.rt.flush(wire, now));
         });
         sim.run_until(sim.now() + 5 * MICROS);
         let commits =

@@ -1,13 +1,16 @@
-//! The simulator's switch driver: [`SwitchLogic`] runs a [`SwitchCore`]
-//! as a netsim node.
+//! The simulator's switch driver: [`SwitchLogic`] runs a [`SwitchNode`]
+//! as a netsim node, the way [`crate::simhost`] runs a host's.
 //!
 //! It keeps what only the simulator has: the route cache keyed by link
 //! epoch, the failure-event outbox shared with the harness, and the
-//! beacon phase (synchronized, or drawn from the simulation's RNG).
+//! beacon phase (synchronized, or drawn from the simulation's RNG). Data
+//! and timers go straight to the node's [`SwitchCore`]; the harness hands
+//! controller actions to [`SwitchNode::on_action`].
 
-use crate::switch::{SwitchConfig, SwitchCore, SwitchWire};
+use crate::node::SwitchNode;
 use onepipe_netsim::engine::{Ctx, NodeLogic, SimPacket};
 use onepipe_netsim::topology::Topology;
+use onepipe_switchlogic::{SwitchConfig, SwitchCore, SwitchWire};
 use onepipe_types::ids::{HostId, NodeId};
 use onepipe_types::process_map::ProcessMap;
 use onepipe_types::time::{Duration, Timestamp};
@@ -67,8 +70,9 @@ struct CachedRoute {
 pub struct SwitchLogic {
     shared: SwitchShared,
     cfg: SwitchConfig,
-    /// The switch itself; built on start, when the node's links are known.
-    pub core: SwitchCore,
+    /// The switch itself; its core is built on start, when the node's
+    /// links are known.
+    pub node: SwitchNode,
     /// Per destination host. Viability is a walk down the tree per hop;
     /// it only changes when a link does, which is rare next to packets.
     routes: Vec<CachedRoute>,
@@ -133,7 +137,7 @@ impl SwitchLogic {
             routes: vec![stale; shared.topo.num_hosts()],
             shared,
             cfg,
-            core: SwitchCore::new(cfg, Vec::new(), &[], 0),
+            node: SwitchNode::new(SwitchCore::new(cfg, Vec::new(), &[], 0)),
         }
     }
 
@@ -151,7 +155,7 @@ impl SwitchLogic {
     ) -> R {
         let now = ctx.now();
         let mut wire = SimWire { ctx, shared: &self.shared, routes: &mut self.routes };
-        f(&mut self.core, &mut wire, now)
+        f(&mut self.node.core, &mut wire, now)
     }
 
     fn arm_beacon_timer(&self, ctx: &mut Ctx<'_>) {
@@ -171,7 +175,7 @@ impl NodeLogic for SwitchLogic {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         let dead_timeout = self.cfg.beacon_interval * DEAD_AFTER_INTERVALS;
         let inputs = ctx.in_neighbors().to_vec();
-        self.core = SwitchCore::new(self.cfg, inputs, ctx.out_neighbors(), dead_timeout);
+        self.node.core = SwitchCore::new(self.cfg, inputs, ctx.out_neighbors(), dead_timeout);
         self.arm_beacon_timer(ctx);
     }
 
@@ -202,10 +206,10 @@ impl NodeLogic for SwitchLogic {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::switch::Incarnation;
     use bytes::Bytes;
     use onepipe_netsim::engine::Sim;
     use onepipe_netsim::topology::FatTreeParams;
+    use onepipe_switchlogic::Incarnation;
     use onepipe_types::ids::{LinkId, ProcessId, HOP_LOCAL};
     use onepipe_types::time::MICROS;
     use onepipe_types::wire::{Datagram, Flags, Opcode};
@@ -423,8 +427,8 @@ mod tests {
             let sw = logic.as_any_mut().unwrap().downcast_mut::<SwitchLogic>().unwrap();
             // The commit register for host 0's link holds 777; the *output*
             // commit barrier is still ZERO because host 1 never committed.
-            assert_eq!(sw.core.aggregator_mut().out_commit(0), Timestamp::ZERO);
-            assert!(!sw.core.aggregator_mut().is_be_dead(host0));
+            assert_eq!(sw.node.core.aggregator_mut().out_commit(0), Timestamp::ZERO);
+            assert!(!sw.node.core.aggregator_mut().is_be_dead(host0));
         });
     }
 
@@ -438,7 +442,7 @@ mod tests {
             .sim
             .with_node(tor_up, |logic, _| {
                 let sw = logic.as_any_mut().unwrap().downcast_mut::<SwitchLogic>().unwrap();
-                sw.core.remove_commit_input(host1)
+                sw.node.core.remove_commit_input(host1)
             })
             .unwrap();
         assert!(removed);

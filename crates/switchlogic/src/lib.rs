@@ -18,9 +18,10 @@
 //! All three live in one transport-neutral [`SwitchCore`] (`switch.rs`):
 //! it reads no clock and does no I/O, and everything it sends, every
 //! timer it arms and every dead input it reports goes through a
-//! [`SwitchWire`]. Two drivers run it: [`SwitchLogic`] (`sim.rs`) as a
-//! node of the simulator, and the UDP soft switch in `onepipe-udp` as
-//! the chip of a one-rack loopback cluster.
+//! [`SwitchWire`]. This crate has no transport in it: `onepipe-core`'s
+//! `SwitchNode` wraps the core for both drivers, the simulator's
+//! `SwitchLogic` (`core/src/simswitch.rs`) and the UDP soft switch in
+//! `onepipe-udp`, the chip of a one-rack loopback cluster.
 //!
 //! The core also implements the decentralized failure detection of §4.2:
 //! an input link that carries neither data nor beacons for a timeout
@@ -32,9 +33,7 @@
 #![warn(missing_docs)]
 
 pub mod barrier;
-pub mod sim;
 pub mod switch;
 
 pub use barrier::BarrierAggregator;
-pub use sim::{SwitchEvent, SwitchLogic, SwitchShared};
 pub use switch::{Incarnation, SwitchConfig, SwitchCore, SwitchWire};

@@ -4,8 +4,7 @@
 //! [`SwitchCore`] is a step function of its inputs. Every entry point
 //! takes the current time, and everything the switch does leaves through
 //! the [`SwitchWire`] its driver passes in: the simulator's
-//! [`SwitchLogic`](crate::SwitchLogic) and the UDP soft switch both drive
-//! this one core.
+//! `SwitchLogic` and the UDP soft switch both drive this one core.
 
 use crate::barrier::BarrierAggregator;
 use onepipe_types::ids::NodeId;
@@ -167,6 +166,17 @@ impl SwitchCore {
     /// Controller Resume (§5.2): stop waiting for commits from `from`.
     pub fn remove_commit_input(&mut self, from: NodeId) -> bool {
         self.agg.remove_commit_input(from)
+    }
+
+    /// The beacon interval: the period of [`on_tick`](Self::on_tick).
+    pub fn beacon_interval(&self) -> Duration {
+        self.cfg.beacon_interval
+    }
+
+    /// Whether the one-shot timer is armed and waits for
+    /// [`on_timer`](Self::on_timer).
+    pub fn timer_armed(&self) -> bool {
+        self.timer_armed
     }
 
     /// The barrier registers (tests, telemetry).

@@ -30,13 +30,17 @@ const RECV_BUF_LEN: usize = 65536;
 /// burst splits into several realistic frames instead of one jumbo.
 const DEFAULT_MAX_FRAME: usize = 16 * 1024;
 
-// The three receive timeouts, applied by `RxBurst::recv` and nowhere else.
-// `SO_RCVTIMEO` is jiffy-granular on the kernels this runs on, so on an
-// empty socket each of them really waits ≈ 8 ms, and a pump processes an
-// RX burst only after its last `recv` has timed out: that wait, nine hops
-// deep, is the 72 ms loopback p50 (DESIGN §7.1). ROADMAP item 2 replaces
-// `RX_DRAIN` with a non-blocking `recv`; the two idle waits are what a
-// pump with nothing to do sleeps on, and stay.
+// The three receive timeouts, applied by `RxBurst::recv` and nowhere else,
+// and all that `run_node` (lib.rs) waits on: a node thread sleeps only in
+// `recv`. `SO_RCVTIMEO` is jiffy-granular on the kernels this runs on, so
+// on an empty socket each of them really waits ≈ 8 ms. A process ends its
+// burst only when the socket is empty, so it handles a burst only after
+// its last `recv` has timed out: that wait, nine hops deep, is the 72 ms
+// loopback p50 (DESIGN §7.1). The switch and the replicas end their
+// bursts at their deadlines and after one frame, so they pay it only when
+// idle. ROADMAP item 2 replaces `RX_DRAIN` with a non-blocking `recv` and
+// has `run_node` sleep until the node's next deadline instead of waiting
+// `RX_IDLE`/`RX_CTRL_IDLE`.
 
 /// First `recv` of a burst on a host's or the soft switch's socket.
 pub(crate) const RX_IDLE: Duration = Duration::from_micros(50);
@@ -47,10 +51,6 @@ const RX_DRAIN: Duration = Duration::from_micros(1);
 /// First `recv` of a burst on a controller replica's socket: the
 /// management plane is low-rate, and Raft ticks at this granularity.
 pub(crate) const RX_CTRL_IDLE: Duration = Duration::from_millis(1);
-
-/// Cap on datagrams consumed from the socket in one RX drain, so a
-/// continuously loaded socket cannot starve the tick/command work.
-pub(crate) const RX_BURST_MAX: usize = 64;
 
 /// Number of TX batch-size histogram buckets: bucket `i` (1-based count)
 /// counts frames carrying `i` datagrams, the last bucket is `>= 16`.
@@ -70,6 +70,9 @@ pub struct UdpStats {
     /// Undecodable input: frames or framed entries the decoder rejected.
     /// Counted, never silently swallowed (they used to be).
     decode_errors: AtomicU64,
+    /// `Committed` notices a process dropped for an application that
+    /// held `COMMITTED_HELD_MAX` (lib.rs) unread.
+    committed_drops: AtomicU64,
     tx_batch_hist: [AtomicU64; BATCH_HIST_BUCKETS],
 }
 
@@ -85,6 +88,10 @@ impl UdpStats {
 
     fn note_decode_error(&self) {
         self.decode_errors.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub(crate) fn note_committed_drop(&self) {
+        self.committed_drops.fetch_add(1, Ordering::Relaxed);
     }
 
     fn note_tx_frame(&self, datagrams: usize, bytes: usize) {
@@ -109,6 +116,7 @@ impl UdpStats {
             tx_datagrams: self.tx_datagrams.load(Ordering::Relaxed),
             tx_bytes: self.tx_bytes.load(Ordering::Relaxed),
             decode_errors: self.decode_errors.load(Ordering::Relaxed),
+            committed_drops: self.committed_drops.load(Ordering::Relaxed),
             tx_batch_hist: hist,
         }
     }
@@ -133,6 +141,9 @@ pub struct UdpStatsSnapshot {
     pub tx_bytes: u64,
     /// Frames or framed entries the decoder rejected.
     pub decode_errors: u64,
+    /// `UserEvent::Committed` notices dropped because the application
+    /// left the cap of them unread.
+    pub committed_drops: u64,
     /// TX frames by datagram count: bucket `i` = frames carrying `i + 1`
     /// datagrams; the last bucket aggregates everything larger.
     pub tx_batch_hist: [u64; BATCH_HIST_BUCKETS],
@@ -164,6 +175,7 @@ impl UdpStatsSnapshot {
             tx_datagrams: self.tx_datagrams - earlier.tx_datagrams,
             tx_bytes: self.tx_bytes - earlier.tx_bytes,
             decode_errors: self.decode_errors - earlier.decode_errors,
+            committed_drops: self.committed_drops - earlier.committed_drops,
             tx_batch_hist: hist,
         }
     }

@@ -1,96 +1,67 @@
-//! Real UDP transport for 1Pipe.
+//! Real UDP transport for 1Pipe: one rack on loopback sockets.
 //!
-//! Runs the same transport-agnostic [`HostRuntime`] the simulator uses
-//! over genuine `std::net::UdpSocket`s, in one rack:
+//! Every role runs the node the simulator drives (`onepipe_core::node`),
+//! on a socket and a thread of its own, and one loop, `run_node`, drives
+//! them all:
 //!
-//! * every process is a [`UdpProcess`]: a socket + a driver thread that
-//!   adapts the runtime to the socket (the pump itself — drain order,
-//!   beacon cadence, ctrl routing — lives in `onepipe_core::runtime`);
-//! * a *soft switch* process plays the ToR: it runs the same
-//!   [`SwitchCore`] the simulated switches run, as the programmable chip
+//! * each process is a [`UdpProcess`]: a [`ProcessNode`] whose
+//!   application talks to it over channels;
+//! * a *soft switch* plays the ToR: a [`SwitchNode`] running the chip
 //!   (§6.2.1) with one port per process — every forwarded packet carries
-//!   the rewritten barrier minimum, each advance is relayed at once and
-//!   only idle links get a beacon — and reports input links that fall
-//!   silent to the controller;
-//! * a **replicated controller**: three controller replica processes,
-//!   each a socket + thread running a [`ReplicatedController`] — Raft
-//!   traffic travels as [`MgmtFrame::Raft`] datagrams between replicas,
-//!   and only the elected leader emits Announce/Resume decisions
-//!   (epoch-tagged so hosts and the switch fence off deposed leaders).
-//!   Replicas can be killed at runtime ([`UdpCluster::kill_controller`]);
-//!   the survivors elect a new leader that re-drives in-flight recoveries.
+//!   the rewritten barrier minimum, an advance is relayed when the burst
+//!   that made it ends, idle links get a beacon — and reporting inputs
+//!   that fall silent;
+//! * three controller replicas, each a [`ReplicaNode`] exchanging Raft
+//!   traffic as [`MgmtFrame`]s; only the leader emits Announce/Resume,
+//!   tagged with its epoch so hosts and the switch fence off deposed
+//!   leaders. A replica can be killed ([`UdpCluster::kill_controller`]);
+//!   the survivors elect a leader that re-drives in-flight recoveries.
 //!
-//! Control requests — a process's and the switch's Detect reports alike —
-//! take one path, run by the same sans-I/O roles the simulator drives:
-//! a [`CtrlClient`] sends each as a [`MgmtFrame::Req`] to every replica
-//! and re-sends it with capped backoff ([`RetryPolicy`]) until the leader
-//! acknowledges it *on commit* ([`MgmtFrame::Ack`]). Only the leader logs
-//! a request, so no client needs to know which replica leads.
+//! Each `run_node` iteration drains one receive burst into its node, ends
+//! the burst, runs the node's deadline if due, polls the node's
+//! [`CtrlClient`] — which sends each control request to every replica
+//! until the leader acks its *commit* — and flushes. A thread sleeps only
+//! in the receive timeouts of `batch.rs`, whose one routine (`PacketRx`)
+//! receives for every thread, counting what it cannot decode, while
+//! transmits coalesce per destination into batch frames (`PacketTx`).
+//! [`UdpCluster::stats`] reports the counters.
 //!
-//! Degradation contract: while no controller leader exists, best-effort
-//! traffic keeps flowing (beacons and the data plane never touch the
-//! controller) and failure-free reliable traffic commits normally; only
-//! *recovery* — and therefore reliable progress past a failed component —
-//! stalls until a new leader is elected and the retried reports drain
-//! into its log.
+//! While no leader exists, best-effort and failure-free reliable traffic
+//! keep flowing; only recovery stalls, until a new leader logs the
+//! retried reports. [`UdpClusterBuilder::app_hook`] installs an
+//! [`AppHook`] that sees each delivery, event and raw message before the
+//! channels do — how `onepipe-log` runs over this transport. All
+//! processes read one monotonic epoch (`Instant`), the single-machine
+//! analogue of PTP.
 //!
-//! **Batched data plane.** All I/O goes through the batching layer in
-//! `batch.rs`: every thread receives through one routine (`PacketRx`)
-//! that drains multiple frames per pump, copies each into a buffer of
-//! exactly its length, decodes payloads as slices of that copy and
-//! counts what it could not decode; transmits accumulate in a `PacketTx`
-//! and coalesce per destination into multi-datagram batch frames
-//! (`onepipe_types::wire::BATCH_MAGIC`), so one syscall carries data +
-//! ACKs + commits + the beacon of a pump. [`UdpCluster::stats`] surfaces
-//! the frame/datagram/decode-error counters — undecodable input is
-//! counted, never silently dropped.
-//!
-//! **Pluggable application.** A process's deliveries, user events and raw
-//! messages leave its runtime through the driver's `Wire`, which puts
-//! them on the [`UdpProcess`] channels. [`UdpClusterBuilder::app_hook`]
-//! installs an [`AppHook`] as the runtime's application in addition — it
-//! sees each of them first and may react — which is how `onepipe-log`
-//! runs over this transport end-to-end.
-//!
-//! Timestamps come from a shared monotonic epoch (`Instant`), so all
-//! processes in one [`UdpCluster`] share a perfectly synchronized clock —
-//! the single-machine analogue of PTP.
-//!
-//! [`HostRuntime`]: onepipe_core::runtime::HostRuntime
-//! [`SwitchCore`]: onepipe_switchlogic::SwitchCore
-//! [`ReplicatedController`]: onepipe_controller::ReplicatedController
+//! [`ProcessNode`]: onepipe_core::node::ProcessNode
+//! [`SwitchNode`]: onepipe_core::node::SwitchNode
+//! [`ReplicaNode`]: onepipe_core::node::ReplicaNode
 //! [`MgmtFrame`]: onepipe_controller::MgmtFrame
-//! [`MgmtFrame::Raft`]: onepipe_controller::MgmtFrame::Raft
-//! [`MgmtFrame::Req`]: onepipe_controller::MgmtFrame::Req
-//! [`MgmtFrame::Ack`]: onepipe_controller::MgmtFrame::Ack
-//! [`RetryPolicy`]: onepipe_controller::RetryPolicy
 //! [`CtrlClient`]: onepipe_controller::CtrlClient
 
 #![warn(missing_docs)]
 
 pub mod batch;
 
-use crate::batch::{
-    PacketRx, PacketTx, UdpStats, UdpStatsSnapshot, RX_BURST_MAX, RX_CTRL_IDLE, RX_IDLE,
-};
+use crate::batch::{PacketRx, PacketTx, UdpStats, UdpStatsSnapshot, RX_CTRL_IDLE, RX_IDLE};
 use onepipe_clock::MonotonicClock;
-use onepipe_controller::protocol::ActionDest;
 use onepipe_controller::raft::RaftConfig;
 use onepipe_controller::{
-    CtrlAction, CtrlClient, CtrlEvent, FailureDomains, MgmtFrame, Output, ReplicatedController,
-    RetryPolicy, REPLICAS,
+    ActionDest, CtrlClient, CtrlEvent, FailureDomains, MgmtFrame, RetryPolicy, REPLICAS,
 };
 use onepipe_core::config::EndpointConfig;
 use onepipe_core::endpoint::{Endpoint, HOP_LOCAL};
 use onepipe_core::events::{CtrlRequest, UserEvent};
+use onepipe_core::node::{MgmtTo, Node, NodeIo, ProcessNode, ReplicaIo, ReplicaNode, SwitchNode};
 use onepipe_core::runtime::{AppHook, DeliveryRecord, HostRuntime, Wire};
 use onepipe_switchlogic::{SwitchConfig, SwitchCore, SwitchWire};
 use onepipe_types::ids::{HostId, NodeId, ProcessId};
 use onepipe_types::message::{Delivered, Message};
 use onepipe_types::time::{Duration as NsDuration, Timestamp, MICROS, MILLIS};
-use onepipe_types::wire::{Datagram, Opcode, PacketHeader};
+use onepipe_types::wire::{Datagram, PacketHeader};
 use std::net::{SocketAddr, UdpSocket};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -113,18 +84,20 @@ const SWITCH_RETRY: RetryPolicy =
 /// testbed's 3 µs.
 const BEACON_INTERVAL: NsDuration = 100 * MICROS;
 
-/// Commands from the application to a process driver thread.
-enum Cmd {
-    Send {
-        msgs: Vec<Message>,
-        reliable: bool,
-        reply: Option<Sender<onepipe_types::Result<(Timestamp, u64)>>>,
-    },
-    SendRaw {
-        to: ProcessId,
-        payload: bytes::Bytes,
-    },
-}
+/// `UserEvent::Committed` notices a process holds for an application that
+/// has not read them ([`UdpProcess::try_events`]). Every reliable
+/// scattering raises one, so an application that never reads them would
+/// otherwise hold ≈ 60 B per op for the life of the cluster; past the cap
+/// they are counted in [`UdpStatsSnapshot::committed_drops`]. Failures —
+/// `SendFailed`, `Recalled`, `ProcessFailed` — are never dropped.
+const COMMITTED_HELD_MAX: usize = 1024;
+
+/// How the driver issued a scattering: its timestamp and sequence number.
+type SendResult = onepipe_types::Result<(Timestamp, u64)>;
+
+/// A command from the application: its process's thread runs it on the
+/// node at the start of an iteration.
+type Cmd = Box<dyn for<'a> FnOnce(&mut ProcessNode, &mut UdpIo<'a, AppOut>, u64) + Send>;
 
 /// Handle to one live 1Pipe process.
 pub struct UdpProcess {
@@ -132,9 +105,10 @@ pub struct UdpProcess {
     cmd_tx: Sender<Cmd>,
     delivered_rx: Receiver<(Delivered, bool)>,
     events_rx: Receiver<UserEvent>,
+    /// `Committed` notices in `events_rx`.
+    committed_held: Arc<AtomicUsize>,
     raw_rx: Receiver<(ProcessId, bytes::Bytes)>,
-    kill: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
+    thread: NodeThread,
 }
 
 impl UdpProcess {
@@ -143,14 +117,23 @@ impl UdpProcess {
         self.id
     }
 
+    /// Submit a scattering; the receiver hears how the driver issued it.
+    fn submit(&self, msgs: Vec<Message>, reliable: bool) -> Receiver<SendResult> {
+        let (id, (tx, rx)) = (self.id, channel());
+        let _ = self.cmd_tx.send(Box::new(move |node, io, now| {
+            let _ = tx.send(node.rt.submit_send(io, now, id, msgs, reliable));
+        }));
+        rx
+    }
+
     /// Submit a best-effort scattering.
     pub fn send_unreliable(&self, msgs: Vec<Message>) {
-        let _ = self.cmd_tx.send(Cmd::Send { msgs, reliable: false, reply: None });
+        self.submit(msgs, false);
     }
 
     /// Submit a reliable scattering.
     pub fn send_reliable(&self, msgs: Vec<Message>) {
-        let _ = self.cmd_tx.send(Cmd::Send { msgs, reliable: true, reply: None });
+        self.submit(msgs, true);
     }
 
     /// Submit a scattering and wait for the driver to issue it, returning
@@ -162,14 +145,15 @@ impl UdpProcess {
         reliable: bool,
         timeout: Duration,
     ) -> Option<(Timestamp, u64)> {
-        let (tx, rx) = channel();
-        let _ = self.cmd_tx.send(Cmd::Send { msgs, reliable, reply: Some(tx) });
-        rx.recv_timeout(timeout).ok().and_then(|r| r.ok())
+        self.submit(msgs, reliable).recv_timeout(timeout).ok().and_then(|r| r.ok())
     }
 
     /// Send a raw (unordered) message.
     pub fn send_raw(&self, to: ProcessId, payload: impl Into<bytes::Bytes>) {
-        let _ = self.cmd_tx.send(Cmd::SendRaw { to, payload: payload.into() });
+        let (id, payload) = (self.id, payload.into());
+        let _ = self.cmd_tx.send(Box::new(move |node, io, now| {
+            node.rt.submit_raw(io, now, id, to, payload);
+        }));
     }
 
     /// Blocking receive of the next ordered delivery; the flag is `true`
@@ -183,9 +167,13 @@ impl UdpProcess {
         self.delivered_rx.try_iter().collect()
     }
 
-    /// Drain pending user events.
+    /// Drain pending user events. At most `COMMITTED_HELD_MAX`
+    /// `Committed` notices wait here between two calls.
     pub fn try_events(&self) -> Vec<UserEvent> {
-        self.events_rx.try_iter().collect()
+        let events: Vec<UserEvent> = self.events_rx.try_iter().collect();
+        let committed = events.iter().filter(|e| matches!(e, UserEvent::Committed { .. }));
+        self.committed_held.fetch_sub(committed.count(), Ordering::SeqCst);
+        events
     }
 
     /// Drain pending raw messages.
@@ -194,11 +182,33 @@ impl UdpProcess {
     }
 }
 
+/// A node's thread and its fail-stop switch.
+struct NodeThread {
+    kill: Arc<AtomicBool>,
+    handle: Option<JoinHandle<()>>,
+}
+
+impl NodeThread {
+    /// Run `f` on a thread of its own, handing it the kill flag.
+    fn spawn(f: impl FnOnce(Arc<AtomicBool>) + Send + 'static) -> Self {
+        let kill = Arc::new(AtomicBool::new(false));
+        let killed = kill.clone();
+        NodeThread { kill, handle: Some(std::thread::spawn(move || f(killed))) }
+    }
+
+    /// Set the kill flag if `kill`, and wait for the thread to exit.
+    fn join(&mut self, kill: bool) {
+        self.kill.fetch_or(kill, Ordering::SeqCst);
+        if let Some(t) = self.handle.take() {
+            let _ = t.join();
+        }
+    }
+}
+
 /// Handle to one controller replica thread.
 struct ControllerHandle {
-    kill: Arc<AtomicBool>,
     is_leader: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
+    thread: NodeThread,
 }
 
 /// What every driver thread knows about its cluster: everyone's address,
@@ -286,62 +296,70 @@ impl UdpClusterBuilder {
             stop: Arc::new(AtomicBool::new(false)),
         };
 
-        // The soft switch thread.
+        let switch = soft_switch(&net, dead_timeout);
         let switch_net = net.clone();
-        let threads = vec![std::thread::spawn(move || {
-            run_soft_switch(switch_sock, switch_net, dead_timeout)
-        })];
+        let switch = NodeThread::spawn(move |_| {
+            run_node(switch, switch_sock, switch_net, (), SWITCH_RETRY, RX_IDLE, |_, _, _| true)
+        });
 
-        // The controller replicas.
+        // Failure domains of the loopback rack: component i = host i, whose
+        // loss kills exactly process i (its input link is NodeId(i)). Raft
+        // timing is sized for loopback thread scheduling (milliseconds).
+        let mut domains = FailureDomains::default();
+        for i in 0..n as u32 {
+            domains.add_component(i, vec![NodeId(i)], vec![ProcessId(i)]);
+        }
+        let raft = RaftConfig { election_timeout: 150 * MILLIS, heartbeat_interval: 25 * MILLIS };
         let mut controllers = Vec::new();
         for (i, sock) in ctrl_socks.into_iter().enumerate() {
-            let kill = Arc::new(AtomicBool::new(false));
+            let node =
+                ReplicaNode::new(i as u32, raft, domains.clone(), (0..n as u32).map(ProcessId));
             let is_leader = Arc::new(AtomicBool::new(false));
-            let ctx = ReplicaCtx {
-                id: i as u32,
-                sock,
-                net: net.clone(),
-                start_delay: ctrl_start_delay,
-                is_leader: is_leader.clone(),
-                kill: kill.clone(),
-            };
-            let thread = std::thread::spawn(move || run_controller_replica(ctx));
-            controllers.push(ControllerHandle { kill, is_leader, thread: Some(thread) });
+            let (net, leader) = (net.clone(), is_leader.clone());
+            let thread = NodeThread::spawn(move |killed| {
+                // The startup delay: the replica's socket buffers frames,
+                // but it does not take part yet. Its client stays empty.
+                std::thread::sleep(ctrl_start_delay);
+                run_node(node, sock, net, (), HOST_RETRY, RX_CTRL_IDLE, move |node, _, _| {
+                    leader.store(node.ctrl.is_leader(), Ordering::SeqCst);
+                    !killed.load(Ordering::SeqCst)
+                })
+            });
+            controllers.push(ControllerHandle { is_leader, thread });
         }
 
-        // One driver thread per process.
         let mut processes = Vec::new();
         for (i, sock) in proc_socks.into_iter().enumerate() {
             let id = ProcessId(i as u32);
-            let (cmd_tx, cmd_rx) = channel();
+            let (cmd_tx, cmd_rx) = channel::<Cmd>();
             let (del_tx, delivered_rx) = channel();
             let (ev_tx, events_rx) = channel();
             let (raw_tx, raw_rx) = channel();
-            let kill = Arc::new(AtomicBool::new(false));
-            let ctx = ProcessCtx {
-                id,
-                sock,
-                net: net.clone(),
-                user_app: app.clone(),
-                cmd_rx,
-                del_tx,
-                ev_tx,
-                raw_tx,
-                kill: kill.clone(),
-            };
-            let thread = std::thread::spawn(move || run_process(ctx));
+            let committed_held = Arc::new(AtomicUsize::new(0));
+            let app_out =
+                AppOut { id, del_tx, ev_tx, committed_held: committed_held.clone(), raw_tx };
+            let (node, net) = (process(id, app.clone()), net.clone());
+            let thread = NodeThread::spawn(move |killed| {
+                run_node(node, sock, net, app_out, HOST_RETRY, RX_IDLE, move |node, io, now| {
+                    if killed.load(Ordering::SeqCst) {
+                        return false;
+                    }
+                    cmd_rx.try_iter().for_each(|cmd| cmd(node, io, now));
+                    true
+                })
+            });
             processes.push(UdpProcess {
                 id,
                 cmd_tx,
                 delivered_rx,
                 events_rx,
+                committed_held,
                 raw_rx,
-                kill,
-                thread: Some(thread),
+                thread,
             });
         }
 
-        Ok(UdpCluster { processes, controllers, threads, net })
+        Ok(UdpCluster { processes, controllers, switch, net })
     }
 }
 
@@ -349,8 +367,7 @@ impl UdpClusterBuilder {
 pub struct UdpCluster {
     processes: Vec<UdpProcess>,
     controllers: Vec<ControllerHandle>,
-    /// Infrastructure threads other than controllers: the soft switch.
-    threads: Vec<JoinHandle<()>>,
+    switch: NodeThread,
     net: Net,
 }
 
@@ -392,9 +409,9 @@ impl UdpCluster {
     /// The live controller replica currently believing itself leader, if
     /// any (transiently `None` during elections).
     pub fn controller_leader(&self) -> Option<usize> {
-        self.controllers
-            .iter()
-            .position(|c| !c.kill.load(Ordering::SeqCst) && c.is_leader.load(Ordering::SeqCst))
+        self.controllers.iter().position(|c| {
+            !c.thread.kill.load(Ordering::SeqCst) && c.is_leader.load(Ordering::SeqCst)
+        })
     }
 
     /// Control requests re-sent for want of an ack, by processes and by
@@ -414,48 +431,29 @@ impl UdpCluster {
     /// socket closes) while the rest of the cluster keeps running — the
     /// loopback analogue of yanking a host's power cord.
     pub fn kill(&mut self, i: usize) {
-        let p = &mut self.processes[i];
-        p.kill.store(true, Ordering::SeqCst);
-        if let Some(t) = p.thread.take() {
-            let _ = t.join();
-        }
+        self.processes[i].thread.join(true);
     }
 
     /// Fail-stop controller replica `i`. With 3 replicas the survivors
     /// elect a new leader that re-drives any in-flight recovery.
     pub fn kill_controller(&mut self, i: usize) {
         let c = &mut self.controllers[i];
-        c.kill.store(true, Ordering::SeqCst);
+        c.thread.join(true);
         c.is_leader.store(false, Ordering::SeqCst);
-        if let Some(t) = c.thread.take() {
-            let _ = t.join();
-        }
     }
 
     /// Stop all threads and wait for them (equivalent to dropping).
     pub fn shutdown(self) {}
-
-    fn stop_and_join(&mut self) {
-        self.net.stop.store(true, Ordering::SeqCst);
-        for p in &mut self.processes {
-            if let Some(t) = p.thread.take() {
-                let _ = t.join();
-            }
-        }
-        for c in &mut self.controllers {
-            if let Some(t) = c.thread.take() {
-                let _ = t.join();
-            }
-        }
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-    }
 }
 
 impl Drop for UdpCluster {
     fn drop(&mut self) {
-        self.stop_and_join();
+        self.net.stop.store(true, Ordering::SeqCst);
+        let controllers = self.controllers.iter_mut().map(|c| &mut c.thread);
+        for t in self.processes.iter_mut().map(|p| &mut p.thread).chain(controllers) {
+            t.join(false);
+        }
+        self.switch.join(false);
     }
 }
 
@@ -463,20 +461,168 @@ fn now_ns(epoch: Instant) -> u64 {
     epoch.elapsed().as_nanos() as u64
 }
 
-/// The soft switch's [`SwitchWire`]: port `NodeId(i)` leads to process
-/// `i`. Forwards and beacons queue in one [`PacketTx`] (per-destination
-/// FIFO, §4.1), an armed timer waits for the end of the RX burst, and a
-/// dead input becomes a Detect request of the switch's [`CtrlClient`].
-struct SoftSwitchWire<'a> {
-    sock: &'a UdpSocket,
-    proc_addrs: &'a [SocketAddr],
-    tx: PacketTx,
-    /// The core armed its timer; the chip's has zero delay.
-    timer: bool,
-    client: CtrlClient,
+/// Process `id`'s node, `app` its runtime's application.
+fn process(id: ProcessId, app: Option<Arc<Mutex<dyn AppHook>>>) -> ProcessNode {
+    let cfg = EndpointConfig {
+        // Loopback scheduling is millisecond-scale. A round trip crosses
+        // about four 8 ms receive timeouts (DESIGN §7.1), so the estimated
+        // timeout lands above this ceiling, which rules in practice:
+        // without it `udp_rel_window` ran slower (p50 90–94 against 74–87
+        // ms in 4 of 4 alternating pairs), as the early resend likely
+        // wakes a receiver sitting out its receive timeout.
+        rto: 20 * MILLIS,
+        be_ack_timeout: 100 * MILLIS,
+        ..EndpointConfig::default()
+    };
+    let endpoints = vec![Endpoint::new(id, cfg)];
+    let mut rt =
+        HostRuntime::new(HostId(id.0), MonotonicClock::perfect(), endpoints, BEACON_INTERVAL);
+    if let Some(app) = app {
+        rt.set_app(app);
+    }
+    ProcessNode::new(rt)
 }
 
-impl SwitchWire for SoftSwitchWire<'_> {
+/// The ToR stand-in: the chip (the default incarnation) with one input
+/// link and one port per process — `NodeId(i)` is process `i`'s.
+fn soft_switch(net: &Net, dead_timeout: NsDuration) -> SwitchNode {
+    let cfg = SwitchConfig { beacon_interval: BEACON_INTERVAL, ..SwitchConfig::default() };
+    let links: Vec<NodeId> = (0..net.proc_addrs.len() as u32).map(NodeId).collect();
+    SwitchNode::new(SwitchCore::new(cfg, links.clone(), &links, dead_timeout))
+}
+
+/// Drive `node` over `sock` until the cluster stops or `wake`, run first in
+/// every iteration, returns `false`. An iteration: a receive burst (its
+/// first `recv` waits `idle`) until the socket is empty or the node calls
+/// it done, the end of the burst, the node's deadline if due, the client's
+/// due requests, then one flush: what the iteration emitted leaves as
+/// coalesced frames, each destination's in order.
+fn run_node<N, R>(
+    mut node: N,
+    sock: UdpSocket,
+    net: Net,
+    role: R,
+    retry: RetryPolicy,
+    idle: Duration,
+    mut wake: impl FnMut(&mut N, &mut UdpIo<'_, R>, u64) -> bool,
+) where
+    N: for<'a> Node<UdpIo<'a, R>, SocketAddr>,
+{
+    let epoch = net.epoch;
+    let mut rx = PacketRx::new(&sock, idle, net.stats.clone());
+    let tx = PacketTx::new(net.stats.clone());
+    let mut io = UdpIo { sock: &sock, net: &net, tx, client: CtrlClient::new(retry), role };
+    while !net.stop.load(Ordering::SeqCst) && wake(&mut node, &mut io, now_ns(epoch)) {
+        let mut burst = rx.burst();
+        while burst.recv(|d, from| node.on_frame(&mut io, now_ns(epoch), from, d))
+            && !node.burst_done(now_ns(epoch))
+        {}
+        let now = now_ns(epoch);
+        node.end_burst(&mut io, now);
+        if now >= node.next_deadline(&io.client) {
+            node.on_deadline(&mut io, now);
+        }
+        io.poll_client(now_ns(epoch));
+        io.tx.flush(&sock);
+    }
+}
+
+/// The driver's side of a node's thread: the socket, the cluster, the
+/// transmit queue, the node's request client and what only its role has
+/// (`R`: a process's [`AppOut`]). Data waits in the queue for the flush;
+/// management frames leave at once, as retry timers assume.
+struct UdpIo<'a, R> {
+    sock: &'a UdpSocket,
+    net: &'a Net,
+    tx: PacketTx,
+    client: CtrlClient,
+    role: R,
+}
+
+impl<R> NodeIo for UdpIo<'_, R> {
+    fn client(&mut self) -> &mut CtrlClient {
+        &mut self.client
+    }
+}
+
+impl<R> UdpIo<'_, R> {
+    /// Send `frame` to every controller replica.
+    fn send_all(&mut self, frame: &MgmtFrame) {
+        for addr in &self.net.ctrl_addrs {
+            self.tx.send_mgmt(self.sock, *addr, frame);
+        }
+    }
+
+    /// Send every request the client has due at `now` to every replica as
+    /// a [`MgmtFrame::Req`], and add its re-sends and drops to the
+    /// cluster's counters.
+    fn poll_client(&mut self, now: u64) {
+        let mut due = Vec::new();
+        self.client.poll(now, |seq, ev| due.push(MgmtFrame::Req { seq, ev }));
+        for frame in &due {
+            self.send_all(frame);
+        }
+        let net = self.net;
+        net.ctrl_retries.fetch_add(std::mem::take(&mut self.client.retries), Ordering::Relaxed);
+        net.ctrl_drops.fetch_add(std::mem::take(&mut self.client.drops), Ordering::Relaxed);
+    }
+}
+
+/// Where a process's runtime output goes besides the wire: the
+/// [`UdpProcess`] channels (a send to a dropped handle is not an error).
+struct AppOut {
+    id: ProcessId,
+    del_tx: Sender<(Delivered, bool)>,
+    ev_tx: Sender<UserEvent>,
+    /// `Committed` notices sent on `ev_tx` and not yet read.
+    committed_held: Arc<AtomicUsize>,
+    raw_tx: Sender<(ProcessId, bytes::Bytes)>,
+}
+
+/// A process's [`Wire`]: every emission goes to the soft switch, with the
+/// runtime's `HOP_LOCAL` source sentinel rewritten to the local process
+/// id so the switch can attribute the input link. A request that must
+/// reach the log goes to the retrying client; forwarding stays best
+/// effort (a data-path fallback, not state).
+impl Wire for UdpIo<'_, AppOut> {
+    fn emit(&mut self, mut d: Datagram) {
+        if d.src == HOP_LOCAL {
+            d.src = self.role.id;
+        }
+        self.tx.push(self.sock, self.net.switch_addr, d);
+    }
+
+    fn deliver(&mut self, rec: DeliveryRecord) {
+        let _ = self.role.del_tx.send((rec.msg, rec.reliable));
+    }
+
+    fn user_event(&mut self, _at: u64, _proc: ProcessId, ev: UserEvent) {
+        if let UserEvent::Committed { .. } = ev {
+            if self.role.committed_held.load(Ordering::SeqCst) >= COMMITTED_HELD_MAX {
+                return self.net.stats.note_committed_drop();
+            }
+            self.role.committed_held.fetch_add(1, Ordering::SeqCst);
+        }
+        let _ = self.role.ev_tx.send(ev);
+    }
+
+    fn ctrl_request(&mut self, _at: u64, proc: ProcessId, req: CtrlRequest) {
+        match req.into_event(proc) {
+            Ok(ev) => self.client.submit(ev),
+            Err(dgram) => self.send_all(&MgmtFrame::Forward(dgram)),
+        }
+    }
+
+    fn raw(&mut self, _receiver: ProcessId, src: ProcessId, payload: bytes::Bytes) {
+        let _ = self.role.raw_tx.send((src, payload));
+    }
+}
+
+/// The soft switch's [`SwitchWire`]: port `NodeId(i)` leads to process
+/// `i`. Forwards and beacons queue in the [`PacketTx`] (per-destination
+/// FIFO, §4.1), and a dead input becomes a Detect request of the switch's
+/// client.
+impl SwitchWire for UdpIo<'_, ()> {
     type Packet = Datagram;
 
     fn header(d: &mut Datagram) -> &mut PacketHeader {
@@ -484,387 +630,51 @@ impl SwitchWire for SoftSwitchWire<'_> {
     }
 
     fn route(&mut self, d: &Datagram) -> Option<NodeId> {
-        ((d.dst.0 as usize) < self.proc_addrs.len()).then_some(NodeId(d.dst.0))
+        ((d.dst.0 as usize) < self.net.proc_addrs.len()).then_some(NodeId(d.dst.0))
     }
 
     fn forward(&mut self, to: NodeId, d: Datagram) {
-        self.tx.push(self.sock, self.proc_addrs[to.0 as usize], d);
+        self.tx.push(self.sock, self.net.proc_addrs[to.0 as usize], d);
     }
 
     fn beacon(&mut self, to: NodeId, be: Timestamp, commit: Timestamp) {
         self.forward(to, Datagram::beacon(be, commit));
     }
 
+    /// The chip's timer has zero delay: the node fires it at the end of
+    /// the receive burst.
     fn set_timer(&mut self, delay: NsDuration) {
         debug_assert_eq!(delay, 0, "the chip arms only zero-delay timers");
-        self.timer = true;
     }
 
     fn dead_input(&mut self, from: NodeId, last_commit: Timestamp) {
         // The switch reports under its own id, distinct from any input.
-        let reporter = NodeId(self.proc_addrs.len() as u32);
+        let reporter = NodeId(self.net.proc_addrs.len() as u32);
         self.client.submit(CtrlEvent::Detect { reporter, dead: from, last_commit });
     }
 }
 
-/// The ToR stand-in: runs the chip [`SwitchCore`] over the switch socket
-/// and reports dead input links to the controller cluster through its
-/// [`CtrlClient`] ([`SWITCH_RETRY`]).
-fn run_soft_switch(sock: UdpSocket, net: Net, dead_timeout: NsDuration) {
-    let (epoch, stop) = (net.epoch, net.stop.clone());
-    // The chip (the default incarnation), with one input link and one
-    // port per process: NodeId(i) is process i's.
-    let cfg = SwitchConfig { beacon_interval: BEACON_INTERVAL, ..SwitchConfig::default() };
-    let links: Vec<NodeId> = (0..net.proc_addrs.len() as u32).map(NodeId).collect();
-    let mut core = SwitchCore::new(cfg, links.clone(), &links, dead_timeout);
-    // Highest controller epoch seen; actions from lower epochs (a deposed
-    // leader) are fenced off.
-    let mut max_epoch = 0u64;
-    let mut rx = PacketRx::new(&sock, RX_IDLE, net.stats.clone());
-    let mut wire = SoftSwitchWire {
-        sock: &sock,
-        proc_addrs: &net.proc_addrs,
-        tx: PacketTx::new(net.stats.clone()),
-        timer: false,
-        client: CtrlClient::new(SWITCH_RETRY),
-    };
-    let mut next_tick = 0u64;
-    while !stop.load(Ordering::SeqCst) {
-        // Drain the receive queue, bounded by the next tick: on a loaded
-        // single-core machine packets can arrive continuously and an
-        // unbounded drain would starve the tick entirely. Ticking
-        // mid-queue is safe: the registers reflect only *processed*
-        // packets, and data still queued from a host left it after the
-        // barrier last processed from it, so its timestamp is at or above
-        // that barrier (per-link FIFO, §4.1).
-        let mut burst = rx.burst();
-        loop {
-            let got = burst.recv(|d, _from| {
-                let now = now_ns(epoch);
-                if d.header.opcode != Opcode::Mgmt {
-                    return core.on_packet(&mut wire, now, NodeId(d.src.0), d);
-                }
-                // Controller decisions addressed to this switch, and acks
-                // of its reports.
-                match MgmtFrame::decode(d.payload) {
-                    Ok(MgmtFrame::Action { epoch: ep, action }) if ep >= max_epoch => {
-                        max_epoch = ep;
-                        if let CtrlAction::Resume { input, .. } = action {
-                            core.remove_commit_input(input);
-                        }
-                    }
-                    Ok(MgmtFrame::Ack { seq }) => wire.client.on_ack(seq),
-                    _ => {}
-                }
-            });
-            if !got || now_ns(epoch) >= next_tick {
-                break;
-            }
+/// A replica's sends: Raft traffic to its peers, actions routed by
+/// `CtrlAction::dest` (as in the simulator), acks to the requesting
+/// socket, relays to the forwarded datagram's process.
+impl<R> ReplicaIo<SocketAddr> for UdpIo<'_, R> {
+    fn send(&mut self, to: MgmtTo<SocketAddr>, frame: MgmtFrame) {
+        let net = self.net;
+        let addr = match to {
+            MgmtTo::Replica(r) => net.ctrl_addrs.get(r as usize).copied(),
+            MgmtTo::Client(addr) => Some(addr),
+            MgmtTo::Node(ActionDest::Process(p)) => net.proc_addrs.get(p.0 as usize).copied(),
+            MgmtTo::Node(ActionDest::Switch(_)) => Some(net.switch_addr),
+        };
+        if let Some(addr) = addr {
+            self.tx.send_mgmt(self.sock, addr, &frame);
         }
-        // The burst is processed: the coalesced relay fires now.
-        let now = now_ns(epoch);
-        if std::mem::take(&mut wire.timer) {
-            core.on_timer(&mut wire, now);
-        }
-        if now >= next_tick {
-            next_tick = now + BEACON_INTERVAL;
-            // Detect (§5.2) and the idle-link beacons, then the due
-            // reports.
-            core.on_tick(&mut wire, now);
-            poll_client(&mut wire.client, now, &net, &sock, &mut wire.tx);
-        }
-        // Everything this iteration queued leaves as coalesced frames.
-        wire.tx.flush(&sock);
-    }
-}
-
-/// What one controller replica thread is started with.
-struct ReplicaCtx {
-    id: u32,
-    sock: UdpSocket,
-    net: Net,
-    /// [`UdpClusterBuilder::ctrl_start_delay`].
-    start_delay: Duration,
-    is_leader: Arc<AtomicBool>,
-    kill: Arc<AtomicBool>,
-}
-
-/// One controller replica: a [`ReplicatedController`] over UDP. Raft
-/// traffic flows between replicas; client requests are acknowledged when
-/// their log entry commits; the leader's actions go out epoch-tagged.
-fn run_controller_replica(ctx: ReplicaCtx) {
-    let ReplicaCtx { id, sock, net, start_delay, is_leader, kill } = ctx;
-    let Net { switch_addr, ctrl_addrs, proc_addrs, epoch, stats, stop, .. } = net;
-    let n = proc_addrs.len();
-    // Startup delay (test knob): the replica exists — its socket buffers
-    // incoming frames — but does not participate yet.
-    let wake = Instant::now() + start_delay;
-    while Instant::now() < wake {
-        if stop.load(Ordering::SeqCst) || kill.load(Ordering::SeqCst) {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    // Failure domains of the loopback rack: component i = host i, whose
-    // loss kills exactly process i (its input link is NodeId(i)).
-    let mut domains = FailureDomains::default();
-    for i in 0..n as u32 {
-        domains.add_component(i, vec![NodeId(i)], vec![ProcessId(i)]);
-    }
-    // Election/heartbeat timing sized for loopback thread scheduling
-    // (milliseconds), not the simulator's microseconds.
-    let cfg = RaftConfig { election_timeout: 150 * MILLIS, heartbeat_interval: 25 * MILLIS };
-    let peers: Vec<u32> = (0..ctrl_addrs.len() as u32).filter(|&p| p != id).collect();
-    let mut ctrl = ReplicatedController::new(id, peers, cfg, domains, (0..n as u32).map(ProcessId));
-    let mut rx = PacketRx::new(&sock, RX_CTRL_IDLE, stats.clone());
-    // The management plane is latency-sensitive and low-rate: every frame
-    // goes out immediately (the `send_now` path), nothing is queued.
-    let mut tx = PacketTx::new(stats);
-    // Send one step's output: Raft traffic, the actions epoch-tagged and
-    // routed by `CtrlAction::dest` (as in the simulator), the commit acks.
-    let send = |tx: &mut PacketTx, ep: u64, out: Output<SocketAddr>| {
-        for (to, msg) in out.raft {
-            if let Some(addr) = ctrl_addrs.get(to as usize) {
-                tx.send_mgmt(&sock, *addr, &MgmtFrame::Raft { from: id, msg });
-            }
-        }
-        for action in out.actions {
-            let addr = match action.dest() {
-                ActionDest::Process(p) => proc_addrs.get(p.0 as usize).copied(),
-                ActionDest::Switch(_) => Some(switch_addr),
-            };
-            if let Some(addr) = addr {
-                tx.send_mgmt(&sock, addr, &MgmtFrame::Action { epoch: ep, action });
-            }
-        }
-        for (client, seq) in out.acks {
-            tx.send_mgmt(&sock, client, &MgmtFrame::Ack { seq });
-        }
-    };
-    while !stop.load(Ordering::SeqCst) && !kill.load(Ordering::SeqCst) {
-        // A burst of one frame: the replica ticks after every frame.
-        rx.burst().recv(|d, from_addr| {
-            if d.header.opcode != Opcode::Mgmt {
-                return;
-            }
-            match MgmtFrame::decode(d.payload) {
-                // Every replica hears every request; only the leader logs
-                // it, and acks it once it commits.
-                Ok(MgmtFrame::Req { seq, ev }) => {
-                    ctrl.submit(from_addr, seq, ev);
-                }
-                Ok(MgmtFrame::Raft { from, msg }) => {
-                    let out = ctrl.on_raft_msg(from, msg, now_ns(epoch));
-                    send(&mut tx, ctrl.epoch(), out);
-                }
-                Ok(MgmtFrame::Forward(fwd)) => {
-                    // Forwarding fallback (§5.2): relay around the broken
-                    // direct path. Stateless — every replica serves it,
-                    // and the receiver drops the duplicates.
-                    if let Some(addr) = proc_addrs.get(fwd.dst.0 as usize) {
-                        tx.send_now(&sock, *addr, &fwd);
-                    }
-                }
-                _ => {}
-            }
-        });
-        // Raft timeouts/heartbeats; applies whatever committed.
-        let out = ctrl.tick(now_ns(epoch));
-        send(&mut tx, ctrl.epoch(), out);
-        is_leader.store(ctrl.is_leader(), Ordering::SeqCst);
-    }
-}
-
-/// Send `frame` to every controller replica.
-fn send_all(net: &Net, sock: &UdpSocket, tx: &mut PacketTx, frame: &MgmtFrame) {
-    for addr in &net.ctrl_addrs {
-        tx.send_mgmt(sock, *addr, frame);
-    }
-}
-
-/// Send every request `client` has due at `now` to every replica as a
-/// [`MgmtFrame::Req`], and add its re-sends and drops to the cluster's
-/// counters.
-fn poll_client(client: &mut CtrlClient, now: u64, net: &Net, sock: &UdpSocket, tx: &mut PacketTx) {
-    client.poll(now, |seq, ev| send_all(net, sock, tx, &MgmtFrame::Req { seq, ev }));
-    net.ctrl_retries.fetch_add(std::mem::take(&mut client.retries), Ordering::Relaxed);
-    net.ctrl_drops.fetch_add(std::mem::take(&mut client.drops), Ordering::Relaxed);
-}
-
-/// [`Wire`] over a UDP socket and the process's channels: every emission
-/// goes to the soft switch, with the runtime's `HOP_LOCAL` source sentinel
-/// rewritten to the local process id so the switch can attribute the
-/// input link; deliveries, user events and raw messages go to the
-/// [`UdpProcess`] handle (a send to a dropped handle is not an error).
-///
-/// Emissions queue in the [`PacketTx`] and controller requests in
-/// `ctrl_reqs`; the driver loop — the only place that knows an iteration
-/// ended — routes the requests and flushes the queue once it has
-/// processed commands, an RX burst and the tick, so everything the
-/// iteration emitted leaves as coalesced frames. Per-destination FIFO in
-/// the queue preserves the beacon invariant.
-struct UdpWire<'a> {
-    sock: &'a UdpSocket,
-    switch_addr: SocketAddr,
-    id: ProcessId,
-    tx: PacketTx,
-    ctrl_reqs: Vec<(ProcessId, CtrlRequest)>,
-    del_tx: Sender<(Delivered, bool)>,
-    ev_tx: Sender<UserEvent>,
-    raw_tx: Sender<(ProcessId, bytes::Bytes)>,
-}
-
-impl Wire for UdpWire<'_> {
-    fn emit(&mut self, mut d: Datagram) {
-        if d.src == HOP_LOCAL {
-            d.src = self.id;
-        }
-        self.tx.push(self.sock, self.switch_addr, d);
     }
 
-    fn deliver(&mut self, rec: DeliveryRecord) {
-        let _ = self.del_tx.send((rec.msg, rec.reliable));
-    }
-
-    fn user_event(&mut self, _at: u64, _proc: ProcessId, ev: UserEvent) {
-        let _ = self.ev_tx.send(ev);
-    }
-
-    fn ctrl_request(&mut self, _at: u64, proc: ProcessId, req: CtrlRequest) {
-        self.ctrl_reqs.push((proc, req));
-    }
-
-    fn raw(&mut self, _receiver: ProcessId, src: ProcessId, payload: bytes::Bytes) {
-        let _ = self.raw_tx.send((src, payload));
-    }
-}
-
-/// What one process driver thread is started with.
-struct ProcessCtx {
-    id: ProcessId,
-    sock: UdpSocket,
-    net: Net,
-    /// [`UdpClusterBuilder::app_hook`].
-    user_app: Option<Arc<Mutex<dyn AppHook>>>,
-    cmd_rx: Receiver<Cmd>,
-    del_tx: Sender<(Delivered, bool)>,
-    ev_tx: Sender<UserEvent>,
-    raw_tx: Sender<(ProcessId, bytes::Bytes)>,
-    kill: Arc<AtomicBool>,
-}
-
-/// One process: adapts the [`HostRuntime`] to a socket.
-///
-/// Each loop iteration is one pump: drain application commands, drain an
-/// RX burst from the socket (multiple frames, each holding multiple
-/// datagrams), tick if due, route controller requests — then put every
-/// queued emission on the wire as coalesced frames.
-fn run_process(ctx: ProcessCtx) {
-    let ProcessCtx { id, sock, net, user_app, cmd_rx, del_tx, ev_tx, raw_tx, kill } = ctx;
-    let mut client = CtrlClient::new(HOST_RETRY);
-    let (epoch, stop) = (net.epoch, net.stop.clone());
-    let cfg = EndpointConfig {
-        // Loopback thread scheduling is millisecond-scale; the simulator
-        // defaults (hundreds of µs) would misfire constantly. A loopback
-        // round trip crosses about four 8 ms receive timeouts (DESIGN
-        // §7.1), so the estimated timeout lands above this ceiling, which
-        // is the timeout in practice. Keep it: without it `udp_rel_window`
-        // ran slower in 4 of 4 alternating pairs (p50 90–94 against 74–87
-        // ms). The pump is timer-bound, and the early resend likely wakes
-        // a receiver that would otherwise sit out its receive timeout.
-        rto: 20 * MILLIS,
-        be_ack_timeout: 100 * MILLIS,
-        ..EndpointConfig::default()
-    };
-    let mut rt = HostRuntime::new(
-        HostId(id.0),
-        MonotonicClock::perfect(),
-        vec![Endpoint::new(id, cfg)],
-        BEACON_INTERVAL,
-    );
-    if let Some(app) = user_app {
-        rt.set_app(app);
-    }
-    let mut wire = UdpWire {
-        sock: &sock,
-        switch_addr: net.switch_addr,
-        id,
-        tx: PacketTx::new(net.stats.clone()),
-        ctrl_reqs: Vec::new(),
-        del_tx,
-        ev_tx,
-        raw_tx,
-    };
-    // Stale-leader fence: highest controller epoch seen.
-    let mut max_epoch = 0u64;
-    let mut rx = PacketRx::new(&sock, RX_IDLE, net.stats.clone());
-    // Data-plane datagrams of one RX burst.
-    let mut burst: Vec<Datagram> = Vec::with_capacity(RX_BURST_MAX);
-    let mut next_tick = 0u64;
-    while !stop.load(Ordering::SeqCst) && !kill.load(Ordering::SeqCst) {
-        // Application commands.
-        for cmd in cmd_rx.try_iter() {
-            match cmd {
-                Cmd::Send { msgs, reliable, reply } => {
-                    let r = rt.submit_send(&mut wire, now_ns(epoch), id, msgs, reliable);
-                    if let Some(tx) = reply {
-                        let _ = tx.send(r);
-                    }
-                }
-                Cmd::SendRaw { to, payload } => {
-                    rt.submit_raw(&mut wire, now_ns(epoch), id, to, payload)
-                }
-            }
+    fn relay(&mut self, d: Datagram) {
+        if let Some(addr) = self.net.proc_addrs.get(d.dst.0 as usize) {
+            self.tx.send_now(self.sock, *addr, &d);
         }
-        // RX burst: drain the socket up to RX_BURST_MAX datagrams.
-        let mut rx_burst = rx.burst();
-        while burst.len() < RX_BURST_MAX {
-            let got = rx_burst.recv(|d, _from| {
-                if d.header.opcode != Opcode::Mgmt {
-                    burst.push(d);
-                    return;
-                }
-                match MgmtFrame::decode(d.payload) {
-                    Ok(MgmtFrame::Action { epoch: ep, action }) if ep >= max_epoch => {
-                        max_epoch = ep;
-                        if let CtrlAction::Announce { id: announce_id, failures, .. } = action {
-                            let now = now_ns(epoch);
-                            rt.deliver_announcement(&mut wire, now, id, announce_id, &failures);
-                        }
-                    }
-                    Ok(MgmtFrame::Ack { seq }) => client.on_ack(seq),
-                    _ => {}
-                }
-            });
-            if !got {
-                break;
-            }
-        }
-        // Process the burst only now that the socket is drained: ACKs,
-        // commits and app reactions to all of it coalesce into the same
-        // flush.
-        for d in burst.drain(..) {
-            rt.on_datagram(&mut wire, now_ns(epoch), d);
-        }
-        // Poll tick (endpoint timers + host beacon) when due.
-        let now = now_ns(epoch);
-        if now >= next_tick {
-            rt.on_tick(&mut wire, now);
-            next_tick = rt.next_tick_at(now);
-        }
-        // Route controller requests over the management plane: requests
-        // that must reach the log go through the retrying client;
-        // forwarding stays best-effort (data-path fallback, not state).
-        for (from, req) in wire.ctrl_reqs.drain(..) {
-            match req.into_event(from) {
-                Ok(ev) => client.submit(ev),
-                Err(dgram) => send_all(&net, &sock, &mut wire.tx, &MgmtFrame::Forward(dgram)),
-            }
-        }
-        poll_client(&mut client, now_ns(epoch), &net, &sock, &mut wire.tx);
-        // Pump boundary: everything this iteration emitted goes out as
-        // coalesced frames (data first, then the beacon — FIFO per dest).
-        wire.tx.flush(&sock);
     }
 }
 
@@ -872,7 +682,7 @@ fn run_process(ctx: ProcessCtx) {
 mod tests {
     use super::*;
     use onepipe_core::runtime::SendQueue;
-    use onepipe_types::wire::{decode_frame, Flags};
+    use onepipe_types::wire::{decode_frame, Flags, Opcode};
 
     /// Each test spawns several busy threads; running clusters
     /// concurrently starves them on small CI machines. Serialize.
@@ -907,7 +717,17 @@ mod tests {
             stop: Arc::default(),
         };
         let (switch_addr, stop) = (net.switch_addr, net.stop.clone());
-        let switch = std::thread::spawn(move || run_soft_switch(sock, net, 1000 * MILLIS));
+        let switch = std::thread::spawn(move || {
+            run_node(
+                soft_switch(&net, 1000 * MILLIS),
+                sock,
+                net,
+                (),
+                SWITCH_RETRY,
+                RX_IDLE,
+                |_, _, _| true,
+            )
+        });
         let ts = Timestamp::from_nanos;
         let send = |p: u32, mut d: Datagram| {
             d.src = ProcessId(p);
@@ -958,7 +778,17 @@ mod tests {
         };
         let (switch_addr, stop, retries) =
             (net.switch_addr, net.stop.clone(), net.ctrl_retries.clone());
-        let switch = std::thread::spawn(move || run_soft_switch(sock, net, 20 * MILLIS));
+        let switch = std::thread::spawn(move || {
+            run_node(
+                soft_switch(&net, 20 * MILLIS),
+                sock,
+                net,
+                (),
+                SWITCH_RETRY,
+                RX_IDLE,
+                |_, _, _| true,
+            )
+        });
         let mut beacon =
             Datagram::beacon(Timestamp::from_nanos(2_000), Timestamp::from_nanos(2_000));
         beacon.src = ProcessId(0);
@@ -1178,6 +1008,33 @@ mod tests {
         assert_eq!(raws.load(Ordering::SeqCst), 1, "user hook observed the raw message once");
         let raw = cluster.process(1).try_raw();
         assert_eq!(raw, [(ProcessId(0), bytes::Bytes::from_static(b"rpc"))], "and so did try_raw");
+        cluster.shutdown();
+    }
+
+    /// An application that never reads its events finds at most
+    /// `COMMITTED_HELD_MAX` `Committed` notices held for it; the counter
+    /// holds the rest.
+    #[test]
+    fn unread_committed_notices_are_capped_and_counted() {
+        let _guard = TEST_LOCK.lock();
+        let cluster = UdpClusterBuilder::new(2).build().unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        let total = 2 * COMMITTED_HELD_MAX;
+        for _ in 0..total {
+            cluster.process(0).send_reliable(vec![Message::new(ProcessId(1), "x")]);
+        }
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let settled = || {
+            let held = cluster.process(0).committed_held.load(Ordering::SeqCst);
+            held + cluster.stats().committed_drops as usize == total
+        };
+        while !settled() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let events = cluster.process(0).try_events();
+        let committed = events.iter().filter(|e| matches!(e, UserEvent::Committed { .. }));
+        assert_eq!(committed.count(), COMMITTED_HELD_MAX, "{events:?}");
+        assert_eq!(cluster.stats().committed_drops, (total - COMMITTED_HELD_MAX) as u64);
         cluster.shutdown();
     }
 
