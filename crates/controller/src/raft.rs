@@ -344,7 +344,12 @@ impl RaftNode {
                     ));
                     return out;
                 }
-                // Append, truncating any conflicting suffix.
+                // Append, truncating any conflicting suffix. What this
+                // Append covered ends at `last_new`; a longer local log may
+                // still hold a stale suffix the leader never sent, so only
+                // `last_new` may be reported as replicated or committed
+                // (Raft's rule, Ongaro & Ousterhout Fig. 2).
+                let last_new = prev_log_index + entries.len() as u64;
                 let mut idx = prev_log_index;
                 for e in entries {
                     idx += 1;
@@ -358,15 +363,11 @@ impl RaftNode {
                     }
                 }
                 if leader_commit > self.commit_index {
-                    self.commit_index = leader_commit.min(self.last_log_index());
+                    self.commit_index = self.commit_index.max(leader_commit.min(last_new));
                 }
                 out.push((
                     from,
-                    RaftMsg::AppendResp {
-                        term: self.term,
-                        ok: true,
-                        match_index: self.last_log_index(),
-                    },
+                    RaftMsg::AppendResp { term: self.term, ok: true, match_index: last_new },
                 ));
             }
             RaftMsg::AppendResp { term, ok, match_index } => {

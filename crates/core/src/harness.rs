@@ -936,6 +936,24 @@ mod tests {
         assert!(c.controller_pending().is_empty(), "recovery completed after the outage");
     }
 
+    /// Every replica is cut off for 2 ms from 80 µs after a host dies. A
+    /// follower that kept a stale log suffix must report as replicated,
+    /// and commit, only what the leader's Append covered: over-reporting
+    /// it once sent the leader's `next_index` past its own log (an index
+    /// panic in `term_at`).
+    #[test]
+    fn a_quorum_partition_after_a_host_crash_recovers() {
+        let mut c = Cluster::new(ClusterConfig::testbed(32));
+        c.crash_host(100 * MICROS, HostId(7));
+        for replica in 0..REPLICAS {
+            c.partition_controller(180 * MICROS, replica, 2_000 * MICROS);
+        }
+        c.run_until(5_000 * MICROS);
+        let failed: Vec<ProcessId> = c.failed_processes().iter().map(|f| f.0).collect();
+        assert_eq!(failed, [ProcessId(7)]);
+        assert!(c.controller_pending().is_empty(), "recovery completed after the partition");
+    }
+
     /// FNV-1a over a stream of words (the golden fingerprints below).
     fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
