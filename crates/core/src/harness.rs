@@ -213,8 +213,8 @@ pub struct Cluster {
     /// Highest term observed with a leader, for election counting.
     last_leader_term: u64,
     mgmt: MgmtNet,
-    /// `(sim time, epoch, action)` of every controller action applied
-    /// past the epoch fence and not yet taken.
+    /// `(sim time, epoch, action)` of every controller action a live
+    /// destination applied past its fence, not yet taken.
     ctrl_actions: Vec<(u64, u64, CtrlAction)>,
     /// The cluster configuration it was built with.
     pub config: ClusterConfig,
@@ -382,9 +382,9 @@ impl Cluster {
         std::mem::take(&mut self.sinks.borrow_mut().user_events)
     }
 
-    /// Controller actions applied past the epoch fence since the last
-    /// call, moved out: `(sim time, epoch, action)` in the order they
-    /// reached their destinations.
+    /// Controller actions applied since the last call — those that reached
+    /// a live destination and passed its epoch fence — moved out: `(sim
+    /// time, epoch, action)` in the order they reached their destinations.
     pub fn take_ctrl_actions(&mut self) -> Vec<(u64, u64, CtrlAction)> {
         std::mem::take(&mut self.ctrl_actions)
     }

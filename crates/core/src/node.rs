@@ -89,7 +89,7 @@ impl ProcessNode {
     /// The node of `rt`, its first tick due at once.
     pub fn new(rt: HostRuntime) -> Self {
         let fences = vec![EpochFence::default(); rt.endpoints.len()];
-        ProcessNode { rt, fences, burst: Vec::with_capacity(Self::BURST_MAX), next_tick: 0 }
+        ProcessNode { rt, fences, burst: Vec::new(), next_tick: 0 }
     }
 
     /// Controller action `action` of `epoch` arrived at `now`: deliver an
