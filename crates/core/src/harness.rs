@@ -63,7 +63,7 @@ pub struct ClusterConfig {
     /// Switch configuration (incarnation, beacon interval, ...).
     pub switch: SwitchConfig,
     /// Endpoint configuration. `trust_data_barriers` is overridden to
-    /// match the switch incarnation, and `seed` with the master seed.
+    /// match the switch incarnation.
     pub endpoint: EndpointConfig,
     /// Use perfect clocks instead of the PTP model.
     pub perfect_clocks: bool,
@@ -225,7 +225,6 @@ impl Cluster {
     pub fn new(mut cfg: ClusterConfig) -> Self {
         // Barrier trust must match the switch incarnation (§6.2.2).
         cfg.endpoint.trust_data_barriers = matches!(cfg.switch.incarnation, Incarnation::Chip);
-        cfg.endpoint.seed = cfg.seed;
 
         let mut sim = Sim::new(cfg.seed);
         let topo = Arc::new(Topology::build(&mut sim, cfg.topo.clone()));
@@ -251,8 +250,15 @@ impl Cluster {
         let sinks = Rc::default();
         for h in 0..n_hosts {
             let host = HostId(h as u32);
-            let endpoints =
-                procs.processes_on(host).iter().map(|&p| Endpoint::new(p, cfg.endpoint)).collect();
+            let endpoints: Vec<Endpoint> = procs
+                .processes_on(host)
+                .iter()
+                .map(|&p| {
+                    let mut ecfg = cfg.endpoint;
+                    ecfg.seed = cfg.seed;
+                    Endpoint::new(p, ecfg)
+                })
+                .collect();
             let clock = clocks.clock_mut(h).clone();
             let mut rt = HostRuntime::new(host, clock, endpoints, cfg.switch.beacon_interval);
             rt.synchronized_beacons = cfg.switch.synchronized_beacons;
