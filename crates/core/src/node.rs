@@ -93,7 +93,8 @@ impl ProcessNode {
     }
 
     /// Controller action `action` of `epoch` arrived at `now`: deliver an
-    /// Announce for a local process if it passes that process's fence.
+    /// Announce for a local process if it passes that process's fence, and
+    /// say whether it did.
     pub fn on_action(
         &mut self,
         io: &mut impl Wire,
@@ -163,6 +164,7 @@ impl SwitchNode {
 
     /// Controller action `action` of `epoch` arrived: a Resume that passes
     /// the fence drops the reported input from the commit minimum (§5.2).
+    /// Returns whether it passed.
     pub fn on_action(&mut self, epoch: u64, action: CtrlAction) -> bool {
         let CtrlAction::Resume { input, .. } = action else { return false };
         let pass = self.fence.admit(epoch);
