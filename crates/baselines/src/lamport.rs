@@ -12,98 +12,43 @@
 //! aggregation" ablation: it computes exactly the 1Pipe barrier, but at
 //! the edge instead of in the network.
 
-use crate::measure::ProbeHandle;
+use crate::host::{Broadcaster, HostBase, WORK_BASE};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use onepipe_netsim::engine::{Ctx, NodeLogic, SimPacket};
-use onepipe_types::ids::{HostId, NodeId, ProcessId};
-use onepipe_types::time::Timestamp;
-use onepipe_types::wire::{Datagram, Flags, Opcode, PacketHeader};
+use onepipe_types::ids::{NodeId, ProcessId};
 use std::collections::BTreeMap;
 
-const WORK_BASE: u64 = 100;
 const EXCHANGE: u64 = 98;
 
 const TAG_DATA: u8 = 0;
 const TAG_STATUS: u8 = 1;
 
-fn dgram(src: ProcessId, dst: ProcessId, payload: Bytes) -> Datagram {
-    Datagram {
-        src,
-        dst,
-        header: PacketHeader {
-            msg_ts: Timestamp::ZERO,
-            barrier: Timestamp::ZERO,
-            commit_barrier: Timestamp::ZERO,
-            psn: 0,
-            opcode: Opcode::Control,
-            flags: Flags::empty(),
-        },
-        payload,
-    }
-}
-
 /// Host logic for Lamport-timestamp broadcast.
 pub struct LamportHost {
-    /// This host.
-    pub host: HostId,
-    tor: NodeId,
-    procs: Vec<ProcessId>,
-    all_procs: Vec<ProcessId>,
-    rate: f64,
-    max_sends: u64,
+    base: HostBase,
     /// Status-exchange interval (ns).
     pub exchange_interval: u64,
-    sent: Vec<u64>,
     /// Per-local-process Lamport clock.
     lts: Vec<u64>,
     /// Per-local-process: last known clock of every process.
     last_seen: Vec<Vec<u64>>,
     /// Per-local-process buffered messages keyed by (lts, origin, k).
     pending: Vec<BTreeMap<(u64, u32, u64), ()>>,
-    probe: ProbeHandle,
 }
 
 impl LamportHost {
-    /// Create the logic for one host.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        host: HostId,
-        tor: NodeId,
-        procs: Vec<ProcessId>,
-        all_procs: Vec<ProcessId>,
-        rate: f64,
-        max_sends: u64,
-        exchange_interval: u64,
-        probe: ProbeHandle,
-    ) -> Self {
-        let n_local = procs.len();
-        let n_all = all_procs.len();
+    /// Create the logic for one host; every `exchange_interval` ns each
+    /// local process broadcasts its clock.
+    pub fn new(base: HostBase, exchange_interval: u64) -> Self {
+        let n_local = base.procs.len();
+        let n_all = base.all.len();
         LamportHost {
-            host,
-            tor,
-            procs,
-            all_procs,
-            rate,
-            max_sends,
+            base,
             exchange_interval,
-            sent: vec![0; n_local],
             lts: vec![0; n_local],
             last_seen: vec![vec![0; n_all]; n_local],
             pending: vec![BTreeMap::new(); n_local],
-            probe,
         }
-    }
-
-    fn interval(&self) -> u64 {
-        (1e9 / self.rate).max(1.0) as u64
-    }
-
-    fn local_index(&self, p: ProcessId) -> Option<usize> {
-        self.procs.iter().position(|&x| x == p)
-    }
-
-    fn global_index(&self, p: ProcessId) -> Option<usize> {
-        self.all_procs.iter().position(|&x| x == p)
     }
 
     fn data_payload(origin: ProcessId, k: u64, ts: u64) -> Bytes {
@@ -133,9 +78,9 @@ impl LamportHost {
                 break;
             }
             self.pending[i].remove(&(ts, origin, k));
-            self.probe.lock().unwrap().record_delivery(
+            self.base.probe.lock().unwrap().record_delivery(
                 now,
-                self.procs[i],
+                self.base.procs[i],
                 ProcessId(origin),
                 k,
                 (ts, origin),
@@ -144,7 +89,7 @@ impl LamportHost {
     }
 
     fn observe(&mut self, now: u64, i: usize, from: ProcessId, ts: u64) {
-        if let Some(g) = self.global_index(from) {
+        if let Some(g) = self.base.all.iter().position(|&x| x == from) {
             if self.last_seen[i][g] < ts {
                 self.last_seen[i][g] = ts;
                 self.try_deliver(now, i);
@@ -153,12 +98,29 @@ impl LamportHost {
     }
 }
 
+impl Broadcaster for LamportHost {
+    fn base(&mut self) -> &mut HostBase {
+        &mut self.base
+    }
+
+    fn broadcast(&mut self, ctx: &mut Ctx<'_>, i: usize, k: u64) {
+        let origin = self.base.procs[i];
+        self.lts[i] += 1;
+        let ts = self.lts[i];
+        for p in self.base.all.clone() {
+            if let Some(j) = self.base.local_index(p) {
+                self.pending[j].insert((ts, origin.0, k), ());
+                self.observe(ctx.now(), j, origin, ts);
+            } else {
+                self.base.send(ctx, origin, p, 0, Self::data_payload(origin, k, ts));
+            }
+        }
+    }
+}
+
 impl NodeLogic for LamportHost {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        for i in 0..self.procs.len() {
-            let phase = 1 + (self.procs[i].0 as u64 * 89) % self.interval();
-            ctx.set_timer(phase, WORK_BASE + i as u64);
-        }
+        self.base.start(ctx, 89);
         ctx.set_timer(self.exchange_interval, EXCHANGE);
     }
 
@@ -169,7 +131,7 @@ impl NodeLogic for LamportHost {
             return;
         }
         let tag = p.get_u8();
-        let Some(i) = self.local_index(d.dst) else { return };
+        let Some(i) = self.base.local_index(d.dst) else { return };
         match tag {
             TAG_DATA if p.remaining() >= 20 => {
                 let origin = ProcessId(p.get_u32());
@@ -193,43 +155,21 @@ impl NodeLogic for LamportHost {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         if token == EXCHANGE {
             // Every local process broadcasts its clock to everyone.
-            for i in 0..self.procs.len() {
+            for i in 0..self.base.procs.len() {
                 self.lts[i] += 1;
-                let origin = self.procs[i];
+                let origin = self.base.procs[i];
                 let ts = self.lts[i];
-                for &p in &self.all_procs.clone() {
-                    if let Some(j) = self.local_index(p) {
+                for p in self.base.all.clone() {
+                    if let Some(j) = self.base.local_index(p) {
                         self.observe(ctx.now(), j, origin, ts);
                     } else {
-                        let d = dgram(origin, p, Self::status_payload(origin, ts));
-                        ctx.send(self.tor, SimPacket::new(d));
+                        self.base.send(ctx, origin, p, 0, Self::status_payload(origin, ts));
                     }
                 }
             }
             ctx.set_timer(self.exchange_interval, EXCHANGE);
-            return;
-        }
-        if token >= WORK_BASE {
-            let i = (token - WORK_BASE) as usize;
-            if i >= self.procs.len() || self.sent[i] >= self.max_sends {
-                return;
-            }
-            let origin = self.procs[i];
-            let k = self.sent[i];
-            self.sent[i] += 1;
-            self.lts[i] += 1;
-            let ts = self.lts[i];
-            self.probe.lock().unwrap().record_send(ctx.now(), origin, k);
-            for &p in &self.all_procs.clone() {
-                if let Some(j) = self.local_index(p) {
-                    self.pending[j].insert((ts, origin.0, k), ());
-                    self.observe(ctx.now(), j, origin, ts);
-                } else {
-                    let d = dgram(origin, p, Self::data_payload(origin, k, ts));
-                    ctx.send(self.tor, SimPacket::new(d));
-                }
-            }
-            ctx.set_timer(self.interval(), token);
+        } else if token >= WORK_BASE {
+            HostBase::work(self, ctx, token);
         }
     }
 }
@@ -237,34 +177,11 @@ impl NodeLogic for LamportHost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::measure::BroadcastProbe;
-    use crate::plain::PlainSwitch;
-    use onepipe_netsim::engine::Sim;
-    use onepipe_netsim::topology::{FatTreeParams, Topology};
-    use onepipe_types::process_map::ProcessMap;
-    use std::sync::Arc;
+    use crate::host::world;
+    use crate::measure::ProbeHandle;
 
     fn run_lamport(n: usize, rate: f64, exchange: u64, dur: u64) -> ProbeHandle {
-        let mut sim = Sim::new(5);
-        let topo = Arc::new(Topology::build(&mut sim, FatTreeParams::single_rack(n as u32)));
-        let procs = Arc::new(ProcessMap::place_round_robin(n, n));
-        PlainSwitch::install_all(&mut sim, &topo, &procs);
-        let probe = BroadcastProbe::shared();
-        let all: Vec<ProcessId> = procs.all().collect();
-        for h in 0..n {
-            let host = HostId(h as u32);
-            let logic = LamportHost::new(
-                host,
-                topo.tor_up_of(host),
-                procs.processes_on(host).to_vec(),
-                all.clone(),
-                rate,
-                u64::MAX,
-                exchange,
-                probe.clone(),
-            );
-            sim.set_logic(topo.host_node(host), Box::new(logic));
-        }
+        let (mut sim, probe) = world(n, 5, rate, u64::MAX, |b| LamportHost::new(b, exchange));
         sim.run_until(dur);
         probe
     }

@@ -15,18 +15,24 @@
 //!
 //! All baselines run over the same [`onepipe-netsim`] substrate as 1Pipe,
 //! with plain forwarding switches ([`plain::PlainSwitch`]) instead of
-//! barrier-aggregating ones, and share a measurement harness
-//! ([`measure`]).
+//! barrier-aggregating ones. Each scheme's host embeds one
+//! [`host::HostBase`] (its processes, the staggered open-loop workload,
+//! the send cap and the probe) and adds only its ordering logic; one
+//! builder, [`host::world`], places them on a topology, and one probe
+//! ([`measure`]) turns a run into [`RunMetrics`], the type 1Pipe's own
+//! runs report too.
 //!
 //! [`onepipe-netsim`]: ../onepipe_netsim/index.html
 
 #![warn(missing_docs)]
 
+pub mod host;
 pub mod lamport;
 pub mod measure;
 pub mod plain;
 pub mod sequencer;
 pub mod token;
 
-pub use measure::{BroadcastMetrics, BroadcastProbe};
+pub use host::{fat_tree_for, world, HostBase};
+pub use measure::{BroadcastProbe, RunMetrics};
 pub use plain::PlainSwitch;

@@ -56,15 +56,16 @@ impl BroadcastProbe {
         self.deliveries.len()
     }
 
-    /// Compute metrics over a measurement window `[t0, t1]`.
-    pub fn metrics(&self, n_procs: usize, t0: u64, t1: u64) -> BroadcastMetrics {
+    /// Compute metrics over a measurement window `[t0, t1]`, each
+    /// broadcast sent to all `n_procs` processes.
+    pub fn metrics(&self, n_procs: usize, t0: u64, t1: u64) -> RunMetrics {
         let mut latency = Samples::new();
-        let mut delivered_in_window = 0u64;
+        let mut delivered = 0u64;
         for &(at, _rcv, origin, k) in &self.deliveries {
             if at < t0 || at > t1 {
                 continue;
             }
-            delivered_in_window += 1;
+            delivered += 1;
             if let Some(&sent) = self.sends.get(&(origin, k)) {
                 latency.push((at - sent) as f64);
             }
@@ -72,26 +73,33 @@ impl BroadcastProbe {
         let secs = (t1 - t0) as f64 / 1e9;
         // Each broadcast is delivered at every process; normalize to
         // broadcasts per second per process.
-        let tput = delivered_in_window as f64 / (n_procs as f64).max(1.0) / secs.max(1e-12);
-        BroadcastMetrics {
-            throughput_per_proc: tput,
+        let tput = delivered as f64 / (n_procs as f64).max(1.0) / secs.max(1e-12);
+        RunMetrics {
+            tput_per_proc: tput,
             latency,
+            sent: (self.sends.len() * n_procs) as u64,
+            delivered,
             order_violations: self.order_violations,
         }
     }
 }
 
-/// Result of a broadcast measurement.
-pub struct BroadcastMetrics {
-    /// Delivered broadcasts per second per process.
-    pub throughput_per_proc: f64,
-    /// Delivery latency samples (ns).
+/// Throughput and latency of one run, for 1Pipe and the baselines alike.
+pub struct RunMetrics {
+    /// Deliveries per second per process.
+    pub tput_per_proc: f64,
+    /// Delivery latency samples (ns, send → delivery).
     pub latency: Samples,
-    /// Total-order violations observed (must be 0 for a correct protocol).
+    /// Messages sent, a broadcast once per destination.
+    pub sent: u64,
+    /// Messages delivered (a baseline counts those in its window).
+    pub delivered: u64,
+    /// Total-order violations a [`BroadcastProbe`] observed (must be 0
+    /// for a correct protocol; 1Pipe runs are not probed and report 0).
     pub order_violations: u64,
 }
 
-impl BroadcastMetrics {
+impl RunMetrics {
     /// Mean latency in microseconds.
     pub fn mean_latency_us(&self) -> f64 {
         self.latency.mean() / 1_000.0
@@ -99,7 +107,7 @@ impl BroadcastMetrics {
 
     /// Throughput in million messages per second per process.
     pub fn mtput(&self) -> f64 {
-        self.throughput_per_proc / 1e6
+        self.tput_per_proc / 1e6
     }
 }
 
@@ -120,7 +128,8 @@ mod tests {
         assert_eq!(m.order_violations, 0);
         assert_eq!(m.latency.len(), 2);
         assert!((m.latency.mean() - 1_250.0).abs() < 1e-9);
-        assert!((m.throughput_per_proc - 1.0).abs() < 1e-9);
+        assert!((m.tput_per_proc - 1.0).abs() < 1e-9);
+        assert_eq!((m.sent, m.delivered), (4, 2));
     }
 
     #[test]

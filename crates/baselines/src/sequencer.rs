@@ -14,18 +14,19 @@
 //! effects — the central service bottleneck and the N× fan-out bandwidth
 //! at one point — are captured exactly.
 
-use crate::measure::ProbeHandle;
+use crate::host::{Broadcaster, HostBase, WORK_BASE};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use onepipe_netsim::engine::{Ctx, NodeLogic, SimPacket};
-use onepipe_types::ids::{HostId, NodeId, ProcessId};
-use onepipe_types::time::{Duration, Timestamp};
-use onepipe_types::wire::{Datagram, Flags, Opcode, PacketHeader};
+use onepipe_types::ids::{NodeId, ProcessId};
+use onepipe_types::time::Duration;
 use std::collections::{BTreeMap, VecDeque};
 
-/// Timer token base for the per-process workload.
-const WORK_BASE: u64 = 100;
 /// Timer token for sequencer service completion.
 const SERVICE: u64 = 99;
+/// Packet sequence number of a request to the sequencer.
+const REQUEST: u32 = u32::MAX;
+/// Packet sequence number of a receiver's gap NAK.
+const GAP_NAK: u32 = u32::MAX - 1;
 
 /// Sequencer variant service times (per request, ns).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -62,41 +63,14 @@ fn parse_payload(mut p: Bytes) -> Option<(ProcessId, u64)> {
     Some((ProcessId(p.get_u32()), p.get_u64()))
 }
 
-fn dgram(src: ProcessId, dst: ProcessId, psn: u32, payload: Bytes) -> Datagram {
-    Datagram {
-        src,
-        dst,
-        header: PacketHeader {
-            msg_ts: Timestamp::ZERO,
-            barrier: Timestamp::ZERO,
-            commit_barrier: Timestamp::ZERO,
-            psn,
-            opcode: Opcode::Control,
-            flags: Flags::empty(),
-        },
-        payload,
-    }
-}
-
 /// Host logic for the sequencer-based broadcast: runs the local processes'
 /// workload, and — on the host owning the sequencer process — the
 /// sequencer service loop.
 pub struct SeqHost {
-    /// This host.
-    pub host: HostId,
-    tor: NodeId,
-    /// Local process ids.
-    procs: Vec<ProcessId>,
-    /// All processes in the system (fan-out list).
-    all_procs: Vec<ProcessId>,
+    base: HostBase,
     /// The sequencer process.
     seq_proc: ProcessId,
     kind: SeqKind,
-    /// Broadcasts per second offered by each local process.
-    rate: f64,
-    /// Stop the workload after this many sends per process.
-    max_sends: u64,
-    sent: Vec<u64>,
     // Sequencer state (active only on its host).
     service_queue: VecDeque<(ProcessId, u64)>,
     busy: bool,
@@ -106,46 +80,23 @@ pub struct SeqHost {
     // Receiver state: contiguous-order delivery per local process.
     next_deliver: Vec<u64>,
     pending: Vec<BTreeMap<u64, (ProcessId, u64)>>,
-    probe: ProbeHandle,
 }
 
 impl SeqHost {
-    /// Create the logic for one host.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        host: HostId,
-        tor: NodeId,
-        procs: Vec<ProcessId>,
-        all_procs: Vec<ProcessId>,
-        seq_proc: ProcessId,
-        kind: SeqKind,
-        rate: f64,
-        max_sends: u64,
-        probe: ProbeHandle,
-    ) -> Self {
-        let n = procs.len();
+    /// Create the logic for one host; `seq_proc` is the sequencer.
+    pub fn new(base: HostBase, seq_proc: ProcessId, kind: SeqKind) -> Self {
+        let n = base.procs.len();
         SeqHost {
-            host,
-            tor,
-            procs,
-            all_procs,
+            base,
             seq_proc,
             kind,
-            rate,
-            max_sends,
-            sent: vec![0; n],
             service_queue: VecDeque::new(),
             busy: false,
             next_seq: 1,
             history: VecDeque::new(),
             next_deliver: vec![1; n],
             pending: vec![BTreeMap::new(); n],
-            probe,
         }
-    }
-
-    fn interval(&self) -> u64 {
-        (1e9 / self.rate).max(1.0) as u64
     }
 
     fn serve_one(&mut self, ctx: &mut Ctx<'_>) {
@@ -156,9 +107,8 @@ impl SeqHost {
             if self.history.len() > 4096 {
                 self.history.pop_front();
             }
-            for &p in &self.all_procs.clone() {
-                let d = dgram(self.seq_proc, p, seq as u32, req_payload(origin, k));
-                ctx.send(self.tor, SimPacket::new(d));
+            for &p in &self.base.all {
+                self.base.send(ctx, self.seq_proc, p, seq as u32, req_payload(origin, k));
             }
             self.busy = true;
             ctx.set_timer(self.kind.service_ns(), SERVICE);
@@ -167,68 +117,80 @@ impl SeqHost {
         }
     }
 
-    /// Gap recovery: re-send one sequenced broadcast to one receiver.
-    fn retransmit(&mut self, ctx: &mut Ctx<'_>, to: ProcessId, seq: u64) {
-        if let Some(&(_, origin, k)) = self.history.iter().find(|(s, _, _)| *s == seq) {
-            let d = dgram(self.seq_proc, to, seq as u32, req_payload(origin, k));
-            ctx.send(self.tor, SimPacket::new(d));
+    /// Queue a request at the sequencer, serving it now if idle.
+    fn enqueue(&mut self, ctx: &mut Ctx<'_>, origin: ProcessId, k: u64) {
+        self.service_queue.push_back((origin, k));
+        if !self.busy {
+            self.serve_one(ctx);
         }
     }
 
-    fn local_index(&self, p: ProcessId) -> Option<usize> {
-        self.procs.iter().position(|&x| x == p)
+    /// Gap recovery: re-send one sequenced broadcast to one receiver.
+    fn retransmit(&mut self, ctx: &mut Ctx<'_>, to: ProcessId, seq: u64) {
+        if let Some(&(_, origin, k)) = self.history.iter().find(|(s, _, _)| *s == seq) {
+            self.base.send(ctx, self.seq_proc, to, seq as u32, req_payload(origin, k));
+        }
+    }
+
+    fn sequencer_is_local(&self) -> bool {
+        self.base.local_index(self.seq_proc).is_some()
+    }
+}
+
+impl Broadcaster for SeqHost {
+    fn base(&mut self) -> &mut HostBase {
+        &mut self.base
+    }
+
+    fn broadcast(&mut self, ctx: &mut Ctx<'_>, i: usize, k: u64) {
+        let origin = self.base.procs[i];
+        if self.sequencer_is_local() {
+            // Request to a sequencer on this very host: short-circuit.
+            self.enqueue(ctx, origin, k);
+        } else {
+            self.base.send(ctx, origin, self.seq_proc, REQUEST, req_payload(origin, k));
+        }
     }
 }
 
 impl NodeLogic for SeqHost {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        for i in 0..self.procs.len() {
-            // Stagger process phases to avoid synchronized bursts.
-            let phase = 1 + (self.procs[i].0 as u64 * 97) % self.interval();
-            ctx.set_timer(phase, WORK_BASE + i as u64);
-        }
+        self.base.start(ctx, 97);
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, pkt: SimPacket) {
         let d = pkt.dgram;
-        if d.dst == self.seq_proc && self.local_index(self.seq_proc).is_some() && d.psn_is_request()
-        {
-            // Request to the sequencer.
+        if d.dst == self.seq_proc && self.sequencer_is_local() && d.header.psn == REQUEST {
             if let Some((origin, k)) = parse_payload(d.payload) {
-                self.service_queue.push_back((origin, k));
-                if !self.busy {
-                    self.serve_one(ctx);
-                }
+                self.enqueue(ctx, origin, k);
             }
             return;
         }
-        if d.header.psn == u32::MAX - 1 && self.local_index(self.seq_proc).is_some() {
-            // Gap NAK: retransmit the requested sequence number.
+        if d.header.psn == GAP_NAK && self.sequencer_is_local() {
             if let Some((_, missing)) = parse_payload(d.payload) {
                 self.retransmit(ctx, d.src, missing);
             }
             return;
         }
         // Sequenced copy for a local process.
-        let Some(i) = self.local_index(d.dst) else { return };
+        let Some(i) = self.base.local_index(d.dst) else { return };
         let Some((origin, k)) = parse_payload(d.payload) else { return };
         let seq = d.header.psn as u64;
         self.pending[i].insert(seq, (origin, k));
         // A gap ahead of the delivery cursor: ask the sequencer to
         // retransmit the first missing broadcast (simple go-back cursor).
         if seq > self.next_deliver[i] && !self.pending[i].contains_key(&self.next_deliver[i]) {
-            let nak =
-                dgram(d.dst, self.seq_proc, u32::MAX - 1, req_payload(d.dst, self.next_deliver[i]));
-            ctx.send(self.tor, SimPacket::new(nak));
+            let nak = req_payload(d.dst, self.next_deliver[i]);
+            self.base.send(ctx, d.dst, self.seq_proc, GAP_NAK, nak);
         }
         // Deliver the contiguous prefix.
         while let Some(&(origin, k)) = self.pending[i].get(&self.next_deliver[i]) {
             let seq = self.next_deliver[i];
             self.pending[i].remove(&seq);
             self.next_deliver[i] += 1;
-            self.probe.lock().unwrap().record_delivery(
+            self.base.probe.lock().unwrap().record_delivery(
                 ctx.now(),
-                self.procs[i],
+                self.base.procs[i],
                 origin,
                 k,
                 (seq, 0),
@@ -239,74 +201,20 @@ impl NodeLogic for SeqHost {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         if token == SERVICE {
             self.serve_one(ctx);
-            return;
+        } else if token >= WORK_BASE {
+            HostBase::work(self, ctx, token);
         }
-        if token >= WORK_BASE {
-            let i = (token - WORK_BASE) as usize;
-            if i >= self.procs.len() || self.sent[i] >= self.max_sends {
-                return;
-            }
-            let origin = self.procs[i];
-            let k = self.sent[i];
-            self.sent[i] += 1;
-            self.probe.lock().unwrap().record_send(ctx.now(), origin, k);
-            let d = dgram(origin, self.seq_proc, u32::MAX, req_payload(origin, k));
-            if self.local_index(self.seq_proc).is_some() {
-                // Request to a sequencer on this very host: short-circuit.
-                self.service_queue.push_back((origin, k));
-                if !self.busy {
-                    self.serve_one(ctx);
-                }
-            } else {
-                ctx.send(self.tor, SimPacket::new(d));
-            }
-            ctx.set_timer(self.interval(), token);
-        }
-    }
-}
-
-/// Distinguish requests (psn = u32::MAX) from sequenced copies.
-trait PsnKind {
-    fn psn_is_request(&self) -> bool;
-}
-impl PsnKind for Datagram {
-    fn psn_is_request(&self) -> bool {
-        self.header.psn == u32::MAX
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::measure::BroadcastProbe;
-    use crate::plain::PlainSwitch;
-    use onepipe_netsim::engine::Sim;
-    use onepipe_netsim::topology::{FatTreeParams, Topology};
-    use onepipe_types::process_map::ProcessMap;
-    use std::sync::Arc;
+    use crate::host::world;
+    use crate::measure::ProbeHandle;
 
     fn run_seq(kind: SeqKind, n: usize, rate: f64, dur_ns: u64) -> (ProbeHandle, usize) {
-        let mut sim = Sim::new(3);
-        let topo = Arc::new(Topology::build(&mut sim, FatTreeParams::single_rack(n as u32)));
-        let procs = Arc::new(ProcessMap::place_round_robin(n, n));
-        PlainSwitch::install_all(&mut sim, &topo, &procs);
-        let probe = BroadcastProbe::shared();
-        let all: Vec<ProcessId> = procs.all().collect();
-        for h in 0..n {
-            let host = HostId(h as u32);
-            let logic = SeqHost::new(
-                host,
-                topo.tor_up_of(host),
-                procs.processes_on(host).to_vec(),
-                all.clone(),
-                ProcessId(0),
-                kind,
-                rate,
-                u64::MAX,
-                probe.clone(),
-            );
-            sim.set_logic(topo.host_node(host), Box::new(logic));
-        }
+        let (mut sim, probe) = world(n, 3, rate, u64::MAX, |b| SeqHost::new(b, ProcessId(0), kind));
         sim.run_until(dur_ns);
         let n_del = probe.lock().unwrap().delivery_count();
         (probe, n_del)
@@ -331,28 +239,9 @@ mod tests {
     fn sequencer_recovers_from_losses() {
         // With lossy links, gap NAKs must keep delivery flowing instead of
         // stalling forever behind the first hole.
-        let mut sim = Sim::new(17);
-        let topo = Arc::new(Topology::build(&mut sim, FatTreeParams::single_rack(4)));
-        let procs = Arc::new(ProcessMap::place_round_robin(4, 4));
-        PlainSwitch::install_all(&mut sim, &topo, &procs);
+        let (mut sim, probe) =
+            world(4, 17, 100_000.0, 200, |b| SeqHost::new(b, ProcessId(0), SeqKind::Switch));
         sim.set_global_loss_rate(0.02);
-        let probe = BroadcastProbe::shared();
-        let all: Vec<ProcessId> = procs.all().collect();
-        for h in 0..4 {
-            let host = HostId(h as u32);
-            let logic = SeqHost::new(
-                host,
-                topo.tor_up_of(host),
-                procs.processes_on(host).to_vec(),
-                all.clone(),
-                ProcessId(0),
-                SeqKind::Switch,
-                100_000.0,
-                200,
-                probe.clone(),
-            );
-            sim.set_logic(topo.host_node(host), Box::new(logic));
-        }
         sim.run_until(20_000_000);
         let p = probe.lock().unwrap();
         assert_eq!(p.order_violations, 0);

@@ -8,15 +8,12 @@
 //! in contiguous sequence order. Throughput is inherently bounded by
 //! "one sender at a time" plus the token rotation time.
 
-use crate::measure::ProbeHandle;
+use crate::host::{Broadcaster, HostBase, WORK_BASE};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use onepipe_netsim::engine::{Ctx, NodeLogic, SimPacket};
-use onepipe_types::ids::{HostId, NodeId, ProcessId};
-use onepipe_types::time::Timestamp;
-use onepipe_types::wire::{Datagram, Flags, Opcode, PacketHeader};
+use onepipe_types::ids::{NodeId, ProcessId};
 use std::collections::BTreeMap;
 
-const WORK_BASE: u64 = 100;
 /// Timer token used when every process is local and the token must park
 /// briefly instead of recursing forever.
 const TOKEN_RESUME: u64 = 97;
@@ -42,89 +39,39 @@ fn token_payload(counter: u64) -> Bytes {
     b.freeze()
 }
 
-fn dgram(src: ProcessId, dst: ProcessId, psn: u32, payload: Bytes) -> Datagram {
-    Datagram {
-        src,
-        dst,
-        header: PacketHeader {
-            msg_ts: Timestamp::ZERO,
-            barrier: Timestamp::ZERO,
-            commit_barrier: Timestamp::ZERO,
-            psn,
-            opcode: Opcode::Control,
-            flags: Flags::empty(),
-        },
-        payload,
-    }
-}
-
-/// Host logic for the token-ring broadcast.
+/// Host logic for the token-ring broadcast. The host running the first
+/// process starts the token at t=0.
 pub struct TokenHost {
-    /// This host.
-    pub host: HostId,
-    tor: NodeId,
-    procs: Vec<ProcessId>,
-    all_procs: Vec<ProcessId>,
-    rate: f64,
-    max_sends: u64,
+    base: HostBase,
     /// Maximum broadcasts sent per token visit.
     batch: usize,
-    sent: Vec<u64>,
     /// Locally queued broadcasts per process, waiting for the token.
     queued: Vec<Vec<u64>>,
     // Receiver state.
     next_deliver: Vec<u64>,
     pending: Vec<BTreeMap<u64, (ProcessId, u64)>>,
-    probe: ProbeHandle,
-    /// If set, this host starts the token at t=0 from the given process.
-    pub start_token: Option<ProcessId>,
     /// Token waiting to resume on a fully-local ring.
     parked_token: Option<(ProcessId, u64)>,
 }
 
 impl TokenHost {
-    /// Create the logic for one host.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        host: HostId,
-        tor: NodeId,
-        procs: Vec<ProcessId>,
-        all_procs: Vec<ProcessId>,
-        rate: f64,
-        max_sends: u64,
-        batch: usize,
-        probe: ProbeHandle,
-    ) -> Self {
-        let n = procs.len();
+    /// Create the logic for one host; a holder sends at most `batch`
+    /// broadcasts per token visit.
+    pub fn new(base: HostBase, batch: usize) -> Self {
+        let n = base.procs.len();
         TokenHost {
-            host,
-            tor,
-            procs,
-            all_procs,
-            rate,
-            max_sends,
+            base,
             batch,
-            sent: vec![0; n],
             queued: vec![Vec::new(); n],
             next_deliver: vec![1; n],
             pending: vec![BTreeMap::new(); n],
-            probe,
-            start_token: None,
             parked_token: None,
         }
     }
 
-    fn interval(&self) -> u64 {
-        (1e9 / self.rate).max(1.0) as u64
-    }
-
-    fn local_index(&self, p: ProcessId) -> Option<usize> {
-        self.procs.iter().position(|&x| x == p)
-    }
-
     fn next_proc(&self, p: ProcessId) -> ProcessId {
-        let pos = self.all_procs.iter().position(|&x| x == p).unwrap();
-        self.all_procs[(pos + 1) % self.all_procs.len()]
+        let pos = self.base.all.iter().position(|&x| x == p).unwrap();
+        self.base.all[(pos + 1) % self.base.all.len()]
     }
 
     fn handle_token(&mut self, ctx: &mut Ctx<'_>, holder: ProcessId, counter: u64) {
@@ -132,23 +79,21 @@ impl TokenHost {
         let mut counter = counter;
         // Iterate over consecutive local holders; bounded by the ring size
         // so a fully-local ring parks instead of spinning forever.
-        for _ in 0..self.all_procs.len() {
-            let Some(i) = self.local_index(holder) else {
-                let d = dgram(self.procs[0], holder, 0, token_payload(counter));
-                ctx.send(self.tor, SimPacket::new(d));
+        for _ in 0..self.base.all.len() {
+            let Some(i) = self.base.local_index(holder) else {
+                self.base.send(ctx, self.base.procs[0], holder, 0, token_payload(counter));
                 return;
             };
             let take = self.queued[i].len().min(self.batch);
             let burst: Vec<u64> = self.queued[i].drain(..take).collect();
             for k in burst {
                 counter += 1;
-                for &p in &self.all_procs.clone() {
-                    if self.local_index(p).is_some() {
+                for p in self.base.all.clone() {
+                    if self.base.local_index(p).is_some() {
                         // Local copy: deliver via loopback.
                         self.on_data(ctx.now(), p, holder, k, counter);
                     } else {
-                        let d = dgram(holder, p, counter as u32, data_payload(holder, k));
-                        ctx.send(self.tor, SimPacket::new(d));
+                        self.base.send(ctx, holder, p, counter as u32, data_payload(holder, k));
                     }
                 }
             }
@@ -160,25 +105,33 @@ impl TokenHost {
     }
 
     fn on_data(&mut self, now: u64, receiver: ProcessId, origin: ProcessId, k: u64, seq: u64) {
-        let Some(i) = self.local_index(receiver) else { return };
+        let Some(i) = self.base.local_index(receiver) else { return };
         self.pending[i].insert(seq, (origin, k));
         while let Some(&(origin, k)) = self.pending[i].get(&self.next_deliver[i]) {
             let seq = self.next_deliver[i];
             self.pending[i].remove(&seq);
             self.next_deliver[i] += 1;
-            self.probe.lock().unwrap().record_delivery(now, receiver, origin, k, (seq, 0));
+            self.base.probe.lock().unwrap().record_delivery(now, receiver, origin, k, (seq, 0));
         }
+    }
+}
+
+impl Broadcaster for TokenHost {
+    fn base(&mut self) -> &mut HostBase {
+        &mut self.base
+    }
+
+    fn broadcast(&mut self, _ctx: &mut Ctx<'_>, i: usize, k: u64) {
+        self.queued[i].push(k);
     }
 }
 
 impl NodeLogic for TokenHost {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        for i in 0..self.procs.len() {
-            let phase = 1 + (self.procs[i].0 as u64 * 131) % self.interval();
-            ctx.set_timer(phase, WORK_BASE + i as u64);
-        }
-        if let Some(p) = self.start_token {
-            self.handle_token(ctx, p, 0);
+        self.base.start(ctx, 131);
+        let first = self.base.all[0];
+        if self.base.local_index(first).is_some() {
+            self.handle_token(ctx, first, 0);
         }
     }
 
@@ -207,18 +160,8 @@ impl NodeLogic for TokenHost {
             if let Some((holder, counter)) = self.parked_token.take() {
                 self.handle_token(ctx, holder, counter);
             }
-            return;
-        }
-        if token >= WORK_BASE {
-            let i = (token - WORK_BASE) as usize;
-            if i >= self.procs.len() || self.sent[i] >= self.max_sends {
-                return;
-            }
-            let k = self.sent[i];
-            self.sent[i] += 1;
-            self.probe.lock().unwrap().record_send(ctx.now(), self.procs[i], k);
-            self.queued[i].push(k);
-            ctx.set_timer(self.interval(), token);
+        } else if token >= WORK_BASE {
+            HostBase::work(self, ctx, token);
         }
     }
 }
@@ -226,37 +169,11 @@ impl NodeLogic for TokenHost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::measure::BroadcastProbe;
-    use crate::plain::PlainSwitch;
-    use onepipe_netsim::engine::Sim;
-    use onepipe_netsim::topology::{FatTreeParams, Topology};
-    use onepipe_types::process_map::ProcessMap;
-    use std::sync::Arc;
+    use crate::host::world;
+    use crate::measure::ProbeHandle;
 
     fn run_token(n: usize, rate: f64, dur: u64) -> ProbeHandle {
-        let mut sim = Sim::new(4);
-        let topo = Arc::new(Topology::build(&mut sim, FatTreeParams::single_rack(n as u32)));
-        let procs = Arc::new(ProcessMap::place_round_robin(n, n));
-        PlainSwitch::install_all(&mut sim, &topo, &procs);
-        let probe = BroadcastProbe::shared();
-        let all: Vec<ProcessId> = procs.all().collect();
-        for h in 0..n {
-            let host = HostId(h as u32);
-            let mut logic = TokenHost::new(
-                host,
-                topo.tor_up_of(host),
-                procs.processes_on(host).to_vec(),
-                all.clone(),
-                rate,
-                u64::MAX,
-                8,
-                probe.clone(),
-            );
-            if h == 0 {
-                logic.start_token = Some(ProcessId(0));
-            }
-            sim.set_logic(topo.host_node(host), Box::new(logic));
-        }
+        let (mut sim, probe) = world(n, 4, rate, u64::MAX, |b| TokenHost::new(b, 8));
         sim.run_until(dur);
         probe
     }

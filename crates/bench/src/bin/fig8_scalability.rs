@@ -12,122 +12,26 @@
 //! trades latency for its O(N²) exchange overhead.
 
 use onepipe_baselines::lamport::LamportHost;
-use onepipe_baselines::measure::{BroadcastMetrics, BroadcastProbe};
-use onepipe_baselines::plain::PlainSwitch;
 use onepipe_baselines::sequencer::{SeqHost, SeqKind};
 use onepipe_baselines::token::TokenHost;
-use onepipe_bench::{cluster_for, full_mode, row, run_onepipe_broadcast, us};
-use onepipe_netsim::engine::Sim;
-use onepipe_netsim::topology::{FatTreeParams, Topology};
-use onepipe_types::ids::{HostId, ProcessId};
-use onepipe_types::process_map::ProcessMap;
-use std::sync::Arc;
+use onepipe_baselines::{world, HostBase, RunMetrics};
+use onepipe_bench::{cluster_for, full_mode, row, run_onepipe_broadcast};
+use onepipe_netsim::engine::NodeLogic;
+use onepipe_types::ids::ProcessId;
 
-/// Build the baseline substrate: topology sized for n processes (8 per
-/// host like the testbed once n > 32), plain switches, shared probe.
-fn baseline_world(n: usize, seed: u64) -> (Sim, Arc<Topology>, Arc<ProcessMap>) {
-    let mut sim = Sim::new(seed);
-    let params =
-        if n <= 8 { FatTreeParams::single_rack(n.max(2) as u32) } else { FatTreeParams::testbed() };
-    let topo = Arc::new(Topology::build(&mut sim, params));
-    let procs = Arc::new(ProcessMap::place_round_robin(topo.num_hosts(), n));
-    PlainSwitch::install_all(&mut sim, &topo, &procs);
-    (sim, topo, procs)
-}
-
-fn measure(probe: &BroadcastProbe, n: usize, t0: u64, t1: u64) -> BroadcastMetrics {
-    probe.metrics(n, t0, t1)
-}
-
-fn run_sequencer(n: usize, kind: SeqKind, rate: f64, dur: u64) -> BroadcastMetrics {
-    let (mut sim, topo, procs) = baseline_world(n, 8);
-    let probe = BroadcastProbe::shared();
-    let all: Vec<ProcessId> = procs.all().collect();
-    for h in 0..topo.num_hosts() {
-        let host = HostId(h as u32);
-        let local = procs.processes_on(host).to_vec();
-        if local.is_empty() {
-            continue;
-        }
-        let logic = SeqHost::new(
-            host,
-            topo.tor_up_of(host),
-            local,
-            all.clone(),
-            ProcessId(0),
-            kind,
-            rate,
-            u64::MAX,
-            probe.clone(),
-        );
-        sim.set_logic(topo.host_node(host), Box::new(logic));
-    }
+/// Run one baseline, built by `make` on every host, for `dur` ns and
+/// measure its last four fifths.
+fn baseline<H: NodeLogic + 'static>(
+    n: usize,
+    seed: u64,
+    rate: f64,
+    dur: u64,
+    make: impl FnMut(HostBase) -> H,
+) -> RunMetrics {
+    let (mut sim, probe) = world(n, seed, rate, u64::MAX, make);
     sim.run_until(dur);
-    let m = measure(&probe.lock().unwrap(), n, dur / 5, dur);
+    let m = probe.lock().unwrap().metrics(n, dur / 5, dur);
     m
-}
-
-fn run_token(n: usize, rate: f64, dur: u64) -> BroadcastMetrics {
-    let (mut sim, topo, procs) = baseline_world(n, 9);
-    let probe = BroadcastProbe::shared();
-    let all: Vec<ProcessId> = procs.all().collect();
-    for h in 0..topo.num_hosts() {
-        let host = HostId(h as u32);
-        let local = procs.processes_on(host).to_vec();
-        if local.is_empty() {
-            continue;
-        }
-        let mut logic = TokenHost::new(
-            host,
-            topo.tor_up_of(host),
-            local.clone(),
-            all.clone(),
-            rate,
-            u64::MAX,
-            8,
-            probe.clone(),
-        );
-        if local.contains(&ProcessId(0)) {
-            logic.start_token = Some(ProcessId(0));
-        }
-        sim.set_logic(topo.host_node(host), Box::new(logic));
-    }
-    sim.run_until(dur);
-    let m = measure(&probe.lock().unwrap(), n, dur / 5, dur);
-    m
-}
-
-fn run_lamport(n: usize, rate: f64, dur: u64, exchange: u64) -> BroadcastMetrics {
-    let (mut sim, topo, procs) = baseline_world(n, 10);
-    let probe = BroadcastProbe::shared();
-    let all: Vec<ProcessId> = procs.all().collect();
-    for h in 0..topo.num_hosts() {
-        let host = HostId(h as u32);
-        let local = procs.processes_on(host).to_vec();
-        if local.is_empty() {
-            continue;
-        }
-        let logic = LamportHost::new(
-            host,
-            topo.tor_up_of(host),
-            local,
-            all.clone(),
-            rate,
-            u64::MAX,
-            exchange,
-            probe.clone(),
-        );
-        sim.set_logic(topo.host_node(host), Box::new(logic));
-    }
-    sim.run_until(dur);
-    let m = measure(&probe.lock().unwrap(), n, dur / 5, dur);
-    m
-}
-
-fn run_onepipe(n: usize, rate: f64, dur: u64, reliable: bool) -> (f64, f64) {
-    let mut cluster = cluster_for(n, 7);
-    let m = run_onepipe_broadcast(&mut cluster, n, rate, dur, reliable);
-    (m.tput_per_proc / 1e6, us(m.latency.mean()))
 }
 
 fn main() {
@@ -158,6 +62,7 @@ fn main() {
     ]);
     let mut tput_rows = Vec::new();
     let mut lat_rows = Vec::new();
+    let mut violations = 0;
     for &n in &sizes {
         // Constant per-process offered rate (the paper's setup, scaled
         // down ~50× from 5 M/s): the sequencers and the token ring
@@ -171,60 +76,33 @@ fn main() {
             256 => (10_000.0, 1_500_000),
             _ => (2_000.0, 800_000),
         };
-        let (t_be, l_be) = run_onepipe(n, rate, dur, false);
-        let (t_r, l_r) = run_onepipe(n, rate, dur, true);
-        if n > 64 {
-            // 1Pipe-only extension rows (see the sweep note above).
-            let dash = || "-".to_string();
-            tput_rows.push(vec![
-                n.to_string(),
-                format!("{t_be:.3}"),
-                format!("{t_r:.3}"),
-                dash(),
-                dash(),
-                dash(),
-                dash(),
-            ]);
-            lat_rows.push(vec![
-                n.to_string(),
-                format!("{l_be:.1}"),
-                format!("{l_r:.1}"),
-                dash(),
-                dash(),
-                dash(),
-                dash(),
-            ]);
-            continue;
+        let onepipe =
+            |reliable| run_onepipe_broadcast(&mut cluster_for(n, 7), n, rate, dur, reliable);
+        let mut runs = vec![onepipe(false), onepipe(true)];
+        // Past 64 processes the rows are 1Pipe-only (see the sweep note above).
+        if n <= 64 {
+            for kind in [SeqKind::Switch, SeqKind::Host] {
+                runs.push(baseline(n, 8, rate, dur, |b| SeqHost::new(b, ProcessId(0), kind)));
+            }
+            runs.push(baseline(n, 9, rate, dur, |b| TokenHost::new(b, 8)));
+            runs.push(baseline(n, 10, rate, dur, |b| LamportHost::new(b, 10_000)));
         }
-        let m_ss = run_sequencer(n, SeqKind::Switch, rate, dur);
-        let m_hs = run_sequencer(n, SeqKind::Host, rate, dur);
-        let m_tk = run_token(n, rate, dur);
-        let m_lp = run_lamport(n, rate, dur, 10_000);
-        tput_rows.push(vec![
-            n.to_string(),
-            format!("{t_be:.3}"),
-            format!("{t_r:.3}"),
-            format!("{:.3}", m_ss.mtput()),
-            format!("{:.3}", m_hs.mtput()),
-            format!("{:.3}", m_tk.mtput()),
-            format!("{:.3}", m_lp.mtput()),
-        ]);
-        lat_rows.push(vec![
-            n.to_string(),
-            format!("{l_be:.1}"),
-            format!("{l_r:.1}"),
-            format!("{:.1}", m_ss.mean_latency_us()),
-            format!("{:.1}", m_hs.mean_latency_us()),
-            format!("{:.1}", m_tk.mean_latency_us()),
-            format!("{:.1}", m_lp.mean_latency_us()),
-        ]);
+        violations += runs.iter().map(|m| m.order_violations).sum::<u64>();
+        let cells = |cell: fn(&RunMetrics) -> String| {
+            let mut r: Vec<String> = vec![n.to_string()];
+            r.extend(runs.iter().map(cell));
+            r.resize(7, "-".into());
+            r
+        };
+        tput_rows.push(cells(|m| format!("{:.3}", m.mtput())));
+        lat_rows.push(cells(|m| format!("{:.1}", m.mean_latency_us())));
     }
     println!("\n## (a) Throughput per process (M msg/s) at constant offered load");
-    for r in &tput_rows {
-        row(&r.iter().map(|s| s.to_string()).collect::<Vec<_>>());
-    }
+    tput_rows.iter().for_each(|r| row(r));
     println!("\n## (b) Mean delivery latency (us)");
-    for r in &lat_rows {
-        row(&r.iter().map(|s| s.to_string()).collect::<Vec<_>>());
+    lat_rows.iter().for_each(|r| row(r));
+    if violations > 0 {
+        eprintln!("fig8: baseline runs delivered {violations} message(s) out of total order");
+        std::process::exit(1);
     }
 }

@@ -33,23 +33,15 @@ use onepipe_core::harness::{Cluster, ClusterConfig};
 use onepipe_netsim::stats::Samples;
 use onepipe_types::ids::ProcessId;
 use onepipe_types::message::Message;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
+
+pub use onepipe_baselines::RunMetrics;
 
 /// Microseconds helper for printing.
 pub fn us(ns: f64) -> f64 {
     ns / 1_000.0
-}
-
-/// Result of one ordered-communication run.
-pub struct RunMetrics {
-    /// Deliveries per second per process.
-    pub tput_per_proc: f64,
-    /// Delivery latency samples (ns, send → app delivery).
-    pub latency: Samples,
-    /// Messages sent (scattering × destinations).
-    pub sent: u64,
-    /// Messages delivered.
-    pub delivered: u64,
 }
 
 /// Drive an all-to-all broadcast workload over a 1Pipe cluster: every
@@ -63,41 +55,11 @@ pub fn run_onepipe_broadcast(
     dur_ns: u64,
     reliable: bool,
 ) -> RunMetrics {
-    let warmup = 100_000; // 100 µs of barrier warm-up
-    cluster.run_for(warmup);
     let interval = (1e9 / rate_per_proc) as u64;
-    let t0 = cluster.sim.now();
-    let mut send_times: HashMap<(ProcessId, u64), u64> = HashMap::new();
-    let mut seq_of: HashMap<ProcessId, u64> = HashMap::new();
-    let mut t = t0;
-    let mut sent = 0u64;
-    while t < t0 + dur_ns {
-        cluster.run_until(t);
-        for p in 0..n as u32 {
-            let from = ProcessId(p);
-            let msgs: Vec<Message> =
-                (0..n as u32).map(|q| Message::new(ProcessId(q), vec![0u8; 64])).collect();
-            if cluster.send(from, msgs, reliable).is_ok() {
-                let seq = seq_of.entry(from).or_insert(0);
-                send_times.insert((from, *seq), cluster.sim.now());
-                *seq += 1;
-                sent += n as u64;
-            }
-        }
-        t += interval;
-    }
-    // Drain.
-    cluster.run_for(2_000_000);
-    let mut latency = Samples::new();
-    let mut delivered = 0u64;
-    for rec in cluster.take_deliveries() {
-        delivered += 1;
-        if let Some(&s) = send_times.get(&(rec.msg.src, rec.msg.seq)) {
-            latency.push((rec.at - s) as f64);
-        }
-    }
-    let secs = dur_ns as f64 / 1e9;
-    RunMetrics { tput_per_proc: delivered as f64 / n as f64 / secs, latency, sent, delivered }
+    drive(cluster, n, 0, interval, dur_ns, 2_000_000, |c, p| {
+        let msgs = (0..n as u32).map(|q| Message::new(ProcessId(q), vec![0u8; 64])).collect();
+        c.send(ProcessId(p), msgs, reliable).is_ok().then_some(n as u64)
+    })
 }
 
 /// Drive a uniform random-unicast workload (for latency experiments):
@@ -110,37 +72,52 @@ pub fn run_onepipe_unicast(
     dur_ns: u64,
     reliable: bool,
 ) -> RunMetrics {
-    use rand::Rng;
-    use rand::SeedableRng;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(99);
-    cluster.run_for(100_000);
+    let mut rng = StdRng::seed_from_u64(99);
     // Stagger sends off the beacon grid: perfectly aligned send times sit
     // at the worst-case barrier phase and would bias the measurement.
-    let t0 = cluster.sim.now() + 1_379;
+    drive(cluster, n, 1_379, interval_ns, dur_ns, 3_000_000, |c, p| {
+        let to = loop {
+            let q: u32 = rng.random_range(0..n as u32);
+            if q != p {
+                break ProcessId(q);
+            }
+        };
+        c.send(ProcessId(p), vec![Message::new(to, vec![0u8; 64])], reliable).is_ok().then_some(1)
+    })
+}
+
+/// The loop both drivers share: 100 µs of barrier warm-up; then, from
+/// `offset` after it and every `interval` ns for `dur_ns`, `send(cluster,
+/// p)` for each process `p`, which returns how many messages it sent or
+/// `None` if the cluster refused them; then a `drain`. Every delivery is
+/// timed against its send.
+fn drive(
+    cluster: &mut Cluster,
+    n: usize,
+    offset: u64,
+    interval: u64,
+    dur_ns: u64,
+    drain: u64,
+    mut send: impl FnMut(&mut Cluster, u32) -> Option<u64>,
+) -> RunMetrics {
+    cluster.run_for(100_000);
+    let t0 = cluster.sim.now() + offset;
     let mut send_times: HashMap<(ProcessId, u64), u64> = HashMap::new();
-    let mut seq_of: HashMap<ProcessId, u64> = HashMap::new();
+    let mut seq_of = vec![0u64; n];
     let mut t = t0;
     let mut sent = 0u64;
     while t < t0 + dur_ns {
         cluster.run_until(t);
         for p in 0..n as u32 {
-            let from = ProcessId(p);
-            let to = loop {
-                let q: u32 = rng.random_range(0..n as u32);
-                if q != p {
-                    break ProcessId(q);
-                }
-            };
-            if cluster.send(from, vec![Message::new(to, vec![0u8; 64])], reliable).is_ok() {
-                let seq = seq_of.entry(from).or_insert(0);
-                send_times.insert((from, *seq), cluster.sim.now());
-                *seq += 1;
-                sent += 1;
+            if let Some(count) = send(cluster, p) {
+                send_times.insert((ProcessId(p), seq_of[p as usize]), cluster.sim.now());
+                seq_of[p as usize] += 1;
+                sent += count;
             }
         }
-        t += interval_ns;
+        t += interval;
     }
-    cluster.run_for(3_000_000);
+    cluster.run_for(drain);
     let mut latency = Samples::new();
     let mut delivered = 0u64;
     for rec in cluster.take_deliveries() {
@@ -149,8 +126,8 @@ pub fn run_onepipe_unicast(
             latency.push((rec.at - s) as f64);
         }
     }
-    let secs = dur_ns as f64 / 1e9;
-    RunMetrics { tput_per_proc: delivered as f64 / n as f64 / secs, latency, sent, delivered }
+    let tput_per_proc = delivered as f64 / n as f64 / (dur_ns as f64 / 1e9);
+    RunMetrics { tput_per_proc, latency, sent, delivered, order_violations: 0 }
 }
 
 /// Parse a `--full` flag (larger sweeps) from argv.
@@ -164,16 +141,11 @@ pub fn row(cells: &[String]) {
     println!("{}", line.join(" "));
 }
 
-/// Standard cluster for a given process count: single rack below 9
-/// processes (matching the paper's placement), the 32-host testbed above.
+/// Standard cluster for a given process count, on the fat tree the
+/// baselines use ([`onepipe_baselines::fat_tree_for`]).
 pub fn cluster_for(n: usize, seed: u64) -> Cluster {
-    let mut cfg = if n <= 8 {
-        ClusterConfig::single_rack(n.max(2) as u32, n)
-    } else {
-        ClusterConfig::testbed(n)
-    };
-    cfg.seed = seed;
-    Cluster::new(cfg)
+    let topo = onepipe_baselines::fat_tree_for(n);
+    Cluster::new(ClusterConfig { topo, seed, ..ClusterConfig::testbed(n) })
 }
 
 #[cfg(test)]

@@ -402,12 +402,9 @@ impl Endpoint {
     /// the paper's applications use plain RDMA for RPC responses that
     /// "do not need to be ordered by 1Pipe" (§2.2.2).
     pub fn send_raw(&mut self, dst: ProcessId, payload: impl Into<Bytes>) {
-        self.out.push_back(Datagram {
-            src: self.id,
-            dst,
-            header: PacketHeader::control(Opcode::Control, self.now_local, 0, Flags::empty()),
-            payload: payload.into(),
-        });
+        let raw =
+            control(self.id, dst, Opcode::Control, self.now_local, 0, Flags::empty(), payload);
+        self.out.push_back(raw);
     }
 
     // ------------------------------------------------------------------
@@ -567,22 +564,13 @@ impl Endpoint {
         if header.flags.contains(Flags::ECN) {
             flags.insert(Flags::ECN);
         }
-        self.out.push_back(Datagram {
-            src: self.id,
-            dst: to,
-            header: PacketHeader::control(Opcode::Ack, header.msg_ts, header.psn, flags),
-            payload: Bytes::new(),
-        });
+        let ack = control(self.id, to, Opcode::Ack, header.msg_ts, header.psn, flags, Bytes::new());
+        self.out.push_back(ack);
     }
 
     /// Tell `to` that its best-effort message `msg_ts` lost packet `psn`.
     fn send_nak(&mut self, to: ProcessId, msg_ts: Timestamp, psn: u32) {
-        self.out.push_back(Datagram {
-            src: self.id,
-            dst: to,
-            header: PacketHeader::control(Opcode::Nak, msg_ts, psn, Flags::empty()),
-            payload: Bytes::new(),
-        });
+        self.out.push_back(be_nak(self.id, to, msg_ts, psn));
     }
 
     fn on_ack(&mut self, d: Datagram) {
@@ -642,14 +630,10 @@ impl Endpoint {
         let Ok(seq) = read_u64(&d.payload) else { return };
         self.rel_rx.discard_scattering(d.src, d.header.msg_ts, seq);
         // Always ack — recalls are idempotent.
-        let mut payload = BytesMut::with_capacity(8);
-        payload.put_u64(seq);
-        self.out.push_back(Datagram {
-            src: self.id,
-            dst: d.src,
-            header: PacketHeader::control(Opcode::RecallAck, d.header.msg_ts, 0, Flags::empty()),
-            payload: payload.freeze(),
-        });
+        let ts = d.header.msg_ts;
+        let ack =
+            control(self.id, d.src, Opcode::RecallAck, ts, 0, Flags::empty(), seq_payload(seq));
+        self.out.push_back(ack);
     }
 
     fn on_recall_ack(&mut self, d: Datagram) {
@@ -847,14 +831,8 @@ impl Endpoint {
     }
 
     fn push_recall(&mut self, ts: Timestamp, seq: u64, dst: ProcessId) {
-        let mut payload = BytesMut::with_capacity(8);
-        payload.put_u64(seq);
-        self.out.push_back(Datagram {
-            src: self.id,
-            dst,
-            header: PacketHeader::control(Opcode::Recall, ts, 0, Flags::empty()),
-            payload: payload.freeze(),
-        });
+        let recall = control(self.id, dst, Opcode::Recall, ts, 0, Flags::empty(), seq_payload(seq));
+        self.out.push_back(recall);
     }
 
     /// Emit a Commit message toward the first-hop switch when the commit
@@ -869,10 +847,16 @@ impl Endpoint {
         let contribution = self.commit_contribution(now);
         self.commit_dirty = false;
         if contribution > before {
-            let mut header =
-                PacketHeader::control(Opcode::Commit, Timestamp::ZERO, 0, Flags::empty());
-            header.commit_barrier = contribution;
-            let commit = Datagram { src: self.id, dst: HOP_LOCAL, header, payload: Bytes::new() };
+            let mut commit = control(
+                self.id,
+                HOP_LOCAL,
+                Opcode::Commit,
+                Timestamp::ZERO,
+                0,
+                Flags::empty(),
+                Bytes::new(),
+            );
+            commit.header.commit_barrier = contribution;
             self.out.push_back(commit);
             self.stats.commits_sent += 1;
         }
@@ -905,17 +889,7 @@ impl Endpoint {
         be_rx.advance_into(be_edge, |outcome| match outcome {
             Ok(msg) => delivered_be.push_back(msg),
             // Lost fragments: tell the sender (send-failure callback there).
-            Err(lost) => out.push_back(Datagram {
-                src: *id,
-                dst: lost.key.key.sender,
-                header: PacketHeader::control(
-                    Opcode::Nak,
-                    lost.key.key.ts,
-                    lost.psn,
-                    Flags::empty(),
-                ),
-                payload: Bytes::new(),
-            }),
+            Err(lost) => out.push_back(be_nak(*id, lost.key.key.sender, lost.key.key.ts, lost.psn)),
         });
         if let Some(newest) = self.delivered_be.back().map(|m| m.ts) {
             self.stats.delivered_be += (self.delivered_be.len() - queued) as u64;
@@ -1120,6 +1094,39 @@ fn merge_barrier(cur: Timestamp, new: Timestamp) -> Timestamp {
     } else {
         cur.max(new)
     }
+}
+
+/// A control datagram from `src` to `dst`, its header
+/// [`PacketHeader::control`]`(op, msg_ts, psn, flags)`.
+fn control(
+    src: ProcessId,
+    dst: ProcessId,
+    op: Opcode,
+    msg_ts: Timestamp,
+    psn: u32,
+    flags: Flags,
+    payload: impl Into<Bytes>,
+) -> Datagram {
+    Datagram {
+        src,
+        dst,
+        header: PacketHeader::control(op, msg_ts, psn, flags),
+        payload: payload.into(),
+    }
+}
+
+/// The best-effort NAK telling `dst` that its message `msg_ts` lost
+/// packet `psn`.
+fn be_nak(src: ProcessId, dst: ProcessId, msg_ts: Timestamp, psn: u32) -> Datagram {
+    control(src, dst, Opcode::Nak, msg_ts, psn, Flags::empty(), Bytes::new())
+}
+
+/// The payload of a Recall and its RecallAck: the scattering's sequence
+/// number.
+fn seq_payload(seq: u64) -> Bytes {
+    let mut payload = BytesMut::with_capacity(8);
+    payload.put_u64(seq);
+    payload.freeze()
 }
 
 fn read_u64(payload: &Bytes) -> onepipe_types::Result<u64> {
