@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks of 1Pipe's hot paths: the calendar-queue
-//! event scheduler, a beacon's hop through the simulation engine, live
-//! routing and the switch's cached lookup, timestamp ordering, wire
-//! codec, the empty payload every control packet carries, barrier
+//! event scheduler, a beacon's and a forwarded packet's hop through the
+//! simulation engine, live routing and the switch's cached lookup,
+//! timestamp ordering, wire codec and batch frames, the empty payload every control packet carries, barrier
 //! aggregation (eq. 4.1), the receive-side reorder buffer, a channel's
 //! unacknowledged-packet ring, the endpoint's idle tick and reliable
 //! round trip, and the zipfian workload generator — plus the
@@ -177,6 +177,44 @@ fn bench_engine(c: &mut Criterion) {
     });
 }
 
+/// A data packet's hop, the switch's unit of work: `Sim::run` pops the
+/// arrival, hands the node the packet in its pool slot, and the node
+/// forwards it from there (`Ctx::forward`: the link model, the push). Two
+/// nodes bounce one 64 B packet between them; an iteration is one hop.
+fn bench_engine_hop(c: &mut Criterion) {
+    use onepipe_netsim::engine::{Arrived, Ctx, NodeLogic, Sim, SimPacket};
+    use onepipe_netsim::link::LinkParams;
+    struct Relay;
+    impl NodeLogic for Relay {
+        fn on_packet(&mut self, _: &mut Ctx<'_>, _: NodeId, _: SimPacket) {}
+        fn on_arrival(&mut self, ctx: &mut Ctx<'_>, from: NodeId, mut pkt: Arrived) {
+            ctx.packet_mut(&mut pkt).dgram.header.psn += 1;
+            ctx.forward(from, pkt);
+        }
+    }
+    let mut sim = Sim::new(1);
+    let (a, b) = (sim.add_node(), sim.add_node());
+    sim.add_duplex_link(a, b, LinkParams::default());
+    sim.set_logic(a, Box::new(Relay));
+    sim.set_logic(b, Box::new(Relay));
+    sim.run_until(0);
+    let pkt = SimPacket::new(Datagram {
+        src: ProcessId(0),
+        dst: ProcessId(1),
+        header: PacketHeader::data(Timestamp::from_nanos(42), 0, Flags::END_OF_MESSAGE),
+        payload: bytes::Bytes::from(vec![0u8; 64]),
+    });
+    sim.with_node(a, |_, ctx| ctx.send(b, pkt));
+    c.bench_function("engine/hop", |bench| {
+        bench.iter(|| {
+            let events = sim.stats.events;
+            // A deadline of 0: exactly one event.
+            sim.run(u64::MAX, 0);
+            assert_eq!(sim.stats.events, events + 1);
+        })
+    });
+}
+
 fn bench_route_live(c: &mut Criterion) {
     use onepipe_netsim::engine::Sim;
     use onepipe_netsim::topology::{FatTreeParams, Topology};
@@ -281,6 +319,38 @@ fn bench_wire(c: &mut Criterion) {
     let encoded = d.encode();
     c.bench_function("wire/decode_64B", |bench| {
         bench.iter(|| black_box(Datagram::decode(encoded.clone()).unwrap()))
+    });
+    // A UDP frame of 16 datagrams, a data packet's and the control
+    // packets that ride along (an iteration is the whole frame).
+    use onepipe_types::wire::{decode_frame, encode_batch_into, Opcode};
+    let frame: Vec<Datagram> = (0..16)
+        .map(|i| match i % 4 {
+            0 => d.clone(),
+            1 => Datagram::beacon(Timestamp::from_nanos(40 + i), Timestamp::from_nanos(30 + i)),
+            _ => Datagram {
+                header: PacketHeader { opcode: Opcode::Ack, psn: i as u32, ..d.header },
+                payload: bytes::Bytes::new(),
+                ..d.clone()
+            },
+        })
+        .collect();
+    let mut buf = bytes::BytesMut::with_capacity(4096);
+    c.bench_function("wire/batch_encode/16", |bench| {
+        bench.iter(|| {
+            buf.clear();
+            encode_batch_into(black_box(&frame), &mut buf);
+            black_box(buf.len())
+        })
+    });
+    buf.clear();
+    encode_batch_into(&frame, &mut buf);
+    let encoded = buf.freeze();
+    c.bench_function("wire/decode_frame/16", |bench| {
+        bench.iter(|| {
+            for d in decode_frame(black_box(encoded.clone())) {
+                black_box(d.expect("decodes"));
+            }
+        })
     });
 }
 
@@ -501,6 +571,7 @@ criterion_group!(
     benches,
     bench_sched,
     bench_engine,
+    bench_engine_hop,
     bench_route_live,
     bench_switch_next_hop,
     bench_timestamp,

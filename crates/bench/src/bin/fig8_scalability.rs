@@ -1,7 +1,8 @@
 //! Figure 8: scalability comparison of total order broadcast algorithms.
 //!
 //! Reproduces both panels — (a) throughput per process and (b) delivery
-//! latency — for six schemes: 1Pipe best-effort, 1Pipe reliable, a
+//! latency — for six schemes, and prints (c) the packets each run's
+//! network dropped and ECN-marked: 1Pipe best-effort, 1Pipe reliable, a
 //! programmable-switch sequencer, a host sequencer, a token ring, and
 //! Lamport timestamps with interval exchange.
 //!
@@ -17,21 +18,23 @@ use onepipe_baselines::token::TokenHost;
 use onepipe_baselines::{world, HostBase, RunMetrics};
 use onepipe_bench::{cluster_for, full_mode, row, run_onepipe_broadcast};
 use onepipe_netsim::engine::NodeLogic;
+use onepipe_netsim::stats::Stats;
 use onepipe_types::ids::ProcessId;
 
 /// Run one baseline, built by `make` on every host, for `dur` ns and
-/// measure its last four fifths.
+/// measure its last four fifths; with the engine's counters of the whole
+/// run.
 fn baseline<H: NodeLogic + 'static>(
     n: usize,
     seed: u64,
     rate: f64,
     dur: u64,
     make: impl FnMut(HostBase) -> H,
-) -> RunMetrics {
+) -> (RunMetrics, Stats) {
     let (mut sim, probe) = world(n, seed, rate, u64::MAX, make);
     sim.run_until(dur);
     let m = probe.lock().unwrap().metrics(n, dur / 5, dur);
-    m
+    (m, sim.stats)
 }
 
 fn main() {
@@ -62,6 +65,7 @@ fn main() {
     ]);
     let mut tput_rows = Vec::new();
     let mut lat_rows = Vec::new();
+    let mut net_rows = Vec::new();
     let mut violations = 0;
     for &n in &sizes {
         // Constant per-process offered rate (the paper's setup, scaled
@@ -76,8 +80,11 @@ fn main() {
             256 => (10_000.0, 1_500_000),
             _ => (2_000.0, 800_000),
         };
-        let onepipe =
-            |reliable| run_onepipe_broadcast(&mut cluster_for(n, 7), n, rate, dur, reliable);
+        let onepipe = |reliable| {
+            let mut cluster = cluster_for(n, 7);
+            let m = run_onepipe_broadcast(&mut cluster, n, rate, dur, reliable);
+            (m, cluster.sim.stats)
+        };
         let mut runs = vec![onepipe(false), onepipe(true)];
         // Past 64 processes the rows are 1Pipe-only (see the sweep note above).
         if n <= 64 {
@@ -87,20 +94,23 @@ fn main() {
             runs.push(baseline(n, 9, rate, dur, |b| TokenHost::new(b, 8)));
             runs.push(baseline(n, 10, rate, dur, |b| LamportHost::new(b, 10_000)));
         }
-        violations += runs.iter().map(|m| m.order_violations).sum::<u64>();
-        let cells = |cell: fn(&RunMetrics) -> String| {
+        violations += runs.iter().map(|(m, _)| m.order_violations).sum::<u64>();
+        let cells = |cell: fn(&(RunMetrics, Stats)) -> String| {
             let mut r: Vec<String> = vec![n.to_string()];
             r.extend(runs.iter().map(cell));
             r.resize(7, "-".into());
             r
         };
-        tput_rows.push(cells(|m| format!("{:.3}", m.mtput())));
-        lat_rows.push(cells(|m| format!("{:.1}", m.mean_latency_us())));
+        tput_rows.push(cells(|(m, _)| format!("{:.3}", m.mtput())));
+        lat_rows.push(cells(|(m, _)| format!("{:.1}", m.mean_latency_us())));
+        net_rows.push(cells(|(_, s)| format!("{}/{}", s.packet_drops(), s.ecn_marks)));
     }
     println!("\n## (a) Throughput per process (M msg/s) at constant offered load");
     tput_rows.iter().for_each(|r| row(r));
     println!("\n## (b) Mean delivery latency (us)");
     lat_rows.iter().for_each(|r| row(r));
+    println!("\n## (c) drops and ECN marks (packets dropped/marked by the network, whole run)");
+    net_rows.iter().for_each(|r| row(r));
     if violations > 0 {
         eprintln!("fig8: baseline runs delivered {violations} message(s) out of total order");
         std::process::exit(1);

@@ -296,6 +296,7 @@ impl TxTable {
 
     /// The channel toward `peer`, opened on first use (see
     /// [`TxChannel::new`]).
+    #[inline]
     pub fn get_or_open(
         &mut self,
         peer: ProcessId,

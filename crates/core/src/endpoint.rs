@@ -22,7 +22,9 @@
 use crate::config::{DeliveryMode, EndpointConfig};
 use crate::conn::{OutPacket, TxChannel, TxTable};
 use crate::events::{CtrlRequest, UserEvent};
-use crate::frag::{fragment_count, fragments, parse_fragment, REL_CHANNEL};
+use crate::frag::{
+    fragment_count, fragmented_len, parse_fragment, split_fragments, write_fragments, REL_CHANNEL,
+};
 use crate::reorder::{Insert, ReorderBuffer};
 use bytes::{BufMut, Bytes, BytesMut};
 use onepipe_types::ids::{ProcessId, ScatteringId};
@@ -728,15 +730,25 @@ impl Endpoint {
         let reliable = scat.reliable;
         let scattering_flag = scat.msgs.len() > 1;
         let mut total_packets = 0u32;
-        let mut dsts: Vec<ProcessId> = Vec::new();
-        let table = if reliable { &mut self.rel_tx } else { &mut self.be_tx };
+        // Only a reliable scattering tracks its destinations.
+        let mut dsts: Vec<ProcessId> =
+            if reliable { Vec::with_capacity(scat.needs.len()) } else { Vec::new() };
+        // Every fragment of the scattering in one buffer: one allocation,
+        // however many destinations.
+        let size = scat.msgs.iter().map(|m| fragmented_len(m.payload.len(), MTU_PAYLOAD)).sum();
+        let mut buf = BytesMut::with_capacity(size);
         for (midx, msg) in scat.msgs.iter().enumerate() {
-            if !dsts.contains(&msg.dst) {
+            write_fragments(&mut buf, scat.seq, midx as u16, &msg.payload, MTU_PAYLOAD);
+        }
+        let mut frags = buf.freeze();
+        let table = if reliable { &mut self.rel_tx } else { &mut self.be_tx };
+        for msg in &scat.msgs {
+            if reliable && !dsts.contains(&msg.dst) {
                 dsts.push(msg.dst);
             }
             let ch = channel(table, msg.dst, &self.cfg, reliable);
             let timeout = ch.rtt.timeout();
-            for frag in fragments(scat.seq, midx as u16, &msg.payload, MTU_PAYLOAD) {
+            for frag in split_fragments(&mut frags, msg.payload.len(), MTU_PAYLOAD) {
                 let psn = ch.alloc_psn();
                 let mut flags = frag.flags;
                 if scattering_flag {

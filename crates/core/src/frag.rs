@@ -36,25 +36,42 @@ pub struct Fragment {
     pub payload: Bytes,
 }
 
-/// Split an application payload into fragments of at most `mtu_payload`
-/// application bytes each, lazily — the send path consumes them one by
-/// one. Always yields at least one fragment (empty messages are legal and
-/// useful as pure synchronization points).
-pub fn fragments(
-    seq: u64,
-    midx: u16,
-    data: &Bytes,
-    mtu_payload: usize,
-) -> impl Iterator<Item = Fragment> + '_ {
+/// Bytes the fragments of a `len`-byte message take: one prefix per
+/// fragment, then the application bytes.
+pub fn fragmented_len(len: usize, mtu_payload: usize) -> usize {
+    fragment_count(len, mtu_payload) as usize * FRAG_PREFIX + len
+}
+
+/// Append the fragments of message `midx` of scattering `seq` to `buf`,
+/// back to back, each of at most `mtu_payload` application bytes.
+/// Always writes at least one fragment (empty messages are legal and
+/// useful as pure synchronization points). A sender writes every message
+/// of a scattering into one buffer, so the whole scattering costs one
+/// allocation; [`split_fragments`] cuts them apart again.
+pub fn write_fragments(buf: &mut BytesMut, seq: u64, midx: u16, data: &[u8], mtu_payload: usize) {
     assert!(mtu_payload > 0, "mtu must be positive");
+    buf.reserve(fragmented_len(data.len(), mtu_payload));
     let n_frags = fragment_count(data.len(), mtu_payload) as usize;
-    (0..n_frags).map(move |i| {
+    for i in 0..n_frags {
         let lo = i * mtu_payload;
         let hi = ((i + 1) * mtu_payload).min(data.len());
-        let mut buf = BytesMut::with_capacity(FRAG_PREFIX + (hi - lo));
         buf.put_u64(seq);
         buf.put_u16(midx);
         buf.extend_from_slice(&data[lo..hi]);
+    }
+}
+
+/// The fragments of a `len`-byte message, split off the front of `buf`
+/// as [`write_fragments`] wrote them, lazily — the send path consumes
+/// them one by one. Each shares `buf`'s storage.
+pub fn split_fragments(
+    buf: &mut Bytes,
+    len: usize,
+    mtu_payload: usize,
+) -> impl Iterator<Item = Fragment> + '_ {
+    let n_frags = fragment_count(len, mtu_payload) as usize;
+    (0..n_frags).map(move |i| {
+        let data = (len - i * mtu_payload).min(mtu_payload);
         let mut flags = Flags::empty();
         if i == 0 {
             flags.insert(START_OF_MESSAGE);
@@ -62,16 +79,19 @@ pub fn fragments(
         if i == n_frags - 1 {
             flags.insert(Flags::END_OF_MESSAGE);
         }
-        Fragment { flags, payload: buf.freeze() }
+        Fragment { flags, payload: buf.split_to(FRAG_PREFIX + data) }
     })
 }
 
-/// [`fragments`], collected.
+/// Split an application payload into its fragments, in one buffer.
 pub fn fragment_message(seq: u64, midx: u16, data: &Bytes, mtu_payload: usize) -> Vec<Fragment> {
-    fragments(seq, midx, data, mtu_payload).collect()
+    let mut buf = BytesMut::new();
+    write_fragments(&mut buf, seq, midx, data, mtu_payload);
+    split_fragments(&mut buf.freeze(), data.len(), mtu_payload).collect()
 }
 
 /// Parse a fragment payload back into `(seq, midx, application bytes)`.
+#[inline]
 pub fn parse_fragment(mut payload: Bytes) -> onepipe_types::Result<(u64, u16, Bytes)> {
     if payload.len() < FRAG_PREFIX {
         return Err(onepipe_types::Error::Truncated { needed: FRAG_PREFIX, got: payload.len() });
@@ -145,6 +165,24 @@ mod tests {
         assert_eq!(fragment_count(2000, 1000), 2);
         assert_eq!(fragment_count(2001, 1000), 3);
         assert_eq!(fragment_count(0, 1000), 1);
+    }
+
+    #[test]
+    fn a_scattering_splits_back_into_its_messages() {
+        let msgs = [Bytes::from(vec![1u8; 2500]), Bytes::new(), Bytes::from_static(b"tail")];
+        let mut buf = BytesMut::new();
+        for (midx, m) in msgs.iter().enumerate() {
+            write_fragments(&mut buf, 77, midx as u16, m, 1000);
+        }
+        let total: usize = msgs.iter().map(|m| fragmented_len(m.len(), 1000)).sum();
+        assert_eq!(buf.len(), total);
+        let mut rest = buf.freeze();
+        for (midx, m) in msgs.iter().enumerate() {
+            let frags: Vec<Fragment> = split_fragments(&mut rest, m.len(), 1000).collect();
+            assert_eq!(frags, fragment_message(77, midx as u16, m, 1000));
+            assert_eq!(reassemble(&frags), (77, midx as u16, m.to_vec()));
+        }
+        assert!(rest.is_empty());
     }
 
     #[test]

@@ -355,7 +355,7 @@ mod tests {
 
     impl SwitchWire for Rec {
         type Packet = Datagram;
-        fn header(d: &mut Datagram) -> &mut PacketHeader {
+        fn header<'p>(&'p mut self, d: &'p mut Datagram) -> &'p mut PacketHeader {
             &mut d.header
         }
         fn route(&mut self, d: &Datagram) -> Option<NodeId> {

@@ -8,10 +8,10 @@
 //! controller actions to [`SwitchNode::on_action`].
 
 use crate::node::SwitchNode;
-use onepipe_netsim::engine::{Ctx, NodeLogic, SimPacket};
+use onepipe_netsim::engine::{Arrived, Ctx, NodeLogic, SimPacket};
 use onepipe_netsim::topology::Topology;
 use onepipe_switchlogic::{SwitchConfig, SwitchCore, SwitchWire};
-use onepipe_types::ids::{HostId, NodeId};
+use onepipe_types::ids::{HostId, NodeId, ProcessId};
 use onepipe_types::process_map::ProcessMap;
 use onepipe_types::time::{Duration, Timestamp};
 use onepipe_types::wire::PacketHeader;
@@ -79,7 +79,8 @@ pub struct SwitchLogic {
 }
 
 /// The [`SwitchWire`] of one callback: the node's [`Ctx`] and its route
-/// cache.
+/// cache. Its packet is the one that arrived, left in the engine's pool:
+/// the chip rewrites its header there and forwards it from there.
 struct SimWire<'a, 'c> {
     ctx: &'a mut Ctx<'c>,
     shared: &'a SwitchShared,
@@ -87,30 +88,20 @@ struct SimWire<'a, 'c> {
 }
 
 impl SwitchWire for SimWire<'_, '_> {
-    type Packet = SimPacket;
+    type Packet = Arrived;
 
-    fn header(pkt: &mut SimPacket) -> &mut PacketHeader {
-        &mut pkt.dgram.header
+    fn header<'p>(&'p mut self, pkt: &'p mut Arrived) -> &'p mut PacketHeader {
+        &mut self.ctx.packet_mut(pkt).dgram.header
     }
 
-    /// The live ECMP next hop: the flow hash selects among the
-    /// destination's cached viable hops, recomputed
-    /// ([`Topology::viable_hops`]) after any link changed state.
-    fn route(&mut self, pkt: &SimPacket) -> Option<NodeId> {
-        let (ctx, procs, topo) = (&*self.ctx, &self.shared.procs, &self.shared.topo);
-        let dst_host = procs.host_of(pkt.dgram.dst)?;
-        let src_host = procs.host_of(pkt.dgram.src).unwrap_or(HostId(0));
-        let epoch = ctx.link_epoch();
-        let route = &mut self.routes[dst_host.0 as usize];
-        if route.epoch != epoch {
-            let viable = topo.viable_hops(ctx.node(), dst_host, |a, b| ctx.global_link_is_up(a, b));
-            *route = CachedRoute { epoch, viable };
-        }
-        topo.route_masked(ctx.node(), src_host, dst_host, route.viable)
+    fn route(&mut self, pkt: &Arrived) -> Option<NodeId> {
+        let dgram = &self.ctx.packet(pkt).dgram;
+        let (src, dst) = (dgram.src, dgram.dst);
+        self.route_to(src, dst)
     }
 
-    fn forward(&mut self, to: NodeId, pkt: SimPacket) {
-        self.ctx.send(to, pkt);
+    fn forward(&mut self, to: NodeId, pkt: Arrived) {
+        self.ctx.forward(to, pkt);
     }
 
     fn beacon(&mut self, to: NodeId, be: Timestamp, commit: Timestamp) {
@@ -125,6 +116,24 @@ impl SwitchWire for SimWire<'_, '_> {
         let switch = self.ctx.node();
         self.shared.events.borrow_mut().push(SwitchEvent::InLinkDead { switch, from, last_commit });
         self.ctx.raise_attention();
+    }
+}
+
+impl SimWire<'_, '_> {
+    /// The live ECMP next hop from `src` toward `dst`: the flow hash
+    /// selects among the destination's cached viable hops, recomputed
+    /// ([`Topology::viable_hops`]) after any link changed state.
+    fn route_to(&mut self, src: ProcessId, dst: ProcessId) -> Option<NodeId> {
+        let (ctx, procs, topo) = (&*self.ctx, &self.shared.procs, &self.shared.topo);
+        let dst_host = procs.host_of(dst)?;
+        let src_host = procs.host_of(src).unwrap_or(HostId(0));
+        let epoch = ctx.link_epoch();
+        let route = &mut self.routes[dst_host.0 as usize];
+        if route.epoch != epoch {
+            let viable = topo.viable_hops(ctx.node(), dst_host, |a, b| ctx.global_link_is_up(a, b));
+            *route = CachedRoute { epoch, viable };
+        }
+        topo.route_masked(ctx.node(), src_host, dst_host, route.viable)
     }
 }
 
@@ -144,7 +153,7 @@ impl SwitchLogic {
     /// The live ECMP next hop for `pkt`'s destination, as the switch
     /// would forward it.
     pub fn next_hop(&mut self, ctx: &mut Ctx<'_>, pkt: &SimPacket) -> Option<NodeId> {
-        self.drive(ctx, |_, wire, _| wire.route(pkt))
+        self.drive(ctx, |_, wire, _| wire.route_to(pkt.dgram.src, pkt.dgram.dst))
     }
 
     /// Run `f` on the core with this callback's wire.
@@ -179,7 +188,14 @@ impl NodeLogic for SwitchLogic {
         self.arm_beacon_timer(ctx);
     }
 
+    /// The engine hands its arrivals to [`on_arrival`](Self::on_arrival);
+    /// a packet handed over by value goes the same way.
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, pkt: SimPacket) {
+        let pkt = ctx.adopt(pkt);
+        self.on_arrival(ctx, from, pkt);
+    }
+
+    fn on_arrival(&mut self, ctx: &mut Ctx<'_>, from: NodeId, pkt: Arrived) {
         self.drive(ctx, |core, wire, now| core.on_packet(wire, now, from, pkt));
     }
 

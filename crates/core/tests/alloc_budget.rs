@@ -218,16 +218,18 @@ fn an_idle_tick_beacons_without_allocating() {
 
 /// Allocations for one single-fragment reliable message, submit to
 /// delivery, between two warmed-up endpoints with nothing else in flight,
-/// all four of them in the sender's submit: the per-destination credit
-/// list, the fragment's buffer and its shared handle, and the
+/// all three of them in the sender's submit: the per-destination credit
+/// list, the fragment's buffer — one block holding the bytes and their
+/// reference count, which the shared handle points into — and the
 /// scattering's destination list. Prepare, ACK, Commit, barrier and
 /// delivery make none — the ordered maps keep their emptied root node,
-/// and the delivered payload is the fragment's buffer. (The commit before
-/// this test: 13.)
+/// and the delivered payload is the fragment's buffer. (Before the
+/// shim's buffers were one block, the handle was a box of its own: 4.
+/// Before that: 13.)
 ///
 /// The caller's `vec![message]` is its own. A change that raises this
 /// number put an allocation on the per-message path; say why here.
-const RELIABLE_MESSAGE_BUDGET: u64 = 4;
+const RELIABLE_MESSAGE_BUDGET: u64 = 3;
 
 #[test]
 fn one_small_reliable_message_stays_within_its_budget() {
@@ -265,4 +267,56 @@ fn one_small_reliable_message_stays_within_its_budget() {
             "{n} allocations for one reliable message, budget {RELIABLE_MESSAGE_BUDGET}"
         );
     }
+}
+
+/// Allocations a best-effort scattering to `n` destinations makes on
+/// the sender, submit to the last fragment on the wire, once the
+/// channels are open and every queue has its working size; the receivers
+/// ACK between rounds, outside the count.
+fn best_effort_scattering_allocations(n: u32) -> u64 {
+    let cfg = EndpointConfig::default().beacon_only_barriers();
+    let mut a = Endpoint::new(ProcessId(0), cfg);
+    let mut peers: Vec<Endpoint> = (1..=n).map(|p| Endpoint::new(ProcessId(p), cfg)).collect();
+    let payload = Bytes::from(vec![0xCD; 64]);
+    let mut wire: Vec<Datagram> = Vec::with_capacity(4 * n as usize);
+    let mut counts = Vec::new();
+    for round in 0..80u64 {
+        let now = 1_000 * (round + 1);
+        let msgs: Vec<Message> =
+            (1..=n).map(|p| Message { dst: ProcessId(p), payload: payload.clone() }).collect();
+        let count = allocations(|| {
+            a.send_unreliable(ts(now), msgs).expect("send buffer has room");
+            while let Some(d) = a.poll_transmit() {
+                wire.push(d);
+            }
+        });
+        assert_eq!(wire.len(), n as usize, "one fragment per destination");
+        for d in wire.drain(..) {
+            let peer = &mut peers[d.dst.0 as usize - 1];
+            peer.handle_datagram(ts(now + 1), d);
+            while let Some(ack) = peer.poll_transmit() {
+                a.handle_datagram(ts(now + 2), ack);
+            }
+        }
+        for peer in &mut peers {
+            peer.on_barrier(ts(now + 1), Timestamp::ZERO);
+            while peer.recv_unreliable().is_some() {}
+        }
+        counts.push(count);
+    }
+    // Past the warm-up, every round costs the same.
+    let steady = &counts[64..];
+    assert!(steady.iter().all(|&c| c == steady[0]), "{n} destinations: {counts:?}");
+    steady[0]
+}
+
+/// A scattering's fragments share one buffer, and nothing else on the
+/// sender grows with the destination count: a best-effort scattering to
+/// 32 processes allocates exactly as often as one to 2 (the
+/// per-destination credit list and the fragment buffer: 2).
+#[test]
+fn a_wider_best_effort_scattering_allocates_no_more() {
+    let two = best_effort_scattering_allocations(2);
+    assert_eq!(best_effort_scattering_allocations(32), two);
+    assert_eq!(two, 2);
 }

@@ -73,12 +73,15 @@ impl SimPacket {
     }
 }
 
-/// What travels over a link: a canonical beacon as its two barriers, any
-/// other packet whole.
-enum InFlight {
-    Beacon { be: Timestamp, commit: Timestamp },
-    Packet(SimPacket),
-}
+/// Proof, handed to [`NodeLogic::on_arrival`], that a packet arrived and
+/// still sits in the engine's packet pool. The callback's [`Ctx`] reads
+/// and rewrites it there ([`Ctx::packet`], [`Ctx::packet_mut`]), sends it
+/// on without moving it ([`Ctx::forward`]) or takes it out
+/// ([`Ctx::take`]); a packet neither forwarded nor taken is dropped when
+/// the callback returns. It is valid only in the callback it was handed
+/// to.
+#[derive(Debug)]
+pub struct Arrived(());
 
 /// Behaviour attached to a simulated node (switch logic, host endpoint,
 /// traffic generator, ...).
@@ -88,6 +91,16 @@ pub trait NodeLogic {
 
     /// A packet arrived on the link `from → ctx.node()`.
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, pkt: SimPacket);
+
+    /// A packet arrived on the link `from → ctx.node()` and waits in the
+    /// engine's packet pool ([`Arrived`]). The default takes it out and
+    /// calls [`on_packet`](Self::on_packet); a node that forwards
+    /// packets rewrites and forwards them where they are, so a hop moves
+    /// no packet.
+    fn on_arrival(&mut self, ctx: &mut Ctx<'_>, from: NodeId, pkt: Arrived) {
+        let pkt = ctx.take(pkt);
+        self.on_packet(ctx, from, pkt);
+    }
 
     /// A canonical beacon ([`SimPacket::beacon`]) arrived on the link
     /// `from → ctx.node()`. Nodes for which beacons are most of what
@@ -242,24 +255,13 @@ struct Net {
     attention: Cell<bool>,
 }
 
-impl Net {
-    /// Queue the arrival of `body` at `to`. Inlined where the caller
-    /// knows which kind of `body` it has, so that the queue entry is
-    /// built from registers ([`CalendarQueue::push`]).
-    #[inline(always)]
-    fn schedule_arrival(&mut self, at: u64, to: NodeId, from: NodeId, body: InFlight) {
-        match body {
-            InFlight::Beacon { be, commit } => {
-                self.queue.push(at, EventKind::Beacon { to, from, be, commit })
-            }
-            InFlight::Packet(pkt) => {
-                let pkt = self.pool_packet(pkt);
-                self.queue.push(at, EventKind::Arrive { to, from, pkt })
-            }
-        }
-    }
+/// "No packet": the arrival slot of a [`Ctx`] that has none, or whose
+/// packet was forwarded or taken.
+const NO_SLOT: u32 = u32::MAX;
 
+impl Net {
     /// Put `pkt` in the packet pool; returns its slot.
+    #[inline]
     fn pool_packet(&mut self, pkt: SimPacket) -> u32 {
         match self.free_packets.pop() {
             Some(slot) => {
@@ -273,10 +275,17 @@ impl Net {
         }
     }
 
-    /// Take the packet of a popped [`EventKind::Arrive`] out of the pool.
+    /// Take the packet in `slot` out of the pool, freeing the slot.
+    #[inline]
     fn take_packet(&mut self, slot: u32) -> SimPacket {
         self.free_packets.push(slot);
         self.packets[slot as usize].take().expect("an Arrive event owns its pool slot")
+    }
+
+    /// The packet in `slot`.
+    #[inline]
+    fn packet_mut(&mut self, slot: u32) -> &mut SimPacket {
+        self.packets[slot as usize].as_mut().expect("an Arrive event owns its pool slot")
     }
 }
 
@@ -290,15 +299,20 @@ pub struct Ctx<'a> {
     net: &'a mut Net,
     stats: &'a mut Stats,
     neighbors: &'a Neighbors,
+    /// Pool slot of the packet whose arrival this callback handles
+    /// ([`Arrived`]), or [`NO_SLOT`].
+    arrived: u32,
 }
 
 impl<'a> Ctx<'a> {
     /// Current simulation (true) time in nanoseconds.
+    #[inline]
     pub fn now(&self) -> u64 {
         self.net.now
     }
 
     /// The node this callback runs on.
+    #[inline]
     pub fn node(&self) -> NodeId {
         self.node
     }
@@ -308,6 +322,7 @@ impl<'a> Ctx<'a> {
     /// The returned slice borrows the simulator's topology (lifetime
     /// `'a`), not this `Ctx` — callers can iterate it while calling
     /// `&mut self` methods like [`Ctx::send`], with no defensive clone.
+    #[inline]
     pub fn out_neighbors(&self) -> &'a [NodeId] {
         let neighbors: &'a Neighbors = self.neighbors;
         &neighbors.outgoing[self.node.0 as usize]
@@ -315,17 +330,20 @@ impl<'a> Ctx<'a> {
 
     /// Incoming neighbors of this node (lifetime `'a`, like
     /// [`Ctx::out_neighbors`]).
+    #[inline]
     pub fn in_neighbors(&self) -> &'a [NodeId] {
         let neighbors: &'a Neighbors = self.neighbors;
         &neighbors.incoming[self.node.0 as usize]
     }
 
     /// Deterministic RNG (seeded at simulation construction).
+    #[inline]
     pub fn rng(&mut self) -> &mut StdRng {
         &mut self.net.rng
     }
 
     /// Simulation-wide statistics.
+    #[inline]
     pub fn stats(&mut self) -> &mut Stats {
         self.stats
     }
@@ -334,6 +352,7 @@ impl<'a> Ctx<'a> {
     /// for it outside the event queue (a failure report, a controller
     /// request): [`Sim::run`] returns after the current event, and the
     /// flag stays up until [`Sim::take_attention`] lowers it.
+    #[inline]
     pub fn raise_attention(&self) {
         self.net.attention.set(true);
     }
@@ -343,6 +362,12 @@ impl<'a> Ctx<'a> {
     /// Models serialization, queueing, tail drop, ECN marking and random
     /// in-flight loss. Returns `true` if the packet was accepted by the
     /// transmitter (it may still be lost in flight).
+    ///
+    /// This and the other per-packet entry points are `#[inline]`: the
+    /// node logic that calls them lives in other crates, and a call
+    /// across that boundary costs the event loop more than the work
+    /// (DESIGN.md §10).
+    #[inline]
     pub fn send(&mut self, to: NodeId, mut pkt: SimPacket) -> bool {
         match self.offer(to, pkt.wire_bytes) {
             Offer::Refused => false,
@@ -352,16 +377,92 @@ impl<'a> Ctx<'a> {
                     pkt.dgram.header.flags.insert(Flags::ECN);
                 }
                 match pkt.as_beacon() {
-                    Some((be, commit)) => self.arrives(at, to, InFlight::Beacon { be, commit }),
-                    None => self.arrives(at, to, InFlight::Packet(pkt)),
+                    Some((be, commit)) => self.queue_beacon(at, to, be, commit),
+                    None => {
+                        let slot = self.net.pool_packet(pkt);
+                        self.queue_packet(at, to, slot);
+                    }
                 }
                 true
             }
         }
     }
 
+    /// The packet that arrived.
+    #[inline]
+    pub fn packet(&self, _: &Arrived) -> &SimPacket {
+        let slot = self.arrived_slot();
+        self.net.packets[slot as usize].as_ref().expect("an Arrive event owns its pool slot")
+    }
+
+    /// The packet that arrived, to rewrite where it is.
+    #[inline]
+    pub fn packet_mut(&mut self, _: &mut Arrived) -> &mut SimPacket {
+        let slot = self.arrived_slot();
+        self.net.packet_mut(slot)
+    }
+
+    /// Take the packet that arrived out of the pool.
+    #[inline]
+    pub fn take(&mut self, _: Arrived) -> SimPacket {
+        let slot = self.arrived_slot();
+        self.arrived = NO_SLOT;
+        self.net.take_packet(slot)
+    }
+
+    /// [`send`](Self::send) the packet that arrived on toward `to`, from
+    /// the pool slot it arrived in.
+    #[inline]
+    pub fn forward(&mut self, to: NodeId, _: Arrived) -> bool {
+        let slot = self.arrived_slot();
+        self.arrived = NO_SLOT;
+        let wire_bytes = self.net.packet_mut(slot).wire_bytes;
+        match self.offer(to, wire_bytes) {
+            Offer::Refused => {
+                drop(self.net.take_packet(slot));
+                false
+            }
+            Offer::Lost => {
+                drop(self.net.take_packet(slot));
+                true
+            }
+            Offer::Arrives { at, ecn } => {
+                let pkt = self.net.packet_mut(slot);
+                if ecn {
+                    pkt.dgram.header.flags.insert(Flags::ECN);
+                }
+                match pkt.as_beacon() {
+                    Some((be, commit)) => {
+                        drop(self.net.take_packet(slot));
+                        self.queue_beacon(at, to, be, commit);
+                    }
+                    None => self.queue_packet(at, to, slot),
+                }
+                true
+            }
+        }
+    }
+
+    /// Put `pkt` in the pool as the packet this callback handles, as if
+    /// it had arrived: for a node whose [`NodeLogic::on_packet`] hands
+    /// over to its [`NodeLogic::on_arrival`].
+    #[inline]
+    pub fn adopt(&mut self, pkt: SimPacket) -> Arrived {
+        assert_eq!(self.arrived, NO_SLOT, "a callback handles one arrived packet");
+        self.arrived = self.net.pool_packet(pkt);
+        Arrived(())
+    }
+
+    /// The slot of the packet this callback was handed.
+    #[inline]
+    fn arrived_slot(&self) -> u32 {
+        assert_ne!(self.arrived, NO_SLOT, "the arrived packet was forwarded or taken already");
+        self.arrived
+    }
+
     /// [`send`](Self::send) of [`SimPacket::beacon`]`(be, commit)`,
     /// without building the packet.
+    #[inline]
     pub fn send_beacon(&mut self, to: NodeId, be: Timestamp, commit: Timestamp) -> bool {
         match self.offer(to, BARE_WIRE_BYTES) {
             Offer::Refused => false,
@@ -370,9 +471,10 @@ impl<'a> Ctx<'a> {
                 if ecn {
                     let mut pkt = SimPacket::beacon(be, commit);
                     pkt.dgram.header.flags.insert(Flags::ECN);
-                    self.arrives(at, to, InFlight::Packet(pkt));
+                    let slot = self.net.pool_packet(pkt);
+                    self.queue_packet(at, to, slot);
                 } else {
-                    self.arrives(at, to, InFlight::Beacon { be, commit });
+                    self.queue_beacon(at, to, be, commit);
                 }
                 true
             }
@@ -414,18 +516,29 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    /// Queue the arrival of `body` at `to`, sent by this node.
+    /// Queue the arrival at `to` of the packet in pool slot `pkt`, sent
+    /// by this node. This and [`queue_beacon`](Self::queue_beacon) are
+    /// inlined so that the queue entry is built from registers
+    /// ([`CalendarQueue::push`]).
     #[inline(always)]
-    fn arrives(&mut self, at: u64, to: NodeId, body: InFlight) {
-        self.net.schedule_arrival(at, to, self.node, body);
+    fn queue_packet(&mut self, at: u64, to: NodeId, pkt: u32) {
+        self.net.queue.push(at, EventKind::Arrive { to, from: self.node, pkt });
+    }
+
+    /// Queue the arrival at `to` of a canonical beacon sent by this node.
+    #[inline(always)]
+    fn queue_beacon(&mut self, at: u64, to: NodeId, be: Timestamp, commit: Timestamp) {
+        self.net.queue.push(at, EventKind::Beacon { to, from: self.node, be, commit });
     }
 
     /// Arm a timer that fires `delay` ns from now with the given token.
+    #[inline]
     pub fn set_timer(&mut self, delay: Duration, token: u64) {
         self.net.queue.push(self.net.now + delay, EventKind::Timer { node: self.node, token });
     }
 
     /// Whether the outgoing link to `to` is up.
+    #[inline]
     pub fn link_is_up(&self, to: NodeId) -> bool {
         self.global_link_is_up(self.node, to)
     }
@@ -434,6 +547,7 @@ impl<'a> Ctx<'a> {
     /// uses this as the global link-state database a converged routing
     /// protocol would provide: forwarding avoids next hops whose entire
     /// downstream path is dead, not just hops behind a locally-down port.
+    #[inline]
     pub fn global_link_is_up(&self, from: NodeId, to: NodeId) -> bool {
         self.net.links.get(LinkId::new(from, to)).is_some_and(|l| l.is_up())
     }
@@ -441,6 +555,7 @@ impl<'a> Ctx<'a> {
     /// A counter that moves whenever any link's administrative state
     /// does: an answer derived from [`Ctx::global_link_is_up`] holds for
     /// as long as this reads the same.
+    #[inline]
     pub fn link_epoch(&self) -> u64 {
         self.net.link_epoch
     }
@@ -486,6 +601,7 @@ impl Sim {
     }
 
     /// Current simulation time (ns).
+    #[inline]
     pub fn now(&self) -> u64 {
         self.net.now
     }
@@ -628,10 +744,33 @@ impl Sim {
         node: NodeId,
         f: impl FnOnce(&mut dyn NodeLogic, &mut Ctx<'_>) -> R,
     ) -> Option<R> {
+        self.call_with(node, NO_SLOT, f)
+    }
+
+    /// [`call`](Self::call) with the packet in pool slot `arrived` (or
+    /// [`NO_SLOT`]) as the callback's [`Arrived`] packet; drops it after
+    /// the callback unless the node forwarded or took it.
+    #[inline(always)]
+    fn call_with<R>(
+        &mut self,
+        node: NodeId,
+        arrived: u32,
+        f: impl FnOnce(&mut dyn NodeLogic, &mut Ctx<'_>) -> R,
+    ) -> Option<R> {
         let logic = self.nodes[node.0 as usize].as_deref_mut()?;
-        let mut ctx =
-            Ctx { node, net: &mut self.net, stats: &mut self.stats, neighbors: &self.neighbors };
-        Some(f(logic, &mut ctx))
+        let mut ctx = Ctx {
+            node,
+            net: &mut self.net,
+            stats: &mut self.stats,
+            neighbors: &self.neighbors,
+            arrived,
+        };
+        let r = f(logic, &mut ctx);
+        let left = ctx.arrived;
+        if left != NO_SLOT {
+            drop(self.net.take_packet(left));
+        }
+        Some(r)
     }
 
     /// Hand the record of `pkt` arriving over `from → to` to the tracer,
@@ -658,11 +797,19 @@ impl Sim {
                 // Packets arriving over a link that went down mid-flight
                 // are still delivered: they were already serialized.
                 EventKind::Arrive { to, from, pkt } => {
-                    let pkt = self.net.take_packet(pkt);
-                    if !self.net.crashed[to.0 as usize] {
-                        self.trace(from, to, &pkt);
-                        if self.call(to, |l, ctx| l.on_packet(ctx, from, pkt)).is_none() {
+                    if self.net.crashed[to.0 as usize] {
+                        drop(self.net.take_packet(pkt));
+                    } else {
+                        if self.tracer.is_some() {
+                            let packet = self.net.packets[pkt as usize].as_ref();
+                            self.trace(from, to, packet.expect("an Arrive event owns its slot"));
+                        }
+                        let arrival = |l: &mut dyn NodeLogic, ctx: &mut Ctx<'_>| {
+                            l.on_arrival(ctx, from, Arrived(()))
+                        };
+                        if self.call_with(to, pkt, arrival).is_none() {
                             self.stats.drops_no_logic += 1;
+                            drop(self.net.take_packet(pkt));
                         }
                     }
                 }
@@ -1075,6 +1222,85 @@ mod tests {
             ctx.send_beacon(to, be, commit);
         });
         assert_eq!(direct, want);
+    }
+
+    /// Rewrites the PSN of what arrives where it lies, then forwards it to
+    /// `next` — or, without one, neither forwards nor takes it.
+    struct Relay {
+        next: Option<NodeId>,
+    }
+    impl NodeLogic for Relay {
+        fn on_packet(&mut self, _: &mut Ctx<'_>, _: NodeId, _: SimPacket) {
+            unreachable!("the engine hands arrivals to on_arrival");
+        }
+        fn on_arrival(&mut self, ctx: &mut Ctx<'_>, _: NodeId, mut pkt: Arrived) {
+            ctx.packet_mut(&mut pkt).dgram.header.psn += 100;
+            if let Some(next) = self.next {
+                assert!(ctx.forward(next, pkt));
+            }
+        }
+    }
+
+    /// `a → relay → b`: `a` sends `n` packets, the relay forwards them
+    /// (over a congested link if `ecn`) or lets them lie.
+    fn relayed(n: u32, forward: bool, ecn: bool) -> (Sim, ArrivalLog) {
+        let mut sim = Sim::new(3);
+        let (a, relay, b) = (sim.add_node(), sim.add_node(), sim.add_node());
+        // A tenth of the inbound rate: what the relay forwards queues.
+        let congested = LinkParams {
+            bandwidth_bps: LinkParams::default().bandwidth_bps / 10,
+            ecn_threshold_bytes: 1,
+            ..LinkParams::default()
+        };
+        sim.add_link(a, relay, LinkParams::default());
+        sim.add_link(relay, b, if ecn { congested } else { LinkParams::default() });
+        let log = Arc::new(Mutex::new(Vec::new()));
+        sim.set_logic(b, Box::new(Recorder { log: log.clone() }));
+        sim.set_logic(relay, Box::new(Relay { next: forward.then_some(b) }));
+        sim.set_logic(a, Box::new(Blaster { peer: relay, n }));
+        sim.run_to_completion();
+        (sim, log)
+    }
+
+    /// A forwarded packet keeps its pool slot: it arrives rewritten, in
+    /// order, ECN-marked where the link marked it, and the pool never
+    /// holds more than what is in flight.
+    #[test]
+    fn a_forwarded_packet_arrives_rewritten_from_its_slot() {
+        let (sim, log) = relayed(50, true, false);
+        let psns: Vec<u32> = log.lock().unwrap().iter().map(|&(_, psn)| psn).collect();
+        assert_eq!(psns, (100..150).collect::<Vec<u32>>());
+        assert_eq!(sim.net.packets.len(), 50, "one slot per packet in flight");
+        assert_eq!(sim.net.free_packets.len(), 50, "every slot came back");
+        assert_eq!((sim.stats.packets_sent, sim.stats.ecn_marks), (100, 0));
+
+        struct EcnProbe(Rc<RefCell<Vec<bool>>>);
+        impl NodeLogic for EcnProbe {
+            fn on_packet(&mut self, _: &mut Ctx<'_>, _: NodeId, pkt: SimPacket) {
+                self.0.borrow_mut().push(pkt.dgram.header.flags.contains(Flags::ECN));
+            }
+        }
+        let (mut sim, _) = relayed(0, true, true);
+        let marked = Rc::new(RefCell::new(Vec::new()));
+        sim.set_logic(NodeId(2), Box::new(EcnProbe(marked.clone())));
+        sim.run_until(sim.now());
+        for i in 0..3 {
+            sim.with_node(NodeId(0), |_, ctx| ctx.send(NodeId(1), SimPacket::new(dgram(i))));
+        }
+        sim.run_to_completion();
+        // The first finds the slow link idle; the rest queue behind it.
+        assert_eq!(*marked.borrow(), [false, true, true]);
+        assert_eq!(sim.stats.ecn_marks, 2);
+    }
+
+    /// A packet its node neither forwards nor takes is dropped when the
+    /// callback returns, and its slot freed.
+    #[test]
+    fn an_arrival_left_lying_is_dropped_after_the_callback() {
+        let (sim, log) = relayed(20, false, false);
+        assert!(log.lock().unwrap().is_empty());
+        assert_eq!(sim.net.free_packets.len(), sim.net.packets.len());
+        assert_eq!(sim.stats.events, 3 + 20);
     }
 
     /// `Link::params` is public: the serialization-time memo must not

@@ -38,6 +38,7 @@ impl Default for LinkParams {
 impl LinkParams {
     /// Serialization time for `bytes` on this link, in nanoseconds
     /// (rounded up so zero-size control packets still take 1 ns).
+    #[inline]
     pub fn tx_time_ns(&self, bytes: u64) -> Duration {
         let bits = bytes * 8;
         ((bits * 1_000_000_000).div_ceil(self.bandwidth_bps)).max(1)
@@ -111,6 +112,7 @@ impl Link {
     }
 
     /// Current queue occupancy in bytes, given the current time.
+    #[inline]
     pub fn queue_bytes(&self, now: u64) -> u64 {
         let backlog_ns = self.busy_until.saturating_sub(now);
         if backlog_ns == 0 {
@@ -121,6 +123,7 @@ impl Link {
 
     /// [`LinkParams::tx_time_ns`] at the current bandwidth, through the
     /// one-entry memo.
+    #[inline]
     fn tx_time_ns(&mut self, bytes: u64) -> Duration {
         let key = (bytes, self.params.bandwidth_bps);
         if self.tx_memo.0 != key {
@@ -134,6 +137,9 @@ impl Link {
     /// On success the returned arrival time is strictly increasing across
     /// successive calls (FIFO property): the transmitter serializes packets
     /// back-to-back and propagation delay is constant.
+    ///
+    /// Inlined into the engine's send path, which runs it per packet.
+    #[inline]
     pub fn enqueue(&mut self, now: u64, bytes: u64) -> Enqueue {
         if !self.up {
             self.drops_down += 1;

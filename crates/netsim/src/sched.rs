@@ -222,6 +222,7 @@ impl<T> CalendarQueue<T> {
     /// Absolute slot of the first occupied wheel bucket at or after
     /// `base_slot`, or `None` if the wheel is empty. Serves from the
     /// head cache when valid; otherwise scans the bitmap and refills it.
+    #[inline]
     fn first_occupied_slot(&mut self) -> Option<u64> {
         if self.wheel_len == 0 {
             return None;
@@ -319,6 +320,11 @@ impl<T> CalendarQueue<T> {
 
     /// Time of the earliest pending event. Amortized O(1); takes `&mut`
     /// because it may sort the head bucket (work `pop` then reuses).
+    ///
+    /// This and [`pop`](Self::pop) are `#[inline]`: the engine's event
+    /// loop calls them once per event, and out of line `pop` copies the
+    /// popped entry out through the stack (DESIGN.md §10).
+    #[inline]
     pub fn peek_time(&mut self) -> Option<u64> {
         if !self.lane.is_empty() {
             return Some(self.now);
@@ -339,6 +345,7 @@ impl<T> CalendarQueue<T> {
 
     /// Whether the wheel's earliest event is at `now`: it was pushed
     /// before the clock got there, so before every event in the lane.
+    #[inline]
     fn wheel_head_is_now(&mut self) -> bool {
         let slot = self.now >> SLOT_BITS;
         if self.first_occupied_slot() != Some(slot) {
@@ -349,6 +356,7 @@ impl<T> CalendarQueue<T> {
     }
 
     /// Remove and return the earliest event as `(time, seq, item)`.
+    #[inline]
     pub fn pop(&mut self) -> Option<(u64, u64, T)> {
         if !self.lane.is_empty() && !self.wheel_head_is_now() {
             let (seq, item) = self.lane.pop_front()?;

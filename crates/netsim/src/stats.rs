@@ -42,6 +42,16 @@ pub struct Stats {
 }
 
 impl Stats {
+    /// Packets the network dropped, for any reason: in flight, at a full
+    /// buffer, at a down link, for want of a link or of node logic.
+    pub fn packet_drops(&self) -> u64 {
+        self.drops_inflight
+            + self.drops_overflow
+            + self.drops_link_down
+            + self.drops_no_link
+            + self.drops_no_logic
+    }
+
     /// Total injected faults of all kinds — lets campaign reports
     /// cross-check injected faults against observed drops.
     pub fn faults_injected(&self) -> u64 {

@@ -400,6 +400,7 @@ impl Topology {
     /// [`route_live`](Self::route_live) with the link-state oracle
     /// replaced by a [`viable_hops`](Self::viable_hops) mask taken under
     /// it: the same choice, without walking the tree.
+    #[inline]
     pub fn route_masked(
         &self,
         at: NodeId,

@@ -6,6 +6,14 @@
 //! big-endian [`Buf`]/[`BufMut`] cursor traits. Semantics match the real
 //! crate for every method provided here.
 //!
+//! A buffer is one heap block: a reference count and the capacity, then
+//! the bytes. A [`BytesMut`] owns its block alone; [`BytesMut::freeze`]
+//! hands the same block to the [`Bytes`] it returns, and every clone or
+//! slice of that view counts one more reference on it. Building a buffer
+//! and sharing it therefore costs one allocation, and a sender that
+//! writes several fragments into one builder and slices the frozen
+//! buffer pays one allocation for all of them.
+//!
 //! As in the real crate, an empty [`Bytes`] owns nothing: `new`, `default`,
 //! empty conversions, empty slices and the freeze of a builder that never
 //! allocated hold no buffer, so building, cloning and dropping one touches
@@ -14,18 +22,123 @@
 //!
 //! [`bytes`]: https://docs.rs/bytes
 
-use std::sync::Arc;
+use std::alloc::{self, Layout};
+use std::ptr::NonNull;
+use std::sync::atomic::{self as atomic, AtomicUsize, Ordering};
+
+/// What precedes the bytes of every block.
+#[repr(C)]
+struct Header {
+    /// Handles sharing the block: 1 while a [`BytesMut`] owns it, then
+    /// one per [`Bytes`] view.
+    refs: AtomicUsize,
+    /// Bytes of storage after the header.
+    cap: usize,
+}
+
+/// Views beyond this many references abort, as `Arc` does: the count
+/// must never wrap to a value that frees a block still in use.
+const MAX_REFS: usize = isize::MAX as usize;
+
+/// A pointer to a live block: a [`Header`] followed by `cap` bytes,
+/// allocated with [`block_layout`]`(cap)`.
+type Block = NonNull<Header>;
+
+/// Layout of a block with `cap` bytes of storage.
+fn block_layout(cap: usize) -> Layout {
+    let size = std::mem::size_of::<Header>().checked_add(cap).expect("buffer size overflows");
+    Layout::from_size_align(size, std::mem::align_of::<Header>()).expect("buffer size overflows")
+}
+
+/// A fresh block of `cap > 0` bytes, held once.
+fn alloc_block(cap: usize) -> Block {
+    debug_assert!(cap > 0, "an empty buffer owns no block");
+    let layout = block_layout(cap);
+    // SAFETY: the layout's size is at least that of the header, so it is
+    // non-zero.
+    let raw = unsafe { alloc::alloc(layout) }.cast::<Header>();
+    let Some(block) = NonNull::new(raw) else { alloc::handle_alloc_error(layout) };
+    // SAFETY: `raw` is a fresh allocation sized and aligned for a header.
+    unsafe { raw.write(Header { refs: AtomicUsize::new(1), cap }) };
+    block
+}
+
+/// The block's capacity. Like every function taking a [`Block`], it
+/// relies on the caller holding a reference to it.
+fn cap_of(block: Block) -> usize {
+    // SAFETY: a `Block` points to a live, initialised header.
+    unsafe { block.as_ref() }.cap
+}
+
+/// The first byte of the block's storage.
+fn data_of(block: Block) -> *mut u8 {
+    // SAFETY: the storage starts right after the header, inside the block.
+    unsafe { block.as_ptr().add(1) }.cast::<u8>()
+}
+
+/// Free `block`.
+///
+/// # Safety
+///
+/// No handle may use `block` afterwards.
+unsafe fn free_block(block: Block) {
+    let layout = block_layout(cap_of(block));
+    // SAFETY: the block came from `alloc_block`, or from the `realloc` in
+    // `BytesMut::reserve`, with the layout of the capacity its header
+    // records; the caller guarantees it is not used again.
+    unsafe { alloc::dealloc(block.as_ptr().cast::<u8>(), layout) }
+}
 
 /// A cheaply clonable, immutable view into a shared byte buffer.
 ///
 /// Three words: the scheduler carries one in every packet event.
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub struct Bytes {
-    /// The shared buffer; `None` only for an empty view that owns nothing
-    /// (then `start == end == 0`).
-    data: Option<Arc<Vec<u8>>>,
+    /// The shared block; `None` only for an empty view that owns nothing
+    /// (then `start == end == 0`). Holds one of the block's references.
+    block: Option<Block>,
+    /// The view is `start..end` of the block's storage, inside what the
+    /// builder wrote before it was frozen.
     start: usize,
     end: usize,
+}
+
+// SAFETY: a `Bytes` only reads its block's bytes, which nothing writes
+// while a view exists (a builder gets the block back only as its sole
+// handle), and shares the block through the atomic reference count, as
+// `Arc<[u8]>` does; `start` and `end` are plain integers.
+unsafe impl Send for Bytes {}
+// SAFETY: as for `Send`: `&Bytes` reads the bytes and clones through the
+// atomic count.
+unsafe impl Sync for Bytes {}
+
+impl Clone for Bytes {
+    #[inline]
+    fn clone(&self) -> Self {
+        if let Some(block) = self.block {
+            // SAFETY: this view holds a reference, so the header is live.
+            let refs = unsafe { block.as_ref() }.refs.fetch_add(1, Ordering::Relaxed);
+            if refs > MAX_REFS {
+                std::process::abort();
+            }
+        }
+        Bytes { block: self.block, start: self.start, end: self.end }
+    }
+}
+
+impl Drop for Bytes {
+    #[inline]
+    fn drop(&mut self) {
+        let Some(block) = self.block else { return };
+        // SAFETY: this view holds a reference, so the header is live.
+        // Release orders this handle's reads before the free; the last
+        // handle's Acquire fence pairs with every other handle's Release.
+        if unsafe { block.as_ref() }.refs.fetch_sub(1, Ordering::Release) == 1 {
+            atomic::fence(Ordering::Acquire);
+            // SAFETY: that was the last reference.
+            unsafe { free_block(block) };
+        }
+    }
 }
 
 impl Bytes {
@@ -37,49 +150,60 @@ impl Bytes {
     /// A buffer viewing a static slice (copied here; the real crate
     /// borrows, but callers only rely on value semantics).
     pub fn from_static(s: &'static [u8]) -> Self {
-        Bytes::from(s.to_vec())
+        Bytes::copy_from_slice(s)
     }
 
     /// Copy `s` into a fresh buffer.
     pub fn copy_from_slice(s: &[u8]) -> Self {
-        Bytes::from(s.to_vec())
+        let mut b = BytesMut::with_capacity(s.len());
+        b.extend_from_slice(s);
+        b.freeze()
     }
 
     /// Length of the view.
+    #[inline]
     pub fn len(&self) -> usize {
         self.end - self.start
     }
 
     /// Whether the view is empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.start == self.end
     }
 
     /// The viewed bytes.
+    #[inline]
     pub fn as_slice(&self) -> &[u8] {
-        match &self.data {
-            Some(data) => &data[self.start..self.end],
+        match self.block {
+            // SAFETY: `start..end` lies within the bytes the builder wrote
+            // (every constructor and narrowing keeps it there), and they
+            // stay unchanged while this view holds its reference.
+            Some(block) => unsafe {
+                std::slice::from_raw_parts(data_of(block).add(self.start), self.len())
+            },
             None => &[],
         }
     }
 
     /// A sub-view of `range` (relative to this view), sharing storage.
     /// An empty sub-view shares nothing, so it never pins the buffer.
+    #[inline]
     pub fn slice(&self, range: std::ops::Range<usize>) -> Bytes {
         assert!(range.start <= range.end && range.end <= self.len());
         if range.is_empty() {
             return Bytes::new();
         }
-        Bytes {
-            data: self.data.clone(),
-            start: self.start + range.start,
-            end: self.start + range.end,
-        }
+        let mut view = self.clone();
+        view.end = self.start + range.end;
+        view.start += range.start;
+        view
     }
 
     /// Split off and return the first `at` bytes, advancing `self`.
     /// Splitting everything off moves the storage out and leaves `self`
     /// owning nothing.
+    #[inline]
     pub fn split_to(&mut self, at: usize) -> Bytes {
         assert!(at <= self.len());
         if at == self.len() {
@@ -96,23 +220,26 @@ impl Bytes {
     /// unique ownership, and the result views exactly the bytes this
     /// view did (capacity beyond the view is retained for reuse).
     pub fn try_into_mut(self) -> Result<BytesMut, Bytes> {
-        let Bytes { data, start, end } = self;
-        let Some(data) = data else { return Ok(BytesMut::new()) };
-        match Arc::try_unwrap(data) {
-            Ok(mut v) => {
-                v.truncate(end);
-                if start > 0 {
-                    v.drain(..start);
-                }
-                Ok(BytesMut { vec: v, read: 0 })
-            }
-            Err(data) => Err(Bytes { data: Some(data), start, end }),
+        let Some(block) = self.block else { return Ok(BytesMut::new()) };
+        // SAFETY: this view holds a reference, so the header is live.
+        // Acquire pairs with the Release of handles dropped meanwhile.
+        if unsafe { block.as_ref() }.refs.load(Ordering::Acquire) != 1 {
+            return Err(self);
         }
+        let this = std::mem::ManuallyDrop::new(self);
+        let len = this.len();
+        // SAFETY: this is the block's only handle, so nothing else reads
+        // it; `start..end` is within its capacity, and `copy` allows the
+        // overlap.
+        unsafe { std::ptr::copy(data_of(block).add(this.start), data_of(block), len) };
+        // The one reference passes to the builder, which owns it alone.
+        Ok(BytesMut { block: Some(block), len, read: 0 })
     }
 }
 
 impl std::ops::Deref for Bytes {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         self.as_slice()
     }
@@ -197,12 +324,12 @@ impl PartialEq<Bytes> for &[u8] {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Copies into a block of the vector's capacity, which
+    /// [`Bytes::try_into_mut`] hands back whole.
     fn from(v: Vec<u8>) -> Self {
-        if v.capacity() == 0 {
-            return Bytes::new();
-        }
-        let end = v.len();
-        Bytes { data: Some(Arc::new(v)), start: 0, end }
+        let mut b = BytesMut::with_capacity(v.capacity());
+        b.extend_from_slice(&v);
+        b.freeze()
     }
 }
 impl From<String> for Bytes {
@@ -212,17 +339,17 @@ impl From<String> for Bytes {
 }
 impl From<&str> for Bytes {
     fn from(s: &str) -> Self {
-        Bytes::from(s.as_bytes().to_vec())
+        Bytes::copy_from_slice(s.as_bytes())
     }
 }
 impl From<&[u8]> for Bytes {
     fn from(s: &[u8]) -> Self {
-        Bytes::from(s.to_vec())
+        Bytes::copy_from_slice(s)
     }
 }
 impl<const N: usize> From<&[u8; N]> for Bytes {
     fn from(s: &[u8; N]) -> Self {
-        Bytes::from(s.to_vec())
+        Bytes::copy_from_slice(s)
     }
 }
 impl From<BytesMut> for Bytes {
@@ -240,13 +367,48 @@ impl IntoIterator for Bytes {
 }
 
 /// A growable byte buffer that freezes into [`Bytes`].
-#[derive(Clone, Default, PartialEq, Eq)]
+#[derive(Default)]
 pub struct BytesMut {
-    vec: Vec<u8>,
+    /// The block, owned alone (its count is 1); `None` until the builder
+    /// first needs capacity.
+    block: Option<Block>,
+    /// Bytes written, read ones included; at most the block's capacity.
+    len: usize,
     /// Read cursor for the `Buf` impl (the real crate consumes from the
-    /// front; only tests rely on this).
+    /// front; only tests rely on this). At most `len`.
     read: usize,
 }
+
+// SAFETY: a `BytesMut` owns its block alone, as a `Vec<u8>` owns its
+// buffer; `len` and `read` are plain integers.
+unsafe impl Send for BytesMut {}
+// SAFETY: `&BytesMut` only reads the bytes.
+unsafe impl Sync for BytesMut {}
+
+impl Drop for BytesMut {
+    fn drop(&mut self) {
+        if let Some(block) = self.block {
+            // SAFETY: the builder is the block's only handle.
+            unsafe { free_block(block) };
+        }
+    }
+}
+
+impl Clone for BytesMut {
+    fn clone(&self) -> Self {
+        let mut copy = BytesMut::with_capacity(self.len);
+        copy.extend_from_slice(self.written());
+        copy.read = self.read;
+        copy
+    }
+}
+
+impl PartialEq for BytesMut {
+    fn eq(&self, other: &Self) -> bool {
+        self[..] == other[..]
+    }
+}
+impl Eq for BytesMut {}
 
 impl BytesMut {
     /// An empty builder.
@@ -256,12 +418,12 @@ impl BytesMut {
 
     /// An empty builder with reserved capacity.
     pub fn with_capacity(cap: usize) -> Self {
-        BytesMut { vec: Vec::with_capacity(cap), read: 0 }
+        BytesMut { block: (cap > 0).then(|| alloc_block(cap)), len: 0, read: 0 }
     }
 
     /// Unread length.
     pub fn len(&self) -> usize {
-        self.vec.len() - self.read
+        self.len - self.read
     }
 
     /// Whether nothing unread remains.
@@ -269,72 +431,148 @@ impl BytesMut {
         self.len() == 0
     }
 
-    /// Append a slice.
-    pub fn extend_from_slice(&mut self, s: &[u8]) {
-        self.vec.extend_from_slice(s);
+    /// Every byte written, read ones included.
+    fn written(&self) -> &[u8] {
+        match self.block {
+            // SAFETY: the first `len` bytes of the block were written, and
+            // the builder owns the block alone.
+            Some(block) => unsafe { std::slice::from_raw_parts(data_of(block), self.len) },
+            None => &[],
+        }
     }
 
-    /// Reserve additional capacity.
+    /// [`written`](Self::written), mutably.
+    fn written_mut(&mut self) -> &mut [u8] {
+        match self.block {
+            // SAFETY: as in `written`; `&mut self` makes the borrow unique.
+            Some(block) => unsafe { std::slice::from_raw_parts_mut(data_of(block), self.len) },
+            None => &mut [],
+        }
+    }
+
+    /// Append a slice.
+    #[inline]
+    pub fn extend_from_slice(&mut self, s: &[u8]) {
+        self.reserve(s.len());
+        if let Some(block) = self.block {
+            // SAFETY: `reserve` left room for `s` after the `len` written
+            // bytes, and `s` cannot overlap a block the builder owns
+            // mutably.
+            unsafe {
+                std::ptr::copy_nonoverlapping(s.as_ptr(), data_of(block).add(self.len), s.len())
+            };
+            self.len += s.len();
+        }
+    }
+
+    /// Reserve capacity for at least `additional` more bytes (growing by
+    /// doubling, as `Vec` does).
+    #[inline]
     pub fn reserve(&mut self, additional: usize) {
-        self.vec.reserve(additional);
+        let need = self.len.checked_add(additional).expect("buffer size overflows");
+        if need > self.block.map_or(0, cap_of) {
+            self.grow(need);
+        }
+    }
+
+    /// Grow the block to at least `need` bytes (out of line: a builder
+    /// sized up front never comes here).
+    #[inline(never)]
+    fn grow(&mut self, need: usize) {
+        let cap = self.block.map_or(0, cap_of);
+        let new_cap = need.max(cap.saturating_mul(2)).max(8);
+        let grown = match self.block {
+            None => alloc_block(new_cap),
+            Some(block) => {
+                let new_layout = block_layout(new_cap);
+                // SAFETY: the block came from this allocator with the
+                // layout of its capacity, the builder owns it alone, and
+                // the new size is non-zero.
+                let raw = unsafe {
+                    alloc::realloc(
+                        block.as_ptr().cast::<u8>(),
+                        block_layout(cap),
+                        new_layout.size(),
+                    )
+                };
+                let Some(grown) = NonNull::new(raw.cast::<Header>()) else {
+                    alloc::handle_alloc_error(new_layout)
+                };
+                // SAFETY: `realloc` kept the header; the builder owns it.
+                unsafe { (*grown.as_ptr()).cap = new_cap };
+                grown
+            }
+        };
+        self.block = Some(grown);
     }
 
     /// Usable capacity from the current read position.
     pub fn capacity(&self) -> usize {
-        self.vec.capacity() - self.read
+        self.block.map_or(0, cap_of) - self.read
     }
 
     /// Drop all contents (read and unread) without releasing storage.
     pub fn clear(&mut self) {
-        self.vec.clear();
+        self.len = 0;
         self.read = 0;
     }
 
     /// Truncate the unread region to at most `len` bytes.
     pub fn truncate(&mut self, len: usize) {
         if len < self.len() {
-            self.vec.truncate(self.read + len);
+            self.len = self.read + len;
         }
     }
 
     /// Resize the unread region to exactly `new_len` bytes, filling any
     /// growth with `value`.
     pub fn resize(&mut self, new_len: usize, value: u8) {
-        self.vec.resize(self.read + new_len, value);
+        let target = self.read + new_len;
+        if target > self.len {
+            self.reserve(target - self.len);
+            let block = self.block.expect("reserve allocated");
+            // SAFETY: `reserve` made `target` bytes of room; the builder
+            // owns the block alone.
+            unsafe { data_of(block).add(self.len).write_bytes(value, target - self.len) };
+        }
+        self.len = target;
     }
 
-    /// Freeze into an immutable, shareable buffer.
-    pub fn freeze(mut self) -> Bytes {
-        if self.read > 0 {
-            self.vec.drain(..self.read);
+    /// Freeze into an immutable, shareable buffer: the builder's block,
+    /// handed over as it is.
+    pub fn freeze(self) -> Bytes {
+        let this = std::mem::ManuallyDrop::new(self);
+        // The builder's one reference passes to the view.
+        match this.block {
+            Some(block) => Bytes { block: Some(block), start: this.read, end: this.len },
+            None => Bytes::new(),
         }
-        Bytes::from(self.vec)
     }
 }
 
 impl std::ops::Deref for BytesMut {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.vec[self.read..]
+        &self.written()[self.read..]
     }
 }
 
 impl std::ops::DerefMut for BytesMut {
     fn deref_mut(&mut self) -> &mut [u8] {
         let read = self.read;
-        &mut self.vec[read..]
+        &mut self.written_mut()[read..]
     }
 }
 
 impl AsRef<[u8]> for BytesMut {
     fn as_ref(&self) -> &[u8] {
-        &self.vec[self.read..]
+        self
     }
 }
 
 impl std::fmt::Debug for BytesMut {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "BytesMut({:?})", &self.vec[self.read..])
+        write!(f, "BytesMut({:?})", &self[..])
     }
 }
 
@@ -400,12 +638,15 @@ pub trait Buf {
 }
 
 impl Buf for Bytes {
+    #[inline]
     fn remaining(&self) -> usize {
         self.len()
     }
+    #[inline]
     fn chunk(&self) -> &[u8] {
         self.as_slice()
     }
+    #[inline]
     fn advance(&mut self, n: usize) {
         assert!(n <= self.len());
         self.start += n;
@@ -417,7 +658,7 @@ impl Buf for BytesMut {
         self.len()
     }
     fn chunk(&self) -> &[u8] {
-        &self.vec[self.read..]
+        self
     }
     fn advance(&mut self, n: usize) {
         assert!(n <= self.len());
@@ -471,8 +712,9 @@ pub trait BufMut {
 }
 
 impl BufMut for BytesMut {
+    #[inline]
     fn put_slice(&mut self, s: &[u8]) {
-        self.vec.extend_from_slice(s);
+        self.extend_from_slice(s);
     }
 }
 
@@ -568,6 +810,59 @@ mod tests {
         // Last handle standing succeeds again.
         let m = back.try_into_mut().expect("now unique");
         assert_eq!(&m[..], b"shared");
+    }
+
+    #[test]
+    fn freeze_hands_over_the_block_and_slices_share_it() {
+        let mut b = BytesMut::with_capacity(32);
+        b.extend_from_slice(b"fragment-one");
+        b.extend_from_slice(b"fragment-two");
+        let at = b.as_ptr();
+        let whole = b.freeze();
+        assert_eq!(whole.as_ptr(), at, "freeze does not copy");
+        let (one, two) = (whole.slice(0..12), whole.slice(12..24));
+        drop(whole);
+        assert_eq!((&one[..], &two[..]), (&b"fragment-one"[..], &b"fragment-two"[..]));
+        assert_eq!(two.as_ptr(), at.wrapping_add(12), "a slice views the same block");
+        let two = two.try_into_mut().expect_err("the first slice still holds the block");
+        drop(one);
+        let back = two.try_into_mut().expect("last handle");
+        assert_eq!((&back[..], back.as_ptr()), (&b"fragment-two"[..], at));
+        assert_eq!(back.capacity(), 32);
+    }
+
+    #[test]
+    fn growth_keeps_the_bytes_and_the_read_cursor() {
+        let mut b = BytesMut::new();
+        assert_eq!(b.capacity(), 0);
+        for i in 0..100u8 {
+            b.put_u8(i);
+        }
+        b.advance(10);
+        b.reserve(1_000);
+        assert!(b.capacity() >= 1_000);
+        assert_eq!(&b[..], &(10..100).collect::<Vec<u8>>()[..]);
+        let copy = b.clone();
+        assert_eq!(copy, b);
+        let frozen = b.freeze();
+        assert_eq!(&frozen[..], &copy[..]);
+        // A frozen view outlives a builder that never shared its block.
+        let mut c = copy;
+        c.clear();
+        assert!(c.is_empty());
+        assert_eq!(frozen.len(), 90);
+    }
+
+    #[test]
+    fn handles_cross_threads() {
+        let b = Bytes::from(vec![5u8; 64]);
+        let views: Vec<Bytes> = (0..4).map(|i| b.slice(i..i + 8)).collect();
+        std::thread::scope(|s| {
+            for v in views {
+                s.spawn(move || assert_eq!(&v[..], &[5u8; 8][..]));
+            }
+        });
+        assert!(b.try_into_mut().is_ok(), "every view the threads held is gone");
     }
 
     #[test]

@@ -197,6 +197,7 @@ impl BarrierAggregator {
     /// Mark liveness on a link without a barrier value (e.g. a reliable
     /// data packet, which does not update barrier registers but proves the
     /// link is alive).
+    #[inline]
     pub fn observe_alive(&mut self, from: NodeId, now: u64) {
         if let Ok(i) = self.live_slot(from) {
             self.last_heard[i] = now;
@@ -205,6 +206,7 @@ impl BarrierAggregator {
 
     /// Current outgoing best-effort barrier: `min` over live input links'
     /// registers, clamped monotone (eq. 4.1).
+    #[inline]
     pub fn out_be(&mut self, now: u64) -> Timestamp {
         self.be.out(now)
     }
@@ -213,6 +215,7 @@ impl BarrierAggregator {
     /// links. As with [`Self::out_be`], an empty live set (every input
     /// removed by the controller's Resume) imposes no constraint and the
     /// output tracks `now`.
+    #[inline]
     pub fn out_commit(&mut self, now: u64) -> Timestamp {
         self.commit.out(now)
     }

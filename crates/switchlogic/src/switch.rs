@@ -80,7 +80,7 @@ pub trait SwitchWire {
     /// The driver's packet.
     type Packet;
     /// The packet's 1Pipe header, which the chip rewrites in place.
-    fn header(pkt: &mut Self::Packet) -> &mut PacketHeader;
+    fn header<'p>(&'p mut self, pkt: &'p mut Self::Packet) -> &'p mut PacketHeader;
     /// The output port toward `pkt`'s destination; `None` drops it.
     fn route(&mut self, pkt: &Self::Packet) -> Option<NodeId>;
     /// Send `pkt` on the port leading to `to`.
@@ -185,6 +185,7 @@ impl SwitchCore {
     }
 
     /// A packet arrived on input `from` at `now`.
+    #[inline]
     pub fn on_packet<W: SwitchWire>(
         &mut self,
         w: &mut W,
@@ -192,7 +193,7 @@ impl SwitchCore {
         from: NodeId,
         mut pkt: W::Packet,
     ) {
-        let h = *W::header(&mut pkt);
+        let h = *w.header(&mut pkt);
         let chip = self.is_chip();
         match h.opcode {
             Opcode::Beacon => self.on_beacon(w, now, from, h.barrier, h.commit_barrier),
@@ -290,7 +291,7 @@ impl SwitchCore {
     fn forward_rewritten<W: SwitchWire>(&mut self, w: &mut W, now: u64, mut pkt: W::Packet) {
         let Some(to) = w.route(&pkt) else { return };
         let out = self.out(now);
-        let h = W::header(&mut pkt);
+        let h = w.header(&mut pkt);
         (h.barrier, h.commit_barrier) = out;
         if let Some(p) = self.ports.iter_mut().find(|p| p.to == to) {
             p.carry(now, out);
@@ -368,7 +369,7 @@ mod tests {
 
     impl SwitchWire for Recorder {
         type Packet = Datagram;
-        fn header(d: &mut Datagram) -> &mut PacketHeader {
+        fn header<'p>(&'p mut self, d: &'p mut Datagram) -> &'p mut PacketHeader {
             &mut d.header
         }
         fn route(&mut self, d: &Datagram) -> Option<NodeId> {

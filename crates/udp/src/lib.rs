@@ -625,7 +625,7 @@ impl Wire for UdpIo<'_, AppOut> {
 impl SwitchWire for UdpIo<'_, ()> {
     type Packet = Datagram;
 
-    fn header(d: &mut Datagram) -> &mut PacketHeader {
+    fn header<'p>(&'p mut self, d: &'p mut Datagram) -> &'p mut PacketHeader {
         &mut d.header
     }
 
