@@ -1,10 +1,10 @@
 //! Figure 8: scalability comparison of total order broadcast algorithms.
 //!
 //! Reproduces both panels — (a) throughput per process and (b) delivery
-//! latency — for six schemes, and prints (c) the packets each run's
-//! network dropped and ECN-marked: 1Pipe best-effort, 1Pipe reliable, a
+//! latency — for six schemes: 1Pipe best-effort, 1Pipe reliable, a
 //! programmable-switch sequencer, a host sequencer, a token ring, and
-//! Lamport timestamps with interval exchange.
+//! Lamport timestamps with interval exchange. Table (c) adds the packets
+//! each run's network dropped and ECN-marked.
 //!
 //! Offered load is scaled down from the paper's hardware rates (see the
 //! crate docs); the claims under test are the *shapes*: 1Pipe sustains the
