@@ -83,6 +83,7 @@ impl DriftClock {
     }
 
     /// Read the local clock at true time `true_now` (nanoseconds).
+    #[inline]
     pub fn read(&self, true_now: u64) -> u64 {
         let elapsed = true_now.saturating_sub(self.epoch) as f64;
         let local = true_now as f64 + self.offset_ns + self.drift_ppm * 1e-6 * elapsed;
@@ -153,17 +154,27 @@ impl MonotonicClock {
     }
 
     /// Read the clock at true time `true_now`, applying any sync rounds
-    /// that are due and enforcing monotonicity.
+    /// that are due and enforcing monotonicity. Inline: every host event
+    /// reads its clock, and a sync round is due once per 125 ms.
+    #[inline]
     pub fn now(&mut self, true_now: u64) -> Timestamp {
+        if true_now >= self.next_sync {
+            self.sync_until(true_now);
+        }
+        let raw = self.osc.read(true_now);
+        self.last_reading = self.last_reading.max(raw);
+        Timestamp::from_raw(self.last_reading)
+    }
+
+    /// Apply every sync round due at or before `true_now`.
+    #[inline(never)]
+    fn sync_until(&mut self, true_now: u64) {
         while true_now >= self.next_sync {
             let at = self.next_sync;
             let residual = sample_normal(&mut self.rng, 0.0, self.discipline.residual_std_ns);
             self.osc.correct(at, residual);
             self.next_sync += self.discipline.interval;
         }
-        let raw = self.osc.read(true_now);
-        self.last_reading = self.last_reading.max(raw);
-        Timestamp::from_raw(self.last_reading)
     }
 
     /// The instantaneous offset from true time (ns, signed), for telemetry.

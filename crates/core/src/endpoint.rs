@@ -76,6 +76,8 @@ struct Need {
     packets: u32,
     /// Credits already reserved (head of queue only).
     reserved: u32,
+    /// The scattering's destination list has `dst` (set on transmit).
+    listed: bool,
 }
 
 /// Commit-tracking state of an in-flight reliable scattering.
@@ -353,6 +355,7 @@ impl Endpoint {
                 dst: m.dst,
                 packets: fragment_count(m.payload.len(), MTU_PAYLOAD),
                 reserved: 0,
+                listed: false,
             })
             .collect();
         // One entry per destination: sort, then fold runs into their head.
@@ -722,7 +725,7 @@ impl Endpoint {
         }
     }
 
-    fn transmit_scattering(&mut self, now: Timestamp, scat: PendingScattering) {
+    fn transmit_scattering(&mut self, now: Timestamp, mut scat: PendingScattering) {
         // The timestamp was assigned at submission; the queued scattering
         // pinned the barrier contributions below it in the meantime.
         let ts = scat.ts;
@@ -730,7 +733,8 @@ impl Endpoint {
         let reliable = scat.reliable;
         let scattering_flag = scat.msgs.len() > 1;
         let mut total_packets = 0u32;
-        // Only a reliable scattering tracks its destinations.
+        // Only a reliable scattering tracks its destinations, in the order
+        // of their first message (recalls go out in that order).
         let mut dsts: Vec<ProcessId> =
             if reliable { Vec::with_capacity(scat.needs.len()) } else { Vec::new() };
         // Every fragment of the scattering in one buffer: one allocation,
@@ -743,8 +747,13 @@ impl Endpoint {
         let mut frags = buf.freeze();
         let table = if reliable { &mut self.rel_tx } else { &mut self.be_tx };
         for msg in &scat.msgs {
-            if reliable && !dsts.contains(&msg.dst) {
-                dsts.push(msg.dst);
+            if reliable {
+                // `needs` is sorted by destination, one entry each.
+                let i = scat.needs.binary_search_by_key(&msg.dst, |n| n.dst);
+                let need = &mut scat.needs[i.expect("a need per destination")];
+                if !std::mem::replace(&mut need.listed, true) {
+                    dsts.push(msg.dst);
+                }
             }
             let ch = channel(table, msg.dst, &self.cfg, reliable);
             let timeout = ch.rtt.timeout();
@@ -1246,6 +1255,17 @@ mod tests {
         b.on_barrier(Timestamp::ZERO, commit_val);
         let got = b.recv_reliable().unwrap();
         assert_eq!(got.payload, Bytes::from_static(b"important"));
+    }
+
+    #[test]
+    fn a_reliable_scattering_lists_each_destination_at_its_first_message() {
+        let mut a = Endpoint::new(ProcessId(0), EndpointConfig::default());
+        let msgs = [3, 1, 3, 2, 1, 5, 2].map(|d| Message::new(ProcessId(d), "m"));
+        a.send_reliable(ts(100), msgs.to_vec()).unwrap();
+        let scats: Vec<_> = a.outstanding_rel.values().collect();
+        assert_eq!(scats.len(), 1);
+        assert_eq!(scats[0].dsts, [3, 1, 2, 5].map(ProcessId));
+        assert_eq!(scats[0].remaining, 7);
     }
 
     #[test]

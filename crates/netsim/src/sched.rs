@@ -100,8 +100,9 @@ pub struct CalendarQueue<T> {
     now: u64,
     /// The events pushed at `now`, as `(seq, item)` in push order.
     lane: VecDeque<(u64, T)>,
-    /// The counting pass's output buffer, empty between passes.
-    scratch: Vec<Option<Entry<T>>>,
+    /// The counting pass's output buffer, empty between passes: the
+    /// pass swaps it with the bucket it orders.
+    scratch: Vec<Entry<T>>,
 }
 
 impl<T> Default for CalendarQueue<T> {
@@ -397,10 +398,12 @@ impl<T> CalendarQueue<T> {
 }
 
 /// Order a bucket that holds each instant's events in ascending `seq`
-/// descending by `(time, seq)`, through `scratch` (left empty). Out of
-/// line: on the barrier background no bucket needs it.
+/// descending by `(time, seq)`: scatter it into `scratch`, then swap the
+/// two, so every entry moves once and `scratch` comes back empty (the
+/// bucket's old buffer). Out of line: on the barrier background no bucket
+/// needs it.
 #[inline(never)]
-fn counting_pass<T>(bucket: &mut Vec<Entry<T>>, scratch: &mut Vec<Option<Entry<T>>>) {
+fn counting_pass<T>(bucket: &mut Vec<Entry<T>>, scratch: &mut Vec<Entry<T>>) {
     // `end[k]`: one past the last output position of offset `k`, whose
     // events go after every later offset's (descending time).
     let mut end = [0u32; SLOT_NS as usize];
@@ -412,15 +415,25 @@ fn counting_pass<T>(bucket: &mut Vec<Entry<T>>, scratch: &mut Vec<Option<Entry<T
         acc += *n;
         *n = acc;
     }
+    let len = bucket.len();
+    debug_assert!(scratch.is_empty());
+    scratch.reserve(len);
+    let out = scratch.as_mut_ptr();
     // Filling each offset's range from its end puts its lowest `seq` last,
     // where `pop` takes it first.
-    scratch.resize_with(bucket.len(), || None);
     for e in bucket.drain(..) {
         let pos = &mut end[(e.time % SLOT_NS) as usize];
         *pos -= 1;
-        scratch[*pos as usize] = Some(e);
+        // SAFETY: `scratch` is empty with capacity for `len` entries, and
+        // the counts above make the positions written a permutation of
+        // `0..len`: each lies below `len` and is written once. A panic
+        // here would leave `scratch`'s length at 0, leaking the entries
+        // written so far rather than reading uninitialized ones.
+        unsafe { out.add(*pos as usize).write(e) };
     }
-    bucket.extend(scratch.drain(..).map(|e| e.expect("a counting pass fills every position")));
+    // SAFETY: every position in `0..len` was written exactly once above.
+    unsafe { scratch.set_len(len) };
+    std::mem::swap(bucket, scratch);
 }
 
 #[cfg(test)]

@@ -171,8 +171,12 @@ pub struct Topology {
     pub host_nodes: Vec<NodeId>,
     /// All switch node ids (both halves).
     pub switch_nodes: Vec<NodeId>,
-    /// routes[node][dst_host] = ECMP next hops.
-    routes: Vec<Vec<Vec<NodeId>>>,
+    /// `hops[start..start + len]` are the ECMP next hops from `node`
+    /// toward `dst`, for `(start, len) = spans[node * hosts + dst]`: one
+    /// load into a dense table, then the hops themselves.
+    spans: Vec<(u32, u32)>,
+    /// Every node's next hops toward every host, back to back.
+    hops: Vec<NodeId>,
 }
 
 impl Topology {
@@ -265,7 +269,8 @@ impl Topology {
         // Routing tables.
         let n_nodes = roles.len();
         let n_hosts = host_nodes.len();
-        let mut routes = vec![vec![Vec::new(); n_hosts]; n_nodes];
+        let mut spans = vec![(0, 0); n_nodes * n_hosts];
+        let mut flat = Vec::new();
         for dst in 0..n_hosts as u32 {
             let (dpod, dtor) = rack_of_host(dst);
             for (node_idx, role) in roles.iter().enumerate() {
@@ -316,7 +321,8 @@ impl Topology {
                         vec![spine_down[dpod as usize][sp]]
                     }
                 };
-                routes[node_idx][dst as usize] = hops;
+                spans[node_idx * n_hosts + dst as usize] = (flat.len() as u32, hops.len() as u32);
+                flat.extend(hops);
             }
         }
 
@@ -327,7 +333,7 @@ impl Topology {
             .map(|(i, _)| NodeId(i as u32))
             .collect();
 
-        Topology { params, roles, host_nodes, switch_nodes, routes }
+        Topology { params, roles, host_nodes, switch_nodes, spans, hops: flat }
     }
 
     /// Number of hosts.
@@ -355,8 +361,10 @@ impl Topology {
 
     /// ECMP next hops from `at` toward `dst`. Empty when `at` is the
     /// destination host or the destination is unreachable from `at`.
+    #[inline]
     pub fn next_hops(&self, at: NodeId, dst: HostId) -> &[NodeId] {
-        &self.routes[at.0 as usize][dst.0 as usize]
+        let (start, len) = self.spans[at.0 as usize * self.host_nodes.len() + dst.0 as usize];
+        &self.hops[start as usize..(start + len) as usize]
     }
 
     /// Pick one ECMP next hop by flow hash (stable per src/dst pair).
@@ -539,6 +547,63 @@ mod tests {
                     topo.path_len(HostId(s), HostId(d));
                 }
             }
+        }
+    }
+
+    /// Walk every host pair hop by hop as a switch forwards — the
+    /// viable-hop mask, then [`Topology::route_masked`] — with the
+    /// directed link `down` (if any) cut. Each walk must reach its
+    /// destination on live links within two hops of the all-up path.
+    fn walk_all_pairs(topo: &Topology, down: Option<(NodeId, NodeId)>) {
+        let up = |a: NodeId, b: NodeId| Some((a, b)) != down;
+        let hosts = topo.num_hosts();
+        let mut viable = vec![None; topo.roles.len() * hosts];
+        for s in 0..hosts as u32 {
+            for d in 0..hosts as u32 {
+                let (src, dst) = (HostId(s), HostId(d));
+                let bound = topo.path_len(src, dst) + 2;
+                let mut at = topo.host_node(src);
+                let mut hops = 0;
+                while at != topo.host_node(dst) {
+                    let mask = viable[at.0 as usize * hosts + d as usize]
+                        .get_or_insert_with(|| topo.viable_hops(at, dst, up));
+                    let next = topo.route_masked(at, src, dst, *mask);
+                    let next = next.unwrap_or_else(|| panic!("{s} → {d} stuck at {at:?}"));
+                    assert!(up(at, next), "{s} → {d} took the cut link");
+                    at = next;
+                    hops += 1;
+                    assert!(hops <= bound, "{s} → {d} took more than {bound} hops");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_pair_is_walkable_with_all_links_up_and_a_core_link_down() {
+        // The testbed, which also carries Figure 8's 512 processes, and a
+        // 512-host tree with four-way ECMP at each ToR and two-way at
+        // each spine.
+        let wide = FatTreeParams {
+            pods: 4,
+            tors_per_pod: 4,
+            spines_per_pod: 4,
+            cores: 8,
+            hosts_per_tor: 32,
+            ..FatTreeParams::testbed()
+        };
+        for params in [FatTreeParams::testbed(), wide] {
+            let mut sim = Sim::new(0);
+            let topo = Topology::build(&mut sim, params);
+            walk_all_pairs(&topo, None);
+            // The first core's link down into the last pod.
+            let core = (0..topo.roles.len() as u32)
+                .map(NodeId)
+                .find(|&n| matches!(topo.role(n), NodeRole::Core { .. }))
+                .unwrap();
+            let last = HostId(topo.num_hosts() as u32 - 1);
+            let spine = topo.next_hops(core, last)[0];
+            assert!(matches!(topo.role(spine), NodeRole::SpineDown { .. }));
+            walk_all_pairs(&topo, Some((core, spine)));
         }
     }
 

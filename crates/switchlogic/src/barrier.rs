@@ -3,6 +3,43 @@
 use onepipe_types::ids::NodeId;
 use onepipe_types::time::Timestamp;
 
+/// A dense `NodeId` → slot map over a switch's links (node ids are small
+/// and dense). Barrier observations and forwarding look a link up per
+/// packet, so the lookup must not scan or hash.
+#[derive(Clone, Debug)]
+pub(crate) struct NodeSlots(Vec<u16>);
+
+impl NodeSlots {
+    /// The slot of each of `links` is its position; a link listed twice
+    /// keeps its first.
+    pub(crate) fn new(links: &[NodeId]) -> Self {
+        assert!(links.len() < NO_SLOT as usize, "too many links");
+        let mut slots = Vec::new();
+        for (i, link) in links.iter().enumerate() {
+            let id = link.0 as usize;
+            if slots.len() <= id {
+                slots.resize(id + 1, NO_SLOT);
+            }
+            if slots[id] == NO_SLOT {
+                slots[id] = i as u16;
+            }
+        }
+        NodeSlots(slots)
+    }
+
+    /// The slot of `link`, if it is one of the links.
+    #[inline]
+    pub(crate) fn get(&self, link: NodeId) -> Option<usize> {
+        match self.0.get(link.0 as usize) {
+            Some(&i) if i != NO_SLOT => Some(i as usize),
+            _ => None,
+        }
+    }
+}
+
+/// [`NodeSlots`]' "not one of the links".
+const NO_SLOT: u16 = u16::MAX;
+
 /// Barrier bookkeeping for one logical switch.
 ///
 /// Keeps two registers per input link — one for the best-effort barrier,
@@ -11,10 +48,8 @@ use onepipe_types::time::Timestamp;
 #[derive(Clone, Debug)]
 pub struct BarrierAggregator {
     inputs: Vec<NodeId>,
-    /// Dense NodeId → input-slot map (node ids are small and dense);
-    /// `u16::MAX` marks "not an input". Barrier observations run per
-    /// packet, so the slot lookup must not scan.
-    index: Vec<u16>,
+    /// Input slot of each input link.
+    index: NodeSlots,
     /// The best-effort barrier. An input leaves its minimum by the
     /// decentralized timeout (§4.2), and its death is then reported to
     /// the controller (Detect, §5.2). Failure is by fiat from that point:
@@ -129,35 +164,19 @@ impl BarrierAggregator {
     /// live input link has reported.
     pub fn new(inputs: Vec<NodeId>) -> Self {
         let n = inputs.len();
-        assert!(n < u16::MAX as usize, "too many input links");
-        let mut index = Vec::new();
-        for (i, link) in inputs.iter().enumerate() {
-            let id = link.0 as usize;
-            if index.len() <= id {
-                index.resize(id + 1, u16::MAX);
-            }
-            index[id] = i as u16;
-        }
         BarrierAggregator {
+            index: NodeSlots::new(&inputs),
             inputs,
-            index,
             be: Minimum::new(n),
             commit: Minimum::new(n),
             last_heard: vec![0; n],
         }
     }
 
-    fn index_of(&self, link: NodeId) -> Option<usize> {
-        match self.index.get(link.0 as usize) {
-            Some(&i) if i != u16::MAX => Some(i as usize),
-            _ => None,
-        }
-    }
-
     /// The slot of a live input link; `Err(false)` for an unknown link,
     /// `Err(true)` for one reported dead and not yet re-admitted.
     fn live_slot(&self, link: NodeId) -> Result<usize, bool> {
-        match self.index_of(link) {
+        match self.index.get(link) {
             Some(i) if self.be.removed[i] => Err(true),
             Some(i) => Ok(i),
             None => Err(false),
@@ -187,6 +206,23 @@ impl BarrierAggregator {
         match self.live_slot(from) {
             Ok(i) => {
                 self.commit.observe(i, barrier);
+                self.last_heard[i] = now;
+                true
+            }
+            Err(known) => known,
+        }
+    }
+
+    /// Record both barriers a data packet or beacon carries on an input
+    /// link, with one slot lookup: [`Self::observe_be`] then
+    /// [`Self::observe_commit`] in one call. Returns `false` if the link
+    /// is unknown.
+    #[inline]
+    pub fn observe(&mut self, from: NodeId, be: Timestamp, commit: Timestamp, now: u64) -> bool {
+        match self.live_slot(from) {
+            Ok(i) => {
+                self.be.observe(i, be);
+                self.commit.observe(i, commit);
                 self.last_heard[i] = now;
                 true
             }
@@ -239,7 +275,7 @@ impl BarrierAggregator {
 
     /// Remove an input link from the commit minimum (controller Resume).
     pub fn remove_commit_input(&mut self, from: NodeId) -> bool {
-        let Some(i) = self.index_of(from) else { return false };
+        let Some(i) = self.index.get(from) else { return false };
         self.commit.set_removed(i, true);
         true
     }
@@ -248,7 +284,7 @@ impl BarrierAggregator {
     /// their old values; the monotonic clamp hides them until the link
     /// catches up (§4.2 link-addition rule).
     pub fn restore_input(&mut self, from: NodeId, now: u64) -> bool {
-        let Some(i) = self.index_of(from) else { return false };
+        let Some(i) = self.index.get(from) else { return false };
         self.be.set_removed(i, false);
         self.commit.set_removed(i, false);
         self.last_heard[i] = now;
@@ -262,12 +298,12 @@ impl BarrierAggregator {
 
     /// The best-effort register of one input link (telemetry).
     pub fn register_be(&self, from: NodeId) -> Option<Timestamp> {
-        self.index_of(from).map(|i| self.be.regs[i])
+        self.index.get(from).map(|i| self.be.regs[i])
     }
 
     /// The commit register of one input link (telemetry).
     pub fn register_commit(&self, from: NodeId) -> Option<Timestamp> {
-        self.index_of(from).map(|i| self.commit.regs[i])
+        self.index.get(from).map(|i| self.commit.regs[i])
     }
 }
 

@@ -6,7 +6,7 @@
 //! the [`SwitchWire`] its driver passes in: the simulator's
 //! `SwitchLogic` and the UDP soft switch both drive this one core.
 
-use crate::barrier::BarrierAggregator;
+use crate::barrier::{BarrierAggregator, NodeSlots};
 use onepipe_types::ids::NodeId;
 use onepipe_types::time::{Duration, Timestamp, MICROS};
 use onepipe_types::wire::{Opcode, PacketHeader};
@@ -134,6 +134,8 @@ pub struct SwitchCore {
     agg: BarrierAggregator,
     /// Output-port state, in the order the driver listed the ports.
     ports: Vec<OutPort>,
+    /// The port leading to each neighbor.
+    port_of: NodeSlots,
     /// The one-shot timer is armed: the chip's coalesced relay, or the
     /// CPU/delegate's delayed emission.
     timer_armed: bool,
@@ -158,6 +160,7 @@ impl SwitchCore {
             dead_timeout,
             agg: BarrierAggregator::new(inputs),
             ports: outputs.iter().map(|&to| OutPort { to, last_tx: 0, advertised: zero }).collect(),
+            port_of: NodeSlots::new(outputs),
             timer_armed: false,
             relayed: zero,
         }
@@ -203,8 +206,7 @@ impl SwitchCore {
                 self.barrier_input(w, now);
             }
             Opcode::Data if chip => {
-                self.agg.observe_be(from, h.barrier, now);
-                self.agg.observe_commit(from, h.commit_barrier, now);
+                self.agg.observe(from, h.barrier, h.commit_barrier, now);
                 self.forward_rewritten(w, now, pkt);
                 self.barrier_input(w, now);
             }
@@ -239,8 +241,7 @@ impl SwitchCore {
         be: Timestamp,
         commit: Timestamp,
     ) {
-        self.agg.observe_be(from, be, now);
-        self.agg.observe_commit(from, commit, now);
+        self.agg.observe(from, be, commit, now);
         // Hop-by-hop: absorbed here; relayed promptly if the aggregate
         // advanced.
         self.barrier_input(w, now);
@@ -293,8 +294,8 @@ impl SwitchCore {
         let out = self.out(now);
         let h = w.header(&mut pkt);
         (h.barrier, h.commit_barrier) = out;
-        if let Some(p) = self.ports.iter_mut().find(|p| p.to == to) {
-            p.carry(now, out);
+        if let Some(i) = self.port_of.get(to) {
+            self.ports[i].carry(now, out);
         }
         w.forward(to, pkt);
     }
@@ -453,6 +454,31 @@ mod tests {
         // Input 0 was: the aggregate moves to 900.
         sw.on_beacon(&mut w, 1_000, NodeId(0), ts(1_000), ts(1_000));
         assert!(sw.timer_armed && w.timer);
+    }
+
+    #[test]
+    fn forwarding_records_carry_on_the_port_of_a_sparse_neighbor() {
+        let (near, far) = (NodeId(3), NodeId(900));
+        let mut sw = SwitchCore::new(SwitchConfig::default(), vec![near, far], &[near, far], 0);
+        let mut w = Recorder::default();
+        for from in [near, far] {
+            sw.on_beacon(&mut w, 1_000, from, ts(500), ts(400));
+        }
+        settle(&mut sw, &mut w, 1_000);
+        let before = sw.ports[0].advertised;
+
+        sw.on_packet(&mut w, 2_000, near, data(3, 900, 600));
+        let calls = settle(&mut sw, &mut w, 2_000);
+        assert!(matches!(&calls[..], [Call::Forward(to, d)] if *to == far
+            && (d.header.barrier, d.header.commit_barrier) == (ts(500), ts(400))));
+        assert_eq!((sw.ports[1].last_tx, sw.ports[1].advertised), (2_000, (ts(500), ts(400))));
+        assert_eq!((sw.ports[0].last_tx, sw.ports[0].advertised), (1_000, before));
+
+        // A route to a node no port leads to forwards and touches no port.
+        sw.on_packet(&mut w, 3_000, near, data(3, 7, 600));
+        let calls = settle(&mut sw, &mut w, 3_000);
+        assert!(matches!(&calls[..], [Call::Forward(NodeId(7), _)]), "{calls:?}");
+        assert!(sw.ports.iter().all(|p| p.last_tx < 3_000));
     }
 
     /// The chip with one port per process: data leaves with the minimum,
