@@ -763,7 +763,7 @@ impl AppHook for KvsApp {
         // 1Pipe RO retry on loss: the paper's "the initiator can retry it".
         if self.cfg.mode == KvsMode::OnePipe {
             let timeout = self.cfg.ro_timeout;
-            let stale: Vec<u64> = self
+            let mut stale: Vec<u64> = self
                 .txns
                 .iter()
                 .filter(|(_, t)| {
@@ -773,6 +773,9 @@ impl AppHook for KvsApp {
                 })
                 .map(|(&id, _)| id)
                 .collect();
+            // `txns` iterates in a per-run random order; re-issue in id
+            // order so a run repeats.
+            stale.sort_unstable();
             for id in stale {
                 if let Some(t) = self.txns.get_mut(&id) {
                     t.retries += 1;
@@ -848,6 +851,30 @@ mod tests {
         cluster.run_for(3_000_000);
         assert!(app.lock().unwrap().aborts > 0, "contention must cause OCC aborts");
         assert!(!app.lock().unwrap().completed.is_empty());
+    }
+
+    #[test]
+    fn retried_read_only_transactions_repeat_from_run_to_run() {
+        // 5 % receive loss makes best-effort read-only transactions time
+        // out; their re-issue order must not depend on hash iteration.
+        let run = || {
+            let mut ccfg = ClusterConfig::single_rack(4, 4);
+            ccfg.endpoint.rx_drop_rate = 0.05;
+            let mut cluster = Cluster::new(ccfg);
+            let mut kcfg = KvsConfig::paper_default(KvsMode::OnePipe, 4, KeyDist::uniform(10_000));
+            kcfg.pipeline = 16;
+            kcfg.ro_timeout = 20_000;
+            let app = Arc::new(Mutex::new(KvsApp::new(kcfg)));
+            cluster.set_app(app.clone());
+            cluster.run_for(3_000_000);
+            let app = app.lock().unwrap();
+            app.completed.iter().map(|r| (r.start, r.end, r.kind, r.retries)).collect::<Vec<_>>()
+        };
+        let first = run();
+        assert!(first.iter().any(|r| r.3 > 0), "the loss must cause retries");
+        for _ in 0..3 {
+            assert_eq!(run(), first, "a rerun completed different transactions");
+        }
     }
 
     #[test]
