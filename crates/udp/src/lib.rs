@@ -299,7 +299,7 @@ impl UdpClusterBuilder {
         let switch = soft_switch(&net, dead_timeout);
         let switch_net = net.clone();
         let switch = NodeThread::spawn(move |_| {
-            run_node(switch, switch_sock, switch_net, (), SWITCH_RETRY, RX_IDLE, |_, _, _| true)
+            run_node(switch, switch_sock, switch_net, (), SWITCH_RETRY, RX_IDLE, |_, _| true)
         });
 
         // Failure domains of the loopback rack: component i = host i, whose
@@ -320,7 +320,7 @@ impl UdpClusterBuilder {
                 // The startup delay: the replica's socket buffers frames,
                 // but it does not take part yet. Its client stays empty.
                 std::thread::sleep(ctrl_start_delay);
-                run_node(node, sock, net, (), HOST_RETRY, RX_CTRL_IDLE, move |node, _, _| {
+                run_node(node, sock, net, (), HOST_RETRY, RX_CTRL_IDLE, move |node, _| {
                     leader.store(node.ctrl.is_leader(), Ordering::SeqCst);
                     !killed.load(Ordering::SeqCst)
                 })
@@ -339,12 +339,17 @@ impl UdpClusterBuilder {
             let app_out =
                 AppOut { id, del_tx, ev_tx, committed_held: committed_held.clone(), raw_tx };
             let (node, net) = (process(id, app.clone()), net.clone());
+            let epoch = net.epoch;
             let thread = NodeThread::spawn(move |killed| {
-                run_node(node, sock, net, app_out, HOST_RETRY, RX_IDLE, move |node, io, now| {
+                run_node(node, sock, net, app_out, HOST_RETRY, RX_IDLE, move |node, io| {
                     if killed.load(Ordering::SeqCst) {
                         return false;
                     }
-                    cmd_rx.try_iter().for_each(|cmd| cmd(node, io, now));
+                    // A command may answer from inside (`send_traced`), and
+                    // the caller's next command can drain in the same pass:
+                    // each reads the clock itself, so the two timestamps
+                    // differ.
+                    cmd_rx.try_iter().for_each(|cmd| cmd(node, io, now_ns(epoch)));
                     true
                 })
             });
@@ -504,7 +509,7 @@ fn run_node<N, R>(
     role: R,
     retry: RetryPolicy,
     idle: Duration,
-    mut wake: impl FnMut(&mut N, &mut UdpIo<'_, R>, u64) -> bool,
+    mut wake: impl FnMut(&mut N, &mut UdpIo<'_, R>) -> bool,
 ) where
     N: for<'a> Node<UdpIo<'a, R>, SocketAddr>,
 {
@@ -512,7 +517,7 @@ fn run_node<N, R>(
     let mut rx = PacketRx::new(&sock, idle, net.stats.clone());
     let tx = PacketTx::new(net.stats.clone());
     let mut io = UdpIo { sock: &sock, net: &net, tx, client: CtrlClient::new(retry), role };
-    while !net.stop.load(Ordering::SeqCst) && wake(&mut node, &mut io, now_ns(epoch)) {
+    while !net.stop.load(Ordering::SeqCst) && wake(&mut node, &mut io) {
         let mut burst = rx.burst();
         while burst.recv(|d, from| node.on_frame(&mut io, now_ns(epoch), from, d))
             && !node.burst_done(now_ns(epoch))
@@ -725,7 +730,7 @@ mod tests {
                 (),
                 SWITCH_RETRY,
                 RX_IDLE,
-                |_, _, _| true,
+                |_, _| true,
             )
         });
         let ts = Timestamp::from_nanos;
@@ -786,7 +791,7 @@ mod tests {
                 (),
                 SWITCH_RETRY,
                 RX_IDLE,
-                |_, _, _| true,
+                |_, _| true,
             )
         });
         let mut beacon =
