@@ -241,48 +241,79 @@ fn bench_route_live(c: &mut Criterion) {
     });
 }
 
+/// A simulator on `params` with one process per host and `SwitchLogic`
+/// on every switch, started.
+fn switch_sim(
+    params: onepipe_netsim::topology::FatTreeParams,
+) -> (onepipe_netsim::engine::Sim, std::sync::Arc<onepipe_netsim::topology::Topology>) {
+    use onepipe_core::simswitch::{SwitchLogic, SwitchShared};
+    use onepipe_netsim::engine::Sim;
+    use onepipe_netsim::topology::Topology;
+    use onepipe_switchlogic::SwitchConfig;
+    use onepipe_types::process_map::ProcessMap;
+    use std::sync::Arc;
+    let mut sim = Sim::new(1);
+    let topo = Arc::new(Topology::build(&mut sim, params));
+    let n = topo.num_hosts();
+    let shared = SwitchShared {
+        topo: topo.clone(),
+        procs: Arc::new(ProcessMap::place_round_robin(n, n)),
+        events: Default::default(),
+    };
+    for &s in &topo.switch_nodes {
+        sim.set_logic(s, Box::new(SwitchLogic::new(shared.clone(), SwitchConfig::default())));
+    }
+    (sim, topo)
+}
+
+/// Data packets `src(i)` → `(7i + 9) mod n` for `i < n`.
+fn next_hop_packets(n: u32, src: impl Fn(u32) -> u32) -> Vec<onepipe_netsim::engine::SimPacket> {
+    (0..n)
+        .map(|i| {
+            onepipe_netsim::engine::SimPacket::new(Datagram {
+                src: ProcessId(src(i)),
+                dst: ProcessId((i * 7 + 9) % n),
+                header: PacketHeader::data(Timestamp::from_nanos(42), i, Flags::END_OF_MESSAGE),
+                payload: bytes::Bytes::new(),
+            })
+        })
+        .collect()
+}
+
+/// The next hop `node`'s switch picks for `pkt`.
+fn next_hop_at(
+    sim: &mut onepipe_netsim::engine::Sim,
+    node: NodeId,
+    pkt: &onepipe_netsim::engine::SimPacket,
+) -> Option<NodeId> {
+    use onepipe_core::simswitch::SwitchLogic;
+    sim.with_node(node, |logic, ctx| {
+        let sw = logic.as_any_mut().and_then(|l| l.downcast_mut::<SwitchLogic>());
+        sw.expect("a switch runs SwitchLogic").next_hop(ctx, pkt)
+    })
+    .flatten()
+}
+
 /// The switch's per-packet routing lookup on the testbed, from a ToR
 /// uplink: with every link up (the flow's hashed spine is viable), and
 /// with one of the pod's two spines crashed (half the inter-rack flows
 /// fail over to the survivor).
 fn bench_switch_next_hop(c: &mut Criterion) {
-    use onepipe_core::simswitch::{SwitchLogic, SwitchShared};
-    use onepipe_netsim::engine::{Sim, SimPacket};
-    use onepipe_netsim::topology::{FatTreeParams, NodeRole, Topology};
-    use onepipe_switchlogic::SwitchConfig;
+    use onepipe_core::simswitch::SwitchLogic;
+    use onepipe_netsim::topology::{FatTreeParams, NodeRole};
     use onepipe_types::ids::HostId;
-    use onepipe_types::process_map::ProcessMap;
-    use std::sync::Arc;
     for (name, spine_down) in
         [("switch/next_hop/all_up", false), ("switch/next_hop/one_spine_down", true)]
     {
-        let mut sim = Sim::new(1);
-        let topo = Arc::new(Topology::build(&mut sim, FatTreeParams::testbed()));
+        let (mut sim, topo) = switch_sim(FatTreeParams::testbed());
         let n = topo.num_hosts() as u32;
-        let shared = SwitchShared {
-            topo: topo.clone(),
-            procs: Arc::new(ProcessMap::place_round_robin(n as usize, n as usize)),
-            events: Default::default(),
-        };
-        for &s in &topo.switch_nodes {
-            sim.set_logic(s, Box::new(SwitchLogic::new(shared.clone(), SwitchConfig::default())));
-        }
         if spine_down {
             let is_spine = |s: &NodeId| topo.role(*s) == NodeRole::SpineUp { pod: 0, idx: 0 };
             let spine = topo.switch_nodes.iter().copied().find(is_spine);
             sim.schedule_crash(0, spine.expect("the testbed has spines"));
         }
         sim.run_until(1);
-        let pkts: Vec<SimPacket> = (0..n)
-            .map(|i| {
-                SimPacket::new(Datagram {
-                    src: ProcessId(i % 8),
-                    dst: ProcessId((i * 7 + 9) % n),
-                    header: PacketHeader::data(Timestamp::from_nanos(42), i, Flags::END_OF_MESSAGE),
-                    payload: bytes::Bytes::new(),
-                })
-            })
-            .collect();
+        let pkts = next_hop_packets(n, |i| i % 8);
         sim.with_node(topo.tor_up_of(HostId(0)), |logic, ctx| {
             let sw = logic.as_any_mut().and_then(|l| l.downcast_mut::<SwitchLogic>());
             let sw = sw.expect("a switch runs SwitchLogic");
@@ -295,6 +326,53 @@ fn bench_switch_next_hop(c: &mut Criterion) {
             });
         });
     }
+}
+
+/// The same lookup walked hop by hop across the switches of a 512-host
+/// tree (4 pods × 4 ToRs × 32 hosts, 4 spines per pod, 8 cores), one
+/// process per host: an iteration is one hop of one of 512 packets, each
+/// from its own host's ToR, so the lookups spread over every switch's
+/// tables as they do in a run rather than staying in one switch's cache.
+fn bench_switch_next_hop_tree(c: &mut Criterion) {
+    use onepipe_netsim::topology::FatTreeParams;
+    use onepipe_types::ids::HostId;
+    let (mut sim, topo) = switch_sim(FatTreeParams {
+        pods: 4,
+        tors_per_pod: 4,
+        spines_per_pod: 4,
+        cores: 8,
+        hosts_per_tor: 32,
+        ..FatTreeParams::testbed()
+    });
+    sim.run_until(1);
+    let n = topo.num_hosts() as u32;
+    assert_eq!(n, 512);
+    let pkts = next_hop_packets(n, |i| i);
+    // Every walk ends at its destination's host (process i runs on host i).
+    for (i, pkt) in pkts.iter().enumerate() {
+        let mut at = topo.tor_up_of(HostId(i as u32));
+        for _ in 0..8 {
+            at = next_hop_at(&mut sim, at, pkt).expect("a route");
+            if topo.host_of(at).is_some() {
+                break;
+            }
+        }
+        assert_eq!(topo.host_of(at), Some(HostId(pkt.dgram.dst.0)), "packet {i} got lost");
+    }
+    let (mut i, mut at) = (0usize, topo.tor_up_of(HostId(0)));
+    c.bench_function("switch/next_hop/tree_512", |bench| {
+        bench.iter(|| {
+            let next = next_hop_at(&mut sim, at, &pkts[i]);
+            match next {
+                Some(hop) if topo.host_of(hop).is_none() => at = hop,
+                _ => {
+                    i = if i + 1 == pkts.len() { 0 } else { i + 1 };
+                    at = topo.tor_up_of(HostId(i as u32));
+                }
+            }
+            black_box(next)
+        })
+    });
 }
 
 fn bench_timestamp(c: &mut Criterion) {
@@ -574,6 +652,7 @@ criterion_group!(
     bench_engine_hop,
     bench_route_live,
     bench_switch_next_hop,
+    bench_switch_next_hop_tree,
     bench_timestamp,
     bench_wire,
     bench_empty_bytes,
