@@ -18,6 +18,7 @@
 //!   with leader-side writes), so lookups do not scale with replicas.
 
 use crate::metrics::TxnRecord;
+use crate::rpc::{frame, read_frame, Inflight, ServerCpu};
 use crate::workload::shard_of;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use onepipe_core::simhost::{AppHook, SendQueue};
@@ -102,18 +103,6 @@ struct Shard {
     buckets: HashMap<u64, Vec<u64>>,
 }
 
-#[derive(Debug)]
-struct Op {
-    client: ProcessId,
-    kind: u8,
-    key: u64,
-    start: u64,
-    awaiting: usize,
-    /// Baseline insert: true once the node write completed and the
-    /// pointer write was issued.
-    pointer_phase: bool,
-}
-
 const T_LOOKUP: u8 = 1;
 const T_LOOKUP_R: u8 = 2;
 const T_WRITE_NODE: u8 = 3; // baseline: first fenced write
@@ -130,20 +119,18 @@ pub struct HtApp {
     cfg: HtConfig,
     /// `shards[shard][replica]`.
     shards: Vec<Vec<Shard>>,
-    ops: HashMap<u64, Op>,
-    next_op: u64,
-    outstanding: HashMap<ProcessId, usize>,
+    /// Operations in flight, each with its key.
+    ops: Inflight<u64>,
     rng: StdRng,
     /// Completed operations.
     pub completed: Vec<TxnRecord>,
-    /// Replication acks pending at leaders: op → (count, client).
-    repl_waits: HashMap<u64, (usize, ProcessId)>,
+    /// Leaders waiting for their followers' acks before they answer a
+    /// client.
+    repl_waits: Inflight<()>,
     /// Round-robin replica selector for 1Pipe lookups.
     rr: usize,
-    /// Per-server CPU busy-until (service-time model).
-    busy_until: HashMap<ProcessId, u64>,
-    /// Replies waiting for server CPU time: (ready_at, from, to, payload).
-    deferred: Vec<(u64, ProcessId, ProcessId, Bytes)>,
+    /// Replies waiting for server CPU time.
+    cpu: ServerCpu,
 }
 
 impl HtApp {
@@ -151,31 +138,14 @@ impl HtApp {
     pub fn new(cfg: HtConfig) -> Self {
         HtApp {
             shards: vec![vec![Shard::default(); cfg.replicas]; cfg.shards],
-            ops: HashMap::new(),
-            next_op: 1,
-            outstanding: HashMap::new(),
+            ops: Inflight::new(),
             rng: StdRng::seed_from_u64(cfg.seed),
             completed: Vec::new(),
-            repl_waits: HashMap::new(),
+            repl_waits: Inflight::new(),
             rr: 0,
-            busy_until: HashMap::new(),
-            deferred: Vec::new(),
+            cpu: ServerCpu::new(cfg.server_op_ns),
             cfg,
         }
-    }
-
-    /// Charge `server`'s CPU for one request and return when the reply
-    /// may leave.
-    fn serve(&mut self, now: u64, server: ProcessId) -> u64 {
-        let busy = self.busy_until.entry(server).or_insert(0);
-        let start = (*busy).max(now);
-        *busy = start + self.cfg.server_op_ns;
-        *busy
-    }
-
-    /// Queue a reply that leaves `from` once its CPU is free.
-    fn reply_after(&mut self, ready: u64, from: ProcessId, to: ProcessId, payload: Bytes) {
-        self.deferred.push((ready, from, to, payload));
     }
 
     /// The process serving `shard`'s `replica`.
@@ -199,35 +169,30 @@ impl HtApp {
         i >= servers && i < servers + self.cfg.clients
     }
 
-    fn bucket(&self, key: u64) -> u64 {
-        key % 1024
-    }
-
     fn start_op(&mut self, now: u64, client: ProcessId, out: &mut SendQueue) {
         let key = self.rng.random_range(0..self.cfg.keys);
-        let kind = match self.cfg.workload {
-            HtWorkload::Insert => KIND_INSERT,
-            HtWorkload::Lookup => KIND_LOOKUP,
+        let insert = self.cfg.workload == HtWorkload::Insert;
+        let kind = if insert { KIND_INSERT } else { KIND_LOOKUP };
+        let tag = match (self.cfg.mode, insert) {
+            (HtMode::OnePipe, true) => T_INSERT,
+            (HtMode::Baseline, true) => T_WRITE_NODE, // fenced write #1: the KV node
+            (_, false) => T_LOOKUP,
         };
-        let id = self.next_op;
-        self.next_op += 1;
-        self.ops
-            .insert(id, Op { client, kind, key, start: now, awaiting: 0, pointer_phase: false });
-        *self.outstanding.entry(client).or_insert(0) += 1;
+        let replicas = self.cfg.replicas;
+        let awaiting = if tag == T_INSERT { replicas } else { 1 };
+        let id = self.ops.open(now, client, kind, awaiting, key);
         let shard = shard_of(key, self.cfg.shards);
-        match (self.cfg.mode, kind) {
-            (HtMode::OnePipe, KIND_INSERT) => {
+        let mut b = frame(tag, id);
+        b.put_u64(key);
+        if insert {
+            b.extend_from_slice(&[0u8; 48]); // the KV node image
+        }
+        let payload = b.freeze();
+        match (self.cfg.mode, insert) {
+            (HtMode::OnePipe, true) => {
                 // One scattering carrying the (node + pointer) insert to
                 // every replica of the shard.
-                let op = self.ops.get_mut(&id).unwrap();
-                op.awaiting = self.cfg.replicas;
-                let mut b = BytesMut::new();
-                b.put_u8(T_INSERT);
-                b.put_u64(id);
-                b.put_u64(key);
-                b.extend_from_slice(&[0u8; 48]); // the KV node image
-                let payload = b.freeze();
-                let msgs: Vec<Message> = (0..self.cfg.replicas)
+                let msgs: Vec<Message> = (0..replicas)
                     .map(|r| Message::new(self.server_proc(shard, r), payload.clone()))
                     .collect();
                 // Best-effort service: the one-sided-write pattern of
@@ -235,99 +200,54 @@ impl HtApp {
                 // 1-RTT replication recipe of §2.2.2).
                 out.push(client, msgs, false);
             }
-            (HtMode::OnePipe, _) => {
+            (HtMode::OnePipe, false) => {
                 // Lookup at any replica, via an ordered best-effort message.
-                let op = self.ops.get_mut(&id).unwrap();
-                op.awaiting = 1;
-                self.rr = (self.rr + 1) % self.cfg.replicas;
-                let replica = self.rr;
-                let mut b = BytesMut::new();
-                b.put_u8(T_LOOKUP);
-                b.put_u64(id);
-                b.put_u64(key);
-                let dst = self.server_proc(shard, replica);
-                out.push(client, vec![Message::new(dst, b.freeze())], false);
+                self.rr = (self.rr + 1) % replicas;
+                let dst = self.server_proc(shard, self.rr);
+                out.push(client, vec![Message::new(dst, payload)], false);
             }
-            (HtMode::Baseline, KIND_INSERT) => {
-                // Fenced write #1: the KV node, to the leader.
-                let op = self.ops.get_mut(&id).unwrap();
-                op.awaiting = 1;
-                let mut b = BytesMut::new();
-                b.put_u8(T_WRITE_NODE);
-                b.put_u64(id);
-                b.put_u64(key);
-                b.extend_from_slice(&[0u8; 48]);
-                out.push_raw(client, self.server_proc(shard, 0), b.freeze());
-            }
-            (HtMode::Baseline, _) => {
-                // Lookup at the leader only.
-                let op = self.ops.get_mut(&id).unwrap();
-                op.awaiting = 1;
-                let mut b = BytesMut::new();
-                b.put_u8(T_LOOKUP);
-                b.put_u64(id);
-                b.put_u64(key);
-                out.push_raw(client, self.server_proc(shard, 0), b.freeze());
-            }
-        }
-    }
-
-    fn complete(&mut self, now: u64, id: u64) {
-        if let Some(op) = self.ops.remove(&id) {
-            *self.outstanding.get_mut(&op.client).unwrap() -= 1;
-            self.completed.push(TxnRecord { start: op.start, end: now, kind: op.kind, retries: 0 });
+            // The baseline talks to the leader only.
+            (HtMode::Baseline, _) => out.push_raw(client, self.server_proc(shard, 0), payload),
         }
     }
 
     fn apply_insert(&mut self, shard: usize, replica: usize, key: u64) {
-        let bucket = self.bucket(key);
-        self.shards[shard][replica].buckets.entry(bucket).or_default().insert(0, key);
+        self.shards[shard][replica].buckets.entry(key % 1024).or_default().insert(0, key);
     }
 
-    fn do_lookup(&self, shard: usize, replica: usize, key: u64) -> bool {
-        let bucket = self.bucket(key);
-        self.shards[shard][replica].buckets.get(&bucket).map(|v| v.contains(&key)).unwrap_or(false)
+    /// Apply an insert (`T_INSERT`, `T_REPL`) or look `key` up
+    /// (`T_LOOKUP`) at `shard`'s `replica`, and return the reply.
+    fn serve(&mut self, (shard, replica): (usize, usize), tag: u8, id: u64, key: u64) -> BytesMut {
+        if tag != T_LOOKUP {
+            self.apply_insert(shard, replica, key);
+            return frame(if tag == T_INSERT { T_REPLY } else { T_REPL_R }, id);
+        }
+        let buckets = &self.shards[shard][replica].buckets;
+        let found = buckets.get(&(key % 1024)).is_some_and(|v| v.contains(&key));
+        let mut b = frame(T_LOOKUP_R, id);
+        b.put_u8(found as u8);
+        b
     }
 }
 
 impl AppHook for HtApp {
     fn on_delivery(
         &mut self,
-        _now: u64,
+        now: u64,
         receiver: ProcessId,
         msg: &Delivered,
         _reliable: bool,
         out: &mut SendQueue,
     ) {
-        let Some((shard, replica)) = self.server_role(receiver) else { return };
-        let mut p = msg.payload.clone();
-        if p.remaining() < 17 {
+        let Some(role) = self.server_role(receiver) else { return };
+        let Some((tag @ (T_INSERT | T_LOOKUP), id, mut p)) = read_frame(&msg.payload) else {
+            return;
+        };
+        if p.remaining() < 8 {
             return;
         }
-        let tag = p.get_u8();
-        let id = p.get_u64();
-        let key = p.get_u64();
-        match tag {
-            T_INSERT => {
-                self.apply_insert(shard, replica, key);
-                let ready = self.serve(_now, receiver);
-                let mut b = BytesMut::new();
-                b.put_u8(T_REPLY);
-                b.put_u64(id);
-                self.reply_after(ready, receiver, msg.src, b.freeze());
-            }
-            T_LOOKUP => {
-                let found = self.do_lookup(shard, replica, key);
-                let ready = self.serve(_now, receiver);
-                let mut b = BytesMut::new();
-                b.put_u8(T_LOOKUP_R);
-                b.put_u64(id);
-                b.put_u8(found as u8);
-                self.reply_after(ready, receiver, msg.src, b.freeze());
-            }
-            _ => {}
-        }
-        let _ = out;
+        let reply = self.serve(role, tag, id, p.get_u64());
+        self.cpu.reply(now, receiver, msg.src, reply, out);
     }
 
     fn on_raw(
@@ -338,120 +258,55 @@ impl AppHook for HtApp {
         payload: &Bytes,
         out: &mut SendQueue,
     ) {
-        let mut p = payload.clone();
-        if p.remaining() < 9 {
-            return;
-        }
-        let tag = p.get_u8();
-        let id = p.get_u64();
+        let Some((tag, id, mut p)) = read_frame(payload) else { return };
         match tag {
             // ---- client completions ----
-            T_REPLY | T_LOOKUP_R => {
-                let done = {
-                    let Some(op) = self.ops.get_mut(&id) else { return };
-                    op.awaiting = op.awaiting.saturating_sub(1);
-                    op.awaiting == 0
-                };
-                if done {
-                    self.complete(now, id);
-                }
+            T_REPLY | T_LOOKUP_R if self.ops.ack(id) => {
+                self.ops.complete(now, id, &mut self.completed);
             }
             T_WRITE_NODE_R => {
                 // Fence satisfied: issue the pointer write.
-                let Some(op) = self.ops.get_mut(&id) else { return };
-                op.pointer_phase = true;
-                op.awaiting = 1;
-                let client = op.client;
-                let key = op.key;
-                let shard = shard_of(key, self.cfg.shards);
-                let mut b = BytesMut::new();
-                b.put_u8(T_WRITE_PTR);
-                b.put_u64(id);
+                let Some(op) = self.ops.get(id) else { return };
+                let (client, key) = (op.client, op.state);
+                let mut b = frame(T_WRITE_PTR, id);
                 b.put_u64(key);
-                out.push_raw(client, self.server_proc(shard, 0), b.freeze());
+                out.push_raw(client, self.server_proc(shard_of(key, self.cfg.shards), 0), b);
             }
             T_WRITE_PTR_R => {
-                self.complete(now, id);
+                self.ops.complete(now, id, &mut self.completed);
             }
-            T_REPL_R => {
-                let done = {
-                    let Some((w, _)) = self.repl_waits.get_mut(&id) else { return };
-                    *w = w.saturating_sub(1);
-                    *w == 0
-                };
-                if done {
-                    let (_, client) = self.repl_waits.remove(&id).unwrap();
-                    let mut b = BytesMut::new();
-                    b.put_u8(T_WRITE_PTR_R);
-                    b.put_u64(id);
-                    out.push_raw(receiver, client, b.freeze());
-                }
+            T_REPL_R if self.repl_waits.ack(id) => {
+                let wait = self.repl_waits.remove(id).expect("an acked wait is open");
+                out.push_raw(receiver, wait.client, frame(T_WRITE_PTR_R, id));
             }
             // ---- server handlers ----
             T_WRITE_NODE => {
                 // The node write itself does not mutate the bucket, but
                 // still costs leader CPU.
-                let ready = self.serve(now, receiver);
-                let mut b = BytesMut::new();
-                b.put_u8(T_WRITE_NODE_R);
-                b.put_u64(id);
-                self.reply_after(ready, receiver, src, b.freeze());
+                self.cpu.reply(now, receiver, src, frame(T_WRITE_NODE_R, id), out);
             }
-            T_WRITE_PTR => {
-                if p.remaining() < 8 {
-                    return;
-                }
+            T_WRITE_PTR if p.remaining() >= 8 => {
                 let key = p.get_u64();
                 let Some((shard, replica)) = self.server_role(receiver) else { return };
                 self.apply_insert(shard, replica, key);
                 // Leader replicates synchronously; each copy costs CPU.
-                let mut waits = 0;
                 for r in 1..self.cfg.replicas {
                     let backup = self.server_proc(shard, r);
-                    let ready = self.serve(now, receiver);
-                    let mut b = BytesMut::new();
-                    b.put_u8(T_REPL);
-                    b.put_u64(id);
+                    let mut b = frame(T_REPL, id);
                     b.put_u64(key);
-                    self.reply_after(ready, receiver, backup, b.freeze());
-                    waits += 1;
+                    self.cpu.reply(now, receiver, backup, b, out);
                 }
-                if waits == 0 {
-                    let ready = self.serve(now, receiver);
-                    let mut b = BytesMut::new();
-                    b.put_u8(T_WRITE_PTR_R);
-                    b.put_u64(id);
-                    self.reply_after(ready, receiver, src, b.freeze());
+                if self.cfg.replicas > 1 {
+                    self.repl_waits.wait(id, src, self.cfg.replicas - 1, ());
                 } else {
-                    self.repl_waits.insert(id, (waits, src));
+                    self.cpu.reply(now, receiver, src, frame(T_WRITE_PTR_R, id), out);
                 }
             }
-            T_REPL => {
-                if p.remaining() < 8 {
-                    return;
-                }
+            T_REPL | T_LOOKUP if p.remaining() >= 8 => {
                 let key = p.get_u64();
-                let Some((shard, replica)) = self.server_role(receiver) else { return };
-                self.apply_insert(shard, replica, key);
-                let ready = self.serve(now, receiver);
-                let mut b = BytesMut::new();
-                b.put_u8(T_REPL_R);
-                b.put_u64(id);
-                self.reply_after(ready, receiver, src, b.freeze());
-            }
-            T_LOOKUP => {
-                if p.remaining() < 8 {
-                    return;
-                }
-                let key = p.get_u64();
-                let Some((shard, replica)) = self.server_role(receiver) else { return };
-                let found = self.do_lookup(shard, replica, key);
-                let ready = self.serve(now, receiver);
-                let mut b = BytesMut::new();
-                b.put_u8(T_LOOKUP_R);
-                b.put_u64(id);
-                b.put_u8(found as u8);
-                self.reply_after(ready, receiver, src, b.freeze());
+                let Some(role) = self.server_role(receiver) else { return };
+                let reply = self.serve(role, tag, id, key);
+                self.cpu.reply(now, receiver, src, reply, out);
             }
             _ => {}
         }
@@ -459,25 +314,10 @@ impl AppHook for HtApp {
 
     fn on_tick(&mut self, now: u64, _host: HostId, procs: &[ProcessId], out: &mut SendQueue) {
         // Release replies whose server CPU time has elapsed.
-        let mut ready = Vec::new();
-        self.deferred.retain(|(at, from, to, payload)| {
-            if *at <= now && procs.contains(from) {
-                ready.push((*from, *to, payload.clone()));
-                false
-            } else {
-                true
-            }
-        });
-        for (from, to, payload) in ready {
-            out.push_raw(from, to, payload);
-        }
-        for &p in procs {
-            if !self.is_client(p) {
-                continue;
-            }
-            while self.outstanding.get(&p).copied().unwrap_or(0) < self.cfg.pipeline {
-                self.start_op(now, p, out);
-            }
+        self.cpu.release(now, procs, out);
+        let clients = procs.iter().copied().filter(|&p| self.is_client(p));
+        for p in self.ops.refill(clients, self.cfg.pipeline) {
+            self.start_op(now, p, out);
         }
     }
 }
@@ -486,6 +326,7 @@ impl AppHook for HtApp {
 mod tests {
     use super::*;
     use onepipe_core::harness::{Cluster, ClusterConfig};
+    use std::collections::BTreeSet;
     use std::sync::{Arc, Mutex};
 
     fn run_ht(
@@ -514,24 +355,26 @@ mod tests {
         let app = run_ht(HtMode::OnePipe, HtWorkload::Insert, 3, 3_000);
         let app = app.lock().unwrap();
         assert!(app.completed.len() > 20, "completed {}", app.completed.len());
-        // Replicas must hold identical bucket contents for any bucket
-        // where all replicas saw all inserts (total order ⇒ same list
-        // order, not just same set).
-        for shard in 0..4 {
-            let a = &app.shards[shard][0].buckets;
-            let b = &app.shards[shard][1].buckets;
-            for (bucket, list) in a {
-                if let Some(other) = b.get(bucket) {
-                    let common = list.len().min(other.len());
-                    // Allow in-flight tail differences.
-                    if list.len() == other.len() {
-                        assert_eq!(list, other, "replica bucket order diverged");
-                    } else {
-                        let _ = common;
+        // Inserts prepend, and every replica applies a prefix of one total
+        // order: in each bucket, the shorter of two replicas' lists is a
+        // suffix of the longer (same order, not just the same set).
+        let mut pairs = 0;
+        for (shard, replicas) in app.shards.iter().enumerate() {
+            for (i, a) in replicas.iter().enumerate() {
+                for b in &replicas[i + 1..] {
+                    let buckets: BTreeSet<_> = a.buckets.keys().chain(b.buckets.keys()).collect();
+                    for bucket in buckets {
+                        let empty = Vec::new();
+                        let x = a.buckets.get(bucket).unwrap_or(&empty);
+                        let y = b.buckets.get(bucket).unwrap_or(&empty);
+                        let (short, long) = if x.len() <= y.len() { (x, y) } else { (y, x) };
+                        assert!(long.ends_with(short), "shard {shard} bucket {bucket} diverged");
+                        pairs += 1;
                     }
                 }
             }
         }
+        assert!(pairs > 1_000, "only {pairs} bucket pairs compared");
     }
 
     #[test]

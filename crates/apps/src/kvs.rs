@@ -15,6 +15,7 @@
 //!   the hardware upper bound.
 
 use crate::metrics::TxnRecord;
+use crate::rpc::{frame, read_frame, HoldBack, Inflight, ServerCpu};
 use crate::workload::{etc_value_size, shard_of, KeyDist};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use onepipe_core::simhost::{AppHook, SendQueue};
@@ -97,6 +98,22 @@ struct Op {
     vlen: u16,
 }
 
+/// An op's body: `[write u8][key u64][vlen u16]`, then the value of a
+/// write.
+fn put_op(b: &mut BytesMut, op: &Op) {
+    b.put_u8(op.write as u8);
+    b.put_u64(op.key);
+    b.put_u16(op.vlen);
+    if op.write {
+        b.extend_from_slice(&vec![0u8; op.vlen as usize]);
+    }
+}
+
+/// `(write, key, vlen)` of an op's body.
+fn read_op(p: &mut Bytes) -> Option<(bool, u64, u16)> {
+    (p.remaining() >= 11).then(|| (p.get_u8() == 1, p.get_u64(), p.get_u16()))
+}
+
 #[derive(Clone, Debug, Default)]
 struct Entry {
     version: u64,
@@ -104,8 +121,9 @@ struct Entry {
     locked_by: Option<u64>,
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 enum FarmPhase {
+    #[default]
     Exec,
     Lock,
     Validate,
@@ -113,14 +131,9 @@ enum FarmPhase {
     Unlock,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Txn {
-    client: ProcessId,
-    kind: u8,
     ops: Vec<Op>,
-    start: u64,
-    retries: u32,
-    awaiting: usize,
     // FaRM state.
     phase: FarmPhase,
     /// Version seen per key read. Ordered: VALIDATEs go out in its
@@ -128,7 +141,6 @@ struct Txn {
     read_versions: BTreeMap<u64, u64>,
     locked: Vec<u64>,
     failed: bool,
-    issued_at: u64,
 }
 
 // RPC tags.
@@ -146,64 +158,38 @@ const T_UNLOCK_R: u8 = 10;
 const T_NONTX: u8 = 11;
 const T_NONTX_R: u8 = 12;
 
+/// A FaRM phase that follows the last reply of the one before.
+type FarmStep = fn(&mut KvsApp, u64, u64, &mut SendQueue);
+
 /// The KVS application (shared across all hosts).
 pub struct KvsApp {
     cfg: KvsConfig,
     stores: Vec<HashMap<u64, Entry>>,
-    txns: HashMap<u64, Txn>,
-    next_txn: u64,
-    outstanding: Vec<usize>,
+    txns: Inflight<Txn>,
     rng: StdRng,
     /// Completed transactions.
     pub completed: Vec<TxnRecord>,
-    /// Per-client retry queue: (ready_at, txn_id).
-    retry_queue: Vec<(u64, u64)>,
+    /// Aborted FaRM transactions waiting out their backoff.
+    retries: HoldBack<u64>,
     /// OCC/lock aborts observed.
     pub aborts: u64,
-    /// Per-server CPU busy-until (service-time model).
-    busy_until: HashMap<ProcessId, u64>,
-    /// Server replies waiting for CPU time: (ready_at, from, to, payload).
-    deferred: Vec<(u64, ProcessId, ProcessId, Bytes)>,
+    /// Server replies waiting for CPU time.
+    cpu: ServerCpu,
 }
 
 impl KvsApp {
     /// Create the app.
     pub fn new(cfg: KvsConfig) -> Self {
-        let n = cfg.n_procs;
         KvsApp {
             rng: StdRng::seed_from_u64(cfg.seed),
-            stores: vec![HashMap::new(); n],
-            txns: HashMap::new(),
-            next_txn: 1,
-            outstanding: vec![0; n],
+            stores: vec![HashMap::new(); cfg.n_procs],
+            txns: Inflight::new(),
             completed: Vec::new(),
-            retry_queue: Vec::new(),
+            retries: HoldBack::new(),
             aborts: 0,
-            busy_until: HashMap::new(),
-            deferred: Vec::new(),
+            cpu: ServerCpu::new(cfg.server_op_ns),
             cfg,
         }
-    }
-
-    /// Send a server reply, charging the server's CPU when the service
-    /// model is enabled.
-    fn reply(
-        &mut self,
-        now: u64,
-        from: ProcessId,
-        to: ProcessId,
-        payload: Bytes,
-        out: &mut SendQueue,
-    ) {
-        if self.cfg.server_op_ns == 0 {
-            out.push_raw(from, to, payload);
-            return;
-        }
-        let busy = self.busy_until.entry(from).or_insert(0);
-        let start = (*busy).max(now);
-        *busy = start + self.cfg.server_op_ns;
-        let ready = *busy;
-        self.deferred.push((ready, from, to, payload));
     }
 
     fn gen_ops(&mut self) -> (u8, Vec<Op>) {
@@ -239,231 +225,179 @@ impl KvsApp {
 
     fn start_txn(&mut self, now: u64, client: ProcessId, out: &mut SendQueue) {
         let (kind, ops) = self.gen_ops();
-        let id = self.next_txn;
-        self.next_txn += 1;
-        let txn = Txn {
-            client,
-            kind,
-            ops,
-            start: now,
-            retries: 0,
-            awaiting: 0,
-            phase: FarmPhase::Exec,
-            read_versions: BTreeMap::new(),
-            locked: Vec::new(),
-            failed: false,
-            issued_at: now,
-        };
-        self.txns.insert(id, txn);
-        self.outstanding[client.0 as usize] += 1;
+        // `issue` sets the count of replies to await.
+        let id = self.txns.open(now, client, kind, 0, Txn { ops, ..Txn::default() });
         self.issue(now, id, out);
     }
 
     /// (Re-)issue a transaction from scratch.
     fn issue(&mut self, now: u64, id: u64, out: &mut SendQueue) {
-        let Some(txn) = self.txns.get_mut(&id) else { return };
+        let Some(txn) = self.txns.get_mut(id) else { return };
         txn.issued_at = now;
-        txn.failed = false;
-        txn.read_versions.clear();
-        txn.locked.clear();
+        // FaRM's phases set their own count.
+        txn.awaiting = txn.state.ops.len();
+        txn.state.failed = false;
+        txn.state.read_versions.clear();
+        txn.state.locked.clear();
+        let (client, reliable, ops) = (txn.client, txn.kind != KIND_RO, txn.state.ops.clone());
         match self.cfg.mode {
             KvsMode::OnePipe => {
-                let (client, reliable, ops) = {
-                    let txn = self.txns.get_mut(&id).unwrap();
-                    txn.awaiting = txn.ops.len();
-                    (txn.client, txn.kind != KIND_RO, txn.ops.clone())
-                };
                 let msgs: Vec<Message> = ops
                     .iter()
                     .map(|op| {
                         let mut b = BytesMut::new();
                         b.put_u64(id);
-                        b.put_u8(op.write as u8);
-                        b.put_u64(op.key);
-                        b.put_u16(op.vlen);
-                        if op.write {
-                            b.extend_from_slice(&vec![0u8; op.vlen as usize]);
-                        }
+                        put_op(&mut b, op);
                         Message::new(self.shard(op.key), b.freeze())
                     })
                     .collect();
                 out.push(client, msgs, reliable);
             }
             KvsMode::NonTx => {
-                let (client, ops) = {
-                    let txn = self.txns.get_mut(&id).unwrap();
-                    txn.awaiting = txn.ops.len();
-                    (txn.client, txn.ops.clone())
-                };
                 for op in &ops {
-                    let mut b = BytesMut::new();
-                    b.put_u8(T_NONTX);
-                    b.put_u64(id);
-                    b.put_u8(op.write as u8);
-                    b.put_u64(op.key);
-                    b.put_u16(op.vlen);
-                    if op.write {
-                        b.extend_from_slice(&vec![0u8; op.vlen as usize]);
-                    }
-                    out.push_raw(client, self.shard(op.key), b.freeze());
+                    let mut b = frame(T_NONTX, id);
+                    put_op(&mut b, op);
+                    out.push_raw(client, self.shard(op.key), b);
                 }
             }
-            KvsMode::Farm => {
-                self.farm_exec(id, out);
-            }
+            KvsMode::Farm => self.farm_exec(now, id, out),
         }
+    }
+
+    /// Retry `id` after a backoff that doubles with each retry.
+    fn backoff(&mut self, now: u64, id: u64) {
+        let txn = self.txns.get(id).expect("an open transaction");
+        let backoff = 5_000 * (1 << txn.retries.min(5)) as u64;
+        self.retries.push(now + backoff, txn.client, id);
     }
 
     // ------------------------------------------------------------------
     // FaRM (OCC + 2PC) client phases
     // ------------------------------------------------------------------
 
-    fn farm_exec(&mut self, id: u64, out: &mut SendQueue) {
-        let txn = self.txns.get_mut(&id).unwrap();
-        txn.phase = FarmPhase::Exec;
-        let reads: Vec<u64> = txn.ops.iter().filter(|o| !o.write).map(|o| o.key).collect();
-        if reads.is_empty() {
-            self.farm_lock(id, out);
-            return;
-        }
-        let txn = self.txns.get_mut(&id).unwrap();
-        txn.awaiting = reads.len();
+    /// `(key, vlen)` of the transaction's writes (`write`) or reads.
+    fn op_keys(&self, id: u64, write: bool) -> Vec<(u64, u64)> {
+        let ops = &self.txns.get(id).expect("an open transaction").state.ops;
+        ops.iter().filter(|o| o.write == write).map(|o| (o.key, o.vlen as u64)).collect()
+    }
+
+    /// Enter `phase`: one `tag` request per `(key, arg)` to the key's
+    /// shard, `body` appending what follows the key. `false` when there
+    /// is nothing to send.
+    fn farm_round(
+        &mut self,
+        id: u64,
+        phase: FarmPhase,
+        tag: u8,
+        reqs: Vec<(u64, u64)>,
+        body: fn(&mut BytesMut, u64),
+        out: &mut SendQueue,
+    ) -> bool {
+        let txn = self.txns.get_mut(id).expect("an open transaction");
+        txn.state.phase = phase;
+        txn.awaiting = reqs.len();
         let client = txn.client;
-        for key in reads {
-            let mut b = BytesMut::new();
-            b.put_u8(T_READ);
-            b.put_u64(id);
+        for &(key, arg) in &reqs {
+            let mut b = frame(tag, id);
             b.put_u64(key);
-            out.push_raw(client, self.shard(key), b.freeze());
+            body(&mut b, arg);
+            out.push_raw(client, self.shard(key), b);
+        }
+        !reqs.is_empty()
+    }
+
+    fn farm_exec(&mut self, now: u64, id: u64, out: &mut SendQueue) {
+        let reads = self.op_keys(id, false);
+        if !self.farm_round(id, FarmPhase::Exec, T_READ, reads, |_, _| {}, out) {
+            self.farm_lock(now, id, out);
         }
     }
 
-    fn farm_lock(&mut self, id: u64, out: &mut SendQueue) {
-        let txn = self.txns.get_mut(&id).unwrap();
-        txn.phase = FarmPhase::Lock;
-        let writes: Vec<u64> = txn.ops.iter().filter(|o| o.write).map(|o| o.key).collect();
-        if writes.is_empty() {
+    /// After the reads, a read-only transaction is done; the others lock.
+    fn farm_read_done(&mut self, now: u64, id: u64, out: &mut SendQueue) {
+        if self.txns.get(id).expect("an open transaction").kind == KIND_RO {
+            self.txns.complete(now, id, &mut self.completed);
+        } else {
+            self.farm_lock(now, id, out);
+        }
+    }
+
+    fn farm_lock(&mut self, now: u64, id: u64, out: &mut SendQueue) {
+        let writes = self.op_keys(id, true);
+        if !self.farm_round(id, FarmPhase::Lock, T_LOCK, writes, |_, _| {}, out) {
             // Pure RO in FaRM: reading consistent versions was enough.
-            self.complete(id, usize::MAX, out);
-            return;
-        }
-        let txn = self.txns.get_mut(&id).unwrap();
-        txn.awaiting = writes.len();
-        let client = txn.client;
-        for key in writes {
-            let mut b = BytesMut::new();
-            b.put_u8(T_LOCK);
-            b.put_u64(id);
-            b.put_u64(key);
-            out.push_raw(client, self.shard(key), b.freeze());
+            self.txns.complete(now, id, &mut self.completed);
         }
     }
 
-    fn farm_validate(&mut self, id: u64, out: &mut SendQueue) {
-        let txn = self.txns.get_mut(&id).unwrap();
-        txn.phase = FarmPhase::Validate;
-        let reads: Vec<(u64, u64)> = txn.read_versions.iter().map(|(&k, &v)| (k, v)).collect();
-        if reads.is_empty() {
-            self.farm_update(id, out);
-            return;
-        }
-        let txn = self.txns.get_mut(&id).unwrap();
-        txn.awaiting = reads.len();
-        let client = txn.client;
-        for (key, ver) in reads {
-            let mut b = BytesMut::new();
-            b.put_u8(T_VALIDATE);
-            b.put_u64(id);
-            b.put_u64(key);
-            b.put_u64(ver);
-            out.push_raw(client, self.shard(key), b.freeze());
+    fn farm_validate(&mut self, now: u64, id: u64, out: &mut SendQueue) {
+        let txn = self.txns.get(id).expect("an open transaction");
+        let reads = txn.state.read_versions.clone().into_iter().collect();
+        if !self.farm_round(id, FarmPhase::Validate, T_VALIDATE, reads, |b, v| b.put_u64(v), out) {
+            self.farm_update(now, id, out);
         }
     }
 
-    fn farm_update(&mut self, id: u64, out: &mut SendQueue) {
-        let txn = self.txns.get_mut(&id).unwrap();
-        txn.phase = FarmPhase::Update;
-        let writes: Vec<(u64, u16)> =
-            txn.ops.iter().filter(|o| o.write).map(|o| (o.key, o.vlen)).collect();
-        let txn = self.txns.get_mut(&id).unwrap();
-        txn.awaiting = writes.len();
-        let client = txn.client;
-        for (key, vlen) in writes {
-            let mut b = BytesMut::new();
-            b.put_u8(T_UPDATE);
-            b.put_u64(id);
-            b.put_u64(key);
-            b.put_u16(vlen);
-            b.extend_from_slice(&vec![0u8; vlen as usize]);
-            out.push_raw(client, self.shard(key), b.freeze());
-        }
+    fn farm_update(&mut self, _now: u64, id: u64, out: &mut SendQueue) {
+        let writes = self.op_keys(id, true);
+        self.farm_round(
+            id,
+            FarmPhase::Update,
+            T_UPDATE,
+            writes,
+            |b, vlen| {
+                b.put_u16(vlen as u16);
+                b.extend_from_slice(&vec![0u8; vlen as usize]);
+            },
+            out,
+        );
     }
 
     fn farm_unlock_and_retry(&mut self, now: u64, id: u64, out: &mut SendQueue) {
         // Abort path: release whatever we hold, then retry with backoff.
         self.aborts += 1;
-        let (client, locked, retries) = {
-            let txn = self.txns.get_mut(&id).unwrap();
-            txn.phase = FarmPhase::Unlock;
-            txn.retries += 1;
-            let locked = std::mem::take(&mut txn.locked);
-            txn.awaiting = locked.len();
-            (txn.client, locked, txn.retries)
-        };
-        for key in &locked {
-            let mut b = BytesMut::new();
-            b.put_u8(T_UNLOCK);
-            b.put_u64(id);
-            b.put_u64(*key);
-            out.push_raw(client, self.shard(*key), b.freeze());
-        }
-        if locked.is_empty() {
-            let backoff = 5_000 * (1 << retries.min(5)) as u64;
-            self.retry_queue.push((now + backoff, id));
+        let txn = self.txns.get_mut(id).expect("an open transaction");
+        txn.retries += 1;
+        let locked = std::mem::take(&mut txn.state.locked).into_iter().map(|k| (k, 0)).collect();
+        if !self.farm_round(id, FarmPhase::Unlock, T_UNLOCK, locked, |_, _| {}, out) {
+            self.backoff(now, id);
         }
     }
 
-    fn complete(&mut self, id: u64, _from: usize, _out: &mut SendQueue) {
-        let Some(txn) = self.txns.remove(&id) else { return };
-        self.outstanding[txn.client.0 as usize] -= 1;
-        self.completed.push(TxnRecord {
-            start: txn.start,
-            end: txn.issued_at.max(txn.start), // overwritten below
-            kind: txn.kind,
-            retries: txn.retries,
-        });
-    }
-
-    fn complete_at(&mut self, now: u64, id: u64, out: &mut SendQueue) {
-        let Some(txn) = self.txns.remove(&id) else { return };
-        self.outstanding[txn.client.0 as usize] -= 1;
-        self.completed.push(TxnRecord {
-            start: txn.start,
-            end: now,
-            kind: txn.kind,
-            retries: txn.retries,
-        });
-        let _ = out;
+    /// Count one reply of the current phase, `ok` or not; after its last
+    /// one, abort if any failed, else go on to `next`.
+    fn farm_reply(&mut self, now: u64, id: u64, ok: bool, next: FarmStep, out: &mut SendQueue) {
+        let Some(txn) = self.txns.get_mut(id) else { return };
+        txn.state.failed |= !ok;
+        if !self.txns.ack(id) {
+            return;
+        }
+        if self.txns.get(id).expect("an open transaction").state.failed {
+            self.farm_unlock_and_retry(now, id, out);
+        } else {
+            next(self, now, id, out);
+        }
     }
 
     // ------------------------------------------------------------------
     // Server-side operations
     // ------------------------------------------------------------------
 
-    fn store_exec(&mut self, server: usize, write: bool, key: u64, vlen: u16) -> (u64, u16) {
+    /// Execute one op at `server`'s shard; returns the value's length.
+    fn store_exec(&mut self, server: usize, write: bool, key: u64, vlen: u16) -> u16 {
         let e = self.stores[server].entry(key).or_default();
         if write {
             e.version += 1;
             e.len = vlen;
         }
-        (e.version, e.len)
+        e.len
     }
 }
 
 impl AppHook for KvsApp {
     fn on_delivery(
         &mut self,
-        _now: u64,
+        now: u64,
         receiver: ProcessId,
         msg: &Delivered,
         _reliable: bool,
@@ -471,22 +405,18 @@ impl AppHook for KvsApp {
     ) {
         // 1Pipe mode: a shard executes an op in total order and replies.
         let mut p = msg.payload.clone();
-        if p.remaining() < 19 {
+        if p.remaining() < 8 {
             return;
         }
         let id = p.get_u64();
-        let write = p.get_u8() == 1;
-        let key = p.get_u64();
-        let vlen = p.get_u16();
-        let (_, len) = self.store_exec(receiver.0 as usize, write, key, vlen);
-        let mut b = BytesMut::new();
-        b.put_u8(T_REPLY);
-        b.put_u64(id);
+        let Some((write, key, vlen)) = read_op(&mut p) else { return };
+        let len = self.store_exec(receiver.0 as usize, write, key, vlen);
+        let mut b = frame(T_REPLY, id);
         b.put_u16(if write { 0 } else { len });
         if !write {
             b.extend_from_slice(&vec![0u8; len as usize]);
         }
-        self.reply(_now, receiver, msg.src, b.freeze(), out);
+        self.cpu.reply(now, receiver, msg.src, b, out);
     }
 
     fn on_raw(
@@ -497,234 +427,88 @@ impl AppHook for KvsApp {
         payload: &Bytes,
         out: &mut SendQueue,
     ) {
-        let mut p = payload.clone();
-        if p.remaining() < 9 {
-            return;
-        }
-        let tag = p.get_u8();
-        let id = p.get_u64();
+        let Some((tag, id, mut p)) = read_frame(payload) else { return };
         let server = receiver.0 as usize;
         match tag {
             // ------------- client side: completions -------------
-            T_REPLY => {
-                let done = {
-                    let Some(txn) = self.txns.get_mut(&id) else { return };
-                    txn.awaiting = txn.awaiting.saturating_sub(1);
-                    txn.awaiting == 0
-                };
-                if done {
-                    self.complete_at(now, id, out);
-                }
+            T_REPLY | T_NONTX_R | T_UPDATE_R if self.txns.ack(id) => {
+                self.txns.complete(now, id, &mut self.completed);
             }
-            T_NONTX_R => {
-                let done = {
-                    let Some(txn) = self.txns.get_mut(&id) else { return };
-                    txn.awaiting = txn.awaiting.saturating_sub(1);
-                    txn.awaiting == 0
-                };
-                if done {
-                    self.complete_at(now, id, out);
+            T_READ_R if p.remaining() >= 17 => {
+                let (key, ver, locked) = (p.get_u64(), p.get_u64(), p.get_u8() == 1);
+                if let Some(txn) = self.txns.get_mut(id) {
+                    txn.state.read_versions.insert(key, ver);
                 }
+                // Saw a locked entry: retry from scratch.
+                self.farm_reply(now, id, !locked, Self::farm_read_done, out);
             }
-            T_READ_R => {
-                if p.remaining() < 17 {
-                    return;
+            T_LOCK_R if p.remaining() >= 9 => {
+                let (key, ok) = (p.get_u64(), p.get_u8() == 1);
+                if let (true, Some(txn)) = (ok, self.txns.get_mut(id)) {
+                    txn.state.locked.push(key);
                 }
-                let key = p.get_u64();
-                let ver = p.get_u64();
-                let locked = p.get_u8() == 1;
-                let advance = {
-                    let Some(txn) = self.txns.get_mut(&id) else { return };
-                    if locked {
-                        txn.failed = true;
-                    }
-                    txn.read_versions.insert(key, ver);
-                    txn.awaiting = txn.awaiting.saturating_sub(1);
-                    txn.awaiting == 0
-                };
-                if advance {
-                    let (failed, kind) = {
-                        let t = &self.txns[&id];
-                        (t.failed, t.kind)
-                    };
-                    if failed {
-                        // Saw a locked entry: retry from scratch.
-                        self.farm_unlock_and_retry(now, id, out);
-                    } else if kind == KIND_RO {
-                        self.complete_at(now, id, out);
-                    } else {
-                        self.farm_lock(id, out);
-                    }
-                }
+                self.farm_reply(now, id, ok, Self::farm_validate, out);
             }
-            T_LOCK_R => {
-                if p.remaining() < 9 {
-                    return;
-                }
-                let key = p.get_u64();
-                let ok = p.get_u8() == 1;
-                let advance = {
-                    let Some(txn) = self.txns.get_mut(&id) else { return };
-                    if ok {
-                        txn.locked.push(key);
-                    } else {
-                        txn.failed = true;
-                    }
-                    txn.awaiting = txn.awaiting.saturating_sub(1);
-                    txn.awaiting == 0
-                };
-                if advance {
-                    if self.txns[&id].failed {
-                        self.farm_unlock_and_retry(now, id, out);
-                    } else {
-                        self.farm_validate(id, out);
-                    }
-                }
-            }
-            T_VALIDATE_R => {
-                if p.remaining() < 1 {
-                    return;
-                }
-                let ok = p.get_u8() == 1;
-                let advance = {
-                    let Some(txn) = self.txns.get_mut(&id) else { return };
-                    if !ok {
-                        txn.failed = true;
-                    }
-                    txn.awaiting = txn.awaiting.saturating_sub(1);
-                    txn.awaiting == 0
-                };
-                if advance {
-                    if self.txns[&id].failed {
-                        self.farm_unlock_and_retry(now, id, out);
-                    } else {
-                        self.farm_update(id, out);
-                    }
-                }
-            }
-            T_UPDATE_R => {
-                let advance = {
-                    let Some(txn) = self.txns.get_mut(&id) else { return };
-                    txn.awaiting = txn.awaiting.saturating_sub(1);
-                    txn.awaiting == 0
-                };
-                if advance {
-                    self.complete_at(now, id, out);
-                }
+            T_VALIDATE_R if p.remaining() >= 1 => {
+                self.farm_reply(now, id, p.get_u8() == 1, Self::farm_update, out);
             }
             T_UNLOCK_R => {
-                let advance = {
-                    let Some(txn) = self.txns.get_mut(&id) else { return };
-                    if txn.phase != FarmPhase::Unlock {
-                        return;
-                    }
-                    txn.awaiting = txn.awaiting.saturating_sub(1);
-                    txn.awaiting == 0
-                };
-                if advance {
-                    let retries = self.txns[&id].retries;
-                    let backoff = 5_000 * (1 << retries.min(5)) as u64;
-                    self.retry_queue.push((now + backoff, id));
+                let unlocking =
+                    self.txns.get(id).is_some_and(|t| t.state.phase == FarmPhase::Unlock);
+                if unlocking && self.txns.ack(id) {
+                    self.backoff(now, id);
                 }
             }
             // ------------- server side: RPC handlers -------------
-            T_READ => {
-                if p.remaining() < 8 {
-                    return;
-                }
+            T_READ if p.remaining() >= 8 => {
                 let key = p.get_u64();
                 let e = self.stores[server].entry(key).or_default();
-                let mut b = BytesMut::new();
-                b.put_u8(T_READ_R);
-                b.put_u64(id);
+                let mut b = frame(T_READ_R, id);
                 b.put_u64(key);
                 b.put_u64(e.version);
                 b.put_u8(e.locked_by.is_some() as u8);
-                let len = e.len;
-                b.extend_from_slice(&vec![0u8; len as usize]);
-                self.reply(now, receiver, src, b.freeze(), out);
+                b.extend_from_slice(&vec![0u8; e.len as usize]);
+                self.cpu.reply(now, receiver, src, b, out);
             }
-            T_LOCK => {
-                if p.remaining() < 8 {
-                    return;
-                }
+            T_LOCK if p.remaining() >= 8 => {
                 let key = p.get_u64();
                 let e = self.stores[server].entry(key).or_default();
-                let ok = match e.locked_by {
-                    None => {
-                        e.locked_by = Some(id);
-                        true
-                    }
-                    Some(holder) => holder == id,
-                };
-                let mut b = BytesMut::new();
-                b.put_u8(T_LOCK_R);
-                b.put_u64(id);
+                let ok = *e.locked_by.get_or_insert(id) == id;
+                let mut b = frame(T_LOCK_R, id);
                 b.put_u64(key);
                 b.put_u8(ok as u8);
-                self.reply(now, receiver, src, b.freeze(), out);
+                self.cpu.reply(now, receiver, src, b, out);
             }
-            T_VALIDATE => {
-                if p.remaining() < 16 {
-                    return;
-                }
-                let key = p.get_u64();
-                let ver = p.get_u64();
+            T_VALIDATE if p.remaining() >= 16 => {
+                let (key, ver) = (p.get_u64(), p.get_u64());
                 let e = self.stores[server].entry(key).or_default();
-                let ok = e.version == ver && e.locked_by.map(|h| h == id).unwrap_or(true);
-                let mut b = BytesMut::new();
-                b.put_u8(T_VALIDATE_R);
-                b.put_u64(id);
+                let ok = e.version == ver && e.locked_by.is_none_or(|h| h == id);
+                let mut b = frame(T_VALIDATE_R, id);
                 b.put_u8(ok as u8);
-                self.reply(now, receiver, src, b.freeze(), out);
+                self.cpu.reply(now, receiver, src, b, out);
             }
-            T_UPDATE => {
-                if p.remaining() < 10 {
-                    return;
-                }
-                let key = p.get_u64();
-                let vlen = p.get_u16();
+            T_UPDATE if p.remaining() >= 10 => {
+                let (key, vlen) = (p.get_u64(), p.get_u16());
                 let e = self.stores[server].entry(key).or_default();
                 // Update implies unlock (combined round).
                 e.version += 1;
                 e.len = vlen;
-                if e.locked_by == Some(id) {
-                    e.locked_by = None;
-                }
-                let mut b = BytesMut::new();
-                b.put_u8(T_UPDATE_R);
-                b.put_u64(id);
-                self.reply(now, receiver, src, b.freeze(), out);
+                e.locked_by = e.locked_by.filter(|&h| h != id);
+                self.cpu.reply(now, receiver, src, frame(T_UPDATE_R, id), out);
             }
-            T_UNLOCK => {
-                if p.remaining() < 8 {
-                    return;
-                }
-                let key = p.get_u64();
-                let e = self.stores[server].entry(key).or_default();
-                if e.locked_by == Some(id) {
-                    e.locked_by = None;
-                }
-                let mut b = BytesMut::new();
-                b.put_u8(T_UNLOCK_R);
-                b.put_u64(id);
-                self.reply(now, receiver, src, b.freeze(), out);
+            T_UNLOCK if p.remaining() >= 8 => {
+                let e = self.stores[server].entry(p.get_u64()).or_default();
+                e.locked_by = e.locked_by.filter(|&h| h != id);
+                self.cpu.reply(now, receiver, src, frame(T_UNLOCK_R, id), out);
             }
             T_NONTX => {
-                if p.remaining() < 11 {
-                    return;
-                }
-                let write = p.get_u8() == 1;
-                let key = p.get_u64();
-                let vlen = p.get_u16();
-                let (_, len) = self.store_exec(server, write, key, vlen);
-                let mut b = BytesMut::new();
-                b.put_u8(T_NONTX_R);
-                b.put_u64(id);
+                let Some((write, key, vlen)) = read_op(&mut p) else { return };
+                let len = self.store_exec(server, write, key, vlen);
+                let mut b = frame(T_NONTX_R, id);
                 if !write {
                     b.extend_from_slice(&vec![0u8; len as usize]);
                 }
-                self.reply(now, receiver, src, b.freeze(), out);
+                self.cpu.reply(now, receiver, src, b, out);
             }
             _ => {}
         }
@@ -732,62 +516,21 @@ impl AppHook for KvsApp {
 
     fn on_tick(&mut self, now: u64, _host: HostId, procs: &[ProcessId], out: &mut SendQueue) {
         // Release server replies whose CPU time elapsed.
-        if self.cfg.server_op_ns > 0 {
-            let mut ready = Vec::new();
-            self.deferred.retain(|(at, from, to, payload)| {
-                if *at <= now && procs.contains(from) {
-                    ready.push((*from, *to, payload.clone()));
-                    false
-                } else {
-                    true
-                }
-            });
-            for (from, to, payload) in ready {
-                out.push_raw(from, to, payload);
-            }
-        }
+        self.cpu.release(now, procs, out);
         // Retries whose backoff expired (issued from their client's host).
-        let mut due = Vec::new();
-        self.retry_queue.retain(|&(at, id)| {
-            let local = self.txns.get(&id).map(|t| procs.contains(&t.client)).unwrap_or(false);
-            if at <= now && local {
-                due.push(id);
-                false
-            } else {
-                true
-            }
-        });
-        for id in due {
+        for (_, id) in self.retries.release(now, procs) {
             self.issue(now, id, out);
         }
         // 1Pipe RO retry on loss: the paper's "the initiator can retry it".
         if self.cfg.mode == KvsMode::OnePipe {
             let timeout = self.cfg.ro_timeout;
-            let mut stale: Vec<u64> = self
-                .txns
-                .iter()
-                .filter(|(_, t)| {
-                    t.kind == KIND_RO
-                        && procs.contains(&t.client)
-                        && now.saturating_sub(t.issued_at) > timeout
-                })
-                .map(|(&id, _)| id)
-                .collect();
-            // `txns` iterates in a per-run random order; re-issue in id
-            // order so a run repeats.
-            stale.sort_unstable();
-            for id in stale {
-                if let Some(t) = self.txns.get_mut(&id) {
-                    t.retries += 1;
-                }
+            for id in self.txns.time_out(now, timeout, procs, |txn| txn.kind == KIND_RO) {
                 self.issue(now, id, out);
             }
         }
         // Closed loop: keep the pipeline full.
-        for &p in procs {
-            while self.outstanding[p.0 as usize] < self.cfg.pipeline {
-                self.start_txn(now, p, out);
-            }
+        for p in self.txns.refill(procs.iter().copied(), self.cfg.pipeline) {
+            self.start_txn(now, p, out);
         }
     }
 }

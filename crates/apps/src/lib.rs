@@ -12,7 +12,14 @@
 //!   replication vs a sequential primary-backup chain (§7.3.4).
 //!
 //! All applications implement [`AppHook`] and run inside the simulated
-//! cluster ([`onepipe_core::harness::Cluster`]).
+//! cluster ([`onepipe_core::harness::Cluster`]). They share one
+//! closed-loop client/server skeleton, the private `rpc` module: the
+//! in-flight table (ids, the ack countdown, completion into
+//! [`TxnRecord`]s, the closed-loop refill, timed-out ids in id order, and
+//! a primary's wait for its backups' acks), the hold-back queue the host
+//! tick drains (server-CPU replies, retry backoffs, disk writes) and the
+//! `[tag u8][id u64]` frame header. Each application keeps its own
+//! protocol: its phases, tags, message bodies and replica state.
 //!
 //! [`AppHook`]: onepipe_core::simhost::AppHook
 
@@ -21,6 +28,7 @@
 pub mod hashtable;
 pub mod kvs;
 pub mod metrics;
+mod rpc;
 pub mod storage;
 pub mod tpcc;
 pub mod workload;

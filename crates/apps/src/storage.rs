@@ -17,13 +17,13 @@
 //! write behaviour; completions are driven by the host poll tick.
 
 use crate::metrics::TxnRecord;
+use crate::rpc::{frame, read_frame, HoldBack, Inflight};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use onepipe_core::simhost::{AppHook, SendQueue};
 use onepipe_types::ids::{HostId, ProcessId};
 use onepipe_types::message::{Delivered, Message};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
 
 /// Replication scheme.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -72,35 +72,23 @@ impl StorageConfig {
 const T_WRITE: u8 = 1; // chain write / scattering body
 const T_ACK: u8 = 2; // checksum reply / chain ack
 
-#[derive(Debug)]
-struct WriteOp {
-    start: u64,
-    awaiting: usize,
-    checksums: Vec<u64>,
-}
-
 /// A pending disk write at a replica.
 #[derive(Debug)]
 struct DiskJob {
-    done_at: u64,
-    replica: ProcessId,
-    /// For the chain: who to forward to next (another replica) or ack
-    /// (client/previous hop); for 1Pipe: the client to reply to.
-    reply_to: ProcessId,
     id: u64,
-    /// Chain position (0 = primary); usize::MAX for 1Pipe.
-    chain_pos: usize,
+    /// Chain position (0 = primary); `None` for 1Pipe.
+    chain_pos: Option<usize>,
     checksum: u64,
 }
 
 /// The storage application.
 pub struct StorageApp {
     cfg: StorageConfig,
-    ops: HashMap<u64, WriteOp>,
-    next_op: u64,
-    outstanding: usize,
+    /// Writes in flight, with the checksums acked so far.
+    ops: Inflight<Vec<u64>>,
     rng: StdRng,
-    disk_queue: Vec<DiskJob>,
+    /// Disk writes in progress, owned by their replica.
+    disk_queue: HoldBack<DiskJob>,
     /// Per-replica running checksum of applied log entries (§2.2.2).
     pub checksums: Vec<u64>,
     /// Per-replica count of persisted writes.
@@ -116,11 +104,9 @@ impl StorageApp {
     /// Create the app.
     pub fn new(cfg: StorageConfig) -> Self {
         StorageApp {
-            ops: HashMap::new(),
-            next_op: 1,
-            outstanding: 0,
+            ops: Inflight::new(),
             rng: StdRng::seed_from_u64(cfg.seed),
-            disk_queue: Vec::new(),
+            disk_queue: HoldBack::new(),
             checksums: vec![0; cfg.replicas],
             persisted: vec![0; cfg.replicas],
             completed: Vec::new(),
@@ -140,22 +126,25 @@ impl StorageApp {
         (self.cfg.disk_median_ns * (self.cfg.disk_sigma * z).exp()) as u64
     }
 
+    /// The write `id` with its data, to the chain's `chain_pos` or (`None`)
+    /// scattered to every replica.
+    fn write_frame(&self, id: u64, chain_pos: Option<usize>) -> BytesMut {
+        let mut b = frame(T_WRITE, id);
+        if let Some(pos) = chain_pos {
+            b.put_u8(pos as u8);
+        }
+        b.extend_from_slice(&vec![0u8; self.cfg.write_bytes]);
+        b
+    }
+
     fn start_write(&mut self, now: u64, out: &mut SendQueue) {
-        let id = self.next_op;
-        self.next_op += 1;
-        self.outstanding += 1;
         let client = self.client();
+        let chain = self.cfg.mode == StorageMode::Chain;
+        let awaiting = if chain { 1 } else { self.cfg.replicas };
+        let id = self.ops.open(now, client, 0, awaiting, Vec::new());
         match self.cfg.mode {
             StorageMode::OnePipe => {
-                self.ops.insert(
-                    id,
-                    WriteOp { start: now, awaiting: self.cfg.replicas, checksums: Vec::new() },
-                );
-                let mut b = BytesMut::with_capacity(9 + self.cfg.write_bytes);
-                b.put_u8(T_WRITE);
-                b.put_u64(id);
-                b.extend_from_slice(&vec![0u8; self.cfg.write_bytes]);
-                let payload = b.freeze();
+                let payload = self.write_frame(id, None).freeze();
                 let msgs: Vec<Message> = (0..self.cfg.replicas)
                     .map(|r| Message::new(ProcessId(r as u32), payload.clone()))
                     .collect();
@@ -164,25 +153,12 @@ impl StorageApp {
                 out.push(client, msgs, false);
             }
             StorageMode::Chain => {
-                self.ops.insert(id, WriteOp { start: now, awaiting: 1, checksums: Vec::new() });
-                let mut b = BytesMut::with_capacity(10 + self.cfg.write_bytes);
-                b.put_u8(T_WRITE);
-                b.put_u64(id);
-                b.put_u8(0); // chain position
-                b.extend_from_slice(&vec![0u8; self.cfg.write_bytes]);
-                out.push_raw(client, ProcessId(0), b.freeze());
+                out.push_raw(client, ProcessId(0), self.write_frame(id, Some(0)));
             }
         }
     }
 
-    fn persist(
-        &mut self,
-        now: u64,
-        replica: ProcessId,
-        reply_to: ProcessId,
-        id: u64,
-        chain_pos: usize,
-    ) {
+    fn persist(&mut self, now: u64, replica: ProcessId, id: u64, chain_pos: Option<usize>) {
         let r = replica.0 as usize;
         self.persisted[r] += 1;
         // Running log checksum: mix in the entry id (stands in for the
@@ -190,7 +166,7 @@ impl StorageApp {
         self.checksums[r] = self.checksums[r].wrapping_mul(0x100000001B3).wrapping_add(id);
         let checksum = self.checksums[r];
         let done_at = now + self.disk_latency();
-        self.disk_queue.push(DiskJob { done_at, replica, reply_to, id, chain_pos, checksum });
+        self.disk_queue.push(done_at, replica, DiskJob { id, chain_pos, checksum });
     }
 }
 
@@ -204,128 +180,67 @@ impl AppHook for StorageApp {
         _out: &mut SendQueue,
     ) {
         // 1Pipe mode: a replica receives the log entry in total order.
-        let mut p = msg.payload.clone();
-        if p.remaining() < 9 || p.get_u8() != T_WRITE {
-            return;
-        }
-        let id = p.get_u64();
-        self.persist(now, receiver, msg.src, id, usize::MAX);
+        let Some((T_WRITE, id, _)) = read_frame(&msg.payload) else { return };
+        self.persist(now, receiver, id, None);
     }
 
     fn on_raw(
         &mut self,
         now: u64,
         receiver: ProcessId,
-        src: ProcessId,
+        _src: ProcessId,
         payload: &Bytes,
         _out: &mut SendQueue,
     ) {
-        let mut p = payload.clone();
-        if p.remaining() < 9 {
-            return;
-        }
-        let tag = p.get_u8();
-        let id = p.get_u64();
+        let Some((tag, id, mut p)) = read_frame(payload) else { return };
         match tag {
-            T_WRITE => {
-                if p.remaining() < 1 {
-                    return;
-                }
+            T_WRITE if p.remaining() >= 1 => {
+                // Chain mode: persist, then forward (in `on_tick`).
                 let chain_pos = p.get_u8() as usize;
-                // Chain mode: persist, then forward (in `drain_disk`).
-                self.persist(now, receiver, src, id, chain_pos);
+                self.persist(now, receiver, id, Some(chain_pos));
             }
-            T_ACK => {
-                if p.remaining() < 8 {
-                    return;
-                }
-                let checksum = p.get_u64();
-                if receiver == self.client() {
-                    let done = {
-                        let Some(op) = self.ops.get_mut(&id) else { return };
-                        op.awaiting = op.awaiting.saturating_sub(1);
-                        op.checksums.push(checksum);
-                        op.awaiting == 0
-                    };
-                    if done {
-                        let op = self.ops.remove(&id).unwrap();
-                        if op.checksums.windows(2).any(|w| w[0] != w[1]) {
-                            self.mismatches += 1;
-                        }
-                        self.outstanding -= 1;
-                        self.completed.push(TxnRecord {
-                            start: op.start,
-                            end: now,
-                            kind: 0,
-                            retries: 0,
-                        });
+            T_ACK if p.remaining() >= 8 && receiver == self.client() => {
+                let Some(op) = self.ops.get_mut(id) else { return };
+                op.state.push(p.get_u64());
+                if self.ops.ack(id) {
+                    let op = self.ops.complete(now, id, &mut self.completed);
+                    let op = op.expect("an acked write is open");
+                    if op.state.windows(2).any(|w| w[0] != w[1]) {
+                        self.mismatches += 1;
                     }
-                } else {
-                    // Chain ack rippling back toward the client.
-                    let mut b = BytesMut::new();
-                    b.put_u8(T_ACK);
-                    b.put_u64(id);
-                    b.put_u64(checksum);
-                    // Each hop simply forwards to its own upstream, which
-                    // is encoded by who sent us the original write; for the
-                    // reduced model the ripple collapses to one hop since
-                    // jobs carry `reply_to`.
-                    let _ = b;
                 }
             }
             _ => {}
         }
     }
 
-    fn on_tick(&mut self, now: u64, host: HostId, procs: &[ProcessId], out: &mut SendQueue) {
+    fn on_tick(&mut self, now: u64, _host: HostId, procs: &[ProcessId], out: &mut SendQueue) {
         // Complete due disk writes belonging to replicas on this host.
-        let mut done = Vec::new();
-        self.disk_queue.retain(|j| {
-            if j.done_at <= now && procs.contains(&j.replica) {
-                done.push(DiskJob { ..*j });
-                false
-            } else {
-                true
-            }
-        });
-        for j in done {
-            if j.chain_pos == usize::MAX {
-                // 1Pipe: reply with the checksum.
-                let mut b = BytesMut::new();
-                b.put_u8(T_ACK);
-                b.put_u64(j.id);
-                b.put_u64(j.checksum);
-                out.push_raw(j.replica, j.reply_to, b.freeze());
-            } else if j.chain_pos + 1 < self.cfg.replicas {
-                // Chain: forward to the next replica.
-                let next = ProcessId(j.replica.0 + 1);
-                let mut b = BytesMut::with_capacity(10 + self.cfg.write_bytes);
-                b.put_u8(T_WRITE);
-                b.put_u64(j.id);
-                b.put_u8((j.chain_pos + 1) as u8);
-                b.extend_from_slice(&vec![0u8; self.cfg.write_bytes]);
-                out.push_raw(j.replica, next, b.freeze());
-                // Remember to ack upstream once the tail acks us: the
-                // reduced chain rips the ack straight from the tail to the
-                // client, preserving end-to-end latency (3 disk + 3 RTT).
-            } else {
-                // Tail of the chain: ack the client directly (latency-
-                // equivalent collapse of the ack ripple).
-                let mut b = BytesMut::new();
-                b.put_u8(T_ACK);
-                b.put_u64(j.id);
-                b.put_u64(j.checksum);
-                out.push_raw(j.replica, self.client(), b.freeze());
+        for (replica, j) in self.disk_queue.release(now, procs) {
+            match j.chain_pos {
+                Some(pos) if pos + 1 < self.cfg.replicas => {
+                    // Chain: forward to the next replica. The reduced
+                    // chain rips the ack straight from the tail to the
+                    // client, preserving end-to-end latency (3 disk + 3 RTT).
+                    let next = ProcessId(replica.0 + 1);
+                    out.push_raw(replica, next, self.write_frame(j.id, Some(pos + 1)));
+                }
+                _ => {
+                    // 1Pipe: reply with the checksum. Tail of the chain:
+                    // ack the client directly (latency-equivalent collapse
+                    // of the ack ripple).
+                    let mut b = frame(T_ACK, j.id);
+                    b.put_u64(j.checksum);
+                    out.push_raw(replica, self.client(), b);
+                }
             }
         }
         // Client issues writes.
         let client = self.client();
-        if procs.contains(&client) {
-            while self.outstanding < self.cfg.pipeline {
-                self.start_write(now, out);
-            }
+        let clients = procs.iter().copied().filter(|&p| p == client);
+        for _ in self.ops.refill(clients, self.cfg.pipeline) {
+            self.start_write(now, out);
         }
-        let _ = host;
     }
 }
 

@@ -21,6 +21,7 @@
 //!   waits: the upper bound.
 
 use crate::metrics::TxnRecord;
+use crate::rpc::{frame, read_frame, HoldBack, Inflight};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use onepipe_core::simhost::{AppHook, SendQueue};
 use onepipe_types::ids::{HostId, ProcessId};
@@ -115,6 +116,40 @@ struct TxnBody {
     items: Vec<(u32, u32)>,
 }
 
+impl TxnBody {
+    /// A `tag` frame carrying the body, then `extra`.
+    fn encode(&self, tag: u8, id: u64, extra: &[u64]) -> BytesMut {
+        let mut b = frame(tag, id);
+        b.put_u8(self.kind);
+        b.put_u16(self.warehouse as u16);
+        b.put_u8(self.district as u8);
+        b.put_u64(self.amount);
+        b.put_u16(self.items.len() as u16);
+        for &(item, qty) in &self.items {
+            b.put_u32(item);
+            b.put_u32(qty);
+        }
+        extra.iter().for_each(|&x| b.put_u64(x));
+        b
+    }
+
+    fn decode(p: &mut Bytes) -> Option<TxnBody> {
+        if p.remaining() < 14 {
+            return None;
+        }
+        let kind = p.get_u8();
+        let warehouse = p.get_u16() as usize;
+        let district = p.get_u8() as usize;
+        let amount = p.get_u64();
+        let n = p.get_u16() as usize;
+        if p.remaining() < n * 8 {
+            return None;
+        }
+        let items = (0..n).map(|_| (p.get_u32(), p.get_u32())).collect();
+        Some(TxnBody { kind, warehouse, district, amount, items })
+    }
+}
+
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Phase {
     Issue,
@@ -126,12 +161,7 @@ enum Phase {
 
 #[derive(Debug)]
 struct Txn {
-    client: ProcessId,
     body: TxnBody,
-    start: u64,
-    issued_at: u64,
-    retries: u32,
-    awaiting: usize,
     phase: Phase,
 }
 
@@ -148,24 +178,33 @@ const T_UNLOCK_R: u8 = 10;
 const T_REPL: u8 = 11; // primary → backup replication
 const T_REPL_R: u8 = 12;
 
+/// The primary's positive answer `tag` to `id`.
+fn reply_ok(tag: u8, id: u64) -> BytesMut {
+    let mut b = frame(tag, id);
+    if tag == T_VALIDATE_EXEC_R {
+        b.put_u8(1);
+    }
+    b
+}
+
 /// The TPC-C application.
 pub struct TpccApp {
     cfg: TpccConfig,
     /// `state[warehouse][replica]`.
     state: Vec<Vec<WarehouseState>>,
-    txns: HashMap<u64, Txn>,
-    next_txn: u64,
-    outstanding: Vec<usize>,
+    txns: Inflight<Txn>,
     rng: StdRng,
-    retry_queue: Vec<(u64, u64)>,
+    /// Aborted transactions waiting out their backoff.
+    retries: HoldBack<u64>,
     /// Completed transactions.
     pub completed: Vec<TxnRecord>,
     /// Aborts (lock conflicts / validation failures).
     pub aborts: u64,
     /// Replicas declared failed by the controller.
     pub dead_replicas: HashSet<ProcessId>,
-    /// Outstanding primary→backup replication acks: txn → (count, client).
-    repl_waits: HashMap<u64, (usize, ProcessId, u8)>,
+    /// Primaries waiting for their backups' acks before they answer a
+    /// client with the tag held.
+    repl_waits: Inflight<u8>,
 }
 
 impl TpccApp {
@@ -175,14 +214,12 @@ impl TpccApp {
         TpccApp {
             rng: StdRng::seed_from_u64(cfg.seed),
             state: vec![vec![WarehouseState::default(); cfg.replicas]; cfg.warehouses],
-            txns: HashMap::new(),
-            next_txn: 1,
-            outstanding: vec![0; cfg.n_procs],
-            retry_queue: Vec::new(),
+            txns: Inflight::new(),
+            retries: HoldBack::new(),
             completed: Vec::new(),
             aborts: 0,
             dead_replicas: HashSet::new(),
-            repl_waits: HashMap::new(),
+            repl_waits: Inflight::new(),
             cfg,
         }
     }
@@ -208,10 +245,6 @@ impl TpccApp {
         }
     }
 
-    fn primary(&self, warehouse: usize) -> ProcessId {
-        self.replica_proc(warehouse, 0)
-    }
-
     fn gen_body(&mut self) -> TxnBody {
         let kind = if self.rng.random_range(0.0..1.0) < self.cfg.new_order_frac {
             KIND_NEW_ORDER
@@ -229,39 +262,6 @@ impl TpccApp {
             Vec::new()
         };
         TxnBody { kind, warehouse, district, amount, items }
-    }
-
-    fn encode_body(id: u64, tag: u8, body: &TxnBody) -> Bytes {
-        let mut b = BytesMut::new();
-        b.put_u8(tag);
-        b.put_u64(id);
-        b.put_u8(body.kind);
-        b.put_u16(body.warehouse as u16);
-        b.put_u8(body.district as u8);
-        b.put_u64(body.amount);
-        b.put_u16(body.items.len() as u16);
-        for &(item, qty) in &body.items {
-            b.put_u32(item);
-            b.put_u32(qty);
-        }
-        b.freeze()
-    }
-
-    fn decode_body(p: &mut Bytes) -> Option<(u64, TxnBody)> {
-        if p.remaining() < 22 {
-            return None;
-        }
-        let id = p.get_u64();
-        let kind = p.get_u8();
-        let warehouse = p.get_u16() as usize;
-        let district = p.get_u8() as usize;
-        let amount = p.get_u64();
-        let n = p.get_u16() as usize;
-        if p.remaining() < n * 8 {
-            return None;
-        }
-        let items = (0..n).map(|_| (p.get_u32(), p.get_u32())).collect();
-        Some((id, TxnBody { kind, warehouse, district, amount, items }))
     }
 
     /// Deterministically apply a transaction body at one replica's state.
@@ -292,88 +292,61 @@ impl TpccApp {
 
     fn start_txn(&mut self, now: u64, client: ProcessId, out: &mut SendQueue) {
         let body = self.gen_body();
-        let id = self.next_txn;
-        self.next_txn += 1;
-        self.txns.insert(
-            id,
-            Txn {
-                client,
-                body,
-                start: now,
-                issued_at: now,
-                retries: 0,
-                awaiting: 0,
-                phase: Phase::Issue,
-            },
-        );
-        self.outstanding[client.0 as usize] += 1;
+        // `issue` sets the count of replies to await.
+        let id = self.txns.open(now, client, body.kind, 0, Txn { body, phase: Phase::Issue });
         self.issue(now, id, out);
     }
 
     fn issue(&mut self, now: u64, id: u64, out: &mut SendQueue) {
-        let Some(txn) = self.txns.get_mut(&id) else { return };
+        let Some(txn) = self.txns.get_mut(id) else { return };
         txn.issued_at = now;
-        let client = txn.client;
-        let body = txn.body.clone();
+        let (client, warehouse) = (txn.client, txn.state.body.warehouse);
         match self.cfg.mode {
             TpccMode::OnePipe => {
                 // One reliable scattering to every live replica.
                 let live: Vec<ProcessId> = (0..self.cfg.replicas)
-                    .map(|r| self.replica_proc(body.warehouse, r))
+                    .map(|r| self.replica_proc(warehouse, r))
                     .filter(|p| !self.dead_replicas.contains(p))
                     .collect();
                 if live.is_empty() {
                     return;
                 }
-                let majority = (self.cfg.replicas / 2 + 1).min(live.len());
-                let txn = self.txns.get_mut(&id).unwrap();
-                txn.awaiting = majority;
-                let payload = Self::encode_body(id, T_EXEC, &body);
+                let txn = self.txns.get_mut(id).expect("an open transaction");
+                txn.awaiting = (self.cfg.replicas / 2 + 1).min(live.len());
+                let payload = txn.state.body.encode(T_EXEC, id, &[]).freeze();
                 let msgs: Vec<Message> =
                     live.iter().map(|&p| Message::new(p, payload.clone())).collect();
                 out.push(client, msgs, true);
             }
-            TpccMode::NonTx => {
-                let txn = self.txns.get_mut(&id).unwrap();
-                txn.awaiting = 1;
-                let dst = self.primary(body.warehouse);
-                out.push_raw(client, dst, Self::encode_body(id, T_EXEC, &body));
-            }
-            TpccMode::Lock => {
-                let txn = self.txns.get_mut(&id).unwrap();
-                txn.phase = Phase::Lock;
-                txn.awaiting = 1;
-                let dst = self.primary(body.warehouse);
-                out.push_raw(client, dst, Self::encode_body(id, T_LOCK, &body));
-            }
-            TpccMode::Occ => {
-                let txn = self.txns.get_mut(&id).unwrap();
-                txn.phase = Phase::Read;
-                txn.awaiting = 1;
-                let dst = self.primary(body.warehouse);
-                out.push_raw(client, dst, Self::encode_body(id, T_READ, &body));
-            }
+            TpccMode::NonTx => self.send_to_primary(id, Phase::Issue, T_EXEC, &[], out),
+            TpccMode::Lock => self.send_to_primary(id, Phase::Lock, T_LOCK, &[], out),
+            TpccMode::Occ => self.send_to_primary(id, Phase::Read, T_READ, &[], out),
         }
+    }
+
+    /// Enter `phase` and send the body, then `extra`, to the warehouse's
+    /// primary as `tag`, awaiting one reply.
+    fn send_to_primary(
+        &mut self,
+        id: u64,
+        phase: Phase,
+        tag: u8,
+        extra: &[u64],
+        out: &mut SendQueue,
+    ) {
+        let Some(txn) = self.txns.get_mut(id) else { return };
+        txn.state.phase = phase;
+        txn.awaiting = 1;
+        let primary = ProcessId((txn.state.body.warehouse * self.cfg.replicas) as u32);
+        out.push_raw(txn.client, primary, txn.state.body.encode(tag, id, extra));
     }
 
     fn abort_retry(&mut self, now: u64, id: u64) {
         self.aborts += 1;
-        let Some(txn) = self.txns.get_mut(&id) else { return };
+        let Some(txn) = self.txns.get_mut(id) else { return };
         txn.retries += 1;
         let backoff = 3_000u64 * (1 << txn.retries.min(6)) as u64;
-        self.retry_queue.push((now + backoff, id));
-    }
-
-    fn complete(&mut self, now: u64, id: u64) {
-        if let Some(txn) = self.txns.remove(&id) {
-            self.outstanding[txn.client.0 as usize] -= 1;
-            self.completed.push(TxnRecord {
-                start: txn.start,
-                end: now,
-                kind: txn.body.kind,
-                retries: txn.retries,
-            });
-        }
+        self.retries.push(now + backoff, txn.client, id);
     }
 
     /// Synchronous replication from the primary to live backups; returns
@@ -391,10 +364,27 @@ impl TpccApp {
             if self.dead_replicas.contains(&backup) {
                 continue;
             }
-            out.push_raw(primary, backup, Self::encode_body(id, T_REPL, body));
+            out.push_raw(primary, backup, body.encode(T_REPL, id, &[]));
             waits += 1;
         }
         waits
+    }
+
+    /// Replicate, then answer `client` with `tag` once every live backup
+    /// acked (at once when there is none).
+    fn replicate_then_reply(
+        &mut self,
+        primary: ProcessId,
+        client: ProcessId,
+        id: u64,
+        body: &TxnBody,
+        tag: u8,
+        out: &mut SendQueue,
+    ) {
+        match self.replicate(primary, id, body, out) {
+            0 => out.push_raw(primary, client, reply_ok(tag, id)),
+            waits => self.repl_waits.wait(id, client, waits, tag),
+        }
     }
 }
 
@@ -409,17 +399,11 @@ impl AppHook for TpccApp {
     ) {
         // 1Pipe mode: replicas execute scattering bodies in total order.
         let Some((warehouse, replica)) = self.server_role(receiver) else { return };
-        let mut p = msg.payload.clone();
-        if p.remaining() < 1 || p.get_u8() != T_EXEC {
-            return;
-        }
-        let Some((id, body)) = Self::decode_body(&mut p) else { return };
+        let Some((T_EXEC, id, mut p)) = read_frame(&msg.payload) else { return };
+        let Some(body) = TxnBody::decode(&mut p) else { return };
         debug_assert_eq!(body.warehouse, warehouse);
         self.apply(warehouse, replica, id, &body);
-        let mut b = BytesMut::new();
-        b.put_u8(T_EXEC_R);
-        b.put_u64(id);
-        out.push_raw(receiver, msg.src, b.freeze());
+        out.push_raw(receiver, msg.src, frame(T_EXEC_R, id));
     }
 
     fn on_raw(
@@ -430,245 +414,137 @@ impl AppHook for TpccApp {
         payload: &Bytes,
         out: &mut SendQueue,
     ) {
-        let mut p = payload.clone();
-        if p.remaining() < 9 {
-            return;
-        }
-        let tag = p.get_u8();
+        let Some((tag, id, mut p)) = read_frame(payload) else { return };
         match tag {
             // ---------------- client side ----------------
             T_EXEC_R => {
-                let id = p.get_u64();
-                let state = {
-                    let Some(txn) = self.txns.get_mut(&id) else { return };
-                    txn.awaiting = txn.awaiting.saturating_sub(1);
-                    (txn.awaiting == 0).then_some((txn.phase, txn.client, txn.body.clone()))
-                };
-                let Some((phase, client, body)) = state else { return };
-                if self.cfg.mode == TpccMode::Lock && phase == Phase::Exec {
+                if !self.txns.ack(id) {
+                    return;
+                }
+                if self.cfg.mode == TpccMode::Lock
+                    && self.txns.get(id).expect("an open transaction").state.phase == Phase::Exec
+                {
                     // Release locks before completing.
-                    let txn = self.txns.get_mut(&id).unwrap();
-                    txn.phase = Phase::Unlock;
-                    txn.awaiting = 1;
-                    let dst = self.primary(body.warehouse);
-                    out.push_raw(client, dst, Self::encode_body(id, T_UNLOCK, &body));
+                    self.send_to_primary(id, Phase::Unlock, T_UNLOCK, &[], out);
                 } else {
-                    self.complete(now, id);
+                    self.txns.complete(now, id, &mut self.completed);
                 }
             }
-            T_LOCK_R => {
-                let id = p.get_u64();
-                if p.remaining() < 1 {
-                    return;
-                }
-                let ok = p.get_u8() == 1;
-                if !ok {
-                    self.abort_retry(now, id);
-                    return;
-                }
-                let Some(txn) = self.txns.get_mut(&id) else { return };
-                txn.phase = Phase::Exec;
-                txn.awaiting = 1;
-                let client = txn.client;
-                let body = txn.body.clone();
-                let dst = self.primary(body.warehouse);
-                out.push_raw(client, dst, Self::encode_body(id, T_EXEC, &body));
-            }
-            T_READ_R => {
-                let id = p.get_u64();
-                if p.remaining() < 16 {
-                    return;
-                }
-                let wv = p.get_u64();
-                let dv = p.get_u64();
-                let Some(txn) = self.txns.get_mut(&id) else { return };
-                txn.phase = Phase::Exec;
-                txn.awaiting = 1;
-                let client = txn.client;
-                let body = txn.body.clone();
-                let mut b = BytesMut::new();
-                b.put_u8(T_VALIDATE_EXEC);
-                b.put_u64(wv);
-                b.put_u64(dv);
-                let inner = Self::encode_body(id, T_EXEC, &body);
-                b.extend_from_slice(&inner[1..]); // body without its tag
-                let dst = self.primary(body.warehouse);
-                out.push_raw(client, dst, b.freeze());
-            }
-            T_VALIDATE_EXEC_R => {
-                let id = p.get_u64();
-                if p.remaining() < 1 {
-                    return;
-                }
-                let ok = p.get_u8() == 1;
-                if ok {
-                    let done = {
-                        let Some(txn) = self.txns.get_mut(&id) else { return };
-                        txn.awaiting = txn.awaiting.saturating_sub(1);
-                        txn.awaiting == 0
-                    };
-                    if done {
-                        self.complete(now, id);
-                    }
+            T_LOCK_R if p.remaining() >= 1 => {
+                if p.get_u8() == 1 {
+                    self.send_to_primary(id, Phase::Exec, T_EXEC, &[], out);
                 } else {
                     self.abort_retry(now, id);
+                }
+            }
+            T_READ_R if p.remaining() >= 16 => {
+                let versions = [p.get_u64(), p.get_u64()];
+                self.send_to_primary(id, Phase::Exec, T_VALIDATE_EXEC, &versions, out);
+            }
+            T_VALIDATE_EXEC_R if p.remaining() >= 1 => {
+                if p.get_u8() != 1 {
+                    self.abort_retry(now, id);
+                } else if self.txns.ack(id) {
+                    self.txns.complete(now, id, &mut self.completed);
                 }
             }
             T_UNLOCK_R => {
-                let id = p.get_u64();
-                self.complete(now, id);
+                self.txns.complete(now, id, &mut self.completed);
             }
             T_REPL_R => {
-                let id = p.get_u64();
                 // Ack at the primary: once all backups confirmed, send the
                 // deferred reply to the waiting client.
-                let done = {
-                    let Some((w, _, _)) = self.repl_waits.get_mut(&id) else { return };
-                    *w = w.saturating_sub(1);
-                    *w == 0
-                };
-                if done {
-                    let (_, client, reply_tag) = self.repl_waits.remove(&id).unwrap();
-                    let mut b = BytesMut::new();
-                    b.put_u8(reply_tag);
-                    b.put_u64(id);
-                    if reply_tag == T_VALIDATE_EXEC_R {
-                        b.put_u8(1);
-                    }
-                    out.push_raw(receiver, client, b.freeze());
+                if self.repl_waits.ack(id) {
+                    let wait = self.repl_waits.remove(id).expect("an acked wait is open");
+                    out.push_raw(receiver, wait.client, reply_ok(wait.state, id));
                 }
             }
             // ---------------- server side ----------------
-            T_EXEC => {
+            _ => {
                 let Some((warehouse, replica)) = self.server_role(receiver) else { return };
-                let Some((id, body)) = Self::decode_body(&mut p) else { return };
-                self.apply(warehouse, replica, id, &body);
-                match self.cfg.mode {
-                    TpccMode::Lock => {
-                        // Synchronous replication before acknowledging.
-                        let waits = self.replicate(receiver, id, &body, out);
-                        if waits == 0 {
-                            let mut b = BytesMut::new();
-                            b.put_u8(T_EXEC_R);
-                            b.put_u64(id);
-                            out.push_raw(receiver, src, b.freeze());
+                let Some(body) = TxnBody::decode(&mut p) else { return };
+                match tag {
+                    T_EXEC => {
+                        self.apply(warehouse, replica, id, &body);
+                        if self.cfg.mode == TpccMode::Lock {
+                            // Synchronous replication before acknowledging.
+                            self.replicate_then_reply(receiver, src, id, &body, T_EXEC_R, out);
                         } else {
-                            self.repl_waits.insert(id, (waits, src, T_EXEC_R));
+                            // NonTX (and the 1Pipe fallback path): reply
+                            // immediately, replicate asynchronously.
+                            self.replicate(receiver, id, &body, out);
+                            out.push_raw(receiver, src, frame(T_EXEC_R, id));
                         }
                     }
-                    _ => {
-                        // NonTX (and the 1Pipe fallback path): reply
-                        // immediately, replicate asynchronously.
-                        self.replicate(receiver, id, &body, out);
-                        let mut b = BytesMut::new();
-                        b.put_u8(T_EXEC_R);
-                        b.put_u64(id);
-                        out.push_raw(receiver, src, b.freeze());
+                    T_REPL => {
+                        self.apply(warehouse, replica, id, &body);
+                        out.push_raw(receiver, src, frame(T_REPL_R, id));
                     }
-                }
-            }
-            T_REPL => {
-                let Some((warehouse, replica)) = self.server_role(receiver) else { return };
-                let Some((id, body)) = Self::decode_body(&mut p) else { return };
-                self.apply(warehouse, replica, id, &body);
-                let mut b = BytesMut::new();
-                b.put_u8(T_REPL_R);
-                b.put_u64(id);
-                out.push_raw(receiver, src, b.freeze());
-            }
-            T_LOCK => {
-                let Some((warehouse, _)) = self.server_role(receiver) else { return };
-                let Some((id, body)) = Self::decode_body(&mut p) else { return };
-                let st = &mut self.state[warehouse][0];
-                // Warehouse entity: shared for New-Order, exclusive for
-                // Payment; district entity: exclusive.
-                let ok = if body.kind == KIND_PAYMENT {
-                    if st.w_writer.is_none()
-                        && st.w_readers == 0
-                        && st.d_lock[body.district].is_none()
-                    {
-                        st.w_writer = Some(id);
-                        st.d_lock[body.district] = Some(id);
-                        true
-                    } else {
-                        false
+                    T_LOCK => {
+                        let st = &mut self.state[warehouse][0];
+                        // Warehouse entity: shared for New-Order, exclusive for
+                        // Payment; district entity: exclusive.
+                        let ok = if body.kind == KIND_PAYMENT {
+                            if st.w_writer.is_none()
+                                && st.w_readers == 0
+                                && st.d_lock[body.district].is_none()
+                            {
+                                st.w_writer = Some(id);
+                                st.d_lock[body.district] = Some(id);
+                                true
+                            } else {
+                                false
+                            }
+                        } else if st.w_writer.is_none() && st.d_lock[body.district].is_none() {
+                            st.w_readers += 1;
+                            st.d_lock[body.district] = Some(id);
+                            true
+                        } else {
+                            false
+                        };
+                        let mut b = frame(T_LOCK_R, id);
+                        b.put_u8(ok as u8);
+                        out.push_raw(receiver, src, b);
                     }
-                } else if st.w_writer.is_none() && st.d_lock[body.district].is_none() {
-                    st.w_readers += 1;
-                    st.d_lock[body.district] = Some(id);
-                    true
-                } else {
-                    false
-                };
-                let mut b = BytesMut::new();
-                b.put_u8(T_LOCK_R);
-                b.put_u64(id);
-                b.put_u8(ok as u8);
-                out.push_raw(receiver, src, b.freeze());
-            }
-            T_UNLOCK => {
-                let Some((warehouse, _)) = self.server_role(receiver) else { return };
-                let Some((id, body)) = Self::decode_body(&mut p) else { return };
-                let st = &mut self.state[warehouse][0];
-                if body.kind == KIND_PAYMENT {
-                    if st.w_writer == Some(id) {
-                        st.w_writer = None;
+                    T_UNLOCK => {
+                        let st = &mut self.state[warehouse][0];
+                        if body.kind == KIND_PAYMENT {
+                            if st.w_writer == Some(id) {
+                                st.w_writer = None;
+                            }
+                        } else {
+                            st.w_readers = st.w_readers.saturating_sub(1);
+                        }
+                        if st.d_lock[body.district] == Some(id) {
+                            st.d_lock[body.district] = None;
+                        }
+                        out.push_raw(receiver, src, frame(T_UNLOCK_R, id));
                     }
-                } else {
-                    st.w_readers = st.w_readers.saturating_sub(1);
-                }
-                if st.d_lock[body.district] == Some(id) {
-                    st.d_lock[body.district] = None;
-                }
-                let mut b = BytesMut::new();
-                b.put_u8(T_UNLOCK_R);
-                b.put_u64(id);
-                out.push_raw(receiver, src, b.freeze());
-            }
-            T_READ => {
-                let Some((warehouse, _)) = self.server_role(receiver) else { return };
-                let Some((id, body)) = Self::decode_body(&mut p) else { return };
-                let st = &self.state[warehouse][0];
-                let mut b = BytesMut::new();
-                b.put_u8(T_READ_R);
-                b.put_u64(id);
-                b.put_u64(st.warehouse_version);
-                b.put_u64(st.district_version[body.district]);
-                out.push_raw(receiver, src, b.freeze());
-            }
-            T_VALIDATE_EXEC => {
-                let Some((warehouse, replica)) = self.server_role(receiver) else { return };
-                if p.remaining() < 16 {
-                    return;
-                }
-                let wv = p.get_u64();
-                let dv = p.get_u64();
-                let Some((id, body)) = Self::decode_body(&mut p) else { return };
-                let st = &self.state[warehouse][0];
-                // New-Order read the warehouse entry (churned by Payment)
-                // and its district counter — the Figure 15a contention.
-                let ok = st.warehouse_version == wv && st.district_version[body.district] == dv;
-                if !ok {
-                    let mut b = BytesMut::new();
-                    b.put_u8(T_VALIDATE_EXEC_R);
-                    b.put_u64(id);
-                    b.put_u8(0);
-                    out.push_raw(receiver, src, b.freeze());
-                    return;
-                }
-                self.apply(warehouse, replica, id, &body);
-                let waits = self.replicate(receiver, id, &body, out);
-                if waits == 0 {
-                    let mut b = BytesMut::new();
-                    b.put_u8(T_VALIDATE_EXEC_R);
-                    b.put_u64(id);
-                    b.put_u8(1);
-                    out.push_raw(receiver, src, b.freeze());
-                } else {
-                    self.repl_waits.insert(id, (waits, src, T_VALIDATE_EXEC_R));
+                    T_READ => {
+                        let st = &self.state[warehouse][0];
+                        let mut b = frame(T_READ_R, id);
+                        b.put_u64(st.warehouse_version);
+                        b.put_u64(st.district_version[body.district]);
+                        out.push_raw(receiver, src, b);
+                    }
+                    T_VALIDATE_EXEC if p.remaining() >= 16 => {
+                        let (wv, dv) = (p.get_u64(), p.get_u64());
+                        let st = &self.state[warehouse][0];
+                        // New-Order read the warehouse entry (churned by Payment)
+                        // and its district counter — the Figure 15a contention.
+                        if st.warehouse_version == wv && st.district_version[body.district] == dv {
+                            self.apply(warehouse, replica, id, &body);
+                            let tag = T_VALIDATE_EXEC_R;
+                            self.replicate_then_reply(receiver, src, id, &body, tag, out);
+                        } else {
+                            let mut b = frame(T_VALIDATE_EXEC_R, id);
+                            b.put_u8(0);
+                            out.push_raw(receiver, src, b);
+                        }
+                    }
+                    _ => {}
                 }
             }
-            _ => {}
         }
     }
 
@@ -689,45 +565,18 @@ impl AppHook for TpccApp {
 
     fn on_tick(&mut self, now: u64, _host: HostId, procs: &[ProcessId], out: &mut SendQueue) {
         // Backoff retries for local clients.
-        let mut due = Vec::new();
-        self.retry_queue.retain(|&(at, id)| {
-            let local = self.txns.get(&id).map(|t| procs.contains(&t.client)).unwrap_or(false);
-            if at <= now && local {
-                due.push(id);
-                false
-            } else {
-                true
-            }
-        });
-        for id in due {
+        for (_, id) in self.retries.release(now, procs) {
             self.issue(now, id, out);
         }
         // 1Pipe: re-issue transactions stalled by a replica failure (the
         // "aborted and retried" path of §7.3.2); replicas dedupe by id.
         if self.cfg.mode == TpccMode::OnePipe {
-            let timeout = self.cfg.retry_timeout;
-            let mut stale: Vec<u64> = self
-                .txns
-                .iter()
-                .filter(|(_, t)| {
-                    procs.contains(&t.client) && now.saturating_sub(t.issued_at) > timeout
-                })
-                .map(|(&id, _)| id)
-                .collect();
-            // `txns` iterates in a per-run random order; re-issue in id
-            // order so a run repeats.
-            stale.sort_unstable();
-            for id in stale {
-                if let Some(t) = self.txns.get_mut(&id) {
-                    t.retries += 1;
-                }
+            for id in self.txns.time_out(now, self.cfg.retry_timeout, procs, |_| true) {
                 self.issue(now, id, out);
             }
         }
-        for &p in procs {
-            while self.outstanding[p.0 as usize] < self.cfg.pipeline {
-                self.start_txn(now, p, out);
-            }
+        for p in self.txns.refill(procs.iter().copied(), self.cfg.pipeline) {
+            self.start_txn(now, p, out);
         }
     }
 }
